@@ -124,7 +124,7 @@ def probe_boundary(family: EigenFamily, tol: float = 1e-4,
     Requires falsification to find nothing at ``bracket[0]`` and a witness at
     ``bracket[1]``; otherwise raises :class:`BadInitialBracketError`.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 1.0 <= lo < hi:

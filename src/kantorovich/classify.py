@@ -7,9 +7,10 @@ Decision ladder, in order:
    coordinate probe on the extreme eigenvalue pair usually certifies it.
 3. dim 3: kappa <= 2 + sqrt(3) is sufficient.
 4. any dim: kappa <= sqrt(5 + 2*sqrt(6)) is sufficient.
-5. otherwise kappa sits in the open gap: run the sampled falsification
-   search; a violating direction gives NotConvex with a witness, exhausting
-   the budget gives Undetermined with the scan report.
+5. otherwise kappa sits in the open gap: scan the sampled design once
+   (:func:`verify_h_lmi`); a violating direction, lowered by eigenvector
+   descent, gives NotConvex with a witness, exhausting the budget gives
+   Undetermined with the scan report.
 
 Threshold comparisons are inclusive within relative 1e-12, so a matrix built
 to sit exactly on a boundary classifies with the boundary, not against it.
@@ -25,6 +26,7 @@ import numpy as np
 
 from .forms import DeltaVector, delta_from_spd, h_form, h_form_batch
 from .linalg import PSD_EPS, SpdMatrix, min_eig_batch
+from .lmi import verify_h_lmi
 from .sampling import (DEFAULT_PLAN, SamplePlan, SampleReport, all_samples,
                        scan_h)
 
@@ -120,62 +122,28 @@ def necessary_probe(delta: DeltaVector) -> ProbeResult:
                        violated=q < 0.0)
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+def _descend(delta: DeltaVector, y: np.ndarray, lam: float, rounds: int):
+    """Lower lambda_min h(delta, y) from the unit point y, whose value is lam.
 
-
-def _golden_min(f, lo: float, hi: float, iters: int = 22):
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
-def _unit_value(delta: DeltaVector, y: np.ndarray) -> float:
-    nrm = float(np.linalg.norm(y))
-    if nrm == 0.0:
-        return math.inf
-    return float(min_eig_batch(h_form_batch(delta, (y / nrm)[None, :]))[0])
-
-
-def _refine(delta: DeltaVector, y0: np.ndarray, rounds: int):
-    """Coordinate-wise golden-section descent of lambda_min on the sphere."""
-    best_y = y0 / np.linalg.norm(y0)
-    best = _unit_value(delta, best_y)
-    width = 0.5
+    Since z'h(d, y)z == y'h(d, z)y, the lowest eigenvector v of h(d, y)
+    satisfies lambda_min h(d, v) <= y'h(d, v)y == lambda_min h(d, y), so
+    each step y <- v is a descent.  It stops after ``rounds`` steps or at
+    the first step without a strict decrease.
+    """
     for _ in range(rounds):
-        for i in range(delta.dim):
-            base = best_y
-
-            def line(t, i=i, base=base):
-                z = base.copy()
-                z[i] += t
-                return _unit_value(delta, z)
-
-            t, ft = _golden_min(line, -width, width)
-            if ft < best:
-                z = base.copy()
-                z[i] += t
-                best_y = z / np.linalg.norm(z)
-                best = ft
-        width *= 0.85
-    return best_y, best
+        v = np.linalg.eigh(h_form_batch(delta, y[None, :])[0])[1][:, 0]
+        val = float(min_eig_batch(h_form_batch(delta, v[None, :]))[0])
+        if not val < lam:
+            break
+        y, lam = v, val
+    return y, lam
 
 
 def falsify(spd: SpdMatrix, plan: SamplePlan = DEFAULT_PLAN) -> Witness | None:
     """Search for a direction where hess f fails to be PSD.
 
     Scans the probe + design directions for the most negative lambda_min of
-    h(delta, y); a value below the scan tolerance is refined by coordinate
+    h(delta, y); a value below the scan tolerance is lowered by eigenvector
     descent and mapped back to x = U' y.  Returns None when every sampled
     direction passes.
     """
@@ -184,12 +152,9 @@ def falsify(spd: SpdMatrix, plan: SamplePlan = DEFAULT_PLAN) -> Witness | None:
     res = scan_h(delta, pts, values_needed=False)
     if not res.violation:
         return None
-    y0 = np.array(pts[res.worst_index])
-    y, lam = _refine(delta, y0, plan.refine_rounds)
-    if lam > res.worst_value:
-        y, lam = y0, res.worst_value
-    x = spd.spectral.rotation.T @ y
-    return Witness(point=x, lambda_min=float(lam))
+    y, lam = _descend(delta, pts[res.worst_index], res.worst_value,
+                      plan.refine_rounds)
+    return Witness(point=spd.spectral.rotation.T @ y, lambda_min=lam)
 
 
 def _probe_witness(spd: SpdMatrix, delta: DeltaVector) -> Witness | None:
@@ -232,17 +197,12 @@ def classify(spd: SpdMatrix,
     if kappa <= thr.sufficient_any * inc:
         return verdict(Status.CONVEX, Certificate.SUFFICIENT_ANY_DIM)
 
-    witness = falsify(spd, plan)
-    if witness is not None:
-        return verdict(Status.NOT_CONVEX, Certificate.WITNESS_FOUND,
-                       witness=witness)
-
-    pts = all_samples(n, plan)
-    res = scan_h(delta, pts, values_needed=True)
-    report = SampleReport(worst_value=res.worst_value,
-                          worst_point=np.array(pts[res.worst_index]),
-                          samples=res.samples, seed=plan.seed,
-                          tolerance=res.tolerance,
-                          passed=not res.violation)
-    return verdict(Status.UNDETERMINED, Certificate.SAMPLING_EXHAUSTED,
-                   report=report)
+    report = verify_h_lmi(delta, plan)
+    if report.passed:
+        return verdict(Status.UNDETERMINED, Certificate.SAMPLING_EXHAUSTED,
+                       report=report)
+    y, lam = _descend(delta, report.worst_point, report.worst_value,
+                      plan.refine_rounds)
+    return verdict(Status.NOT_CONVEX, Certificate.WITNESS_FOUND,
+                   witness=Witness(point=spd.spectral.rotation.T @ y,
+                                   lambda_min=lam))

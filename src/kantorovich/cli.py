@@ -19,7 +19,7 @@ from .boundary import (BadInitialBracketError, EigenFamily, sweep, sweep_csv)
 from .classify import Status, Thresholds, classify
 from .forms import DeltaVector, delta_from_spd, pair_indices
 from .function import f_hessian, fd_hessian, kantorovich_bound_check
-from .linalg import MatrixValidationError, validate_spd
+from .linalg import MAX_DIM, MatrixValidationError, validate_spd
 from .lmi import (GridSpec, box_inequality_grid_check,
                   detm_alpha_convexity_check, robust_psd_grid, verify_h_lmi)
 from .sampling import SamplePlan
@@ -219,10 +219,9 @@ def cmd_lemmas(args) -> int:
     lo, hi = args.omega_min, args.omega_max
     if not lo < hi:
         raise ValueError("--omega-min must be below --omega-max")
-    box_n = args.grid or args.box_grid
-    omega_n = args.grid or args.omega_grid
-    ab_n = args.grid or args.ab_grid
-    alpha_n = args.grid or args.alpha_grid
+    box_n, omega_n, ab_n, alpha_n = (
+        (args.box_grid, args.omega_grid, args.ab_grid, args.alpha_grid)
+        if args.grid is None else (args.grid,) * 4)
     box = box_inequality_grid_check(GridSpec.cube(lo, hi, box_n, 3))
     omega_grid = GridSpec.cube(lo, hi, omega_n, 3)
     robust = [robust_psd_grid(f, omega_grid, GridSpec.cube(-1, 1, ab_n, 2))
@@ -285,6 +284,8 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_lmi(args) -> int:
+    if not 2 <= args.dim <= MAX_DIM:
+        raise ValueError(f"--dim must be between 2 and {MAX_DIM}")
     values = _parse_floats(args.delta, "--delta")
     npairs = args.dim * (args.dim - 1) // 2
     if values.shape != (npairs,):
@@ -378,7 +379,8 @@ def _add_plan_args(p: argparse.ArgumentParser) -> None:
                    help="Fibonacci sphere points in dim 3")
     p.add_argument("--samples-nd", type=int, default=d.random_nd,
                    help="random unit vectors in dim >= 4")
-    p.add_argument("--refine-rounds", type=int, default=d.refine_rounds)
+    p.add_argument("--refine-rounds", type=int, default=d.refine_rounds,
+                   help="maximum eigenvector-descent steps from a witness")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -319,18 +319,3 @@ def min_eig_batch(mats: np.ndarray) -> np.ndarray:
                                  mats[..., 0, 2], mats[..., 1, 2])
     return np.linalg.eigvalsh(mats)[..., 0]
 
-
-def batch_has_violation(mats: np.ndarray, shift: float) -> bool:
-    """True when some matrix in the stack has lambda_min < -shift.
-
-    Cheap screen for dim >= 4: a Cholesky factorization of (M + shift*I)
-    succeeds only if every matrix is positive definite after the shift.
-    """
-    n = mats.shape[-1]
-    if n <= 3:
-        return bool(np.any(min_eig_batch(mats) < -shift))
-    try:
-        np.linalg.cholesky(mats + shift * np.eye(n))
-        return False
-    except np.linalg.LinAlgError:
-        return True

@@ -92,6 +92,8 @@ def test_probe_argument_validation():
     with pytest.raises(ValueError):
         probe_boundary(fam, tol=0.0, plan=FAST)
     with pytest.raises(ValueError):
+        probe_boundary(fam, tol=math.nan, plan=FAST)
+    with pytest.raises(ValueError):
         probe_boundary(fam, tol=1e-3, plan=FAST, bracket=(0.5, 8.0))
     with pytest.raises(ValueError):
         probe_boundary(fam, tol=1e-3, plan=FAST, bracket=(3.0, 3.0))

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -5,12 +6,18 @@ import pytest
 
 from kantorovich.classify import (KAPPA_NECESSARY, KAPPA_SUFFICIENT_3D,
                                   KAPPA_SUFFICIENT_ANY, Certificate, Status,
-                                  classify, falsify, necessary_probe)
-from kantorovich.forms import DeltaVector, delta_from_spd
+                                  _descend, classify, falsify,
+                                  necessary_probe)
+from kantorovich.forms import DeltaVector, delta_from_spd, h_form
 from kantorovich.function import f_hessian
-from kantorovich.linalg import min_eigenvalue, validate_spd
-from kantorovich.sampling import SamplePlan
+from kantorovich.linalg import min_eig_batch, min_eigenvalue, validate_spd
+from kantorovich.lmi import verify_h_lmi
+from kantorovich.sampling import SamplePlan, probe_directions, scan_h
 from conftest import spd_with_kappa
+
+# The package re-exports the function ``classify``, which shadows the module
+# of the same name as an attribute of ``kantorovich``.
+classify_module = importlib.import_module("kantorovich.classify")
 
 # Small budgets keep the suite quick; the acceptance tests use the defaults.
 FAST = SamplePlan(angles_2d=1024, fibonacci_3d=20_000, random_nd=40_000,
@@ -74,6 +81,50 @@ def test_falsify_convex_3x3():
     assert falsify(spd, FAST) is None
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_falsify_witness_revalidates(rng, n):
+    for _ in range(5):
+        spd = spd_with_kappa(rng, n, float(rng.uniform(6.0, 10.0)))
+        w = falsify(spd, FAST)
+        assert w is not None
+        lam = min_eigenvalue(f_hessian(spd, w.point))
+        assert lam < 0.0
+        assert lam == pytest.approx(w.lambda_min, abs=1e-10)
+
+
+# --- eigenvector descent ----------------------------------------------------
+
+def _lam(delta, y):
+    return float(min_eig_batch(h_form(delta, y)[None])[0])
+
+
+def test_descend_never_raises_lambda_min(rng):
+    for _ in range(30):
+        n = int(rng.integers(2, 7))
+        delta = delta_from_spd(spd_with_kappa(rng, n,
+                                              float(rng.uniform(3.0, 10.0))))
+        y0 = rng.standard_normal(n)
+        y0 /= np.linalg.norm(y0)
+        lams = [_lam(delta, y0)]
+        for rounds in range(1, 6):
+            y, lam = _descend(delta, y0, lams[0], rounds)
+            assert lam == _lam(delta, y)
+            lams.append(lam)
+        assert all(b <= a for a, b in zip(lams, lams[1:]))
+        assert lams[-1] < lams[0]
+
+
+def test_descend_stops_at_probe_witness():
+    spd = validate_spd(np.diag([1.0, 2.0, 7.0]))
+    delta = delta_from_spd(spd)
+    y0 = probe_directions(3)[2]  # (e_1 + e_3) / sqrt(2), the extreme pair
+    lam0 = _lam(delta, y0)
+    assert lam0 < 0.0
+    y, lam = _descend(delta, y0, lam0, FAST.refine_rounds)
+    assert y is y0 and lam == lam0
+    assert falsify(spd, FAST).lambda_min == lam0
+
+
 # --- classify ---------------------------------------------------------------
 
 def test_classify_diag16():
@@ -104,6 +155,47 @@ def test_classify_gap_never_convex():
         assert v.witness is not None
     else:
         assert v.report is not None and v.report.passed
+
+
+@pytest.mark.parametrize("eigs", [(1.0, 2.0, 4.5), (1.0, 1.5, 3.0, 5.0)])
+def test_classify_gap_scans_once(monkeypatch, eigs):
+    calls = []
+
+    def counting_scan_h(*args, **kwargs):
+        calls.append(1)
+        return scan_h(*args, **kwargs)
+
+    monkeypatch.setattr(classify_module, "scan_h", counting_scan_h)
+    monkeypatch.setattr("kantorovich.lmi.scan_h", counting_scan_h)
+    spd = validate_spd(np.diag(eigs))
+    v = classify(spd, FAST)
+    assert len(calls) == 1
+    assert v.certificate == Certificate.SAMPLING_EXHAUSTED
+    want = verify_h_lmi(delta_from_spd(spd), FAST)
+    got = v.report
+    assert ((got.worst_value, got.samples, got.seed, got.tolerance,
+             got.passed) == (want.worst_value, want.samples, want.seed,
+                             want.tolerance, want.passed))
+    np.testing.assert_array_equal(got.worst_point, want.worst_point)
+
+
+def test_classify_failed_scan_descends_to_witness(monkeypatch):
+    # Gap matrices pass the scan at the real tolerance in every case tried.
+    # eps = -1 asks for a margin of max(3, delta_max / 2) above zero, which
+    # the worst sample misses, so the scan fails and the witness-found
+    # branch runs.
+    monkeypatch.setattr(classify_module, "verify_h_lmi",
+                        lambda delta, plan: verify_h_lmi(delta, plan,
+                                                         eps=-1.0))
+    spd = validate_spd(np.diag([1.0, 2.0, 4.5]))
+    v = classify(spd, FAST)
+    assert v.status == Status.NOT_CONVEX
+    assert v.certificate == Certificate.WITNESS_FOUND
+    report = verify_h_lmi(delta_from_spd(spd), FAST, eps=-1.0)
+    assert not report.passed
+    assert v.witness.lambda_min <= report.worst_value
+    lam = min_eigenvalue(f_hessian(spd, v.witness.point))
+    assert lam == pytest.approx(v.witness.lambda_min, abs=1e-10)
 
 
 def test_classify_dim1():

@@ -181,6 +181,11 @@ def test_lemmas_fails_outside_box():
     assert ",false" in res.stdout
 
 
+def test_lemmas_grid_zero_exits_64():
+    res = run_cli("lemmas", "--grid", "0")
+    assert res.returncode == 64
+
+
 def test_lemmas_csv_format_stdout():
     res = run_cli("lemmas", "--grid", "3", "--format", "csv")
     assert res.returncode == 0
@@ -216,6 +221,12 @@ def test_boundary_deterministic_modulo_wall(tmp_path):
 
 def test_boundary_bad_family():
     res = run_cli("boundary", "--families", "nope", "--dims", "2")
+    assert res.returncode == 64
+
+
+def test_boundary_nan_tol_exits_64():
+    res = run_cli("boundary", "--families", "two_point", "--dims", "2",
+                  "--tol", "nan", "--samples-2d", "256")
     assert res.returncode == 64
 
 
@@ -257,6 +268,13 @@ def test_lmi_wrong_count_exits_64():
 def test_lmi_below_two_exits_64():
     res = run_cli("lmi", "--dim", "2", "--delta", "1.5")
     assert res.returncode == 64
+
+
+def test_lmi_dim_above_max_exits_64():
+    res = run_cli("lmi", "--dim", "9", "--delta", ",".join(["2.5"] * 36),
+                  "--samples-nd", "16")
+    assert res.returncode == 64
+    assert "--dim" in res.stderr
 
 
 def test_lmi_malformed_exits_64():

@@ -139,6 +139,19 @@ def test_h_batch_matches_single(rng):
         np.testing.assert_allclose(batch[k], h_form(d, pts[k]), atol=0.0)
 
 
+def test_h_biquadratic_symmetry(rng):
+    # z'h(d, y)z == y'h(d, z)y, the identity behind eigenvector descent
+    for n in range(2, 9):
+        for _ in range(20):
+            d = DeltaVector(dim=n, values=rng.uniform(
+                2.0, 40.0, size=n * (n - 1) // 2))
+            y, z = rng.standard_normal((2, n))
+            h = h_form(d, y)
+            scale = np.abs(z) @ np.abs(h) @ np.abs(z)
+            assert z @ h @ z == pytest.approx(y @ h_form(d, z) @ y,
+                                              rel=0.0, abs=1e-12 * scale)
+
+
 def test_h_batch_shape_validation():
     d = DeltaVector(dim=3, values=np.array([2.0, 2.0, 2.0]))
     with pytest.raises(DimensionMismatchError):

@@ -4,9 +4,8 @@ import pytest
 from kantorovich.linalg import (JacobiConvergenceError, MatrixValidationError,
                                 NotPositiveDefiniteError, NotSquareError,
                                 NotSymmetricError, NonFiniteError,
-                                batch_has_violation, det, eig_sym, is_psd,
-                                min_eig_batch, min_eigenvalue, symmetrize,
-                                validate_spd)
+                                det, eig_sym, is_psd, min_eig_batch,
+                                min_eigenvalue, symmetrize, validate_spd)
 from conftest import random_rotation
 
 
@@ -190,11 +189,3 @@ def test_min_eig_batch_leading_dims(rng):
     assert out.shape == (3, 4)
     np.testing.assert_allclose(out, np.linalg.eigvalsh(a)[..., 0], atol=1e-11)
 
-
-def test_batch_has_violation(rng):
-    a = rng.standard_normal((20, 4, 4))
-    mats = np.einsum("kij,klj->kil", a, a)  # all PSD
-    assert not batch_has_violation(mats, 1e-9)
-    mats_bad = np.array(mats)
-    mats_bad[7] -= 10.0 * np.eye(4)
-    assert batch_has_violation(mats_bad, 1e-9)
