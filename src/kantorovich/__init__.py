@@ -14,9 +14,8 @@ from .classify import (BOUNDARY_REL_TOL, KAPPA_NECESSARY,
                        KAPPA_SUFFICIENT_3D, KAPPA_SUFFICIENT_ANY,
                        Certificate, ConvexityVerdict, Status, Thresholds,
                        Witness, classify, falsify, necessary_probe)
-from .forms import (DeltaVector, delta_from_spd, det_m_alpha0, h2_det,
-                    h_form, h_form_batch, m_form, p_form, pair_indices,
-                    q_form)
+from .forms import (DeltaVector, delta_from_spd, det_m_alpha0, h_form,
+                    h_form_batch, m_form, p_form, pair_indices, q_form)
 from .function import (f_gradient, f_hessian, f_value, fd_hessian,
                        k_value, kantorovich_bound_check)
 from .linalg import (MatrixValidationError, NotPositiveDefiniteError,
@@ -71,7 +70,6 @@ __all__ = [
     "f_value",
     "falsify",
     "fd_hessian",
-    "h2_det",
     "h_form",
     "h_form_batch",
     "is_psd",

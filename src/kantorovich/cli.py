@@ -21,7 +21,7 @@ from .forms import DeltaVector, delta_from_spd, pair_indices
 from .function import f_hessian, fd_hessian, kantorovich_bound_check
 from .linalg import MAX_DIM, MatrixValidationError, validate_spd
 from .lmi import (GridSpec, box_inequality_grid_check,
-                  detm_alpha_convexity_check, robust_psd_grid, verify_h_lmi)
+                  detm_alpha_convexity_check, robust_psd_grids, verify_h_lmi)
 from .sampling import SamplePlan
 
 EXIT_CONVEX = 0
@@ -219,17 +219,23 @@ def cmd_lemmas(args) -> int:
     lo, hi = args.omega_min, args.omega_max
     if not lo < hi:
         raise ValueError("--omega-min must be below --omega-max")
-    box_n, omega_n, ab_n, alpha_n = (
-        (args.box_grid, args.omega_grid, args.ab_grid, args.alpha_grid)
-        if args.grid is None else (args.grid,) * 4)
+    if args.grid is None:
+        flags = ("--box-grid", "--omega-grid", "--ab-grid", "--alpha-grid")
+        counts = (args.box_grid, args.omega_grid, args.ab_grid,
+                  args.alpha_grid)
+    else:
+        flags, counts = ("--grid",) * 4, (args.grid,) * 4
+    for flag, n in zip(flags, counts):
+        if n < 2:
+            raise ValueError(f"{flag} needs at least 2 nodes, got {n}")
+    box_n, omega_n, ab_n, alpha_n = counts
     box = box_inequality_grid_check(GridSpec.cube(lo, hi, box_n, 3))
     omega_grid = GridSpec.cube(lo, hi, omega_n, 3)
-    robust = [robust_psd_grid(f, omega_grid, GridSpec.cube(-1, 1, ab_n, 2))
-              for f in ("M", "P", "Q")]
+    robust = robust_psd_grids(omega_grid, GridSpec.cube(-1, 1, ab_n, 2))
     detm = detm_alpha_convexity_check(omega_grid,
                                       GridSpec.cube(-1, 1, ab_n, 1),
                                       alpha_count=alpha_n)
-    reports = list(box.reports) + robust + list(detm.reports)
+    reports = [*box.reports, *robust, *detm.reports]
     passed = all(r.passed for r in reports)
     csv_text = grid_reports_csv(reports)
     if args.csv:
@@ -313,6 +319,8 @@ def cmd_lmi(args) -> int:
 
 
 def cmd_hessian_check(args) -> int:
+    if args.points < 1:
+        raise ValueError("--points must be >= 1")
     spd = validate_spd(read_matrix_file(args.matrix))
     rng = np.random.default_rng(args.seed)
     worst = 0.0

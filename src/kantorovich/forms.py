@@ -26,8 +26,9 @@ from .linalg import DimensionMismatchError, SpdMatrix
 
 __all__ = [
     "DeltaVector", "delta_from_spd", "pair_indices",
-    "h_form", "h_form_batch", "h2_det",
-    "m_form", "p_form", "q_form", "det_m_alpha0", "det3_batch",
+    "h_form", "h_form_batch",
+    "m_entries", "m_form", "p_form", "q_form", "det_m_alpha0",
+    "det3_entries", "det3_batch",
 ]
 
 # Delta entries sit in [2, inf) mathematically; allow this much roundoff when
@@ -109,20 +110,6 @@ def h_form(delta: DeltaVector, y) -> np.ndarray:
     return h_form_batch(delta, v[None, :])[0]
 
 
-def h2_det(delta12: float, y) -> float:
-    """det h(delta, y) in dim 2, expanded:
-
-    9 y1^2 y2^2 + (3/2) d (y1^4 + y2^4) - (3/4) d^2 y1^2 y2^2
-
-    Concave in d (second derivative -(3/2) y1^2 y2^2), which is what makes
-    checking the two endpoint values of a d-interval sufficient.
-    """
-    y1, y2 = float(y[0]), float(y[1])
-    d = float(delta12)
-    s1, s2 = y1 * y1, y2 * y2
-    return 9.0 * s1 * s2 + 1.5 * d * (s1 * s1 + s2 * s2) - 0.75 * d * d * s1 * s2
-
-
 def _sym3(e11, e22, e33, e12, e13, e23) -> np.ndarray:
     parts = np.broadcast_arrays(e11, e22, e33, e12, e13, e23)
     e11, e22, e33, e12, e13, e23 = [np.asarray(p, dtype=float) for p in parts]
@@ -143,17 +130,16 @@ def _split_omega(omega):
     raise DimensionMismatchError("omega must have 3 components")
 
 
-def m_form(omega, alpha, beta) -> np.ndarray:
-    """Normalized 3-dim form when the first coordinate dominates.
+def m_entries(omega, alpha, beta) -> tuple[np.ndarray, ...]:
+    """The six unique entries (e11, e22, e33, e12, e13, e23) of m_form.
 
-    With omega = (delta_12, delta_13, delta_23), alpha = y2/y1, beta = y3/y1:
-    h(delta, y) = y1^2 * m_form(omega, alpha, beta).  Broadcasts: scalar
-    arguments give one (3, 3) matrix, array arguments a stack.
+    Broadcasts like m_form; scans feed them to the closed-form eigenvalue
+    and determinant without packing (N, 3, 3) stacks.
     """
     w1, w2, w3 = _split_omega(omega)
     al = np.asarray(alpha, dtype=float)
     be = np.asarray(beta, dtype=float)
-    return _sym3(
+    return (
         3.0 + 0.5 * w1 * al ** 2 + 0.5 * w2 * be ** 2,
         0.5 * w1 + 3.0 * al ** 2 + 0.5 * w3 * be ** 2,
         0.5 * w2 + 0.5 * w3 * al ** 2 + 3.0 * be ** 2,
@@ -161,6 +147,16 @@ def m_form(omega, alpha, beta) -> np.ndarray:
         w2 * be,
         w3 * al * be,
     )
+
+
+def m_form(omega, alpha, beta) -> np.ndarray:
+    """Normalized 3-dim form when the first coordinate dominates.
+
+    With omega = (delta_12, delta_13, delta_23), alpha = y2/y1, beta = y3/y1:
+    h(delta, y) = y1^2 * m_form(omega, alpha, beta).  Broadcasts: scalar
+    arguments give one (3, 3) matrix, array arguments a stack.
+    """
+    return _sym3(*m_entries(omega, alpha, beta))
 
 
 def p_form(omega, alpha, beta) -> np.ndarray:
@@ -209,6 +205,14 @@ def det_m_alpha0(omega, beta) -> np.ndarray | float:
     val = 1.5 * (w1 + w3 * b2) * (
         0.5 * w2 + (3.0 - 0.25 * w2 ** 2) * b2 + 0.5 * w2 * b2 * b2)
     return float(val) if np.ndim(val) == 0 else val
+
+
+def det3_entries(e11, e22, e33, e12, e13, e23):
+    """Determinant of the symmetric 3x3 matrix with the given unique entries;
+    the same cofactor expansion, term for term, as det3_batch."""
+    return (e11 * (e22 * e33 - e23 * e23)
+            - e12 * (e12 * e33 - e23 * e13)
+            + e13 * (e12 * e23 - e22 * e13))
 
 
 def det3_batch(mats: np.ndarray) -> np.ndarray:

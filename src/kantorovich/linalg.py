@@ -118,10 +118,6 @@ class SpectralData:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        """U' diag(w) U, for round-trip checks against the source matrix."""
-        return self.rotation.T @ (self.eigenvalues[:, None] * self.rotation)
-
 
 def eig_sym(m, tol: float = JACOBI_TOL,
             max_sweeps: int = JACOBI_MAX_SWEEPS) -> SpectralData:

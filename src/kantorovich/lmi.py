@@ -9,30 +9,32 @@ Three layers:
   (:func:`box_inequality_grid_check`);
 * robust PSD grids for the normalized forms m/p/q on
   omega in [2, 4]^3 x (alpha, beta) in [-1, 1]^2, plus the convexity-in-alpha
-  facts about det m (:func:`robust_psd_grid`,
-  :func:`detm_alpha_convexity_check`).
+  facts about det m (:func:`robust_psd_grid`, :func:`robust_psd_grids`,
+  :func:`detm_alpha_convexity_check`).  p and q are m with omega permuted,
+  so all three are scanned as m.
 
 Grid scans use one absolute tolerance (values >= -1e-9 pass); every check
-reports its worst cell so a failure is immediately reproducible.
+reports its worst cell so a failure is immediately reproducible.  Scans run
+in chunks of a fixed number of cells, so their memory does not grow with
+the grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .forms import (DeltaVector, det3_batch, det_m_alpha0, m_form, p_form,
-                    q_form)
-from .linalg import PSD_EPS, min_eig_batch
+from .forms import DeltaVector, det3_entries, det_m_alpha0, m_entries
+from .linalg import PSD_EPS, _min_eig3_entries
 from .sampling import DEFAULT_PLAN, SamplePlan, SampleReport, all_samples, scan_h
 
 __all__ = [
     "GRID_TOL", "Axis", "GridSpec", "GridScanReport", "GridCheckSummary",
     "verify_h_lmi", "box_inequalities", "BoxValues",
-    "box_inequality_grid_check", "robust_psd_grid",
+    "box_inequality_grid_check", "robust_psd_grid", "robust_psd_grids",
     "detm_alpha_poly", "detm_alpha_convexity_check",
     "BOX_GRID_DEFAULT", "OMEGA_GRID_DEFAULT", "AB_GRID_DEFAULT",
     "BETA_GRID_DEFAULT",
@@ -40,6 +42,10 @@ __all__ = [
 
 # Absolute pass tolerance for grid-evaluated inequality values.
 GRID_TOL = 1e-9
+
+# Grid cells evaluated per chunk of a scan, so that peak memory stays the
+# same whatever the grid size (a detm cell counts once per alpha node).
+_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -170,16 +176,53 @@ def box_inequalities(d1, d2, d3) -> BoxValues:
     )
 
 
-def _worst_of(values: np.ndarray, coords: tuple[np.ndarray, ...],
-              grid_id: str, tol: float, cells: int) -> GridScanReport:
-    flat = values.reshape(-1)
-    k = int(np.argmin(flat))
-    idx = np.unravel_index(k, values.shape)
-    cell = tuple(float(c[i]) for c, i in zip(coords, idx))
-    worst = float(flat[k])
-    return GridScanReport(grid_id=grid_id, passed=worst >= -tol,
-                          tolerance=tol, worst_value=worst,
-                          worst_cell=cell, cells=cells)
+def _chunks(nodes: tuple[np.ndarray, ...], size: int):
+    """Yield (start, node values) for runs of ``size`` consecutive cells of
+    the C-order product of the node arrays.
+
+    Along an axis each node repeats s times in a row, s the product of the
+    later axes' lengths, so a chunk's values are runs of s equal values
+    that cycle through the nodes: built by np.resize and np.repeat, with no
+    per-cell index arithmetic.
+    """
+    shape = tuple(len(n) for n in nodes)
+    total = math.prod(shape)
+    for start in range(0, total, size):
+        stop = min(start + size, total)
+        values = []
+        for j, n in enumerate(nodes):
+            s = math.prod(shape[j + 1:])
+            first, last = start // s, (stop - 1) // s
+            runs = np.resize(np.roll(n, -(first % len(n))), last - first + 1)
+            counts = np.full(runs.shape, s)
+            counts[0] -= start - first * s
+            counts[-1] -= (last + 1) * s - stop
+            values.append(np.repeat(runs, counts))
+        yield start, tuple(values)
+
+
+class _Worst:
+    """First strict minimum over the C-order cells of ``nodes``, fed in
+    consecutive chunks: the cell a single argmin over the grid reports."""
+
+    def __init__(self, nodes: tuple[np.ndarray, ...]):
+        self.nodes = nodes
+        self.shape = tuple(len(n) for n in nodes)
+        self.value = math.inf
+        self.cell: tuple[float, ...] = ()
+
+    def update(self, start: int, values: np.ndarray) -> None:
+        flat = values.reshape(-1)
+        k = int(np.argmin(flat))
+        if float(flat[k]) < self.value:
+            idx = np.unravel_index(start + k, self.shape)
+            self.value = float(flat[k])
+            self.cell = tuple(float(n[i]) for n, i in zip(self.nodes, idx))
+
+    def report(self, grid_id: str, tol: float, cells: int) -> GridScanReport:
+        return GridScanReport(grid_id=grid_id, passed=self.value >= -tol,
+                              tolerance=tol, worst_value=self.value,
+                              worst_cell=self.cell, cells=cells)
 
 
 def box_inequality_grid_check(grid: GridSpec = BOX_GRID_DEFAULT,
@@ -187,17 +230,34 @@ def box_inequality_grid_check(grid: GridSpec = BOX_GRID_DEFAULT,
     """Evaluate the five box inequalities at every grid node."""
     if grid.ndim != 3:
         raise ValueError("box grid must have 3 axes")
-    n1, n2, n3 = grid.node_arrays()
-    g1, g2, g3 = np.meshgrid(n1, n2, n3, indexing="ij")
-    vals = box_inequalities(g1, g2, g3)
-    reports = tuple(
-        _worst_of(v, (n1, n2, n3), f"box_{name}", tol, grid.cells)
-        for name, v in zip(BoxValues._fields, vals))
+    nodes = grid.node_arrays()
+    worst = [_Worst(nodes) for _ in BoxValues._fields]
+    for start, coords in _chunks(nodes, _CHUNK):
+        for w, v in zip(worst, box_inequalities(*coords)):
+            w.update(start, v)
+    reports = tuple(w.report(f"box_{name}", tol, grid.cells)
+                    for name, w in zip(BoxValues._fields, worst))
     return GridCheckSummary(passed=all(r.passed for r in reports),
                             reports=reports)
 
 
-_FORMS: dict[str, Callable] = {"M": m_form, "P": p_form, "Q": q_form}
+# Omega-axis order under which each form is m: p(w, a, b) and q(w, a, b) are
+# m((w1, w3, w2), a, b) and m((w2, w3, w1), a, b) conjugated by a coordinate
+# permutation, so they share its eigenvalues.
+_FORM_AXES = {"M": (0, 1, 2), "P": (0, 2, 1), "Q": (1, 2, 0)}
+
+
+def _check_robust_grids(omega_grid: GridSpec, ab_grid: GridSpec) -> None:
+    if omega_grid.ndim != 3 or ab_grid.ndim != 2:
+        raise ValueError("omega grid needs 3 axes and ab grid needs 2")
+
+
+def _relabel(m_report: GridScanReport, form: str) -> GridScanReport:
+    """An m scan over the permuted omega axes, as the row of ``form``."""
+    perm = _FORM_AXES[form]
+    u = m_report.worst_cell
+    w = tuple(u[perm.index(i)] for i in range(3))
+    return replace(m_report, grid_id=f"robust_{form}", worst_cell=w + u[3:])
 
 
 def robust_psd_grid(form: str, omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
@@ -205,40 +265,64 @@ def robust_psd_grid(form: str, omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
                     tol: float = GRID_TOL) -> GridScanReport:
     """Minimum eigenvalue of one normalized form over the full grid.
 
-    Scans omega x (alpha, beta) in chunks over the first omega axis; the
-    worst cell is reported as (w1, w2, w3, alpha, beta).
+    Every form is scanned as m over its permuted omega axes, in chunks of
+    ``_CHUNK`` cells; the worst cell is reported in the form's own
+    coordinates (w1, w2, w3, alpha, beta).
     """
-    try:
-        builder = _FORMS[form.upper()]
-    except KeyError:
-        raise ValueError(f"form must be one of M, P, Q, got {form!r}") from None
-    if omega_grid.ndim != 3 or ab_grid.ndim != 2:
-        raise ValueError("omega grid needs 3 axes and ab grid needs 2")
-    n1, n2, n3 = omega_grid.node_arrays()
-    na, nb = ab_grid.node_arrays()
-    worst = math.inf
-    worst_cell: tuple[float, ...] = ()
-    for i1, w1 in enumerate(n1):
-        g2, g3, ga, gb = np.meshgrid(n2, n3, na, nb, indexing="ij")
-        omega = np.stack([np.full_like(g2, w1), g2, g3], axis=-1)
-        lam = min_eig_batch(builder(omega, ga, gb))
-        k = int(np.argmin(lam))
-        if float(lam.reshape(-1)[k]) < worst:
-            worst = float(lam.reshape(-1)[k])
-            i2, i3, ia, ib = np.unravel_index(k, lam.shape)
-            worst_cell = (float(w1), float(n2[i2]), float(n3[i3]),
-                          float(na[ia]), float(nb[ib]))
+    key = form.upper()
+    if key not in _FORM_AXES:
+        raise ValueError(f"form must be one of M, P, Q, got {form!r}")
+    _check_robust_grids(omega_grid, ab_grid)
+    nodes = (tuple(omega_grid.axes[k].nodes() for k in _FORM_AXES[key])
+             + ab_grid.node_arrays())
+    worst = _Worst(nodes)
+    for start, (w1, w2, w3, al, be) in _chunks(nodes, _CHUNK):
+        # Rows of a (3, n) stack: omega[..., k] stays contiguous.
+        omega = np.stack((w1, w2, w3)).T
+        worst.update(start, _min_eig3_entries(*m_entries(omega, al, be)))
     cells = omega_grid.cells * ab_grid.cells
-    return GridScanReport(grid_id=f"robust_{form.upper()}",
-                          passed=worst >= -tol, tolerance=tol,
-                          worst_value=worst, worst_cell=worst_cell,
-                          cells=cells)
+    return _relabel(worst.report("robust_M", tol, cells), key)
+
+
+def robust_psd_grids(omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
+                     ab_grid: GridSpec = AB_GRID_DEFAULT,
+                     tol: float = GRID_TOL) -> tuple[GridScanReport, ...]:
+    """The robust_M, robust_P and robust_Q rows, in that order.
+
+    One m scan per distinct permuted omega-axis order: one on a cube grid,
+    up to three otherwise.
+    """
+    _check_robust_grids(omega_grid, ab_grid)
+    scans: dict[tuple[Axis, ...], GridScanReport] = {}
+    rows = []
+    for form, perm in _FORM_AXES.items():
+        axes = tuple(omega_grid.axes[k] for k in perm)
+        if axes not in scans:
+            scans[axes] = robust_psd_grid("M", GridSpec(axes), ab_grid, tol)
+        rows.append(_relabel(scans[axes], form))
+    return tuple(rows)
 
 
 # Interpolation nodes recovering the degree-6 alpha-polynomial det m exactly.
 _ALPHA_NODES = np.array([-1.0, -2.0 / 3.0, -1.0 / 3.0, 0.0,
                          1.0 / 3.0, 2.0 / 3.0, 1.0])
 _VANDER = np.vander(_ALPHA_NODES, 7, increasing=True)
+
+
+def _detm_coefs(omega, beta) -> np.ndarray:
+    """Ascending alpha-coefficients of det m, one column per (omega, beta).
+
+    LAPACK solves a single right-hand side by another path, whose last bits
+    differ, so a lone column is solved as a pair: a cell's coefficients do
+    not depend on how many cells share the solve.
+    """
+    vals = np.stack([det3_entries(*m_entries(omega, a, beta))
+                     for a in _ALPHA_NODES])
+    cols = vals.reshape(len(_ALPHA_NODES), -1)
+    n = cols.shape[1]
+    if n == 1:
+        cols = np.repeat(cols, 2, axis=1)
+    return np.linalg.solve(_VANDER, cols)[:, :n].reshape(vals.shape)
 
 
 def detm_alpha_poly(omega, beta: float) -> np.ndarray:
@@ -249,9 +333,7 @@ def detm_alpha_poly(omega, beta: float) -> np.ndarray:
     the suite: odd coefficients vanish (det m is even in alpha) and
     c6 = (3/4) w1 w3.
     """
-    w = np.asarray(omega, dtype=float)
-    vals = det3_batch(m_form(w, _ALPHA_NODES, float(beta)))
-    return np.linalg.solve(_VANDER, vals)
+    return _detm_coefs(np.asarray(omega, dtype=float), float(beta))
 
 
 def _polyder_coefs(coefs: np.ndarray, order: int) -> np.ndarray:
@@ -259,6 +341,20 @@ def _polyder_coefs(coefs: np.ndarray, order: int) -> np.ndarray:
     for _ in range(order):
         deg = out.shape[0] - 1
         out = out[1:] * np.arange(1, deg + 1)[:, None]
+    return out
+
+
+def _horner(coefs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(cells, len(x)) values of the ascending (deg + 1, cells) polynomials.
+
+    Elementwise, unlike a BLAS product, so a value does not depend on the
+    other cells in the chunk.
+    """
+    out = coefs[-1][:, None] * x
+    out += coefs[-2][:, None]
+    for c in coefs[-3::-1]:
+        out *= x
+        out += c[:, None]
     return out
 
 
@@ -272,53 +368,34 @@ def detm_alpha_convexity_check(omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
     nonnegative second and fourth derivatives on the alpha grid, its values
     must stay above the alpha = 0 value, and det m(alpha=0) itself must be
     nonnegative (closed form).  Worst cells are (w1, w2, w3, beta[, alpha]).
+    The (omega, beta) cells are scanned in chunks of ``_CHUNK`` cells times
+    alpha nodes.
     """
     if omega_grid.ndim != 3 or beta_grid.ndim != 1:
         raise ValueError("omega grid needs 3 axes and beta grid 1")
-    n1, n2, n3 = omega_grid.node_arrays()
-    nb = beta_grid.node_arrays()[0]
-    alpha_nodes = np.linspace(-1.0, 1.0, alpha_count)
-    basis = np.vander(alpha_nodes, 7, increasing=True)
+    alpha_nodes = Axis(-1.0, 1.0, alpha_count).nodes()
+    nodes = omega_grid.node_arrays() + beta_grid.node_arrays()
+    with_alpha = nodes + (alpha_nodes,)
+    trackers = {"detm_d2": _Worst(with_alpha), "detm_d4": _Worst(with_alpha),
+                "detm_min_at_zero": _Worst(with_alpha),
+                "detm_alpha0": _Worst(nodes)}
 
-    trackers: dict[str, list] = {
-        name: [math.inf, ()]
-        for name in ("detm_d2", "detm_d4", "detm_min_at_zero", "detm_alpha0")
-    }
-
-    def track(name, values, axes):
-        flat = values.reshape(-1)
-        k = int(np.argmin(flat))
-        if float(flat[k]) < trackers[name][0]:
-            idx = np.unravel_index(k, values.shape)
-            trackers[name][0] = float(flat[k])
-            trackers[name][1] = tuple(float(ax[i]) for ax, i in zip(axes, idx))
-
-    for w1 in n1:
-        g2, g3, gb = np.meshgrid(n2, n3, nb, indexing="ij")
-        shape = g2.shape
-        omega = np.stack([np.full_like(g2, w1), g2, g3],
-                         axis=-1).reshape(-1, 3)
-        betas = gb.reshape(-1)
-        vals = np.empty((7, omega.shape[0]))
-        for k, a in enumerate(_ALPHA_NODES):
-            vals[k] = det3_batch(m_form(omega, a, betas))
-        coefs = np.linalg.solve(_VANDER, vals)
-
-        def spread(mat):
-            # (alpha_count, cells) -> (1, len2, len3, lenb, alpha_count)
-            return np.moveaxis(mat.reshape((-1,) + shape), 0, -1)[None, ...]
-
-        axes5 = (np.array([w1]), n2, n3, nb, alpha_nodes)
-        track("detm_d2", spread(basis[:, :5] @ _polyder_coefs(coefs, 2)), axes5)
-        track("detm_d4", spread(basis[:, :3] @ _polyder_coefs(coefs, 4)), axes5)
-        track("detm_min_at_zero", spread(basis @ coefs - coefs[0]), axes5)
-        a0 = np.asarray(det_m_alpha0(omega, betas)).reshape((1,) + shape)
-        track("detm_alpha0", a0, (np.array([w1]), n2, n3, nb))
+    for start, (w1, w2, w3, betas) in _chunks(
+            nodes, max(1, _CHUNK // alpha_count)):
+        omega = np.stack((w1, w2, w3)).T
+        coefs = _detm_coefs(omega, betas)
+        # (cells, alpha_count) values: C order over (w1, w2, w3, beta, alpha)
+        first = start * alpha_count
+        trackers["detm_d2"].update(
+            first, _horner(_polyder_coefs(coefs, 2), alpha_nodes))
+        trackers["detm_d4"].update(
+            first, _horner(_polyder_coefs(coefs, 4), alpha_nodes))
+        trackers["detm_min_at_zero"].update(
+            first, _horner(coefs, alpha_nodes) - coefs[0][:, None])
+        trackers["detm_alpha0"].update(start, det_m_alpha0(omega, betas))
 
     cells = omega_grid.cells * beta_grid.cells
-    reports = tuple(
-        GridScanReport(grid_id=name, passed=worst >= -tol, tolerance=tol,
-                       worst_value=worst, worst_cell=cell, cells=cells)
-        for name, (worst, cell) in trackers.items())
+    reports = tuple(w.report(name, tol, cells)
+                    for name, w in trackers.items())
     return GridCheckSummary(passed=all(r.passed for r in reports),
                             reports=reports)

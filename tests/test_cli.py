@@ -186,6 +186,15 @@ def test_lemmas_grid_zero_exits_64():
     assert res.returncode == 64
 
 
+@pytest.mark.parametrize("count", ["0", "-3", "1"])
+def test_lemmas_alpha_grid_below_two_exits_64(count):
+    res = run_cli("lemmas", "--box-grid", "3", "--omega-grid", "3",
+                  "--ab-grid", "3", "--alpha-grid", count)
+    assert res.returncode == 64
+    assert "--alpha-grid needs at least 2 nodes" in res.stderr
+    assert res.stdout == ""
+
+
 def test_lemmas_csv_format_stdout():
     res = run_cli("lemmas", "--grid", "3", "--format", "csv")
     assert res.returncode == 0
@@ -292,6 +301,14 @@ def test_hessian_check(tmp_path, rng):
     res = run_cli("hessian-check", p)
     assert res.returncode == 0
     assert "ok: true" in res.stdout
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_hessian_check_no_points_exits_64(diag16, count):
+    res = run_cli("hessian-check", diag16, "--points", count)
+    assert res.returncode == 64
+    assert "--points" in res.stderr
+    assert res.stdout == ""
 
 
 def test_kantorovich_bound_extremal(diag16):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from kantorovich.forms import (DeltaVector, delta_from_spd, det3_batch,
-                               det_m_alpha0, h2_det, h_form, h_form_batch,
-                               m_form, p_form, pair_indices, q_form)
+                               det3_entries, det_m_alpha0, h_form,
+                               h_form_batch, m_entries, m_form, p_form,
+                               pair_indices, q_form)
 from kantorovich.function import f_hessian
-from kantorovich.linalg import DimensionMismatchError, det, validate_spd
+from kantorovich.linalg import DimensionMismatchError, validate_spd
 from conftest import random_spd, spd_with_kappa
 
 
@@ -160,25 +161,21 @@ def test_h_batch_shape_validation():
         h_form(d, np.zeros(2))
 
 
-# --- 2-d determinant -------------------------------------------------------
-
-def test_h2_det_hand_values():
-    assert h2_det(6.0, (1.0, 1.0)) == pytest.approx(0.0, abs=1e-14)
-    assert h2_det(2.0, (1.0, 1.0)) == pytest.approx(12.0)
-    for d in (2.0, 3.7, 6.0):
-        assert h2_det(d, (1.0, 0.0)) == pytest.approx(1.5 * d)
-
-
-def test_h2_det_matches_assembled_det(rng):
-    for _ in range(200):
-        dv = float(rng.uniform(2.0, 8.0))
-        y = rng.standard_normal(2)
-        delta = DeltaVector(dim=2, values=np.array([dv]))
-        assert h2_det(dv, y) == pytest.approx(det(h_form(delta, y)),
-                                              rel=1e-10, abs=1e-12)
-
-
 # --- normalized 3-d forms --------------------------------------------------
+
+def test_m_entries_are_m_form(rng):
+    # the unique entries, in (e11, e22, e33, e12, e13, e23) order, are the
+    # packed matrix's entries bit for bit, and so is their determinant
+    w = rng.uniform(2.0, 4.0, size=(50, 3))
+    a, b = rng.uniform(-1.0, 1.0, size=(2, 50))
+    e = m_entries(w, a, b)
+    m = m_form(w, a, b)
+    for k, (i, j) in enumerate([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2),
+                                (1, 2)]):
+        assert np.array_equal(e[k], m[:, i, j])
+        assert np.array_equal(e[k], m[:, j, i])
+    assert np.array_equal(det3_entries(*e), det3_batch(m))
+
 
 def test_m_form_diagonal_case():
     m = m_form((2.5, 3.0, 3.5), 0.0, 0.0)

@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from kantorovich.forms import DeltaVector, det3_batch, det_m_alpha0, m_form
+from kantorovich import lmi
+from kantorovich.forms import (DeltaVector, det3_batch, det_m_alpha0, m_form,
+                               p_form, q_form)
+from kantorovich.linalg import min_eig_batch
 from kantorovich.lmi import (AB_GRID_DEFAULT, Axis, BOX_GRID_DEFAULT,
                              OMEGA_GRID_DEFAULT, GridSpec, box_inequalities,
                              box_inequality_grid_check,
                              detm_alpha_convexity_check, detm_alpha_poly,
-                             robust_psd_grid, verify_h_lmi)
+                             robust_psd_grid, robust_psd_grids, verify_h_lmi)
 from kantorovich.sampling import SamplePlan
 
 PLAN = SamplePlan(angles_2d=2048, fibonacci_3d=20_000, random_nd=40_000)
@@ -181,6 +185,122 @@ def test_robust_grid_bad_form():
         robust_psd_grid("X", OMEGA_GRID_DEFAULT, AB_GRID_DEFAULT)
     with pytest.raises(ValueError):
         robust_psd_grid("M", AB_GRID_DEFAULT, AB_GRID_DEFAULT)
+
+
+# --- robust rows derived from one m scan -------------------------------------
+
+FORM_BUILDERS = {"M": m_form, "P": p_form, "Q": q_form}
+
+
+def _single(values):
+    return GridSpec(tuple(Axis(float(v), float(v), 1) for v in values))
+
+
+def _count_m_scans(monkeypatch):
+    scan = lmi.robust_psd_grid
+    calls = []
+
+    def counting(form, omega_grid, *args, **kwargs):
+        calls.append((form, omega_grid))
+        return scan(form, omega_grid, *args, **kwargs)
+
+    monkeypatch.setattr(lmi, "robust_psd_grid", counting)
+    return calls
+
+
+@pytest.mark.parametrize("form", ["M", "P", "Q"])
+def test_robust_single_cell_is_form_eigenvalue(rng, form):
+    # P and Q are scanned as m over permuted omega; a single cell must still
+    # give the smallest eigenvalue of the paper's own p_form / q_form there
+    for _ in range(50):
+        w = rng.uniform(2.0, 4.0, size=3)
+        ab = rng.uniform(-1.0, 1.0, size=2)
+        rep = robust_psd_grid(form, _single(w), _single(ab))
+        want = np.linalg.eigvalsh(FORM_BUILDERS[form](w, *ab))[0]
+        assert rep.worst_value == pytest.approx(want, rel=1e-12)
+        assert rep.worst_cell == tuple(w) + tuple(ab)
+
+
+def test_robust_grids_scan_m_once_on_a_cube(monkeypatch):
+    omega = GridSpec.cube(2.0, 4.0, 7, 3)
+    ab = GridSpec.cube(-1.0, 1.0, 9, 2)
+    calls = _count_m_scans(monkeypatch)
+    rows = robust_psd_grids(omega, ab)
+    assert calls == [("M", omega)]
+    assert [r.grid_id for r in rows] == ["robust_M", "robust_P", "robust_Q"]
+    for r in rows:
+        assert r.passed
+        assert r.cells == 343 * 81
+        one = robust_psd_grid(r.grid_id[-1], _single(r.worst_cell[:3]),
+                              _single(r.worst_cell[3:]))
+        assert one.worst_value == pytest.approx(r.worst_value, rel=1e-12)
+        w, a, b = r.worst_cell[:3], *r.worst_cell[3:]
+        lam = np.linalg.eigvalsh(FORM_BUILDERS[r.grid_id[-1]](w, a, b))[0]
+        assert lam == pytest.approx(r.worst_value, rel=1e-12)
+
+
+@pytest.mark.parametrize("counts,scans", [((3, 4, 4), 2), ((3, 4, 5), 3)])
+def test_robust_grids_match_each_form(monkeypatch, counts, scans):
+    # off a cube the permuted omega axes differ: one m scan per distinct
+    # order, and each row is the minimum of its own form over the grid
+    omega = GridSpec(tuple(Axis(2.0, 4.0, n) for n in counts))
+    ab = GridSpec.cube(-1.0, 1.0, 5, 2)
+    calls = _count_m_scans(monkeypatch)
+    rows = robust_psd_grids(omega, ab)
+    assert len(calls) == scans
+    g = np.meshgrid(*omega.node_arrays(), *ab.node_arrays(), indexing="ij")
+    w = np.stack(g[:3], axis=-1)
+    for r in rows:
+        form = r.grid_id[-1]
+        assert r == robust_psd_grid(form, omega, ab)
+        lam = np.linalg.eigvalsh(FORM_BUILDERS[form](w, g[3], g[4]))[..., 0]
+        assert r.worst_value == pytest.approx(lam.min(), rel=1e-12)
+    # the m row is the packed-stack scan, bit for bit, at its first argmin
+    lam = min_eig_batch(m_form(w, g[3], g[4]))
+    k = np.unravel_index(int(np.argmin(lam)), lam.shape)
+    assert rows[0].worst_value == lam[k]
+    assert rows[0].worst_cell == tuple(float(x[k]) for x in g)
+
+
+def test_reports_independent_of_chunk_size(monkeypatch):
+    omega = GridSpec(tuple(Axis(2.0, 4.0, n) for n in (5, 6, 7)))
+    ab = GridSpec.cube(-1.0, 1.0, 9, 2)
+    beta = GridSpec.cube(-1.0, 1.0, 9, 1)
+
+    def scan_all():
+        return (robust_psd_grids(omega, ab),
+                detm_alpha_convexity_check(omega, beta, alpha_count=11),
+                box_inequality_grid_check(omega))
+
+    want = scan_all()
+    for chunk in (997, 11, 1):
+        monkeypatch.setattr(lmi, "_CHUNK", chunk)
+        assert scan_all() == want, chunk
+
+
+def _peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_robust_scan_memory_bounded():
+    # 5.6M cells: a whole first-axis slice of this grid took 736 MB
+    omega = GridSpec((Axis(2.0, 4.0, 2), Axis(2.0, 4.0, 41),
+                      Axis(2.0, 4.0, 41)))
+    assert _peak_mb(lambda: robust_psd_grid(
+        "M", omega, GridSpec.cube(-1.0, 1.0, 41, 2))) < 64.0
+
+
+def test_detm_scan_memory_bounded():
+    # a whole first-axis slice of this grid took 248 MB
+    omega = GridSpec((Axis(2.0, 4.0, 2), Axis(2.0, 4.0, 61),
+                      Axis(2.0, 4.0, 61)))
+    assert _peak_mb(lambda: detm_alpha_convexity_check(
+        omega, GridSpec.cube(-1.0, 1.0, 61, 1), alpha_count=61)) < 64.0
 
 
 # --- det m alpha polynomial --------------------------------------------------
