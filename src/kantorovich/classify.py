@@ -149,7 +149,7 @@ def falsify(spd: SpdMatrix, plan: SamplePlan = DEFAULT_PLAN) -> Witness | None:
     """
     delta = delta_from_spd(spd)
     pts = all_samples(spd.dim, plan)
-    res = scan_h(delta, pts, values_needed=False)
+    res = scan_h(delta, pts)
     if not res.violation:
         return None
     y, lam = _descend(delta, pts[res.worst_index], res.worst_value,

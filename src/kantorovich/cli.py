@@ -321,6 +321,8 @@ def cmd_lmi(args) -> int:
 def cmd_hessian_check(args) -> int:
     if args.points < 1:
         raise ValueError("--points must be >= 1")
+    if args.seed < 0:
+        raise ValueError("seed must be >= 0")
     spd = validate_spd(read_matrix_file(args.matrix))
     rng = np.random.default_rng(args.seed)
     worst = 0.0

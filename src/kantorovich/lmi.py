@@ -137,7 +137,7 @@ def verify_h_lmi(delta: DeltaVector, plan: SamplePlan = DEFAULT_PLAN,
     ``-eps * max(1, sup|h|)``.
     """
     pts = all_samples(delta.dim, plan)
-    res = scan_h(delta, pts, eps=eps, values_needed=True)
+    res = scan_h(delta, pts, eps=eps)
     return SampleReport(worst_value=res.worst_value,
                         worst_point=np.array(pts[res.worst_index]),
                         samples=res.samples, seed=plan.seed,

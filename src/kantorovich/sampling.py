@@ -6,9 +6,11 @@ then a deterministic design per dimension (equispaced angles in dim 2, a
 Fibonacci spiral in dim 3, seeded random unit vectors above).  h is even and
 degree-2 homogeneous in y, so unit vectors lose nothing.
 
-Scans are evaluated in fixed-size chunks with order-independent per-sample
-values; reductions take the minimum by value with first-index tie-break, so
-results are deterministic for a fixed seed regardless of chunking.
+:func:`scan_h` builds h in fixed-size chunks and takes the minimum by value
+with first-index tie-break, so results are deterministic for a fixed seed.
+The scan is exact, but at dim >= 4 it screens each block of a chunk by
+Cholesky and runs the eigensolver only on blocks that could hold a new
+minimum; the reported sample count still counts every direction.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 18
+# Rows per Cholesky-screened block of a chunk at dim >= 4 (see scan_h).
+_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,8 @@ class SamplePlan:
             raise ValueError("sample counts must be >= 1")
         if self.refine_rounds < 0:
             raise ValueError("refine_rounds must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def scaled(self, factor: float) -> "SamplePlan":
         """Same plan with all design counts multiplied by ``factor``."""
@@ -170,37 +176,48 @@ class ScanResult:
 
 
 def scan_h(delta: DeltaVector, points: np.ndarray,
-           eps: float = PSD_EPS, values_needed: bool = True) -> ScanResult:
+           eps: float = PSD_EPS) -> ScanResult:
     """Minimum eigenvalue of h(delta, y) over a stack of unit points.
 
-    With ``values_needed=False`` and dim >= 4 the scan only locates
-    violations (lambda_min < -tolerance), screening whole chunks by Cholesky;
-    the reported worst value is then exact only when a violation exists.
+    The result is exact: the worst value, its first index and the violation
+    flag (worst < -tolerance) are those of evaluating every point.  At
+    dim >= 4 blocks of ``_BLOCK`` rows that a Cholesky screen shows cannot
+    beat the running minimum skip the eigensolve; ``samples`` still counts
+    every point.
     """
     n = delta.dim
     total = points.shape[0]
-    tol = eps * max(1.0, h_scale_bound(delta))
+    scale = max(1.0, h_scale_bound(delta))
+    tol = eps * scale
+    # Skipping a block is exact.  If cholesky(h - (worst + margin) I)
+    # succeeds, every row has lambda_min > worst + margin up to the
+    # Cholesky backward error, and the row's computed eigvalsh lies within
+    # the eigensolver's rounding of lambda_min.  For unit points both errors
+    # are about 1e-14 * scale, far below margin, so every skipped row would
+    # evaluate strictly above worst and cannot be the first strict minimum.
+    # The margin is not the caller's eps, which may be <= 0.
+    margin = PSD_EPS * scale
+    # Dims 2 and 3 use closed forms, cheaper than any screen.
+    screen = n >= 4
+    step = _BLOCK if screen else _CHUNK
+    eye = np.eye(n)
     worst = math.inf
     worst_idx = -1
-    screen = (not values_needed) and n >= 4
     for start in range(0, total, _CHUNK):
-        chunk = points[start:start + _CHUNK]
-        h = h_form_batch(delta, chunk)
-        if screen:
-            try:
-                np.linalg.cholesky(h + tol * np.eye(n))
-                continue
-            except np.linalg.LinAlgError:
-                pass
-        lam = min_eig_batch(h)
-        k = int(np.argmin(lam))
-        if lam[k] < worst:
-            worst = float(lam[k])
-            worst_idx = start + k
-    if worst_idx < 0:
-        # Screened scan with no violating chunk: report the shift as a bound.
-        return ScanResult(worst_value=math.inf, worst_index=-1,
-                          tolerance=tol, samples=total, violation=False)
+        h = h_form_batch(delta, points[start:start + _CHUNK])
+        for lo in range(0, h.shape[0], step):
+            block = h[lo:lo + step]
+            if screen and math.isfinite(worst):
+                try:
+                    np.linalg.cholesky(block - (worst + margin) * eye)
+                    continue
+                except np.linalg.LinAlgError:
+                    pass
+            lam = min_eig_batch(block)
+            k = int(np.argmin(lam))
+            if lam[k] < worst:
+                worst = float(lam[k])
+                worst_idx = start + lo + k
     return ScanResult(worst_value=worst, worst_index=worst_idx,
                       tolerance=tol, samples=total,
                       violation=worst < -tol)

@@ -291,6 +291,28 @@ def test_lmi_malformed_exits_64():
     assert res.returncode == 64
 
 
+
+@pytest.fixture
+def gap4(tmp_path):
+    p = tmp_path / "gap4.txt"
+    write_matrix_file(str(p), np.diag([1.0, 1.5, 3.0, 5.0]))
+    return str(p)
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "{diag16}"),
+    ("analyze", "{gap4}", "--samples-nd", "16"),
+    ("lmi", "--dim", "2", "--delta", "2.5"),
+    ("boundary", "--dims", "2", "--families", "two_point"),
+    ("hessian-check", "{diag16}"),
+], ids=["analyze-dim2", "analyze-dim4", "lmi", "boundary", "hessian-check"])
+def test_negative_seed_exits_64(diag16, gap4, argv):
+    args = [a.format(diag16=diag16, gap4=gap4) for a in argv]
+    res = run_cli(*args, "--seed", "-1")
+    assert res.returncode == 64
+    assert "seed must be >= 0" in res.stderr
+    assert res.stdout == ""
+
 # --- hessian-check / kantorovich-bound ----------------------------------------
 
 def test_hessian_check(tmp_path, rng):

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from kantorovich.forms import DeltaVector
-from kantorovich.sampling import (SamplePlan, all_samples, h_scale_bound,
-                                  probe_directions, scan_h, sphere_design)
+from kantorovich import sampling
+from kantorovich.classify import Certificate, classify
+from kantorovich.forms import DeltaVector, delta_from_spd, h_form_batch
+from kantorovich.linalg import PSD_EPS, min_eig_batch, validate_spd
+from kantorovich.sampling import (DEFAULT_PLAN, SamplePlan, all_samples,
+                                  h_scale_bound, probe_directions, scan_h,
+                                  sphere_design)
 
 
 def test_probe_directions_shape_and_norms():
@@ -65,6 +69,8 @@ def test_plan_validation():
         SamplePlan(angles_2d=0)
     with pytest.raises(ValueError):
         SamplePlan(refine_rounds=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SamplePlan(seed=-1)
 
 
 def test_h_scale_bound():
@@ -93,20 +99,59 @@ def test_scan_violating_case():
     assert res.worst_value < 0.0
 
 
-def test_scan_screen_matches_full(rng):
-    # dim 4 screen path must agree with the full scan on violations
-    vals = np.array([6.5, 2.5, 2.5, 2.5, 2.5, 2.5])
-    d = DeltaVector(dim=4, values=vals)
-    pts = all_samples(4, SamplePlan(random_nd=5000))
-    full = scan_h(d, pts, values_needed=True)
-    screened = scan_h(d, pts, values_needed=False)
-    assert full.violation and screened.violation
-    assert screened.worst_value == full.worst_value
+def _delta_case(dim, case):
+    if case == "tied":
+        return DeltaVector(dim=dim, values=np.full(dim * (dim - 1) // 2, 2.0))
+    kappa = {"gap": 5.0, "neg-eps": 5.0, "kappa6": 6.0, "kappa8": 8.0,
+             "kappa30": 30.0}[case]
+    return delta_from_spd(validate_spd(np.diag(np.geomspace(1.0, kappa,
+                                                            dim))))
 
 
-def test_scan_screen_clean_skips_values():
-    d = DeltaVector(dim=4, values=np.full(6, 2.0))
-    pts = all_samples(4, SamplePlan(random_nd=5000))
-    res = scan_h(d, pts, values_needed=False)
-    assert not res.violation
-    assert res.worst_index == -1  # screened out: no per-sample values kept
+SMALL_PLAN = SamplePlan(angles_2d=500, fibonacci_3d=1500, random_nd=1500)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 20])
+@pytest.mark.parametrize("case", ["gap", "kappa6", "kappa8", "kappa30",
+                                  "tied", "neg-eps"])
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_scan_matches_reference(monkeypatch, dim, case, block):
+    # The screened scan reports bitwise what evaluating every point does:
+    # the first argmin of min_eig_batch over the whole stack.
+    monkeypatch.setattr(sampling, "_BLOCK", block)
+    d = _delta_case(dim, case)
+    eps = -1.0 if case == "neg-eps" else PSD_EPS
+    pts = all_samples(dim, SMALL_PLAN)
+    lam = min_eig_batch(h_form_batch(d, pts))
+    k = int(np.argmin(lam))
+    tol = eps * max(1.0, h_scale_bound(d))
+    res = scan_h(d, pts, eps=eps)
+    assert ((res.worst_value, res.worst_index, res.violation, res.samples,
+             res.tolerance) == (float(lam[k]), k, bool(lam[k] < -tol),
+                                pts.shape[0], tol))
+    if case.startswith("kappa") or case == "neg-eps":
+        assert res.violation
+
+
+def test_gap_scan_eigensolves_only_blocks(monkeypatch):
+    # A dim-6 gap matrix under the default plan: every eigensolve gets one
+    # block at most, blocks above the running minimum are skipped, and the
+    # report is the unscreened scan's.
+    sizes = []
+
+    def counting_min_eig_batch(mats):
+        sizes.append(mats.shape[0])
+        return min_eig_batch(mats)
+
+    monkeypatch.setattr(sampling, "min_eig_batch", counting_min_eig_batch)
+    spd = validate_spd(np.diag([1.0, 1.3, 1.8, 2.5, 3.5, 5.0]))
+    v = classify(spd, DEFAULT_PLAN)
+    assert v.certificate == Certificate.SAMPLING_EXHAUSTED
+    pts = all_samples(6, DEFAULT_PLAN)
+    assert sizes and max(sizes) <= sampling._BLOCK
+    assert sum(sizes) < pts.shape[0]
+    lam = min_eig_batch(h_form_batch(delta_from_spd(spd), pts))
+    k = int(np.argmin(lam))
+    assert v.report.worst_value == float(lam[k])
+    np.testing.assert_array_equal(v.report.worst_point, pts[k])
+    assert v.report.samples == pts.shape[0] and v.report.passed
