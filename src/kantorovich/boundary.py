@@ -9,6 +9,7 @@ budget, so brackets are reported per family and never asserted to coincide.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ __all__ = [
     "SWEEP_CSV_HEADER", "sweep_csv",
 ]
 
-FAMILY_KINDS = ("two_point", "geometric", "pinned_pair", "custom")
+FAMILY_KINDS = ("two_point", "geometric", "pinned_pair")
 
 SWEEP_CSV_HEADER = "family,dim,kappa_lo,kappa_hi,tol,samples,seed,wall_ms"
 
@@ -38,30 +39,17 @@ class EigenFamily:
     """A kappa-parametrized spectrum with lambda_max / lambda_min == kappa.
 
     Kinds: ``two_point`` (1, ..., 1, kappa); ``geometric``
-    (kappa^(i/(n-1)), i = 0..n-1); ``pinned_pair`` (1, kappa, ..., kappa);
-    ``custom`` (kappa^e_i for given ascending exponents with e_0 = 0,
-    e_last = 1).
+    (kappa^(i/(n-1)), i = 0..n-1); ``pinned_pair`` (1, kappa, ..., kappa).
     """
 
     kind: str
     dim: int
-    exponents: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"kind must be one of {FAMILY_KINDS}")
         if self.dim < 2:
             raise ValueError("family dim must be >= 2")
-        if self.kind == "custom":
-            e = self.exponents
-            if e is None or len(e) != self.dim:
-                raise ValueError("custom family needs dim exponents")
-            if e[0] != 0.0 or e[-1] != 1.0 or np.any(np.diff(e) < 0):
-                raise ValueError(
-                    "custom exponents must ascend from 0.0 to 1.0")
-            object.__setattr__(self, "exponents", tuple(float(v) for v in e))
-        elif self.exponents is not None:
-            raise ValueError("exponents only apply to the custom kind")
 
     def eigenvalues(self, kappa: float) -> np.ndarray:
         if kappa < 1.0:
@@ -73,20 +61,12 @@ class EigenFamily:
         elif self.kind == "pinned_pair":
             lam = np.full(n, kappa)
             lam[0] = 1.0
-        elif self.kind == "geometric":
-            lam = kappa ** (np.arange(n) / (n - 1))
         else:
-            lam = kappa ** np.asarray(self.exponents)
+            lam = kappa ** (np.arange(n) / (n - 1))
         return lam
 
     def spd(self, kappa: float) -> SpdMatrix:
         return validate_spd(np.diag(self.eigenvalues(kappa)))
-
-    def label(self) -> str:
-        if self.kind == "custom":
-            exps = ";".join(repr(e) for e in self.exponents)
-            return f"custom[{exps}]"
-        return self.kind
 
 
 @dataclass(frozen=True)
@@ -122,13 +102,18 @@ def probe_boundary(family: EigenFamily, tol: float = 1e-4,
     """Bisect kappa down to ``tol`` between no-witness and witness regimes.
 
     Requires falsification to find nothing at ``bracket[0]`` and a witness at
-    ``bracket[1]``; otherwise raises :class:`BadInitialBracketError`.
+    ``bracket[1]``; otherwise raises :class:`BadInitialBracketError`.  A
+    ``tol`` below the float spacing at ``bracket[1]`` is rejected: bisection
+    would stall on adjacent floats without ever meeting it.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not 1.0 <= lo < hi:
-        raise ValueError("bracket must satisfy 1 <= lo < hi")
+    if not 1.0 <= lo < hi < math.inf:
+        raise ValueError("bracket must satisfy 1 <= lo < hi < inf")
+    if tol < math.ulp(hi):
+        raise ValueError(f"tol {tol!r} is below the float spacing "
+                         f"{math.ulp(hi)!r} at kappa_hi = {hi!r}")
     t0 = time.perf_counter()
     steps = []
     lo_found = _witness_found(family, lo, plan)
@@ -183,10 +168,10 @@ def sweep_csv(rows) -> str:
         fam = row.family
         if row.estimate is None:
             lines.append(
-                f"{fam.label()},{fam.dim},nan,nan,nan,0,0,0")
+                f"{fam.kind},{fam.dim},nan,nan,nan,0,0,0")
         else:
             e = row.estimate
             lines.append(
-                f"{fam.label()},{fam.dim},{e.kappa_lo!r},{e.kappa_hi!r},"
+                f"{fam.kind},{fam.dim},{e.kappa_lo!r},{e.kappa_hi!r},"
                 f"{e.tol!r},{e.samples},{e.seed},{e.wall_ms}")
     return "\n".join(lines) + "\n"

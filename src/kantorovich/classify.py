@@ -27,12 +27,11 @@ import numpy as np
 from .forms import DeltaVector, delta_from_spd, h_form, h_form_batch
 from .linalg import PSD_EPS, SpdMatrix, min_eig_batch
 from .lmi import verify_h_lmi
-from .sampling import (DEFAULT_PLAN, SamplePlan, SampleReport, all_samples,
-                       scan_h)
+from .sampling import DEFAULT_PLAN, SamplePlan, SampleReport
 
 __all__ = [
     "KAPPA_NECESSARY", "KAPPA_SUFFICIENT_ANY", "KAPPA_SUFFICIENT_3D",
-    "Status", "Certificate", "Thresholds", "ProbeResult", "Witness",
+    "Status", "Certificate", "ProbeResult", "Witness",
     "ConvexityVerdict", "necessary_probe", "falsify", "classify",
 ]
 
@@ -63,20 +62,6 @@ class Certificate(str, Enum):
 
 
 @dataclass(frozen=True)
-class Thresholds:
-    necessary: float = KAPPA_NECESSARY
-    sufficient_any: float = KAPPA_SUFFICIENT_ANY
-    sufficient_3d: float = KAPPA_SUFFICIENT_3D
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "necessary": self.necessary,
-            "sufficient_any": self.sufficient_any,
-            "sufficient_3d": self.sufficient_3d,
-        }
-
-
-@dataclass(frozen=True)
 class ProbeResult:
     """Outcome of the extreme-pair coordinate probe."""
 
@@ -104,7 +89,6 @@ class ConvexityVerdict:
     status: Status
     certificate: Certificate
     kappa: float
-    thresholds: Thresholds
     witness: Witness | None = None
     report: SampleReport | None = None
 
@@ -139,26 +123,31 @@ def _descend(delta: DeltaVector, y: np.ndarray, lam: float, rounds: int):
     return y, lam
 
 
+def _search(spd: SpdMatrix, delta: DeltaVector, plan: SamplePlan):
+    """Scan the probe + design directions once (:func:`verify_h_lmi`).
+
+    A failed scan's worst direction is lowered by eigenvector descent and
+    mapped back to x = U' y.  Returns (witness or None, scan report).
+    """
+    report = verify_h_lmi(delta, plan)
+    if report.passed:
+        return None, report
+    y, lam = _descend(delta, report.worst_point, report.worst_value,
+                      plan.refine_rounds)
+    return Witness(point=spd.spectral.rotation.T @ y, lambda_min=lam), report
+
+
 def falsify(spd: SpdMatrix, plan: SamplePlan = DEFAULT_PLAN) -> Witness | None:
     """Search for a direction where hess f fails to be PSD.
 
-    Scans the probe + design directions for the most negative lambda_min of
-    h(delta, y); a value below the scan tolerance is lowered by eigenvector
-    descent and mapped back to x = U' y.  Returns None when every sampled
-    direction passes.
+    Returns None when every sampled direction of h(delta, y) passes the
+    scan tolerance.
     """
-    delta = delta_from_spd(spd)
-    pts = all_samples(spd.dim, plan)
-    res = scan_h(delta, pts)
-    if not res.violation:
-        return None
-    y, lam = _descend(delta, pts[res.worst_index], res.worst_value,
-                      plan.refine_rounds)
-    return Witness(point=spd.spectral.rotation.T @ y, lambda_min=lam)
+    return _search(spd, delta_from_spd(spd), plan)[0]
 
 
 def _probe_witness(spd: SpdMatrix, delta: DeltaVector) -> Witness | None:
-    (i, j), _ = delta.max_pair()
+    i, j = necessary_probe(delta).worst_pair
     y = np.zeros(spd.dim)
     y[i] = y[j] = 1.0 / math.sqrt(2.0)
     h = h_form(delta, y)
@@ -171,38 +160,32 @@ def _probe_witness(spd: SpdMatrix, delta: DeltaVector) -> Witness | None:
 def classify(spd: SpdMatrix,
              plan: SamplePlan = DEFAULT_PLAN) -> ConvexityVerdict:
     """Decide convexity of K for ``spd`` (see module docstring for the ladder)."""
-    thr = Thresholds()
     inc = 1.0 + BOUNDARY_REL_TOL
     kappa = spd.kappa
     n = spd.dim
 
     def verdict(status, certificate, witness=None, report=None):
         return ConvexityVerdict(status=status, certificate=certificate,
-                                kappa=kappa, thresholds=thr,
-                                witness=witness, report=report)
+                                kappa=kappa, witness=witness, report=report)
 
     if n == 1:
         return verdict(Status.CONVEX, Certificate.SUFFICIENT_ANY_DIM)
 
     delta = delta_from_spd(spd)
 
-    if kappa > thr.necessary * inc:
-        certificate = Certificate.NECESSARY_VIOLATED
-        return verdict(Status.NOT_CONVEX, certificate,
+    if kappa > KAPPA_NECESSARY * inc:
+        return verdict(Status.NOT_CONVEX, Certificate.NECESSARY_VIOLATED,
                        witness=_probe_witness(spd, delta))
     if n == 2:
         return verdict(Status.CONVEX, Certificate.EXACT_2D)
-    if n == 3 and kappa <= thr.sufficient_3d * inc:
+    if n == 3 and kappa <= KAPPA_SUFFICIENT_3D * inc:
         return verdict(Status.CONVEX, Certificate.SUFFICIENT_3D)
-    if kappa <= thr.sufficient_any * inc:
+    if kappa <= KAPPA_SUFFICIENT_ANY * inc:
         return verdict(Status.CONVEX, Certificate.SUFFICIENT_ANY_DIM)
 
-    report = verify_h_lmi(delta, plan)
-    if report.passed:
+    witness, report = _search(spd, delta, plan)
+    if witness is None:
         return verdict(Status.UNDETERMINED, Certificate.SAMPLING_EXHAUSTED,
                        report=report)
-    y, lam = _descend(delta, report.worst_point, report.worst_value,
-                      plan.refine_rounds)
     return verdict(Status.NOT_CONVEX, Certificate.WITNESS_FOUND,
-                   witness=Witness(point=spd.spectral.rotation.T @ y,
-                                   lambda_min=lam))
+                   witness=witness)

@@ -183,38 +183,9 @@ def min_eigenvalue(m) -> float:
     return float(eig_sym(m).eigenvalues[0])
 
 
-def is_psd(m, eps: float = PSD_EPS) -> bool:
-    """m is accepted as PSD when lambda_min >= -eps * max(1, max|entry|)."""
-    a = symmetrize(m)
-    scale = max(1.0, float(np.abs(a).max()))
-    return min_eigenvalue(a) >= -eps * scale
-
-
 def det(m) -> float:
-    """Determinant: closed-form expansion for dim <= 3, partial-pivot LU above."""
-    a = _as_square(m)
-    n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0])
-    if n == 2:
-        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    if n == 3:
-        return float(
-            a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-            - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-            + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]))
-    lu = np.array(a)
-    sign = 1.0
-    for k in range(n - 1):
-        piv = k + int(np.argmax(np.abs(lu[k:, k])))
-        if lu[piv, k] == 0.0:
-            return 0.0
-        if piv != k:
-            lu[[k, piv], :] = lu[[piv, k], :]
-            sign = -sign
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return float(sign * np.prod(np.diag(lu)))
+    """Determinant of a validated square matrix (LAPACK LU)."""
+    return float(np.linalg.det(_as_square(m)))
 
 
 @dataclass(frozen=True)

@@ -117,10 +117,6 @@ class GridCheckSummary:
     passed: bool
     reports: tuple[GridScanReport, ...]
 
-    @property
-    def worst(self) -> GridScanReport:
-        return min(self.reports, key=lambda r: r.worst_value)
-
 
 BOX_GRID_DEFAULT = GridSpec.cube(2.0, 4.0, 41, 3)
 OMEGA_GRID_DEFAULT = GridSpec.cube(2.0, 4.0, 21, 3)

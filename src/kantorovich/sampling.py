@@ -62,15 +62,6 @@ class SamplePlan:
             random_nd=max(1, int(round(self.random_nd * factor))),
         )
 
-    def design_count(self, dim: int) -> int:
-        if dim <= 1:
-            return 1
-        if dim == 2:
-            return self.angles_2d
-        if dim == 3:
-            return self.fibonacci_3d
-        return self.random_nd
-
 
 DEFAULT_PLAN = SamplePlan()
 

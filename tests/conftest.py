@@ -35,6 +35,20 @@ def random_spd(rng, n, spread=4.0):
     return validate_spd(0.5 * (a + a.T))
 
 
+def write_matrix(path, a, fmt="plain"):
+    """Write ``a`` as a matrix file; 17 significant digits round-trip."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    if fmt == "json":
+        entries = ", ".join(format(v, ".17g") for v in a.reshape(-1))
+        text = '{"n": %d, "entries": [%s]}\n' % (n, entries)
+    else:
+        rows = (" ".join(format(v, ".17g") for v in row) for row in a)
+        text = "\n".join([str(n), *rows]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)

@@ -165,7 +165,6 @@ def test_classify_gap_scans_once(monkeypatch, eigs):
         calls.append(1)
         return scan_h(*args, **kwargs)
 
-    monkeypatch.setattr(classify_module, "scan_h", counting_scan_h)
     monkeypatch.setattr("kantorovich.lmi.scan_h", counting_scan_h)
     spd = validate_spd(np.diag(eigs))
     v = classify(spd, FAST)

@@ -1,13 +1,17 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kantorovich.cli import (matrix_file_text, parse_matrix_json,
-                             parse_matrix_text, read_matrix_file,
-                             write_matrix_file)
+from conftest import write_matrix
+from kantorovich.cli import (parse_matrix_json, parse_matrix_text,
+                             read_matrix_file)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args, timeout=120):
@@ -42,7 +46,7 @@ def test_plain_round_trip(tmp_path, rng):
     a = rng.standard_normal((4, 4))
     a = a + a.T
     path = str(tmp_path / "m.txt")
-    write_matrix_file(path, a)
+    write_matrix(path, a)
     np.testing.assert_array_equal(read_matrix_file(path), a)
 
 
@@ -50,7 +54,7 @@ def test_json_round_trip(tmp_path, rng):
     a = rng.standard_normal((3, 3))
     a = a + a.T
     path = str(tmp_path / "m.json")
-    write_matrix_file(path, a, fmt="json")
+    write_matrix(path, a, fmt="json")
     np.testing.assert_array_equal(read_matrix_file(path), a)
     obj = json.loads(open(path).read())
     assert obj["n"] == 3
@@ -84,11 +88,6 @@ def test_json_parse_errors():
         parse_matrix_json('{"n": 2, "entries": [1, 2, 3]}')
 
 
-def test_matrix_text_17_digits():
-    text = matrix_file_text(np.array([[1.0 / 3.0]]))
-    assert "0.33333333333333331" in text
-
-
 # --- analyze -----------------------------------------------------------------
 
 def test_analyze_not_convex(diag16):
@@ -119,6 +118,20 @@ def test_analyze_json_format(diag16):
     assert out["kappa"] == 6.0
     assert out["witness"] is not None
     assert out["thresholds"]["necessary"] == pytest.approx(5.82842712474619)
+
+
+def test_readme_analyze_demo(tmp_path):
+    """README's ``analyze demo.txt`` session is reproduced byte for byte."""
+    text = README.read_text(encoding="utf-8")
+    m = re.search(r"\$ cat demo\.txt\n(.*?)\$ kantorovich analyze demo\.txt\n"
+                  r"(.*?)\$ echo \$\?\n(\d+)\n", text, re.S)
+    assert m, "README lost its analyze demo.txt block"
+    matrix, stdout, code = m.groups()
+    demo = tmp_path / "demo.txt"
+    demo.write_text(matrix, encoding="utf-8")
+    res = run_cli("analyze", str(demo))
+    assert res.stdout == stdout
+    assert res.returncode == int(code) == 1
 
 
 def test_analyze_missing_file():
@@ -239,6 +252,16 @@ def test_boundary_nan_tol_exits_64():
     assert res.returncode == 64
 
 
+def test_boundary_tol_below_float_spacing_exits_64():
+    # Bisection cannot narrow adjacent floats below 8.0 to 1e-300; it used
+    # to loop forever.
+    res = run_cli("boundary", "--families", "two_point", "--dims", "2",
+                  "--tol", "1e-300", "--samples-2d", "8", timeout=60)
+    assert res.returncode == 64
+    assert "float spacing" in res.stderr
+    assert res.stdout == ""
+
+
 def test_boundary_bad_bracket_exits_70():
     res = run_cli("boundary", "--families", "two_point", "--dims", "2",
                   "--tol", "1e-2", "--samples-2d", "256",
@@ -295,7 +318,7 @@ def test_lmi_malformed_exits_64():
 @pytest.fixture
 def gap4(tmp_path):
     p = tmp_path / "gap4.txt"
-    write_matrix_file(str(p), np.diag([1.0, 1.5, 3.0, 5.0]))
+    write_matrix(str(p), np.diag([1.0, 1.5, 3.0, 5.0]))
     return str(p)
 
 
@@ -319,7 +342,7 @@ def test_hessian_check(tmp_path, rng):
     a = rng.standard_normal((3, 3))
     spd = a @ a.T + 3.0 * np.eye(3)
     p = str(tmp_path / "h.txt")
-    write_matrix_file(p, spd)
+    write_matrix(p, spd)
     res = run_cli("hessian-check", p)
     assert res.returncode == 0
     assert "ok: true" in res.stdout
@@ -331,6 +354,24 @@ def test_hessian_check_no_points_exits_64(diag16, count):
     assert res.returncode == 64
     assert "--points" in res.stderr
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("step", ["0", "-1e-5", "nan", "inf"])
+def test_hessian_check_bad_step_exits_64(diag16, step):
+    res = run_cli("hessian-check", diag16, f"--step={step}")
+    assert res.returncode == 64
+    assert "--step" in res.stderr
+    assert res.stdout == ""
+
+
+def test_hessian_check_nan_deviation_fails(diag16):
+    # x +- 1e300 overflows x'Ax, so every finite difference is NaN; the
+    # check must not report the NaN away as a pass.
+    res = run_cli("hessian-check", diag16, "--step", "1e300",
+                  "--points", "3")
+    assert res.returncode == 1
+    assert "max relative deviation: nan" in res.stdout
+    assert "ok: false" in res.stdout
 
 
 def test_kantorovich_bound_extremal(diag16):

@@ -4,7 +4,7 @@ import pytest
 from kantorovich.linalg import (JacobiConvergenceError, MatrixValidationError,
                                 NotPositiveDefiniteError, NotSquareError,
                                 NotSymmetricError, NonFiniteError,
-                                det, eig_sym, is_psd, min_eig_batch,
+                                det, eig_sym, min_eig_batch,
                                 min_eigenvalue, symmetrize, validate_spd)
 from conftest import random_rotation
 
@@ -141,14 +141,6 @@ def test_rayleigh_quotient_bound(rng):
     x = rng.standard_normal((1000, 5))
     quot = np.einsum("ki,ij,kj->k", x, a, x) / np.einsum("ki,ki->k", x, x)
     assert np.all(lam <= quot + 1e-9)
-
-
-def test_is_psd():
-    assert is_psd(np.eye(2))
-    assert is_psd(np.diag([0.0, 1.0]))
-    assert not is_psd(np.diag([-1e-6, 1.0]))
-    # relative slack: tiny negative within eps * scale passes
-    assert is_psd(np.diag([-1e-10, 1.0]))
 
 
 # --- determinant -----------------------------------------------------------

@@ -26,7 +26,9 @@ def test_sphere_design_unit_norm():
     plan = SamplePlan(angles_2d=64, fibonacci_3d=500, random_nd=1000)
     for n in (2, 3, 4, 6):
         pts = sphere_design(n, plan)
-        assert pts.shape == (plan.design_count(n), n)
+        count = {2: plan.angles_2d,
+                 3: plan.fibonacci_3d}.get(n, plan.random_nd)
+        assert pts.shape == (count, n)
         np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0,
                                    atol=1e-12)
 

@@ -1,0 +1,37 @@
+"""The public surface: every exported name resolves, and the package's
+``__all__`` is exactly what it re-exports."""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import kantorovich
+
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(kantorovich.__path__)
+                    if m.name != "__main__")
+
+
+def _all_of(module):
+    names = module.__all__
+    assert len(names) == len(set(names)), "duplicate names in __all__"
+    return names
+
+
+def test_package_all_resolves():
+    for name in _all_of(kantorovich):
+        assert hasattr(kantorovich, name), name
+
+
+@pytest.mark.parametrize("modname", SUBMODULES)
+def test_submodule_all_resolves(modname):
+    module = importlib.import_module(f"kantorovich.{modname}")
+    for name in getattr(module, "__all__", ()):
+        assert hasattr(module, name), f"kantorovich.{modname}.{name}"
+
+
+def test_package_all_is_its_reexports():
+    exported = {name for name, value in vars(kantorovich).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert set(_all_of(kantorovich)) == exported | {"__version__"}
