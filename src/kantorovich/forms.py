@@ -87,18 +87,52 @@ def delta_from_spd(spd: SpdMatrix) -> DeltaVector:
     return DeltaVector(dim=spd.dim, values=np.asarray(vals, dtype=float))
 
 
-def h_form_batch(delta: DeltaVector, points: np.ndarray) -> np.ndarray:
-    """Conjugated Hessian form h(delta, y) for a stack of points (N, dim)."""
+def as_points(delta: DeltaVector, points) -> np.ndarray:
+    """``points`` as a float (N, dim) stack, or DimensionMismatchError."""
     y = np.asarray(points, dtype=float)
     if y.ndim != 2 or y.shape[1] != delta.dim:
         raise DimensionMismatchError(
             f"points must have shape (N, {delta.dim}), got {y.shape}")
-    dm = delta.as_matrix()
+    return y
+
+
+def h_diagonal(dm: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Diagonals (N, dim) of h at the points y (N, dim); dm = as_matrix().
+
+    3 y_i^2 + (1/2) sum_j delta_ij y_j^2, the sum as one BLAS product over
+    all N rows (in place, so the peak is two (N, dim) arrays).  Its last
+    bits can depend on N, so a scan that must match h_form_batch bitwise
+    calls this on the same rows at once.
+    """
     sq = y * y
-    h = dm[None, :, :] * (y[:, :, None] * y[:, None, :])
-    idx = np.arange(delta.dim)
-    h[:, idx, idx] = 3.0 * sq + 0.5 * (sq @ dm)
+    out = sq @ dm
+    out *= 0.5
+    sq *= 3.0
+    out += sq
+    return out
+
+
+def h_entries(dm: np.ndarray, y: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """h at the points y (m, dim) in (dim, dim, m) layout.
+
+    The off-diagonal is (y_i * y_j) * delta_ij; ``diag`` is h_diagonal of
+    the same rows.  Each entry is a contiguous run over the m points, so
+    batched pivots and closed forms read whole vectors.
+    """
+    yt = np.ascontiguousarray(y.T)
+    h = yt[:, None, :] * yt[None, :, :]
+    h *= dm[:, :, None]
+    idx = np.arange(dm.shape[0])
+    h[idx, idx] = diag.T
     return h
+
+
+def h_form_batch(delta: DeltaVector, points: np.ndarray) -> np.ndarray:
+    """Conjugated Hessian form h(delta, y) for a stack of points (N, dim)."""
+    y = as_points(delta, points)
+    dm = delta.as_matrix()
+    h = h_entries(dm, y, h_diagonal(dm, y))
+    return np.ascontiguousarray(np.moveaxis(h, -1, 0))
 
 
 def h_form(delta: DeltaVector, y) -> np.ndarray:

@@ -30,6 +30,10 @@ def _as_point(spd: SpdMatrix, x) -> np.ndarray:
     return v
 
 
+# A quadratic form of a huge point overflows to inf and its differences to
+# NaN; those values are the result (a NaN deviation fails hessian-check), so
+# numpy's floating-point warnings are silenced rather than printed.
+@np.errstate(over="ignore", invalid="ignore")
 def _quadratics(spd: SpdMatrix, x: np.ndarray):
     ax = spd.matrix @ x
     ix = spd.inverse @ x
@@ -68,6 +72,7 @@ def f_hessian(spd: SpdMatrix, x) -> np.ndarray:
     return qa * spd.inverse + qi * spd.matrix + cross + cross.T
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fd_hessian(spd: SpdMatrix, x, step: float = 1e-5) -> np.ndarray:
     """Central-difference Hessian from the analytic gradient.
 

@@ -271,6 +271,33 @@ def _min_eig3_entries(a, b, c, d, e, f):
     return np.where(safe, lam, q)
 
 
+def cholesky_clears(entries: np.ndarray, shift: float) -> np.ndarray:
+    """Which matrices of an (n, n, m) stack have h - shift*I Cholesky-PD.
+
+    Runs an unblocked right-looking Cholesky on all m matrices at once and
+    returns a boolean (m,) mask that is True where every pivot is > 0, i.e.
+    where Cholesky runs to completion in floating point.  A NaN pivot
+    compares False, so it never clears its matrix.  ``entries`` is not
+    modified.
+    """
+    a = np.array(entries, dtype=float)
+    n = a.shape[0]
+    idx = np.arange(n)
+    a[idx, idx] -= shift
+    ok = np.ones(a.shape[2:], dtype=bool)
+    # Only the lower triangle is read and updated.  A failed matrix keeps
+    # running on a bad pivot; its NaNs stay in its own column of the stack.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(n):
+            piv = a[k, k]
+            ok &= piv > 0.0
+            col = a[k + 1:, k]
+            col /= np.sqrt(piv)
+            for j in range(k + 1, n):
+                a[j:, j] -= col[j - k - 1:] * col[j - k - 1]
+    return ok
+
+
 def min_eig_batch(mats: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each symmetric matrix in a (..., n, n) stack."""
     mats = np.asarray(mats, dtype=float)

@@ -6,11 +6,13 @@ then a deterministic design per dimension (equispaced angles in dim 2, a
 Fibonacci spiral in dim 3, seeded random unit vectors above).  h is even and
 degree-2 homogeneous in y, so unit vectors lose nothing.
 
-:func:`scan_h` builds h in fixed-size chunks and takes the minimum by value
-with first-index tie-break, so results are deterministic for a fixed seed.
-The scan is exact, but at dim >= 4 it screens each block of a chunk by
-Cholesky and runs the eigensolver only on blocks that could hold a new
-minimum; the reported sample count still counts every direction.
+:func:`scan_h` takes the minimum by value with first-index tie-break, so
+results are deterministic for a fixed seed.  It computes the diagonal of h
+per fixed-size chunk and the entries per block of rows, never an (N, n, n)
+stack, so its memory does not grow with the sample count.  The scan is
+exact, but at dim >= 4 a batched Cholesky screen clears the directions
+that cannot beat the running minimum and the eigensolver runs only on the
+rest; the reported sample count still counts every direction.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forms import DeltaVector, h_form_batch, pair_indices
-from .linalg import PSD_EPS, min_eig_batch
+from .forms import (DeltaVector, as_points, h_diagonal, h_entries,
+                    pair_indices)
+from .linalg import PSD_EPS, cholesky_clears, min_eig_batch
 
 __all__ = [
     "SamplePlan", "SampleReport", "DEFAULT_PLAN",
@@ -31,7 +34,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 18
-# Rows per Cholesky-screened block of a chunk at dim >= 4 (see scan_h).
+# Rows per block of h entries after the probe block (see scan_h).
 _BLOCK = 1 << 12
 
 
@@ -166,49 +169,71 @@ class ScanResult:
     violation: bool
 
 
+def _blocks(total: int, head: int):
+    """(lo, hi) row ranges of a scan: the first ``head`` rows, then
+    ``_BLOCK`` rows each, cut at every multiple of ``_CHUNK``."""
+    lo = 0
+    while lo < total:
+        hi = min(total, head if lo < head else lo + _BLOCK,
+                 (lo // _CHUNK + 1) * _CHUNK)
+        yield lo, hi
+        lo = hi
+
+
 def scan_h(delta: DeltaVector, points: np.ndarray,
            eps: float = PSD_EPS) -> ScanResult:
     """Minimum eigenvalue of h(delta, y) over a stack of unit points.
 
     The result is exact: the worst value, its first index and the violation
-    flag (worst < -tolerance) are those of evaluating every point.  At
-    dim >= 4 blocks of ``_BLOCK`` rows that a Cholesky screen shows cannot
-    beat the running minimum skip the eigensolve; ``samples`` still counts
+    flag (worst < -tolerance) are those of evaluating every point.  The
+    diagonal of h is one BLAS product per ``_CHUNK`` rows; the entries are
+    built per block, the first block being the ``dim*(dim-1)`` probe rows
+    that :func:`all_samples` puts first.  At dim >= 4 a batched Cholesky
+    screen clears, row by row, the directions that cannot beat the running
+    minimum, and only the rest are eigensolved; ``samples`` still counts
     every point.
     """
     n = delta.dim
-    total = points.shape[0]
+    pts = as_points(delta, points)
+    total = pts.shape[0]
     scale = max(1.0, h_scale_bound(delta))
     tol = eps * scale
-    # Skipping a block is exact.  If cholesky(h - (worst + margin) I)
-    # succeeds, every row has lambda_min > worst + margin up to the
-    # Cholesky backward error, and the row's computed eigvalsh lies within
-    # the eigensolver's rounding of lambda_min.  For unit points both errors
-    # are about 1e-14 * scale, far below margin, so every skipped row would
-    # evaluate strictly above worst and cannot be the first strict minimum.
-    # The margin is not the caller's eps, which may be <= 0.
+    # Clearing a row is exact.  If Cholesky of h - (worst + margin) I runs
+    # to completion, the factor satisfies L L' = h - (worst + margin) I + E
+    # with |E| <= gamma_{n+1} |L| |L'| (Higham, Accuracy and Stability of
+    # Numerical Algorithms, Thm 10.3), a bound that holds whatever order
+    # the inner products are summed in.  So lambda_min(h) > worst + margin
+    # - ||E||, and the row's computed eigvalsh lies within the eigensolver's
+    # rounding of lambda_min.  For unit points both errors are about
+    # 1e-14 * scale, far below margin, so every cleared row would evaluate
+    # strictly above worst and cannot be the first strict minimum.  The
+    # margin is not the caller's eps, which may be <= 0.
     margin = PSD_EPS * scale
-    # Dims 2 and 3 use closed forms, cheaper than any screen.
+    # Dims 2 and 3 use closed forms, cheaper than any screen.  The dim-3
+    # one errs by ~1e-8 at a repeated eigenvalue, more than the margin, so
+    # a cleared row's computed value could fall below worst there.
     screen = n >= 4
-    step = _BLOCK if screen else _CHUNK
-    eye = np.eye(n)
+    dm = delta.as_matrix()
     worst = math.inf
     worst_idx = -1
-    for start in range(0, total, _CHUNK):
-        h = h_form_batch(delta, points[start:start + _CHUNK])
-        for lo in range(0, h.shape[0], step):
-            block = h[lo:lo + step]
-            if screen and math.isfinite(worst):
-                try:
-                    np.linalg.cholesky(block - (worst + margin) * eye)
-                    continue
-                except np.linalg.LinAlgError:
-                    pass
-            lam = min_eig_batch(block)
-            k = int(np.argmin(lam))
-            if lam[k] < worst:
-                worst = float(lam[k])
-                worst_idx = start + lo + k
+    for lo, hi in _blocks(total, n * (n - 1)):
+        if lo % _CHUNK == 0:
+            base = lo
+            chunk = pts[lo:lo + _CHUNK]
+            diag = h_diagonal(dm, chunk)
+        h = h_entries(dm, chunk[lo - base:hi - base],
+                      diag[lo - base:hi - base])
+        rows = np.arange(hi - lo)
+        if screen and math.isfinite(worst):
+            rows = np.flatnonzero(~cholesky_clears(h, worst + margin))
+            if rows.size == 0:
+                continue
+            h = h[:, :, rows]
+        lam = min_eig_batch(np.moveaxis(h, -1, 0))
+        k = int(np.argmin(lam))
+        if lam[k] < worst:
+            worst = float(lam[k])
+            worst_idx = lo + int(rows[k])
     return ScanResult(worst_value=worst, worst_index=worst_idx,
                       tolerance=tol, samples=total,
                       violation=worst < -tol)

@@ -374,6 +374,16 @@ def test_hessian_check_nan_deviation_fails(diag16):
     assert "ok: false" in res.stdout
 
 
+def test_hessian_check_overflow_prints_no_warnings(diag16):
+    # The overflow is reported as a NaN deviation on stdout; numpy's
+    # RuntimeWarnings must not reach stderr.
+    res = run_cli("hessian-check", diag16, "--step", "1e300")
+    assert res.returncode == 1
+    assert res.stderr == ""
+    assert res.stdout.splitlines()[2:] == [
+        "max relative deviation: nan", "tolerance: 1e-06", "ok: false"]
+
+
 def test_kantorovich_bound_extremal(diag16):
     res = run_cli("kantorovich-bound", diag16, "--point", "1,1")
     assert res.returncode == 0

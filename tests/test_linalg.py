@@ -4,7 +4,7 @@ import pytest
 from kantorovich.linalg import (JacobiConvergenceError, MatrixValidationError,
                                 NotPositiveDefiniteError, NotSquareError,
                                 NotSymmetricError, NonFiniteError,
-                                det, eig_sym, min_eig_batch,
+                                cholesky_clears, det, eig_sym, min_eig_batch,
                                 min_eigenvalue, symmetrize, validate_spd)
 from conftest import random_rotation
 
@@ -173,6 +173,51 @@ def test_min_eig_batch_matches_lapack(rng):
         a = a + np.swapaxes(a, -1, -2)
         np.testing.assert_allclose(min_eig_batch(a),
                                    np.linalg.eigvalsh(a)[..., 0], atol=1e-11)
+
+
+def _stack(mats):
+    return np.moveaxis(np.asarray(mats, dtype=float), 0, -1)
+
+
+def _cholesky_ok(m):
+    try:
+        np.linalg.cholesky(m)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cholesky_clears_matches_lapack(rng, n):
+    # Shifts on both sides of each matrix's lambda_min, some far and some
+    # within 1e-6 of it: the mask is LAPACK's Cholesky success.
+    a = rng.standard_normal((24, n, n))
+    a = a + np.swapaxes(a, -1, -2)
+    lam = np.linalg.eigvalsh(a)[:, 0]
+    for rel in (-1.0, -1e-6, 1e-6, 1.0):
+        for shift in np.unique(lam + rel):
+            shifted = a - shift * np.eye(n)
+            want = [_cholesky_ok(m) for m in shifted]
+            entries = _stack(a)
+            before = entries.copy()
+            got = cholesky_clears(entries, shift)
+            assert got.tolist() == want
+            np.testing.assert_array_equal(entries, before)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cholesky_clears_zero_and_nan_pivots(n):
+    # diag(n, ..., 1) - I has its last pivot exactly 0: not cleared.  A NaN
+    # anywhere in the lower triangle, down to the last entry, never clears
+    # its matrix; the clean matrices beside them still clear.
+    base = np.diag(np.arange(n, 0, -1.0))
+    mats = [base.copy() for _ in range(n + 2)]
+    for k, (i, j) in enumerate([(0, 0), (n - 1, n - 1), (n - 1, 0)]):
+        mats[k][i, j] = mats[k][j, i] = np.nan
+    entries = _stack(mats)
+    assert cholesky_clears(entries, 1.0).tolist() == [False] * (n + 2)
+    ok = cholesky_clears(entries, 0.5)
+    assert ok.tolist() == [False] * 3 + [True] * (n - 1)
 
 
 def test_min_eig_batch_leading_dims(rng):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -137,8 +139,8 @@ def test_scan_matches_reference(monkeypatch, dim, case, block):
 
 def test_gap_scan_eigensolves_only_blocks(monkeypatch):
     # A dim-6 gap matrix under the default plan: every eigensolve gets one
-    # block at most, blocks above the running minimum are skipped, and the
-    # report is the unscreened scan's.
+    # block at most, the screen clears every design row above the probes'
+    # minimum, and the report is the unscreened scan's.
     sizes = []
 
     def counting_min_eig_batch(mats):
@@ -151,9 +153,42 @@ def test_gap_scan_eigensolves_only_blocks(monkeypatch):
     assert v.certificate == Certificate.SAMPLING_EXHAUSTED
     pts = all_samples(6, DEFAULT_PLAN)
     assert sizes and max(sizes) <= sampling._BLOCK
-    assert sum(sizes) < pts.shape[0]
+    assert sum(sizes) <= 6 * 5 + 4
     lam = min_eig_batch(h_form_batch(delta_from_spd(spd), pts))
     k = int(np.argmin(lam))
     assert v.report.worst_value == float(lam[k])
     np.testing.assert_array_equal(v.report.worst_point, pts[k])
     assert v.report.samples == pts.shape[0] and v.report.passed
+
+
+def test_scan_finds_minimum_just_below_running_worst():
+    # The head block (the first 4*3 rows) holds a point a hair off the
+    # dim-4 probe minimiser; the exact probe comes later, lower by far less
+    # than the screen's margin.  The screen must not clear it.
+    d = _delta_case(4, "gap")
+    probe = probe_directions(4)
+    lam = min_eig_batch(h_form_batch(d, probe))
+    best = probe[int(np.argmin(lam))]
+    near = best + 1e-5 * np.array([0.0, 1.0, 1.0, 0.0])
+    near /= np.linalg.norm(near)
+    pts = np.array([near] * 12 + [best] + [near] * 3)
+    ref = min_eig_batch(h_form_batch(d, pts))
+    assert 0.0 < ref[0] - ref[12] < PSD_EPS
+    res = scan_h(d, pts)
+    assert (res.worst_value, res.worst_index) == (float(ref[12]), 12)
+
+
+def test_scan_memory_bounded():
+    # 2^20 points at dim 8: building h a whole (2^18, 8, 8) chunk at a
+    # time peaked at 400 MB.
+    d = _delta_case(8, "gap")
+    pts = np.random.default_rng(3).standard_normal((1 << 20, 8))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    tracemalloc.start()
+    try:
+        res = scan_h(d, pts)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert res.samples == 1 << 20 and not res.violation
+    assert peak < 64.0
