@@ -14,9 +14,11 @@ Three layers:
   so all three are scanned as m.
 
 Grid scans use one absolute tolerance (values >= -1e-9 pass); every check
-reports its worst cell so a failure is immediately reproducible.  Scans run
-in chunks of a fixed number of cells, so their memory does not grow with
-the grid.
+reports its worst cell so a failure is immediately reproducible.  Every scan
+walks its grid with one block iterator, :func:`_blocks`: a block is a C-order
+run of about ``_BLOCK`` cells whose coordinates are node arrays that
+broadcast against one another, so no grid (of omega or of any other axis)
+is ever built cell by cell, and memory does not grow with the grid.
 """
 
 from __future__ import annotations
@@ -43,9 +45,11 @@ __all__ = [
 # Absolute pass tolerance for grid-evaluated inequality values.
 GRID_TOL = 1e-9
 
-# Grid cells evaluated per chunk of a scan, so that peak memory stays the
-# same whatever the grid size (a detm cell counts once per alpha node).
-_CHUNK = 1 << 17
+# Grid cells evaluated per block of a scan, so that memory stays the same
+# whatever the grid size: a box or robust temporary is at most 32 KB.  A detm
+# cell counts once per alpha node, and its blocks are five times larger,
+# because each costs a solve and three Horner passes in Python.
+_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -172,34 +176,41 @@ def box_inequalities(d1, d2, d3) -> BoxValues:
     )
 
 
-def _chunks(nodes: tuple[np.ndarray, ...], size: int):
-    """Yield (start, node values) for runs of ``size`` consecutive cells of
-    the C-order product of the node arrays.
+def _blocks(nodes: tuple[np.ndarray, ...], size: int):
+    """Yield (start, coords) for C-order-contiguous runs of at most ``size``
+    cells of the product grid of ``nodes``.
 
-    Along an axis each node repeats s times in a row, s the product of the
-    later axes' lengths, so a chunk's values are runs of s equal values
-    that cycle through the nodes: built by np.resize and np.repeat, with no
-    per-cell index arithmetic.
+    In a block the leading axes are fixed, one split axis covers a range of
+    nodes and every later axis is whole.  ``coords`` are the nodes of each
+    axis shaped to broadcast against one another (a scalar for a fixed
+    axis), so the block's cells are never copied out per coordinate.
     """
     shape = tuple(len(n) for n in nodes)
-    total = math.prod(shape)
-    for start in range(0, total, size):
-        stop = min(start + size, total)
-        values = []
-        for j, n in enumerate(nodes):
-            s = math.prod(shape[j + 1:])
-            first, last = start // s, (stop - 1) // s
-            runs = np.resize(np.roll(n, -(first % len(n))), last - first + 1)
-            counts = np.full(runs.shape, s)
-            counts[0] -= start - first * s
-            counts[-1] -= (last + 1) * s - stop
-            values.append(np.repeat(runs, counts))
-        yield start, tuple(values)
+    s = next(j for j in range(len(shape)) if math.prod(shape[j + 1:]) <= size)
+    tail = math.prod(shape[s + 1:])
+    step = max(1, size // tail)
+    cols = tuple(n.reshape((-1,) + (1,) * (len(shape) - j - 1))
+                 for j, n in enumerate(nodes))
+    start = 0
+    for lead in np.ndindex(*shape[:s]):
+        fixed = tuple(n[i] for n, i in zip(nodes, lead))
+        for a in range(0, shape[s], step):
+            split = cols[s][a:a + step]
+            yield start, fixed + (split,) + cols[s + 1:]
+            start += len(split) * tail
+
+
+def _omega(w1, w2, w3) -> np.ndarray:
+    """A block's omega nodes as one (..., 3) stack, one row per omega cell
+    of the block; it broadcasts against the alpha and beta nodes."""
+    out = np.empty(np.broadcast(w1, w2, w3).shape + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = w1, w2, w3
+    return out
 
 
 class _Worst:
     """First strict minimum over the C-order cells of ``nodes``, fed in
-    consecutive chunks: the cell a single argmin over the grid reports."""
+    consecutive blocks: the cell a single argmin over the grid reports."""
 
     def __init__(self, nodes: tuple[np.ndarray, ...]):
         self.nodes = nodes
@@ -208,6 +219,8 @@ class _Worst:
         self.cell: tuple[float, ...] = ()
 
     def update(self, start: int, values: np.ndarray) -> None:
+        """``values``: the cells from flat index ``start`` on, in C order
+        over their own (full, not broadcast) shape."""
         flat = values.reshape(-1)
         k = int(np.argmin(flat))
         if float(flat[k]) < self.value:
@@ -228,7 +241,7 @@ def box_inequality_grid_check(grid: GridSpec = BOX_GRID_DEFAULT,
         raise ValueError("box grid must have 3 axes")
     nodes = grid.node_arrays()
     worst = [_Worst(nodes) for _ in BoxValues._fields]
-    for start, coords in _chunks(nodes, _CHUNK):
+    for start, coords in _blocks(nodes, _BLOCK):
         for w, v in zip(worst, box_inequalities(*coords)):
             w.update(start, v)
     reports = tuple(w.report(f"box_{name}", tol, grid.cells)
@@ -261,9 +274,10 @@ def robust_psd_grid(form: str, omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
                     tol: float = GRID_TOL) -> GridScanReport:
     """Minimum eigenvalue of one normalized form over the full grid.
 
-    Every form is scanned as m over its permuted omega axes, in chunks of
-    ``_CHUNK`` cells; the worst cell is reported in the form's own
-    coordinates (w1, w2, w3, alpha, beta).
+    Every form is scanned as m over its permuted omega axes, in blocks of
+    at most ``_BLOCK`` cells: a block's omega nodes broadcast against the
+    (alpha, beta) nodes, so no temporary exceeds 32 KB.  The worst cell is
+    reported in the form's own coordinates (w1, w2, w3, alpha, beta).
     """
     key = form.upper()
     if key not in _FORM_AXES:
@@ -272,10 +286,9 @@ def robust_psd_grid(form: str, omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
     nodes = (tuple(omega_grid.axes[k].nodes() for k in _FORM_AXES[key])
              + ab_grid.node_arrays())
     worst = _Worst(nodes)
-    for start, (w1, w2, w3, al, be) in _chunks(nodes, _CHUNK):
-        # Rows of a (3, n) stack: omega[..., k] stays contiguous.
-        omega = np.stack((w1, w2, w3)).T
-        worst.update(start, _min_eig3_entries(*m_entries(omega, al, be)))
+    for start, (w1, w2, w3, al, be) in _blocks(nodes, _BLOCK):
+        entries = m_entries(_omega(w1, w2, w3), al, be)
+        worst.update(start, _min_eig3_entries(*entries))
     cells = omega_grid.cells * ab_grid.cells
     return _relabel(worst.report("robust_M", tol, cells), key)
 
@@ -312,8 +325,9 @@ def _detm_coefs(omega, beta) -> np.ndarray:
     differ, so a lone column is solved as a pair: a cell's coefficients do
     not depend on how many cells share the solve.
     """
-    vals = np.stack([det3_entries(*m_entries(omega, a, beta))
-                     for a in _ALPHA_NODES])
+    shape = np.broadcast_shapes(np.shape(omega)[:-1], np.shape(beta))
+    alpha = _ALPHA_NODES.reshape((-1,) + (1,) * len(shape))
+    vals = det3_entries(*m_entries(omega, alpha, beta))
     cols = vals.reshape(len(_ALPHA_NODES), -1)
     n = cols.shape[1]
     if n == 1:
@@ -341,16 +355,17 @@ def _polyder_coefs(coefs: np.ndarray, order: int) -> np.ndarray:
 
 
 def _horner(coefs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(cells, len(x)) values of the ascending (deg + 1, cells) polynomials.
+    """(len(x), cells) values of the ascending (deg + 1, cells) polynomials.
 
     Elementwise, unlike a BLAS product, so a value does not depend on the
-    other cells in the chunk.
+    other cells in the block; each pass runs over a row of cells.
     """
-    out = coefs[-1][:, None] * x
-    out += coefs[-2][:, None]
+    xs = x[:, None]
+    out = coefs[-1] * xs
+    out += coefs[-2]
     for c in coefs[-3::-1]:
-        out *= x
-        out += c[:, None]
+        out *= xs
+        out += c
     return out
 
 
@@ -364,8 +379,8 @@ def detm_alpha_convexity_check(omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
     nonnegative second and fourth derivatives on the alpha grid, its values
     must stay above the alpha = 0 value, and det m(alpha=0) itself must be
     nonnegative (closed form).  Worst cells are (w1, w2, w3, beta[, alpha]).
-    The (omega, beta) cells are scanned in chunks of ``_CHUNK`` cells times
-    alpha nodes.
+    The (omega, beta) cells are scanned in blocks of about ``5 * _BLOCK``
+    (cell, alpha node) values, 160 KB per temporary, whatever the grids.
     """
     if omega_grid.ndim != 3 or beta_grid.ndim != 1:
         raise ValueError("omega grid needs 3 axes and beta grid 1")
@@ -376,18 +391,18 @@ def detm_alpha_convexity_check(omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
                 "detm_min_at_zero": _Worst(with_alpha),
                 "detm_alpha0": _Worst(nodes)}
 
-    for start, (w1, w2, w3, betas) in _chunks(
-            nodes, max(1, _CHUNK // alpha_count)):
-        omega = np.stack((w1, w2, w3)).T
-        coefs = _detm_coefs(omega, betas)
+    for start, (w1, w2, w3, betas) in _blocks(
+            nodes, max(1, 5 * _BLOCK // alpha_count)):
+        omega = _omega(w1, w2, w3)
+        coefs = _detm_coefs(omega, betas).reshape(len(_ALPHA_NODES), -1)
         # (cells, alpha_count) values: C order over (w1, w2, w3, beta, alpha)
         first = start * alpha_count
         trackers["detm_d2"].update(
-            first, _horner(_polyder_coefs(coefs, 2), alpha_nodes))
+            first, _horner(_polyder_coefs(coefs, 2), alpha_nodes).T)
         trackers["detm_d4"].update(
-            first, _horner(_polyder_coefs(coefs, 4), alpha_nodes))
+            first, _horner(_polyder_coefs(coefs, 4), alpha_nodes).T)
         trackers["detm_min_at_zero"].update(
-            first, _horner(coefs, alpha_nodes) - coefs[0][:, None])
+            first, (_horner(coefs, alpha_nodes) - coefs[0]).T)
         trackers["detm_alpha0"].update(start, det_m_alpha0(omega, betas))
 
     cells = omega_grid.cells * beta_grid.cells

@@ -214,6 +214,66 @@ def test_lemmas_csv_format_stdout():
     assert res.stdout.startswith("grid_id,coords,min_value,tolerance,passed")
 
 
+# The lemmas CSV contract, byte for byte: the worst cells and values that the
+# scans of docs/formats.md report on these grids.
+LEMMAS_GOLDEN = {
+    (): (0, """\
+grid_id,coords,min_value,tolerance,passed
+box_chi1,2.0;4.0;4.0,0.0,1e-09,true
+box_chi2,4.0;4.0;2.0,0.0,1e-09,true
+box_chi3,4.0;4.0;2.0,0.0,1e-09,true
+box_chi4,4.0;2.0;4.0,0.0,1e-09,true
+box_psi,2.0;2.0;4.0,4.0,1e-09,true
+robust_M,4.0;4.0;2.0;-0.75;-0.25,0.8946685256314542,1e-09,true
+robust_P,4.0;2.0;4.0;-0.75;-0.25,0.8946685256314542,1e-09,true
+robust_Q,2.0;4.0;4.0;-0.75;-0.25,0.8946685256314542,1e-09,true
+detm_d2,4.0;4.0;2.0;0.0;0.0,8.526512829121202e-14,1e-09,true
+detm_d4,4.0;2.0;4.0;0.9000000000000001;0.0,-2.5035973294507137e-11,1e-09,true
+detm_min_at_zero,2.0;2.0;2.0;-1.0;0.0,0.0,1e-09,true
+detm_alpha0,2.0;2.0;2.0;0.0,3.0,1e-09,true
+"""),
+    ("--grid", "4"): (0, """\
+grid_id,coords,min_value,tolerance,passed
+box_chi1,2.0;4.0;4.0,0.0,1e-09,true
+box_chi2,4.0;4.0;2.0,0.0,1e-09,true
+box_chi3,4.0;4.0;2.0,0.0,1e-09,true
+box_chi4,4.0;2.0;4.0,0.0,1e-09,true
+box_psi,2.0;2.0;4.0,4.0,1e-09,true
+robust_M,2.0;4.0;4.0;0.33333333333333326;-1.0,1.06104157574535,1e-09,true
+robust_P,2.0;4.0;4.0;0.33333333333333326;-1.0,1.06104157574535,1e-09,true
+robust_Q,4.0;2.0;4.0;0.33333333333333326;-1.0,1.06104157574535,1e-09,true
+detm_d2,4.0;2.0;2.0;0.33333333333333326;-0.33333333333333337,16.74074074074072,1e-09,true
+detm_d4,4.0;2.0;2.0;-0.33333333333333337;0.33333333333333326,351.99999999999875,1e-09,true
+detm_min_at_zero,4.0;4.0;2.0;-0.33333333333333337;-0.33333333333333337,0.3909465020576093,1e-09,true
+detm_alpha0,2.0;2.0;2.0;0.33333333333333326,4.11522633744856,1e-09,true
+"""),
+    ("--omega-max", "5.9", "--grid", "11"): (1, """\
+grid_id,coords,min_value,tolerance,passed
+box_chi1,2.0;5.9;5.9,-55.48950000000001,1e-09,false
+box_chi2,5.9;5.9;2.0,-55.48950000000001,1e-09,false
+box_chi3,5.9;5.9;2.0,-55.48950000000001,1e-09,false
+box_chi4,5.9;2.0;5.9,-55.48950000000001,1e-09,false
+box_psi,2.0;2.0;5.9,-7.210000000000001,1e-09,false
+robust_M,2.0;5.9;2.7800000000000002;0.0;-1.0,0.049999999999998046,1e-09,true
+robust_P,2.0;2.7800000000000002;5.9;0.0;-1.0,0.049999999999998046,1e-09,true
+robust_Q,2.7800000000000002;2.0;5.9;0.0;-1.0,0.049999999999998046,1e-09,true
+detm_d2,5.9;2.0;5.9;-1.0;-0.8,-246.43007999999952,1e-09,false
+detm_d4,5.9;2.0;5.9;-1.0;0.0,-1997.6219999999917,1e-09,false
+detm_min_at_zero,5.9;5.9;2.0;0.0;-1.0,-23.767125000000036,1e-09,false
+detm_alpha0,2.0;5.9;2.0;-1.0,1.1849999999999987,1e-09,true
+"""),
+}
+
+
+@pytest.mark.parametrize("flags", list(LEMMAS_GOLDEN), ids=lambda f: " ".join(f) or "defaults")
+def test_lemmas_csv_golden(flags):
+    code, text = LEMMAS_GOLDEN[flags]
+    res = run_cli("lemmas", *flags, "--format", "csv")
+    assert res.returncode == code
+    assert res.stdout == text
+    assert res.stderr == ""
+
+
 # --- boundary ----------------------------------------------------------------
 
 def test_boundary_two_point_2d(tmp_path):

@@ -4,8 +4,9 @@ import pytest
 from kantorovich.linalg import (JacobiConvergenceError, MatrixValidationError,
                                 NotPositiveDefiniteError, NotSquareError,
                                 NotSymmetricError, NonFiniteError,
-                                cholesky_clears, det, eig_sym, min_eig_batch,
-                                min_eigenvalue, symmetrize, validate_spd)
+                                _min_eig3_entries, cholesky_clears, det,
+                                eig_sym, min_eig_batch, min_eigenvalue,
+                                symmetrize, validate_spd)
 from conftest import random_rotation
 
 
@@ -227,3 +228,33 @@ def test_min_eig_batch_leading_dims(rng):
     assert out.shape == (3, 4)
     np.testing.assert_allclose(out, np.linalg.eigvalsh(a)[..., 0], atol=1e-11)
 
+
+
+# Entry shapes of one robust lemma block, (k omega cells, alpha, beta): e11
+# does not vary with w3, e12 varies with alpha only and e13 with beta only.
+_BLOCK_SHAPES = [(5, 7), (3, 5, 7), (3, 5, 7), (3, 5, 1), (3, 1, 7),
+                 (3, 5, 7)]
+
+
+@pytest.mark.parametrize("case", ["random", "diag311", "zero"])
+def test_min_eig3_entries_broadcast_shapes(rng, case):
+    # Reduced shapes give, bit for bit, the values of full copies, and the
+    # inputs are left unmodified.  diag(3, 1, 1) has a repeated eigenvalue;
+    # the zero matrix takes the p == 0 branch.
+    if case == "random":
+        entries = [rng.uniform(-4.0, 4.0, s) for s in _BLOCK_SHAPES]
+    else:
+        fill = {"diag311": (3.0, 1.0, 1.0), "zero": (0.0, 0.0, 0.0)}[case]
+        entries = [np.full(s, v) for s, v in
+                   zip(_BLOCK_SHAPES, fill + (0.0, 0.0, 0.0))]
+    before = [e.copy() for e in entries]
+    got = _min_eig3_entries(*entries)
+    want = _min_eig3_entries(*[np.array(e)
+                               for e in np.broadcast_arrays(*entries)])
+    assert got.shape == want.shape == (3, 5, 7)
+    assert got.tobytes() == want.tobytes()
+    for e, b in zip(entries, before):
+        assert e.tobytes() == b.tobytes()
+    if case != "random":
+        lam = np.linalg.eigvalsh(np.diag(fill))[0]
+        np.testing.assert_allclose(got, lam, atol=1e-8)

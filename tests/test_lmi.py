@@ -264,19 +264,40 @@ def test_robust_grids_match_each_form(monkeypatch, counts, scans):
 
 
 def test_reports_independent_of_chunk_size(monkeypatch):
-    omega = GridSpec(tuple(Axis(2.0, 4.0, n) for n in (5, 6, 7)))
-    ab = GridSpec.cube(-1.0, 1.0, 9, 2)
-    beta = GridSpec.cube(-1.0, 1.0, 9, 1)
+    # Every scan walks one block iterator; its reports equal the one-block
+    # scan's at any block size.  On the first grid the blocks split inside
+    # omega (down to one cell a block), on the second, whose (alpha, beta)
+    # plane of 101^2 cells is larger than a block, inside the plane.
+    cases = [((5, 6, 7), 9, (1, 7, 4096)), ((2, 2, 3), 101, (7, 4096))]
+    for counts, n, sizes in cases:
+        omega = GridSpec(tuple(Axis(2.0, 4.0, c) for c in counts))
+        ab = GridSpec.cube(-1.0, 1.0, n, 2)
+        beta = GridSpec.cube(-1.0, 1.0, n, 1)
 
-    def scan_all():
-        return (robust_psd_grids(omega, ab),
-                detm_alpha_convexity_check(omega, beta, alpha_count=11),
-                box_inequality_grid_check(omega))
+        def scan_all():
+            return (robust_psd_grids(omega, ab),
+                    detm_alpha_convexity_check(omega, beta, alpha_count=11),
+                    box_inequality_grid_check(omega))
 
-    want = scan_all()
-    for chunk in (997, 11, 1):
-        monkeypatch.setattr(lmi, "_CHUNK", chunk)
-        assert scan_all() == want, chunk
+        monkeypatch.setattr(lmi, "_BLOCK", 1 << 40)
+        want = scan_all()
+        for size in sizes:
+            monkeypatch.setattr(lmi, "_BLOCK", size)
+            assert scan_all() == want, (counts, size)
+
+
+def test_blocks_walk_the_grid_in_c_order():
+    nodes = (np.arange(2.0), np.arange(3.0), np.arange(4.0))
+    want = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1)
+    for size in (1, 3, 5, 12, 13, 24, 100):
+        start, cells = 0, []
+        for first, coords in lmi._blocks(nodes, size):
+            block = np.stack(np.broadcast_arrays(*coords), axis=-1)
+            assert first == start and 0 < block[..., 0].size <= size
+            start += block[..., 0].size
+            cells.append(block.reshape(-1, 3))
+        np.testing.assert_array_equal(np.concatenate(cells),
+                                      want.reshape(-1, 3))
 
 
 def _peak_mb(fn):
@@ -288,20 +309,34 @@ def _peak_mb(fn):
         tracemalloc.stop()
 
 
+# A block of 4096 cells keeps every temporary at 32 KB: a scan's peak is
+# about a megabyte, whatever its grid.
+BLOCK_PEAK_MB = 2.0
+
+
 def test_robust_scan_memory_bounded():
     # 5.6M cells: a whole first-axis slice of this grid took 736 MB
     omega = GridSpec((Axis(2.0, 4.0, 2), Axis(2.0, 4.0, 41),
                       Axis(2.0, 4.0, 41)))
     assert _peak_mb(lambda: robust_psd_grid(
-        "M", omega, GridSpec.cube(-1.0, 1.0, 41, 2))) < 64.0
+        "M", omega, GridSpec.cube(-1.0, 1.0, 41, 2))) < BLOCK_PEAK_MB
+
+
+def test_robust_scan_builds_no_omega_grid():
+    # 643k omega cells: one coordinate of them alone is 4.9 MB
+    omega = GridSpec((Axis(2.0, 4.0, 4), Axis(2.0, 4.0, 401),
+                      Axis(2.0, 4.0, 401)))
+    assert _peak_mb(lambda: robust_psd_grid(
+        "M", omega, GridSpec.cube(-1.0, 1.0, 2, 2))) < BLOCK_PEAK_MB
 
 
 def test_detm_scan_memory_bounded():
     # a whole first-axis slice of this grid took 248 MB
     omega = GridSpec((Axis(2.0, 4.0, 2), Axis(2.0, 4.0, 61),
                       Axis(2.0, 4.0, 61)))
+    beta = GridSpec.cube(-1.0, 1.0, 61, 1)
     assert _peak_mb(lambda: detm_alpha_convexity_check(
-        omega, GridSpec.cube(-1.0, 1.0, 61, 1), alpha_count=61)) < 64.0
+        omega, beta, alpha_count=61)) < BLOCK_PEAK_MB
 
 
 # --- det m alpha polynomial --------------------------------------------------
