@@ -11,14 +11,16 @@ Three layers:
   omega in [2, 4]^3 x (alpha, beta) in [-1, 1]^2, plus the convexity-in-alpha
   facts about det m (:func:`robust_psd_grid`, :func:`robust_psd_grids`,
   :func:`detm_alpha_convexity_check`).  p and q are m with omega permuted,
-  so all three are scanned as m.
+  and lambda_min of m is even in alpha and in beta, so all three are
+  scanned as m, on the nodes <= 0 of each symmetric (alpha, beta) axis.
 
 Grid scans use one absolute tolerance (values >= -1e-9 pass); every check
-reports its worst cell so a failure is immediately reproducible.  Every scan
-walks its grid with one block iterator, :func:`_blocks`: a block is a C-order
-run of about ``_BLOCK`` cells whose coordinates are node arrays that
-broadcast against one another, so no grid (of omega or of any other axis)
-is ever built cell by cell, and memory does not grow with the grid.
+reports its worst cell so a failure is immediately reproducible, and a NaN
+cell is the worst cell and fails its check.  Every scan walks its grid with
+one block iterator, :func:`_blocks`: a block is a C-order run of about
+``_BLOCK`` cells whose coordinates are node arrays that broadcast against
+one another, so no grid (of omega or of any other axis) is ever built cell
+by cell, and memory does not grow with the grid.
 """
 
 from __future__ import annotations
@@ -210,7 +212,8 @@ def _omega(w1, w2, w3) -> np.ndarray:
 
 class _Worst:
     """First strict minimum over the C-order cells of ``nodes``, fed in
-    consecutive blocks: the cell a single argmin over the grid reports."""
+    consecutive blocks: the cell a single argmin over the grid reports.
+    The first NaN cell, if there is one, is the minimum (as for argmin)."""
 
     def __init__(self, nodes: tuple[np.ndarray, ...]):
         self.nodes = nodes
@@ -221,9 +224,12 @@ class _Worst:
     def update(self, start: int, values: np.ndarray) -> None:
         """``values``: the cells from flat index ``start`` on, in C order
         over their own (full, not broadcast) shape."""
+        if math.isnan(self.value):
+            return
         flat = values.reshape(-1)
         k = int(np.argmin(flat))
-        if float(flat[k]) < self.value:
+        # not >=: a NaN is taken, and the first block always sets a cell
+        if not self.cell or not float(flat[k]) >= self.value:
             idx = np.unravel_index(start + k, self.shape)
             self.value = float(flat[k])
             self.cell = tuple(float(n[i]) for n, i in zip(self.nodes, idx))
@@ -234,6 +240,9 @@ class _Worst:
                               worst_cell=self.cell, cells=cells)
 
 
+# Huge grid nodes overflow to inf and their differences to NaN; those cells
+# fail their rows, so numpy's floating-point warnings are silenced.
+@np.errstate(over="ignore", invalid="ignore")
 def box_inequality_grid_check(grid: GridSpec = BOX_GRID_DEFAULT,
                               tol: float = GRID_TOL) -> GridCheckSummary:
     """Evaluate the five box inequalities at every grid node."""
@@ -269,6 +278,14 @@ def _relabel(m_report: GridScanReport, form: str) -> GridScanReport:
     return replace(m_report, grid_id=f"robust_{form}", worst_cell=w + u[3:])
 
 
+def _folded(ax: Axis) -> np.ndarray:
+    """The nodes of an (alpha, beta) axis that a robust scan visits: those at
+    or below the midpoint if the axis is symmetric about 0, else all."""
+    nodes = ax.nodes()
+    return nodes[:(ax.count + 1) // 2] if ax.lo == -ax.hi else nodes
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def robust_psd_grid(form: str, omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
                     ab_grid: GridSpec = AB_GRID_DEFAULT,
                     tol: float = GRID_TOL) -> GridScanReport:
@@ -278,13 +295,19 @@ def robust_psd_grid(form: str, omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
     at most ``_BLOCK`` cells: a block's omega nodes broadcast against the
     (alpha, beta) nodes, so no temporary exceeds 32 KB.  The worst cell is
     reported in the form's own coordinates (w1, w2, w3, alpha, beta).
+
+    lambda_min of m is bitwise even in alpha and in beta (conjugation by
+    diag(1, -1, 1) or diag(1, 1, -1) flips their signs), so an axis with
+    lo == -hi is scanned on its nodes at or below the midpoint.  A linspace
+    node may miss its mirror in the last bit; the reported cell can then
+    move to one that ties within roundoff.  ``cells`` counts the full grid.
     """
     key = form.upper()
     if key not in _FORM_AXES:
         raise ValueError(f"form must be one of M, P, Q, got {form!r}")
     _check_robust_grids(omega_grid, ab_grid)
     nodes = (tuple(omega_grid.axes[k].nodes() for k in _FORM_AXES[key])
-             + ab_grid.node_arrays())
+             + tuple(_folded(ax) for ax in ab_grid.axes))
     worst = _Worst(nodes)
     for start, (w1, w2, w3, al, be) in _blocks(nodes, _BLOCK):
         entries = m_entries(_omega(w1, w2, w3), al, be)
@@ -369,6 +392,7 @@ def _horner(coefs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def detm_alpha_convexity_check(omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
                                beta_grid: GridSpec = BETA_GRID_DEFAULT,
                                alpha_count: int = 41,

@@ -239,13 +239,28 @@ box_chi2,4.0;4.0;2.0,0.0,1e-09,true
 box_chi3,4.0;4.0;2.0,0.0,1e-09,true
 box_chi4,4.0;2.0;4.0,0.0,1e-09,true
 box_psi,2.0;2.0;4.0,4.0,1e-09,true
-robust_M,2.0;4.0;4.0;0.33333333333333326;-1.0,1.06104157574535,1e-09,true
-robust_P,2.0;4.0;4.0;0.33333333333333326;-1.0,1.06104157574535,1e-09,true
-robust_Q,4.0;2.0;4.0;0.33333333333333326;-1.0,1.06104157574535,1e-09,true
+robust_M,4.0;2.0;4.0;-1.0;-0.33333333333333337,1.0610415757453509,1e-09,true
+robust_P,4.0;4.0;2.0;-1.0;-0.33333333333333337,1.0610415757453509,1e-09,true
+robust_Q,4.0;4.0;2.0;-1.0;-0.33333333333333337,1.0610415757453509,1e-09,true
 detm_d2,4.0;2.0;2.0;0.33333333333333326;-0.33333333333333337,16.74074074074072,1e-09,true
 detm_d4,4.0;2.0;2.0;-0.33333333333333337;0.33333333333333326,351.99999999999875,1e-09,true
 detm_min_at_zero,4.0;4.0;2.0;-0.33333333333333337;-0.33333333333333337,0.3909465020576093,1e-09,true
 detm_alpha0,2.0;2.0;2.0;0.33333333333333326,4.11522633744856,1e-09,true
+"""),
+    ("--grid", "9"): (0, """\
+grid_id,coords,min_value,tolerance,passed
+box_chi1,2.0;4.0;4.0,0.0,1e-09,true
+box_chi2,4.0;4.0;2.0,0.0,1e-09,true
+box_chi3,4.0;4.0;2.0,0.0,1e-09,true
+box_chi4,4.0;2.0;4.0,0.0,1e-09,true
+box_psi,2.0;2.0;4.0,4.0,1e-09,true
+robust_M,4.0;4.0;2.0;-0.75;-0.25,0.8946685256314542,1e-09,true
+robust_P,4.0;2.0;4.0;-0.75;-0.25,0.8946685256314542,1e-09,true
+robust_Q,2.0;4.0;4.0;-0.75;-0.25,0.8946685256314542,1e-09,true
+detm_d2,4.0;4.0;2.0;0.0;0.0,8.526512829121202e-14,1e-09,true
+detm_d4,4.0;2.0;4.0;-0.25;0.0,-3.194244868609531e-12,1e-09,true
+detm_min_at_zero,2.0;2.0;2.0;-1.0;0.0,0.0,1e-09,true
+detm_alpha0,2.0;2.0;2.0;0.0,3.0,1e-09,true
 """),
     ("--omega-max", "5.9", "--grid", "11"): (1, """\
 grid_id,coords,min_value,tolerance,passed
@@ -272,6 +287,23 @@ def test_lemmas_csv_golden(flags):
     assert res.returncode == code
     assert res.stdout == text
     assert res.stderr == ""
+
+
+@pytest.mark.parametrize("omega_max", ["1e155", "1e308"])
+def test_lemmas_overflow_fails_without_traceback(omega_max):
+    # huge nodes overflow to inf and NaN: every row names its first NaN (or
+    # -inf) cell and fails, and numpy prints no warning
+    res = run_cli("lemmas", "--omega-max", omega_max, "--grid", "3",
+                  "--format", "csv")
+    assert res.returncode == 1
+    assert res.stderr == ""
+    for line in res.stdout.splitlines()[1:]:
+        grid_id, coords, value, _, passed = line.split(",")
+        assert coords and passed == "false", line
+        assert value in ("nan", "-inf"), line
+    human = run_cli("lemmas", "--omega-max", omega_max, "--grid", "3")
+    assert human.returncode == 1 and human.stderr == ""
+    assert human.stdout.endswith("overall: FAIL\n")
 
 
 # --- boundary ----------------------------------------------------------------

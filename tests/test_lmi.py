@@ -1,13 +1,14 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from kantorovich import lmi
-from kantorovich.forms import (DeltaVector, det3_batch, det_m_alpha0, m_form,
-                               p_form, q_form)
-from kantorovich.linalg import min_eig_batch
+from kantorovich.forms import (DeltaVector, det3_batch, det_m_alpha0,
+                               m_entries, m_form, p_form, q_form)
+from kantorovich.linalg import _min_eig3_entries, min_eig_batch
 from kantorovich.lmi import (AB_GRID_DEFAULT, Axis, BOX_GRID_DEFAULT,
                              OMEGA_GRID_DEFAULT, GridSpec, box_inequalities,
                              box_inequality_grid_check,
@@ -261,6 +262,111 @@ def test_robust_grids_match_each_form(monkeypatch, counts, scans):
     k = np.unravel_index(int(np.argmin(lam)), lam.shape)
     assert rows[0].worst_value == lam[k]
     assert rows[0].worst_cell == tuple(float(x[k]) for x in g)
+
+
+# --- the sign fold of the robust scan ----------------------------------------
+
+def test_min_eig_bitwise_even_in_alpha_and_beta(rng):
+    # m(w, -a, b) and m(w, a, -b) are m conjugated by diag(1, -1, 1) and
+    # diag(1, 1, -1); the closed form sees only squares and the triple
+    # product e12 e13 e23, so lambda_min is even bit for bit
+    w = rng.uniform(2.0, 6.0, size=(200, 1, 1, 3))
+    ab = np.concatenate([[0.0, 1.0, -1.0], rng.uniform(-1.0, 1.0, size=9)])
+    al, be = ab[:, None], ab[None, :]
+    lam = _min_eig3_entries(*m_entries(w, al, be))
+    for sa, sb in ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+        flip = _min_eig3_entries(*m_entries(w, sa * al, sb * be))
+        np.testing.assert_array_equal(flip, lam)
+
+
+def _full_plane_scan(omega, ab):
+    """The robust_M report of an unfolded scan: every cell of the grid at
+    once, worst cell at the first argmin in C order."""
+    g = np.meshgrid(*omega.node_arrays(), *ab.node_arrays(), indexing="ij")
+    lam = _min_eig3_entries(*m_entries(np.stack(g[:3], axis=-1), g[3], g[4]))
+    k = np.unravel_index(int(np.argmin(lam)), lam.shape)
+    return lmi.GridScanReport(
+        grid_id="robust_M", passed=bool(lam[k] >= -lmi.GRID_TOL),
+        tolerance=lmi.GRID_TOL, worst_value=float(lam[k]),
+        worst_cell=tuple(float(x[k]) for x in g), cells=lam.size)
+
+
+OMEGA_SMALL = GridSpec((Axis(2.0, 4.0, 3), Axis(2.0, 4.0, 2),
+                        Axis(2.0, 5.0, 3)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9, 17, 33])
+def test_folded_scan_exact_on_symmetric_nodes(n):
+    nodes = Axis(-1.0, 1.0, n).nodes()
+    assert np.array_equal(nodes, -nodes[::-1])  # linspace is exact here
+    ab = GridSpec.cube(-1.0, 1.0, n, 2)
+    for omega in (OMEGA_SMALL, GridSpec.cube(2.0, 5.9, 3, 3)):
+        assert robust_psd_grid("M", omega, ab) == _full_plane_scan(omega, ab)
+
+
+@pytest.mark.parametrize("axes", [
+    (Axis(-1.0, 0.5, 7), Axis(-0.25, 1.0, 6)),
+    (Axis(-1.0, 1.0, 9), Axis(-0.25, 1.0, 6)),
+    (Axis(-0.5, 1.0, 6), Axis(-1.0, 1.0, 5)),
+])
+def test_asymmetric_axis_scanned_whole(axes):
+    ab = GridSpec(axes)
+    assert (robust_psd_grid("M", OMEGA_SMALL, ab)
+            == _full_plane_scan(OMEGA_SMALL, ab))
+
+
+@pytest.mark.parametrize("n", [2, 5, 6, 41])
+def test_folded_scan_visits_one_quadrant(monkeypatch, n):
+    visited = []
+
+    def counting(*entries):
+        lam = _min_eig3_entries(*entries)
+        visited.append(lam.size)
+        return lam
+
+    monkeypatch.setattr(lmi, "_min_eig3_entries", counting)
+    rep = robust_psd_grid("M", OMEGA_SMALL, GridSpec.cube(-1.0, 1.0, n, 2))
+    assert sum(visited) == OMEGA_SMALL.cells * ((n + 1) // 2) ** 2
+    assert rep.cells == OMEGA_SMALL.cells * n * n
+
+
+# --- non-finite cells --------------------------------------------------------
+
+HUGE_OMEGA = GridSpec.cube(2.0, 1e155, 3, 3)
+
+
+def test_worst_takes_the_first_nan_cell():
+    nodes = (np.arange(6.0),)
+    w = lmi._Worst(nodes)
+    for start, block in ((0, [3.0, 1.0]), (2, [np.nan, -5.0]),
+                         (4, [np.nan, -9.0])):
+        w.update(start, np.array(block))
+    assert math.isnan(w.value) and w.cell == (2.0,)
+    assert not w.report("x", lmi.GRID_TOL, 6).passed
+    w = lmi._Worst(nodes)
+    w.update(0, np.full(6, np.inf))  # an all-inf grid still names a cell
+    assert w.value == math.inf and w.cell == (0.0,)
+
+
+def test_overflowing_grids_fail_at_their_first_nan_cell():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        box = box_inequality_grid_check(HUGE_OMEGA)
+        detm = detm_alpha_convexity_check(
+            HUGE_OMEGA, GridSpec.cube(-1.0, 1.0, 3, 1), alpha_count=3)
+        robust = robust_psd_grids(GridSpec.cube(2.0, 1e308, 3, 3),
+                                  GridSpec.cube(-1.0, 1.0, 3, 2))
+    assert not box.passed and not detm.passed
+    g = np.meshgrid(*HUGE_OMEGA.node_arrays(), indexing="ij")
+    with np.errstate(all="ignore"):
+        values = box_inequalities(*g)
+    for r, v in zip(box.reports, values):
+        k = np.unravel_index(int(np.argmax(np.isnan(v))), v.shape)
+        assert math.isnan(r.worst_value)
+        assert r.worst_cell == tuple(float(x[k]) for x in g)
+    for r in (*detm.reports, *robust):
+        assert not r.passed, r.grid_id
+        assert len(r.worst_cell) == 4 + (r.grid_id != "detm_alpha0")
 
 
 def test_reports_independent_of_chunk_size(monkeypatch):
