@@ -27,8 +27,8 @@ from .linalg import DimensionMismatchError, SpdMatrix
 __all__ = [
     "DeltaVector", "delta_from_spd", "pair_indices",
     "h_form", "h_form_batch",
-    "m_entries", "m_form", "p_form", "q_form", "det_m_alpha0",
-    "det3_entries", "det3_batch",
+    "m_entries", "det_m_alpha_coefs", "m_form", "p_form", "q_form",
+    "det3_batch",
 ]
 
 # Delta entries sit in [2, inf) mathematically; allow this much roundoff when
@@ -167,8 +167,8 @@ def _split_omega(omega):
 def m_entries(omega, alpha, beta) -> tuple[np.ndarray, ...]:
     """The six unique entries (e11, e22, e33, e12, e13, e23) of m_form.
 
-    Broadcasts like m_form; scans feed them to the closed-form eigenvalue
-    and determinant without packing (N, 3, 3) stacks.
+    Broadcasts like m_form; the robust scan feeds them to the closed-form
+    eigenvalue without packing (N, 3, 3) stacks.
     """
     w1, w2, w3 = _split_omega(omega)
     al = np.asarray(alpha, dtype=float)
@@ -181,6 +181,38 @@ def m_entries(omega, alpha, beta) -> tuple[np.ndarray, ...]:
         w2 * be,
         w3 * al * be,
     )
+
+
+def det_m_alpha_coefs(omega, beta) -> tuple[np.ndarray, ...]:
+    """Closed-form alpha-coefficients (c0, c2, c4, c6) of det m_form:
+
+    det m_form(omega, alpha, beta) = c0 + c2 alpha^2 + c4 alpha^4 + c6 alpha^6
+
+    with t = beta^2 and
+
+    c0 = (3/2)(w1 + w3 t) * ((1/2) w2 + (3 - (1/4) w2^2) t + (1/2) w2 t^2)
+    c2 = -(3/8) [t^2 (w2 w3^2 - 2 w1 w3 - 12 w2)
+                 + 6 t (w1^2 - w1 w2 w3 + w2^2 + w3^2 - 12)
+                 + w1^2 w2 - 2 w1 w3 - 12 w2]
+    c4 = -(3/8) [t (w1 w3^2 - 12 w1 - 2 w2 w3) + w1^2 w3 - 2 w1 w2 - 12 w3]
+    c6 = (3/4) w1 w3
+
+    Odd powers vanish: conjugation by diag(1, -1, 1) flips alpha.  c0's
+    first factor is positive; the second is a quadratic in t whose
+    nonnegativity on w2 in [2, 4] is one of the certified box facts.
+    Broadcasts like m_entries.
+    """
+    w1, w2, w3 = _split_omega(omega)
+    t = np.asarray(beta, dtype=float) ** 2
+    c0 = 1.5 * (w1 + w3 * t) * (
+        0.5 * w2 + (3.0 - 0.25 * w2 ** 2) * t + 0.5 * w2 * t * t)
+    c2 = -0.375 * (
+        t * t * (w2 * w3 ** 2 - 2.0 * w1 * w3 - 12.0 * w2)
+        + 6.0 * t * (w1 ** 2 - w1 * w2 * w3 + w2 ** 2 + w3 ** 2 - 12.0)
+        + w1 ** 2 * w2 - 2.0 * w1 * w3 - 12.0 * w2)
+    c4 = -0.375 * (t * (w1 * w3 ** 2 - 12.0 * w1 - 2.0 * w2 * w3)
+                   + w1 ** 2 * w3 - 2.0 * w1 * w2 - 12.0 * w3)
+    return c0, c2, c4, 0.75 * w1 * w3
 
 
 def m_form(omega, alpha, beta) -> np.ndarray:
@@ -224,29 +256,6 @@ def q_form(omega, alpha, beta) -> np.ndarray:
         w2 * al,
         w3 * be,
     )
-
-
-def det_m_alpha0(omega, beta) -> np.ndarray | float:
-    """det m_form(omega, 0, beta) in closed form:
-
-    (3/2)(w1 + w3 b^2) * ((1/2) w2 + (3 - (1/4) w2^2) b^2 + (1/2) w2 b^4)
-
-    The first factor is positive; the second is a quadratic in b^2 whose
-    nonnegativity on w2 in [2, 4] is one of the certified box facts.
-    """
-    w1, w2, w3 = _split_omega(omega)
-    b2 = np.asarray(beta, dtype=float) ** 2
-    val = 1.5 * (w1 + w3 * b2) * (
-        0.5 * w2 + (3.0 - 0.25 * w2 ** 2) * b2 + 0.5 * w2 * b2 * b2)
-    return float(val) if np.ndim(val) == 0 else val
-
-
-def det3_entries(e11, e22, e33, e12, e13, e23):
-    """Determinant of the symmetric 3x3 matrix with the given unique entries;
-    the same cofactor expansion, term for term, as det3_batch."""
-    return (e11 * (e22 * e33 - e23 * e23)
-            - e12 * (e12 * e33 - e23 * e13)
-            + e13 * (e12 * e23 - e22 * e13))
 
 
 def det3_batch(mats: np.ndarray) -> np.ndarray:

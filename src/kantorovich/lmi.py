@@ -9,7 +9,8 @@ Three layers:
   (:func:`box_inequality_grid_check`);
 * robust PSD grids for the normalized forms m/p/q on
   omega in [2, 4]^3 x (alpha, beta) in [-1, 1]^2, plus the convexity-in-alpha
-  facts about det m (:func:`robust_psd_grid`, :func:`robust_psd_grids`,
+  facts about det m, evaluated from its closed-form alpha-coefficients
+  (:func:`robust_psd_grid`, :func:`robust_psd_grids`,
   :func:`detm_alpha_convexity_check`).  p and q are m with omega permuted,
   and lambda_min of m is even in alpha and in beta, so all three are
   scanned as m, on the nodes <= 0 of each symmetric (alpha, beta) axis.
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forms import DeltaVector, det3_entries, det_m_alpha0, m_entries
+from .forms import DeltaVector, det_m_alpha_coefs, m_entries
 from .linalg import PSD_EPS, _min_eig3_entries
 from .sampling import DEFAULT_PLAN, SamplePlan, SampleReport, all_samples, scan_h
 
@@ -49,8 +50,11 @@ GRID_TOL = 1e-9
 
 # Grid cells evaluated per block of a scan, so that memory stays the same
 # whatever the grid size: a box or robust temporary is at most 32 KB.  A detm
-# cell counts once per alpha node, and its blocks are five times larger,
-# because each costs a solve and three Horner passes in Python.
+# cell counts once per alpha node, and its blocks are four times larger, to
+# spread the fixed cost of the ~40 small numpy calls each block makes.  At
+# 41 alpha nodes a detm temporary is then 121 KB, under malloc's default
+# mmap threshold (128 KiB in glibc); with five times larger blocks every
+# temporary is mapped and page-faulted in afresh.
 _BLOCK = 1 << 12
 
 
@@ -61,8 +65,9 @@ class Axis:
     count: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("axis bounds must be finite")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(
+                "axis bounds and their span hi - lo must be finite")
         if self.count < 1:
             raise ValueError("axis count must be >= 1")
         if self.lo > self.hi:
@@ -335,60 +340,15 @@ def robust_psd_grids(omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
     return tuple(rows)
 
 
-# Interpolation nodes recovering the degree-6 alpha-polynomial det m exactly.
-_ALPHA_NODES = np.array([-1.0, -2.0 / 3.0, -1.0 / 3.0, 0.0,
-                         1.0 / 3.0, 2.0 / 3.0, 1.0])
-_VANDER = np.vander(_ALPHA_NODES, 7, increasing=True)
-
-
-def _detm_coefs(omega, beta) -> np.ndarray:
-    """Ascending alpha-coefficients of det m, one column per (omega, beta).
-
-    LAPACK solves a single right-hand side by another path, whose last bits
-    differ, so a lone column is solved as a pair: a cell's coefficients do
-    not depend on how many cells share the solve.
-    """
-    shape = np.broadcast_shapes(np.shape(omega)[:-1], np.shape(beta))
-    alpha = _ALPHA_NODES.reshape((-1,) + (1,) * len(shape))
-    vals = det3_entries(*m_entries(omega, alpha, beta))
-    cols = vals.reshape(len(_ALPHA_NODES), -1)
-    n = cols.shape[1]
-    if n == 1:
-        cols = np.repeat(cols, 2, axis=1)
-    return np.linalg.solve(_VANDER, cols)[:, :n].reshape(vals.shape)
-
-
 def detm_alpha_poly(omega, beta: float) -> np.ndarray:
     """Coefficients (ascending) of alpha -> det m_form(omega, alpha, beta).
 
-    det m is a polynomial of degree <= 6 in alpha, so interpolation through
-    the seven fixed nodes recovers it exactly.  Structural facts checked in
-    the suite: odd coefficients vanish (det m is even in alpha) and
-    c6 = (3/4) w1 w3.
+    The closed form of :func:`forms.det_m_alpha_coefs` in the degree-6
+    layout; the odd coefficients are exactly 0 (det m is even in alpha).
     """
-    return _detm_coefs(np.asarray(omega, dtype=float), float(beta))
-
-
-def _polyder_coefs(coefs: np.ndarray, order: int) -> np.ndarray:
-    out = coefs
-    for _ in range(order):
-        deg = out.shape[0] - 1
-        out = out[1:] * np.arange(1, deg + 1)[:, None]
-    return out
-
-
-def _horner(coefs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(len(x), cells) values of the ascending (deg + 1, cells) polynomials.
-
-    Elementwise, unlike a BLAS product, so a value does not depend on the
-    other cells in the block; each pass runs over a row of cells.
-    """
-    xs = x[:, None]
-    out = coefs[-1] * xs
-    out += coefs[-2]
-    for c in coefs[-3::-1]:
-        out *= xs
-        out += c
+    coefs = np.broadcast_arrays(*det_m_alpha_coefs(omega, float(beta)))
+    out = np.zeros((7,) + coefs[0].shape)
+    out[0::2] = coefs
     return out
 
 
@@ -399,16 +359,24 @@ def detm_alpha_convexity_check(omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
                                tol: float = GRID_TOL) -> GridCheckSummary:
     """Certify the alpha-behavior of det m over an (omega, beta) grid.
 
-    At every (omega, beta) cell the interpolated polynomial must have
-    nonnegative second and fourth derivatives on the alpha grid, its values
-    must stay above the alpha = 0 value, and det m(alpha=0) itself must be
-    nonnegative (closed form).  Worst cells are (w1, w2, w3, beta[, alpha]).
-    The (omega, beta) cells are scanned in blocks of about ``5 * _BLOCK``
-    (cell, alpha node) values, 160 KB per temporary, whatever the grids.
+    With det m = c0 + c2 a^2 + c4 a^4 + c6 a^6 (closed-form coefficients,
+    :func:`forms.det_m_alpha_coefs`), at every (omega, beta) cell and alpha
+    node a the rows are
+
+    detm_d2          = 2 c2 + 12 c4 a^2 + 30 c6 a^4   (d^2/da^2 det m)
+    detm_d4          = 24 c4 + 360 c6 a^2             (d^4/da^4 det m)
+    detm_min_at_zero = a^2 (c2 + c4 a^2 + c6 a^4)     (det m - det m at 0)
+
+    and detm_alpha0 = c0 per (omega, beta) cell; each must be nonnegative.
+    Worst cells are (w1, w2, w3, beta[, alpha]).  The (omega, beta) cells
+    are scanned in blocks of about ``4 * _BLOCK`` (cell, alpha node) values,
+    128 KB per temporary, whatever the grids.
     """
     if omega_grid.ndim != 3 or beta_grid.ndim != 1:
         raise ValueError("omega grid needs 3 axes and beta grid 1")
     alpha_nodes = Axis(-1.0, 1.0, alpha_count).nodes()
+    a2 = alpha_nodes ** 2
+    a4 = a2 * a2
     nodes = omega_grid.node_arrays() + beta_grid.node_arrays()
     with_alpha = nodes + (alpha_nodes,)
     trackers = {"detm_d2": _Worst(with_alpha), "detm_d4": _Worst(with_alpha),
@@ -416,18 +384,17 @@ def detm_alpha_convexity_check(omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
                 "detm_alpha0": _Worst(nodes)}
 
     for start, (w1, w2, w3, betas) in _blocks(
-            nodes, max(1, 5 * _BLOCK // alpha_count)):
-        omega = _omega(w1, w2, w3)
-        coefs = _detm_coefs(omega, betas).reshape(len(_ALPHA_NODES), -1)
+            nodes, max(1, 4 * _BLOCK // alpha_count)):
+        c0, c2, c4, c6 = det_m_alpha_coefs(_omega(w1, w2, w3), betas)
+        trackers["detm_alpha0"].update(start, c0)
         # (cells, alpha_count) values: C order over (w1, w2, w3, beta, alpha)
+        c2, c4, c6 = c2[..., None], c4[..., None], c6[..., None]
         first = start * alpha_count
         trackers["detm_d2"].update(
-            first, _horner(_polyder_coefs(coefs, 2), alpha_nodes).T)
-        trackers["detm_d4"].update(
-            first, _horner(_polyder_coefs(coefs, 4), alpha_nodes).T)
+            first, 2.0 * c2 + 12.0 * c4 * a2 + 30.0 * c6 * a4)
+        trackers["detm_d4"].update(first, 24.0 * c4 + 360.0 * c6 * a2)
         trackers["detm_min_at_zero"].update(
-            first, (_horner(coefs, alpha_nodes) - coefs[0]).T)
-        trackers["detm_alpha0"].update(start, det_m_alpha0(omega, betas))
+            first, a2 * (c2 + c4 * a2 + c6 * a4))
 
     cells = omega_grid.cells * beta_grid.cells
     reports = tuple(w.report(name, tol, cells)

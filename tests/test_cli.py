@@ -227,8 +227,8 @@ box_psi,2.0;2.0;4.0,4.0,1e-09,true
 robust_M,4.0;4.0;2.0;-0.75;-0.25,0.8946685256314542,1e-09,true
 robust_P,4.0;2.0;4.0;-0.75;-0.25,0.8946685256314542,1e-09,true
 robust_Q,2.0;4.0;4.0;-0.75;-0.25,0.8946685256314542,1e-09,true
-detm_d2,4.0;4.0;2.0;0.0;0.0,8.526512829121202e-14,1e-09,true
-detm_d4,4.0;2.0;4.0;0.9000000000000001;0.0,-2.5035973294507137e-11,1e-09,true
+detm_d2,4.0;4.0;2.0;0.0;0.0,0.0,1e-09,true
+detm_d4,4.0;2.0;4.0;-1.0;0.0,0.0,1e-09,true
 detm_min_at_zero,2.0;2.0;2.0;-1.0;0.0,0.0,1e-09,true
 detm_alpha0,2.0;2.0;2.0;0.0,3.0,1e-09,true
 """),
@@ -242,9 +242,9 @@ box_psi,2.0;2.0;4.0,4.0,1e-09,true
 robust_M,4.0;2.0;4.0;-1.0;-0.33333333333333337,1.0610415757453509,1e-09,true
 robust_P,4.0;4.0;2.0;-1.0;-0.33333333333333337,1.0610415757453509,1e-09,true
 robust_Q,4.0;4.0;2.0;-1.0;-0.33333333333333337,1.0610415757453509,1e-09,true
-detm_d2,4.0;2.0;2.0;0.33333333333333326;-0.33333333333333337,16.74074074074072,1e-09,true
-detm_d4,4.0;2.0;2.0;-0.33333333333333337;0.33333333333333326,351.99999999999875,1e-09,true
-detm_min_at_zero,4.0;4.0;2.0;-0.33333333333333337;-0.33333333333333337,0.3909465020576093,1e-09,true
+detm_d2,4.0;2.0;2.0;-0.33333333333333337;0.33333333333333326,16.740740740740737,1e-09,true
+detm_d4,4.0;2.0;2.0;-0.33333333333333337;0.33333333333333326,351.9999999999999,1e-09,true
+detm_min_at_zero,4.0;4.0;2.0;-0.33333333333333337;0.33333333333333326,0.39094650205761283,1e-09,true
 detm_alpha0,2.0;2.0;2.0;0.33333333333333326,4.11522633744856,1e-09,true
 """),
     ("--grid", "9"): (0, """\
@@ -257,8 +257,8 @@ box_psi,2.0;2.0;4.0,4.0,1e-09,true
 robust_M,4.0;4.0;2.0;-0.75;-0.25,0.8946685256314542,1e-09,true
 robust_P,4.0;2.0;4.0;-0.75;-0.25,0.8946685256314542,1e-09,true
 robust_Q,2.0;4.0;4.0;-0.75;-0.25,0.8946685256314542,1e-09,true
-detm_d2,4.0;4.0;2.0;0.0;0.0,8.526512829121202e-14,1e-09,true
-detm_d4,4.0;2.0;4.0;-0.25;0.0,-3.194244868609531e-12,1e-09,true
+detm_d2,4.0;4.0;2.0;0.0;0.0,0.0,1e-09,true
+detm_d4,4.0;2.0;4.0;-1.0;0.0,0.0,1e-09,true
 detm_min_at_zero,2.0;2.0;2.0;-1.0;0.0,0.0,1e-09,true
 detm_alpha0,2.0;2.0;2.0;0.0,3.0,1e-09,true
 """),
@@ -272,9 +272,9 @@ box_psi,2.0;2.0;5.9,-7.210000000000001,1e-09,false
 robust_M,2.0;5.9;2.7800000000000002;0.0;-1.0,0.049999999999998046,1e-09,true
 robust_P,2.0;2.7800000000000002;5.9;0.0;-1.0,0.049999999999998046,1e-09,true
 robust_Q,2.7800000000000002;2.0;5.9;0.0;-1.0,0.049999999999998046,1e-09,true
-detm_d2,5.9;2.0;5.9;-1.0;-0.8,-246.43007999999952,1e-09,false
-detm_d4,5.9;2.0;5.9;-1.0;0.0,-1997.6219999999917,1e-09,false
-detm_min_at_zero,5.9;5.9;2.0;0.0;-1.0,-23.767125000000036,1e-09,false
+detm_d2,5.9;2.0;5.9;-1.0;-0.8,-246.43007999999998,1e-09,false
+detm_d4,5.9;2.0;5.9;-1.0;0.0,-1997.622,1e-09,false
+detm_min_at_zero,5.9;5.9;2.0;0.0;-1.0,-23.767125,1e-09,false
 detm_alpha0,2.0;5.9;2.0;-1.0,1.1849999999999987,1e-09,true
 """),
 }
@@ -304,6 +304,17 @@ def test_lemmas_overflow_fails_without_traceback(omega_max):
     human = run_cli("lemmas", "--omega-max", omega_max, "--grid", "3")
     assert human.returncode == 1 and human.stderr == ""
     assert human.stdout.endswith("overall: FAIL\n")
+
+
+def test_lemmas_infinite_span_exits_64():
+    # each bound is finite but hi - lo overflows: linspace would make every
+    # node NaN, so the range is rejected before any scan
+    res = run_cli("lemmas", "--omega-min=-1e308", "--omega-max", "1e308",
+                  "--grid", "3", "--format", "csv")
+    assert res.returncode == 64
+    assert res.stdout == ""
+    assert res.stderr.startswith("error:") and "span" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 # --- boundary ----------------------------------------------------------------

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, strategies as st
+
 from kantorovich.forms import (DeltaVector, delta_from_spd, det3_batch,
-                               det3_entries, det_m_alpha0, h_form,
-                               h_form_batch, m_entries, m_form, p_form,
-                               pair_indices, q_form)
+                               det_m_alpha_coefs, h_form, h_form_batch,
+                               m_entries, m_form, p_form, pair_indices,
+                               q_form)
 from kantorovich.function import f_hessian
 from kantorovich.linalg import DimensionMismatchError, validate_spd
 from conftest import random_spd, spd_with_kappa
@@ -165,7 +167,7 @@ def test_h_batch_shape_validation():
 
 def test_m_entries_are_m_form(rng):
     # the unique entries, in (e11, e22, e33, e12, e13, e23) order, are the
-    # packed matrix's entries bit for bit, and so is their determinant
+    # packed matrix's entries bit for bit
     w = rng.uniform(2.0, 4.0, size=(50, 3))
     a, b = rng.uniform(-1.0, 1.0, size=(2, 50))
     e = m_entries(w, a, b)
@@ -174,7 +176,6 @@ def test_m_entries_are_m_form(rng):
                                 (1, 2)]):
         assert np.array_equal(e[k], m[:, i, j])
         assert np.array_equal(e[k], m[:, j, i])
-    assert np.array_equal(det3_entries(*e), det3_batch(m))
 
 
 def test_m_form_diagonal_case():
@@ -236,10 +237,11 @@ def test_det_m_examples():
 
 
 def test_det_m_alpha0_closed_form():
-    assert det_m_alpha0((4.0, 4.0, 4.0), 1.0) == pytest.approx(36.0)
-    assert det_m_alpha0((2.0, 2.0, 2.0), 1.0) == pytest.approx(24.0)
+    # c0 = det m at alpha = 0
+    assert det_m_alpha_coefs((4.0, 4.0, 4.0), 1.0)[0] == pytest.approx(36.0)
+    assert det_m_alpha_coefs((2.0, 2.0, 2.0), 1.0)[0] == pytest.approx(24.0)
     for w1, w2 in ((2.0, 2.0), (3.0, 4.0)):
-        assert det_m_alpha0((w1, w2, 2.5), 0.0) == pytest.approx(
+        assert det_m_alpha_coefs((w1, w2, 2.5), 0.0)[0] == pytest.approx(
             0.75 * w1 * w2)
 
 
@@ -247,9 +249,22 @@ def test_det_m_alpha0_matches_assembled(rng):
     for _ in range(1000):
         w = rng.uniform(2.0, 6.0, size=3)
         b = float(rng.uniform(-1.0, 1.0))
-        got = det_m_alpha0(w, b)
+        got = det_m_alpha_coefs(w, b)[0]
         want = float(det3_batch(m_form(w, 0.0, b)))
         assert got == pytest.approx(want, rel=1e-10)
+
+
+_unit = st.floats(-1.0, 1.0)
+
+
+@given(st.tuples(*[st.floats(2.0, 4.0)] * 3), _unit, _unit)
+def test_det_m_alpha_coefs_reproduce_det(omega, alpha, beta):
+    c0, c2, c4, c6 = det_m_alpha_coefs(omega, beta)
+    a2 = alpha * alpha
+    got = c0 + c2 * a2 + c4 * a2 ** 2 + c6 * a2 ** 3
+    want = float(det3_batch(m_form(omega, alpha, beta)))
+    # det m >= 3 at every lemma grid node, so a relative bound is meaningful
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_det_m_degree_six_in_alpha(rng):

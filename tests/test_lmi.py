@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kantorovich import lmi
-from kantorovich.forms import (DeltaVector, det3_batch, det_m_alpha0,
+from kantorovich.forms import (DeltaVector, det3_batch, det_m_alpha_coefs,
                                m_entries, m_form, p_form, q_form)
 from kantorovich.linalg import _min_eig3_entries, min_eig_batch
 from kantorovich.lmi import (AB_GRID_DEFAULT, Axis, BOX_GRID_DEFAULT,
@@ -31,6 +31,11 @@ def test_axis_validation():
     assert Axis(3.0, 3.0, 1).nodes().tolist() == [3.0]
     with pytest.raises(ValueError):
         Axis(np.inf, 4.0, 3)
+    with pytest.raises(ValueError):
+        Axis(2.0, np.nan, 3)
+    with pytest.raises(ValueError, match="span"):
+        Axis(-1e308, 1e308, 3)  # finite bounds, hi - lo overflows
+    assert Axis(2.0, 1e308, 3).nodes()[-1] == 1e308
 
 
 def test_gridspec_cube():
@@ -458,12 +463,17 @@ def test_poly_reproduces_det(rng):
         assert poly == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
 
-def test_poly_constant_term(rng):
+def test_poly_is_the_closed_form(rng):
+    # the degree-6 layout of det_m_alpha_coefs, entry for entry
     for _ in range(20):
         w = rng.uniform(2.0, 4.0, size=3)
         b = float(rng.uniform(-1.0, 1.0))
-        assert detm_alpha_poly(w, b)[0] == pytest.approx(
-            det_m_alpha0(w, b), rel=1e-12)
+        assert detm_alpha_poly(w, b)[0::2].tolist() == [
+            float(c) for c in det_m_alpha_coefs(w, b)]
+    stack = rng.uniform(2.0, 4.0, size=(4, 5, 3))
+    coefs = detm_alpha_poly(stack, 0.5)
+    assert coefs.shape == (7, 4, 5)
+    assert np.array_equal(coefs[:, 2, 3], detm_alpha_poly(stack[2, 3], 0.5))
 
 
 def test_poly_odd_coefficients_vanish(rng):
@@ -472,9 +482,7 @@ def test_poly_odd_coefficients_vanish(rng):
         w = rng.uniform(2.0, 4.0, size=3)
         b = float(rng.uniform(-1.0, 1.0))
         coefs = detm_alpha_poly(w, b)
-        assert abs(coefs[1]) < 1e-9
-        assert abs(coefs[3]) < 1e-9
-        assert abs(coefs[5]) < 1e-9
+        assert coefs[1] == coefs[3] == coefs[5] == 0.0
 
 
 def test_c6_step1_finite_difference_oracle(rng):
@@ -536,6 +544,38 @@ def test_detm_single_cell_444_beta1():
     assert by_id["detm_alpha0"].worst_value == pytest.approx(36.0)
     # every alpha value >= value at alpha 0 (minus tolerance)
     assert by_id["detm_min_at_zero"].worst_value >= -1e-9
+
+
+def test_detm_d4_exact_zero_at_424():
+    # c4 vanishes identically at omega = (4, 2, 4), so the fourth derivative
+    # is 360 c6 alpha^2, exactly 0 at the alpha = 0 node
+    summary = detm_alpha_convexity_check(_single((4.0, 2.0, 4.0)),
+                                         _single((0.9,)), alpha_count=41)
+    by_id = {r.grid_id: r for r in summary.reports}
+    assert by_id["detm_d4"].worst_value == 0.0
+    assert by_id["detm_d4"].worst_cell == (4.0, 2.0, 4.0, 0.9, 0.0)
+    assert by_id["detm_min_at_zero"].worst_value == 0.0
+    assert summary.passed
+
+
+def test_detm_rows_match_interpolated_det(rng):
+    # an independent oracle: det m_form interpolated through 7 alpha nodes
+    # (exact for degree 6 up to roundoff), differentiated by numpy
+    w = rng.uniform(2.0, 4.0, 3)
+    b = float(rng.uniform(-1.0, 1.0))
+    nodes = np.linspace(-1.0, 1.0, 7)
+    p = np.polynomial.Polynomial.fit(
+        nodes, det3_batch(m_form(w, nodes, b)), 6).convert()
+    want = {"detm_d2": p.deriv(2), "detm_d4": p.deriv(4),
+            "detm_min_at_zero": p - p(0.0), "detm_alpha0": lambda a: p(0.0)}
+    # four alpha nodes (+-1/3, +-1) test every term; nine also test alpha 0
+    for count in (4, 9):
+        alphas = np.linspace(-1.0, 1.0, count)
+        for r in detm_alpha_convexity_check(_single(w), _single((b,)),
+                                            alpha_count=count).reports:
+            assert r.worst_value == pytest.approx(
+                np.min(want[r.grid_id](alphas)), rel=1e-9, abs=1e-9), (
+                    r.grid_id, count)
 
 
 def test_detm_grid_shape_validation():
