@@ -201,6 +201,8 @@ def cmd_lemmas(args) -> int:
     lo, hi = args.omega_min, args.omega_max
     if not lo < hi:
         raise ValueError("--omega-min must be below --omega-max")
+    if not math.isfinite(hi - lo):
+        raise ValueError("the span --omega-max - --omega-min must be finite")
     if args.grid is None:
         flags = ("--box-grid", "--omega-grid", "--ab-grid", "--alpha-grid")
         counts = (args.box_grid, args.omega_grid, args.ab_grid,

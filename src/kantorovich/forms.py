@@ -117,7 +117,7 @@ def h_entries(dm: np.ndarray, y: np.ndarray, diag: np.ndarray) -> np.ndarray:
 
     The off-diagonal is (y_i * y_j) * delta_ij; ``diag`` is h_diagonal of
     the same rows.  Each entry is a contiguous run over the m points, so
-    batched pivots and closed forms read whole vectors.
+    batched Cholesky pivots read whole vectors.
     """
     yt = np.ascontiguousarray(y.T)
     h = yt[:, None, :] * yt[None, :, :]
@@ -167,8 +167,8 @@ def _split_omega(omega):
 def m_entries(omega, alpha, beta) -> tuple[np.ndarray, ...]:
     """The six unique entries (e11, e22, e33, e12, e13, e23) of m_form.
 
-    Broadcasts like m_form; the robust scan feeds them to the closed-form
-    eigenvalue without packing (N, 3, 3) stacks.
+    Broadcasts like m_form; the robust scan packs them, a block of cells at
+    a time, into the (3, 3, cells) layout of its eigenvalue screen.
     """
     w1, w2, w3 = _split_omega(omega)
     al = np.asarray(alpha, dtype=float)

@@ -2,8 +2,8 @@
 
 Everything here targets tiny matrices (dim <= 8).  The eigensolver is a cyclic
 Jacobi iteration, which at these sizes is simple, accurate and has no moving
-parts; batched closed-form eigenvalue helpers exist separately for the hot
-sampling loops (see :func:`min_eig_batch`).
+parts.  The scans take LAPACK's batched smallest eigenvalues instead, behind
+one exact Cholesky screen (:func:`screened_min_eig`).
 """
 
 from __future__ import annotations
@@ -237,60 +237,29 @@ def validate_spd(raw, tol_sym: float = SYM_TOL,
 
 
 # ---------------------------------------------------------------------------
-# Batched minimum-eigenvalue fast paths for the samplers.  Closed forms for
-# dim 2 and 3; LAPACK for dim >= 4.  min_eigenvalue() above stays the
-# certification route; tests cross-check all routes against each other.
+# Batched minimum eigenvalues for the scans, all from LAPACK's eigvalsh;
+# min_eigenvalue() above stays the certification route.
 # ---------------------------------------------------------------------------
-
-def _min_eig2_entries(a, b, d):
-    half_sum = 0.5 * (a + d)
-    return half_sum - np.hypot(0.5 * (a - d), b)
-
-
-def _min_eig3_entries(a, b, c, d, e, f):
-    # Symmetric 3x3 [[a, d, e], [d, b, f], [e, f, c]]: trigonometric closed
-    # form for the roots of the characteristic cubic.
-    q = (a + b + c) / 3.0
-    p1 = d * d + e * e + f * f
-    p2 = (a - q) ** 2 + (b - q) ** 2 + (c - q) ** 2 + 2.0 * p1
-    p = np.sqrt(p2 / 6.0)
-    safe = p > 0.0
-    pinv = np.where(safe, 1.0 / np.where(safe, p, 1.0), 0.0)
-    ba = (a - q) * pinv
-    bb = (b - q) * pinv
-    bc = (c - q) * pinv
-    bd = d * pinv
-    be = e * pinv
-    bf = f * pinv
-    detb = (ba * (bb * bc - bf * bf)
-            - bd * (bd * bc - bf * be)
-            + be * (bd * bf - bb * be))
-    r = np.clip(0.5 * detb, -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    lam = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    return np.where(safe, lam, q)
-
 
 def cholesky_clears(entries: np.ndarray, shift: float) -> np.ndarray:
     """Which matrices of an (n, n, m) stack have h - shift*I Cholesky-PD.
 
     Runs an unblocked right-looking Cholesky on all m matrices at once and
-    returns a boolean (m,) mask that is True where every pivot is > 0, i.e.
-    where Cholesky runs to completion in floating point.  A NaN pivot
-    compares False, so it never clears its matrix.  ``entries`` is not
-    modified.
+    returns a boolean (m,) mask that is True where every pivot is finite and
+    > 0, i.e. where Cholesky runs to completion.  A NaN or infinite entry in
+    the lower triangle (the only one read) makes some pivot NaN or infinite,
+    so it never clears its matrix.  ``entries`` is not modified.
     """
     a = np.array(entries, dtype=float)
     n = a.shape[0]
-    idx = np.arange(n)
-    a[idx, idx] -= shift
     ok = np.ones(a.shape[2:], dtype=bool)
     # Only the lower triangle is read and updated.  A failed matrix keeps
     # running on a bad pivot; its NaNs stay in its own column of the stack.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a[np.diag_indices(n)] -= shift
         for k in range(n):
             piv = a[k, k]
-            ok &= piv > 0.0
+            ok &= (0.0 < piv) & (piv < math.inf)
             col = a[k + 1:, k]
             col /= np.sqrt(piv)
             for j in range(k + 1, n):
@@ -300,16 +269,32 @@ def cholesky_clears(entries: np.ndarray, shift: float) -> np.ndarray:
 
 def min_eig_batch(mats: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each symmetric matrix in a (..., n, n) stack."""
-    mats = np.asarray(mats, dtype=float)
-    n = mats.shape[-1]
-    if n == 1:
-        return mats[..., 0, 0]
-    if n == 2:
-        return _min_eig2_entries(mats[..., 0, 0], mats[..., 0, 1],
-                                 mats[..., 1, 1])
-    if n == 3:
-        return _min_eig3_entries(mats[..., 0, 0], mats[..., 1, 1],
-                                 mats[..., 2, 2], mats[..., 0, 1],
-                                 mats[..., 0, 2], mats[..., 1, 2])
-    return np.linalg.eigvalsh(mats)[..., 0]
+    return np.linalg.eigvalsh(np.asarray(mats, dtype=float))[..., 0]
 
+
+def screened_min_eig(entries: np.ndarray, worst: float,
+                     margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of an (n, n, m) stack that can beat ``worst``, and their smallest
+    eigenvalues: (rows, lam), lam[k] belonging to row rows[k].
+
+    The rows :func:`cholesky_clears` passes at ``worst + margin`` are left
+    out; none is while ``worst`` is not finite.  A kept row with a
+    non-finite entry (such a row never clears) reads NaN, since eigvalsh
+    raises on it; any other kept row reads its min_eig_batch value.
+
+    Clearing is exact when ``margin`` is 1e-9 * S, S bounding every |entry|
+    (so |worst| <= n S).  If Cholesky of h - (worst + margin) I runs to
+    completion, L L' = h - (worst + margin) I + E with |E| <= gamma_{n+1}
+    |L| |L'| whatever the summation order (Higham, Accuracy and Stability
+    of Numerical Algorithms, Thm 10.3), so lambda_min(h) > worst + margin -
+    ||E||.  ||E|| and eigvalsh's own error are below n^3 * 1e-16 * S, under
+    1e-13 * S at n <= 8: a cleared row evaluates strictly above ``worst``,
+    so it cannot be a first strict minimum.
+    """
+    rows = np.flatnonzero(~cholesky_clears(entries, worst + margin))
+    kept = entries[:, :, rows]
+    finite = np.isfinite(kept).all(axis=(0, 1))
+    lam = np.full(rows.size, np.nan)
+    if finite.any():
+        lam[finite] = min_eig_batch(np.moveaxis(kept[:, :, finite], -1, 0))
+    return rows, lam

@@ -13,7 +13,8 @@ Three layers:
   (:func:`robust_psd_grid`, :func:`robust_psd_grids`,
   :func:`detm_alpha_convexity_check`).  p and q are m with omega permuted,
   and lambda_min of m is even in alpha and in beta, so all three are
-  scanned as m, on the nodes <= 0 of each symmetric (alpha, beta) axis.
+  scanned as m (:func:`linalg.screened_min_eig`), on the nodes <= 0 of
+  each symmetric (alpha, beta) axis.
 
 Grid scans use one absolute tolerance (values >= -1e-9 pass); every check
 reports its worst cell so a failure is immediately reproducible, and a NaN
@@ -33,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .forms import DeltaVector, det_m_alpha_coefs, m_entries
-from .linalg import PSD_EPS, _min_eig3_entries
+from .linalg import PSD_EPS, screened_min_eig
 from .sampling import DEFAULT_PLAN, SamplePlan, SampleReport, all_samples, scan_h
 
 __all__ = [
@@ -49,7 +50,8 @@ __all__ = [
 GRID_TOL = 1e-9
 
 # Grid cells evaluated per block of a scan, so that memory stays the same
-# whatever the grid size: a box or robust temporary is at most 32 KB.  A detm
+# whatever the grid size: a box temporary, or one entry of m, is at most
+# 32 KB, and the robust scan's packed (3, 3, cells) stack 288 KB.  A detm
 # cell counts once per alpha node, and its blocks are four times larger, to
 # spread the fixed cost of the ~40 small numpy calls each block makes.  At
 # 41 alpha nodes a detm temporary is then 121 KB, under malloc's default
@@ -139,9 +141,10 @@ def verify_h_lmi(delta: DeltaVector, plan: SamplePlan = DEFAULT_PLAN,
                  eps: float = PSD_EPS) -> SampleReport:
     """Sampled check that h(delta, y) is PSD over unit directions.
 
-    The report's worst point re-evaluates to its worst value exactly (same
-    arithmetic path), and ``passed`` means the worst value clears
-    ``-eps * max(1, sup|h|)``.
+    The worst point, re-evaluated on its own, gives the worst value to
+    about an ulp of sup|h| (h's diagonal is a BLAS product whose last bit
+    can depend on the row count), and ``passed`` means the worst value
+    clears ``-eps * max(1, sup|h|)``.
     """
     pts = all_samples(delta.dim, plan)
     res = scan_h(delta, pts, eps=eps)
@@ -268,6 +271,8 @@ def box_inequality_grid_check(grid: GridSpec = BOX_GRID_DEFAULT,
 # m((w1, w3, w2), a, b) and m((w2, w3, w1), a, b) conjugated by a coordinate
 # permutation, so they share its eigenvalues.
 _FORM_AXES = {"M": (0, 1, 2), "P": (0, 2, 1), "Q": (1, 2, 0)}
+# Where m_entries' (e11, e22, e33, e12, e13, e23) sit in m.
+_M_INDEX = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
 def _check_robust_grids(omega_grid: GridSpec, ab_grid: GridSpec) -> None:
@@ -297,15 +302,18 @@ def robust_psd_grid(form: str, omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
     """Minimum eigenvalue of one normalized form over the full grid.
 
     Every form is scanned as m over its permuted omega axes, in blocks of
-    at most ``_BLOCK`` cells: a block's omega nodes broadcast against the
-    (alpha, beta) nodes, so no temporary exceeds 32 KB.  The worst cell is
-    reported in the form's own coordinates (w1, w2, w3, alpha, beta).
+    at most ``_BLOCK`` cells whose omega nodes broadcast against the
+    (alpha, beta) nodes.  Each block's m is packed into one reused
+    (3, 3, cells) stack for :func:`linalg.screened_min_eig`, so the report
+    is exactly that of eigensolving every cell (NaN where an entry is not
+    finite).  The worst cell is in the form's own coordinates.
 
-    lambda_min of m is bitwise even in alpha and in beta (conjugation by
-    diag(1, -1, 1) or diag(1, 1, -1) flips their signs), so an axis with
-    lo == -hi is scanned on its nodes at or below the midpoint.  A linspace
-    node may miss its mirror in the last bit; the reported cell can then
-    move to one that ties within roundoff.  ``cells`` counts the full grid.
+    lambda_min of m is even in alpha and in beta (conjugation by
+    diag(1, -1, 1) or diag(1, 1, -1) flips their signs), bit for bit in
+    LAPACK's eigvalsh, so an axis with lo == -hi is scanned on its nodes at
+    or below the midpoint.  A linspace node may miss its mirror in the last
+    bit; the reported cell can then move to one that ties within roundoff.
+    ``cells`` counts the full grid.
     """
     key = form.upper()
     if key not in _FORM_AXES:
@@ -313,10 +321,28 @@ def robust_psd_grid(form: str, omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
     _check_robust_grids(omega_grid, ab_grid)
     nodes = (tuple(omega_grid.axes[k].nodes() for k in _FORM_AXES[key])
              + tuple(_folded(ax) for ax in ab_grid.axes))
+    # Term by term, every |entry of m| <= (3 + W) s^2 with W = max|omega|
+    # and s = max(1, |alpha|, |beta|) over the nodes.  An overflowing grid
+    # makes the margin inf or NaN, and then the screen clears nothing.
+    big = np.max([np.abs(n).max() for n in nodes[:3]])
+    s = np.max([1.0] + [np.abs(n).max() for n in nodes[3:]])
+    margin = float(PSD_EPS * (3.0 + big) * s * s)
     worst = _Worst(nodes)
+    # one stack for every block, so no block maps fresh pages for its own
+    buf = np.empty((3, 3, min(_BLOCK, math.prod(map(len, nodes)))))
     for start, (w1, w2, w3, al, be) in _blocks(nodes, _BLOCK):
         entries = m_entries(_omega(w1, w2, w3), al, be)
-        worst.update(start, _min_eig3_entries(*entries))
+        shape = np.broadcast_shapes(*(e.shape for e in entries))
+        stack = buf[:, :, :math.prod(shape)]
+        packed = stack.reshape((3, 3) + shape)
+        for (i, j), e in zip(_M_INDEX, entries):
+            packed[i, j] = packed[j, i] = e
+        rows, lam = screened_min_eig(stack, worst.value, margin)
+        if rows.size:
+            # a cleared cell lies above the running minimum
+            values = np.full(stack.shape[2], np.inf)
+            values[rows] = lam
+            worst.update(start, values)
     cells = omega_grid.cells * ab_grid.cells
     return _relabel(worst.report("robust_M", tol, cells), key)
 

@@ -10,9 +10,9 @@ degree-2 homogeneous in y, so unit vectors lose nothing.
 results are deterministic for a fixed seed.  It computes the diagonal of h
 per fixed-size chunk and the entries per block of rows, never an (N, n, n)
 stack, so its memory does not grow with the sample count.  The scan is
-exact, but at dim >= 4 a batched Cholesky screen clears the directions
-that cannot beat the running minimum and the eigensolver runs only on the
-rest; the reported sample count still counts every direction.
+exact, but a batched Cholesky screen clears the directions that cannot
+beat the running minimum and the eigensolver runs only on the rest; the
+reported sample count still counts every direction.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .forms import (DeltaVector, as_points, h_diagonal, h_entries,
                     pair_indices)
-from .linalg import PSD_EPS, cholesky_clears, min_eig_batch
+from .linalg import PSD_EPS, screened_min_eig
 
 __all__ = [
     "SamplePlan", "SampleReport", "DEFAULT_PLAN",
@@ -188,31 +188,19 @@ def scan_h(delta: DeltaVector, points: np.ndarray,
     flag (worst < -tolerance) are those of evaluating every point.  The
     diagonal of h is one BLAS product per ``_CHUNK`` rows; the entries are
     built per block, the first block being the ``dim*(dim-1)`` probe rows
-    that :func:`all_samples` puts first.  At dim >= 4 a batched Cholesky
-    screen clears, row by row, the directions that cannot beat the running
-    minimum, and only the rest are eigensolved; ``samples`` still counts
-    every point.
+    that :func:`all_samples` puts first.  A batched Cholesky screen
+    (:func:`linalg.screened_min_eig`) clears, row by row, the directions
+    that cannot beat the running minimum, and only the rest are
+    eigensolved; ``samples`` still counts every point.
     """
     n = delta.dim
     pts = as_points(delta, points)
     total = pts.shape[0]
     scale = max(1.0, h_scale_bound(delta))
     tol = eps * scale
-    # Clearing a row is exact.  If Cholesky of h - (worst + margin) I runs
-    # to completion, the factor satisfies L L' = h - (worst + margin) I + E
-    # with |E| <= gamma_{n+1} |L| |L'| (Higham, Accuracy and Stability of
-    # Numerical Algorithms, Thm 10.3), a bound that holds whatever order
-    # the inner products are summed in.  So lambda_min(h) > worst + margin
-    # - ||E||, and the row's computed eigvalsh lies within the eigensolver's
-    # rounding of lambda_min.  For unit points both errors are about
-    # 1e-14 * scale, far below margin, so every cleared row would evaluate
-    # strictly above worst and cannot be the first strict minimum.  The
-    # margin is not the caller's eps, which may be <= 0.
+    # scale bounds every |entry| of h at a unit point (see screened_min_eig);
+    # the margin is not the caller's eps, which may be <= 0.
     margin = PSD_EPS * scale
-    # Dims 2 and 3 use closed forms, cheaper than any screen.  The dim-3
-    # one errs by ~1e-8 at a repeated eigenvalue, more than the margin, so
-    # a cleared row's computed value could fall below worst there.
-    screen = n >= 4
     dm = delta.as_matrix()
     worst = math.inf
     worst_idx = -1
@@ -223,13 +211,9 @@ def scan_h(delta: DeltaVector, points: np.ndarray,
             diag = h_diagonal(dm, chunk)
         h = h_entries(dm, chunk[lo - base:hi - base],
                       diag[lo - base:hi - base])
-        rows = np.arange(hi - lo)
-        if screen and math.isfinite(worst):
-            rows = np.flatnonzero(~cholesky_clears(h, worst + margin))
-            if rows.size == 0:
-                continue
-            h = h[:, :, rows]
-        lam = min_eig_batch(np.moveaxis(h, -1, 0))
+        rows, lam = screened_min_eig(h, worst, margin)
+        if rows.size == 0:
+            continue
         k = int(np.argmin(lam))
         if lam[k] < worst:
             worst = float(lam[k])

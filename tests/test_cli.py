@@ -224,9 +224,9 @@ box_chi2,4.0;4.0;2.0,0.0,1e-09,true
 box_chi3,4.0;4.0;2.0,0.0,1e-09,true
 box_chi4,4.0;2.0;4.0,0.0,1e-09,true
 box_psi,2.0;2.0;4.0,4.0,1e-09,true
-robust_M,4.0;4.0;2.0;-0.75;-0.25,0.8946685256314542,1e-09,true
-robust_P,4.0;2.0;4.0;-0.75;-0.25,0.8946685256314542,1e-09,true
-robust_Q,2.0;4.0;4.0;-0.75;-0.25,0.8946685256314542,1e-09,true
+robust_M,4.0;4.0;2.0;-0.25;-0.75,0.894668525631453,1e-09,true
+robust_P,4.0;2.0;4.0;-0.25;-0.75,0.894668525631453,1e-09,true
+robust_Q,2.0;4.0;4.0;-0.25;-0.75,0.894668525631453,1e-09,true
 detm_d2,4.0;4.0;2.0;0.0;0.0,0.0,1e-09,true
 detm_d4,4.0;2.0;4.0;-1.0;0.0,0.0,1e-09,true
 detm_min_at_zero,2.0;2.0;2.0;-1.0;0.0,0.0,1e-09,true
@@ -239,9 +239,9 @@ box_chi2,4.0;4.0;2.0,0.0,1e-09,true
 box_chi3,4.0;4.0;2.0,0.0,1e-09,true
 box_chi4,4.0;2.0;4.0,0.0,1e-09,true
 box_psi,2.0;2.0;4.0,4.0,1e-09,true
-robust_M,4.0;2.0;4.0;-1.0;-0.33333333333333337,1.0610415757453509,1e-09,true
-robust_P,4.0;4.0;2.0;-1.0;-0.33333333333333337,1.0610415757453509,1e-09,true
-robust_Q,4.0;4.0;2.0;-1.0;-0.33333333333333337,1.0610415757453509,1e-09,true
+robust_M,4.0;4.0;2.0;-0.33333333333333337;-1.0,1.061041575745349,1e-09,true
+robust_P,4.0;2.0;4.0;-0.33333333333333337;-1.0,1.061041575745349,1e-09,true
+robust_Q,2.0;4.0;4.0;-0.33333333333333337;-1.0,1.061041575745349,1e-09,true
 detm_d2,4.0;2.0;2.0;-0.33333333333333337;0.33333333333333326,16.740740740740737,1e-09,true
 detm_d4,4.0;2.0;2.0;-0.33333333333333337;0.33333333333333326,351.9999999999999,1e-09,true
 detm_min_at_zero,4.0;4.0;2.0;-0.33333333333333337;0.33333333333333326,0.39094650205761283,1e-09,true
@@ -254,9 +254,9 @@ box_chi2,4.0;4.0;2.0,0.0,1e-09,true
 box_chi3,4.0;4.0;2.0,0.0,1e-09,true
 box_chi4,4.0;2.0;4.0,0.0,1e-09,true
 box_psi,2.0;2.0;4.0,4.0,1e-09,true
-robust_M,4.0;4.0;2.0;-0.75;-0.25,0.8946685256314542,1e-09,true
-robust_P,4.0;2.0;4.0;-0.75;-0.25,0.8946685256314542,1e-09,true
-robust_Q,2.0;4.0;4.0;-0.75;-0.25,0.8946685256314542,1e-09,true
+robust_M,4.0;4.0;2.0;-0.25;-0.75,0.894668525631453,1e-09,true
+robust_P,4.0;2.0;4.0;-0.25;-0.75,0.894668525631453,1e-09,true
+robust_Q,2.0;4.0;4.0;-0.25;-0.75,0.894668525631453,1e-09,true
 detm_d2,4.0;4.0;2.0;0.0;0.0,0.0,1e-09,true
 detm_d4,4.0;2.0;4.0;-1.0;0.0,0.0,1e-09,true
 detm_min_at_zero,2.0;2.0;2.0;-1.0;0.0,0.0,1e-09,true
@@ -269,9 +269,9 @@ box_chi2,5.9;5.9;2.0,-55.48950000000001,1e-09,false
 box_chi3,5.9;5.9;2.0,-55.48950000000001,1e-09,false
 box_chi4,5.9;2.0;5.9,-55.48950000000001,1e-09,false
 box_psi,2.0;2.0;5.9,-7.210000000000001,1e-09,false
-robust_M,2.0;5.9;2.7800000000000002;0.0;-1.0,0.049999999999998046,1e-09,true
-robust_P,2.0;2.7800000000000002;5.9;0.0;-1.0,0.049999999999998046,1e-09,true
-robust_Q,2.7800000000000002;2.0;5.9;0.0;-1.0,0.049999999999998046,1e-09,true
+robust_M,3.56;5.9;5.9;0.0;-1.0,0.049999999999998046,1e-09,true
+robust_P,3.56;5.9;5.9;0.0;-1.0,0.049999999999998046,1e-09,true
+robust_Q,5.9;3.56;5.9;0.0;-1.0,0.049999999999998046,1e-09,true
 detm_d2,5.9;2.0;5.9;-1.0;-0.8,-246.43007999999998,1e-09,false
 detm_d4,5.9;2.0;5.9;-1.0;0.0,-1997.622,1e-09,false
 detm_min_at_zero,5.9;5.9;2.0;0.0;-1.0,-23.767125,1e-09,false
@@ -291,16 +291,24 @@ def test_lemmas_csv_golden(flags):
 
 @pytest.mark.parametrize("omega_max", ["1e155", "1e308"])
 def test_lemmas_overflow_fails_without_traceback(omega_max):
-    # huge nodes overflow to inf and NaN: every row names its first NaN (or
-    # -inf) cell and fails, and numpy prints no warning
+    # huge nodes overflow to inf and NaN: every box and detm row names its
+    # first NaN (or -inf) cell and fails, and numpy prints no warning.  The
+    # entries of m stay finite, and LAPACK scales them: the robust rows read
+    # lambda_min of m at omega (W, W, 2), alpha = beta = -1, which is
+    # W (3 - sqrt(33)) / 4 to within rounding.
     res = run_cli("lemmas", "--omega-max", omega_max, "--grid", "3",
                   "--format", "csv")
     assert res.returncode == 1
     assert res.stderr == ""
+    robust = {"1e155": "-6.861406616345074e+154",
+              "1e308": "-6.861406616345074e+307"}[omega_max]
     for line in res.stdout.splitlines()[1:]:
         grid_id, coords, value, _, passed = line.split(",")
         assert coords and passed == "false", line
-        assert value in ("nan", "-inf"), line
+        if grid_id.startswith("robust_"):
+            assert value == robust, line
+        else:
+            assert value in ("nan", "-inf"), line
     human = run_cli("lemmas", "--omega-max", omega_max, "--grid", "3")
     assert human.returncode == 1 and human.stderr == ""
     assert human.stdout.endswith("overall: FAIL\n")
@@ -314,6 +322,7 @@ def test_lemmas_infinite_span_exits_64():
     assert res.returncode == 64
     assert res.stdout == ""
     assert res.stderr.startswith("error:") and "span" in res.stderr
+    assert "--omega-min" in res.stderr and "--omega-max" in res.stderr
     assert "Traceback" not in res.stderr
 
 

@@ -4,9 +4,9 @@ import pytest
 from kantorovich.linalg import (JacobiConvergenceError, MatrixValidationError,
                                 NotPositiveDefiniteError, NotSquareError,
                                 NotSymmetricError, NonFiniteError,
-                                _min_eig3_entries, cholesky_clears, det,
-                                eig_sym, min_eig_batch, min_eigenvalue,
-                                symmetrize, validate_spd)
+                                cholesky_clears, det, eig_sym,
+                                min_eig_batch, min_eigenvalue,
+                                screened_min_eig, symmetrize, validate_spd)
 from conftest import random_rotation
 
 
@@ -230,31 +230,53 @@ def test_min_eig_batch_leading_dims(rng):
 
 
 
-# Entry shapes of one robust lemma block, (k omega cells, alpha, beta): e11
-# does not vary with w3, e12 varies with alpha only and e13 with beta only.
-_BLOCK_SHAPES = [(5, 7), (3, 5, 7), (3, 5, 7), (3, 5, 1), (3, 1, 7),
-                 (3, 5, 7)]
+
+def test_min_eig_batch_repeated_eigenvalue():
+    # diag(3, 1, 1): a trigonometric closed form read 0.9999999918888355
+    assert min_eig_batch(np.diag([3.0, 1.0, 1.0])) == pytest.approx(
+        1.0, abs=4 * np.spacing(1.0))
 
 
-@pytest.mark.parametrize("case", ["random", "diag311", "zero"])
-def test_min_eig3_entries_broadcast_shapes(rng, case):
-    # Reduced shapes give, bit for bit, the values of full copies, and the
-    # inputs are left unmodified.  diag(3, 1, 1) has a repeated eigenvalue;
-    # the zero matrix takes the p == 0 branch.
-    if case == "random":
-        entries = [rng.uniform(-4.0, 4.0, s) for s in _BLOCK_SHAPES]
-    else:
-        fill = {"diag311": (3.0, 1.0, 1.0), "zero": (0.0, 0.0, 0.0)}[case]
-        entries = [np.full(s, v) for s, v in
-                   zip(_BLOCK_SHAPES, fill + (0.0, 0.0, 0.0))]
-    before = [e.copy() for e in entries]
-    got = _min_eig3_entries(*entries)
-    want = _min_eig3_entries(*[np.array(e)
-                               for e in np.broadcast_arrays(*entries)])
-    assert got.shape == want.shape == (3, 5, 7)
-    assert got.tobytes() == want.tobytes()
-    for e, b in zip(entries, before):
-        assert e.tobytes() == b.tobytes()
-    if case != "random":
-        lam = np.linalg.eigvalsh(np.diag(fill))[0]
-        np.testing.assert_allclose(got, lam, atol=1e-8)
+def _unscreened(entries):
+    # min_eig_batch per row, NaN for a row with a non-finite entry
+    mats = np.moveaxis(entries, -1, 0)
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    out = np.full(mats.shape[0], np.nan)
+    out[finite] = min_eig_batch(mats[finite])
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_screened_min_eig_keeps_every_row_that_can_win(rng, n):
+    # Returned rows carry their unscreened values bitwise; every row left
+    # out lies strictly above worst; non-finite rows are kept as NaN.
+    a = rng.standard_normal((64, n, n))
+    a = a + np.swapaxes(a, -1, -2)
+    a[5, 0, 0] = np.inf
+    a[9, n - 1, 0] = a[9, 0, n - 1] = np.nan
+    entries = _stack(a)
+    want = _unscreened(entries)
+    finite = want[np.isfinite(want)]
+    for worst in (np.inf, finite.min(), np.median(finite), finite.max()):
+        rows, lam = screened_min_eig(entries, float(worst), 1e-9)
+        np.testing.assert_array_equal(lam, want[rows])
+        assert {5, 9} <= set(rows.tolist())
+        dropped = np.setdiff1d(np.arange(64), rows)
+        assert np.all(want[dropped] > worst)
+        if worst == np.inf:
+            assert rows.tolist() == list(range(64))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cholesky_clears_never_clears_an_infinite_entry(n):
+    # Cholesky runs to completion through an inf pivot, whose column it
+    # divides down to 0; an infinite pivot must not clear.  An infinite
+    # off-diagonal entry (either sign) turns a later pivot into -inf.
+    base = np.diag(np.arange(n + 2.0, 2.0, -1.0))
+    mats = [base.copy() for _ in range(6)]
+    for k, (i, j, v) in enumerate([(0, 0, np.inf), (n - 1, n - 1, np.inf),
+                                   (n - 1, 0, np.inf), (n - 1, 0, -np.inf),
+                                   (0, 0, -np.inf)]):
+        mats[k][i, j] = mats[k][j, i] = v
+    ok = cholesky_clears(_stack(mats), 1.0)
+    assert ok.tolist() == [False] * 5 + [True]

@@ -5,10 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from kantorovich import lmi
+from kantorovich import linalg, lmi
 from kantorovich.forms import (DeltaVector, det3_batch, det_m_alpha_coefs,
-                               m_entries, m_form, p_form, q_form)
-from kantorovich.linalg import _min_eig3_entries, min_eig_batch
+                               m_form, p_form, q_form)
+from kantorovich.linalg import min_eig_batch
 from kantorovich.lmi import (AB_GRID_DEFAULT, Axis, BOX_GRID_DEFAULT,
                              OMEGA_GRID_DEFAULT, GridSpec, box_inequalities,
                              box_inequality_grid_check,
@@ -76,13 +76,22 @@ def test_lmi_violated_delta62():
 
 
 def test_lmi_worst_point_reevaluates(rng):
+    # The worst point, evaluated on its own, gives the worst value to an
+    # ulp or so of the scale of h: the BLAS product behind h's diagonal may
+    # round one row differently from a whole chunk of rows.
     from kantorovich.forms import h_form
     from kantorovich.linalg import min_eigenvalue
-    vals = rng.uniform(2.0, 7.0, size=3)
-    d = DeltaVector(dim=3, values=vals)
-    rep = verify_h_lmi(d, PLAN)
-    lam = min_eigenvalue(h_form(d, rep.worst_point))
-    assert lam == pytest.approx(rep.worst_value, abs=1e-12)
+    from kantorovich.sampling import h_scale_bound
+    for n in range(2, 9):
+        for _ in range(4):
+            d = DeltaVector(dim=n,
+                            values=rng.uniform(2.0, 7.0, n * (n - 1) // 2))
+            rep = verify_h_lmi(d, PLAN)
+            h = h_form(d, rep.worst_point)
+            ulp = np.spacing(h_scale_bound(d))
+            assert abs(min_eig_batch(h) - rep.worst_value) <= 2 * ulp
+            assert min_eigenvalue(h) == pytest.approx(rep.worst_value,
+                                                      abs=1e-12)
 
 
 def test_sphere_sufficiency(rng):
@@ -273,22 +282,22 @@ def test_robust_grids_match_each_form(monkeypatch, counts, scans):
 
 def test_min_eig_bitwise_even_in_alpha_and_beta(rng):
     # m(w, -a, b) and m(w, a, -b) are m conjugated by diag(1, -1, 1) and
-    # diag(1, 1, -1); the closed form sees only squares and the triple
-    # product e12 e13 e23, so lambda_min is even bit for bit
+    # diag(1, 1, -1), so lambda_min is even in exact arithmetic; the fold
+    # needs LAPACK's eigvalsh to be even bit for bit as well
     w = rng.uniform(2.0, 6.0, size=(200, 1, 1, 3))
     ab = np.concatenate([[0.0, 1.0, -1.0], rng.uniform(-1.0, 1.0, size=9)])
     al, be = ab[:, None], ab[None, :]
-    lam = _min_eig3_entries(*m_entries(w, al, be))
+    lam = min_eig_batch(m_form(w, al, be))
     for sa, sb in ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
-        flip = _min_eig3_entries(*m_entries(w, sa * al, sb * be))
+        flip = min_eig_batch(m_form(w, sa * al, sb * be))
         np.testing.assert_array_equal(flip, lam)
 
 
 def _full_plane_scan(omega, ab):
-    """The robust_M report of an unfolded scan: every cell of the grid at
-    once, worst cell at the first argmin in C order."""
+    """The robust_M report of an unfolded, unscreened scan: every cell of
+    the grid at once, worst cell at the first argmin in C order."""
     g = np.meshgrid(*omega.node_arrays(), *ab.node_arrays(), indexing="ij")
-    lam = _min_eig3_entries(*m_entries(np.stack(g[:3], axis=-1), g[3], g[4]))
+    lam = min_eig_batch(m_form(np.stack(g[:3], axis=-1), g[3], g[4]))
     k = np.unravel_index(int(np.argmin(lam)), lam.shape)
     return lmi.GridScanReport(
         grid_id="robust_M", passed=bool(lam[k] >= -lmi.GRID_TOL),
@@ -322,17 +331,83 @@ def test_asymmetric_axis_scanned_whole(axes):
 
 @pytest.mark.parametrize("n", [2, 5, 6, 41])
 def test_folded_scan_visits_one_quadrant(monkeypatch, n):
-    visited = []
+    visited, solved = [], []
 
-    def counting(*entries):
-        lam = _min_eig3_entries(*entries)
-        visited.append(lam.size)
-        return lam
+    def counting(entries, worst, margin):
+        rows, lam = linalg.screened_min_eig(entries, worst, margin)
+        visited.append(entries.shape[2])
+        solved.append(rows.size)
+        return rows, lam
 
-    monkeypatch.setattr(lmi, "_min_eig3_entries", counting)
+    monkeypatch.setattr(lmi, "screened_min_eig", counting)
     rep = robust_psd_grid("M", OMEGA_SMALL, GridSpec.cube(-1.0, 1.0, n, 2))
     assert sum(visited) == OMEGA_SMALL.cells * ((n + 1) // 2) ** 2
+    assert 0 < sum(solved) <= sum(visited)
     assert rep.cells == OMEGA_SMALL.cells * n * n
+
+
+def test_robust_scan_eigensolves_few_cells(monkeypatch):
+    # At the default grids the screen clears all but a sliver of the
+    # folded cells.
+    solved = []
+
+    def counting(mats):
+        solved.append(mats.shape[0])
+        return min_eig_batch(mats)
+
+    monkeypatch.setattr(linalg, "min_eig_batch", counting)
+    assert robust_psd_grid("M").passed
+    visited = OMEGA_GRID_DEFAULT.cells * 21 * 21
+    assert 0 < sum(solved) < visited // 100
+
+
+def test_robust_scan_finds_minimum_just_below_running_worst(monkeypatch):
+    # One cell per block: the first alpha node sets the running minimum,
+    # the second lies below it by far less than the screen's margin.  The
+    # screen must not clear it.
+    monkeypatch.setattr(lmi, "_BLOCK", 1)
+    w, a0, be = (4.0, 4.0, 2.0), -0.5, -0.75
+    lam = [min_eig_batch(m_form(w, a, be)) for a in (a0 - 1e-11, a0)]
+    assert 0.0 < lam[0] - lam[1] < lmi.PSD_EPS
+    omega = GridSpec(tuple(Axis(x, x, 1) for x in w))
+    ab = GridSpec((Axis(a0 - 1e-11, a0, 2), Axis(be, be, 1)))
+    rep = robust_psd_grid("M", omega, ab)
+    assert (rep.worst_value, rep.worst_cell) == (lam[1], w + (a0, be))
+
+
+def test_robust_single_cell_repeated_eigenvalue():
+    # m at omega (2, 2, 2), alpha = beta = 0 is diag(3, 1, 1)
+    one = GridSpec.cube(2.0, 2.0, 1, 3), GridSpec.cube(0.0, 0.0, 1, 2)
+    rep = robust_psd_grid("M", *one)
+    assert rep.worst_value == pytest.approx(1.0, abs=4 * np.spacing(1.0))
+
+
+@pytest.mark.parametrize("size", [1, 7, 4096])
+@pytest.mark.parametrize("omega, ab", [
+    (GridSpec.cube(2.0, 4.0, 5, 3), GridSpec.cube(-1.0, 1.0, 9, 2)),
+    (GridSpec.cube(2.0, 5.9, 4, 3), GridSpec.cube(-1.0, 1.0, 5, 2)),
+    (OMEGA_SMALL, GridSpec((Axis(-1.0, 0.5, 7), Axis(-0.25, 1.0, 6)))),
+    (GridSpec.cube(2.0, 1e155, 3, 3), GridSpec.cube(-1.0, 1.0, 3, 2)),
+    (GridSpec.cube(2.0, 1e308, 3, 3), GridSpec.cube(-1.0, 1.0, 3, 2)),
+    (GridSpec.cube(2.0, 4.0, 3, 3),
+     GridSpec((Axis(-1.0, 1e200, 3), Axis(-1.0, 1.0, 3)))),
+])
+def test_screened_robust_scan_is_the_unscreened_scan(monkeypatch, size,
+                                                     omega, ab):
+    # Value and first cell of the unscreened scan at any block size,
+    # overflowing grids included.  On the last grid alpha^2 overflows from
+    # the second alpha node on: those cells read NaN, and the first of them
+    # is the worst.
+    def unscreened(entries, worst, margin):
+        return linalg.screened_min_eig(entries, math.inf, margin)
+
+    monkeypatch.setattr(lmi, "_BLOCK", size)
+    got = robust_psd_grid("M", omega, ab)
+    monkeypatch.setattr(lmi, "screened_min_eig", unscreened)
+    want = robust_psd_grid("M", omega, ab)
+    assert got.worst_cell == want.worst_cell
+    assert (got.worst_value == want.worst_value
+            or math.isnan(got.worst_value) and math.isnan(want.worst_value))
 
 
 # --- non-finite cells --------------------------------------------------------

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kantorovich import sampling
+from kantorovich import linalg, sampling
 from kantorovich.classify import Certificate, classify
 from kantorovich.forms import DeltaVector, delta_from_spd, h_form_batch
 from kantorovich.linalg import PSD_EPS, min_eig_batch, validate_spd
@@ -137,9 +137,9 @@ def test_scan_matches_reference(monkeypatch, dim, case, block):
         assert res.violation
 
 
-def test_gap_scan_eigensolves_only_blocks(monkeypatch):
-    # A dim-6 gap matrix under the default plan: every eigensolve gets one
-    # block at most, the screen clears every design row above the probes'
+def _gap_scan_eigensolves_only_blocks(monkeypatch, diag):
+    # A gap matrix under the default plan: every eigensolve gets one block
+    # at most, the screen clears every design row above the probes'
     # minimum, and the report is the unscreened scan's.
     sizes = []
 
@@ -147,18 +147,30 @@ def test_gap_scan_eigensolves_only_blocks(monkeypatch):
         sizes.append(mats.shape[0])
         return min_eig_batch(mats)
 
-    monkeypatch.setattr(sampling, "min_eig_batch", counting_min_eig_batch)
-    spd = validate_spd(np.diag([1.0, 1.3, 1.8, 2.5, 3.5, 5.0]))
+    monkeypatch.setattr(linalg, "min_eig_batch", counting_min_eig_batch)
+    spd = validate_spd(np.diag(diag))
+    n = spd.dim
     v = classify(spd, DEFAULT_PLAN)
     assert v.certificate == Certificate.SAMPLING_EXHAUSTED
-    pts = all_samples(6, DEFAULT_PLAN)
+    pts = all_samples(n, DEFAULT_PLAN)
     assert sizes and max(sizes) <= sampling._BLOCK
-    assert sum(sizes) <= 6 * 5 + 4
+    assert sum(sizes) <= n * (n - 1) + 4
     lam = min_eig_batch(h_form_batch(delta_from_spd(spd), pts))
     k = int(np.argmin(lam))
     assert v.report.worst_value == float(lam[k])
     np.testing.assert_array_equal(v.report.worst_point, pts[k])
     assert v.report.samples == pts.shape[0] and v.report.passed
+
+
+def test_gap_scan_eigensolves_only_blocks(monkeypatch):
+    _gap_scan_eigensolves_only_blocks(monkeypatch,
+                                      [1.0, 1.3, 1.8, 2.5, 3.5, 5.0])
+
+
+def test_gap_scan_eigensolves_only_blocks_dim3(monkeypatch):
+    # dim 3 is screened as every other dim: of the 100,006 directions only
+    # the six probes are eigensolved
+    _gap_scan_eigensolves_only_blocks(monkeypatch, [1.0, 2.2, 5.0])
 
 
 def test_scan_finds_minimum_just_below_running_worst():
