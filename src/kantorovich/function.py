@@ -7,6 +7,7 @@ factors.  Convexity of K and of f coincide.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -108,19 +109,26 @@ def kantorovich_bound_check(spd: SpdMatrix, x,
     ``as_printed``: the variant K(x) <= (l1^2 + ln^2) / (4 l1 ln) * ||x||^4.
     This one fails already at A = diag(1, 6), x = (1, 1); it is exposed so the
     CLI can report both forms side by side.
+
+    Both sides are homogeneous of degree 4 in x and of degree 0 in A, so
+    ``holds`` is decided at x / ||x|| with the eigenvalues scaled by a power
+    of two, whatever the scale of x or A; ``lhs`` and ``rhs`` are the
+    values at x itself, inf or 0 where they overflow or underflow.
     """
     v = _as_point(spd, x)
-    nx2 = float(v @ v)
-    if nx2 == 0.0:
+    norm = math.hypot(*v)
+    if norm == 0.0:
         raise ZeroVectorError("bound check requires a nonzero point")
-    l1 = float(spd.eigenvalues[0])
-    ln = float(spd.eigenvalues[-1])
-    lhs = k_value(spd, v)
+    e = math.frexp(float(spd.eigenvalues[-1]))[1]
+    l1 = math.ldexp(float(spd.eigenvalues[0]), -e)
+    ln = math.ldexp(float(spd.eigenvalues[-1]), -e)
     if variant == "classical":
         factor = (l1 + ln) ** 2 / (4.0 * l1 * ln)
     elif variant == "as_printed":
         factor = (l1 * l1 + ln * ln) / (4.0 * l1 * ln)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    rhs = factor * nx2 * nx2
-    return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1.0 + 1e-12))
+    with np.errstate(over="ignore"):
+        nx2 = float(v @ v)
+    return BoundCheck(lhs=k_value(spd, v), rhs=factor * nx2 * nx2,
+                      holds=k_value(spd, v / norm) <= factor * (1.0 + 1e-12))

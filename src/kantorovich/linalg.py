@@ -3,7 +3,8 @@
 Everything here targets tiny matrices (dim <= 8).  The eigensolver is a cyclic
 Jacobi iteration, which at these sizes is simple, accurate and has no moving
 parts.  The scans take LAPACK's batched smallest eigenvalues instead, behind
-one exact Cholesky screen (:func:`screened_min_eig`).
+one exact Cholesky screen (:func:`screened_min_eig`), and keep their first
+strict minimum with one tracker (:class:`FirstMin`).
 """
 
 from __future__ import annotations
@@ -124,11 +125,16 @@ def eig_sym(m, tol: float = JACOBI_TOL,
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps rotate every (p, q) pair in row-cyclic order until the off-diagonal
-    Frobenius norm drops below ``tol * ||A||_F``.
+    Frobenius norm drops below ``tol * ||A||_F``.  The sweeps run on
+    A * 2^-e, e the binary exponent of max|A|, so the squared norms neither
+    overflow nor underflow; scaling by a power of two is exact, so every
+    rotation rounds as it would on A itself, and the eigenvalues are scaled
+    back by 2^e.
     """
     a = symmetrize(m)
     n = a.shape[0]
-    work = np.array(a)
+    e = math.frexp(float(np.abs(a).max()))[1]
+    work = np.ldexp(a, -e)
     v = np.eye(n)
     norm = float(np.sqrt((work * work).sum()))
     if norm == 0.0:
@@ -171,9 +177,10 @@ def eig_sym(m, tol: float = JACOBI_TOL,
         if offnorm(work) > tol * norm:
             raise JacobiConvergenceError(
                 f"no convergence after {max_sweeps} sweeps "
-                f"(off-norm {offnorm(work):.3e}, target {tol * norm:.3e})")
+                f"(off-norm {math.ldexp(offnorm(work), e):.3e}, "
+                f"target {math.ldexp(tol * norm, e):.3e})")
 
-    w = np.diag(work).copy()
+    w = np.ldexp(np.diag(work), e)
     order = np.argsort(w, kind="stable")
     return SpectralData(w[order], v[:, order].T)
 
@@ -273,14 +280,15 @@ def min_eig_batch(mats: np.ndarray) -> np.ndarray:
 
 
 def screened_min_eig(entries: np.ndarray, worst: float,
-                     margin: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of an (n, n, m) stack that can beat ``worst``, and their smallest
-    eigenvalues: (rows, lam), lam[k] belonging to row rows[k].
+                     margin: float) -> np.ndarray:
+    """Smallest eigenvalues of the rows of an (n, n, m) stack, as one (m,)
+    array that reads +inf on each row that cannot beat ``worst``.
 
-    The rows :func:`cholesky_clears` passes at ``worst + margin`` are left
-    out; none is while ``worst`` is not finite.  A kept row with a
-    non-finite entry (such a row never clears) reads NaN, since eigvalsh
-    raises on it; any other kept row reads its min_eig_batch value.
+    The rows :func:`cholesky_clears` passes at ``worst + margin`` are
+    cleared; every row is when ``worst`` is NaN, and none is while
+    ``worst`` is infinite.  A kept row with a non-finite entry (such a row
+    never clears) reads NaN, since eigvalsh raises on it; any other kept
+    row reads its min_eig_batch value.
 
     Clearing is exact when ``margin`` is 1e-9 * S, S bounding every |entry|
     (so |worst| <= n S).  If Cholesky of h - (worst + margin) I runs to
@@ -291,10 +299,37 @@ def screened_min_eig(entries: np.ndarray, worst: float,
     1e-13 * S at n <= 8: a cleared row evaluates strictly above ``worst``,
     so it cannot be a first strict minimum.
     """
+    lam = np.full(entries.shape[2], math.inf)
+    if math.isnan(worst):  # no row beats a NaN minimum (see FirstMin)
+        return lam
     rows = np.flatnonzero(~cholesky_clears(entries, worst + margin))
     kept = entries[:, :, rows]
     finite = np.isfinite(kept).all(axis=(0, 1))
-    lam = np.full(rows.size, np.nan)
+    lam[rows] = np.nan
     if finite.any():
-        lam[finite] = min_eig_batch(np.moveaxis(kept[:, :, finite], -1, 0))
-    return rows, lam
+        lam[rows[finite]] = min_eig_batch(
+            np.moveaxis(kept[:, :, finite], -1, 0))
+    return lam
+
+
+class FirstMin:
+    """First strict minimum of values fed in consecutive blocks of one flat
+    sequence: the value and index a single argmin over all of them gives.
+    The first NaN, if there is one, is the minimum (as for argmin); the
+    first block always sets an index."""
+
+    def __init__(self):
+        self.value = math.inf
+        self.index = -1
+
+    def update(self, start: int, values: np.ndarray) -> None:
+        """``values``: the entries from flat index ``start`` on, in C order
+        over their own (full, not broadcast) shape."""
+        if math.isnan(self.value):
+            return
+        flat = values.reshape(-1)
+        k = int(np.argmin(flat))
+        # not >=: a NaN is taken
+        if self.index < 0 or not float(flat[k]) >= self.value:
+            self.value = float(flat[k])
+            self.index = start + k

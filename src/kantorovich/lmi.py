@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .forms import DeltaVector, det_m_alpha_coefs, m_entries
-from .linalg import PSD_EPS, screened_min_eig
+from .linalg import PSD_EPS, FirstMin, screened_min_eig
 from .sampling import DEFAULT_PLAN, SamplePlan, SampleReport, all_samples, scan_h
 
 __all__ = [
@@ -218,34 +218,16 @@ def _omega(w1, w2, w3) -> np.ndarray:
     return out
 
 
-class _Worst:
-    """First strict minimum over the C-order cells of ``nodes``, fed in
-    consecutive blocks: the cell a single argmin over the grid reports.
-    The first NaN cell, if there is one, is the minimum (as for argmin)."""
-
-    def __init__(self, nodes: tuple[np.ndarray, ...]):
-        self.nodes = nodes
-        self.shape = tuple(len(n) for n in nodes)
-        self.value = math.inf
-        self.cell: tuple[float, ...] = ()
-
-    def update(self, start: int, values: np.ndarray) -> None:
-        """``values``: the cells from flat index ``start`` on, in C order
-        over their own (full, not broadcast) shape."""
-        if math.isnan(self.value):
-            return
-        flat = values.reshape(-1)
-        k = int(np.argmin(flat))
-        # not >=: a NaN is taken, and the first block always sets a cell
-        if not self.cell or not float(flat[k]) >= self.value:
-            idx = np.unravel_index(start + k, self.shape)
-            self.value = float(flat[k])
-            self.cell = tuple(float(n[i]) for n, i in zip(self.nodes, idx))
-
-    def report(self, grid_id: str, tol: float, cells: int) -> GridScanReport:
-        return GridScanReport(grid_id=grid_id, passed=self.value >= -tol,
-                              tolerance=tol, worst_value=self.value,
-                              worst_cell=self.cell, cells=cells)
+def _report(grid_id: str, worst: FirstMin, nodes: tuple[np.ndarray, ...],
+            tol: float, cells: int) -> GridScanReport:
+    """The row of a scan that fed ``worst`` the C-order cells of ``nodes``;
+    its flat index becomes a cell here."""
+    idx = np.unravel_index(worst.index, tuple(len(n) for n in nodes))
+    return GridScanReport(grid_id=grid_id, passed=worst.value >= -tol,
+                          tolerance=tol, worst_value=worst.value,
+                          worst_cell=tuple(float(n[i])
+                                           for n, i in zip(nodes, idx)),
+                          cells=cells)
 
 
 # Huge grid nodes overflow to inf and their differences to NaN; those cells
@@ -257,11 +239,11 @@ def box_inequality_grid_check(grid: GridSpec = BOX_GRID_DEFAULT,
     if grid.ndim != 3:
         raise ValueError("box grid must have 3 axes")
     nodes = grid.node_arrays()
-    worst = [_Worst(nodes) for _ in BoxValues._fields]
+    worst = [FirstMin() for _ in BoxValues._fields]
     for start, coords in _blocks(nodes, _BLOCK):
         for w, v in zip(worst, box_inequalities(*coords)):
             w.update(start, v)
-    reports = tuple(w.report(f"box_{name}", tol, grid.cells)
+    reports = tuple(_report(f"box_{name}", w, nodes, tol, grid.cells)
                     for name, w in zip(BoxValues._fields, worst))
     return GridCheckSummary(passed=all(r.passed for r in reports),
                             reports=reports)
@@ -327,7 +309,7 @@ def robust_psd_grid(form: str, omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
     big = np.max([np.abs(n).max() for n in nodes[:3]])
     s = np.max([1.0] + [np.abs(n).max() for n in nodes[3:]])
     margin = float(PSD_EPS * (3.0 + big) * s * s)
-    worst = _Worst(nodes)
+    worst = FirstMin()
     # one stack for every block, so no block maps fresh pages for its own
     buf = np.empty((3, 3, min(_BLOCK, math.prod(map(len, nodes)))))
     for start, (w1, w2, w3, al, be) in _blocks(nodes, _BLOCK):
@@ -337,14 +319,9 @@ def robust_psd_grid(form: str, omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
         packed = stack.reshape((3, 3) + shape)
         for (i, j), e in zip(_M_INDEX, entries):
             packed[i, j] = packed[j, i] = e
-        rows, lam = screened_min_eig(stack, worst.value, margin)
-        if rows.size:
-            # a cleared cell lies above the running minimum
-            values = np.full(stack.shape[2], np.inf)
-            values[rows] = lam
-            worst.update(start, values)
+        worst.update(start, screened_min_eig(stack, worst.value, margin))
     cells = omega_grid.cells * ab_grid.cells
-    return _relabel(worst.report("robust_M", tol, cells), key)
+    return _relabel(_report("robust_M", worst, nodes, tol, cells), key)
 
 
 def robust_psd_grids(omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
@@ -405,9 +382,8 @@ def detm_alpha_convexity_check(omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
     a4 = a2 * a2
     nodes = omega_grid.node_arrays() + beta_grid.node_arrays()
     with_alpha = nodes + (alpha_nodes,)
-    trackers = {"detm_d2": _Worst(with_alpha), "detm_d4": _Worst(with_alpha),
-                "detm_min_at_zero": _Worst(with_alpha),
-                "detm_alpha0": _Worst(nodes)}
+    trackers = {name: FirstMin() for name in (
+        "detm_d2", "detm_d4", "detm_min_at_zero", "detm_alpha0")}
 
     for start, (w1, w2, w3, betas) in _blocks(
             nodes, max(1, 4 * _BLOCK // alpha_count)):
@@ -423,7 +399,8 @@ def detm_alpha_convexity_check(omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
             first, a2 * (c2 + c4 * a2 + c6 * a4))
 
     cells = omega_grid.cells * beta_grid.cells
-    reports = tuple(w.report(name, tol, cells)
+    reports = tuple(_report(name, w, nodes if name == "detm_alpha0"
+                            else with_alpha, tol, cells)
                     for name, w in trackers.items())
     return GridCheckSummary(passed=all(r.passed for r in reports),
                             reports=reports)

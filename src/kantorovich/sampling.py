@@ -25,7 +25,7 @@ import numpy as np
 
 from .forms import (DeltaVector, as_points, h_diagonal, h_entries,
                     pair_indices)
-from .linalg import PSD_EPS, screened_min_eig
+from .linalg import PSD_EPS, FirstMin, screened_min_eig
 
 __all__ = [
     "SamplePlan", "SampleReport", "DEFAULT_PLAN",
@@ -100,15 +100,11 @@ def probe_directions(dim: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=16)
 def _angles_2d(count: int) -> np.ndarray:
     theta = np.pi * np.arange(count) / count
-    out = np.column_stack([np.cos(theta), np.sin(theta)])
-    out.setflags(write=False)
-    return out
+    return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
-@lru_cache(maxsize=16)
 def _fibonacci_3d(count: int) -> np.ndarray:
     # Golden-angle spiral: near-uniform, fully deterministic.
     i = np.arange(count)
@@ -116,17 +112,13 @@ def _fibonacci_3d(count: int) -> np.ndarray:
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     golden = math.pi * (3.0 - math.sqrt(5.0))
     phi = golden * i
-    out = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    out.setflags(write=False)
-    return out
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-@lru_cache(maxsize=16)
 def _random_sphere(dim: int, count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((count, dim))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    v.setflags(write=False)
     return v
 
 
@@ -141,12 +133,17 @@ def sphere_design(dim: int, plan: SamplePlan) -> np.ndarray:
     return _random_sphere(dim, plan.random_nd, plan.seed)
 
 
+@lru_cache(maxsize=16)
 def all_samples(dim: int, plan: SamplePlan) -> np.ndarray:
-    """Probes first (so ties resolve toward them), then the sphere design."""
-    design = sphere_design(dim, plan)
-    if dim <= 1:
-        return design
-    return np.concatenate([probe_directions(dim), design], axis=0)
+    """Probes first (so ties resolve toward them), then the sphere design.
+
+    Cached, and read-only: a repeat call returns the same array.
+    """
+    out = sphere_design(dim, plan)
+    if dim > 1:
+        out = np.concatenate([probe_directions(dim), out], axis=0)
+    out.setflags(write=False)
+    return out
 
 
 def h_scale_bound(delta: DeltaVector) -> float:
@@ -185,10 +182,12 @@ def scan_h(delta: DeltaVector, points: np.ndarray,
     """Minimum eigenvalue of h(delta, y) over a stack of unit points.
 
     The result is exact: the worst value, its first index and the violation
-    flag (worst < -tolerance) are those of evaluating every point.  The
-    diagonal of h is one BLAS product per ``_CHUNK`` rows; the entries are
-    built per block, the first block being the ``dim*(dim-1)`` probe rows
-    that :func:`all_samples` puts first.  A batched Cholesky screen
+    flag (not worst >= -tolerance) are those of evaluating every point.  A
+    direction where h has a non-finite entry reads NaN, and the first NaN
+    is the worst (:class:`linalg.FirstMin`).  The diagonal of h is one BLAS
+    product per ``_CHUNK`` rows; the entries are built per block, the first
+    block being the ``dim*(dim-1)`` probe rows that :func:`all_samples`
+    puts first.  A batched Cholesky screen
     (:func:`linalg.screened_min_eig`) clears, row by row, the directions
     that cannot beat the running minimum, and only the rest are
     eigensolved; ``samples`` still counts every point.
@@ -202,8 +201,7 @@ def scan_h(delta: DeltaVector, points: np.ndarray,
     # the margin is not the caller's eps, which may be <= 0.
     margin = PSD_EPS * scale
     dm = delta.as_matrix()
-    worst = math.inf
-    worst_idx = -1
+    worst = FirstMin()
     for lo, hi in _blocks(total, n * (n - 1)):
         if lo % _CHUNK == 0:
             base = lo
@@ -211,13 +209,7 @@ def scan_h(delta: DeltaVector, points: np.ndarray,
             diag = h_diagonal(dm, chunk)
         h = h_entries(dm, chunk[lo - base:hi - base],
                       diag[lo - base:hi - base])
-        rows, lam = screened_min_eig(h, worst, margin)
-        if rows.size == 0:
-            continue
-        k = int(np.argmin(lam))
-        if lam[k] < worst:
-            worst = float(lam[k])
-            worst_idx = lo + int(rows[k])
-    return ScanResult(worst_value=worst, worst_index=worst_idx,
+        worst.update(lo, screened_min_eig(h, worst.value, margin))
+    return ScanResult(worst_value=worst.value, worst_index=worst.index,
                       tolerance=tol, samples=total,
-                      violation=worst < -tol)
+                      violation=not worst.value >= -tol)

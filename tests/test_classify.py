@@ -256,6 +256,26 @@ def test_scale_invariance(rng):
         assert classify(spd, FAST).status == classify(scaled, FAST).status
 
 
+SCALE_PLAN = SamplePlan(angles_2d=256, fibonacci_3d=2000, random_nd=2000,
+                        refine_rounds=5)
+
+
+@pytest.mark.parametrize("c", [2.0 ** 700, 2.0 ** -700, 1e200, 1e-200],
+                         ids=["2^700", "2^-700", "1e200", "1e-200"])
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_scale_invariance_extreme(rng, dim, c):
+    # Jacobi runs on A scaled by a power of two, so no norm overflows or
+    # underflows; under a power-of-two c it runs on the same matrix.
+    for kappa in (2.0, 3.5, 5.0, 5.5, 9.0):
+        spd = spd_with_kappa(rng, dim, kappa)
+        scaled = validate_spd(c * spd.matrix)
+        want, got = classify(spd, SCALE_PLAN), classify(scaled, SCALE_PLAN)
+        assert (got.status, got.certificate) == (want.status,
+                                                 want.certificate)
+        if math.frexp(c)[0] == 0.5:
+            assert got.kappa == want.kappa
+
+
 def test_monotone_flip_2d():
     thr = KAPPA_NECESSARY
     ts = np.concatenate([np.linspace(1.0, 12.0, 45), [thr - 1e-3, thr + 1e-3]])

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -510,6 +511,40 @@ def test_kantorovich_bound_json(diag16):
     out = json.loads(res.stdout)
     assert out["classical"]["holds"] is True
     assert out["k_value"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("point", ["1e-100,1e-100", "1e-200,1e-200",
+                                   "1e200,1e200"])
+def test_kantorovich_bound_independent_of_point_scale(diag16, point):
+    # The bound is homogeneous of degree 4, so (1, 1) decides every
+    # multiple of it, however far K(x) and rhs under- or overflow.
+    res = run_cli("kantorovich-bound", diag16, "--point", point)
+    assert res.returncode == 0 and res.stderr == ""
+    assert "holds = true" in res.stdout
+    assert "holds = false" in res.stdout  # the as-printed variant
+
+
+def test_kantorovich_bound_huge_point_prints_no_warnings(diag16):
+    # K(x) and rhs overflow to inf; the verdict comes from x / |x|.
+    res = run_cli("kantorovich-bound", diag16, "--point", "1e200,1",
+                  "--format", "json")
+    assert res.returncode == 0 and res.stderr == ""
+    out = json.loads(res.stdout)
+    assert out["k_value"] == out["classical"]["rhs"] == math.inf
+    assert out["classical"]["holds"] and out["as_printed"]["holds"]
+
+
+@pytest.mark.parametrize("scale", ["1e160", "1e-200"])
+def test_analyze_extreme_scale(tmp_path, scale):
+    # kappa of [[1, .9], [.9, 1]] is 19; the Frobenius norm of the scaled
+    # matrix overflows or underflows unless Jacobi rescales it.
+    p = str(tmp_path / "scaled.txt")
+    write_matrix(p, float(scale) * np.array([[1.0, 0.9], [0.9, 1.0]]))
+    res = run_cli("analyze", p)
+    assert res.returncode == 1 and res.stderr == ""
+    assert "status: NotConvex" in res.stdout
+    kappa = float(re.search(r"kappa: (\S+)", res.stdout).group(1))
+    assert kappa == pytest.approx(19.0, rel=1e-12)
 
 
 def test_kantorovich_bound_zero_point_exits_64(diag16):

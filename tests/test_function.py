@@ -180,6 +180,16 @@ def test_bound_zero_vector():
         kantorovich_bound_check(DIAG16, np.zeros(2))
 
 
+@pytest.mark.parametrize("c", [1e160, 1e-200, 2.0 ** 1000])
+def test_bound_independent_of_matrix_scale(c):
+    # (l1 + ln)^2 overflows a float at these scales unless the eigenvalues
+    # are rescaled first; the bound is homogeneous of degree 0 in A.
+    spd = validate_spd(c * np.diag([1.0, 6.0]))
+    x = np.array([1.0, 1.0])
+    assert kantorovich_bound_check(spd, x).holds
+    assert not kantorovich_bound_check(spd, x, "as_printed").holds
+
+
 def test_bound_holds_randomly(rng):
     # 10^4 random (A, x) across dims 2..5
     count = 0

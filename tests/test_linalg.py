@@ -248,8 +248,8 @@ def _unscreened(entries):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_screened_min_eig_keeps_every_row_that_can_win(rng, n):
-    # Returned rows carry their unscreened values bitwise; every row left
-    # out lies strictly above worst; non-finite rows are kept as NaN.
+    # Kept rows carry their unscreened values bitwise; every +inf row lies
+    # strictly above worst; non-finite rows are kept as NaN.
     a = rng.standard_normal((64, n, n))
     a = a + np.swapaxes(a, -1, -2)
     a[5, 0, 0] = np.inf
@@ -258,13 +258,15 @@ def test_screened_min_eig_keeps_every_row_that_can_win(rng, n):
     want = _unscreened(entries)
     finite = want[np.isfinite(want)]
     for worst in (np.inf, finite.min(), np.median(finite), finite.max()):
-        rows, lam = screened_min_eig(entries, float(worst), 1e-9)
-        np.testing.assert_array_equal(lam, want[rows])
-        assert {5, 9} <= set(rows.tolist())
-        dropped = np.setdiff1d(np.arange(64), rows)
-        assert np.all(want[dropped] > worst)
+        lam = screened_min_eig(entries, float(worst), 1e-9)
+        assert lam.shape == (64,)
+        kept = lam != np.inf
+        np.testing.assert_array_equal(lam[kept], want[kept])
+        assert np.isnan(lam[[5, 9]]).all()
+        assert np.all(want[~kept] > worst)
         if worst == np.inf:
-            assert rows.tolist() == list(range(64))
+            assert kept.all()
+    assert (screened_min_eig(entries, np.nan, 1e-9) == np.inf).all()
 
 
 @pytest.mark.parametrize("n", range(2, 9))

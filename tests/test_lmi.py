@@ -334,10 +334,10 @@ def test_folded_scan_visits_one_quadrant(monkeypatch, n):
     visited, solved = [], []
 
     def counting(entries, worst, margin):
-        rows, lam = linalg.screened_min_eig(entries, worst, margin)
-        visited.append(entries.shape[2])
-        solved.append(rows.size)
-        return rows, lam
+        lam = linalg.screened_min_eig(entries, worst, margin)
+        visited.append(lam.size)
+        solved.append(int(np.sum(lam != np.inf)))
+        return lam
 
     monkeypatch.setattr(lmi, "screened_min_eig", counting)
     rep = robust_psd_grid("M", OMEGA_SMALL, GridSpec.cube(-1.0, 1.0, n, 2))
@@ -417,15 +417,17 @@ HUGE_OMEGA = GridSpec.cube(2.0, 1e155, 3, 3)
 
 def test_worst_takes_the_first_nan_cell():
     nodes = (np.arange(6.0),)
-    w = lmi._Worst(nodes)
+    w = linalg.FirstMin()
     for start, block in ((0, [3.0, 1.0]), (2, [np.nan, -5.0]),
                          (4, [np.nan, -9.0])):
         w.update(start, np.array(block))
-    assert math.isnan(w.value) and w.cell == (2.0,)
-    assert not w.report("x", lmi.GRID_TOL, 6).passed
-    w = lmi._Worst(nodes)
+    assert math.isnan(w.value) and w.index == 2
+    rep = lmi._report("x", w, nodes, lmi.GRID_TOL, 6)
+    assert rep.worst_cell == (2.0,) and not rep.passed
+    w = linalg.FirstMin()
     w.update(0, np.full(6, np.inf))  # an all-inf grid still names a cell
-    assert w.value == math.inf and w.cell == (0.0,)
+    assert w.value == math.inf and w.index == 0
+    assert lmi._report("x", w, nodes, lmi.GRID_TOL, 6).worst_cell == (0.0,)
 
 
 def test_overflowing_grids_fail_at_their_first_nan_cell():

@@ -60,6 +60,19 @@ def test_all_samples_probes_first():
     assert pts.shape == (106, 3)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_all_samples_is_one_cached_read_only_design(dim):
+    plan = SamplePlan(angles_2d=64, fibonacci_3d=100, random_nd=128)
+    pts = all_samples(dim, plan)
+    assert all_samples(dim, SamplePlan(angles_2d=64, fibonacci_3d=100,
+                                       random_nd=128)) is pts
+    assert not pts.flags.writeable
+    want = sphere_design(dim, plan)
+    if dim > 1:
+        want = np.concatenate([probe_directions(dim), want])
+    assert pts.tobytes() == want.tobytes() and pts.shape == want.shape
+
+
 def test_plan_scaling():
     plan = SamplePlan(angles_2d=100, fibonacci_3d=200, random_nd=300)
     big = plan.scaled(10)
@@ -101,6 +114,21 @@ def test_scan_violating_case():
     assert res.violation
     assert res.worst_index == 0  # the probe itself, scanned first
     assert res.worst_value < 0.0
+
+
+def test_scan_nan_direction_is_the_worst():
+    # The NaN row is the first minimum, as for argmin: the block's finite
+    # minimum is not what is reported, and the scan fails.
+    r = 1.0 / np.sqrt(2.0)
+    d = DeltaVector(dim=3, values=np.array([5.0, 5.0, 5.0]))
+    rows = np.array([[1.0, 0, 0], [np.nan, 0, 0], [r, r, 0]])
+    res = scan_h(d, rows)
+    assert np.isnan(res.worst_value) and res.worst_index == 1
+    assert res.violation and res.samples == 3
+    # the same after a head block of six finite probe rows
+    res = scan_h(d, np.concatenate([probe_directions(3), rows]))
+    assert np.isnan(res.worst_value) and res.worst_index == 7
+    assert res.violation
 
 
 def _delta_case(dim, case):
