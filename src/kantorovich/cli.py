@@ -131,6 +131,19 @@ def _report_dict(r):
             "tolerance": float(r.tolerance), "passed": bool(r.passed)}
 
 
+def _print_json(obj) -> None:
+    """Print ``obj`` as RFC 8259 JSON, indented by 2.  A non-finite float
+    is written as the string "inf", "-inf" or "nan", as in human output."""
+    def strict(o):
+        if isinstance(o, dict):
+            return {k: strict(v) for k, v in o.items()}
+        if isinstance(o, list):
+            return [strict(v) for v in o]
+        finite = not isinstance(o, float) or math.isfinite(o)
+        return o if finite else repr(float(o))
+    print(json.dumps(strict(obj), indent=2, allow_nan=False))
+
+
 def grid_reports_csv(reports) -> str:
     lines = ["grid_id,coords,min_value,tolerance,passed"]
     for r in reports:
@@ -174,7 +187,7 @@ def cmd_analyze(args) -> int:
             "report": _report_dict(verdict.report),
             "seed": plan.seed,
         }
-        print(json.dumps(out, indent=2))
+        _print_json(out)
     else:
         print(f"dim: {spd.dim}")
         print(f"kappa: {spd.kappa!r}")
@@ -288,9 +301,9 @@ def cmd_lmi(args) -> int:
     plan = _plan_from_args(args)
     report = verify_h_lmi(delta, plan)
     if args.format == "json":
-        print(json.dumps({"dim": args.dim,
-                          "delta": [float(v) for v in values],
-                          "report": _report_dict(report)}, indent=2))
+        _print_json({"dim": args.dim,
+                     "delta": [float(v) for v in values],
+                     "report": _report_dict(report)})
     else:
         point = ",".join(repr(float(v)) for v in report.worst_point)
         print(f"dim: {args.dim}")
@@ -345,7 +358,7 @@ def cmd_kantorovich_bound(args) -> int:
             "as_printed": {"rhs": float(printed.rhs),
                            "holds": bool(printed.holds)},
         }
-        print(json.dumps(out, indent=2))
+        _print_json(out)
     else:
         print(f"K(x) = {classical.lhs!r}")
         print(f"classical bound (l1+ln)^2/(4 l1 ln) * |x|^4: rhs = "

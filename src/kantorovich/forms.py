@@ -96,42 +96,30 @@ def as_points(delta: DeltaVector, points) -> np.ndarray:
     return y
 
 
-def h_diagonal(dm: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Diagonals (N, dim) of h at the points y (N, dim); dm = as_matrix().
+def h_entries(dm: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """h at the points y (m, dim) in (dim, dim, m) layout; dm = as_matrix().
 
-    3 y_i^2 + (1/2) sum_j delta_ij y_j^2, the sum as one BLAS product over
-    all N rows (in place, so the peak is two (N, dim) arrays).  Its last
-    bits can depend on N, so a scan that must match h_form_batch bitwise
-    calls this on the same rows at once.
+    The off-diagonal is (y_i * y_j) * delta_ij.  The diagonal sums over j
+    in a fixed order with elementwise ops, no BLAS, so each point's h is
+    bitwise the same whatever m is.  Each entry is a contiguous run over
+    the m points, so batched Cholesky pivots read whole vectors.
     """
-    sq = y * y
-    out = sq @ dm
-    out *= 0.5
-    sq *= 3.0
-    out += sq
-    return out
-
-
-def h_entries(dm: np.ndarray, y: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """h at the points y (m, dim) in (dim, dim, m) layout.
-
-    The off-diagonal is (y_i * y_j) * delta_ij; ``diag`` is h_diagonal of
-    the same rows.  Each entry is a contiguous run over the m points, so
-    batched Cholesky pivots read whole vectors.
-    """
+    m, n = y.shape
     yt = np.ascontiguousarray(y.T)
+    sq = yt * yt
     h = yt[:, None, :] * yt[None, :, :]
     h *= dm[:, :, None]
-    idx = np.arange(dm.shape[0])
-    h[idx, idx] = diag.T
+    diag = h.reshape(n * n, m)[::n + 1]  # the h[i, i] runs, 0 as delta_ii = 0
+    for j in range(n):
+        diag += dm[:, j, None] * sq[j]
+    diag *= 0.5
+    diag += 3.0 * sq
     return h
 
 
 def h_form_batch(delta: DeltaVector, points: np.ndarray) -> np.ndarray:
     """Conjugated Hessian form h(delta, y) for a stack of points (N, dim)."""
-    y = as_points(delta, points)
-    dm = delta.as_matrix()
-    h = h_entries(dm, y, h_diagonal(dm, y))
+    h = h_entries(delta.as_matrix(), as_points(delta, points))
     return np.ascontiguousarray(np.moveaxis(h, -1, 0))
 
 

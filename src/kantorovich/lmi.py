@@ -141,9 +141,8 @@ def verify_h_lmi(delta: DeltaVector, plan: SamplePlan = DEFAULT_PLAN,
                  eps: float = PSD_EPS) -> SampleReport:
     """Sampled check that h(delta, y) is PSD over unit directions.
 
-    The worst point, re-evaluated on its own, gives the worst value to
-    about an ulp of sup|h| (h's diagonal is a BLAS product whose last bit
-    can depend on the row count), and ``passed`` means the worst value
+    The worst point, re-evaluated on its own, gives the worst value bit
+    for bit (h is built row by row), and ``passed`` means the worst value
     clears ``-eps * max(1, sup|h|)``.
     """
     pts = all_samples(delta.dim, plan)

@@ -1,4 +1,4 @@
-"""Unit-sphere sample plans and chunked scanners for the conjugated form.
+"""Unit-sphere sample plans and the block scanner for the conjugated form.
 
 The semi-infinite constraint "h(delta, y) PSD for all y" is probed on finite
 designs: paired coordinate probes (e_i +- e_j)/sqrt(2) are always included,
@@ -7,12 +7,13 @@ Fibonacci spiral in dim 3, seeded random unit vectors above).  h is even and
 degree-2 homogeneous in y, so unit vectors lose nothing.
 
 :func:`scan_h` takes the minimum by value with first-index tie-break, so
-results are deterministic for a fixed seed.  It computes the diagonal of h
-per fixed-size chunk and the entries per block of rows, never an (N, n, n)
-stack, so its memory does not grow with the sample count.  The scan is
-exact, but a batched Cholesky screen clears the directions that cannot
-beat the running minimum and the eigensolver runs only on the rest; the
-reported sample count still counts every direction.
+results are deterministic for a fixed seed.  It builds h per block of rows,
+never an (N, n, n) stack, so its memory does not grow with the sample
+count, and row by row, so the worst point, evaluated alone, gives the
+worst value bit for bit.  The scan is exact, but a batched Cholesky screen
+clears the directions that cannot beat the running minimum and the
+eigensolver runs only on the rest; the reported sample count still counts
+every direction.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forms import (DeltaVector, as_points, h_diagonal, h_entries,
-                    pair_indices)
+from .forms import DeltaVector, as_points, h_entries, pair_indices
 from .linalg import PSD_EPS, FirstMin, screened_min_eig
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "h_scale_bound", "scan_h", "ScanResult",
 ]
 
-_CHUNK = 1 << 18
 # Rows per block of h entries after the probe block (see scan_h).
 _BLOCK = 1 << 12
 
@@ -133,13 +132,20 @@ def sphere_design(dim: int, plan: SamplePlan) -> np.ndarray:
     return _random_sphere(dim, plan.random_nd, plan.seed)
 
 
-@lru_cache(maxsize=16)
 def all_samples(dim: int, plan: SamplePlan) -> np.ndarray:
     """Probes first (so ties resolve toward them), then the sphere design.
 
-    Cached, and read-only: a repeat call returns the same array.
+    Cached on what the design reads, (dim, its count, and the seed at
+    dim >= 4), and read-only: plans that agree on those share one array.
     """
-    out = sphere_design(dim, plan)
+    count = {2: plan.angles_2d, 3: plan.fibonacci_3d}.get(dim, plan.random_nd)
+    return _samples(dim, count if dim > 1 else 1, plan.seed if dim > 3 else 0)
+
+
+@lru_cache(maxsize=16)
+def _samples(dim: int, count: int, seed: int) -> np.ndarray:
+    out = sphere_design(dim, SamplePlan(seed=seed, angles_2d=count,
+                                        fibonacci_3d=count, random_nd=count))
     if dim > 1:
         out = np.concatenate([probe_directions(dim), out], axis=0)
     out.setflags(write=False)
@@ -167,12 +173,10 @@ class ScanResult:
 
 
 def _blocks(total: int, head: int):
-    """(lo, hi) row ranges of a scan: the first ``head`` rows, then
-    ``_BLOCK`` rows each, cut at every multiple of ``_CHUNK``."""
+    """(lo, hi) row ranges: the first ``head`` rows, then ``_BLOCK`` each."""
     lo = 0
     while lo < total:
-        hi = min(total, head if lo < head else lo + _BLOCK,
-                 (lo // _CHUNK + 1) * _CHUNK)
+        hi = min(total, head if lo < head else lo + _BLOCK)
         yield lo, hi
         lo = hi
 
@@ -184,13 +188,13 @@ def scan_h(delta: DeltaVector, points: np.ndarray,
     The result is exact: the worst value, its first index and the violation
     flag (not worst >= -tolerance) are those of evaluating every point.  A
     direction where h has a non-finite entry reads NaN, and the first NaN
-    is the worst (:class:`linalg.FirstMin`).  The diagonal of h is one BLAS
-    product per ``_CHUNK`` rows; the entries are built per block, the first
-    block being the ``dim*(dim-1)`` probe rows that :func:`all_samples`
-    puts first.  A batched Cholesky screen
-    (:func:`linalg.screened_min_eig`) clears, row by row, the directions
-    that cannot beat the running minimum, and only the rest are
-    eigensolved; ``samples`` still counts every point.
+    is the worst (:class:`linalg.FirstMin`).  h is built per block of rows
+    by :func:`forms.h_entries`, bitwise as for each row alone; the first
+    block is the ``dim*(dim-1)`` probe rows that :func:`all_samples` puts
+    first.  A batched Cholesky screen (:func:`linalg.screened_min_eig`)
+    clears, row by row, the directions that cannot beat the running
+    minimum, and only the rest are eigensolved; ``samples`` still counts
+    every point.
     """
     n = delta.dim
     pts = as_points(delta, points)
@@ -203,12 +207,7 @@ def scan_h(delta: DeltaVector, points: np.ndarray,
     dm = delta.as_matrix()
     worst = FirstMin()
     for lo, hi in _blocks(total, n * (n - 1)):
-        if lo % _CHUNK == 0:
-            base = lo
-            chunk = pts[lo:lo + _CHUNK]
-            diag = h_diagonal(dm, chunk)
-        h = h_entries(dm, chunk[lo - base:hi - base],
-                      diag[lo - base:hi - base])
+        h = h_entries(dm, pts[lo:hi])
         worst.update(lo, screened_min_eig(h, worst.value, margin))
     return ScanResult(worst_value=worst.value, worst_index=worst.index,
                       tolerance=tol, samples=total,

@@ -1,5 +1,4 @@
 import json
-import math
 import re
 import subprocess
 import sys
@@ -530,8 +529,26 @@ def test_kantorovich_bound_huge_point_prints_no_warnings(diag16):
                   "--format", "json")
     assert res.returncode == 0 and res.stderr == ""
     out = json.loads(res.stdout)
-    assert out["k_value"] == out["classical"]["rhs"] == math.inf
+    assert out["k_value"] == out["classical"]["rhs"] == "inf"
     assert out["classical"]["holds"] and out["as_printed"]["holds"]
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ["kantorovich-bound", "MATRIX", "--point", "1e200,1"],
+    ["kantorovich-bound", "MATRIX", "--point", "1,0"],
+    ["analyze", "MATRIX"],
+    ["lmi", "--dim", "2", "--delta", "6.2", "--samples-2d", "64"],
+])
+def test_json_output_is_rfc8259(diag16, argv):
+    # A non-finite float is the string "inf", "-inf" or "nan", never a bare
+    # Infinity or NaN token.
+    argv = [diag16 if a == "MATRIX" else a for a in argv]
+    res = run_cli(*argv, "--format", "json")
+    json.loads(res.stdout, parse_constant=_reject_constant)
 
 
 @pytest.mark.parametrize("scale", ["1e160", "1e-200"])

@@ -142,6 +142,20 @@ def test_h_batch_matches_single(rng):
         np.testing.assert_allclose(batch[k], h_form(d, pts[k]), atol=0.0)
 
 
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_h_batch_rows_are_row_local(rng, dim):
+    # Every row of a batch is bitwise the row evaluated alone, whatever the
+    # batch size, so a scan's report does not depend on how it batches.
+    d = DeltaVector(dim=dim, values=rng.uniform(
+        2.0, 12.0, size=dim * (dim - 1) // 2))
+    for m in (1, 2, 7, 2000):
+        pts = rng.standard_normal((m, dim))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        batch = h_form_batch(d, pts)
+        for k in range(m):
+            assert batch[k].tobytes() == h_form(d, pts[k]).tobytes()
+
+
 def test_h_biquadratic_symmetry(rng):
     # z'h(d, y)z == y'h(d, z)y, the identity behind eigenvector descent
     for n in range(2, 9):

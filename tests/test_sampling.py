@@ -73,6 +73,17 @@ def test_all_samples_is_one_cached_read_only_design(dim):
     assert pts.tobytes() == want.tobytes() and pts.shape == want.shape
 
 
+def test_all_samples_cached_on_what_the_design_reads():
+    # One design per (dim, count, seed): refine_rounds, the other dims'
+    # counts and, below dim 4, the seed do not change it.
+    assert all_samples(8, SamplePlan()) is all_samples(
+        8, SamplePlan(refine_rounds=5, angles_2d=7, fibonacci_3d=9))
+    assert all_samples(3, SamplePlan(seed=1)) is all_samples(
+        3, SamplePlan(seed=2))
+    assert all_samples(5, SamplePlan(seed=1, random_nd=64)) is not \
+        all_samples(5, SamplePlan(seed=2, random_nd=64))
+
+
 def test_plan_scaling():
     plan = SamplePlan(angles_2d=100, fibonacci_3d=200, random_nd=300)
     big = plan.scaled(10)
