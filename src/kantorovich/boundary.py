@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import falsify
-from .linalg import SpdMatrix, validate_spd
+from .linalg import PD_TOL, SpdMatrix, validate_spd
 from .sampling import DEFAULT_PLAN, SamplePlan, all_samples
 
 __all__ = [
@@ -102,30 +102,30 @@ def probe_boundary(family: EigenFamily, tol: float = 1e-4,
     """Bisect kappa down to ``tol`` between no-witness and witness regimes.
 
     Requires falsification to find nothing at ``bracket[0]`` and a witness at
-    ``bracket[1]``; otherwise raises :class:`BadInitialBracketError`.  A
+    ``bracket[1]``; otherwise raises :class:`BadInitialBracketError` after
+    the first endpoint that fails.  The bracket must satisfy 1 <= lo < hi
+    and PD_TOL * hi < 1: every family has lambda_min = 1 and lambda_max =
+    kappa, so that is the product :func:`linalg.validate_spd` rejects.  A
     ``tol`` below the float spacing at ``bracket[1]`` is rejected: bisection
     would stall on adjacent floats without ever meeting it.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not 1.0 <= lo < hi < math.inf:
-        raise ValueError("bracket must satisfy 1 <= lo < hi < inf")
+    if not (1.0 <= lo < hi and PD_TOL * hi < 1.0):
+        raise ValueError(
+            f"bracket must satisfy 1 <= lo < hi and {PD_TOL:.0e} * hi < 1")
     if tol < math.ulp(hi):
         raise ValueError(f"tol {tol!r} is below the float spacing "
                          f"{math.ulp(hi)!r} at kappa_hi = {hi!r}")
     t0 = time.perf_counter()
-    steps = []
-    lo_found = _witness_found(family, lo, plan)
-    steps.append(BoundaryStep(lo, lo_found))
-    hi_found = _witness_found(family, hi, plan)
-    steps.append(BoundaryStep(hi, hi_found))
-    if lo_found:
+    if _witness_found(family, lo, plan):
         raise BadInitialBracketError(
             f"witness already found at kappa_lo = {lo}")
-    if not hi_found:
+    if not _witness_found(family, hi, plan):
         raise BadInitialBracketError(
             f"no witness found at kappa_hi = {hi}")
+    steps = [BoundaryStep(lo, False), BoundaryStep(hi, True)]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         found = _witness_found(family, mid, plan)

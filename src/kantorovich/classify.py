@@ -24,10 +24,10 @@ from enum import Enum
 
 import numpy as np
 
-from .forms import DeltaVector, delta_from_spd, h_form, h_form_batch
-from .linalg import PSD_EPS, SpdMatrix, min_eig_batch
+from .forms import DeltaVector, delta_from_spd, h_form
+from .linalg import SpdMatrix, min_eig_batch
 from .lmi import verify_h_lmi
-from .sampling import DEFAULT_PLAN, SamplePlan, SampleReport
+from .sampling import DEFAULT_PLAN, SamplePlan, SampleReport, scan_h
 
 __all__ = [
     "KAPPA_NECESSARY", "KAPPA_SUFFICIENT_ANY", "KAPPA_SUFFICIENT_3D",
@@ -112,14 +112,17 @@ def _descend(delta: DeltaVector, y: np.ndarray, lam: float, rounds: int):
     Since z'h(d, y)z == y'h(d, z)y, the lowest eigenvector v of h(d, y)
     satisfies lambda_min h(d, v) <= y'h(d, v)y == lambda_min h(d, y), so
     each step y <- v is a descent.  It stops after ``rounds`` steps or at
-    the first step without a strict decrease.
+    the first step without a strict decrease.  Each accepted step's h(d, v)
+    gives the next eigenvector, so at most ``rounds + 1`` h's are built.
     """
+    h = h_form(delta, y)
     for _ in range(rounds):
-        v = np.linalg.eigh(h_form_batch(delta, y[None, :])[0])[1][:, 0]
-        val = float(min_eig_batch(h_form_batch(delta, v[None, :]))[0])
+        v = np.linalg.eigh(h)[1][:, 0]
+        hv = h_form(delta, v)
+        val = float(min_eig_batch(hv[None])[0])
         if not val < lam:
             break
-        y, lam = v, val
+        y, lam, h = v, val, hv
     return y, lam
 
 
@@ -147,13 +150,15 @@ def falsify(spd: SpdMatrix, plan: SamplePlan = DEFAULT_PLAN) -> Witness | None:
 
 
 def _probe_witness(spd: SpdMatrix, delta: DeltaVector) -> Witness | None:
-    i, j = necessary_probe(delta).worst_pair
+    """The extreme-pair probe (e_i + e_j)/sqrt(2), judged by :func:`scan_h`
+    like every other direction: a witness iff the scan reports a violation."""
+    (i, j), _ = delta.max_pair()
     y = np.zeros(spd.dim)
     y[i] = y[j] = 1.0 / math.sqrt(2.0)
-    h = h_form(delta, y)
-    lam = float(min_eig_batch(h[None, :, :])[0])
-    if lam < -PSD_EPS * max(1.0, float(np.abs(h).max())):
-        return Witness(point=spd.spectral.rotation.T @ y, lambda_min=lam)
+    res = scan_h(delta, y[None])
+    if res.violation:
+        return Witness(point=spd.spectral.rotation.T @ y,
+                       lambda_min=res.worst_value)
     return None
 
 

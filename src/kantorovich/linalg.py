@@ -71,18 +71,18 @@ def _as_square(raw) -> np.ndarray:
     return m
 
 
-def symmetrize(raw, tol_sym: float = SYM_TOL) -> np.ndarray:
+def symmetrize(raw) -> np.ndarray:
     """Return (M + M')/2 after checking M is square, finite and near-symmetric.
 
-    Asymmetry above ``tol_sym * max|entry|`` is an error, not something to
+    Asymmetry above ``SYM_TOL * max|entry|`` is an error, not something to
     silently average away.
     """
     m = _as_square(raw)
     scale = np.abs(m).max()
     skew = np.abs(m - m.T).max()
-    if skew > tol_sym * max(scale, 1e-300):
+    if skew > SYM_TOL * max(scale, 1e-300):
         raise NotSymmetricError(
-            f"asymmetry {skew:.3e} exceeds {tol_sym:.1e} * {scale:.3e}")
+            f"asymmetry {skew:.3e} exceeds {SYM_TOL:.1e} * {scale:.3e}")
     out = 0.5 * (m + m.T)
     out.setflags(write=False)
     return out
@@ -120,12 +120,11 @@ class SpectralData:
         return self.eigenvalues.shape[0]
 
 
-def eig_sym(m, tol: float = JACOBI_TOL,
-            max_sweeps: int = JACOBI_MAX_SWEEPS) -> SpectralData:
+def eig_sym(m, max_sweeps: int = JACOBI_MAX_SWEEPS) -> SpectralData:
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps rotate every (p, q) pair in row-cyclic order until the off-diagonal
-    Frobenius norm drops below ``tol * ||A||_F``.  The sweeps run on
+    Frobenius norm drops below ``JACOBI_TOL * ||A||_F``.  The sweeps run on
     A * 2^-e, e the binary exponent of max|A|, so the squared norms neither
     overflow nor underflow; scaling by a power of two is exact, so every
     rotation rounds as it would on A itself, and the eigenvalues are scaled
@@ -145,7 +144,7 @@ def eig_sym(m, tol: float = JACOBI_TOL,
         return float(np.sqrt((off * off).sum()))
 
     for _ in range(max_sweeps):
-        if offnorm(work) <= tol * norm:
+        if offnorm(work) <= JACOBI_TOL * norm:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -174,11 +173,11 @@ def eig_sym(m, tol: float = JACOBI_TOL,
                 v[:, p] = c * vp - s * vq
                 v[:, q] = s * vp + c * vq
     else:
-        if offnorm(work) > tol * norm:
+        if offnorm(work) > JACOBI_TOL * norm:
             raise JacobiConvergenceError(
                 f"no convergence after {max_sweeps} sweeps "
                 f"(off-norm {math.ldexp(offnorm(work), e):.3e}, "
-                f"target {math.ldexp(tol * norm, e):.3e})")
+                f"target {math.ldexp(JACOBI_TOL * norm, e):.3e})")
 
     w = np.ldexp(np.diag(work), e)
     order = np.argsort(w, kind="stable")
@@ -217,25 +216,19 @@ class SpdMatrix:
         return self.spectral.eigenvalues
 
 
-def validate_spd(raw, tol_sym: float = SYM_TOL,
-                 tol_pd: float = PD_TOL) -> SpdMatrix:
+def validate_spd(raw) -> SpdMatrix:
     """Validate raw input as SPD and bundle matrix, inverse and spectrum.
 
-    Parameters
-    ----------
-    raw : array_like
-        Square matrix, dim 1..8.
-    tol_sym : float
-        Relative asymmetry accepted before symmetrizing.
-    tol_pd : float
-        Rejects when lambda_min <= tol_pd * lambda_max.
+    ``raw`` is a square matrix, dim 1..8; asymmetry above ``SYM_TOL``
+    relative is rejected (:func:`symmetrize`), and so is
+    lambda_min <= ``PD_TOL`` * lambda_max.
     """
-    a = symmetrize(raw, tol_sym)
+    a = symmetrize(raw)
     spec = eig_sym(a)
     w = spec.eigenvalues
-    if w[0] <= tol_pd * w[-1]:
+    if w[0] <= PD_TOL * w[-1]:
         raise NotPositiveDefiniteError(
-            f"lambda_min {w[0]:.6e} <= {tol_pd:.1e} * lambda_max {w[-1]:.6e}")
+            f"lambda_min {w[0]:.6e} <= {PD_TOL:.1e} * lambda_max {w[-1]:.6e}")
     inv = spec.rotation.T @ ((1.0 / w)[:, None] * spec.rotation)
     inv = 0.5 * (inv + inv.T)
     inv.setflags(write=False)
@@ -245,7 +238,7 @@ def validate_spd(raw, tol_sym: float = SYM_TOL,
 
 # ---------------------------------------------------------------------------
 # Batched minimum eigenvalues for the scans, all from LAPACK's eigvalsh;
-# min_eigenvalue() above stays the certification route.
+# min_eigenvalue() above is the Jacobi reference they are tested against.
 # ---------------------------------------------------------------------------
 
 def cholesky_clears(entries: np.ndarray, shift: float) -> np.ndarray:

@@ -16,9 +16,9 @@ Three layers:
   scanned as m (:func:`linalg.screened_min_eig`), on the nodes <= 0 of
   each symmetric (alpha, beta) axis.
 
-Grid scans use one absolute tolerance (values >= -1e-9 pass); every check
-reports its worst cell so a failure is immediately reproducible, and a NaN
-cell is the worst cell and fails its check.  Every scan walks its grid with
+Grid scans use one absolute tolerance (values >= -GRID_TOL pass); every
+check reports its worst cell so a failure is immediately reproducible, and a
+NaN cell is the worst cell and fails its check.  Every scan walks its grid with
 one block iterator, :func:`_blocks`: a block is a C-order run of about
 ``_BLOCK`` cells whose coordinates are node arrays that broadcast against
 one another, so no grid (of omega or of any other axis) is ever built cell
@@ -218,12 +218,12 @@ def _omega(w1, w2, w3) -> np.ndarray:
 
 
 def _report(grid_id: str, worst: FirstMin, nodes: tuple[np.ndarray, ...],
-            tol: float, cells: int) -> GridScanReport:
+            cells: int) -> GridScanReport:
     """The row of a scan that fed ``worst`` the C-order cells of ``nodes``;
-    its flat index becomes a cell here."""
+    its flat index becomes a cell here, and it passes at >= -GRID_TOL."""
     idx = np.unravel_index(worst.index, tuple(len(n) for n in nodes))
-    return GridScanReport(grid_id=grid_id, passed=worst.value >= -tol,
-                          tolerance=tol, worst_value=worst.value,
+    return GridScanReport(grid_id=grid_id, passed=worst.value >= -GRID_TOL,
+                          tolerance=GRID_TOL, worst_value=worst.value,
                           worst_cell=tuple(float(n[i])
                                            for n, i in zip(nodes, idx)),
                           cells=cells)
@@ -232,9 +232,10 @@ def _report(grid_id: str, worst: FirstMin, nodes: tuple[np.ndarray, ...],
 # Huge grid nodes overflow to inf and their differences to NaN; those cells
 # fail their rows, so numpy's floating-point warnings are silenced.
 @np.errstate(over="ignore", invalid="ignore")
-def box_inequality_grid_check(grid: GridSpec = BOX_GRID_DEFAULT,
-                              tol: float = GRID_TOL) -> GridCheckSummary:
-    """Evaluate the five box inequalities at every grid node."""
+def box_inequality_grid_check(
+        grid: GridSpec = BOX_GRID_DEFAULT) -> GridCheckSummary:
+    """Evaluate the five box inequalities at every grid node; each row
+    passes when its worst value is >= -GRID_TOL."""
     if grid.ndim != 3:
         raise ValueError("box grid must have 3 axes")
     nodes = grid.node_arrays()
@@ -242,7 +243,7 @@ def box_inequality_grid_check(grid: GridSpec = BOX_GRID_DEFAULT,
     for start, coords in _blocks(nodes, _BLOCK):
         for w, v in zip(worst, box_inequalities(*coords)):
             w.update(start, v)
-    reports = tuple(_report(f"box_{name}", w, nodes, tol, grid.cells)
+    reports = tuple(_report(f"box_{name}", w, nodes, grid.cells)
                     for name, w in zip(BoxValues._fields, worst))
     return GridCheckSummary(passed=all(r.passed for r in reports),
                             reports=reports)
@@ -278,9 +279,9 @@ def _folded(ax: Axis) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def robust_psd_grid(form: str, omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
-                    ab_grid: GridSpec = AB_GRID_DEFAULT,
-                    tol: float = GRID_TOL) -> GridScanReport:
-    """Minimum eigenvalue of one normalized form over the full grid.
+                    ab_grid: GridSpec = AB_GRID_DEFAULT) -> GridScanReport:
+    """Minimum eigenvalue of one normalized form over the full grid; the
+    row passes when it is >= -GRID_TOL.
 
     Every form is scanned as m over its permuted omega axes, in blocks of
     at most ``_BLOCK`` cells whose omega nodes broadcast against the
@@ -320,12 +321,12 @@ def robust_psd_grid(form: str, omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
             packed[i, j] = packed[j, i] = e
         worst.update(start, screened_min_eig(stack, worst.value, margin))
     cells = omega_grid.cells * ab_grid.cells
-    return _relabel(_report("robust_M", worst, nodes, tol, cells), key)
+    return _relabel(_report("robust_M", worst, nodes, cells), key)
 
 
 def robust_psd_grids(omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
-                     ab_grid: GridSpec = AB_GRID_DEFAULT,
-                     tol: float = GRID_TOL) -> tuple[GridScanReport, ...]:
+                     ab_grid: GridSpec = AB_GRID_DEFAULT
+                     ) -> tuple[GridScanReport, ...]:
     """The robust_M, robust_P and robust_Q rows, in that order.
 
     One m scan per distinct permuted omega-axis order: one on a cube grid,
@@ -337,7 +338,7 @@ def robust_psd_grids(omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
     for form, perm in _FORM_AXES.items():
         axes = tuple(omega_grid.axes[k] for k in perm)
         if axes not in scans:
-            scans[axes] = robust_psd_grid("M", GridSpec(axes), ab_grid, tol)
+            scans[axes] = robust_psd_grid("M", GridSpec(axes), ab_grid)
         rows.append(_relabel(scans[axes], form))
     return tuple(rows)
 
@@ -357,8 +358,7 @@ def detm_alpha_poly(omega, beta: float) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def detm_alpha_convexity_check(omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
                                beta_grid: GridSpec = BETA_GRID_DEFAULT,
-                               alpha_count: int = 41,
-                               tol: float = GRID_TOL) -> GridCheckSummary:
+                               alpha_count: int = 41) -> GridCheckSummary:
     """Certify the alpha-behavior of det m over an (omega, beta) grid.
 
     With det m = c0 + c2 a^2 + c4 a^4 + c6 a^6 (closed-form coefficients,
@@ -369,7 +369,7 @@ def detm_alpha_convexity_check(omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
     detm_d4          = 24 c4 + 360 c6 a^2             (d^4/da^4 det m)
     detm_min_at_zero = a^2 (c2 + c4 a^2 + c6 a^4)     (det m - det m at 0)
 
-    and detm_alpha0 = c0 per (omega, beta) cell; each must be nonnegative.
+    and detm_alpha0 = c0 per (omega, beta) cell; each must be >= -GRID_TOL.
     Worst cells are (w1, w2, w3, beta[, alpha]).  The (omega, beta) cells
     are scanned in blocks of about ``4 * _BLOCK`` (cell, alpha node) values,
     128 KB per temporary, whatever the grids.
@@ -399,7 +399,7 @@ def detm_alpha_convexity_check(omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
 
     cells = omega_grid.cells * beta_grid.cells
     reports = tuple(_report(name, w, nodes if name == "detm_alpha0"
-                            else with_alpha, tol, cells)
+                            else with_alpha, cells)
                     for name, w in trackers.items())
     return GridCheckSummary(passed=all(r.passed for r in reports),
                             reports=reports)

@@ -29,7 +29,7 @@ from .linalg import PSD_EPS, FirstMin, screened_min_eig
 
 __all__ = [
     "SamplePlan", "SampleReport", "DEFAULT_PLAN",
-    "probe_directions", "sphere_design", "all_samples",
+    "probe_directions", "all_samples",
     "h_scale_bound", "scan_h", "ScanResult",
 ]
 
@@ -121,19 +121,11 @@ def _random_sphere(dim: int, count: int, seed: int) -> np.ndarray:
     return v
 
 
-def sphere_design(dim: int, plan: SamplePlan) -> np.ndarray:
-    """The deterministic-per-seed direction design for ``dim``."""
-    if dim <= 1:
-        return np.ones((1, 1))
-    if dim == 2:
-        return _angles_2d(plan.angles_2d)
-    if dim == 3:
-        return _fibonacci_3d(plan.fibonacci_3d)
-    return _random_sphere(dim, plan.random_nd, plan.seed)
-
-
 def all_samples(dim: int, plan: SamplePlan) -> np.ndarray:
-    """Probes first (so ties resolve toward them), then the sphere design.
+    """Probes first (so ties resolve toward them), then the sphere design:
+    ``angles_2d`` equispaced angles in dim 2, a ``fibonacci_3d`` spiral in
+    dim 3, ``random_nd`` unit vectors drawn from ``seed`` above, and the
+    single point (1,) in dim 1.
 
     Cached on what the design reads, (dim, its count, and the seed at
     dim >= 4), and read-only: plans that agree on those share one array.
@@ -144,10 +136,16 @@ def all_samples(dim: int, plan: SamplePlan) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _samples(dim: int, count: int, seed: int) -> np.ndarray:
-    out = sphere_design(dim, SamplePlan(seed=seed, angles_2d=count,
-                                        fibonacci_3d=count, random_nd=count))
-    if dim > 1:
-        out = np.concatenate([probe_directions(dim), out], axis=0)
+    if dim <= 1:
+        out = np.ones((1, 1))
+    else:
+        if dim == 2:
+            design = _angles_2d(count)
+        elif dim == 3:
+            design = _fibonacci_3d(count)
+        else:
+            design = _random_sphere(dim, count, seed)
+        out = np.concatenate([probe_directions(dim), design], axis=0)
     out.setflags(write=False)
     return out
 

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from kantorovich.boundary import (SWEEP_CSV_HEADER, BadInitialBracketError,
-                                  EigenFamily, probe_boundary, sweep,
-                                  sweep_csv)
+from kantorovich.boundary import (FAMILY_KINDS, SWEEP_CSV_HEADER,
+                                  BadInitialBracketError, EigenFamily,
+                                  probe_boundary, sweep, sweep_csv)
+from kantorovich.classify import falsify
+from kantorovich.linalg import PD_TOL, NotPositiveDefiniteError
 from kantorovich.sampling import SamplePlan
 
 THRESHOLD_2D = 3.0 + 2.0 * math.sqrt(2.0)
@@ -87,6 +89,51 @@ def test_probe_argument_validation():
         probe_boundary(fam, tol=1e-3, plan=FAST, bracket=(3.0, 3.0))
     with pytest.raises(ValueError):
         probe_boundary(fam, tol=1e-3, plan=FAST, bracket=(1.0, math.inf))
+
+
+def test_probe_bracket_limit_is_the_spd_limit(monkeypatch):
+    # Every family has lambda_min = 1 and lambda_max = kappa, so kappa_hi
+    # may go up to the largest kappa validate_spd accepts; a larger one is
+    # a bad bracket, rejected before any search.
+    searched = []
+
+    def no_witness(spd, plan):
+        searched.append(spd.kappa)
+        return None
+
+    monkeypatch.setattr("kantorovich.boundary.falsify", no_witness)
+    top = 1e12
+    while PD_TOL * top >= 1.0:
+        top = math.nextafter(top, 0.0)
+    above = math.nextafter(top, math.inf)
+    for kind in FAMILY_KINDS:
+        fam = EigenFamily(kind, 3)
+        with pytest.raises(NotPositiveDefiniteError):
+            fam.spd(above)
+        for hi in (above, 1e13):
+            with pytest.raises(ValueError, match="bracket"):
+                probe_boundary(fam, tol=1e-2, plan=FAST, bracket=(1.0, hi))
+        assert searched == []
+        with pytest.raises(BadInitialBracketError, match="kappa_hi"):
+            probe_boundary(fam, tol=1e-2, plan=FAST, bracket=(1.0, top))
+        assert searched == [1.0, top]
+        searched.clear()
+
+
+def test_probe_bad_bracket_low_searches_once(monkeypatch):
+    # A witness at kappa_lo fails the bracket without a search at kappa_hi.
+    calls = []
+
+    def counting(spd, plan):
+        calls.append(spd.kappa)
+        return falsify(spd, plan)
+
+    monkeypatch.setattr("kantorovich.boundary.falsify", counting)
+    with pytest.raises(BadInitialBracketError,
+                       match="witness already found at kappa_lo = 7.0"):
+        probe_boundary(EigenFamily("two_point", 2), tol=1e-2, plan=FAST,
+                       bracket=(7.0, 8.0))
+    assert calls == [7.0]
 
 
 def test_probe_tol_below_float_spacing(monkeypatch):

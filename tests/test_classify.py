@@ -114,6 +114,27 @@ def test_descend_never_raises_lambda_min(rng):
         assert lams[-1] < lams[0]
 
 
+def test_descend_builds_one_h_per_step(monkeypatch):
+    # Each accepted step's h gives the next eigenvector: rounds + 1 builds.
+    from kantorovich import forms
+    delta = delta_from_spd(validate_spd(np.diag([1.0, 2.0, 4.0, 9.0])))
+    y0 = np.random.default_rng(5).standard_normal(4)
+    y0 /= np.linalg.norm(y0)
+    lam0 = _lam(delta, y0)
+    lams = [_descend(delta, y0, lam0, r)[1] for r in (1, 2)]
+    assert lams[1] < lams[0] < lam0  # the descent takes at least 2 steps
+    real, calls = forms.h_entries, []
+
+    def counting(dm, y):
+        calls.append(len(y))
+        return real(dm, y)
+
+    monkeypatch.setattr(forms, "h_entries", counting)
+    rounds = 5
+    _descend(delta, y0, lam0, rounds)
+    assert 2 <= len(calls) <= rounds + 1
+
+
 def test_descend_stops_at_probe_witness():
     spd = validate_spd(np.diag([1.0, 2.0, 7.0]))
     delta = delta_from_spd(spd)

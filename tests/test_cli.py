@@ -374,6 +374,16 @@ def test_boundary_tol_below_float_spacing_exits_64():
     assert res.stdout == ""
 
 
+def test_boundary_bracket_beyond_spd_exits_64():
+    # kappa = 1e12 is not a valid SPD condition number; the bracket is a
+    # usage error before any search, not a matrix error.
+    res = run_cli("boundary", "--families", "two_point", "--dims", "2",
+                  "--tol", "1e-2", "--bracket-hi", "1e12")
+    assert res.returncode == 64
+    assert "bracket" in res.stderr
+    assert "Traceback" not in res.stderr and res.stdout == ""
+
+
 def test_boundary_bad_bracket_exits_70():
     res = run_cli("boundary", "--families", "two_point", "--dims", "2",
                   "--tol", "1e-2", "--samples-2d", "256",

@@ -134,14 +134,6 @@ def test_conjugation_identity(rng):
         np.testing.assert_allclose(f_hessian(spd, x), u.T @ h @ u, atol=1e-9)
 
 
-def test_h_batch_matches_single(rng):
-    d = DeltaVector(dim=4, values=rng.uniform(2.0, 6.0, size=6))
-    pts = rng.standard_normal((17, 4))
-    batch = h_form_batch(d, pts)
-    for k in range(17):
-        np.testing.assert_allclose(batch[k], h_form(d, pts[k]), atol=0.0)
-
-
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_h_batch_rows_are_row_local(rng, dim):
     # Every row of a batch is bitwise the row evaluated alone, whatever the

@@ -419,12 +419,12 @@ def test_worst_takes_the_first_nan_cell():
                          (4, [np.nan, -9.0])):
         w.update(start, np.array(block))
     assert math.isnan(w.value) and w.index == 2
-    rep = lmi._report("x", w, nodes, lmi.GRID_TOL, 6)
+    rep = lmi._report("x", w, nodes, 6)
     assert rep.worst_cell == (2.0,) and not rep.passed
     w = linalg.FirstMin()
     w.update(0, np.full(6, np.inf))  # an all-inf grid still names a cell
     assert w.value == math.inf and w.index == 0
-    assert lmi._report("x", w, nodes, lmi.GRID_TOL, 6).worst_cell == (0.0,)
+    assert lmi._report("x", w, nodes, 6).worst_cell == (0.0,)
 
 
 def test_overflowing_grids_fail_at_their_first_nan_cell():

@@ -8,8 +8,12 @@ from kantorovich.classify import Certificate, classify
 from kantorovich.forms import DeltaVector, delta_from_spd, h_form_batch
 from kantorovich.linalg import PSD_EPS, min_eig_batch, validate_spd
 from kantorovich.sampling import (DEFAULT_PLAN, SamplePlan, all_samples,
-                                  h_scale_bound, probe_directions, scan_h,
-                                  sphere_design)
+                                  h_scale_bound, probe_directions, scan_h)
+
+
+def design(dim, plan):
+    """The sphere design of ``all_samples``: every row after the probes."""
+    return all_samples(dim, plan)[dim * (dim - 1):]
 
 
 def test_probe_directions_shape_and_norms():
@@ -27,7 +31,7 @@ def test_probe_directions_shape_and_norms():
 def test_sphere_design_unit_norm():
     plan = SamplePlan(angles_2d=64, fibonacci_3d=500, random_nd=1000)
     for n in (2, 3, 4, 6):
-        pts = sphere_design(n, plan)
+        pts = design(n, plan)
         count = {2: plan.angles_2d,
                  3: plan.fibonacci_3d}.get(n, plan.random_nd)
         assert pts.shape == (count, n)
@@ -37,17 +41,17 @@ def test_sphere_design_unit_norm():
 
 def test_design_determinism():
     plan = SamplePlan(seed=7, random_nd=512)
-    a = sphere_design(5, plan)
-    b = sphere_design(5, SamplePlan(seed=7, random_nd=512))
+    a = design(5, plan)
+    b = design(5, SamplePlan(seed=7, random_nd=512))
     np.testing.assert_array_equal(a, b)
-    c = sphere_design(5, SamplePlan(seed=8, random_nd=512))
+    c = design(5, SamplePlan(seed=8, random_nd=512))
     assert not np.array_equal(a, c)
 
 
 def test_angles_cover_diagonal():
     # the 2-d design contains the exact 45-degree direction when the count
     # is a multiple of 4 (theta = pi*k/count hits pi/4)
-    pts = sphere_design(2, SamplePlan(angles_2d=4096))
+    pts = design(2, SamplePlan(angles_2d=4096))
     r = 1.0 / np.sqrt(2.0)
     hits = np.isclose(pts, [r, r], atol=0.0).all(axis=1)
     assert hits.any()
@@ -67,9 +71,10 @@ def test_all_samples_is_one_cached_read_only_design(dim):
     assert all_samples(dim, SamplePlan(angles_2d=64, fibonacci_3d=100,
                                        random_nd=128)) is pts
     assert not pts.flags.writeable
-    want = sphere_design(dim, plan)
-    if dim > 1:
-        want = np.concatenate([probe_directions(dim), want])
+    # a fresh, uncached build of the same design
+    count = {1: 1, 2: 64, 3: 100}.get(dim, 128)
+    want = sampling._samples.__wrapped__(dim, count,
+                                         plan.seed if dim > 3 else 0)
     assert pts.tobytes() == want.tobytes() and pts.shape == want.shape
 
 
