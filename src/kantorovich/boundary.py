@@ -1,9 +1,9 @@
-"""Empirical convexity-threshold probing over parametric eigenvalue families.
+"""Convexity-threshold probing over parametric eigenvalue families.
 
 For a family kappa -> spectrum(kappa) the prober bisects on kappa between a
-convex-looking floor and a witness-bearing ceiling, using the falsification
-search as the oracle at each midpoint.  The bracket it returns is an
-*empirical* threshold estimate: its floor is only as good as the sample
+witness-free floor and a witness-bearing ceiling; :func:`classify.classify`
+decides each step, by the ladder's theorems outside the gap and by the
+sampled scan of h inside it.  A floor in the gap is only as good as the sample
 budget, so brackets are reported per family and never asserted to coincide.
 """
 
@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import falsify
-from .linalg import PD_TOL, SpdMatrix, validate_spd
+# falsify stays importable here: bench/workloads.py re-checks kappa_hi with it.
+from .classify import classify, falsify  # noqa: F401
+from .linalg import MAX_DIM, PD_TOL, SpdMatrix, validate_spd
 from .sampling import DEFAULT_PLAN, SamplePlan, all_samples
 
 __all__ = [
@@ -48,8 +49,8 @@ class EigenFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"kind must be one of {FAMILY_KINDS}")
-        if self.dim < 2:
-            raise ValueError("family dim must be >= 2")
+        if not 2 <= self.dim <= MAX_DIM:
+            raise ValueError(f"family dim {self.dim} not in 2..{MAX_DIM}")
 
     def eigenvalues(self, kappa: float) -> np.ndarray:
         if kappa < 1.0:
@@ -93,7 +94,7 @@ class BoundaryEstimate:
 
 def _witness_found(family: EigenFamily, kappa: float,
                    plan: SamplePlan) -> bool:
-    return falsify(family.spd(kappa), plan) is not None
+    return classify(family.spd(kappa), plan).witness is not None
 
 
 def probe_boundary(family: EigenFamily, tol: float = 1e-4,
@@ -101,13 +102,13 @@ def probe_boundary(family: EigenFamily, tol: float = 1e-4,
                    bracket: tuple[float, float] = (1.0, 8.0)) -> BoundaryEstimate:
     """Bisect kappa down to ``tol`` between no-witness and witness regimes.
 
-    Requires falsification to find nothing at ``bracket[0]`` and a witness at
-    ``bracket[1]``; otherwise raises :class:`BadInitialBracketError` after
-    the first endpoint that fails.  The bracket must satisfy 1 <= lo < hi
-    and PD_TOL * hi < 1: every family has lambda_min = 1 and lambda_max =
-    kappa, so that is the product :func:`linalg.validate_spd` rejects.  A
-    ``tol`` below the float spacing at ``bracket[1]`` is rejected: bisection
-    would stall on adjacent floats without ever meeting it.
+    Each step asks :func:`classify.classify` for a witness; it requires none
+    at ``bracket[0]`` and one at ``bracket[1]``, else raises
+    :class:`BadInitialBracketError` after the first endpoint that fails.  The
+    bracket must satisfy 1 <= lo < hi and PD_TOL * hi < 1: every family has
+    lambda_min = 1 and lambda_max = kappa, so that is the product
+    :func:`linalg.validate_spd` rejects.  A ``tol`` below the float spacing at
+    ``bracket[1]`` is rejected: bisection would stall on adjacent floats.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")

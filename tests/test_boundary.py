@@ -1,13 +1,19 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
+from kantorovich import boundary
 from kantorovich.boundary import (FAMILY_KINDS, SWEEP_CSV_HEADER,
                                   BadInitialBracketError, EigenFamily,
                                   probe_boundary, sweep, sweep_csv)
-from kantorovich.classify import falsify
-from kantorovich.linalg import PD_TOL, NotPositiveDefiniteError
+from kantorovich.classify import (BOUNDARY_REL_TOL, KAPPA_NECESSARY,
+                                  KAPPA_SUFFICIENT_3D, KAPPA_SUFFICIENT_ANY,
+                                  Certificate, ConvexityVerdict, Status,
+                                  classify, falsify)
+from kantorovich.linalg import MAX_DIM, PD_TOL, NotPositiveDefiniteError
+from kantorovich.lmi import verify_h_lmi
 from kantorovich.sampling import SamplePlan
 
 THRESHOLD_2D = 3.0 + 2.0 * math.sqrt(2.0)
@@ -43,6 +49,11 @@ def test_family_validation():
         EigenFamily("two_point", 1)
     with pytest.raises(ValueError):
         EigenFamily("custom", 3)
+    # linalg stops at MAX_DIM, so a larger family fails when it is built,
+    # not after a sweep has searched the rows before it.
+    EigenFamily("two_point", MAX_DIM)
+    with pytest.raises(ValueError, match="dim 9 not in 2..8"):
+        EigenFamily("two_point", MAX_DIM + 1)
     with pytest.raises(ValueError):
         EigenFamily("two_point", 2).eigenvalues(0.5)
 
@@ -99,9 +110,10 @@ def test_probe_bracket_limit_is_the_spd_limit(monkeypatch):
 
     def no_witness(spd, plan):
         searched.append(spd.kappa)
-        return None
+        return ConvexityVerdict(Status.UNDETERMINED,
+                                Certificate.SAMPLING_EXHAUSTED, spd.kappa)
 
-    monkeypatch.setattr("kantorovich.boundary.falsify", no_witness)
+    monkeypatch.setattr("kantorovich.boundary.classify", no_witness)
     top = 1e12
     while PD_TOL * top >= 1.0:
         top = math.nextafter(top, 0.0)
@@ -126,9 +138,9 @@ def test_probe_bad_bracket_low_searches_once(monkeypatch):
 
     def counting(spd, plan):
         calls.append(spd.kappa)
-        return falsify(spd, plan)
+        return classify(spd, plan)
 
-    monkeypatch.setattr("kantorovich.boundary.falsify", counting)
+    monkeypatch.setattr("kantorovich.boundary.classify", counting)
     with pytest.raises(BadInitialBracketError,
                        match="witness already found at kappa_lo = 7.0"):
         probe_boundary(EigenFamily("two_point", 2), tol=1e-2, plan=FAST,
@@ -139,13 +151,71 @@ def test_probe_bad_bracket_low_searches_once(monkeypatch):
 def test_probe_tol_below_float_spacing(monkeypatch):
     # Below ulp(kappa_hi) bisection stalls on adjacent floats, so such a tol
     # is rejected before any witness search runs.
-    monkeypatch.setattr("kantorovich.boundary.falsify",
+    monkeypatch.setattr("kantorovich.boundary.classify",
                         lambda *a: pytest.fail("searched for a witness"))
     fam = EigenFamily("two_point", 2)
     for bracket in ((1.0, 8.0), (1.0, 1e6)):
         with pytest.raises(ValueError, match="float spacing"):
             probe_boundary(fam, tol=0.5 * math.ulp(bracket[1]), plan=FAST,
                            bracket=bracket)
+
+
+def _trace(est):
+    return (est.kappa_lo, est.kappa_hi,
+            [(s.kappa, s.found_witness) for s in est.steps])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_ladder_oracle_matches_falsify_oracle(monkeypatch, dim):
+    # Deciding a step by the ladder changes no bracket and no step: outside
+    # the gap the design scan cannot disagree with the theorems, inside it
+    # classify runs the same search as falsify.
+    for kind in FAMILY_KINDS:
+        fam = EigenFamily(kind, dim)
+        ladder = probe_boundary(fam, tol=1e-6, plan=FAST)
+        with monkeypatch.context() as m:
+            m.setattr(boundary, "_witness_found",
+                      lambda f, kappa, plan:
+                      falsify(f.spd(kappa), plan) is not None)
+            scan_only = probe_boundary(fam, tol=1e-6, plan=FAST)
+        assert _trace(ladder) == _trace(scan_only)
+
+
+def test_only_gap_steps_scan(monkeypatch):
+    # A step scans the design only when kappa lies in the gap between the
+    # sufficient rung of its dim and the necessary threshold: a dim-2 sweep
+    # never scans, nor does the kappa = 1 step.
+    scans = []
+    per_step = []
+    real_step = boundary._witness_found
+
+    def counting_scan(delta, plan):
+        scans.append(delta.dim)
+        return verify_h_lmi(delta, plan)
+
+    def counting_step(family, kappa, plan):
+        before = len(scans)
+        found = real_step(family, kappa, plan)
+        per_step.append((family.spd(kappa).kappa, len(scans) - before))
+        return found
+
+    # kantorovich.classify names the function; the module is looked up.
+    monkeypatch.setattr(importlib.import_module("kantorovich.classify"),
+                        "verify_h_lmi", counting_scan)
+    monkeypatch.setattr(boundary, "_witness_found", counting_step)
+    inc = 1.0 + BOUNDARY_REL_TOL
+    top = KAPPA_NECESSARY * inc
+    for dim in (2, 3, 4):
+        floor = KAPPA_SUFFICIENT_3D if dim == 3 else KAPPA_SUFFICIENT_ANY
+        for kind in FAMILY_KINDS:
+            per_step.clear()
+            est = probe_boundary(EigenFamily(kind, dim), tol=1e-3, plan=FAST)
+            assert len(per_step) == len(est.steps)
+            assert per_step[0] == (1.0, 0)
+            for kappa, count in per_step:
+                in_gap = dim > 2 and floor * inc < kappa <= top
+                assert count == int(in_gap), (kind, dim, kappa)
+    assert scans
 
 
 def test_budget_monotonicity():

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import write_matrix
 from kantorovich.cli import (parse_matrix_json, parse_matrix_text,
-                             read_matrix_file)
+                             read_matrix_file, run)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -382,6 +382,21 @@ def test_boundary_bracket_beyond_spd_exits_64():
     assert res.returncode == 64
     assert "bracket" in res.stderr
     assert "Traceback" not in res.stderr and res.stdout == ""
+
+
+def test_boundary_unsupported_dim_exits_64_before_any_search(monkeypatch,
+                                                              capsys):
+    # dim 9 is rejected while the families are built, so the dim-4 rows
+    # before it are never searched.
+    monkeypatch.setattr("kantorovich.boundary.classify",
+                        lambda *a: pytest.fail("searched for a witness"))
+    code = run(["boundary", "--dims", "4,9",
+                "--families", "two_point,geometric,pinned_pair"])
+    out, err = capsys.readouterr()
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error:") and "dim 9" in err
+    assert "Traceback" not in err
 
 
 def test_boundary_bad_bracket_exits_70():
