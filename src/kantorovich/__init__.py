@@ -3,7 +3,8 @@
 The library decides convexity from the condition number alone whenever a
 closed-form threshold applies, reduces the general question to a
 positive-semidefiniteness check over the unit sphere in eigencoordinates,
-and searches for explicit non-convexity witnesses otherwise.  Grid routines
+and in the gap between the thresholds scans that check and reports it.
+``falsify`` searches for explicit non-convexity witnesses.  Grid routines
 certify the supporting inequalities on their compact parameter boxes.
 
 Everything else lives in the submodules (``kantorovich.classify``,

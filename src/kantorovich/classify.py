@@ -1,4 +1,4 @@
-"""Convexity classification by condition number, with witness search.
+"""Convexity classification by condition number, with a reported gap scan.
 
 Decision ladder, in order:
 
@@ -8,9 +8,10 @@ Decision ladder, in order:
 3. dim 3: kappa <= 2 + sqrt(3) is sufficient.
 4. any dim: kappa <= sqrt(5 + 2*sqrt(6)) is sufficient.
 5. otherwise kappa sits in the open gap: scan the sampled design once
-   (:func:`verify_h_lmi`); a violating direction, lowered by eigenvector
-   descent, gives NotConvex with a witness, exhausting the budget gives
-   Undetermined with the scan report.
+   (:func:`verify_h_lmi`) and return Undetermined with the scan report.
+   The scan cannot fail there: by the pair-term identity for h (see
+   docs/formats.md), lambda_min h(delta, y) >= 3/2 - delta_max/4 >= -2e-12
+   at every unit y, far inside the scan tolerance.
 
 Threshold comparisons are inclusive within relative 1e-12, so a matrix built
 to sit exactly on a boundary classifies with the boundary, not against it.
@@ -57,7 +58,6 @@ class Certificate(str, Enum):
     SUFFICIENT_ANY_DIM = "sufficient-any-dim"
     SUFFICIENT_3D = "sufficient-3d"
     NECESSARY_VIOLATED = "necessary-violated"
-    WITNESS_FOUND = "witness-found"
     SAMPLING_EXHAUSTED = "sampling-exhausted"
 
 
@@ -126,27 +126,21 @@ def _descend(delta: DeltaVector, y: np.ndarray, lam: float, rounds: int):
     return y, lam
 
 
-def _search(spd: SpdMatrix, delta: DeltaVector, plan: SamplePlan):
-    """Scan the probe + design directions once (:func:`verify_h_lmi`).
-
-    A failed scan's worst direction is lowered by eigenvector descent and
-    mapped back to x = U' y.  Returns (witness or None, scan report).
-    """
-    report = verify_h_lmi(delta, plan)
-    if report.passed:
-        return None, report
-    y, lam = _descend(delta, report.worst_point, report.worst_value,
-                      plan.refine_rounds)
-    return Witness(point=spd.spectral.rotation.T @ y, lambda_min=lam), report
-
-
 def falsify(spd: SpdMatrix, plan: SamplePlan = DEFAULT_PLAN) -> Witness | None:
     """Search for a direction where hess f fails to be PSD.
 
-    Returns None when every sampled direction of h(delta, y) passes the
-    scan tolerance.
+    Scans the probe + design directions once (:func:`verify_h_lmi`); a
+    failed scan's worst direction is lowered by eigenvector descent and
+    mapped back to x = U' y.  Returns None when every sampled direction of
+    h(delta, y) passes the scan tolerance.
     """
-    return _search(spd, delta_from_spd(spd), plan)[0]
+    delta = delta_from_spd(spd)
+    report = verify_h_lmi(delta, plan)
+    if report.passed:
+        return None
+    y, lam = _descend(delta, report.worst_point, report.worst_value,
+                      plan.refine_rounds)
+    return Witness(point=spd.spectral.rotation.T @ y, lambda_min=lam)
 
 
 def _probe_witness(spd: SpdMatrix, delta: DeltaVector) -> Witness | None:
@@ -188,9 +182,5 @@ def classify(spd: SpdMatrix,
     if kappa <= KAPPA_SUFFICIENT_ANY * inc:
         return verdict(Status.CONVEX, Certificate.SUFFICIENT_ANY_DIM)
 
-    witness, report = _search(spd, delta, plan)
-    if witness is None:
-        return verdict(Status.UNDETERMINED, Certificate.SAMPLING_EXHAUSTED,
-                       report=report)
-    return verdict(Status.NOT_CONVEX, Certificate.WITNESS_FOUND,
-                   witness=witness)
+    return verdict(Status.UNDETERMINED, Certificate.SAMPLING_EXHAUSTED,
+                   report=verify_h_lmi(delta, plan))

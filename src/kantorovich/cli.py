@@ -73,11 +73,19 @@ def parse_matrix_json(text: str) -> np.ndarray:
     obj = json.loads(text)
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
         raise ValueError('matrix JSON must be {"n": ..., "entries": [...]}')
-    n = int(obj["n"])
-    entries = np.asarray(obj["entries"], dtype=float)
-    if entries.shape != (n * n,):
+    n, entries = obj["n"], obj["entries"]
+    # type() is exact: a JSON true/false reads as bool, a subclass of int.
+    if type(n) is not int or n < 1:
+        raise ValueError("n must be a positive integer")
+    if (not isinstance(entries, list)
+            or not all(type(v) in (int, float) for v in entries)):
+        raise ValueError("entries must be a flat array of numbers")
+    if len(entries) != n * n:
         raise ValueError(f"entries must hold {n * n} numbers row-major")
-    return entries.reshape(n, n)
+    try:
+        return np.array(entries, dtype=float).reshape(n, n)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError("matrix has non-finite entries") from None
 
 
 def read_matrix_file(path: str) -> np.ndarray:
@@ -392,7 +400,8 @@ def _add_plan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples-nd", type=int, default=d.random_nd,
                    help="random unit vectors in dim >= 4")
     p.add_argument("--refine-rounds", type=int, default=d.refine_rounds,
-                   help="maximum eigenvector-descent steps from a witness")
+                   help="eigenvector-descent steps of the library's "
+                        "falsify; changes no command's output")
 
 
 def build_parser() -> argparse.ArgumentParser:

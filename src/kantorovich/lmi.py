@@ -137,16 +137,16 @@ AB_GRID_DEFAULT = GridSpec.cube(-1.0, 1.0, 41, 2)
 BETA_GRID_DEFAULT = GridSpec.cube(-1.0, 1.0, 41, 1)
 
 
-def verify_h_lmi(delta: DeltaVector, plan: SamplePlan = DEFAULT_PLAN,
-                 eps: float = PSD_EPS) -> SampleReport:
+def verify_h_lmi(delta: DeltaVector,
+                 plan: SamplePlan = DEFAULT_PLAN) -> SampleReport:
     """Sampled check that h(delta, y) is PSD over unit directions.
 
     The worst point, re-evaluated on its own, gives the worst value bit
     for bit (h is built row by row), and ``passed`` means the worst value
-    clears ``-eps * max(1, sup|h|)``.
+    clears ``-PSD_EPS * max(1, sup|h|)``.
     """
     pts = all_samples(delta.dim, plan)
-    res = scan_h(delta, pts, eps=eps)
+    res = scan_h(delta, pts)
     return SampleReport(worst_value=res.worst_value,
                         worst_point=np.array(pts[res.worst_index]),
                         samples=res.samples, seed=plan.seed,

@@ -179,12 +179,12 @@ def _blocks(total: int, head: int):
         lo = hi
 
 
-def scan_h(delta: DeltaVector, points: np.ndarray,
-           eps: float = PSD_EPS) -> ScanResult:
+def scan_h(delta: DeltaVector, points: np.ndarray) -> ScanResult:
     """Minimum eigenvalue of h(delta, y) over a stack of unit points.
 
     The result is exact: the worst value, its first index and the violation
-    flag (not worst >= -tolerance) are those of evaluating every point.  A
+    flag (not worst >= -tolerance, with tolerance ``PSD_EPS * max(1,
+    h_scale_bound)``) are those of evaluating every point.  A
     direction where h has a non-finite entry reads NaN, and the first NaN
     is the worst (:class:`linalg.FirstMin`).  h is built per block of rows
     by :func:`forms.h_entries`, bitwise as for each row alone; the first
@@ -197,16 +197,14 @@ def scan_h(delta: DeltaVector, points: np.ndarray,
     n = delta.dim
     pts = as_points(delta, points)
     total = pts.shape[0]
-    scale = max(1.0, h_scale_bound(delta))
-    tol = eps * scale
-    # scale bounds every |entry| of h at a unit point (see screened_min_eig);
-    # the margin is not the caller's eps, which may be <= 0.
-    margin = PSD_EPS * scale
+    # The tolerance is also the screen's margin: max(1, h_scale_bound)
+    # bounds every |entry| of h at a unit point (see screened_min_eig).
+    tol = PSD_EPS * max(1.0, h_scale_bound(delta))
     dm = delta.as_matrix()
     worst = FirstMin()
     for lo, hi in _blocks(total, n * (n - 1)):
         h = h_entries(dm, pts[lo:hi])
-        worst.update(lo, screened_min_eig(h, worst.value, margin))
+        worst.update(lo, screened_min_eig(h, worst.value, tol))
     return ScanResult(worst_value=worst.value, worst_index=worst.index,
                       tolerance=tol, samples=total,
                       violation=not worst.value >= -tol)

@@ -88,6 +88,30 @@ def test_json_parse_errors():
         parse_matrix_json('{"n": 2, "entries": [1, 2, 3]}')
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": [2], "entries": [1, 0, 0, 6]}',
+    '{"n": null, "entries": [1, 0, 0, 6]}',
+    '{"n": 1e400, "entries": [1, 0, 0, 6]}',
+    '{"n": 2.5, "entries": [1, 0, 0, 6]}',
+    '{"n": "2", "entries": [1, 0, 0, 6]}',
+    '{"n": true, "entries": [1]}',
+    '{"n": 0, "entries": []}',
+    '{"n": 2, "entries": {"a": 1}}',
+    '{"n": 2, "entries": [[1, 0], [0, 6]]}',
+    '{"n": 2, "entries": [1, 0, 0, "6"]}',
+    '{"n": 2, "entries": [1, 0, 0, true]}',
+    '{"n": 1, "entries": [1' + '0' * 400 + ']}',
+], ids=["n-list", "n-null", "n-overflow", "n-float", "n-string", "n-bool",
+        "n-zero", "entries-object", "entries-nested", "entries-string",
+        "entries-bool", "entries-int-overflow"])
+def test_malformed_json_matrix_is_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    assert run(["analyze", str(path)]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
 # --- analyze -----------------------------------------------------------------
 
 def test_analyze_not_convex(diag16):
@@ -106,7 +130,7 @@ def test_analyze_convex(identity3):
 
 def test_analyze_gap_matrix(gap3):
     res = run_cli("analyze", gap3, "--samples-3d", "20000")
-    assert res.returncode in (1, 2)
+    assert res.returncode == 2
     assert "status: Convex" not in res.stdout
 
 

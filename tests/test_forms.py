@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -159,6 +161,53 @@ def test_h_biquadratic_symmetry(rng):
             scale = np.abs(z) @ np.abs(h) @ np.abs(z)
             assert z @ h @ z == pytest.approx(y @ h_form(d, z) @ y,
                                               rel=0.0, abs=1e-12 * scale)
+
+
+def _h_exact(delta, y):
+    """h(delta, y) from its definition in the forms docstring, with delta
+    a dict {(i, j): value} over i < j and every entry a Fraction."""
+    n = len(y)
+    d = {**delta, **{(j, i): v for (i, j), v in delta.items()}}
+    h = [[d[i, j] * y[i] * y[j] if i != j else None for j in range(n)]
+         for i in range(n)]
+    for i in range(n):
+        h[i][i] = 3 * y[i] ** 2 + sum(d[i, j] * y[j] ** 2
+                                      for j in range(n) if j != i) / 2
+    return h
+
+
+def _pair_sos(delta, y, z, c):
+    """3 (y.z)^2 + sum_{i<j} [delta/2 (a^2 + b^2) + 2 (delta - c) a b],
+    a = y_i z_j, b = y_j z_i: the identity for z'h(delta, y)z at c = 3."""
+    out = 3 * sum(a * b for a, b in zip(y, z)) ** 2
+    for (i, j), v in delta.items():
+        a, b = y[i] * z[j], y[j] * z[i]
+        out += v * (a * a + b * b) / 2 + 2 * (v - c) * a * b
+    return out
+
+
+def test_h_pair_sos_identity_exact():
+    # The identity makes every pair term the 2x2 form [[d/2, d-3], [d-3,
+    # d/2]], PSD for 2 <= d <= 6, so h(delta, .) is PSD whenever delta_max
+    # <= 6; classify's gap rung relies on it.  Exact in Fraction arithmetic
+    # at every delta >= 2; the pair-term constant 29/10 in place of 3 fails.
+    gen = random.Random(2010)
+
+    def q(lo, hi):
+        return Fraction(gen.randint(lo, hi), gen.randint(1, 40))
+
+    mutant_caught = False
+    for n in range(2, 9):
+        for _ in range(20):
+            delta = {p: 2 + q(0, 400) for p in pair_indices(n)}
+            y = [q(-60, 60) for _ in range(n)]
+            z = [q(-60, 60) for _ in range(n)]
+            h = _h_exact(delta, y)
+            lhs = sum(z[i] * h[i][j] * z[j]
+                      for i in range(n) for j in range(n))
+            assert lhs == _pair_sos(delta, y, z, 3)
+            mutant_caught |= lhs != _pair_sos(delta, y, z, Fraction(29, 10))
+    assert mutant_caught
 
 
 def test_h_batch_shape_validation():

@@ -150,7 +150,7 @@ def test_scan_nan_direction_is_the_worst():
 def _delta_case(dim, case):
     if case == "tied":
         return DeltaVector(dim=dim, values=np.full(dim * (dim - 1) // 2, 2.0))
-    kappa = {"gap": 5.0, "neg-eps": 5.0, "kappa6": 6.0, "kappa8": 8.0,
+    kappa = {"gap": 5.0, "kappa6": 6.0, "kappa8": 8.0,
              "kappa30": 30.0}[case]
     return delta_from_spd(validate_spd(np.diag(np.geomspace(1.0, kappa,
                                                             dim))))
@@ -161,23 +161,22 @@ SMALL_PLAN = SamplePlan(angles_2d=500, fibonacci_3d=1500, random_nd=1500)
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 20])
 @pytest.mark.parametrize("case", ["gap", "kappa6", "kappa8", "kappa30",
-                                  "tied", "neg-eps"])
+                                  "tied"])
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_scan_matches_reference(monkeypatch, dim, case, block):
     # The screened scan reports bitwise what evaluating every point does:
     # the first argmin of min_eig_batch over the whole stack.
     monkeypatch.setattr(sampling, "_BLOCK", block)
     d = _delta_case(dim, case)
-    eps = -1.0 if case == "neg-eps" else PSD_EPS
     pts = all_samples(dim, SMALL_PLAN)
     lam = min_eig_batch(h_form_batch(d, pts))
     k = int(np.argmin(lam))
-    tol = eps * max(1.0, h_scale_bound(d))
-    res = scan_h(d, pts, eps=eps)
+    tol = PSD_EPS * max(1.0, h_scale_bound(d))
+    res = scan_h(d, pts)
     assert ((res.worst_value, res.worst_index, res.violation, res.samples,
              res.tolerance) == (float(lam[k]), k, bool(lam[k] < -tol),
                                 pts.shape[0], tol))
-    if case.startswith("kappa") or case == "neg-eps":
+    if case.startswith("kappa"):
         assert res.violation
 
 
