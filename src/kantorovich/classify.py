@@ -13,6 +13,10 @@ Decision ladder, in order:
    docs/formats.md), lambda_min h(delta, y) >= 3/2 - delta_max/4 >= -2e-12
    at every unit y, far inside the scan tolerance.
 
+A witness (rung 2, :func:`falsify`) is the first worst direction of one
+:func:`scan_h` scan.  The identity's bound 3/2 - delta_max/4 holds for every
+delta and is attained at the probe, which every scan evaluates first.
+
 Threshold comparisons are inclusive within relative 1e-12, so a matrix built
 to sit exactly on a boundary classifies with the boundary, not against it.
 """
@@ -25,10 +29,11 @@ from enum import Enum
 
 import numpy as np
 
-from .forms import DeltaVector, delta_from_spd, h_form
-from .linalg import SpdMatrix, min_eig_batch
+from .forms import DeltaVector, delta_from_spd
+from .linalg import SpdMatrix
 from .lmi import verify_h_lmi
-from .sampling import DEFAULT_PLAN, SamplePlan, SampleReport, scan_h
+from .sampling import (DEFAULT_PLAN, SamplePlan, SampleReport, all_samples,
+                       scan_h)
 
 __all__ = [
     "KAPPA_NECESSARY", "KAPPA_SUFFICIENT_ANY", "KAPPA_SUFFICIENT_3D",
@@ -106,54 +111,30 @@ def necessary_probe(delta: DeltaVector) -> ProbeResult:
                        violated=q < 0.0)
 
 
-def _descend(delta: DeltaVector, y: np.ndarray, lam: float, rounds: int):
-    """Lower lambda_min h(delta, y) from the unit point y, whose value is lam.
-
-    Since z'h(d, y)z == y'h(d, z)y, the lowest eigenvector v of h(d, y)
-    satisfies lambda_min h(d, v) <= y'h(d, v)y == lambda_min h(d, y), so
-    each step y <- v is a descent.  It stops after ``rounds`` steps or at
-    the first step without a strict decrease.  Each accepted step's h(d, v)
-    gives the next eigenvector, so at most ``rounds + 1`` h's are built.
-    """
-    h = h_form(delta, y)
-    for _ in range(rounds):
-        v = np.linalg.eigh(h)[1][:, 0]
-        hv = h_form(delta, v)
-        val = float(min_eig_batch(hv[None])[0])
-        if not val < lam:
-            break
-        y, lam, h = v, val, hv
-    return y, lam
+def _witness(spd: SpdMatrix, delta: DeltaVector,
+             points: np.ndarray) -> Witness | None:
+    """:func:`scan_h` over the unit ``points``; on a violation, the witness
+    is the first worst row y as x = U' y, with the scan's worst value."""
+    res = scan_h(delta, points)
+    if not res.violation:
+        return None
+    return Witness(point=spd.spectral.rotation.T @ points[res.worst_index],
+                   lambda_min=res.worst_value)
 
 
 def falsify(spd: SpdMatrix, plan: SamplePlan = DEFAULT_PLAN) -> Witness | None:
-    """Search for a direction where hess f fails to be PSD.
-
-    Scans the probe + design directions once (:func:`verify_h_lmi`); a
-    failed scan's worst direction is lowered by eigenvector descent and
-    mapped back to x = U' y.  Returns None when every sampled direction of
-    h(delta, y) passes the scan tolerance.
-    """
-    delta = delta_from_spd(spd)
-    report = verify_h_lmi(delta, plan)
-    if report.passed:
-        return None
-    y, lam = _descend(delta, report.worst_point, report.worst_value,
-                      plan.refine_rounds)
-    return Witness(point=spd.spectral.rotation.T @ y, lambda_min=lam)
+    """Scan the probe + design directions (:func:`all_samples`) once for a
+    direction where hess f fails to be PSD; None when every one passes.
+    ``plan.refine_rounds`` is not read (see the module docstring)."""
+    return _witness(spd, delta_from_spd(spd), all_samples(spd.dim, plan))
 
 
 def _probe_witness(spd: SpdMatrix, delta: DeltaVector) -> Witness | None:
-    """The extreme-pair probe (e_i + e_j)/sqrt(2), judged by :func:`scan_h`
-    like every other direction: a witness iff the scan reports a violation."""
+    """The extreme-pair probe (e_i + e_j)/sqrt(2), scanned as one row."""
     (i, j), _ = delta.max_pair()
-    y = np.zeros(spd.dim)
-    y[i] = y[j] = 1.0 / math.sqrt(2.0)
-    res = scan_h(delta, y[None])
-    if res.violation:
-        return Witness(point=spd.spectral.rotation.T @ y,
-                       lambda_min=res.worst_value)
-    return None
+    y = np.zeros((1, spd.dim))
+    y[0, i] = y[0, j] = 1.0 / math.sqrt(2.0)
+    return _witness(spd, delta, y)
 
 
 def classify(spd: SpdMatrix,

@@ -70,7 +70,10 @@ def parse_matrix_text(text: str) -> np.ndarray:
 
 
 def parse_matrix_json(text: str) -> np.ndarray:
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:  # arrays or objects nested too deep to decode
+        raise ValueError("matrix JSON is nested too deeply") from None
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
         raise ValueError('matrix JSON must be {"n": ..., "entries": [...]}')
     n, entries = obj["n"], obj["entries"]
@@ -400,8 +403,7 @@ def _add_plan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples-nd", type=int, default=d.random_nd,
                    help="random unit vectors in dim >= 4")
     p.add_argument("--refine-rounds", type=int, default=d.refine_rounds,
-                   help="eigenvector-descent steps of the library's "
-                        "falsify; changes no command's output")
+                   help="accepted and validated (>= 0); has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:

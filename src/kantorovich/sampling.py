@@ -45,7 +45,7 @@ class SamplePlan:
     angles_2d: int = 4096
     fibonacci_3d: int = 100_000
     random_nd: int = 200_000
-    refine_rounds: int = 50
+    refine_rounds: int = 50  # validated, read by nothing: no descent runs
 
     def __post_init__(self):
         if min(self.angles_2d, self.fibonacci_3d, self.random_nd) < 1:

@@ -6,14 +6,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from kantorovich.classify import (BOUNDARY_REL_TOL, KAPPA_NECESSARY,
                                   KAPPA_SUFFICIENT_3D, KAPPA_SUFFICIENT_ANY,
-                                  Certificate, Status,
-                                  _descend, classify, falsify,
+                                  Certificate, Status, classify, falsify,
                                   necessary_probe)
-from kantorovich.forms import DeltaVector, delta_from_spd, h_form
+from kantorovich.forms import DeltaVector, delta_from_spd
 from kantorovich.function import f_hessian
-from kantorovich.linalg import min_eig_batch, min_eigenvalue, validate_spd
+from kantorovich.linalg import min_eigenvalue, validate_spd
 from kantorovich.lmi import verify_h_lmi
-from kantorovich.sampling import SamplePlan, probe_directions, scan_h
+from kantorovich.sampling import SamplePlan, all_samples, scan_h
 from conftest import spd_with_kappa
 
 # Small budgets keep the suite quick; the acceptance tests use the defaults.
@@ -89,58 +88,24 @@ def test_falsify_witness_revalidates(rng, n):
         assert lam == pytest.approx(w.lambda_min, abs=1e-10)
 
 
-# --- eigenvector descent ----------------------------------------------------
-
-def _lam(delta, y):
-    return float(min_eig_batch(h_form(delta, y)[None])[0])
-
-
-def test_descend_never_raises_lambda_min(rng):
-    for _ in range(30):
-        n = int(rng.integers(2, 7))
-        delta = delta_from_spd(spd_with_kappa(rng, n,
-                                              float(rng.uniform(3.0, 10.0))))
-        y0 = rng.standard_normal(n)
-        y0 /= np.linalg.norm(y0)
-        lams = [_lam(delta, y0)]
-        for rounds in range(1, 6):
-            y, lam = _descend(delta, y0, lams[0], rounds)
-            assert lam == _lam(delta, y)
-            lams.append(lam)
-        assert all(b <= a for a, b in zip(lams, lams[1:]))
-        assert lams[-1] < lams[0]
-
-
-def test_descend_builds_one_h_per_step(monkeypatch):
-    # Each accepted step's h gives the next eigenvector: rounds + 1 builds.
-    from kantorovich import forms
-    delta = delta_from_spd(validate_spd(np.diag([1.0, 2.0, 4.0, 9.0])))
-    y0 = np.random.default_rng(5).standard_normal(4)
-    y0 /= np.linalg.norm(y0)
-    lam0 = _lam(delta, y0)
-    lams = [_descend(delta, y0, lam0, r)[1] for r in (1, 2)]
-    assert lams[1] < lams[0] < lam0  # the descent takes at least 2 steps
-    real, calls = forms.h_entries, []
-
-    def counting(dm, y):
-        calls.append(len(y))
-        return real(dm, y)
-
-    monkeypatch.setattr(forms, "h_entries", counting)
-    rounds = 5
-    _descend(delta, y0, lam0, rounds)
-    assert 2 <= len(calls) <= rounds + 1
-
-
-def test_descend_stops_at_probe_witness():
-    spd = validate_spd(np.diag([1.0, 2.0, 7.0]))
-    delta = delta_from_spd(spd)
-    y0 = probe_directions(3)[2]  # (e_1 + e_3) / sqrt(2), the extreme pair
-    lam0 = _lam(delta, y0)
-    assert lam0 < 0.0
-    y, lam = _descend(delta, y0, lam0, FAST.refine_rounds)
-    assert y is y0 and lam == lam0
-    assert falsify(spd, FAST).lambda_min == lam0
+@pytest.mark.parametrize("n", range(2, 9))
+def test_falsify_witness_is_scan_worst(rng, n):
+    # No descent: the witness is the design scan's first worst row, mapped
+    # back to x = U'y, and its value is the identity's bound 3/2 - delta_max/4
+    # (attained at the extreme-pair probe), so no direction goes lower.
+    pts = all_samples(n, FAST)
+    for kappa in (6.0, 9.0, 40.0):
+        spd = spd_with_kappa(rng, n, kappa)
+        assert classify(spd, FAST).status == Status.NOT_CONVEX
+        delta = delta_from_spd(spd)
+        res = scan_h(delta, pts)
+        w = falsify(spd, FAST)
+        want = spd.spectral.rotation.T @ pts[res.worst_index]
+        assert w.point.tobytes() == want.tobytes()
+        assert w.lambda_min == res.worst_value
+        c = 1.5 - float(delta.values.max()) / 4.0
+        assert abs(w.lambda_min - c) <= 1e-13 * max(1.0, abs(c))
+        assert np.linalg.eigvalsh(f_hessian(spd, w.point))[0] < 0.0
 
 
 # --- classify ---------------------------------------------------------------

@@ -101,9 +101,10 @@ def test_json_parse_errors():
     '{"n": 2, "entries": [1, 0, 0, "6"]}',
     '{"n": 2, "entries": [1, 0, 0, true]}',
     '{"n": 1, "entries": [1' + '0' * 400 + ']}',
+    '{"n": ' + '[' * 200_000 + ']' * 200_000 + ', "entries": []}',
 ], ids=["n-list", "n-null", "n-overflow", "n-float", "n-string", "n-bool",
         "n-zero", "entries-object", "entries-nested", "entries-string",
-        "entries-bool", "entries-int-overflow"])
+        "entries-bool", "entries-int-overflow", "nested-too-deep"])
 def test_malformed_json_matrix_is_usage_error(tmp_path, capsys, text):
     path = tmp_path / "m.json"
     path.write_text(text)

@@ -151,7 +151,7 @@ def test_h_batch_rows_are_row_local(rng, dim):
 
 
 def test_h_biquadratic_symmetry(rng):
-    # z'h(d, y)z == y'h(d, z)y, the identity behind eigenvector descent
+    # z'h(d, y)z == y'h(d, z)y
     for n in range(2, 9):
         for _ in range(20):
             d = DeltaVector(dim=n, values=rng.uniform(
@@ -208,6 +208,42 @@ def test_h_pair_sos_identity_exact():
             assert lhs == _pair_sos(delta, y, z, 3)
             mutant_caught |= lhs != _pair_sos(delta, y, z, Fraction(29, 10))
     assert mutant_caught
+
+
+def _bound_slack(delta, y, z, half=Fraction(3, 2)):
+    """z'h(delta, y)z - (half - delta_max/4) |y|^2 |z|^2, exactly."""
+    h = _h_exact(delta, y)
+    n = len(y)
+    zhz = sum(z[i] * h[i][j] * z[j] for i in range(n) for j in range(n))
+    c = half - max(delta.values()) / 4
+    return zhz - c * sum(v * v for v in y) * sum(v * v for v in z)
+
+
+def test_h_lambda_min_bound_exact():
+    # With the identity's pair term written as (3d/4 - 3/2)(a+b)^2 + (3/2 -
+    # d/4)(a-b)^2 and the Lagrange identity sum_{i<j} (a-b)^2 = |y|^2|z|^2 -
+    # (y.z)^2, lambda_min h(delta, y) >= 3/2 - delta_max/4 at every unit y
+    # for every delta >= 2, not only delta_max <= 6.  The extreme-pair probe
+    # attains it, so a scan's worst value, which includes the probe rows, is
+    # already the minimum over the sphere.  Exact in Fraction arithmetic;
+    # the constant 149/100 in place of 3/2 misses the equality.
+    gen = random.Random(2012)
+
+    def q(lo, hi):
+        return Fraction(gen.randint(lo, hi), gen.randint(1, 40))
+
+    for n in range(2, 9):
+        for _ in range(20):
+            delta = {p: 2 + q(0, 400) for p in pair_indices(n)}
+            y = [q(-60, 60) for _ in range(n)]
+            z = [q(-60, 60) for _ in range(n)]
+            assert _bound_slack(delta, y, z) >= 0
+            # y = e_i + e_j, z = e_i - e_j: the probe scaled by sqrt(2).
+            i, j = max(delta, key=delta.get)
+            y = [int(k in (i, j)) for k in range(n)]
+            z = [(k == i) - (k == j) for k in range(n)]
+            assert _bound_slack(delta, y, z) == 0
+            assert _bound_slack(delta, y, z, Fraction(149, 100)) != 0
 
 
 def test_h_batch_shape_validation():
