@@ -10,10 +10,12 @@ degree-2 homogeneous in y, so unit vectors lose nothing.
 results are deterministic for a fixed seed.  It builds h per block of rows,
 never an (N, n, n) stack, so its memory does not grow with the sample
 count, and row by row, so the worst point, evaluated alone, gives the
-worst value bit for bit.  The scan is exact, but a batched Cholesky screen
-clears the directions that cannot beat the running minimum and the
-eigensolver runs only on the rest; the reported sample count still counts
-every direction.
+worst value bit for bit.  The scan is exact, but two screens clear the
+directions that cannot beat the running minimum: a closed-form lower bound
+on lambda_min h per row, from the pair-term identity (docs/formats.md), and
+then a batched Cholesky screen on the rows the bound leaves.  h is built
+only for those rows, and the eigensolver runs only on what Cholesky leaves;
+the reported sample count still counts every direction.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ __all__ = [
 
 # Rows per block of h entries after the probe block (see scan_h).
 _BLOCK = 1 << 12
+# Above this delta_max the row bound is skipped; at or below it, with
+# |y|^2 <= 2, every quantity the bound forms, squares included, is finite.
+_BOUND_DELTA_MAX = 1e150
 
 
 @dataclass(frozen=True)
@@ -179,6 +184,50 @@ def _blocks(total: int, head: int):
         lo = hi
 
 
+def _bound_coefs(delta: DeltaVector,
+                 margin: float) -> tuple[float, float, float] | None:
+    """(c + a, 2a, b) for :func:`_row_bound`, with a = 3 delta_min/4 - 3/2,
+    c = 3/2 - delta_max/4 and b = 3 + a - c; None where the bound is
+    skipped: delta_max > ``_BOUND_DELTA_MAX``, or a <= ``margin``, where it
+    cannot clear a unit row (L <= c + a there, and a scan's running minimum
+    is at least c up to rounding).  A repeated eigenvalue makes a = 0."""
+    if delta.dim < 2 or delta.values.max() > _BOUND_DELTA_MAX:
+        return None
+    a = 0.75 * float(delta.values.min()) - 1.5
+    c = 1.5 - 0.25 * float(delta.values.max())
+    return (c + a, 2.0 * a, 3.0 + a - c) if a > margin else None
+
+
+def _row_bound(coefs: tuple[float, float, float],
+               y: np.ndarray) -> np.ndarray:
+    """Closed-form lower bound L(y) on lambda_min h(delta, y) for each row
+    of ``y`` (m, dim); ``coefs`` from :func:`_bound_coefs`.
+
+    L = (c + a)|y|^2 - lambda_max(T), T the 2x2 matrix [[(2a - b) mu1,
+    -b sqrt(mu1 R)], [-b sqrt(mu1 R), 2a mu2 - b R]], with mu1 >= mu2 the two
+    largest y_i^2 and R the sum of the y_i^2 other than mu1 (proof in
+    docs/formats.md).  R is accumulated term by term, never as |y|^2 - mu1,
+    whose cancellation near e_k the square root would magnify.  A row with
+    |y|^2 > 2 or a NaN coordinate reads -inf, so it clears nothing.
+    """
+    ca, two_a, b = coefs
+    sq = np.square(y.T, order="C")
+    mu1 = sq[0].copy()
+    mu2 = np.zeros_like(mu1)
+    rest = np.zeros_like(mu1)
+    for v in sq[1:]:
+        low = np.minimum(mu1, v)
+        rest += low
+        np.maximum(mu2, low, out=mu2)
+        np.maximum(mu1, v, out=mu1)
+    s = mu1 + rest
+    p = (two_a - b) * mu1
+    r = two_a * mu2 - b * rest
+    half = 0.5 * (p - r)
+    lam = 0.5 * (p + r) + np.sqrt(half * half + (b * b) * (mu1 * rest))
+    return np.where(s <= 2.0, ca * s - lam, -math.inf)
+
+
 def scan_h(delta: DeltaVector, points: np.ndarray) -> ScanResult:
     """Minimum eigenvalue of h(delta, y) over a stack of unit points.
 
@@ -186,25 +235,38 @@ def scan_h(delta: DeltaVector, points: np.ndarray) -> ScanResult:
     flag (not worst >= -tolerance, with tolerance ``PSD_EPS * max(1,
     h_scale_bound)``) are those of evaluating every point.  A
     direction where h has a non-finite entry reads NaN, and the first NaN
-    is the worst (:class:`linalg.FirstMin`).  h is built per block of rows
-    by :func:`forms.h_entries`, bitwise as for each row alone; the first
-    block is the ``dim*(dim-1)`` probe rows that :func:`all_samples` puts
-    first.  A batched Cholesky screen (:func:`linalg.screened_min_eig`)
-    clears, row by row, the directions that cannot beat the running
-    minimum, and only the rest are eigensolved; ``samples`` still counts
-    every point.
+    is the worst (:class:`linalg.FirstMin`).  The first block is the
+    ``dim*(dim-1)`` probe rows that :func:`all_samples` puts first.
+
+    Each later block is screened twice.  First the closed-form row bound
+    (:func:`_row_bound`) clears every row whose bound exceeds the running
+    minimum by half the tolerance; it is skipped where it could clear no
+    unit row (3 delta_min/4 - 3/2 at most half the tolerance, as for a
+    repeated eigenvalue) or delta_max > 1e150.  h is built by :func:`forms.h_entries` only for the rows left,
+    bitwise as for each row alone, and a batched Cholesky screen
+    (:func:`linalg.screened_min_eig`) clears, row by row, those that cannot
+    beat the running minimum; only the rest are eigensolved.  ``samples``
+    still counts every point.
     """
     n = delta.dim
     pts = as_points(delta, points)
     total = pts.shape[0]
-    # The tolerance is also the screen's margin: max(1, h_scale_bound)
+    # The tolerance also sets the screens' margins: max(1, h_scale_bound)
     # bounds every |entry| of h at a unit point (see screened_min_eig).
     tol = PSD_EPS * max(1.0, h_scale_bound(delta))
     dm = delta.as_matrix()
+    coefs = _bound_coefs(delta, 0.5 * tol)
     worst = FirstMin()
     for lo, hi in _blocks(total, n * (n - 1)):
-        h = h_entries(dm, pts[lo:hi])
-        worst.update(lo, screened_min_eig(h, worst.value, tol))
+        rows = pts[lo:hi]
+        keep = slice(None)
+        if coefs is not None and lo:
+            keep = ~(_row_bound(coefs, rows) > worst.value + 0.5 * tol)
+            rows = rows[keep]
+        lam = np.full(hi - lo, math.inf)
+        if rows.shape[0]:
+            lam[keep] = screened_min_eig(h_entries(dm, rows), worst.value, tol)
+        worst.update(lo, lam)
     return ScanResult(worst_value=worst.value, worst_index=worst.index,
                       tolerance=tol, samples=total,
                       violation=not worst.value >= -tol)

@@ -13,7 +13,7 @@ from kantorovich.function import f_hessian
 from kantorovich.linalg import min_eigenvalue, validate_spd
 from kantorovich.lmi import verify_h_lmi
 from kantorovich.sampling import SamplePlan, all_samples, scan_h
-from conftest import spd_with_kappa
+from conftest import random_rotation, spd_with_kappa
 
 # Small budgets keep the suite quick; the acceptance tests use the defaults.
 FAST = SamplePlan(angles_2d=1024, fibonacci_3d=20_000, random_nd=40_000,
@@ -182,6 +182,27 @@ def test_classify_gap_scan_margin(dim, seed, sliver, u):
     assert -r.worst_value <= r.tolerance / 100.0
     dmax = float(delta_from_spd(spd).values.max())
     assert abs(r.worst_value - (1.5 - 0.25 * dmax)) <= 1e-13
+
+
+@settings(deadline=None)
+@given(dim=st.integers(2, 8), seed=st.integers(0, 2 ** 32 - 1),
+       kappa=st.floats(1.0, 40.0))
+def test_classify_invariant_under_inverse_and_rotation(dim, seed, kappa):
+    # A^-1 and QAQ' have the spectrum's ratios of A, so the same kappa and
+    # delta: status and certificate do not change.  kappa is kept 1e-9
+    # (relative) off every threshold, far beyond what Jacobi's rounding of
+    # the transformed matrix can move it.
+    assume(all(abs(kappa / t - 1.0) > 1e-9 for t in (
+        KAPPA_SUFFICIENT_ANY, KAPPA_SUFFICIENT_3D, KAPPA_NECESSARY)))
+    rng = np.random.default_rng(seed)
+    spd = spd_with_kappa(rng, dim, kappa)
+    want = classify(spd, FAST)
+    q = random_rotation(rng, dim)
+    rotated = q @ spd.matrix @ q.T
+    for other in (spd.inverse, 0.5 * (rotated + rotated.T)):
+        got = classify(validate_spd(other), FAST)
+        assert (got.status, got.certificate) == (want.status,
+                                                 want.certificate)
 
 
 def test_classify_dim1():

@@ -246,6 +246,51 @@ def test_h_lambda_min_bound_exact():
             assert _bound_slack(delta, y, z, Fraction(149, 100)) != 0
 
 
+def _row_bound_gap(delta, y, z, b_shift=0):
+    """z'(h - M)z and the pair sum it equals, exactly, where M = (c + a)
+    |y|^2 I + b yy' - 2a diag(y^2) is the row bound's matrix (a = 3
+    delta_min/4 - 3/2, c = 3/2 - delta_max/4, b = 3 + a - c + b_shift)."""
+    n = len(y)
+    a = 3 * min(delta.values()) / 4 - Fraction(3, 2)
+    c = Fraction(3, 2) - max(delta.values()) / 4
+    b = 3 + a - c + b_shift
+    h = _h_exact(delta, y)
+    zhz = sum(z[i] * h[i][j] * z[j] for i in range(n) for j in range(n))
+    yz = sum(u * v for u, v in zip(y, z))
+    zmz = ((c + a) * sum(v * v for v in y) * sum(v * v for v in z)
+           + b * yz * yz - 2 * a * sum((u * v) ** 2 for u, v in zip(y, z)))
+    pairs = 0
+    for (i, j), d in delta.items():
+        alpha, beta = 3 * d / 4 - Fraction(3, 2), Fraction(3, 2) - d / 4
+        pairs += ((alpha - a) * (y[i] * z[j] + y[j] * z[i]) ** 2
+                  + (beta - c) * (y[i] * z[j] - y[j] * z[i]) ** 2)
+    return zhz - zmz, pairs
+
+
+def test_h_row_bound_matrix_exact():
+    # Every pair coefficient of the identity is at least a or at least c, so
+    # h(delta, y) - M is the sum of nonnegative pair squares below, and
+    # lambda_min h >= lambda_min M: step 1 of the scan's row bound
+    # (sampling._row_bound, docs/formats.md).  Exact in Fraction arithmetic
+    # with delta_ij on both sides of 6; b shifted by 1/10 misses it.
+    gen = random.Random(2021)
+
+    def q(lo, hi):
+        return Fraction(gen.randint(lo, hi), gen.randint(1, 40))
+
+    mutant_caught = False
+    for n in range(2, 9):
+        for _ in range(20):
+            delta = {p: 2 + q(0, 400) for p in pair_indices(n)}
+            y = [q(-60, 60) for _ in range(n)]
+            z = [q(-60, 60) for _ in range(n)]
+            gap, pairs = _row_bound_gap(delta, y, z)
+            assert gap == pairs and pairs >= 0
+            mutant, pairs = _row_bound_gap(delta, y, z, Fraction(1, 10))
+            mutant_caught |= mutant != pairs
+    assert mutant_caught
+
+
 def test_h_batch_shape_validation():
     d = DeltaVector(dim=3, values=np.array([2.0, 2.0, 2.0]))
     with pytest.raises(DimensionMismatchError):

@@ -5,10 +5,12 @@ import pytest
 
 from kantorovich import linalg, sampling
 from kantorovich.classify import Certificate, classify
-from kantorovich.forms import DeltaVector, delta_from_spd, h_form_batch
+from kantorovich.forms import (DeltaVector, delta_from_spd, h_entries,
+                               h_form_batch)
 from kantorovich.linalg import PSD_EPS, min_eig_batch, validate_spd
 from kantorovich.sampling import (DEFAULT_PLAN, SamplePlan, all_samples,
                                   h_scale_bound, probe_directions, scan_h)
+from conftest import spd_with_kappa
 
 
 def design(dim, plan):
@@ -150,6 +152,12 @@ def test_scan_nan_direction_is_the_worst():
 def _delta_case(dim, case):
     if case == "tied":
         return DeltaVector(dim=dim, values=np.full(dim * (dim - 1) // 2, 2.0))
+    if case == "huge":  # delta_max ~ 1e306: the row bound's overflow guard
+        return DeltaVector(dim=dim, values=np.geomspace(
+            1e306, 3.0, dim * (dim - 1) // 2))
+    if case == "rotated":  # distinct eigenvalues in the gap, rotated A
+        return delta_from_spd(spd_with_kappa(np.random.default_rng(dim),
+                                             dim, 5.5))
     kappa = {"gap": 5.0, "kappa6": 6.0, "kappa8": 8.0,
              "kappa30": 30.0}[case]
     return delta_from_spd(validate_spd(np.diag(np.geomspace(1.0, kappa,
@@ -161,7 +169,7 @@ SMALL_PLAN = SamplePlan(angles_2d=500, fibonacci_3d=1500, random_nd=1500)
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 20])
 @pytest.mark.parametrize("case", ["gap", "kappa6", "kappa8", "kappa30",
-                                  "tied"])
+                                  "tied", "huge", "rotated"])
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_scan_matches_reference(monkeypatch, dim, case, block):
     # The screened scan reports bitwise what evaluating every point does:
@@ -231,6 +239,116 @@ def test_scan_finds_minimum_just_below_running_worst():
     assert 0.0 < ref[0] - ref[12] < PSD_EPS
     res = scan_h(d, pts)
     assert (res.worst_value, res.worst_index) == (float(ref[12]), 12)
+
+
+def _bound_rows(rng, n):
+    """Rows where the row bound is tightest or its rounding worst: random
+    unit rows, rows within 1e-12 of each probe and within 1e-12..1e-7 of
+    each e_k (where the other y_i^2 sum to about one rounding unit of 1),
+    unit rows with coordinates down to 1e-300, and rows of norm 1e-200."""
+    def unit(v):
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+    near_e = np.repeat(np.eye(n), 8, axis=0)
+    off_e = 10.0 ** rng.uniform(-12, -7, (8 * n, 1))
+    near_p = np.repeat(probe_directions(n), 4, axis=0)
+    scales = 10.0 ** rng.uniform(-300, 0, (60, n))
+    scales[np.arange(60), rng.integers(n, size=60)] = 1.0
+    mixed = rng.standard_normal((60, n)) * scales
+    return np.concatenate([
+        unit(rng.standard_normal((200, n))),
+        unit(near_e + off_e * rng.standard_normal(near_e.shape)),
+        unit(near_p + 1e-12 * rng.standard_normal(near_p.shape)),
+        unit(mixed), 1e-200 * unit(rng.standard_normal((20, n)))])
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_row_bound_is_below_lambda_min(rng, dim):
+    # sampling._row_bound never exceeds the computed lambda_min h(delta, y)
+    # by more than rounding, 1e-14 * max(3, delta_max/2): far inside the
+    # tolerance/2 = 5e-10 * max(3, delta_max/2) margin the scan clears at.
+    npairs = dim * (dim - 1) // 2
+    deltas = [2.0 + rng.uniform(0.0, 10.0, npairs) for _ in range(8)]
+    deltas += [2.0 + 10.0 ** rng.uniform(-9, 6, npairs) for _ in range(8)]
+    deltas += [delta_from_spd(spd_with_kappa(rng, dim, k)).values
+               for k in (1.5, 3.5, 5.0, 5.8, 8.0, 40.0)]
+    # a + c = 3, so L(e_k) = 3 = lambda_min h(e_k), and near 6 the
+    # eigenvalue 3 of h(e_k) is nearly n-fold: near e_k the bound is tight
+    # to first order in sqrt(R), which magnifies any rounding of R.
+    for top in np.concatenate([rng.uniform(6.0, 40.0, 4),
+                               6.0 + 10.0 ** rng.uniform(-4, -1, 4)]):
+        vals = np.sort(rng.uniform(4.0 + top / 3.0, top, npairs))
+        vals[0], vals[-1] = 4.0 + top / 3.0, top
+        deltas.append(rng.permutation(vals))
+    checked = 0
+    for vals in deltas:
+        d = DeltaVector(dim=dim, values=vals)
+        coefs = sampling._bound_coefs(d, 0.0)
+        if coefs is None:
+            continue
+        rows = _bound_rows(rng, dim)
+        bound = sampling._row_bound(coefs, rows)
+        lam = min_eig_batch(h_form_batch(d, rows))
+        slack = 1e-14 * max(3.0, 0.5 * float(vals.max()))
+        assert (lam >= bound - slack).all(), float((bound - lam).max())
+        # L <= lambda_min M <= (c + a)|y|^2 (take z orthogonal to y): why
+        # the scan skips the bound when a is within its margin
+        assert (bound <= coefs[0] * (rows ** 2).sum(axis=1) + slack).all()
+        checked += 1
+    assert checked >= 20
+
+
+def test_row_bound_clears_nothing_it_cannot():
+    # A NaN row and a row with |y|^2 > 2 read -inf.  The bound is skipped
+    # for a tie (a = 0), a near-tie whose a is within the margin, and
+    # delta_max ~ 1e306.
+    d = DeltaVector(dim=3, values=np.array([3.0, 4.0, 5.0]))
+    margin = 0.5 * PSD_EPS * h_scale_bound(d)
+    coefs = sampling._bound_coefs(d, margin)
+    rows = np.array([[np.nan, 0.0, 0.0], [1.5, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    assert sampling._row_bound(coefs, rows)[:2].tolist() == [-np.inf] * 2
+    assert sampling._row_bound(coefs, rows)[2] > 0.0
+    for vals in ([2.0, 4.0, 4.0], [2.0 + 1e-12, 4.0, 4.0]):
+        near = DeltaVector(dim=3, values=np.array(vals))
+        assert sampling._bound_coefs(near, margin) is None
+    assert sampling._bound_coefs(_delta_case(4, "huge"), 0.0) is None
+
+
+def _count_h_rows(monkeypatch):
+    rows = []
+
+    def counting_h_entries(dm, y):
+        rows.append(y.shape[0])
+        return h_entries(dm, y)
+
+    monkeypatch.setattr(sampling, "h_entries", counting_h_entries)
+    return rows
+
+
+@pytest.mark.parametrize("dim", range(4, 9))
+def test_row_bound_screens_the_design(monkeypatch, dim):
+    # A rotated gap matrix with distinct eigenvalues under the default plan:
+    # the row bound clears nearly every design row, so h is built for the
+    # probe block and a handful of rows more.
+    rows = _count_h_rows(monkeypatch)
+    spd = spd_with_kappa(np.random.default_rng(100 + dim), dim, 5.0)
+    v = classify(spd, DEFAULT_PLAN)
+    assert v.certificate == Certificate.SAMPLING_EXHAUSTED and v.report.passed
+    assert v.report.samples == dim * (dim - 1) + DEFAULT_PLAN.random_nd
+    assert sum(rows) <= dim * (dim - 1) + 16
+
+
+def test_tied_spectrum_scans_the_whole_design(monkeypatch):
+    # delta_min = 2: the bound is skipped, h is built for every row, and the
+    # report is the unscreened scan's.
+    rows = _count_h_rows(monkeypatch)
+    spd = validate_spd(np.diag([1.0, 2.0, 2.0, 5.5]))
+    v = classify(spd, DEFAULT_PLAN)
+    pts = all_samples(4, DEFAULT_PLAN)
+    assert sum(rows) == pts.shape[0] == v.report.samples
+    lam = min_eig_batch(h_form_batch(delta_from_spd(spd), pts))
+    k = int(np.argmin(lam))
+    assert v.report.worst_value == float(lam[k]) and v.report.passed
+    np.testing.assert_array_equal(v.report.worst_point, pts[k])
 
 
 def test_scan_memory_bounded():
