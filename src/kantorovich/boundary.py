@@ -1,10 +1,10 @@
 """Convexity-threshold probing over parametric eigenvalue families.
 
 For a family kappa -> spectrum(kappa) the prober bisects on kappa between a
-witness-free floor and a witness-bearing ceiling; :func:`classify.classify`
-decides each step, by the ladder's theorems outside the gap and by the
-sampled scan of h inside it.  A floor in the gap is only as good as the sample
-budget, so brackets are reported per family and never asserted to coincide.
+witness-free floor and a witness-bearing ceiling.  Each step is decided by
+the necessary rung's probe-row judge, :func:`classify.probe_witness`, alone:
+by the pair-term identity (docs/formats.md) no design direction finds a
+witness where the probe row finds none, so no step scans the design.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # falsify stays importable here: bench/workloads.py re-checks kappa_hi with it.
-from .classify import classify, falsify  # noqa: F401
+from .classify import falsify, probe_witness  # noqa: F401
+from .forms import delta_from_spd
 from .linalg import MAX_DIM, PD_TOL, SpdMatrix, validate_spd
 from .sampling import DEFAULT_PLAN, SamplePlan, all_samples
 
@@ -92,9 +93,9 @@ class BoundaryEstimate:
         return 0.5 * (self.kappa_lo + self.kappa_hi)
 
 
-def _witness_found(family: EigenFamily, kappa: float,
-                   plan: SamplePlan) -> bool:
-    return classify(family.spd(kappa), plan).witness is not None
+def _witness_found(family: EigenFamily, kappa: float) -> bool:
+    spd = family.spd(kappa)
+    return probe_witness(spd, delta_from_spd(spd)) is not None
 
 
 def probe_boundary(family: EigenFamily, tol: float = 1e-4,
@@ -102,12 +103,12 @@ def probe_boundary(family: EigenFamily, tol: float = 1e-4,
                    bracket: tuple[float, float] = (1.0, 8.0)) -> BoundaryEstimate:
     """Bisect kappa down to ``tol`` between no-witness and witness regimes.
 
-    Each step asks :func:`classify.classify` for a witness; it requires none
-    at ``bracket[0]`` and one at ``bracket[1]``, else raises
-    :class:`BadInitialBracketError` after the first endpoint that fails.  The
-    bracket must satisfy 1 <= lo < hi and PD_TOL * hi < 1: every family has
-    lambda_min = 1 and lambda_max = kappa, so that is the product
-    :func:`linalg.validate_spd` rejects.  A ``tol`` below the float spacing at
+    Each step asks :func:`classify.probe_witness` for a witness (``plan``
+    only labels the result); it requires none at ``bracket[0]`` and one at
+    ``bracket[1]``, else raises :class:`BadInitialBracketError` after the
+    first endpoint that fails.  The bracket must satisfy 1 <= lo < hi and
+    PD_TOL * hi < 1, the kappa :func:`linalg.validate_spd` accepts (every
+    family has lambda_min = 1).  A ``tol`` below the float spacing at
     ``bracket[1]`` is rejected: bisection would stall on adjacent floats.
     """
     if not tol > 0.0:
@@ -120,16 +121,16 @@ def probe_boundary(family: EigenFamily, tol: float = 1e-4,
         raise ValueError(f"tol {tol!r} is below the float spacing "
                          f"{math.ulp(hi)!r} at kappa_hi = {hi!r}")
     t0 = time.perf_counter()
-    if _witness_found(family, lo, plan):
+    if _witness_found(family, lo):
         raise BadInitialBracketError(
             f"witness already found at kappa_lo = {lo}")
-    if not _witness_found(family, hi, plan):
+    if not _witness_found(family, hi):
         raise BadInitialBracketError(
             f"no witness found at kappa_hi = {hi}")
     steps = [BoundaryStep(lo, False), BoundaryStep(hi, True)]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        found = _witness_found(family, mid, plan)
+        found = _witness_found(family, mid)
         steps.append(BoundaryStep(mid, found))
         if found:
             hi = mid

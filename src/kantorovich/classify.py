@@ -37,8 +37,8 @@ from .sampling import (DEFAULT_PLAN, SamplePlan, SampleReport, all_samples,
 
 __all__ = [
     "KAPPA_NECESSARY", "KAPPA_SUFFICIENT_ANY", "KAPPA_SUFFICIENT_3D",
-    "Status", "Certificate", "ProbeResult", "Witness",
-    "ConvexityVerdict", "necessary_probe", "falsify", "classify",
+    "Status", "Certificate", "ProbeResult", "Witness", "classify",
+    "ConvexityVerdict", "necessary_probe", "falsify", "probe_witness",
 ]
 
 # Convex in dim 2 iff kappa below this; necessary bound in every dim.
@@ -123,13 +123,12 @@ def _witness(spd: SpdMatrix, delta: DeltaVector,
 
 
 def falsify(spd: SpdMatrix, plan: SamplePlan = DEFAULT_PLAN) -> Witness | None:
-    """Scan the probe + design directions (:func:`all_samples`) once for a
-    direction where hess f fails to be PSD; None when every one passes.
-    ``plan.refine_rounds`` is not read (see the module docstring)."""
+    """One :func:`scan_h` of the probe + design rows (:func:`all_samples`)
+    for a direction where hess f is not PSD; ``plan.refine_rounds`` unread."""
     return _witness(spd, delta_from_spd(spd), all_samples(spd.dim, plan))
 
 
-def _probe_witness(spd: SpdMatrix, delta: DeltaVector) -> Witness | None:
+def probe_witness(spd: SpdMatrix, delta: DeltaVector) -> Witness | None:
     """The extreme-pair probe (e_i + e_j)/sqrt(2), scanned as one row."""
     (i, j), _ = delta.max_pair()
     y = np.zeros((1, spd.dim))
@@ -155,7 +154,7 @@ def classify(spd: SpdMatrix,
 
     if kappa > KAPPA_NECESSARY * inc:
         return verdict(Status.NOT_CONVEX, Certificate.NECESSARY_VIOLATED,
-                       witness=_probe_witness(spd, delta))
+                       witness=probe_witness(spd, delta))
     if n == 2:
         return verdict(Status.CONVEX, Certificate.EXACT_2D)
     if n == 3 and kappa <= KAPPA_SUFFICIENT_3D * inc:

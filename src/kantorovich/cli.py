@@ -334,6 +334,8 @@ def cmd_hessian_check(args) -> int:
     if not (math.isfinite(args.step) and args.step > 0.0):
         raise ValueError("--step must be a finite number > 0, "
                          f"got {args.step!r}")
+    if not args.tol > 0.0:
+        raise ValueError(f"--tol must be a number > 0, got {args.tol!r}")
     spd = validate_spd(read_matrix_file(args.matrix))
     rng = np.random.default_rng(args.seed)
     devs = []

@@ -8,13 +8,9 @@ from kantorovich import boundary
 from kantorovich.boundary import (FAMILY_KINDS, SWEEP_CSV_HEADER,
                                   BadInitialBracketError, EigenFamily,
                                   probe_boundary, sweep, sweep_csv)
-from kantorovich.classify import (BOUNDARY_REL_TOL, KAPPA_NECESSARY,
-                                  KAPPA_SUFFICIENT_3D, KAPPA_SUFFICIENT_ANY,
-                                  Certificate, ConvexityVerdict, Status,
-                                  classify, falsify)
+from kantorovich.classify import falsify, probe_witness
 from kantorovich.linalg import MAX_DIM, PD_TOL, NotPositiveDefiniteError
-from kantorovich.lmi import verify_h_lmi
-from kantorovich.sampling import SamplePlan
+from kantorovich.sampling import SamplePlan, scan_h
 
 THRESHOLD_2D = 3.0 + 2.0 * math.sqrt(2.0)
 FAST = SamplePlan(angles_2d=1024, fibonacci_3d=20_000, random_nd=40_000,
@@ -108,12 +104,11 @@ def test_probe_bracket_limit_is_the_spd_limit(monkeypatch):
     # a bad bracket, rejected before any search.
     searched = []
 
-    def no_witness(spd, plan):
+    def no_witness(spd, delta):
         searched.append(spd.kappa)
-        return ConvexityVerdict(Status.UNDETERMINED,
-                                Certificate.SAMPLING_EXHAUSTED, spd.kappa)
+        return None
 
-    monkeypatch.setattr("kantorovich.boundary.classify", no_witness)
+    monkeypatch.setattr("kantorovich.boundary.probe_witness", no_witness)
     top = 1e12
     while PD_TOL * top >= 1.0:
         top = math.nextafter(top, 0.0)
@@ -136,11 +131,11 @@ def test_probe_bad_bracket_low_searches_once(monkeypatch):
     # A witness at kappa_lo fails the bracket without a search at kappa_hi.
     calls = []
 
-    def counting(spd, plan):
+    def counting(spd, delta):
         calls.append(spd.kappa)
-        return classify(spd, plan)
+        return probe_witness(spd, delta)
 
-    monkeypatch.setattr("kantorovich.boundary.classify", counting)
+    monkeypatch.setattr("kantorovich.boundary.probe_witness", counting)
     with pytest.raises(BadInitialBracketError,
                        match="witness already found at kappa_lo = 7.0"):
         probe_boundary(EigenFamily("two_point", 2), tol=1e-2, plan=FAST,
@@ -151,7 +146,7 @@ def test_probe_bad_bracket_low_searches_once(monkeypatch):
 def test_probe_tol_below_float_spacing(monkeypatch):
     # Below ulp(kappa_hi) bisection stalls on adjacent floats, so such a tol
     # is rejected before any witness search runs.
-    monkeypatch.setattr("kantorovich.boundary.classify",
+    monkeypatch.setattr("kantorovich.boundary.probe_witness",
                         lambda *a: pytest.fail("searched for a witness"))
     fam = EigenFamily("two_point", 2)
     for bracket in ((1.0, 8.0), (1.0, 1e6)):
@@ -167,63 +162,76 @@ def _trace(est):
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_ladder_oracle_matches_falsify_oracle(monkeypatch, dim):
-    # Deciding a step by the ladder changes no bracket and no step: outside
-    # the gap the design scan cannot disagree with the theorems, inside it
-    # classify runs the same search as falsify.
+    # Deciding a step by the probe row changes no bracket and no step: by
+    # the pair-term identity no design direction finds a witness where the
+    # probe row finds none, and falsify scans the probe row too.
     for kind in FAMILY_KINDS:
         fam = EigenFamily(kind, dim)
         ladder = probe_boundary(fam, tol=1e-6, plan=FAST)
         with monkeypatch.context() as m:
             m.setattr(boundary, "_witness_found",
-                      lambda f, kappa, plan:
-                      falsify(f.spd(kappa), plan) is not None)
+                      lambda f, kappa:
+                      falsify(f.spd(kappa), FAST) is not None)
             scan_only = probe_boundary(fam, tol=1e-6, plan=FAST)
         assert _trace(ladder) == _trace(scan_only)
 
 
-def test_only_gap_steps_scan(monkeypatch):
-    # A step scans the design only when kappa lies in the gap between the
-    # sufficient rung of its dim and the necessary threshold: a dim-2 sweep
-    # never scans, nor does the kappa = 1 step.
+def test_no_step_scans_the_design(monkeypatch):
+    # Every step, in or out of the gap, is one scan of the single
+    # extreme-pair probe row; no step runs verify_h_lmi over the design.
     scans = []
     per_step = []
     real_step = boundary._witness_found
 
-    def counting_scan(delta, plan):
-        scans.append(delta.dim)
-        return verify_h_lmi(delta, plan)
+    def counting_scan(delta, points):
+        scans.append(points.shape[0])
+        return scan_h(delta, points)
 
-    def counting_step(family, kappa, plan):
+    def counting_step(family, kappa):
         before = len(scans)
-        found = real_step(family, kappa, plan)
-        per_step.append((family.spd(kappa).kappa, len(scans) - before))
+        found = real_step(family, kappa)
+        per_step.append(scans[before:])
         return found
 
-    # kantorovich.classify names the function; the module is looked up.
-    monkeypatch.setattr(importlib.import_module("kantorovich.classify"),
-                        "verify_h_lmi", counting_scan)
+    # kantorovich.classify names the functions; the module is looked up.
+    classify_mod = importlib.import_module("kantorovich.classify")
+    monkeypatch.setattr(classify_mod, "scan_h", counting_scan)
+    monkeypatch.setattr(classify_mod, "verify_h_lmi",
+                        lambda *a: pytest.fail("scanned the design"))
     monkeypatch.setattr(boundary, "_witness_found", counting_step)
-    inc = 1.0 + BOUNDARY_REL_TOL
-    top = KAPPA_NECESSARY * inc
-    for dim in (2, 3, 4):
-        floor = KAPPA_SUFFICIENT_3D if dim == 3 else KAPPA_SUFFICIENT_ANY
+    for dim in (2, 3, 4, MAX_DIM):
         for kind in FAMILY_KINDS:
             per_step.clear()
             est = probe_boundary(EigenFamily(kind, dim), tol=1e-3, plan=FAST)
-            assert len(per_step) == len(est.steps)
-            assert per_step[0] == (1.0, 0)
-            for kappa, count in per_step:
-                in_gap = dim > 2 and floor * inc < kappa <= top
-                assert count == int(in_gap), (kind, dim, kappa)
-    assert scans
+            assert per_step == [[1]] * len(est.steps), (kind, dim)
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-9])
+def test_bracket_is_dimension_independent(tol):
+    # Every family has delta_max = kappa + 1/kappa on its extreme pair, and
+    # the probe row decides each step, so all 21 rows bisect alike.
+    two_point_2d = probe_boundary(EigenFamily("two_point", 2), tol=tol,
+                                  plan=FAST)
+    want = (two_point_2d.kappa_lo, two_point_2d.kappa_hi)
+    rows = sweep([EigenFamily(kind, dim) for kind in FAMILY_KINDS
+                  for dim in range(2, MAX_DIM + 1)], tol=tol, plan=FAST)
+    assert len(rows) == 21
+    assert {(r.estimate.kappa_lo, r.estimate.kappa_hi) for r in rows} == {want}
+    # No witness at or below 3 + 2*sqrt(2); above it the probe row needs
+    # lambda_min < -tolerance (a few 1e-9), so the floor may sit just above.
+    assert THRESHOLD_2D <= want[1]
+    assert want[0] <= THRESHOLD_2D * (1.0 + 1e-8)
+    if tol == 1e-4:
+        assert want == (5.8284149169921875, 5.828468322753906)
 
 
 def test_budget_monotonicity():
-    """More samples can only lower (or keep) the witness ceiling."""
+    """The budget labels the result and changes no step."""
     fam = EigenFamily("two_point", 3)
     lean = probe_boundary(fam, tol=1e-3, plan=FAST)
     rich = probe_boundary(fam, tol=1e-3, plan=FAST.scaled(4))
-    assert rich.kappa_hi <= lean.kappa_hi + 1e-3
+    assert _trace(rich) == _trace(lean)
+    assert rich.samples > lean.samples
 
 
 def test_probe_determinism():

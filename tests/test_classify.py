@@ -184,6 +184,23 @@ def test_classify_gap_scan_margin(dim, seed, sliver, u):
     assert abs(r.worst_value - (1.5 - 0.25 * dmax)) <= 1e-13
 
 
+@pytest.mark.parametrize("dim", [4, 5, 6, 7, 8])
+def test_classify_gap_report_is_the_probe_rows(dim):
+    # In the gap the design adds nothing to the report: scanning only the
+    # n(n-1) probe rows that all_samples puts first gives the same worst
+    # value, point, tolerance and verdict, bit for bit (samples differ).
+    rng = np.random.default_rng(4000 + dim)
+    inc = 1.0 + BOUNDARY_REL_TOL
+    pts = all_samples(dim, SamplePlan())[:dim * (dim - 1)]
+    for kappa in rng.uniform(KAPPA_SUFFICIENT_ANY * inc, KAPPA_NECESSARY, 12):
+        spd = spd_with_kappa(rng, dim, float(kappa))
+        got = classify(spd).report
+        res = scan_h(delta_from_spd(spd), pts)
+        assert (got.worst_value, got.tolerance, got.passed) == (
+            res.worst_value, res.tolerance, not res.violation)
+        np.testing.assert_array_equal(got.worst_point, pts[res.worst_index])
+
+
 @settings(deadline=None)
 @given(dim=st.integers(2, 8), seed=st.integers(0, 2 ** 32 - 1),
        kappa=st.floats(1.0, 40.0))

@@ -413,7 +413,7 @@ def test_boundary_unsupported_dim_exits_64_before_any_search(monkeypatch,
                                                               capsys):
     # dim 9 is rejected while the families are built, so the dim-4 rows
     # before it are never searched.
-    monkeypatch.setattr("kantorovich.boundary.classify",
+    monkeypatch.setattr("kantorovich.boundary.probe_witness",
                         lambda *a: pytest.fail("searched for a witness"))
     code = run(["boundary", "--dims", "4,9",
                 "--families", "two_point,geometric,pinned_pair"])
@@ -518,12 +518,24 @@ def test_hessian_check_no_points_exits_64(diag16, count):
     assert res.stdout == ""
 
 
-@pytest.mark.parametrize("step", ["0", "-1e-5", "nan", "inf"])
-def test_hessian_check_bad_step_exits_64(diag16, step):
-    res = run_cli("hessian-check", diag16, f"--step={step}")
+@pytest.mark.parametrize("flag,value", [
+    ("--step", "0"), ("--step", "-1e-5"), ("--step", "nan"), ("--step", "inf"),
+    ("--tol", "nan"), ("--tol", "0"), ("--tol", "-1e-6"),
+], ids=["0", "-1e-5", "nan", "inf", "tol-nan", "tol-0", "tol-negative"])
+def test_hessian_check_bad_step_exits_64(diag16, flag, value):
+    # A --tol that no deviation can pass is a usage error, like --step.
+    res = run_cli("hessian-check", diag16, f"{flag}={value}")
     assert res.returncode == 64
-    assert "--step" in res.stderr
+    assert res.stderr.startswith(f"error: {flag}")
+    assert "Traceback" not in res.stderr
     assert res.stdout == ""
+
+
+def test_hessian_check_inf_tol_passes(diag16):
+    # As for boundary --tol, inf is accepted: every finite deviation passes.
+    res = run_cli("hessian-check", diag16, "--tol", "inf")
+    assert res.returncode == 0
+    assert res.stdout.splitlines()[3:] == ["tolerance: inf", "ok: true"]
 
 
 def test_hessian_check_nan_deviation_fails(diag16):
