@@ -19,7 +19,7 @@ import numpy as np
 from .classify import falsify, probe_witness  # noqa: F401
 from .forms import delta_from_spd
 from .linalg import MAX_DIM, PD_TOL, SpdMatrix, validate_spd
-from .sampling import DEFAULT_PLAN, SamplePlan, all_samples
+from .sampling import DEFAULT_PLAN, SamplePlan, sample_count
 
 __all__ = [
     "FAMILY_KINDS", "EigenFamily", "BoundaryStep", "BoundaryEstimate",
@@ -139,7 +139,7 @@ def probe_boundary(family: EigenFamily, tol: float = 1e-4,
     wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
     return BoundaryEstimate(family=family, kappa_lo=lo, kappa_hi=hi, tol=tol,
                             steps=tuple(steps),
-                            samples=all_samples(family.dim, plan).shape[0],
+                            samples=sample_count(family.dim, plan),
                             seed=plan.seed, wall_ms=wall_ms)
 
 

@@ -14,8 +14,9 @@ Decision ladder, in order:
    at every unit y, far inside the scan tolerance.
 
 A witness (rung 2, :func:`falsify`) is the first worst direction of one
-:func:`scan_h` scan.  The identity's bound 3/2 - delta_max/4 holds for every
-delta and is attained at the probe, which every scan evaluates first.
+scan (:func:`sampling.scan_h`).  The identity's bound 3/2 - delta_max/4
+holds for every delta and is attained at the probe, which every scan
+evaluates first.
 
 Threshold comparisons are inclusive within relative 1e-12, so a matrix built
 to sit exactly on a boundary classifies with the boundary, not against it.
@@ -32,8 +33,8 @@ import numpy as np
 from .forms import DeltaVector, delta_from_spd
 from .linalg import SpdMatrix
 from .lmi import verify_h_lmi
-from .sampling import (DEFAULT_PLAN, SamplePlan, SampleReport, all_samples,
-                       scan_h)
+from .sampling import (DEFAULT_PLAN, SamplePlan, SampleReport, ScanResult,
+                       scan_design, scan_h)
 
 __all__ = [
     "KAPPA_NECESSARY", "KAPPA_SUFFICIENT_ANY", "KAPPA_SUFFICIENT_3D",
@@ -111,11 +112,10 @@ def necessary_probe(delta: DeltaVector) -> ProbeResult:
                        violated=q < 0.0)
 
 
-def _witness(spd: SpdMatrix, delta: DeltaVector,
-             points: np.ndarray) -> Witness | None:
-    """:func:`scan_h` over the unit ``points``; on a violation, the witness
+def _witness(spd: SpdMatrix, points: np.ndarray,
+             res: ScanResult) -> Witness | None:
+    """On a violation in ``res``, a scan of the unit ``points``, the witness
     is the first worst row y as x = U' y, with the scan's worst value."""
-    res = scan_h(delta, points)
     if not res.violation:
         return None
     return Witness(point=spd.spectral.rotation.T @ points[res.worst_index],
@@ -123,9 +123,9 @@ def _witness(spd: SpdMatrix, delta: DeltaVector,
 
 
 def falsify(spd: SpdMatrix, plan: SamplePlan = DEFAULT_PLAN) -> Witness | None:
-    """One :func:`scan_h` of the probe + design rows (:func:`all_samples`)
+    """One scan of the probe + design rows (:func:`sampling.scan_design`)
     for a direction where hess f is not PSD; ``plan.refine_rounds`` unread."""
-    return _witness(spd, delta_from_spd(spd), all_samples(spd.dim, plan))
+    return _witness(spd, *scan_design(delta_from_spd(spd), plan))
 
 
 def probe_witness(spd: SpdMatrix, delta: DeltaVector) -> Witness | None:
@@ -133,7 +133,7 @@ def probe_witness(spd: SpdMatrix, delta: DeltaVector) -> Witness | None:
     (i, j), _ = delta.max_pair()
     y = np.zeros((1, spd.dim))
     y[0, i] = y[0, j] = 1.0 / math.sqrt(2.0)
-    return _witness(spd, delta, y)
+    return _witness(spd, y, scan_h(delta, y))
 
 
 def classify(spd: SpdMatrix,

@@ -241,16 +241,24 @@ def validate_spd(raw) -> SpdMatrix:
 # min_eigenvalue() above is the Jacobi reference they are tested against.
 # ---------------------------------------------------------------------------
 
-def cholesky_clears(entries: np.ndarray, shift: float) -> np.ndarray:
+def cholesky_clears(entries: np.ndarray, shift: float, *,
+                    work: np.ndarray | None = None) -> np.ndarray:
     """Which matrices of an (n, n, m) stack have h - shift*I Cholesky-PD.
 
     Runs an unblocked right-looking Cholesky on all m matrices at once and
     returns a boolean (m,) mask that is True where every pivot is finite and
     > 0, i.e. where Cholesky runs to completion.  A NaN or infinite entry in
     the lower triangle (the only one read) makes some pivot NaN or infinite,
-    so it never clears its matrix.  ``entries`` is not modified.
+    so it never clears its matrix.  ``entries`` is not modified: the
+    factorization runs in a copy, in ``work[:, :, :m]`` if an (n, n, >= m)
+    float buffer is given (a scan passes one for all its blocks), else in
+    a fresh array.
     """
-    a = np.array(entries, dtype=float)
+    if work is None:
+        a = np.array(entries, dtype=float)
+    else:
+        a = work[:, :, :entries.shape[2]]
+        np.copyto(a, entries)
     n = a.shape[0]
     ok = np.ones(a.shape[2:], dtype=bool)
     # Only the lower triangle is read and updated.  A failed matrix keeps
@@ -272,8 +280,8 @@ def min_eig_batch(mats: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(np.asarray(mats, dtype=float))[..., 0]
 
 
-def screened_min_eig(entries: np.ndarray, worst: float,
-                     margin: float) -> np.ndarray:
+def screened_min_eig(entries: np.ndarray, worst: float, margin: float, *,
+                     work: np.ndarray | None = None) -> np.ndarray:
     """Smallest eigenvalues of the rows of an (n, n, m) stack, as one (m,)
     array that reads +inf on each row that cannot beat ``worst``.
 
@@ -281,7 +289,8 @@ def screened_min_eig(entries: np.ndarray, worst: float,
     cleared; every row is when ``worst`` is NaN, and none is while
     ``worst`` is infinite.  A kept row with a non-finite entry (such a row
     never clears) reads NaN, since eigvalsh raises on it; any other kept
-    row reads its min_eig_batch value.
+    row reads its min_eig_batch value.  ``work`` is passed to
+    :func:`cholesky_clears`.
 
     Clearing is exact when ``margin`` is 1e-9 * S, S bounding every |entry|
     (so |worst| <= n S).  If Cholesky of h - (worst + margin) I runs to
@@ -295,7 +304,8 @@ def screened_min_eig(entries: np.ndarray, worst: float,
     lam = np.full(entries.shape[2], math.inf)
     if math.isnan(worst):  # no row beats a NaN minimum (see FirstMin)
         return lam
-    rows = np.flatnonzero(~cholesky_clears(entries, worst + margin))
+    rows = np.flatnonzero(~cholesky_clears(entries, worst + margin,
+                                           work=work))
     kept = entries[:, :, rows]
     finite = np.isfinite(kept).all(axis=(0, 1))
     lam[rows] = np.nan

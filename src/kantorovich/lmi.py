@@ -35,7 +35,7 @@ import numpy as np
 
 from .forms import DeltaVector, det_m_alpha_coefs, m_entries
 from .linalg import PSD_EPS, FirstMin, screened_min_eig
-from .sampling import DEFAULT_PLAN, SamplePlan, SampleReport, all_samples, scan_h
+from .sampling import DEFAULT_PLAN, SamplePlan, SampleReport, scan_design
 
 __all__ = [
     "GRID_TOL", "Axis", "GridSpec", "GridScanReport", "GridCheckSummary",
@@ -145,8 +145,7 @@ def verify_h_lmi(delta: DeltaVector,
     for bit (h is built row by row), and ``passed`` means the worst value
     clears ``-PSD_EPS * max(1, sup|h|)``.
     """
-    pts = all_samples(delta.dim, plan)
-    res = scan_h(delta, pts)
+    pts, res = scan_design(delta, plan)
     return SampleReport(worst_value=res.worst_value,
                         worst_point=np.array(pts[res.worst_index]),
                         samples=res.samples, seed=plan.seed,
@@ -310,8 +309,10 @@ def robust_psd_grid(form: str, omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
     s = np.max([1.0] + [np.abs(n).max() for n in nodes[3:]])
     margin = float(PSD_EPS * (3.0 + big) * s * s)
     worst = FirstMin()
-    # one stack for every block, so no block maps fresh pages for its own
+    # one stack and one Cholesky buffer for every block, so no block maps
+    # fresh pages for its own
     buf = np.empty((3, 3, min(_BLOCK, math.prod(map(len, nodes)))))
+    work = np.empty_like(buf)
     for start, (w1, w2, w3, al, be) in _blocks(nodes, _BLOCK):
         entries = m_entries(_omega(w1, w2, w3), al, be)
         shape = np.broadcast_shapes(*(e.shape for e in entries))
@@ -319,7 +320,8 @@ def robust_psd_grid(form: str, omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
         packed = stack.reshape((3, 3) + shape)
         for (i, j), e in zip(_M_INDEX, entries):
             packed[i, j] = packed[j, i] = e
-        worst.update(start, screened_min_eig(stack, worst.value, margin))
+        worst.update(start, screened_min_eig(stack, worst.value, margin,
+                                             work=work))
     cells = omega_grid.cells * ab_grid.cells
     return _relabel(_report("robust_M", worst, nodes, cells), key)
 

@@ -16,6 +16,11 @@ on lambda_min h per row, from the pair-term identity (docs/formats.md), and
 then a batched Cholesky screen on the rows the bound leaves.  h is built
 only for those rows, and the eigensolver runs only on what Cholesky leaves;
 the reported sample count still counts every direction.
+
+A cached design is scanned by :func:`scan_design`, which also keeps, per
+block of the scan, a floor of the row bound with the design.  A block whose
+floor already clears it is skipped as a whole, so in the gap the design
+costs O(blocks) per scan, not O(rows).
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from .linalg import PSD_EPS, FirstMin, screened_min_eig
 
 __all__ = [
     "SamplePlan", "SampleReport", "DEFAULT_PLAN",
-    "probe_directions", "all_samples",
-    "h_scale_bound", "scan_h", "ScanResult",
+    "probe_directions", "all_samples", "sample_count",
+    "h_scale_bound", "scan_h", "scan_design", "ScanResult",
 ]
 
 # Rows per block of h entries after the probe block (see scan_h).
@@ -40,6 +45,11 @@ _BLOCK = 1 << 12
 # Above this delta_max the row bound is skipped; at or below it, with
 # |y|^2 <= 2, every quantity the bound forms, squares included, is finite.
 _BOUND_DELTA_MAX = 1e150
+# The design floors hold for a = 3 delta_min/4 - 3/2 in (0, _FLOOR_A]; in
+# the gap delta <= 6, so a <= 3 there.  _FLOOR_COEFS are the row bound's
+# (c + a, 2a, b) normalized to c + a = 1, 2a = 2, b = 1 + 2/_FLOOR_A.
+_FLOOR_A = 3.0
+_FLOOR_COEFS = (1.0, 2.0, 1.0 + 2.0 / _FLOOR_A)
 
 
 @dataclass(frozen=True)
@@ -126,6 +136,18 @@ def _random_sphere(dim: int, count: int, seed: int) -> np.ndarray:
     return v
 
 
+def _design_key(dim: int, plan: SamplePlan) -> tuple[int, int, int]:
+    """What the design of ``dim`` reads from ``plan``: (dim, its count, and
+    the seed at dim >= 4, else 0); the count is 1 at dim 1."""
+    count = {2: plan.angles_2d, 3: plan.fibonacci_3d}.get(dim, plan.random_nd)
+    return dim, count if dim > 1 else 1, plan.seed if dim > 3 else 0
+
+
+def sample_count(dim: int, plan: SamplePlan) -> int:
+    """The row count of ``all_samples(dim, plan)``, without building it."""
+    return dim * (dim - 1) + _design_key(dim, plan)[1]
+
+
 def all_samples(dim: int, plan: SamplePlan) -> np.ndarray:
     """Probes first (so ties resolve toward them), then the sphere design:
     ``angles_2d`` equispaced angles in dim 2, a ``fibonacci_3d`` spiral in
@@ -135,8 +157,7 @@ def all_samples(dim: int, plan: SamplePlan) -> np.ndarray:
     Cached on what the design reads, (dim, its count, and the seed at
     dim >= 4), and read-only: plans that agree on those share one array.
     """
-    count = {2: plan.angles_2d, 3: plan.fibonacci_3d}.get(dim, plan.random_nd)
-    return _samples(dim, count if dim > 1 else 1, plan.seed if dim > 3 else 0)
+    return _samples(*_design_key(dim, plan))
 
 
 @lru_cache(maxsize=16)
@@ -175,26 +196,32 @@ class ScanResult:
     violation: bool
 
 
-def _blocks(total: int, head: int):
-    """(lo, hi) row ranges: the first ``head`` rows, then ``_BLOCK`` each."""
+def _blocks(total: int, head: int, block: int):
+    """(lo, hi) row ranges: the first ``head`` rows, then ``block`` each."""
     lo = 0
     while lo < total:
-        hi = min(total, head if lo < head else lo + _BLOCK)
+        hi = min(total, head if lo < head else lo + block)
         yield lo, hi
         lo = hi
 
 
+def _least_coefs(delta: DeltaVector) -> tuple[float, float]:
+    """(a, c) = (3 delta_min/4 - 3/2, 3/2 - delta_max/4): the least
+    coefficients of the rewritten pair terms (docs/formats.md)."""
+    return (0.75 * float(delta.values.min()) - 1.5,
+            1.5 - 0.25 * float(delta.values.max()))
+
+
 def _bound_coefs(delta: DeltaVector,
                  margin: float) -> tuple[float, float, float] | None:
-    """(c + a, 2a, b) for :func:`_row_bound`, with a = 3 delta_min/4 - 3/2,
-    c = 3/2 - delta_max/4 and b = 3 + a - c; None where the bound is
+    """(c + a, 2a, b) for :func:`_row_bound`, with (a, c) from
+    :func:`_least_coefs` and b = 3 + a - c; None where the bound is
     skipped: delta_max > ``_BOUND_DELTA_MAX``, or a <= ``margin``, where it
     cannot clear a unit row (L <= c + a there, and a scan's running minimum
     is at least c up to rounding).  A repeated eigenvalue makes a = 0."""
     if delta.dim < 2 or delta.values.max() > _BOUND_DELTA_MAX:
         return None
-    a = 0.75 * float(delta.values.min()) - 1.5
-    c = 1.5 - 0.25 * float(delta.values.max())
+    a, c = _least_coefs(delta)
     return (c + a, 2.0 * a, 3.0 + a - c) if a > margin else None
 
 
@@ -228,6 +255,62 @@ def _row_bound(coefs: tuple[float, float, float],
     return np.where(s <= 2.0, ca * s - lam, -math.inf)
 
 
+@lru_cache(maxsize=16)
+def _floors(dim: int, count: int, seed: int, block: int) -> np.ndarray:
+    """(blocks, 3): for each block of the scan of ``_samples(dim, count,
+    seed)`` in rows of ``block`` after the probe head, the least normalized
+    row bound phi = ``_row_bound(_FLOOR_COEFS, y)`` and the least and
+    largest s = |y|^2 over its rows (see :func:`scan_design`)."""
+    pts = _samples(dim, count, seed)
+    out = []
+    for lo, hi in _blocks(pts.shape[0], dim * (dim - 1), block):
+        rows = pts[lo:hi]
+        s = np.square(rows).sum(axis=1)
+        out.append((_row_bound(_FLOOR_COEFS, rows).min(), s.min(), s.max()))
+    return np.array(out)
+
+
+def _scan(delta: DeltaVector, points: np.ndarray,
+          design: tuple[int, int, int] | None = None) -> ScanResult:
+    """:func:`scan_h`; ``points`` is ``_samples(*design)`` if ``design`` is
+    given, and then its :func:`_floors` clear whole blocks."""
+    n = delta.dim
+    pts = as_points(delta, points)
+    total = pts.shape[0]
+    # The tolerance also sets the screens' margins: max(1, h_scale_bound)
+    # bounds every |entry| of h at a unit point (see screened_min_eig).
+    tol = PSD_EPS * max(1.0, h_scale_bound(delta))
+    dm = delta.as_matrix()
+    coefs = _bound_coefs(delta, 0.5 * tol)
+    # floor[k] <= L(y), up to rounding, on every row y of block k
+    # (docs/formats.md)
+    floor = None
+    if coefs is not None and design is not None:
+        a, c = _least_coefs(delta)
+        if a <= _FLOOR_A:
+            phi, s_lo, s_hi = _floors(*design, _BLOCK).T
+            floor = np.minimum(c * s_lo, c * s_hi) + a * phi
+    # one Cholesky buffer for every block of the scan
+    work = np.empty((n, n, min(total, max(n * (n - 1), _BLOCK))))
+    worst = FirstMin()
+    for k, (lo, hi) in enumerate(_blocks(total, n * (n - 1), _BLOCK)):
+        if floor is not None and lo and floor[k] > worst.value + 0.5 * tol:
+            continue
+        rows = pts[lo:hi]
+        keep = slice(None)
+        if coefs is not None and lo:
+            keep = ~(_row_bound(coefs, rows) > worst.value + 0.5 * tol)
+            rows = rows[keep]
+        lam = np.full(hi - lo, math.inf)
+        if rows.shape[0]:
+            lam[keep] = screened_min_eig(h_entries(dm, rows), worst.value,
+                                         tol, work=work)
+        worst.update(lo, lam)
+    return ScanResult(worst_value=worst.value, worst_index=worst.index,
+                      tolerance=tol, samples=total,
+                      violation=not worst.value >= -tol)
+
+
 def scan_h(delta: DeltaVector, points: np.ndarray) -> ScanResult:
     """Minimum eigenvalue of h(delta, y) over a stack of unit points.
 
@@ -242,31 +325,33 @@ def scan_h(delta: DeltaVector, points: np.ndarray) -> ScanResult:
     (:func:`_row_bound`) clears every row whose bound exceeds the running
     minimum by half the tolerance; it is skipped where it could clear no
     unit row (3 delta_min/4 - 3/2 at most half the tolerance, as for a
-    repeated eigenvalue) or delta_max > 1e150.  h is built by :func:`forms.h_entries` only for the rows left,
-    bitwise as for each row alone, and a batched Cholesky screen
-    (:func:`linalg.screened_min_eig`) clears, row by row, those that cannot
-    beat the running minimum; only the rest are eigensolved.  ``samples``
-    still counts every point.
+    repeated eigenvalue) or delta_max > 1e150.  h is built by
+    :func:`forms.h_entries` only for the rows left, bitwise as for each row
+    alone, and a batched Cholesky screen (:func:`linalg.screened_min_eig`)
+    clears, row by row, those that cannot beat the running minimum; only
+    the rest are eigensolved.  ``samples`` still counts every point.
+    :func:`scan_design` scans a cached design to the same result, and
+    clears whole blocks of it by floors kept with the design.
     """
-    n = delta.dim
-    pts = as_points(delta, points)
-    total = pts.shape[0]
-    # The tolerance also sets the screens' margins: max(1, h_scale_bound)
-    # bounds every |entry| of h at a unit point (see screened_min_eig).
-    tol = PSD_EPS * max(1.0, h_scale_bound(delta))
-    dm = delta.as_matrix()
-    coefs = _bound_coefs(delta, 0.5 * tol)
-    worst = FirstMin()
-    for lo, hi in _blocks(total, n * (n - 1)):
-        rows = pts[lo:hi]
-        keep = slice(None)
-        if coefs is not None and lo:
-            keep = ~(_row_bound(coefs, rows) > worst.value + 0.5 * tol)
-            rows = rows[keep]
-        lam = np.full(hi - lo, math.inf)
-        if rows.shape[0]:
-            lam[keep] = screened_min_eig(h_entries(dm, rows), worst.value, tol)
-        worst.update(lo, lam)
-    return ScanResult(worst_value=worst.value, worst_index=worst.index,
-                      tolerance=tol, samples=total,
-                      violation=not worst.value >= -tol)
+    return _scan(delta, points)
+
+
+def scan_design(delta: DeltaVector,
+                plan: SamplePlan) -> tuple[np.ndarray, ScanResult]:
+    """``all_samples(delta.dim, plan)`` and its :func:`scan_h` result, bit
+    for bit, with whole blocks cleared by floors kept with the design.
+
+    For each block of the scan the design keeps phi_k, the least of
+    ``_row_bound(_FLOOR_COEFS, y)`` over its rows, and the least and
+    largest |y|^2, s_lo and s_hi.  Where the row bound applies and a =
+    3 delta_min/4 - 3/2 <= 3 (in the gap, unless two eigenvalues nearly
+    tie), every row of the block has bound at least min(c s_lo, c s_hi) +
+    a phi_k (proof in
+    docs/formats.md), so where that exceeds the running minimum by half the
+    tolerance the block is skipped unread.  Any other block is screened as
+    :func:`scan_h` screens it.  The floors are computed by the first scan
+    of a design that can use them, in one pass, and cached with it;
+    :func:`all_samples` alone does not compute them.
+    """
+    points = all_samples(delta.dim, plan)
+    return points, _scan(delta, points, _design_key(delta.dim, plan))

@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from kantorovich import boundary
+from kantorovich import boundary, sampling
 from kantorovich.boundary import (FAMILY_KINDS, SWEEP_CSV_HEADER,
                                   BadInitialBracketError, EigenFamily,
                                   probe_boundary, sweep, sweep_csv)
 from kantorovich.classify import falsify, probe_witness
 from kantorovich.linalg import MAX_DIM, PD_TOL, NotPositiveDefiniteError
-from kantorovich.sampling import SamplePlan, scan_h
+from kantorovich.sampling import SamplePlan, all_samples, scan_h
 
 THRESHOLD_2D = 3.0 + 2.0 * math.sqrt(2.0)
 FAST = SamplePlan(angles_2d=1024, fibonacci_3d=20_000, random_nd=40_000,
@@ -277,3 +277,17 @@ def test_sweep_csv_roundtrip_floats():
     parts = line.split(",")
     assert float(parts[2]) == rows[0].estimate.kappa_lo  # repr round-trips
     assert float(parts[3]) == rows[0].estimate.kappa_hi
+
+
+def test_sweep_builds_no_design():
+    # The samples column is counted from the plan: no step and no row
+    # builds the design it labels.
+    plan = SamplePlan(seed=2325, angles_2d=777, fibonacci_3d=778,
+                      random_nd=779)
+    families = [EigenFamily(kind, dim) for kind in FAMILY_KINDS
+                for dim in (2, 3, 4, 8)]
+    misses = sampling._samples.cache_info().misses
+    rows = sweep(families, tol=1e-2, plan=plan)
+    assert sampling._samples.cache_info().misses == misses
+    assert [row.estimate.samples for row in rows] == [
+        all_samples(fam.dim, plan).shape[0] for fam in families]

@@ -12,7 +12,7 @@ from kantorovich.forms import DeltaVector, delta_from_spd
 from kantorovich.function import f_hessian
 from kantorovich.linalg import min_eigenvalue, validate_spd
 from kantorovich.lmi import verify_h_lmi
-from kantorovich.sampling import SamplePlan, all_samples, scan_h
+from kantorovich.sampling import SamplePlan, all_samples, scan_design, scan_h
 from conftest import random_rotation, spd_with_kappa
 
 # Small budgets keep the suite quick; the acceptance tests use the defaults.
@@ -141,11 +141,11 @@ def test_classify_gap_never_convex():
 def test_classify_gap_scans_once(monkeypatch, eigs):
     calls = []
 
-    def counting_scan_h(*args, **kwargs):
+    def counting_scan_design(*args, **kwargs):
         calls.append(1)
-        return scan_h(*args, **kwargs)
+        return scan_design(*args, **kwargs)
 
-    monkeypatch.setattr("kantorovich.lmi.scan_h", counting_scan_h)
+    monkeypatch.setattr("kantorovich.lmi.scan_design", counting_scan_design)
     spd = validate_spd(np.diag(eigs))
     v = classify(spd, FAST)
     assert len(calls) == 1

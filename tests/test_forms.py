@@ -267,18 +267,40 @@ def _row_bound_gap(delta, y, z, b_shift=0):
     return zhz - zmz, pairs
 
 
+def _floor_step_gap(delta, mu, v, z):
+    """z'(N - T)z and (b - a beta)(v.z)^2, exactly, where T = 2a D - b vv'
+    is the row bound's 2x2 matrix (D = diag(mu), a, b as above) and N =
+    a (2D - beta vv') its normalized form, beta = 1 + 2/A with A = 3
+    (sampling._FLOOR_COEFS); the design floors rest on N - T PSD."""
+    a = 3 * min(delta.values()) / 4 - Fraction(3, 2)
+    c = Fraction(3, 2) - max(delta.values()) / 4
+    b = 3 + a - c
+    beta = 1 + Fraction(2, 3)
+    t = [[2 * a * mu[i] * (i == j) - b * v[i] * v[j] for j in range(2)]
+         for i in range(2)]
+    m = [[a * (2 * mu[i] * (i == j) - beta * v[i] * v[j]) for j in range(2)]
+         for i in range(2)]
+    gap = sum(z[i] * (m[i][j] - t[i][j]) * z[j]
+              for i in range(2) for j in range(2))
+    return gap, (b - a * beta) * (v[0] * z[0] + v[1] * z[1]) ** 2, a
+
+
 def test_h_row_bound_matrix_exact():
     # Every pair coefficient of the identity is at least a or at least c, so
     # h(delta, y) - M is the sum of nonnegative pair squares below, and
     # lambda_min h >= lambda_min M: step 1 of the scan's row bound
     # (sampling._row_bound, docs/formats.md).  Exact in Fraction arithmetic
     # with delta_ij on both sides of 6; b shifted by 1/10 misses it.
+    # The normalized step of the design floors: for 0 < a <= A = 3,
+    # a (2D - (1 + 2/A) vv') - (2a D - b vv') = (b - a (1 + 2/A)) vv' is
+    # PSD.  Nearly equal delta_ij above 10 (so a > 6 > A) break it.
     gen = random.Random(2021)
 
     def q(lo, hi):
         return Fraction(gen.randint(lo, hi), gen.randint(1, 40))
 
     mutant_caught = False
+    floor_checked = 0
     for n in range(2, 9):
         for _ in range(20):
             delta = {p: 2 + q(0, 400) for p in pair_indices(n)}
@@ -288,7 +310,24 @@ def test_h_row_bound_matrix_exact():
             assert gap == pairs and pairs >= 0
             mutant, pairs = _row_bound_gap(delta, y, z, Fraction(1, 10))
             mutant_caught |= mutant != pairs
-    assert mutant_caught
+            for top in (q(0, 160), 4 + q(0, 80)):
+                near = {p: 2 + top * d / 402 for p, d in delta.items()}
+                mu = sorted([q(0, 60), q(0, 60)], reverse=True)
+                gap, want, a = _floor_step_gap(near, mu, y[:2], z[:2])
+                assert gap == want
+                if 0 < a <= 3:
+                    assert gap >= 0
+                    floor_checked += 1
+    assert mutant_caught and floor_checked >= 100
+    floor_mutant_caught = False
+    for n in range(2, 9):
+        delta = {p: 10 + q(1, 40) / 100 for p in pair_indices(n)}
+        gap, want, a = _floor_step_gap(delta, [q(0, 60), q(0, 60)],
+                                       [q(1, 60), q(1, 60)],
+                                       [q(1, 60), q(1, 60)])
+        assert gap == want and a > 3
+        floor_mutant_caught |= gap < 0
+    assert floor_mutant_caught
 
 
 def test_h_batch_shape_validation():

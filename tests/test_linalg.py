@@ -191,10 +191,13 @@ def _cholesky_ok(m):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_cholesky_clears_matches_lapack(rng, n):
     # Shifts on both sides of each matrix's lambda_min, some far and some
-    # within 1e-6 of it: the mask is LAPACK's Cholesky success.
+    # within 1e-6 of it: the mask is LAPACK's Cholesky success, also when
+    # the factorization runs in one wider work buffer left dirty by the
+    # shift before.
     a = rng.standard_normal((24, n, n))
     a = a + np.swapaxes(a, -1, -2)
     lam = np.linalg.eigvalsh(a)[:, 0]
+    work = np.full((n, n, 30), np.nan)
     for rel in (-1.0, -1e-6, 1e-6, 1.0):
         for shift in np.unique(lam + rel):
             shifted = a - shift * np.eye(n)
@@ -203,6 +206,7 @@ def test_cholesky_clears_matches_lapack(rng, n):
             before = entries.copy()
             got = cholesky_clears(entries, shift)
             assert got.tolist() == want
+            assert cholesky_clears(entries, shift, work=work).tolist() == want
             np.testing.assert_array_equal(entries, before)
 
 

@@ -330,8 +330,8 @@ def test_asymmetric_axis_scanned_whole(axes):
 def test_folded_scan_visits_one_quadrant(monkeypatch, n):
     visited, solved = [], []
 
-    def counting(entries, worst, margin):
-        lam = linalg.screened_min_eig(entries, worst, margin)
+    def counting(entries, worst, margin, **kwargs):
+        lam = linalg.screened_min_eig(entries, worst, margin, **kwargs)
         visited.append(lam.size)
         solved.append(int(np.sum(lam != np.inf)))
         return lam
@@ -395,8 +395,8 @@ def test_screened_robust_scan_is_the_unscreened_scan(monkeypatch, size,
     # overflowing grids included.  On the last grid alpha^2 overflows from
     # the second alpha node on: those cells read NaN, and the first of them
     # is the worst.
-    def unscreened(entries, worst, margin):
-        return linalg.screened_min_eig(entries, math.inf, margin)
+    def unscreened(entries, worst, margin, **kwargs):
+        return linalg.screened_min_eig(entries, math.inf, margin, **kwargs)
 
     monkeypatch.setattr(lmi, "_BLOCK", size)
     got = robust_psd_grid("M", omega, ab)

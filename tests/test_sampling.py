@@ -9,7 +9,8 @@ from kantorovich.forms import (DeltaVector, delta_from_spd, h_entries,
                                h_form_batch)
 from kantorovich.linalg import PSD_EPS, min_eig_batch, validate_spd
 from kantorovich.sampling import (DEFAULT_PLAN, SamplePlan, all_samples,
-                                  h_scale_bound, probe_directions, scan_h)
+                                  h_scale_bound, probe_directions,
+                                  sample_count, scan_design, scan_h)
 from conftest import spd_with_kappa
 
 
@@ -78,6 +79,13 @@ def test_all_samples_is_one_cached_read_only_design(dim):
     want = sampling._samples.__wrapped__(dim, count,
                                          plan.seed if dim > 3 else 0)
     assert pts.tobytes() == want.tobytes() and pts.shape == want.shape
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_sample_count_is_the_design_size(dim):
+    for plan in (DEFAULT_PLAN, SamplePlan(seed=3, angles_2d=5,
+                                          fibonacci_3d=6, random_nd=7)):
+        assert sample_count(dim, plan) == all_samples(dim, plan).shape[0]
 
 
 def test_all_samples_cached_on_what_the_design_reads():
@@ -349,6 +357,99 @@ def test_tied_spectrum_scans_the_whole_design(monkeypatch):
     k = int(np.argmin(lam))
     assert v.report.worst_value == float(lam[k]) and v.report.passed
     np.testing.assert_array_equal(v.report.worst_point, pts[k])
+
+
+FLOOR_PLAN = SamplePlan(seed=2323, angles_2d=3000, fibonacci_3d=6000,
+                        random_nd=6000)
+KAPPA_K = 3.0 + 2.0 * np.sqrt(2.0)
+
+
+def _floor_deltas(rng, dim):
+    """delta in every regime the design floors meet: the gap and both sides
+    of K = 3 + 2 sqrt(2) (from rotated matrices), a > 3 (every delta above
+    6, and nearly equal deltas above 10, where a > 6), a within the bound's
+    margin (delta_min = 2 + 1e-12, and a tie), and a nearly repeated pair
+    (delta_min = 2 + 1e-6 or 1e-4)."""
+    npairs = dim * (dim - 1) // 2
+    out = [delta_from_spd(spd_with_kappa(rng, dim, k)).values
+           for k in (4.5, 5.2, 5.8, KAPPA_K * (1 + 1e-9), 6.5, 12.0)]
+    out.append(6.0 + rng.uniform(0.1, 4.0, npairs))
+    out.append(10.0 + rng.uniform(0.1, 0.2, npairs))
+    for tiny in (0.0, 1e-12, 1e-6, 1e-4):
+        vals = 2.0 + rng.uniform(0.5, 4.0, npairs)
+        vals[rng.integers(npairs)] = 2.0 + tiny
+        out.append(vals)
+    return [DeltaVector(dim=dim, values=v) for v in out]
+
+
+def _key(res):
+    return (res.worst_value.hex(), res.worst_index, res.tolerance.hex(),
+            res.samples, res.violation)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_design_floors_change_no_scan(monkeypatch, rng, dim):
+    # scan_design reports bitwise what scan_h reports on the same points.
+    # Each block's floor is below lambda_min h on every row of the block,
+    # up to rounding; the scan skips exactly the blocks whose floor clears
+    # the running minimum by half the tolerance (it runs the row bound on
+    # every other design block), and eigvalsh on every row of a skipped
+    # block is above that minimum.
+    monkeypatch.setattr(sampling, "_BLOCK", 500)
+    pts = all_samples(dim, FLOOR_PLAN)
+    phi, s_lo, s_hi = sampling._floors(
+        *sampling._design_key(dim, FLOOR_PLAN), 500).T
+    blocks = list(sampling._blocks(pts.shape[0], dim * (dim - 1), 500))
+    row_bound = sampling._row_bound
+    calls = []
+
+    def counting_row_bound(coefs, y):
+        calls.append(y.shape[0])
+        return row_bound(coefs, y)
+
+    monkeypatch.setattr(sampling, "_row_bound", counting_row_bound)
+    skipped = 0
+    for d in _floor_deltas(rng, dim):
+        calls.clear()
+        got_pts, got = scan_design(d, FLOOR_PLAN)
+        bounded = len(calls)
+        assert got_pts is pts
+        assert _key(got) == _key(scan_h(d, pts))
+        lam = min_eig_batch(h_form_batch(d, pts))
+        assert _key(got)[:2] == (float(lam.min()).hex(), int(np.argmin(lam)))
+        a, c = sampling._least_coefs(d)
+        if sampling._bound_coefs(d, 0.5 * got.tolerance) is None:
+            continue
+        if a > sampling._FLOOR_A:  # no floor: every design block is bounded
+            assert bounded == len(blocks) - 1
+            continue
+        floor = np.minimum(c * s_lo, c * s_hi) + a * phi
+        slack = 1e-14 * max(3.0, 0.5 * float(d.values.max()))
+        scanned = 0
+        for k, (lo, hi) in enumerate(blocks[1:], 1):
+            assert floor[k] <= lam[lo:hi].min() + slack
+            run = lam[:lo].min()
+            if floor[k] > run + 0.5 * got.tolerance:
+                assert lam[lo:hi].min() > run
+                skipped += 1
+            else:
+                scanned += 1
+        assert bounded == scanned
+    assert skipped > 0
+
+
+def test_design_floors_built_once_and_not_by_all_samples():
+    plan = SamplePlan(seed=2324, random_nd=3000)
+    info = sampling._floors.cache_info
+    before = info()
+    pts = all_samples(6, plan)
+    # a > 3: the floors cannot serve this scan, so it does not build them
+    scan_design(DeltaVector(dim=6, values=np.full(15, 8.0)), plan)
+    assert info() == before
+    gap = delta_from_spd(spd_with_kappa(np.random.default_rng(6), 6, 5.0))
+    for _ in range(3):
+        assert scan_design(gap, plan)[0] is pts
+    assert (info().misses - before.misses, info().hits - before.hits) == (1, 2)
 
 
 def test_scan_memory_bounded():
