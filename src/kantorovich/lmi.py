@@ -23,6 +23,13 @@ one block iterator, :func:`_blocks`: a block is a C-order run of about
 ``_BLOCK`` cells whose coordinates are node arrays that broadcast against
 one another, so no grid (of omega or of any other axis) is ever built cell
 by cell, and memory does not grow with the grid.
+
+The robust and detm scans skip the cells whose closed-form floor, a value
+at or below every value of the cell as computed, reaches the running
+minimum (:func:`_unscreened`): an omega cell by the row bound of the
+direction scan (:func:`_robust_floors`), a row of an (omega, beta) cell by
+the signs of the det m coefficients (:func:`_detm_floors`).  Each report is
+still that of evaluating every cell (proofs in docs/formats.md).
 """
 
 from __future__ import annotations
@@ -35,7 +42,9 @@ import numpy as np
 
 from .forms import DeltaVector, det_m_alpha_coefs, m_entries
 from .linalg import PSD_EPS, FirstMin, screened_min_eig
-from .sampling import DEFAULT_PLAN, SamplePlan, SampleReport, scan_design
+from .sampling import (_BOUND_DELTA_MAX, DEFAULT_PLAN, SamplePlan,
+                       SampleReport, _least_coefs, _row_bound, _row_coefs,
+                       scan_design)
 
 __all__ = [
     "GRID_TOL", "Axis", "GridSpec", "GridScanReport", "GridCheckSummary",
@@ -50,14 +59,19 @@ __all__ = [
 GRID_TOL = 1e-9
 
 # Grid cells evaluated per block of a scan, so that memory stays the same
-# whatever the grid size: a box temporary, or one entry of m, is at most
-# 32 KB, and the robust scan's packed (3, 3, cells) stack 288 KB.  A detm
-# cell counts once per alpha node, and its blocks are four times larger, to
-# spread the fixed cost of the ~40 small numpy calls each block makes.  At
-# 41 alpha nodes a detm temporary is then 121 KB, under malloc's default
-# mmap threshold (128 KiB in glibc); with five times larger blocks every
-# temporary is mapped and page-faulted in afresh.
+# whatever the grid size: a box temporary, one entry of m, a detm
+# coefficient or floor, or a chunk of detm row values (a cell counts once
+# per alpha node there) is at most 32 KB, and the robust scan's packed
+# (3, 3, cells) stack 288 KB.  The robust scan walks the omega cells, and
+# the detm scan the (omega, beta) cells, in blocks of this many.
 _BLOCK = 1 << 12
+# The detm floors' rounding margin is _ROUND times a bound on the sum of
+# the absolute values of their terms (16 unit roundoffs), plus _TINY for
+# underflow; both floors apply only where that sum, and the robust scan's
+# entry bound, is at most _BOUND_DELTA_MAX, so nothing they compare can
+# overflow (docs/formats.md).
+_ROUND = 2.0 ** -49
+_TINY = 2.0 ** -1000
 
 
 @dataclass(frozen=True)
@@ -216,6 +230,16 @@ def _omega(w1, w2, w3) -> np.ndarray:
     return out
 
 
+def _unscreened(lo: np.ndarray, worst: float) -> np.ndarray:
+    """Indices of the cells whose floor ``lo`` does not reach the running
+    minimum ``worst``: all but those with lo >= worst, so a NaN floor keeps
+    its cell.  A floor lies at or below every value of its cell as
+    computed, none of which is NaN, so a skipped cell has no value below
+    the running minimum, which an earlier cell attains: it cannot hold the
+    first strict minimum."""
+    return np.flatnonzero(~(lo >= worst))
+
+
 def _report(grid_id: str, worst: FirstMin, nodes: tuple[np.ndarray, ...],
             cells: int) -> GridScanReport:
     """The row of a scan that fed ``worst`` the C-order cells of ``nodes``;
@@ -276,18 +300,58 @@ def _folded(ax: Axis) -> np.ndarray:
     return nodes[:(ax.count + 1) // 2] if ax.lo == -ax.hi else nodes
 
 
+def _robust_floors(w: np.ndarray, plane: tuple[np.ndarray, np.ndarray],
+                   margin: float) -> np.ndarray:
+    """F - ``margin`` for each omega cell, a row of ``w`` (cells, 3).
+
+    m(w, alpha, beta) is h(w, y) at y = (1, alpha, beta), so with s = |y|^2,
+    lambda_min m = s lambda_min h(w, y / sqrt(s)) >= s L(y / sqrt(s)), L
+    the row bound (:func:`sampling._row_bound`) with (a, c) from min(w) and
+    max(w).  F is the least of s L over the (alpha, beta) nodes of
+    ``plane``; it depends only on (a, c), so it is computed once per
+    distinct pair, a block of nodes at a time.  The proof needs a > 0: the
+    result is NaN where a <= ``margin``.
+    """
+    a, c = _least_coefs(w)
+    # The distinct pairs, in order, and each cell's pair.  Found without a
+    # numpy sort: the first in a process maps about 0.4 MB of sort code,
+    # which nothing else in a lemmas run needs.
+    found = set()
+    for k in range(0, len(a), 256):
+        found.update(zip(a[k:k + 256].tolist(), c[k:k + 256].tolist()))
+    pairs = np.array(sorted(found)).view(complex).reshape(-1)
+    inv = np.searchsorted(pairs, np.stack((a, c), axis=-1).view(complex))
+    ok = pairs.real > margin
+    coefs = _row_coefs(pairs.real[ok, None], pairs.imag[ok, None])
+    f = np.full(coefs[0].shape[0], math.inf)
+    for _, (al, be) in _blocks(plane, _BLOCK):
+        y = np.stack(np.broadcast_arrays(1.0, al, be), axis=-1).reshape(-1, 3)
+        s = np.square(y).sum(axis=1)
+        y /= np.sqrt(s)[:, None]
+        step = max(1, _BLOCK // len(y))
+        for k in range(0, len(f), step):
+            part = slice(k, k + step)
+            low = (s * _row_bound(tuple(x[part] for x in coefs), y)).min(axis=1)
+            np.minimum(f[part], low, out=f[part])
+    out = np.full(len(pairs), math.nan)
+    out[ok] = f - margin
+    return out[inv.reshape(-1)]
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def robust_psd_grid(form: str, omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
                     ab_grid: GridSpec = AB_GRID_DEFAULT) -> GridScanReport:
     """Minimum eigenvalue of one normalized form over the full grid; the
     row passes when it is >= -GRID_TOL.
 
-    Every form is scanned as m over its permuted omega axes, in blocks of
-    at most ``_BLOCK`` cells whose omega nodes broadcast against the
-    (alpha, beta) nodes.  Each block's m is packed into one reused
-    (3, 3, cells) stack for :func:`linalg.screened_min_eig`, so the report
-    is exactly that of eigensolving every cell (NaN where an entry is not
-    finite).  The worst cell is in the form's own coordinates.
+    Every form is scanned as m over its permuted omega axes.  The omega
+    cells are walked in blocks of ``_BLOCK``; an omega cell whose floor
+    (:func:`_robust_floors`) reaches the running minimum is skipped whole,
+    and the rest are packed in C order, with their (alpha, beta) nodes,
+    into runs of at most ``_BLOCK`` cells.  Each run's m goes into one
+    reused (3, 3, cells) stack for :func:`linalg.screened_min_eig`, so the
+    report is exactly that of eigensolving every cell (NaN where an entry
+    is not finite).  The worst cell is in the form's own coordinates.
 
     lambda_min of m is even in alpha and in beta (conjugation by
     diag(1, -1, 1) or diag(1, 1, -1) flips their signs), bit for bit in
@@ -300,28 +364,53 @@ def robust_psd_grid(form: str, omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
     if key not in _FORM_AXES:
         raise ValueError(f"form must be one of M, P, Q, got {form!r}")
     _check_robust_grids(omega_grid, ab_grid)
-    nodes = (tuple(omega_grid.axes[k].nodes() for k in _FORM_AXES[key])
-             + tuple(_folded(ax) for ax in ab_grid.axes))
+    omega = tuple(omega_grid.axes[k].nodes() for k in _FORM_AXES[key])
+    plane = tuple(_folded(ax) for ax in ab_grid.axes)
+    nodes = omega + plane
     # Term by term, every |entry of m| <= (3 + W) s^2 with W = max|omega|
     # and s = max(1, |alpha|, |beta|) over the nodes.  An overflowing grid
-    # makes the margin inf or NaN, and then the screen clears nothing.
-    big = np.max([np.abs(n).max() for n in nodes[:3]])
-    s = np.max([1.0] + [np.abs(n).max() for n in nodes[3:]])
-    margin = float(PSD_EPS * (3.0 + big) * s * s)
+    # makes the margin inf or NaN, and then the screen clears nothing.  The
+    # floors apply only where that bound is at most _BOUND_DELTA_MAX.
+    big = np.max([np.abs(n).max() for n in omega])
+    s = np.max([1.0] + [np.abs(n).max() for n in plane])
+    bound = float((3.0 + big) * s * s)
+    margin = PSD_EPS * bound
+    per_plane = math.prod(map(len, plane))
+    # a run is per_run omega cells times one block of (alpha, beta) nodes
+    per_run = max(1, _BLOCK // per_plane)
+    runs = list(_blocks(plane, _BLOCK))
     worst = FirstMin()
-    # one stack and one Cholesky buffer for every block, so no block maps
+    # one stack and one Cholesky buffer for every run, so no run maps
     # fresh pages for its own
     buf = np.empty((3, 3, min(_BLOCK, math.prod(map(len, nodes)))))
     work = np.empty_like(buf)
-    for start, (w1, w2, w3, al, be) in _blocks(nodes, _BLOCK):
-        entries = m_entries(_omega(w1, w2, w3), al, be)
-        shape = np.broadcast_shapes(*(e.shape for e in entries))
-        stack = buf[:, :, :math.prod(shape)]
-        packed = stack.reshape((3, 3) + shape)
-        for (i, j), e in zip(_M_INDEX, entries):
-            packed[i, j] = packed[j, i] = e
-        worst.update(start, screened_min_eig(stack, worst.value, margin,
-                                             work=work))
+    for first, ws in _blocks(omega, _BLOCK):
+        w = _omega(*ws).reshape(-1, 3)
+        lo = (_robust_floors(w, plane, margin)
+              if bound <= _BOUND_DELTA_MAX else None)
+        todo, seen = np.arange(len(w)), None
+        while todo.size:
+            # screen what is left again whenever the minimum has moved
+            if lo is not None and worst.value != seen:
+                todo = todo[_unscreened(lo[todo], worst.value)]
+                seen = worst.value
+                continue
+            batch = todo[:per_run]
+            todo = todo[per_run:]
+            for p_first, (al, be) in runs:
+                pshape = np.broadcast_shapes(np.shape(al), np.shape(be))
+                wb = w[batch].reshape(batch.shape + (1,) * len(pshape) + (3,))
+                entries = m_entries(wb, al, be)
+                shape = np.broadcast_shapes(*(e.shape for e in entries))
+                stack = buf[:, :, :math.prod(shape)]
+                packed = stack.reshape((3, 3) + shape)
+                for (i, j), e in zip(_M_INDEX, entries):
+                    packed[i, j] = packed[j, i] = e
+                lam = screened_min_eig(stack, worst.value, margin, work=work)
+                # the run's first minimum, at its flat index in the grid
+                k, cols = int(np.argmin(lam)), math.prod(pshape)
+                worst.update((first + batch[k // cols]) * per_plane
+                             + p_first + k % cols, lam[k:k + 1])
     cells = omega_grid.cells * ab_grid.cells
     return _relabel(_report("robust_M", worst, nodes, cells), key)
 
@@ -357,6 +446,40 @@ def detm_alpha_poly(omega, beta: float) -> np.ndarray:
     return out
 
 
+# The alpha rows of det m at (omega, beta) cells, from coefficient columns
+# c2, c4, c6 (cells, 1) and the alpha nodes' a2 = a^2 and a4 = a2^2.
+_DETM_ROWS = {
+    "detm_d2": lambda c2, c4, c6, a2, a4: (
+        2.0 * c2 + 12.0 * c4 * a2 + 30.0 * c6 * a4),
+    "detm_d4": lambda c2, c4, c6, a2, a4: 24.0 * c4 + 360.0 * c6 * a2,
+    "detm_min_at_zero": lambda c2, c4, c6, a2, a4: (
+        a2 * (c2 + c4 * a2 + c6 * a4)),
+}
+
+
+def _detm_floors(c2: np.ndarray, c4: np.ndarray, c6: np.ndarray):
+    """For each (omega, beta) cell, one floor per ``_DETM_ROWS`` row, at or
+    below its value at every alpha node as computed (docs/formats.md).
+
+    With u = a^2 in [0, 1] the rows are at least g2 = 2 c2 + 12 min(c4, 0)
+    + 30 min(c6, 0), g4 = 24 c4 + 360 min(c6, 0) and min(0, g0), g0 = c2 +
+    min(c4, 0) + min(c6, 0).  The floors are g2 and g4, and min(0, g0),
+    each g less the margin ``_ROUND`` S + ``_TINY``, S = 2|c2| + 24|c4| +
+    360|c6| (at least the sum of the absolute values of any row's terms).
+    The margin, and so every floor, is NaN where S is not at most
+    ``_BOUND_DELTA_MAX`` (NaN, infinite or huge coefficients).  The floors
+    are yielded one at a time, so few block-sized temporaries are alive.
+    """
+    n4, n6 = np.minimum(c4, 0.0), np.minimum(c6, 0.0)
+    big = 2.0 * np.abs(c2) + 24.0 * np.abs(c4) + 360.0 * np.abs(c6)
+    margin = np.where(big <= _BOUND_DELTA_MAX, _ROUND * big + _TINY,
+                      math.nan)
+    del big
+    yield 2.0 * c2 + 12.0 * n4 + 30.0 * n6 - margin
+    yield 24.0 * c4 + 360.0 * n6 - margin
+    yield np.minimum(0.0, c2 + n4 + n6 - margin)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def detm_alpha_convexity_check(omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
                                beta_grid: GridSpec = BETA_GRID_DEFAULT,
@@ -373,8 +496,11 @@ def detm_alpha_convexity_check(omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
 
     and detm_alpha0 = c0 per (omega, beta) cell; each must be >= -GRID_TOL.
     Worst cells are (w1, w2, w3, beta[, alpha]).  The (omega, beta) cells
-    are scanned in blocks of about ``4 * _BLOCK`` (cell, alpha node) values,
-    128 KB per temporary, whatever the grids.
+    are scanned in blocks of ``_BLOCK``.  A row's alpha nodes are evaluated
+    only at the cells whose floor (:func:`_detm_floors`) does not reach
+    its running minimum, a chunk of cells at a time, so no temporary
+    exceeds 32 KB whatever the grids; the report is that of evaluating
+    every cell.
     """
     if omega_grid.ndim != 3 or beta_grid.ndim != 1:
         raise ValueError("omega grid needs 3 axes and beta grid 1")
@@ -383,21 +509,24 @@ def detm_alpha_convexity_check(omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
     a4 = a2 * a2
     nodes = omega_grid.node_arrays() + beta_grid.node_arrays()
     with_alpha = nodes + (alpha_nodes,)
-    trackers = {name: FirstMin() for name in (
-        "detm_d2", "detm_d4", "detm_min_at_zero", "detm_alpha0")}
+    trackers = {name: FirstMin() for name in (*_DETM_ROWS, "detm_alpha0")}
+    chunk = max(1, _BLOCK // alpha_count)
 
-    for start, (w1, w2, w3, betas) in _blocks(
-            nodes, max(1, 4 * _BLOCK // alpha_count)):
-        c0, c2, c4, c6 = det_m_alpha_coefs(_omega(w1, w2, w3), betas)
+    for start, (w1, w2, w3, betas) in _blocks(nodes, _BLOCK):
+        c0, c2, c4, c6 = (c.reshape(-1) for c in np.broadcast_arrays(
+            *det_m_alpha_coefs(_omega(w1, w2, w3), betas)))
         trackers["detm_alpha0"].update(start, c0)
-        # (cells, alpha_count) values: C order over (w1, w2, w3, beta, alpha)
-        c2, c4, c6 = c2[..., None], c4[..., None], c6[..., None]
-        first = start * alpha_count
-        trackers["detm_d2"].update(
-            first, 2.0 * c2 + 12.0 * c4 * a2 + 30.0 * c6 * a4)
-        trackers["detm_d4"].update(first, 24.0 * c4 + 360.0 * c6 * a2)
-        trackers["detm_min_at_zero"].update(
-            first, a2 * (c2 + c4 * a2 + c6 * a4))
+        for (name, row), lo in zip(_DETM_ROWS.items(),
+                                   _detm_floors(c2, c4, c6)):
+            worst = trackers[name]
+            kept = _unscreened(lo, worst.value)
+            for k in range(0, kept.size, chunk):
+                idx = kept[k:k + chunk, None]
+                v = row(c2[idx], c4[idx], c6[idx], a2, a4)
+                # the chunk's first minimum, at its flat index in the grid
+                j = int(np.argmin(v))
+                worst.update((start + idx[j // alpha_count, 0]) * alpha_count
+                             + j % alpha_count, v.reshape(-1)[j:j + 1])
 
     cells = omega_grid.cells * beta_grid.cells
     reports = tuple(_report(name, w, nodes if name == "detm_alpha0"

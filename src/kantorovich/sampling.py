@@ -205,11 +205,19 @@ def _blocks(total: int, head: int, block: int):
         lo = hi
 
 
-def _least_coefs(delta: DeltaVector) -> tuple[float, float]:
-    """(a, c) = (3 delta_min/4 - 3/2, 3/2 - delta_max/4): the least
-    coefficients of the rewritten pair terms (docs/formats.md)."""
-    return (0.75 * float(delta.values.min()) - 1.5,
-            1.5 - 0.25 * float(delta.values.max()))
+def _least_coefs(values: np.ndarray):
+    """(a, c) = (3 delta_min/4 - 3/2, 3/2 - delta_max/4), delta_min and
+    delta_max over the last axis of ``values``: the least coefficients of
+    the rewritten pair terms (docs/formats.md).  A stack of delta vectors
+    gives one (a, c) per vector."""
+    return (0.75 * values.min(axis=-1) - 1.5,
+            1.5 - 0.25 * values.max(axis=-1))
+
+
+def _row_coefs(a, c):
+    """(c + a, 2a, b), b = 3 + a - c: the coefficients :func:`_row_bound`
+    reads, elementwise in (a, c)."""
+    return c + a, 2.0 * a, 3.0 + a - c
 
 
 def _bound_coefs(delta: DeltaVector,
@@ -221,14 +229,15 @@ def _bound_coefs(delta: DeltaVector,
     is at least c up to rounding).  A repeated eigenvalue makes a = 0."""
     if delta.dim < 2 or delta.values.max() > _BOUND_DELTA_MAX:
         return None
-    a, c = _least_coefs(delta)
-    return (c + a, 2.0 * a, 3.0 + a - c) if a > margin else None
+    a, c = _least_coefs(delta.values)
+    return _row_coefs(a, c) if a > margin else None
 
 
 def _row_bound(coefs: tuple[float, float, float],
                y: np.ndarray) -> np.ndarray:
     """Closed-form lower bound L(y) on lambda_min h(delta, y) for each row
-    of ``y`` (m, dim); ``coefs`` from :func:`_bound_coefs`.
+    of ``y`` (m, dim); ``coefs`` from :func:`_bound_coefs`, or columns
+    (k, 1) of coefficients, which give one row of bounds (k, m) per set.
 
     L = (c + a)|y|^2 - lambda_max(T), T the 2x2 matrix [[(2a - b) mu1,
     -b sqrt(mu1 R)], [-b sqrt(mu1 R), 2a mu2 - b R]], with mu1 >= mu2 the two
@@ -286,7 +295,7 @@ def _scan(delta: DeltaVector, points: np.ndarray,
     # (docs/formats.md)
     floor = None
     if coefs is not None and design is not None:
-        a, c = _least_coefs(delta)
+        a, c = _least_coefs(delta.values)
         if a <= _FLOOR_A:
             phi, s_lo, s_hi = _floors(*design, _BLOCK).T
             floor = np.minimum(c * s_lo, c * s_hi) + a * phi

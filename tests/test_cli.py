@@ -302,6 +302,51 @@ detm_d4,5.9;2.0;5.9;-1.0;0.0,-1997.622,1e-09,false
 detm_min_at_zero,5.9;5.9;2.0;0.0;-1.0,-23.767125,1e-09,false
 detm_alpha0,2.0;5.9;2.0;-1.0,1.1849999999999987,1e-09,true
 """),
+    ("--omega-min=-3", "--omega-max", "4.5", "--grid", "7"): (1, """\
+grid_id,coords,min_value,tolerance,passed
+box_chi1,-3.0;4.5;4.5,-32.0625,1e-09,false
+box_chi2,4.5;4.5;-3.0,-32.0625,1e-09,false
+box_chi3,4.5;4.5;-3.0,-32.0625,1e-09,false
+box_chi4,4.5;-3.0;4.5,-32.0625,1e-09,false
+box_psi,-3.0;4.5;4.5,-98.25,1e-09,false
+robust_M,-3.0;-3.0;-3.0;-1.0;-1.0,-5.999999999999999,1e-09,false
+robust_P,-3.0;-3.0;-3.0;-1.0;-1.0,-5.999999999999999,1e-09,false
+robust_Q,-3.0;-3.0;-3.0;-1.0;-1.0,-5.999999999999999,1e-09,false
+detm_d2,-3.0;4.5;4.5;-1.0;-1.0,-571.21875,1e-09,false
+detm_d4,-3.0;4.5;4.5;0.0;-1.0,-3766.5,1e-09,false
+detm_min_at_zero,-3.0;4.5;4.5;-1.0;-1.0,-240.890625,1e-09,false
+detm_alpha0,-3.0;2.0;-3.0;-1.0,-36.0,1e-09,false
+"""),
+    ("--grid", "13"): (0, """\
+grid_id,coords,min_value,tolerance,passed
+box_chi1,2.0;4.0;4.0,0.0,1e-09,true
+box_chi2,4.0;4.0;2.0,0.0,1e-09,true
+box_chi3,4.0;4.0;2.0,0.0,1e-09,true
+box_chi4,4.0;2.0;4.0,0.0,1e-09,true
+box_psi,2.0;2.0;4.0,4.0,1e-09,true
+robust_M,4.0;4.0;2.0;-0.6666666666666667;-0.33333333333333337,0.8991946562058414,1e-09,true
+robust_P,4.0;2.0;4.0;-0.6666666666666667;-0.33333333333333337,0.8991946562058414,1e-09,true
+robust_Q,2.0;4.0;4.0;-0.6666666666666667;-0.33333333333333337,0.8991946562058414,1e-09,true
+detm_d2,4.0;4.0;2.0;0.0;0.0,0.0,1e-09,true
+detm_d4,4.0;2.0;4.0;-1.0;0.0,0.0,1e-09,true
+detm_min_at_zero,2.0;2.0;2.0;-1.0;0.0,0.0,1e-09,true
+detm_alpha0,2.0;2.0;2.0;0.0,3.0,1e-09,true
+"""),
+    ("--omega-max", "6", "--grid", "13"): (1, """\
+grid_id,coords,min_value,tolerance,passed
+box_chi1,2.0;6.0;6.0,-60.0,1e-09,false
+box_chi2,6.0;6.0;2.0,-60.0,1e-09,false
+box_chi3,6.0;6.0;2.0,-60.0,1e-09,false
+box_chi4,6.0;2.0;6.0,-60.0,1e-09,false
+box_psi,2.0;2.0;6.0,-8.0,1e-09,false
+robust_M,2.6666666666666665;6.0;6.0;0.0;-1.0,-8.881784197001252e-16,1e-09,true
+robust_P,2.6666666666666665;6.0;6.0;0.0;-1.0,-8.881784197001252e-16,1e-09,true
+robust_Q,6.0;2.6666666666666665;6.0;0.0;-1.0,-8.881784197001252e-16,1e-09,true
+detm_d2,6.0;2.0;6.0;-1.0;0.8333333333333333,-287.37500000000006,1e-09,false
+detm_d4,6.0;2.0;6.0;-1.0;0.0,-2160.0,1e-09,false
+detm_min_at_zero,6.0;2.0;6.0;-1.0;-1.0,-27.0,1e-09,false
+detm_alpha0,2.0;6.0;2.0;-1.0,0.0,1e-09,true
+"""),
 }
 
 

@@ -326,8 +326,24 @@ def test_asymmetric_axis_scanned_whole(axes):
             == _full_plane_scan(OMEGA_SMALL, ab))
 
 
+def _count_floor_skips(monkeypatch):
+    """Count the cells each floor screen (lmi._unscreened) skips."""
+    screen = lmi._unscreened
+    skipped = []
+
+    def counting(lo, worst):
+        kept = screen(lo, worst)
+        skipped.append(lo.size - kept.size)
+        return kept
+
+    monkeypatch.setattr(lmi, "_unscreened", counting)
+    return skipped
+
+
 @pytest.mark.parametrize("n", [2, 5, 6, 41])
 def test_folded_scan_visits_one_quadrant(monkeypatch, n):
+    # Every folded cell is either visited by the Cholesky screen or skipped,
+    # with its whole omega cell, by the omega-cell floor: exactly once.
     visited, solved = [], []
 
     def counting(entries, worst, margin, **kwargs):
@@ -337,10 +353,17 @@ def test_folded_scan_visits_one_quadrant(monkeypatch, n):
         return lam
 
     monkeypatch.setattr(lmi, "screened_min_eig", counting)
-    rep = robust_psd_grid("M", OMEGA_SMALL, GridSpec.cube(-1.0, 1.0, n, 2))
-    assert sum(visited) == OMEGA_SMALL.cells * ((n + 1) // 2) ** 2
-    assert 0 < sum(solved) <= sum(visited)
-    assert rep.cells == OMEGA_SMALL.cells * n * n
+    skipped = _count_floor_skips(monkeypatch)
+    quadrant = ((n + 1) // 2) ** 2
+    for omega in (OMEGA_SMALL, GridSpec.cube(2.0, 4.0, 7, 3)):
+        for counts in (visited, solved, skipped):
+            counts.clear()
+        rep = robust_psd_grid("M", omega, GridSpec.cube(-1.0, 1.0, n, 2))
+        assert (sum(visited) + sum(skipped) * quadrant
+                == omega.cells * quadrant)
+        assert 0 < sum(solved) <= sum(visited)
+        assert rep.cells == omega.cells * n * n
+    assert sum(skipped) > 0 or n < 41  # the 7^3 grid skips at 41 nodes
 
 
 def test_robust_scan_eigensolves_few_cells(monkeypatch):
@@ -379,8 +402,10 @@ def test_robust_single_cell_repeated_eigenvalue():
     assert rep.worst_value == pytest.approx(1.0, abs=4 * np.spacing(1.0))
 
 
-@pytest.mark.parametrize("size", [1, 7, 4096])
-@pytest.mark.parametrize("omega, ab", [
+# (omega, ab) grids on which every screened or floored scan must equal the
+# scan without screens: the last three are where the floors apply, do not
+# apply (negative omega) or meet c = 0 (omega 6).
+EDGE_GRIDS = [
     (GridSpec.cube(2.0, 4.0, 5, 3), GridSpec.cube(-1.0, 1.0, 9, 2)),
     (GridSpec.cube(2.0, 5.9, 4, 3), GridSpec.cube(-1.0, 1.0, 5, 2)),
     (OMEGA_SMALL, GridSpec((Axis(-1.0, 0.5, 7), Axis(-0.25, 1.0, 6)))),
@@ -388,7 +413,14 @@ def test_robust_single_cell_repeated_eigenvalue():
     (GridSpec.cube(2.0, 1e308, 3, 3), GridSpec.cube(-1.0, 1.0, 3, 2)),
     (GridSpec.cube(2.0, 4.0, 3, 3),
      GridSpec((Axis(-1.0, 1e200, 3), Axis(-1.0, 1.0, 3)))),
-])
+    (GridSpec.cube(2.5, 4.0, 4, 3), GridSpec.cube(-1.0, 1.0, 7, 2)),
+    (GridSpec.cube(-3.0, 4.5, 7, 3), GridSpec.cube(-1.0, 1.0, 5, 2)),
+    (GridSpec.cube(2.0, 6.0, 5, 3), GridSpec.cube(-1.0, 1.0, 9, 2)),
+]
+
+
+@pytest.mark.parametrize("size", [1, 7, 4096])
+@pytest.mark.parametrize("omega, ab", EDGE_GRIDS)
 def test_screened_robust_scan_is_the_unscreened_scan(monkeypatch, size,
                                                      omega, ab):
     # Value and first cell of the unscreened scan at any block size,
@@ -405,6 +437,119 @@ def test_screened_robust_scan_is_the_unscreened_scan(monkeypatch, size,
     assert got.worst_cell == want.worst_cell
     assert (got.worst_value == want.worst_value
             or math.isnan(got.worst_value) and math.isnan(want.worst_value))
+
+
+# --- the floors of the robust and detm scans -------------------------------
+
+def _no_floors(lo, worst):
+    return np.arange(lo.size)
+
+
+def _key(report):
+    """Every field of a report, floats by their bits (NaN included)."""
+    return (report.grid_id, report.passed, report.cells,
+            float(report.worst_value).hex(),
+            tuple(float(x).hex() for x in report.worst_cell))
+
+
+FLOOR_OMEGAS = [
+    GridSpec.cube(2.0, 4.0, 5, 3),
+    GridSpec.cube(2.5, 4.0, 4, 3),
+    GridSpec.cube(2.0, 5.9, 4, 3),
+    GridSpec.cube(2.0, 6.0, 5, 3),
+    GridSpec.cube(-3.0, 4.5, 7, 3),
+    OMEGA_SMALL,
+]
+
+
+@pytest.mark.parametrize("size", [1, 7, 4096])
+@pytest.mark.parametrize("omega, ab", EDGE_GRIDS)
+def test_floored_scans_are_the_unfloored_scans(monkeypatch, size, omega, ab):
+    # Bitwise the reports of the scans with every floor switched off, at
+    # any block size, overflowing and negative omega grids included.
+    monkeypatch.setattr(lmi, "_BLOCK", size)
+    beta = GridSpec((ab.axes[1],))
+
+    def scan_all():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            detm = detm_alpha_convexity_check(omega, beta, alpha_count=9)
+            return ([_key(r) for r in robust_psd_grids(omega, ab)]
+                    + [_key(r) for r in detm.reports])
+
+    skipped = _count_floor_skips(monkeypatch)
+    got = scan_all()
+    monkeypatch.setattr(lmi, "_unscreened", _no_floors)
+    assert got == scan_all()
+    if size == 7 and omega.axes[0].hi < 1e9 and ab.axes[0].hi < 1e9:
+        assert sum(skipped) > 0  # the floors did skip cells
+
+
+def _scan_margin(omega, plane):
+    """The robust scan's margin, 1e-9 (3 + W) s^2 (see robust_psd_grid)."""
+    big = max(np.abs(n).max() for n in omega.node_arrays())
+    s = max([1.0] + [np.abs(n).max() for n in plane])
+    return lmi.PSD_EPS * (3.0 + big) * s * s
+
+
+@pytest.mark.parametrize("omega", FLOOR_OMEGAS)
+@pytest.mark.parametrize("plane", [
+    (Axis(-1.0, 1.0, 9), Axis(-1.0, 1.0, 9)),
+    (Axis(-1.0, -1.0, 1), Axis(0.0, 0.0, 1)),  # the probe (e1 - e2)/sqrt(2)
+    (Axis(0.0, 0.0, 1), Axis(-1.0, -1.0, 1)),  # the probe (e1 - e3)/sqrt(2)
+    (Axis(-0.5, 1.0, 6), Axis(-1.0, 0.25, 5)),
+])
+def test_robust_floor_is_below_every_cell(omega, plane):
+    # F - margin <= lambda_min m at each (alpha, beta) node of its omega
+    # cell, up to eigvalsh's rounding; NaN exactly where a <= margin.  At
+    # an extreme-pair probe the row bound is tight, so there the margin
+    # is all that keeps the floor below the cell.
+    nodes = tuple(ax.nodes() for ax in plane)
+    margin = _scan_margin(omega, nodes)
+    g = np.meshgrid(*omega.node_arrays(), indexing="ij")
+    w = np.stack(g, axis=-1).reshape(-1, 3)
+    lo = lmi._robust_floors(w, nodes, margin)
+    a = 0.75 * w.min(axis=1) - 1.5
+    np.testing.assert_array_equal(np.isnan(lo), ~(a > margin))
+    assert not np.isnan(lo).all()
+    al, be = np.meshgrid(*nodes, indexing="ij")
+    lam = min_eig_batch(m_form(w[:, None, None, :], al, be))
+    low = lam.reshape(len(w), -1).min(axis=1)
+    ok = ~np.isnan(lo)
+    assert np.all(lo[ok] <= low[ok] + 1e-13 * (3.0 + np.abs(w).max()))
+    if plane[0].count == 1:  # at a probe, F is tight to within the margin
+        assert np.any(lo[ok] >= low[ok] - 2 * margin)
+
+
+@pytest.mark.parametrize("omega", FLOOR_OMEGAS + [
+    GridSpec.cube(0.0, 1e-100, 3, 3), GridSpec.cube(-1e100, 1e100, 3, 3)])
+@pytest.mark.parametrize("alpha_count", [2, 9, 41])
+def test_detm_floors_are_below_every_alpha_node(omega, alpha_count):
+    # each row's floor is at or below its value at every alpha node, as the
+    # scan computes it; NaN only where the coefficients are out of range
+    beta = Axis(-1.0, 1.0, 7).nodes()
+    g = np.meshgrid(*omega.node_arrays(), beta, indexing="ij")
+    c = [np.broadcast_to(x, g[0].shape).reshape(-1) for x in
+         det_m_alpha_coefs(np.stack(g[:3], axis=-1), g[3])[1:]]
+    a2 = Axis(-1.0, 1.0, alpha_count).nodes() ** 2
+    a4 = a2 * a2
+    floors = lmi._detm_floors(*c)
+    cols = [x[:, None] for x in c]
+    for (name, row), lo in zip(lmi._DETM_ROWS.items(), floors):
+        v = row(*cols, a2, a4).min(axis=1)
+        ok = ~np.isnan(lo)
+        assert ok.any(), name
+        assert np.all(lo[ok] <= v[ok]), name
+
+
+def test_floors_skip_at_the_default_grids(monkeypatch):
+    skipped = _count_floor_skips(monkeypatch)
+    assert robust_psd_grid("M").passed
+    omega_cells = sum(skipped)
+    assert 0 < omega_cells < OMEGA_GRID_DEFAULT.cells
+    skipped.clear()
+    assert detm_alpha_convexity_check().passed
+    assert sum(skipped) > 0.9 * 3 * OMEGA_GRID_DEFAULT.cells * 41
 
 
 # --- non-finite cells --------------------------------------------------------

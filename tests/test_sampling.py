@@ -417,7 +417,7 @@ def test_design_floors_change_no_scan(monkeypatch, rng, dim):
         assert _key(got) == _key(scan_h(d, pts))
         lam = min_eig_batch(h_form_batch(d, pts))
         assert _key(got)[:2] == (float(lam.min()).hex(), int(np.argmin(lam)))
-        a, c = sampling._least_coefs(d)
+        a, c = sampling._least_coefs(d.values)
         if sampling._bound_coefs(d, 0.5 * got.tolerance) is None:
             continue
         if a > sampling._FLOOR_A:  # no floor: every design block is bounded
