@@ -13,10 +13,11 @@ Decision ladder, in order:
    docs/formats.md), lambda_min h(delta, y) >= 3/2 - delta_max/4 >= -2e-12
    at every unit y, far inside the scan tolerance.
 
-A witness (rung 2, :func:`falsify`) is the first worst direction of one
-scan (:func:`sampling.scan_h`).  The identity's bound 3/2 - delta_max/4
-holds for every delta and is attained at the probe, which every scan
-evaluates first.
+Rung 2's witness (:func:`probe_witness`) is the probe row scanned alone
+(:func:`sampling.scan_h`); :func:`falsify` takes the first worst direction
+of one probe + design scan (:func:`sampling.scan_design`).  The identity's
+bound 3/2 - delta_max/4 holds for every delta and is attained at the
+probe, which every scan evaluates first.
 
 Threshold comparisons are inclusive within relative 1e-12, so a matrix built
 to sit exactly on a boundary classifies with the boundary, not against it.

@@ -23,7 +23,7 @@ from .classify import (KAPPA_NECESSARY, KAPPA_SUFFICIENT_3D,
 from .forms import DeltaVector, delta_from_spd, pair_indices
 from .function import f_hessian, fd_hessian, kantorovich_bound_check
 from .linalg import MAX_DIM, MatrixValidationError, validate_spd
-from .lmi import (GridSpec, box_inequality_grid_check,
+from .lmi import (_MAX_NODES, GridSpec, box_inequality_grid_check,
                   detm_alpha_convexity_check, robust_psd_grids, verify_h_lmi)
 from .sampling import SamplePlan
 
@@ -236,6 +236,9 @@ def cmd_lemmas(args) -> int:
     for flag, n in zip(flags, counts):
         if n < 2:
             raise ValueError(f"{flag} needs at least 2 nodes, got {n}")
+        if n > _MAX_NODES:
+            raise ValueError(f"{flag} allows at most {_MAX_NODES} nodes, "
+                             f"got {n}")
     box_n, omega_n, ab_n, alpha_n = counts
     box = box_inequality_grid_check(GridSpec.cube(lo, hi, box_n, 3))
     omega_grid = GridSpec.cube(lo, hi, omega_n, 3)

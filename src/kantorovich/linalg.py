@@ -120,7 +120,7 @@ class SpectralData:
         return self.eigenvalues.shape[0]
 
 
-def eig_sym(m, max_sweeps: int = JACOBI_MAX_SWEEPS) -> SpectralData:
+def eig_sym(m) -> SpectralData:
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps rotate every (p, q) pair in row-cyclic order until the off-diagonal
@@ -143,7 +143,7 @@ def eig_sym(m, max_sweeps: int = JACOBI_MAX_SWEEPS) -> SpectralData:
         off = w - np.diag(np.diag(w))
         return float(np.sqrt((off * off).sum()))
 
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         if offnorm(work) <= JACOBI_TOL * norm:
             break
         for p in range(n - 1):
@@ -175,7 +175,7 @@ def eig_sym(m, max_sweeps: int = JACOBI_MAX_SWEEPS) -> SpectralData:
     else:
         if offnorm(work) > JACOBI_TOL * norm:
             raise JacobiConvergenceError(
-                f"no convergence after {max_sweeps} sweeps "
+                f"no convergence after {JACOBI_MAX_SWEEPS} sweeps "
                 f"(off-norm {math.ldexp(offnorm(work), e):.3e}, "
                 f"target {math.ldexp(JACOBI_TOL * norm, e):.3e})")
 
@@ -241,8 +241,7 @@ def validate_spd(raw) -> SpdMatrix:
 # min_eigenvalue() above is the Jacobi reference they are tested against.
 # ---------------------------------------------------------------------------
 
-def cholesky_clears(entries: np.ndarray, shift: float, *,
-                    work: np.ndarray | None = None) -> np.ndarray:
+def cholesky_clears(entries: np.ndarray, shift: float) -> np.ndarray:
     """Which matrices of an (n, n, m) stack have h - shift*I Cholesky-PD.
 
     Runs an unblocked right-looking Cholesky on all m matrices at once and
@@ -250,15 +249,9 @@ def cholesky_clears(entries: np.ndarray, shift: float, *,
     > 0, i.e. where Cholesky runs to completion.  A NaN or infinite entry in
     the lower triangle (the only one read) makes some pivot NaN or infinite,
     so it never clears its matrix.  ``entries`` is not modified: the
-    factorization runs in a copy, in ``work[:, :, :m]`` if an (n, n, >= m)
-    float buffer is given (a scan passes one for all its blocks), else in
-    a fresh array.
+    factorization runs in a fresh copy.
     """
-    if work is None:
-        a = np.array(entries, dtype=float)
-    else:
-        a = work[:, :, :entries.shape[2]]
-        np.copyto(a, entries)
+    a = np.array(entries, dtype=float)
     n = a.shape[0]
     ok = np.ones(a.shape[2:], dtype=bool)
     # Only the lower triangle is read and updated.  A failed matrix keeps
@@ -280,8 +273,8 @@ def min_eig_batch(mats: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(np.asarray(mats, dtype=float))[..., 0]
 
 
-def screened_min_eig(entries: np.ndarray, worst: float, margin: float, *,
-                     work: np.ndarray | None = None) -> np.ndarray:
+def screened_min_eig(entries: np.ndarray, worst: float,
+                     margin: float) -> np.ndarray:
     """Smallest eigenvalues of the rows of an (n, n, m) stack, as one (m,)
     array that reads +inf on each row that cannot beat ``worst``.
 
@@ -289,8 +282,7 @@ def screened_min_eig(entries: np.ndarray, worst: float, margin: float, *,
     cleared; every row is when ``worst`` is NaN, and none is while
     ``worst`` is infinite.  A kept row with a non-finite entry (such a row
     never clears) reads NaN, since eigvalsh raises on it; any other kept
-    row reads its min_eig_batch value.  ``work`` is passed to
-    :func:`cholesky_clears`.
+    row reads its min_eig_batch value.
 
     Clearing is exact when ``margin`` is 1e-9 * S, S bounding every |entry|
     (so |worst| <= n S).  If Cholesky of h - (worst + margin) I runs to
@@ -304,8 +296,7 @@ def screened_min_eig(entries: np.ndarray, worst: float, margin: float, *,
     lam = np.full(entries.shape[2], math.inf)
     if math.isnan(worst):  # no row beats a NaN minimum (see FirstMin)
         return lam
-    rows = np.flatnonzero(~cholesky_clears(entries, worst + margin,
-                                           work=work))
+    rows = np.flatnonzero(~cholesky_clears(entries, worst + margin))
     kept = entries[:, :, rows]
     finite = np.isfinite(kept).all(axis=(0, 1))
     lam[rows] = np.nan

@@ -65,6 +65,9 @@ GRID_TOL = 1e-9
 # (3, 3, cells) stack 288 KB.  The robust scan walks the omega cells, and
 # the detm scan the (omega, beta) cells, in blocks of this many.
 _BLOCK = 1 << 12
+# No axis has more nodes than one block holds cells.  A separate name,
+# so that tests may shrink _BLOCK without shrinking the axes.
+_MAX_NODES = _BLOCK
 # The detm floors' rounding margin is _ROUND times a bound on the sum of
 # the absolute values of their terms (16 unit roundoffs), plus _TINY for
 # underflow; both floors apply only where that sum, and the robust scan's
@@ -84,8 +87,8 @@ class Axis:
         if not math.isfinite(self.hi - self.lo):
             raise ValueError(
                 "axis bounds and their span hi - lo must be finite")
-        if self.count < 1:
-            raise ValueError("axis count must be >= 1")
+        if not 1 <= self.count <= _MAX_NODES:
+            raise ValueError(f"axis count must be in 1..{_MAX_NODES}")
         if self.lo > self.hi:
             raise ValueError("axis range must be ordered lo <= hi")
         if self.count == 1 and self.lo != self.hi:
@@ -380,10 +383,8 @@ def robust_psd_grid(form: str, omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
     per_run = max(1, _BLOCK // per_plane)
     runs = list(_blocks(plane, _BLOCK))
     worst = FirstMin()
-    # one stack and one Cholesky buffer for every run, so no run maps
-    # fresh pages for its own
+    # one packing stack for every run, so no run maps fresh pages for its own
     buf = np.empty((3, 3, min(_BLOCK, math.prod(map(len, nodes)))))
-    work = np.empty_like(buf)
     for first, ws in _blocks(omega, _BLOCK):
         w = _omega(*ws).reshape(-1, 3)
         lo = (_robust_floors(w, plane, margin)
@@ -406,7 +407,7 @@ def robust_psd_grid(form: str, omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
                 packed = stack.reshape((3, 3) + shape)
                 for (i, j), e in zip(_M_INDEX, entries):
                     packed[i, j] = packed[j, i] = e
-                lam = screened_min_eig(stack, worst.value, margin, work=work)
+                lam = screened_min_eig(stack, worst.value, margin)
                 # the run's first minimum, at its flat index in the grid
                 k, cols = int(np.argmin(lam)), math.prod(pshape)
                 worst.update((first + batch[k // cols]) * per_plane

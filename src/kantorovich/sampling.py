@@ -299,8 +299,6 @@ def _scan(delta: DeltaVector, points: np.ndarray,
         if a <= _FLOOR_A:
             phi, s_lo, s_hi = _floors(*design, _BLOCK).T
             floor = np.minimum(c * s_lo, c * s_hi) + a * phi
-    # one Cholesky buffer for every block of the scan
-    work = np.empty((n, n, min(total, max(n * (n - 1), _BLOCK))))
     worst = FirstMin()
     for k, (lo, hi) in enumerate(_blocks(total, n * (n - 1), _BLOCK)):
         if floor is not None and lo and floor[k] > worst.value + 0.5 * tol:
@@ -313,7 +311,7 @@ def _scan(delta: DeltaVector, points: np.ndarray,
         lam = np.full(hi - lo, math.inf)
         if rows.shape[0]:
             lam[keep] = screened_min_eig(h_entries(dm, rows), worst.value,
-                                         tol, work=work)
+                                         tol)
         worst.update(lo, lam)
     return ScanResult(worst_value=worst.value, worst_index=worst.index,
                       tolerance=tol, samples=total,

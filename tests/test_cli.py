@@ -233,6 +233,20 @@ def test_lemmas_alpha_grid_below_two_exits_64(count):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("flags", [("--grid", "1000000000"),
+                                   ("--alpha-grid", "4097")])
+def test_lemmas_grid_above_one_block_exits_64(monkeypatch, capsys, flags):
+    # rejected by its flag before any node array is built
+    monkeypatch.setattr("kantorovich.cli.box_inequality_grid_check",
+                        lambda *a: pytest.fail("built a grid"))
+    code = run(["lemmas", *flags])
+    out, err = capsys.readouterr()
+    assert code == 64
+    assert out == ""
+    assert err.startswith(f"error: {flags[0]} ")
+    assert "Traceback" not in err
+
+
 def test_lemmas_csv_format_stdout():
     res = run_cli("lemmas", "--grid", "3", "--format", "csv")
     assert res.returncode == 0

@@ -38,6 +38,13 @@ def test_axis_validation():
     assert Axis(2.0, 1e308, 3).nodes()[-1] == 1e308
 
 
+def test_axis_count_is_at_most_one_block():
+    # no node array outgrows one scan block
+    with pytest.raises(ValueError):
+        Axis(2.0, 4.0, 4097)
+    assert Axis(2.0, 4.0, 4096).nodes()[-1] == 4.0
+
+
 def test_gridspec_cube():
     g = GridSpec.cube(2.0, 4.0, 5, 3)
     assert g.ndim == 3
@@ -346,8 +353,8 @@ def test_folded_scan_visits_one_quadrant(monkeypatch, n):
     # with its whole omega cell, by the omega-cell floor: exactly once.
     visited, solved = [], []
 
-    def counting(entries, worst, margin, **kwargs):
-        lam = linalg.screened_min_eig(entries, worst, margin, **kwargs)
+    def counting(entries, worst, margin):
+        lam = linalg.screened_min_eig(entries, worst, margin)
         visited.append(lam.size)
         solved.append(int(np.sum(lam != np.inf)))
         return lam
@@ -427,8 +434,8 @@ def test_screened_robust_scan_is_the_unscreened_scan(monkeypatch, size,
     # overflowing grids included.  On the last grid alpha^2 overflows from
     # the second alpha node on: those cells read NaN, and the first of them
     # is the worst.
-    def unscreened(entries, worst, margin, **kwargs):
-        return linalg.screened_min_eig(entries, math.inf, margin, **kwargs)
+    def unscreened(entries, worst, margin):
+        return linalg.screened_min_eig(entries, math.inf, margin)
 
     monkeypatch.setattr(lmi, "_BLOCK", size)
     got = robust_psd_grid("M", omega, ab)
