@@ -477,9 +477,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first run() and reused: the parser holds no per-call state,
+# and parse_args returns a fresh Namespace on every call.
+_parser: argparse.ArgumentParser | None = None
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (MatrixValidationError, ValueError, OSError) as exc:

@@ -2,9 +2,11 @@
 
 Everything here targets tiny matrices (dim <= 8).  The eigensolver is a cyclic
 Jacobi iteration, which at these sizes is simple, accurate and has no moving
-parts.  The scans take LAPACK's batched smallest eigenvalues instead, behind
-one exact Cholesky screen (:func:`screened_min_eig`), and keep their first
-strict minimum with one tracker (:class:`FirstMin`).
+parts; its rotations run on rows of Python floats, bit for bit as on numpy
+rows, and only its once-per-sweep off-diagonal norm uses numpy (see
+:func:`eig_sym`).  The scans take LAPACK's batched smallest eigenvalues
+instead, behind one exact Cholesky screen (:func:`screened_min_eig`), and
+keep their first strict minimum with one tracker (:class:`FirstMin`).
 """
 
 from __future__ import annotations
@@ -129,59 +131,69 @@ def eig_sym(m) -> SpectralData:
     overflow nor underflow; scaling by a power of two is exact, so every
     rotation rounds as it would on A itself, and the eigenvalues are scaled
     back by 2^e.
+
+    The rotations run on rows of Python floats, not on numpy rows: at
+    n <= 8 a numpy call costs more than the arithmetic it does.  Each entry
+    is still one ``c*x - s*y`` or ``s*x + c*y`` in IEEE double, two rounded
+    products and a rounded sum with no fused multiply-add, as numpy computes
+    it elementwise, so the eigenvalues and rotation are those of the same
+    iteration on numpy rows, bit for bit.  The matrix stays exactly
+    symmetric (a rotated row and the rotated column are the same
+    expressions), so each new entry is computed once and stored in both.
+    The off-diagonal norm, whose summation order decides only when the
+    iteration stops, is computed in numpy once per sweep.
     """
     a = symmetrize(m)
     n = a.shape[0]
     e = math.frexp(float(np.abs(a).max()))[1]
-    work = np.ldexp(a, -e)
-    v = np.eye(n)
-    norm = float(np.sqrt((work * work).sum()))
+    scaled = np.ldexp(a, -e)
+    norm = float(np.sqrt((scaled * scaled).sum()))
     if norm == 0.0:
         return SpectralData(np.zeros(n), np.eye(n))
+    work = scaled.tolist()
+    # vt[k] is column k of V, the product of the rotations
+    vt = np.eye(n).tolist()
 
-    def offnorm(w):
+    def offnorm():
+        w = np.array(work)
         off = w - np.diag(np.diag(w))
         return float(np.sqrt((off * off).sum()))
 
     for _ in range(JACOBI_MAX_SWEEPS):
-        if offnorm(work) <= JACOBI_TOL * norm:
+        if offnorm() <= JACOBI_TOL * norm:
             break
         for p in range(n - 1):
+            row_p = work[p]
             for q in range(p + 1, n):
-                apq = work[p, q]
+                row_q = work[q]
+                apq = row_p[q]
                 if apq == 0.0:
                     continue
-                tau = (work[q, q] - work[p, p]) / (2.0 * apq)
+                tau = (row_q[q] - row_p[p]) / (2.0 * apq)
                 t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                app, aqq = work[p, p], work[q, q]
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - s * col_q
-                work[:, q] = s * col_p + c * col_q
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p - s * row_q
-                work[q, :] = s * row_p + c * row_q
-                work[p, p] = app - t * apq
-                work[q, q] = aqq + t * apq
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
+                for k in range(n):
+                    if k != p and k != q:
+                        x, y = row_p[k], row_q[k]
+                        row_p[k] = work[k][p] = c * x - s * y
+                        row_q[k] = work[k][q] = s * x + c * y
+                row_p[p] -= t * apq
+                row_q[q] += t * apq
+                row_p[q] = row_q[p] = 0.0
+                vp, vq = vt[p], vt[q]
+                vt[p] = [c * x - s * y for x, y in zip(vp, vq)]
+                vt[q] = [s * x + c * y for x, y in zip(vp, vq)]
     else:
-        if offnorm(work) > JACOBI_TOL * norm:
+        if offnorm() > JACOBI_TOL * norm:
             raise JacobiConvergenceError(
                 f"no convergence after {JACOBI_MAX_SWEEPS} sweeps "
-                f"(off-norm {math.ldexp(offnorm(work), e):.3e}, "
+                f"(off-norm {math.ldexp(offnorm(), e):.3e}, "
                 f"target {math.ldexp(JACOBI_TOL * norm, e):.3e})")
 
-    w = np.ldexp(np.diag(work), e)
+    w = np.ldexp([work[k][k] for k in range(n)], e)
     order = np.argsort(w, kind="stable")
-    return SpectralData(w[order], v[:, order].T)
+    return SpectralData(w[order], np.array([vt[k] for k in order]))
 
 
 def min_eigenvalue(m) -> float:

@@ -129,11 +129,14 @@ def _fibonacci_3d(count: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def _random_sphere(dim: int, count: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((count, dim))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return v
+def _random_sphere(out: np.ndarray, seed: int) -> None:
+    # One draw fills every row, as a draw of out.shape would; each row is
+    # normalized alone, so blocks of _BLOCK rows give the rows of the whole
+    # and keep the norms' temporary small.
+    np.random.default_rng(seed).standard_normal(out=out)
+    for lo in range(0, out.shape[0], _BLOCK):
+        rows = out[lo:lo + _BLOCK]
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 def _design_key(dim: int, plan: SamplePlan) -> tuple[int, int, int]:
@@ -165,13 +168,15 @@ def _samples(dim: int, count: int, seed: int) -> np.ndarray:
     if dim <= 1:
         out = np.ones((1, 1))
     else:
+        head = dim * (dim - 1)
+        out = np.empty((head + count, dim))
+        out[:head] = probe_directions(dim)
         if dim == 2:
-            design = _angles_2d(count)
+            out[head:] = _angles_2d(count)
         elif dim == 3:
-            design = _fibonacci_3d(count)
+            out[head:] = _fibonacci_3d(count)
         else:
-            design = _random_sphere(dim, count, seed)
-        out = np.concatenate([probe_directions(dim), design], axis=0)
+            _random_sphere(out[head:], seed)
     out.setflags(write=False)
     return out
 

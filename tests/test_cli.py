@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import write_matrix
-from kantorovich.cli import (parse_matrix_json, parse_matrix_text,
-                             read_matrix_file, run)
+from kantorovich import cli
+from kantorovich.cli import (build_parser, parse_matrix_json,
+                             parse_matrix_text, read_matrix_file, run)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -187,6 +188,62 @@ def test_unknown_command_exits_64():
 def test_unknown_flag_exits_64(diag16):
     res = run_cli("analyze", diag16, "--no-such-flag")
     assert res.returncode == 64
+
+
+# --- one parser per process --------------------------------------------------
+
+@pytest.fixture
+def fresh_parser(monkeypatch):
+    """Drop the cached parser and count the builds of the next ones."""
+    builds = []
+
+    def counting_build():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    return builds
+
+
+def test_run_builds_the_parser_once(fresh_parser, diag16, identity3,
+                                    capsys):
+    assert run(["analyze", diag16]) == 1
+    assert run(["analyze", identity3, "--format", "json"]) == 0
+    assert run(["boundary", "--dims", "2", "--families", "two_point",
+                "--tol", "1e-2", "--format", "csv"]) == 0
+    with pytest.raises(SystemExit):
+        run(["analyze", diag16, "--format", "yaml"])
+    assert len(fresh_parser) == 1
+
+
+def test_run_keeps_no_state_between_calls(fresh_parser, diag16, capsys):
+    assert run(["analyze", diag16, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "NotConvex"
+    # the next call gets the defaults again, not the last call's flags
+    assert run(["analyze", diag16]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("dim: 2\n") and "status: NotConvex" in out
+    assert run_cli("analyze", diag16).stdout == out
+
+
+@pytest.mark.parametrize("bad", [
+    ["analyze", "{m}", "--format", "yaml"],
+    ["analyze", "{m}", "--no-such-flag"],
+    ["frobnicate"],
+], ids=["bad-choice", "unknown-flag", "unknown-command"])
+def test_usage_error_after_a_successful_call_exits_64(fresh_parser, diag16,
+                                                      capsys, bad):
+    assert run(["analyze", diag16, "--format", "json"]) == 1
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run([a.format(m=diag16) for a in bad])
+    assert exc.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: kantorovich")
+    assert "error: " in err and "Traceback" not in err
+    assert len(fresh_parser) == 1
 
 
 # --- lemmas ------------------------------------------------------------------
