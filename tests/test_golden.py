@@ -1,6 +1,6 @@
 """Golden corpus: SHA-256 fingerprints of outputs that must stay bit for bit.
 
-Four seeded corpora, each case hashed on its own:
+Six seeded corpora, each case hashed on its own:
 
 - ``analyze``: stdout and exit code of ``kantorovich analyze FILE --format
   json`` on matrices at dims 1-8, with kappa in every regime and within
@@ -12,7 +12,13 @@ Four seeded corpora, each case hashed on its own:
   ``.rotation`` on seeded symmetric matrices, definite or not;
 - ``samples``: the raw bytes of the sphere designs ``all_samples(dim,
   plan)``, which in the gap never reach stdout (the worst direction there
-  is a probe row).
+  is a probe row);
+- ``falsify``: the raw bytes of the ``classify.falsify`` witness (its point
+  and ``lambda_min``, or none) at dims 2-8, with kappa on both sides of
+  3 + 2 sqrt(2) and within 1e-12..1e-6 relative of it, and with tied
+  eigenvalues;
+- ``lmi``: stdout and exit code of ``kantorovich lmi --format json`` on
+  passing, violating, tied and overflowing delta vectors.
 
 Every input is built in Python floats from ``numpy.random.default_rng``
 draws, so the inputs are the same bits on every platform; the outputs go
@@ -38,8 +44,9 @@ import pytest
 
 from kantorovich.classify import (KAPPA_NECESSARY, KAPPA_SUFFICIENT_3D,
                                   KAPPA_SUFFICIENT_ANY)
+from kantorovich.classify import falsify
 from kantorovich.cli import run
-from kantorovich.linalg import eig_sym
+from kantorovich.linalg import eig_sym, validate_spd
 from kantorovich.sampling import SamplePlan, all_samples
 
 GOLDEN = Path(__file__).with_name("golden_sha256.json")
@@ -175,6 +182,81 @@ SAMPLE_CASES = {
 }
 
 
+FALSIFY_PLANS = {
+    "small": SamplePlan(seed=2027, angles_2d=1000, fibonacci_3d=5000,
+                        random_nd=5000),
+    "default": SamplePlan(),
+}
+
+
+def falsify_cases():
+    """name -> (matrix as a list of rows, plan name)."""
+    rng = np.random.default_rng(2027)
+    cases = {}
+    kappas = {"k4.5": 4.5, "k6.5": 6.5, "k40": 40.0}
+    for r in OFFSETS:
+        kappas[f"nec-{r:.0e}"] = KAPPA_NECESSARY * (1.0 - r)
+        kappas[f"nec+{r:.0e}"] = KAPPA_NECESSARY * (1.0 + r)
+    for n in range(2, 9):
+        for k, (tag, kappa) in enumerate(kappas.items()):
+            scale = SCALES[(n + k) % len(SCALES)]
+            cases[f"d{n}-{tag}-rot-s{scale:.0e}"] = (
+                _matrix(rng, _geometric(n, kappa), scale, True), "small")
+        for tag in ("k4.5", "k6.5", "nec-1e-12", "nec+1e-12"):
+            kappa = kappas[tag]
+            # two-point spectrum: every eigenvalue tied to an end
+            w = [1.0] * (n // 2) + [kappa] * (n - n // 2)
+            cases[f"d{n}-{tag}-tied-rot"] = (_matrix(rng, w, 1.0, True),
+                                             "small")
+        w = _geometric(n, kappas["nec+1e-09"])
+        if n > 2:  # both ends tied, so the extreme pair is not unique
+            w[1], w[-2] = w[0], w[-1]
+        cases[f"d{n}-nec+1e-09-ends-tied-diag"] = (
+            _matrix(rng, w[::-1], 1.0, False), "small")
+    for n in (3, 4, 8):
+        for tag in ("k6.5", "nec+1e-06", "nec-1e-06"):
+            cases[f"d{n}-{tag}-rot-default"] = (
+                _matrix(rng, _geometric(n, kappas[tag]), 1.0, True),
+                "default")
+    return cases
+
+
+def _gap_deltas(n, kappa):
+    """delta_ij = w_i/w_j + w_j/w_i for a geometric spectrum, i < j, in
+    Python floats, as ``--delta`` text."""
+    w = _geometric(n, kappa)
+    return ",".join(repr(w[i] / w[j] + w[j] / w[i])
+                    for i in range(n) for j in range(i + 1, n))
+
+
+LMI_SMALL = ["--seed", "2027", "--samples-2d", "1000", "--samples-3d",
+             "5000", "--samples-nd", "5000"]
+
+
+def lmi_cases():
+    """name -> lmi argv before ``--format json``."""
+    cases = {}
+
+    def add(name, n, delta, plan=LMI_SMALL):
+        cases[name] = ["lmi", "--dim", str(n), "--delta", delta, *plan]
+
+    add("d3-pass-default", 3, "2.5,3.0,2.8", [])
+    add("d3-violate-default", 3, "6.5,2,2", [])
+    add("d3-violate", 3, "6.5,2,2")
+    for n in range(2, 9):
+        npairs = n * (n - 1) // 2
+        add(f"d{n}-pass-gap", n, _gap_deltas(n, 5.5))
+        add(f"d{n}-violate-nec+1e-09", n,
+            _gap_deltas(n, KAPPA_NECESSARY * (1.0 + 1e-9)))
+        add(f"d{n}-violate-7", n, ",".join(["7"] * npairs))
+        add(f"d{n}-tied-2", n, ",".join(["2"] * npairs))
+        add(f"d{n}-tied-4", n, ",".join(["4"] * npairs))
+        add(f"d{n}-overflow-all", n, ",".join(["1e308"] * npairs))
+        add(f"d{n}-overflow-one", n,
+            ",".join(["1e308"] + ["2.5"] * (npairs - 1)))
+    return cases
+
+
 def eig_cases():
     """name -> matrix as a list of rows: 704 symmetric matrices."""
     rng = np.random.default_rng(1992)
@@ -249,6 +331,17 @@ def samples_fingerprint(dim, plan) -> str:
     return _sha(all_samples(dim, plan).tobytes())
 
 
+def falsify_fingerprint(a, plan) -> str:
+    w = falsify(validate_spd(np.array(a, dtype=float)), FALSIFY_PLANS[plan])
+    if w is None:
+        return _sha(b"none")
+    return _sha(w.point.tobytes(), np.float64(w.lambda_min).tobytes())
+
+
+def lmi_fingerprint(argv) -> str:
+    return _sha(*_run([*argv, "--format", "json"]))
+
+
 @functools.cache
 def _golden_file() -> dict:
     return json.loads(GOLDEN.read_text())
@@ -262,6 +355,8 @@ def _golden(section):
 
 ANALYZE = analyze_cases()
 EIG = eig_cases()
+FALSIFY = falsify_cases()
+LMI = lmi_cases()
 
 
 def test_corpus_matches_golden_case_names():
@@ -270,6 +365,8 @@ def test_corpus_matches_golden_case_names():
     assert sorted(golden["boundary"]) == sorted(BOUNDARY_CASES)
     assert sorted(golden["eig_sym"]) == sorted(EIG)
     assert sorted(golden["samples"]) == sorted(SAMPLE_CASES)
+    assert sorted(golden["falsify"]) == sorted(FALSIFY)
+    assert sorted(golden["lmi"]) == sorted(LMI)
 
 
 @pytest.mark.parametrize("name", sorted(ANALYZE))
@@ -300,6 +397,16 @@ def test_sample_design_bytes_golden(name):
             == _golden("samples")[name])
 
 
+@pytest.mark.parametrize("name", sorted(FALSIFY))
+def test_falsify_witness_bytes_golden(name):
+    assert falsify_fingerprint(*FALSIFY[name]) == _golden("falsify")[name]
+
+
+@pytest.mark.parametrize("name", sorted(LMI))
+def test_lmi_json_golden(name):
+    assert lmi_fingerprint(LMI[name]) == _golden("lmi")[name]
+
+
 def write_golden(tmp) -> dict:
     """Fingerprint every case; ``tmp`` is a directory for matrix files."""
     analyze = {}
@@ -314,6 +421,8 @@ def write_golden(tmp) -> dict:
         "eig_sym": {k: eig_fingerprint(a) for k, a in EIG.items()},
         "samples": {k: samples_fingerprint(*v)
                     for k, v in SAMPLE_CASES.items()},
+        "falsify": {k: falsify_fingerprint(*v) for k, v in FALSIFY.items()},
+        "lmi": {k: lmi_fingerprint(v) for k, v in LMI.items()},
     }
 
 
