@@ -8,16 +8,16 @@ Decision ladder, in order:
 3. dim 3: kappa <= 2 + sqrt(3) is sufficient.
 4. any dim: kappa <= sqrt(5 + 2*sqrt(6)) is sufficient.
 5. otherwise kappa sits in the open gap: scan the sampled design once
-   (:func:`verify_h_lmi`) and return Undetermined with the scan report.
+   (:func:`sampling.scan_design`) and return Undetermined with its report.
    The scan cannot fail there: by the pair-term identity for h (see
    docs/formats.md), lambda_min h(delta, y) >= 3/2 - delta_max/4 >= -2e-12
    at every unit y, far inside the scan tolerance.
 
 Rung 2's witness (:func:`probe_witness`) is the probe row scanned alone
-(:func:`sampling.scan_h`); :func:`falsify` takes the first worst direction
-of one probe + design scan (:func:`sampling.scan_design`).  The identity's
-bound 3/2 - delta_max/4 holds for every delta and is attained at the
-probe, which every scan evaluates first.
+(:func:`sampling.scan_h`); :func:`falsify` maps the first worst row y of
+one probe + design scan's report (:func:`sampling.scan_design`) back to
+x = U'y.  The identity's bound 3/2 - delta_max/4 holds for every delta and
+is attained at the probe, which every scan evaluates first.
 
 Threshold comparisons are inclusive within relative 1e-12, so a matrix built
 to sit exactly on a boundary classifies with the boundary, not against it.
@@ -33,9 +33,8 @@ import numpy as np
 
 from .forms import DeltaVector, delta_from_spd
 from .linalg import SpdMatrix
-from .lmi import verify_h_lmi
-from .sampling import (DEFAULT_PLAN, SamplePlan, SampleReport, ScanResult,
-                       scan_design, scan_h)
+from .sampling import (DEFAULT_PLAN, SamplePlan, SampleReport, scan_design,
+                       scan_h)
 
 __all__ = [
     "KAPPA_NECESSARY", "KAPPA_SUFFICIENT_ANY", "KAPPA_SUFFICIENT_3D",
@@ -113,20 +112,15 @@ def necessary_probe(delta: DeltaVector) -> ProbeResult:
                        violated=q < 0.0)
 
 
-def _witness(spd: SpdMatrix, points: np.ndarray,
-             res: ScanResult) -> Witness | None:
-    """On a violation in ``res``, a scan of the unit ``points``, the witness
-    is the first worst row y as x = U' y, with the scan's worst value."""
-    if not res.violation:
-        return None
-    return Witness(point=spd.spectral.rotation.T @ points[res.worst_index],
-                   lambda_min=res.worst_value)
-
-
 def falsify(spd: SpdMatrix, plan: SamplePlan = DEFAULT_PLAN) -> Witness | None:
     """One scan of the probe + design rows (:func:`sampling.scan_design`)
-    for a direction where hess f is not PSD; ``plan.refine_rounds`` unread."""
-    return _witness(spd, *scan_design(delta_from_spd(spd), plan))
+    for a direction where hess f is not PSD: the report's first worst row y
+    as x = U' y, with its worst value; ``plan.refine_rounds`` unread."""
+    rep = scan_design(delta_from_spd(spd), plan)
+    if rep.passed:
+        return None
+    return Witness(point=spd.spectral.rotation.T @ rep.worst_point,
+                   lambda_min=rep.worst_value)
 
 
 def probe_witness(spd: SpdMatrix, delta: DeltaVector) -> Witness | None:
@@ -134,7 +128,11 @@ def probe_witness(spd: SpdMatrix, delta: DeltaVector) -> Witness | None:
     (i, j), _ = delta.max_pair()
     y = np.zeros((1, spd.dim))
     y[0, i] = y[0, j] = 1.0 / math.sqrt(2.0)
-    return _witness(spd, y, scan_h(delta, y))
+    res = scan_h(delta, y)
+    if not res.violation:
+        return None
+    return Witness(point=spd.spectral.rotation.T @ y[0],
+                   lambda_min=res.worst_value)
 
 
 def classify(spd: SpdMatrix,
@@ -164,4 +162,4 @@ def classify(spd: SpdMatrix,
         return verdict(Status.CONVEX, Certificate.SUFFICIENT_ANY_DIM)
 
     return verdict(Status.UNDETERMINED, Certificate.SAMPLING_EXHAUSTED,
-                   report=verify_h_lmi(delta, plan))
+                   report=scan_design(delta, plan))

@@ -55,7 +55,10 @@ def k_value(spd: SpdMatrix, x) -> float:
 
 def f_gradient(spd: SpdMatrix, x) -> np.ndarray:
     """grad f(x) = q_inv(x) * Ax + q(x) * A^-1 x."""
-    v = _as_point(spd, x)
+    return _gradient(spd, _as_point(spd, x))
+
+
+def _gradient(spd: SpdMatrix, v: np.ndarray) -> np.ndarray:
     qa, qi, ax, ix = _quadratics(spd, v)
     return qi * ax + qa * ix
 
@@ -78,7 +81,8 @@ def fd_hessian(spd: SpdMatrix, x, step: float = 1e-5) -> np.ndarray:
     """Central-difference Hessian from the analytic gradient.
 
     Column i uses step h_i = step * (1 + |x_i|); the result is symmetrized.
-    Diagnostic companion to :func:`f_hessian`, not a replacement.
+    Diagnostic companion to :func:`f_hessian`, not a replacement.  Only x
+    is validated: a step whose x_i +- h_i overflows gives NaN columns.
     """
     v = _as_point(spd, x)
     n = spd.dim
@@ -89,7 +93,7 @@ def fd_hessian(spd: SpdMatrix, x, step: float = 1e-5) -> np.ndarray:
         dn = v.copy()
         up[i] += h
         dn[i] -= h
-        out[:, i] = (f_gradient(spd, up) - f_gradient(spd, dn)) / (2.0 * h)
+        out[:, i] = (_gradient(spd, up) - _gradient(spd, dn)) / (2.0 * h)
     return 0.5 * (out + out.T)
 
 

@@ -233,7 +233,8 @@ def validate_spd(raw) -> SpdMatrix:
 
     ``raw`` is a square matrix, dim 1..8; asymmetry above ``SYM_TOL``
     relative is rejected (:func:`symmetrize`), and so is
-    lambda_min <= ``PD_TOL`` * lambda_max.
+    lambda_min <= ``PD_TOL`` * lambda_max, and a matrix whose inverse has
+    an entry that is not finite (lambda_min near the subnormal range).
     """
     a = symmetrize(raw)
     spec = eig_sym(a)
@@ -241,8 +242,13 @@ def validate_spd(raw) -> SpdMatrix:
     if w[0] <= PD_TOL * w[-1]:
         raise NotPositiveDefiniteError(
             f"lambda_min {w[0]:.6e} <= {PD_TOL:.1e} * lambda_max {w[-1]:.6e}")
-    inv = spec.rotation.T @ ((1.0 / w)[:, None] * spec.rotation)
-    inv = 0.5 * (inv + inv.T)
+    # Near the subnormal range the inverse overflows; rejected, not warned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = spec.rotation.T @ ((1.0 / w)[:, None] * spec.rotation)
+        inv = 0.5 * (inv + inv.T)
+    if not np.isfinite(inv).all():
+        raise MatrixValidationError(
+            f"lambda_min {w[0]:.6e} is too small: the inverse overflows")
     inv.setflags(write=False)
     return SpdMatrix(matrix=a, inverse=inv, spectral=spec,
                      kappa=float(w[-1] / w[0]))

@@ -3,7 +3,7 @@
 Three layers:
 
 * sampled verification of the semi-infinite constraint h(delta, y) PSD
-  (:func:`verify_h_lmi`);
+  (:func:`verify_h_lmi`, which is :func:`sampling.scan_design` itself);
 * exhaustive grid checks of the five scalar box inequalities on
   [2, 4]^3 that drive the 3-dim sufficiency proof
   (:func:`box_inequality_grid_check`);
@@ -42,9 +42,8 @@ import numpy as np
 
 from .forms import DeltaVector, det_m_alpha_coefs, m_entries
 from .linalg import PSD_EPS, FirstMin, screened_min_eig
-from .sampling import (_BOUND_DELTA_MAX, DEFAULT_PLAN, SamplePlan,
-                       SampleReport, _least_coefs, _row_bound, _row_coefs,
-                       scan_design)
+from .sampling import _BOUND_DELTA_MAX, _least_coefs, _row_bound, _row_coefs
+from .sampling import scan_design as verify_h_lmi
 
 __all__ = [
     "GRID_TOL", "Axis", "GridSpec", "GridScanReport", "GridCheckSummary",
@@ -152,21 +151,6 @@ BOX_GRID_DEFAULT = GridSpec.cube(2.0, 4.0, 41, 3)
 OMEGA_GRID_DEFAULT = GridSpec.cube(2.0, 4.0, 21, 3)
 AB_GRID_DEFAULT = GridSpec.cube(-1.0, 1.0, 41, 2)
 BETA_GRID_DEFAULT = GridSpec.cube(-1.0, 1.0, 41, 1)
-
-
-def verify_h_lmi(delta: DeltaVector,
-                 plan: SamplePlan = DEFAULT_PLAN) -> SampleReport:
-    """Sampled check that h(delta, y) is PSD over unit directions.
-
-    The worst point, re-evaluated on its own, gives the worst value bit
-    for bit (h is built row by row), and ``passed`` means the worst value
-    clears ``-PSD_EPS * max(1, sup|h|)``.
-    """
-    pts, res = scan_design(delta, plan)
-    return SampleReport(worst_value=res.worst_value,
-                        worst_point=np.array(pts[res.worst_index]),
-                        samples=res.samples, seed=plan.seed,
-                        tolerance=res.tolerance, passed=not res.violation)
 
 
 class BoxValues(NamedTuple):

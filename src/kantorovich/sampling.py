@@ -17,10 +17,11 @@ then a batched Cholesky screen on the rows the bound leaves.  h is built
 only for those rows, and the eigensolver runs only on what Cholesky leaves;
 the reported sample count still counts every direction.
 
-A cached design is scanned by :func:`scan_design`, which also keeps, per
-block of the scan, a floor of the row bound with the design.  A block whose
-floor already clears it is skipped as a whole, so in the gap the design
-costs O(blocks) per scan, not O(rows).
+A cached design is scanned by :func:`scan_design` (``lmi.verify_h_lmi``),
+which reports a copy of the worst row and keeps, per block of the scan, a
+floor of the row bound with the design.  A block whose floor already
+clears it is skipped as a whole, so in the gap the design costs O(blocks)
+per scan, not O(rows).
 """
 
 from __future__ import annotations
@@ -349,9 +350,10 @@ def scan_h(delta: DeltaVector, points: np.ndarray) -> ScanResult:
 
 
 def scan_design(delta: DeltaVector,
-                plan: SamplePlan) -> tuple[np.ndarray, ScanResult]:
-    """``all_samples(delta.dim, plan)`` and its :func:`scan_h` result, bit
-    for bit, with whole blocks cleared by floors kept with the design.
+                plan: SamplePlan = DEFAULT_PLAN) -> SampleReport:
+    """Sampled check that h(delta, y) is PSD over unit directions: the
+    :func:`scan_h` result on ``all_samples(delta.dim, plan)``, bit for bit,
+    as a report with a copy of the first worst row and ``plan.seed``.
 
     For each block of the scan the design keeps phi_k, the least of
     ``_row_bound(_FLOOR_COEFS, y)`` over its rows, and the least and
@@ -366,4 +368,8 @@ def scan_design(delta: DeltaVector,
     :func:`all_samples` alone does not compute them.
     """
     points = all_samples(delta.dim, plan)
-    return points, _scan(delta, points, _design_key(delta.dim, plan))
+    res = _scan(delta, points, _design_key(delta.dim, plan))
+    return SampleReport(worst_value=res.worst_value,
+                        worst_point=np.array(points[res.worst_index]),
+                        samples=res.samples, seed=plan.seed,
+                        tolerance=res.tolerance, passed=not res.violation)

@@ -178,7 +178,7 @@ def test_ladder_oracle_matches_falsify_oracle(monkeypatch, dim):
 
 def test_no_step_scans_the_design(monkeypatch):
     # Every step, in or out of the gap, is one scan of the single
-    # extreme-pair probe row; no step runs verify_h_lmi over the design.
+    # extreme-pair probe row; no step runs scan_design over the design.
     scans = []
     per_step = []
     real_step = boundary._witness_found
@@ -196,7 +196,7 @@ def test_no_step_scans_the_design(monkeypatch):
     # kantorovich.classify names the functions; the module is looked up.
     classify_mod = importlib.import_module("kantorovich.classify")
     monkeypatch.setattr(classify_mod, "scan_h", counting_scan)
-    monkeypatch.setattr(classify_mod, "verify_h_lmi",
+    monkeypatch.setattr(classify_mod, "scan_design",
                         lambda *a: pytest.fail("scanned the design"))
     monkeypatch.setattr(boundary, "_witness_found", counting_step)
     for dim in (2, 3, 4, MAX_DIM):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -145,7 +146,9 @@ def test_classify_gap_scans_once(monkeypatch, eigs):
         calls.append(1)
         return scan_design(*args, **kwargs)
 
-    monkeypatch.setattr("kantorovich.lmi.scan_design", counting_scan_design)
+    # kantorovich.classify names the function; the module is looked up.
+    monkeypatch.setattr(sys.modules["kantorovich.classify"], "scan_design",
+                        counting_scan_design)
     spd = validate_spd(np.diag(eigs))
     v = classify(spd, FAST)
     assert len(calls) == 1

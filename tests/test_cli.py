@@ -656,22 +656,25 @@ def test_hessian_check_inf_tol_passes(diag16):
 
 def test_hessian_check_nan_deviation_fails(diag16):
     # x +- 1e300 overflows x'Ax, so every finite difference is NaN; the
-    # check must not report the NaN away as a pass.
-    res = run_cli("hessian-check", diag16, "--step", "1e300",
-                  "--points", "3")
-    assert res.returncode == 1
-    assert "max relative deviation: nan" in res.stdout
-    assert "ok: false" in res.stdout
+    # check must not report the NaN away as a pass.  At 1e308 x +- h itself
+    # overflows: still a NaN deviation, not a rejected point.
+    for step in ("1e300", "1e308"):
+        res = run_cli("hessian-check", diag16, "--step", step,
+                      "--points", "3")
+        assert res.returncode == 1, step
+        assert "max relative deviation: nan" in res.stdout
+        assert "ok: false" in res.stdout
 
 
 def test_hessian_check_overflow_prints_no_warnings(diag16):
     # The overflow is reported as a NaN deviation on stdout; numpy's
     # RuntimeWarnings must not reach stderr.
-    res = run_cli("hessian-check", diag16, "--step", "1e300")
-    assert res.returncode == 1
-    assert res.stderr == ""
-    assert res.stdout.splitlines()[2:] == [
-        "max relative deviation: nan", "tolerance: 1e-06", "ok: false"]
+    for step in ("1e300", "1e308"):
+        res = run_cli("hessian-check", diag16, "--step", step)
+        assert res.returncode == 1, step
+        assert res.stderr == ""
+        assert res.stdout.splitlines()[2:] == [
+            "max relative deviation: nan", "tolerance: 1e-06", "ok: false"]
 
 
 def test_kantorovich_bound_extremal(diag16):

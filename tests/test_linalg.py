@@ -37,6 +37,22 @@ def test_validate_rejects_singular():
         validate_spd(np.diag([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("scale", [1e-308, 4e-310])
+def test_validate_rejects_an_inverse_that_overflows(scale):
+    # 1 / (1e-308) is finite but the symmetrized sum is not; at 4e-310
+    # 1/w itself overflows.  Rejected, with no RuntimeWarning (an error
+    # under this suite's filter), instead of an inverse of inf or NaN.
+    with pytest.raises(MatrixValidationError, match="lambda_min"):
+        validate_spd(np.diag([scale, 6.0 * scale]))
+
+
+def test_validate_keeps_a_finite_subnormal_scale_inverse():
+    spd = validate_spd(np.diag([2e-308, 1.2e-307]))
+    assert np.isfinite(spd.inverse).all()
+    assert spd.inverse[0, 0] == 1.0 / spd.eigenvalues[0]
+    assert spd.kappa == pytest.approx(6.0)
+
+
 def test_symmetrize_rejects_bad_shapes():
     with pytest.raises(NotSquareError):
         symmetrize(np.ones((2, 3)))

@@ -14,6 +14,7 @@ from kantorovich.lmi import (AB_GRID_DEFAULT, Axis, BOX_GRID_DEFAULT,
                              box_inequality_grid_check,
                              detm_alpha_convexity_check, detm_alpha_poly,
                              robust_psd_grid, robust_psd_grids, verify_h_lmi)
+from kantorovich import sampling
 from kantorovich.sampling import SamplePlan
 
 PLAN = SamplePlan(angles_2d=2048, fibonacci_3d=20_000, random_nd=40_000)
@@ -56,6 +57,22 @@ def test_gridspec_cube():
 
 
 # --- sampled LMI -------------------------------------------------------------
+
+def test_verify_h_lmi_is_scan_design_and_reports_a_row_copy():
+    # One check, one function: the report holds a read-only copy of the
+    # worst row, so no caller indexes (or keeps alive) the cached design.
+    assert verify_h_lmi is sampling.scan_design
+    d = DeltaVector(dim=5, values=np.full(10, 2.0))  # worst row in the design
+    rep = verify_h_lmi(d, PLAN)
+    assert isinstance(rep, sampling.SampleReport) and rep.passed
+    pts = sampling.all_samples(5, PLAN)
+    res = sampling.scan_h(d, pts)
+    assert res.worst_index >= 5 * 4
+    assert rep.worst_point.tobytes() == pts[res.worst_index].tobytes()
+    assert not np.shares_memory(rep.worst_point, pts)
+    assert not rep.worst_point.flags.writeable
+    assert (rep.samples, rep.seed) == (pts.shape[0], PLAN.seed)
+
 
 def test_lmi_identity_delta():
     d = DeltaVector(dim=3, values=np.full(3, 2.0))

@@ -382,9 +382,16 @@ def _floor_deltas(rng, dim):
     return [DeltaVector(dim=dim, values=v) for v in out]
 
 
-def _key(res):
-    return (res.worst_value.hex(), res.worst_index, res.tolerance.hex(),
-            res.samples, res.violation)
+def _key(rep):
+    return (rep.worst_value.hex(), rep.worst_point.tobytes(),
+            rep.tolerance.hex(), rep.samples, rep.passed)
+
+
+def _scan_key(res, pts):
+    """:func:`_key` of the report that ``scan_h`` result ``res`` on ``pts``
+    gives."""
+    return (res.worst_value.hex(), pts[res.worst_index].tobytes(),
+            res.tolerance.hex(), res.samples, not res.violation)
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
@@ -411,12 +418,12 @@ def test_design_floors_change_no_scan(monkeypatch, rng, dim):
     skipped = 0
     for d in _floor_deltas(rng, dim):
         calls.clear()
-        got_pts, got = scan_design(d, FLOOR_PLAN)
+        got = scan_design(d, FLOOR_PLAN)
         bounded = len(calls)
-        assert got_pts is pts
-        assert _key(got) == _key(scan_h(d, pts))
+        assert _key(got) == _scan_key(scan_h(d, pts), pts)
         lam = min_eig_batch(h_form_batch(d, pts))
-        assert _key(got)[:2] == (float(lam.min()).hex(), int(np.argmin(lam)))
+        assert _key(got)[:2] == (float(lam.min()).hex(),
+                                 pts[int(np.argmin(lam))].tobytes())
         a, c = sampling._least_coefs(d.values)
         if sampling._bound_coefs(d, 0.5 * got.tolerance) is None:
             continue
@@ -448,7 +455,8 @@ def test_design_floors_built_once_and_not_by_all_samples():
     assert info() == before
     gap = delta_from_spd(spd_with_kappa(np.random.default_rng(6), 6, 5.0))
     for _ in range(3):
-        assert scan_design(gap, plan)[0] is pts
+        assert scan_design(gap, plan).samples == pts.shape[0]
+    assert all_samples(6, plan) is pts
     assert (info().misses - before.misses, info().hits - before.hits) == (1, 2)
 
 
