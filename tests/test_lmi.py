@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kantorovich import linalg, lmi
+from kantorovich import linalg, lmi, sampling
 from kantorovich.forms import (DeltaVector, det3_batch, det_m_alpha_coefs,
                                m_form, p_form, q_form)
 from kantorovich.linalg import min_eig_batch
@@ -14,7 +14,6 @@ from kantorovich.lmi import (AB_GRID_DEFAULT, Axis, BOX_GRID_DEFAULT,
                              box_inequality_grid_check,
                              detm_alpha_convexity_check, detm_alpha_poly,
                              robust_psd_grid, robust_psd_grids, verify_h_lmi)
-from kantorovich import sampling
 from kantorovich.sampling import SamplePlan
 
 PLAN = SamplePlan(angles_2d=2048, fibonacci_3d=20_000, random_nd=40_000)
