@@ -31,20 +31,33 @@ def _as_point(spd: SpdMatrix, x) -> np.ndarray:
     return v
 
 
+def _balanced(spd: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(A 2^-e, A^-1 2^e), 2^e the power of two of sqrt(l1) sqrt(ln).
+
+    f, its gradient and its Hessian are the same for A and cA, so they are
+    computed on this pair, whose entries are at most about sqrt(kappa): on
+    an A near the subnormal range x'A^-1x no longer overflows.  Scaling by
+    a power of two is exact, so any other A gives the same bits.
+    """
+    w = spd.eigenvalues
+    e = math.frexp(math.sqrt(w[0]) * math.sqrt(w[-1]))[1]
+    return np.ldexp(spd.matrix, -e), np.ldexp(spd.inverse, e)
+
+
 # A quadratic form of a huge point overflows to inf and its differences to
 # NaN; those values are the result (a NaN deviation fails hessian-check), so
 # numpy's floating-point warnings are silenced rather than printed.
 @np.errstate(over="ignore", invalid="ignore")
-def _quadratics(spd: SpdMatrix, x: np.ndarray):
-    ax = spd.matrix @ x
-    ix = spd.inverse @ x
+def _quadratics(pair: tuple[np.ndarray, np.ndarray], x: np.ndarray):
+    ax = pair[0] @ x
+    ix = pair[1] @ x
     return 0.5 * float(x @ ax), 0.5 * float(x @ ix), ax, ix
 
 
 def f_value(spd: SpdMatrix, x) -> float:
     """f(x) = (x'Ax)(x'A^-1x) / 4."""
     v = _as_point(spd, x)
-    qa, qi, _, _ = _quadratics(spd, v)
+    qa, qi, _, _ = _quadratics(_balanced(spd), v)
     return qa * qi
 
 
@@ -55,11 +68,12 @@ def k_value(spd: SpdMatrix, x) -> float:
 
 def f_gradient(spd: SpdMatrix, x) -> np.ndarray:
     """grad f(x) = q_inv(x) * Ax + q(x) * A^-1 x."""
-    return _gradient(spd, _as_point(spd, x))
+    return _gradient(_balanced(spd), _as_point(spd, x))
 
 
-def _gradient(spd: SpdMatrix, v: np.ndarray) -> np.ndarray:
-    qa, qi, ax, ix = _quadratics(spd, v)
+def _gradient(pair: tuple[np.ndarray, np.ndarray],
+              v: np.ndarray) -> np.ndarray:
+    qa, qi, ax, ix = _quadratics(pair, v)
     return qi * ax + qa * ix
 
 
@@ -71,9 +85,10 @@ def f_hessian(spd: SpdMatrix, x) -> np.ndarray:
     Assembled in one pass; symmetric by construction.
     """
     v = _as_point(spd, x)
-    qa, qi, ax, ix = _quadratics(spd, v)
+    a, inv = pair = _balanced(spd)
+    qa, qi, ax, ix = _quadratics(pair, v)
     cross = np.outer(ax, ix)
-    return qa * spd.inverse + qi * spd.matrix + cross + cross.T
+    return qa * inv + qi * a + cross + cross.T
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -85,6 +100,7 @@ def fd_hessian(spd: SpdMatrix, x, step: float = 1e-5) -> np.ndarray:
     is validated: a step whose x_i +- h_i overflows gives NaN columns.
     """
     v = _as_point(spd, x)
+    pair = _balanced(spd)
     n = spd.dim
     out = np.empty((n, n))
     for i in range(n):
@@ -93,7 +109,7 @@ def fd_hessian(spd: SpdMatrix, x, step: float = 1e-5) -> np.ndarray:
         dn = v.copy()
         up[i] += h
         dn[i] -= h
-        out[:, i] = (_gradient(spd, up) - _gradient(spd, dn)) / (2.0 * h)
+        out[:, i] = (_gradient(pair, up) - _gradient(pair, dn)) / (2.0 * h)
     return 0.5 * (out + out.T)
 
 

@@ -209,14 +209,6 @@ def _blocks(nodes: tuple[np.ndarray, ...], size: int):
             start += len(split) * tail
 
 
-def _omega(w1, w2, w3) -> np.ndarray:
-    """A block's omega nodes as one (..., 3) stack, one row per omega cell
-    of the block; it broadcasts against the alpha and beta nodes."""
-    out = np.empty(np.broadcast(w1, w2, w3).shape + (3,))
-    out[..., 0], out[..., 1], out[..., 2] = w1, w2, w3
-    return out
-
-
 def _unscreened(lo: np.ndarray, worst: float) -> np.ndarray:
     """Indices of the cells whose floor ``lo`` does not reach the running
     minimum ``worst``: all but those with lo >= worst, so a NaN floor keeps
@@ -300,16 +292,13 @@ def _robust_floors(w: np.ndarray, plane: tuple[np.ndarray, np.ndarray],
     result is NaN where a <= ``margin``.
     """
     a, c = _least_coefs(w)
-    # The distinct pairs, in order, and each cell's pair.  Found without a
-    # numpy sort: the first in a process maps about 0.4 MB of sort code,
-    # which nothing else in a lemmas run needs.
-    found = set()
-    for k in range(0, len(a), 256):
-        found.update(zip(a[k:k + 256].tolist(), c[k:k + 256].tolist()))
-    pairs = np.array(sorted(found)).view(complex).reshape(-1)
-    inv = np.searchsorted(pairs, np.stack((a, c), axis=-1).view(complex))
-    ok = pairs.real > margin
-    coefs = _row_coefs(pairs.real[ok, None], pairs.imag[ok, None])
+    # the distinct pairs, numbered in order of first appearance
+    index: dict[tuple[float, float], int] = {}
+    inv = np.array([index.setdefault(p, len(index))
+                    for p in zip(a.tolist(), c.tolist())])
+    pairs = np.array(list(index))
+    ok = pairs[:, 0] > margin
+    coefs = _row_coefs(pairs[ok, :1], pairs[ok, 1:])
     f = np.full(coefs[0].shape[0], math.inf)
     for _, (al, be) in _blocks(plane, _BLOCK):
         y = np.stack(np.broadcast_arrays(1.0, al, be), axis=-1).reshape(-1, 3)
@@ -322,7 +311,7 @@ def _robust_floors(w: np.ndarray, plane: tuple[np.ndarray, np.ndarray],
             np.minimum(f[part], low, out=f[part])
     out = np.full(len(pairs), math.nan)
     out[ok] = f - margin
-    return out[inv.reshape(-1)]
+    return out[inv]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -370,18 +359,17 @@ def robust_psd_grid(form: str, omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
     # one packing stack for every run, so no run maps fresh pages for its own
     buf = np.empty((3, 3, min(_BLOCK, math.prod(map(len, nodes)))))
     for first, ws in _blocks(omega, _BLOCK):
-        w = _omega(*ws).reshape(-1, 3)
+        w = np.stack(np.broadcast_arrays(*ws), axis=-1).reshape(-1, 3)
         lo = (_robust_floors(w, plane, margin)
               if bound <= _BOUND_DELTA_MAX else None)
-        todo, seen = np.arange(len(w)), None
+        todo = np.arange(len(w))
         while todo.size:
-            # screen what is left again whenever the minimum has moved
-            if lo is not None and worst.value != seen:
+            # screen what is left against the latest minimum
+            if lo is not None:
                 todo = todo[_unscreened(lo[todo], worst.value)]
-                seen = worst.value
-                continue
-            batch = todo[:per_run]
-            todo = todo[per_run:]
+                if not todo.size:
+                    break
+            batch, todo = todo[:per_run], todo[per_run:]
             for p_first, (al, be) in runs:
                 pshape = np.broadcast_shapes(np.shape(al), np.shape(be))
                 wb = w[batch].reshape(batch.shape + (1,) * len(pshape) + (3,))
@@ -442,7 +430,8 @@ _DETM_ROWS = {
 }
 
 
-def _detm_floors(c2: np.ndarray, c4: np.ndarray, c6: np.ndarray):
+def _detm_floors(c2: np.ndarray, c4: np.ndarray, c6: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each (omega, beta) cell, one floor per ``_DETM_ROWS`` row, at or
     below its value at every alpha node as computed (docs/formats.md).
 
@@ -452,17 +441,15 @@ def _detm_floors(c2: np.ndarray, c4: np.ndarray, c6: np.ndarray):
     each g less the margin ``_ROUND`` S + ``_TINY``, S = 2|c2| + 24|c4| +
     360|c6| (at least the sum of the absolute values of any row's terms).
     The margin, and so every floor, is NaN where S is not at most
-    ``_BOUND_DELTA_MAX`` (NaN, infinite or huge coefficients).  The floors
-    are yielded one at a time, so few block-sized temporaries are alive.
+    ``_BOUND_DELTA_MAX`` (NaN, infinite or huge coefficients).
     """
     n4, n6 = np.minimum(c4, 0.0), np.minimum(c6, 0.0)
     big = 2.0 * np.abs(c2) + 24.0 * np.abs(c4) + 360.0 * np.abs(c6)
     margin = np.where(big <= _BOUND_DELTA_MAX, _ROUND * big + _TINY,
                       math.nan)
-    del big
-    yield 2.0 * c2 + 12.0 * n4 + 30.0 * n6 - margin
-    yield 24.0 * c4 + 360.0 * n6 - margin
-    yield np.minimum(0.0, c2 + n4 + n6 - margin)
+    return (2.0 * c2 + 12.0 * n4 + 30.0 * n6 - margin,
+            24.0 * c4 + 360.0 * n6 - margin,
+            np.minimum(0.0, c2 + n4 + n6 - margin))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -497,9 +484,10 @@ def detm_alpha_convexity_check(omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
     trackers = {name: FirstMin() for name in (*_DETM_ROWS, "detm_alpha0")}
     chunk = max(1, _BLOCK // alpha_count)
 
-    for start, (w1, w2, w3, betas) in _blocks(nodes, _BLOCK):
+    for start, (*ws, betas) in _blocks(nodes, _BLOCK):
+        w = np.stack(np.broadcast_arrays(*ws), axis=-1)
         c0, c2, c4, c6 = (c.reshape(-1) for c in np.broadcast_arrays(
-            *det_m_alpha_coefs(_omega(w1, w2, w3), betas)))
+            *det_m_alpha_coefs(w, betas)))
         trackers["detm_alpha0"].update(start, c0)
         for (name, row), lo in zip(_DETM_ROWS.items(),
                                    _detm_floors(c2, c4, c6)):

@@ -27,7 +27,7 @@ per scan, not O(rows).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -70,15 +70,6 @@ class SamplePlan:
             raise ValueError("refine_rounds must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-
-    def scaled(self, factor: float) -> "SamplePlan":
-        """Same plan with all design counts multiplied by ``factor``."""
-        return replace(
-            self,
-            angles_2d=max(1, int(round(self.angles_2d * factor))),
-            fibonacci_3d=max(1, int(round(self.fibonacci_3d * factor))),
-            random_nd=max(1, int(round(self.random_nd * factor))),
-        )
 
 
 DEFAULT_PLAN = SamplePlan()

@@ -9,6 +9,7 @@ a slow or loose run fails the gate.
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -75,7 +76,10 @@ def test_04_sufficient_3d_region_all_convex():
     with criterion(4, desc):
         t0 = time.perf_counter()
         rng = np.random.default_rng(404)
-        plan10 = DEFAULT_PLAN.scaled(10)
+        plan10 = replace(DEFAULT_PLAN,
+                         angles_2d=10 * DEFAULT_PLAN.angles_2d,
+                         fibonacci_3d=10 * DEFAULT_PLAN.fibonacci_3d,
+                         random_nd=10 * DEFAULT_PLAN.random_nd)
         for _ in range(200):
             kappa = float(rng.uniform(1.0, KAPPA_SUFFICIENT_3D))
             spd = spd_with_kappa(rng, 3, kappa)

@@ -1,5 +1,6 @@
 import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -229,7 +230,9 @@ def test_budget_monotonicity():
     """The budget labels the result and changes no step."""
     fam = EigenFamily("two_point", 3)
     lean = probe_boundary(fam, tol=1e-3, plan=FAST)
-    rich = probe_boundary(fam, tol=1e-3, plan=FAST.scaled(4))
+    rich = probe_boundary(fam, tol=1e-3, plan=replace(
+        FAST, angles_2d=4 * FAST.angles_2d,
+        fibonacci_3d=4 * FAST.fibonacci_3d, random_nd=4 * FAST.random_nd))
     assert _trace(rich) == _trace(lean)
     assert rich.samples > lean.samples
 

@@ -677,6 +677,16 @@ def test_hessian_check_overflow_prints_no_warnings(diag16):
             "max relative deviation: nan", "tolerance: 1e-06", "ok: false"]
 
 
+def test_hessian_check_near_the_subnormal_range(tmp_path):
+    # x'A^-1x used to overflow here and inf * 0 gave a NaN deviation
+    p = tmp_path / "subnormal.txt"
+    p.write_text("2\n2e-308 0\n0 1.2e-307\n")
+    res = run_cli("hessian-check", str(p))
+    assert res.returncode == 0
+    assert res.stderr == ""
+    assert res.stdout.splitlines()[-1] == "ok: true"
+
+
 def test_kantorovich_bound_extremal(diag16):
     res = run_cli("kantorovich-bound", diag16, "--point", "1,1")
     assert res.returncode == 0

@@ -146,6 +146,14 @@ def test_hessian_degree_two_homogeneous(rng):
                                4.0 * f_hessian(spd, x), rtol=1e-12)
 
 
+def test_hessian_near_the_subnormal_range_is_the_unit_scale_hessian():
+    # f and its derivatives are the same for A and cA; with c = 2^-1021,
+    # x'A^-1x at x = (5, 1) overflows unless the pair is rescaled first.
+    tiny = validate_spd(np.ldexp(np.diag([1.0, 6.0]), -1021))
+    x = np.array([5.0, 1.0])
+    assert f_hessian(tiny, x).tobytes() == f_hessian(DIAG16, x).tobytes()
+
+
 # --- classical bound -------------------------------------------------------
 
 def test_bound_identity_equality(rng):

@@ -544,6 +544,22 @@ def test_robust_floor_is_below_every_cell(omega, plane):
         assert np.any(lo[ok] >= low[ok] - 2 * margin)
 
 
+def test_robust_floors_follow_a_permutation_of_the_cells(rng):
+    # Each cell's floor comes from its own (a, c) pair, however the pairs
+    # are numbered: permuting one block's cells permutes its floors, bit
+    # for bit, NaN floors (a <= margin, here omega_min <= 2) included.
+    omega = GridSpec.cube(1.8, 4.0, 12, 3)
+    plane = tuple(lmi._folded(ax) for ax in AB_GRID_DEFAULT.axes)
+    margin = _scan_margin(omega, plane)
+    _, ws = next(lmi._blocks(omega.node_arrays(), lmi._BLOCK))
+    w = np.stack(np.broadcast_arrays(*ws), axis=-1).reshape(-1, 3)
+    lo = lmi._robust_floors(w, plane, margin)
+    assert np.isnan(lo).any() and not np.isnan(lo).all()
+    p = rng.permutation(len(w))
+    assert lmi._robust_floors(w[p], plane, margin).tobytes() == \
+        lo[p].tobytes()
+
+
 @pytest.mark.parametrize("omega", FLOOR_OMEGAS + [
     GridSpec.cube(0.0, 1e-100, 3, 3), GridSpec.cube(-1e100, 1e100, 3, 3)])
 @pytest.mark.parametrize("alpha_count", [2, 9, 41])

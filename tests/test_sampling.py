@@ -99,14 +99,6 @@ def test_all_samples_cached_on_what_the_design_reads():
         all_samples(5, SamplePlan(seed=2, random_nd=64))
 
 
-def test_plan_scaling():
-    plan = SamplePlan(angles_2d=100, fibonacci_3d=200, random_nd=300)
-    big = plan.scaled(10)
-    assert (big.angles_2d, big.fibonacci_3d, big.random_nd) == \
-        (1000, 2000, 3000)
-    assert big.seed == plan.seed
-
-
 def test_plan_validation():
     with pytest.raises(ValueError):
         SamplePlan(angles_2d=0)
