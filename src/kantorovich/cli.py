@@ -25,7 +25,7 @@ from .function import f_hessian, fd_hessian, kantorovich_bound_check
 from .linalg import MAX_DIM, MatrixValidationError, validate_spd
 from .lmi import (_MAX_NODES, GridSpec, box_inequality_grid_check,
                   detm_alpha_convexity_check, robust_psd_grids, verify_h_lmi)
-from .sampling import SamplePlan
+from .sampling import _MAX_SAMPLES, SamplePlan
 
 EXIT_CONVEX = 0
 EXIT_NOT_CONVEX = 1
@@ -170,6 +170,12 @@ def grid_reports_csv(reports) -> str:
 # ---------------------------------------------------------------------------
 
 def _plan_from_args(args) -> SamplePlan:
+    for flag, n in (("--samples-2d", args.samples_2d),
+                    ("--samples-3d", args.samples_3d),
+                    ("--samples-nd", args.samples_nd)):
+        if n > _MAX_SAMPLES:
+            raise ValueError(f"{flag} allows at most {_MAX_SAMPLES} samples, "
+                             f"got {n}")
     return SamplePlan(seed=args.seed, angles_2d=args.samples_2d,
                       fibonacci_3d=args.samples_3d,
                       random_nd=args.samples_nd,

@@ -6,22 +6,10 @@ then a deterministic design per dimension (equispaced angles in dim 2, a
 Fibonacci spiral in dim 3, seeded random unit vectors above).  h is even and
 degree-2 homogeneous in y, so unit vectors lose nothing.
 
-:func:`scan_h` takes the minimum by value with first-index tie-break, so
-results are deterministic for a fixed seed.  It builds h per block of rows,
-never an (N, n, n) stack, so its memory does not grow with the sample
-count, and row by row, so the worst point, evaluated alone, gives the
-worst value bit for bit.  The scan is exact, but two screens clear the
-directions that cannot beat the running minimum: a closed-form lower bound
-on lambda_min h per row, from the pair-term identity (docs/formats.md), and
-then a batched Cholesky screen on the rows the bound leaves.  h is built
-only for those rows, and the eigensolver runs only on what Cholesky leaves;
-the reported sample count still counts every direction.
-
-A cached design is scanned by :func:`scan_design` (``lmi.verify_h_lmi``),
-which reports a copy of the worst row and keeps, per block of the scan, a
-floor of the row bound with the design.  A block whose floor already
-clears it is skipped as a whole, so in the gap the design costs O(blocks)
-per scan, not O(rows).
+:func:`scan_h` finds the first minimum over rows exactly, block by block,
+with a row bound and a Cholesky screen before the eigensolver.
+:func:`scan_design` never holds its design whole: per block it keeps a
+floor of the row bound, to skip it unread, and the state to make it again.
 """
 
 from __future__ import annotations
@@ -41,8 +29,10 @@ __all__ = [
     "h_scale_bound", "scan_h", "scan_design", "ScanResult",
 ]
 
-# Rows per block of h entries after the probe block (see scan_h).
+# Rows per block of the scan and of the designs after the probe block; a
+# sphere design has at most _MAX_SAMPLES rows, 2^15 blocks in its record.
 _BLOCK = 1 << 12
+_MAX_SAMPLES = 1 << 27
 # Above this delta_max the row bound is skipped; at or below it, with
 # |y|^2 <= 2, every quantity the bound forms, squares included, is finite.
 _BOUND_DELTA_MAX = 1e150
@@ -64,8 +54,9 @@ class SamplePlan:
     refine_rounds: int = 50  # validated, read by nothing: no descent runs
 
     def __post_init__(self):
-        if min(self.angles_2d, self.fibonacci_3d, self.random_nd) < 1:
-            raise ValueError("sample counts must be >= 1")
+        counts = (self.angles_2d, self.fibonacci_3d, self.random_nd)
+        if not 1 <= min(counts) <= max(counts) <= _MAX_SAMPLES:
+            raise ValueError(f"sample counts must be in 1..{_MAX_SAMPLES}")
         if self.refine_rounds < 0:
             raise ValueError("refine_rounds must be >= 0")
         if self.seed < 0:
@@ -92,43 +83,46 @@ class SampleReport:
         object.__setattr__(self, "worst_point", p)
 
 
+@lru_cache(maxsize=16)
 def probe_directions(dim: int) -> np.ndarray:
-    """All (e_i + e_j)/sqrt(2) and (e_i - e_j)/sqrt(2), i < j."""
+    """All (e_i + e_j)/sqrt(2) and (e_i - e_j)/sqrt(2), i < j; cached and
+    read-only."""
     pairs = pair_indices(dim)
     out = np.zeros((2 * len(pairs), dim))
     r = 1.0 / math.sqrt(2.0)
     for k, (i, j) in enumerate(pairs):
-        out[2 * k, i] = r
-        out[2 * k, j] = r
-        out[2 * k + 1, i] = r
-        out[2 * k + 1, j] = -r
+        out[2 * k:2 * k + 2, i] = r
+        out[2 * k:2 * k + 2, j] = r, -r
     out.setflags(write=False)
     return out
 
 
-def _angles_2d(count: int) -> np.ndarray:
-    theta = np.pi * np.arange(count) / count
-    return np.column_stack([np.cos(theta), np.sin(theta)])
-
-
-def _fibonacci_3d(count: int) -> np.ndarray:
-    # Golden-angle spiral: near-uniform, fully deterministic.
-    i = np.arange(count)
-    z = 1.0 - 2.0 * (i + 0.5) / count
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    phi = golden * i
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-
-
-def _random_sphere(out: np.ndarray, seed: int) -> None:
-    # One draw fills every row, as a draw of out.shape would; each row is
-    # normalized alone, so blocks of _BLOCK rows give the rows of the whole
-    # and keep the norms' temporary small.
-    np.random.default_rng(seed).standard_normal(out=out)
-    for lo in range(0, out.shape[0], _BLOCK):
-        rows = out[lo:lo + _BLOCK]
-        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+def _rows(dim: int, count: int, lo: int, hi: int, rng,
+          buf: np.ndarray) -> np.ndarray:
+    """Rows lo:hi (a block of :func:`_blocks`) of the design of ``count``
+    sphere rows in ``dim``: the probes, or sphere rows written to ``buf``,
+    from the row indices in dims 2 and 3, else the next draws of ``rng``,
+    each normalized alone, so blocks in order give one draw of them all."""
+    head = dim * (dim - 1)
+    if lo < head:
+        return probe_directions(dim)
+    out = buf[:hi - lo]
+    if dim > 3:
+        rng.standard_normal(out=out)
+        out /= np.linalg.norm(out, axis=1, keepdims=True)
+        return out
+    i = np.arange(lo - head, hi - head)
+    if dim == 2:
+        theta = np.pi * i / count
+        out[:, 0], out[:, 1] = np.cos(theta), np.sin(theta)
+    elif dim == 3:
+        z = 1.0 - 2.0 * (i + 0.5) / count
+        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        phi = math.pi * (3.0 - math.sqrt(5.0)) * i
+        out[:, 0], out[:, 1], out[:, 2] = r * np.cos(phi), r * np.sin(phi), z
+    else:
+        out.fill(1.0)
+    return out
 
 
 def _design_key(dim: int, plan: SamplePlan) -> tuple[int, int, int]:
@@ -147,30 +141,30 @@ def all_samples(dim: int, plan: SamplePlan) -> np.ndarray:
     """Probes first (so ties resolve toward them), then the sphere design:
     ``angles_2d`` equispaced angles in dim 2, a ``fibonacci_3d`` spiral in
     dim 3, ``random_nd`` unit vectors drawn from ``seed`` above, and the
-    single point (1,) in dim 1.
-
-    Cached on what the design reads, (dim, its count, and the seed at
-    dim >= 4), and read-only: plans that agree on those share one array.
+    single point (1,) in dim 1: the blocks that :func:`scan_design` reads.
+    Cached and read-only on what the design reads, (dim, its count, and
+    the seed at dim >= 4): plans that agree on those share one array.
     """
     return _samples(*_design_key(dim, plan))
 
 
 @lru_cache(maxsize=16)
 def _samples(dim: int, count: int, seed: int) -> np.ndarray:
-    if dim <= 1:
-        out = np.ones((1, 1))
-    else:
-        head = dim * (dim - 1)
-        out = np.empty((head + count, dim))
-        out[:head] = probe_directions(dim)
-        if dim == 2:
-            out[head:] = _angles_2d(count)
-        elif dim == 3:
-            out[head:] = _fibonacci_3d(count)
-        else:
-            _random_sphere(out[head:], seed)
+    out = np.empty((dim * (dim - 1) + count, dim))
+    for lo, hi, rows, _ in _pass(dim, count, seed, _BLOCK):
+        out[lo:hi] = rows
     out.setflags(write=False)
     return out
+
+
+def _pass(dim: int, count: int, seed: int, block: int):
+    """(lo, hi, rows, state) per block of the design (dim, count, seed) in
+    order: rows in one reused buffer, state the generator's PCG64 state."""
+    rng = np.random.default_rng(seed)
+    buf = np.empty((min(block, count), dim))
+    for lo, hi in _blocks(dim * (dim - 1) + count, dim * (dim - 1), block):
+        state = rng.bit_generator.state["state"]["state"]
+        yield lo, hi, _rows(dim, count, lo, hi, rng, buf), state
 
 
 def h_scale_bound(delta: DeltaVector) -> float:
@@ -262,45 +256,44 @@ def _row_bound(coefs: tuple[float, float, float],
 
 
 @lru_cache(maxsize=16)
-def _floors(dim: int, count: int, seed: int, block: int) -> np.ndarray:
-    """(blocks, 3): for each block of the scan of ``_samples(dim, count,
-    seed)`` in rows of ``block`` after the probe head, the least normalized
-    row bound phi = ``_row_bound(_FLOOR_COEFS, y)`` and the least and
-    largest s = |y|^2 over its rows (see :func:`scan_design`)."""
-    pts = _samples(dim, count, seed)
-    out = []
-    for lo, hi in _blocks(pts.shape[0], dim * (dim - 1), block):
-        rows = pts[lo:hi]
+def _record(dim: int, count: int, seed: int,
+            block: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Per block of the design (dim, count, seed), from one pass: its floor
+    (phi, s_lo, s_hi; see scan_design) and the generator state at its start."""
+    floors, states = [], []
+    for _, _, rows, state in _pass(dim, count, seed, block):
         s = np.square(rows).sum(axis=1)
-        out.append((_row_bound(_FLOOR_COEFS, rows).min(), s.min(), s.max()))
-    return np.array(out)
+        floors.append((_row_bound(_FLOOR_COEFS, rows).min(), s.min(),
+                       s.max()))
+        states.append(state)
+    floors = np.array(floors)
+    floors.setflags(write=False)
+    return floors, tuple(states)
 
 
-def _scan(delta: DeltaVector, points: np.ndarray,
-          design: tuple[int, int, int] | None = None) -> ScanResult:
-    """:func:`scan_h`; ``points`` is ``_samples(*design)`` if ``design`` is
-    given, and then its :func:`_floors` clear whole blocks."""
+def _scan(delta: DeltaVector, total: int, read,
+          floors: np.ndarray | None = None):
+    """:func:`scan_h` of ``total`` rows, block k being ``read(k, lo, hi)``,
+    and a copy of the first worst row; ``floors`` clear blocks unread."""
     n = delta.dim
-    pts = as_points(delta, points)
-    total = pts.shape[0]
     # The tolerance also sets the screens' margins: max(1, h_scale_bound)
     # bounds every |entry| of h at a unit point (see screened_min_eig).
     tol = PSD_EPS * max(1.0, h_scale_bound(delta))
     dm = delta.as_matrix()
     coefs = _bound_coefs(delta, 0.5 * tol)
-    # floor[k] <= L(y), up to rounding, on every row y of block k
-    # (docs/formats.md)
+    # floor[k] <= L(y) on block k, up to rounding (docs/formats.md)
     floor = None
-    if coefs is not None and design is not None:
+    if coefs is not None and floors is not None:
         a, c = _least_coefs(delta.values)
         if a <= _FLOOR_A:
-            phi, s_lo, s_hi = _floors(*design, _BLOCK).T
+            phi, s_lo, s_hi = floors.T
             floor = np.minimum(c * s_lo, c * s_hi) + a * phi
     worst = FirstMin()
+    point = None
     for k, (lo, hi) in enumerate(_blocks(total, n * (n - 1), _BLOCK)):
         if floor is not None and lo and floor[k] > worst.value + 0.5 * tol:
             continue
-        rows = pts[lo:hi]
+        block = rows = read(k, lo, hi)
         keep = slice(None)
         if coefs is not None and lo:
             keep = ~(_row_bound(coefs, rows) > worst.value + 0.5 * tol)
@@ -310,34 +303,28 @@ def _scan(delta: DeltaVector, points: np.ndarray,
             lam[keep] = screened_min_eig(h_entries(dm, rows), worst.value,
                                          tol)
         worst.update(lo, lam)
+        if worst.index >= lo:
+            point = np.array(block[worst.index - lo])
     return ScanResult(worst_value=worst.value, worst_index=worst.index,
                       tolerance=tol, samples=total,
-                      violation=not worst.value >= -tol)
+                      violation=not worst.value >= -tol), point
 
 
 def scan_h(delta: DeltaVector, points: np.ndarray) -> ScanResult:
     """Minimum eigenvalue of h(delta, y) over a stack of unit points.
 
     The result is exact: the worst value, its first index and the violation
-    flag (not worst >= -tolerance, with tolerance ``PSD_EPS * max(1,
-    h_scale_bound)``) are those of evaluating every point.  A
-    direction where h has a non-finite entry reads NaN, and the first NaN
+    flag (not worst >= -tolerance, tolerance ``PSD_EPS * max(1,
+    h_scale_bound)``) are those of evaluating every point; the first NaN
     is the worst (:class:`linalg.FirstMin`).  The first block is the
-    ``dim*(dim-1)`` probe rows that :func:`all_samples` puts first.
-
-    Each later block is screened twice.  First the closed-form row bound
-    (:func:`_row_bound`) clears every row whose bound exceeds the running
-    minimum by half the tolerance; it is skipped where it could clear no
-    unit row (3 delta_min/4 - 3/2 at most half the tolerance, as for a
-    repeated eigenvalue) or delta_max > 1e150.  h is built by
-    :func:`forms.h_entries` only for the rows left, bitwise as for each row
-    alone, and a batched Cholesky screen (:func:`linalg.screened_min_eig`)
-    clears, row by row, those that cannot beat the running minimum; only
-    the rest are eigensolved.  ``samples`` still counts every point.
-    :func:`scan_design` scans a cached design to the same result, and
-    clears whole blocks of it by floors kept with the design.
+    ``dim*(dim-1)`` probe rows.  In each later one, the row bound
+    (:func:`_row_bound`, where it applies) clears every row whose bound
+    exceeds the running minimum by half the tolerance, h is built for the
+    rest (:func:`forms.h_entries`), a Cholesky screen clears more
+    (:func:`linalg.screened_min_eig`), and the rest are eigensolved.
     """
-    return _scan(delta, points)
+    pts = as_points(delta, points)
+    return _scan(delta, pts.shape[0], lambda k, lo, hi: pts[lo:hi])[0]
 
 
 def scan_design(delta: DeltaVector,
@@ -346,21 +333,34 @@ def scan_design(delta: DeltaVector,
     :func:`scan_h` result on ``all_samples(delta.dim, plan)``, bit for bit,
     as a report with a copy of the first worst row and ``plan.seed``.
 
-    For each block of the scan the design keeps phi_k, the least of
-    ``_row_bound(_FLOOR_COEFS, y)`` over its rows, and the least and
-    largest |y|^2, s_lo and s_hi.  Where the row bound applies and a =
-    3 delta_min/4 - 3/2 <= 3 (in the gap, unless two eigenvalues nearly
-    tie), every row of the block has bound at least min(c s_lo, c s_hi) +
-    a phi_k (proof in
-    docs/formats.md), so where that exceeds the running minimum by half the
-    tolerance the block is skipped unread.  Any other block is screened as
-    :func:`scan_h` screens it.  The floors are computed by the first scan
-    of a design that can use them, in one pass, and cached with it;
-    :func:`all_samples` alone does not compute them.
+    The first scan of a design makes its :func:`_record`: per block, phi_k,
+    the least ``_row_bound(_FLOOR_COEFS, y)``, and s_lo and s_hi, the least
+    and largest |y|^2.  Where the row bound applies and a = 3 delta_min/4 -
+    3/2 <= 3 (in the gap, unless two eigenvalues nearly tie), every row of
+    block k has bound >= min(c s_lo, c s_hi) + a phi_k (docs/formats.md):
+    the block is skipped unread where that exceeds the running minimum by
+    half the tolerance.  Others are made again, from their indices (dims 2,
+    3) or recorded state, and screened as by :func:`scan_h`.
     """
-    points = all_samples(delta.dim, plan)
-    res = _scan(delta, points, _design_key(delta.dim, plan))
-    return SampleReport(worst_value=res.worst_value,
-                        worst_point=np.array(points[res.worst_index]),
+    dim, count, seed = key = _design_key(delta.dim, plan)
+    floors, states = _record(*key, _BLOCK)
+    buf = np.empty((min(_BLOCK, count), dim))
+    rng = at = None
+
+    def read(k, lo, hi):
+        # One generator per scan, seeded as the design's (so only its PCG64
+        # state can differ), set to a block's recorded state after a skip.
+        nonlocal rng, at
+        if dim > 3 and k and (rng is None or at != k):
+            if rng is None:
+                rng = np.random.default_rng(seed)
+            state = rng.bit_generator.state
+            state["state"]["state"] = states[k]
+            rng.bit_generator.state = state
+        at = k + 1
+        return _rows(dim, count, lo, hi, rng, buf)
+
+    res, point = _scan(delta, sample_count(dim, plan), read, floors)
+    return SampleReport(worst_value=res.worst_value, worst_point=point,
                         samples=res.samples, seed=plan.seed,
                         tolerance=res.tolerance, passed=not res.violation)

@@ -290,6 +290,25 @@ def test_lemmas_alpha_grid_below_two_exits_64(count):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("args", [
+    ("analyze", "--samples-nd", "1000000000000"),
+    ("analyze", "--samples-2d", "134217729"),
+    ("boundary", "--dims", "3", "--samples-3d", "134217729"),
+])
+def test_samples_above_the_ceiling_exit_64(monkeypatch, capsys, gap3, args):
+    # rejected by its flag before any design is scanned; 2^27 is the most
+    monkeypatch.setattr("kantorovich.cli.classify",
+                        lambda *a: pytest.fail("scanned a design"))
+    monkeypatch.setattr("kantorovich.cli.sweep",
+                        lambda *a, **k: pytest.fail("swept"))
+    cmd, *flags = args
+    code = run([cmd, gap3, *flags] if cmd == "analyze" else args)
+    out, err = capsys.readouterr()
+    assert code == 64 and out == ""
+    assert err == (f"error: {flags[-2]} allows at most 134217728 samples, "
+                   f"got {flags[-1]}\n")
+
+
 @pytest.mark.parametrize("flags", [("--grid", "1000000000"),
                                    ("--alpha-grid", "4097")])
 def test_lemmas_grid_above_one_block_exits_64(monkeypatch, capsys, flags):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -396,8 +400,8 @@ def test_design_floors_change_no_scan(monkeypatch, rng, dim):
     # block is above that minimum.
     monkeypatch.setattr(sampling, "_BLOCK", 500)
     pts = all_samples(dim, FLOOR_PLAN)
-    phi, s_lo, s_hi = sampling._floors(
-        *sampling._design_key(dim, FLOOR_PLAN), 500).T
+    floors, _ = sampling._record(*sampling._design_key(dim, FLOOR_PLAN), 500)
+    phi, s_lo, s_hi = floors.T
     blocks = list(sampling._blocks(pts.shape[0], dim * (dim - 1), 500))
     row_bound = sampling._row_bound
     calls = []
@@ -438,18 +442,154 @@ def test_design_floors_change_no_scan(monkeypatch, rng, dim):
 
 
 def test_design_floors_built_once_and_not_by_all_samples():
+    # The first scan of a design builds its block record, whatever a is
+    # (a > 3 here, where the floors cannot serve); later scans reuse it.
+    # all_samples builds no record, and no scan builds the design.
     plan = SamplePlan(seed=2324, random_nd=3000)
-    info = sampling._floors.cache_info
-    before = info()
-    pts = all_samples(6, plan)
-    # a > 3: the floors cannot serve this scan, so it does not build them
+    info = sampling._record.cache_info
+    before, designs = info(), sampling._samples.cache_info()
     scan_design(DeltaVector(dim=6, values=np.full(15, 8.0)), plan)
-    assert info() == before
+    scan_design(DeltaVector(dim=6, values=np.full(15, 2.0)), plan)  # a = 0
     gap = delta_from_spd(spd_with_kappa(np.random.default_rng(6), 6, 5.0))
-    for _ in range(3):
-        assert scan_design(gap, plan).samples == pts.shape[0]
-    assert all_samples(6, plan) is pts
-    assert (info().misses - before.misses, info().hits - before.hits) == (1, 2)
+    reports = [scan_design(gap, plan) for _ in range(3)]
+    assert sampling._samples.cache_info() == designs
+    assert (info().misses - before.misses, info().hits - before.hits) == (1, 4)
+    pts = all_samples(6, plan)
+    assert info().misses - before.misses == 1
+    assert all(_key(r) == _scan_key(scan_h(gap, pts), pts) for r in reports)
+    assert reports[0].samples == pts.shape[0]
+
+
+def _one_shot_design(dim, plan):
+    """The probes and the sphere design built whole, as one draw: the
+    reference the block-made designs must equal bit for bit."""
+    count = sampling._design_key(dim, plan)[1]
+    if dim == 1:
+        return np.ones((1, 1))
+    if dim == 2:
+        theta = np.pi * np.arange(count) / count
+        rows = np.column_stack([np.cos(theta), np.sin(theta)])
+    elif dim == 3:
+        i = np.arange(count)
+        z = 1.0 - 2.0 * (i + 0.5) / count
+        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        phi = np.pi * (3.0 - np.sqrt(5.0)) * i
+        rows = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    else:
+        rows = np.random.default_rng(plan.seed).standard_normal((count, dim))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return np.concatenate([probe_directions(dim), rows])
+
+
+BLOCK_PLAN = SamplePlan(seed=2901, angles_2d=1703, fibonacci_3d=2311,
+                        random_nd=2311)
+
+
+@pytest.mark.parametrize("block", [1, 500])
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_design_blocks_are_the_one_shot_design(monkeypatch, dim, block):
+    # Blocks of ``block`` rows, made in order or again from the record,
+    # give the design one draw of it all gives; so does all_samples.
+    want = _one_shot_design(dim, BLOCK_PLAN)
+    assert sampling._samples.__wrapped__(
+        *sampling._design_key(dim, BLOCK_PLAN)).tobytes() == want.tobytes()
+    monkeypatch.setattr(sampling, "_BLOCK", block)
+    assert all_samples(dim, BLOCK_PLAN).tobytes() == want.tobytes()
+    key = sampling._design_key(dim, BLOCK_PLAN)
+    _, states = sampling._record(*key, block)
+    blocks = list(sampling._blocks(want.shape[0], dim * (dim - 1), block))
+    assert len(states) == len(blocks)
+    buf = np.empty((block, dim))
+    got = []
+    for k in range(len(blocks) - 1, -1, -1):  # out of order, each alone
+        rng = np.random.default_rng(key[2])
+        state = rng.bit_generator.state
+        state["state"]["state"] = states[k]
+        rng.bit_generator.state = state
+        got.insert(0, sampling._rows(*key[:2], *blocks[k], rng, buf).copy())
+    assert np.concatenate(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_design_scan_reads_the_design_blocks(monkeypatch, rng, dim):
+    # Every block a scan reads, after skipped blocks or not, is the
+    # design's, and no block is read twice.
+    monkeypatch.setattr(sampling, "_BLOCK", 500)
+    pts = all_samples(dim, BLOCK_PLAN)
+    key = sampling._design_key(dim, BLOCK_PLAN)
+    _, states = sampling._record(*key, 500)  # made before the patch
+    rows_of = sampling._rows
+    reads = []
+
+    def recording_rows(*args):  # (dim, count, lo, hi, rng, buf)
+        rows = rows_of(*args)
+        reads.append((args[2], rows.tobytes()))
+        return rows
+
+    monkeypatch.setattr(sampling, "_rows", recording_rows)
+    for d in _floor_deltas(rng, dim):
+        reads.clear()
+        got = scan_design(d, BLOCK_PLAN)
+        assert _key(got) == _scan_key(scan_h(d, pts), pts)
+        los = [lo for lo, _ in reads]
+        assert los == sorted(set(los)) and los[0] == 0
+        for lo, data in reads:
+            hi = lo + len(data) // (8 * dim)
+            assert pts[lo:hi].tobytes() == data
+    # Floors that skip every third block (phi = inf) and read the rest
+    # (phi = -inf): each block read after a skip is still the design's.
+    phi = np.where(np.arange(len(states)) % 3 == 2, np.inf, -np.inf)
+    fake = (np.column_stack([phi, np.ones_like(phi), np.ones_like(phi)]),
+            states)
+    monkeypatch.setattr(sampling, "_record", lambda *a: fake)
+    reads.clear()
+    scan_design(_delta_case(dim, "rotated"), BLOCK_PLAN)
+    assert [lo for lo, _ in reads][1:] == [
+        lo for k, (lo, _) in enumerate(sampling._blocks(
+            pts.shape[0], dim * (dim - 1), 500)) if k and phi[k] < 0]
+    for lo, data in reads:
+        assert pts[lo:lo + len(data) // (8 * dim)].tobytes() == data
+
+
+def test_design_scan_memory_is_bounded():
+    # A dim-8 gap scan of a 2,000,000-row design, in a fresh process,
+    # twice: the peak RSS grows by less than the design's 128 MB would
+    # need, and both reports are equal.
+    code = """
+import resource, sys
+import numpy as np
+from kantorovich.forms import delta_from_spd
+from kantorovich.linalg import validate_spd
+from kantorovich.sampling import SamplePlan, scan_design
+q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((8, 8)))
+a = (q * np.geomspace(1.0, 5.5, 8)) @ q.T
+d = delta_from_spd(validate_spd(0.5 * (a + a.T)))
+scan_design(d, SamplePlan(random_nd=5000))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+keys = []
+for _ in range(2):
+    r = scan_design(d, SamplePlan(random_nd=2_000_000))
+    keys.append((r.worst_value.hex(), r.worst_point.tobytes().hex(),
+                 r.samples, r.passed))
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(grown / 1024, keys[0] == keys[1], keys[0][2], keys[0][3])
+"""
+    src = str(Path(sampling.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=600,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    grown, equal, samples, passed = out.split()
+    assert float(grown) < 32.0
+    assert (equal, samples, passed) == ("True", "2000056", "True")
+
+
+def test_plan_sample_ceiling():
+    # Each count admits 2^27 rows, a record of 2^15 blocks; one more is
+    # refused before anything is built.
+    for field in ("angles_2d", "fibonacci_3d", "random_nd"):
+        assert getattr(SamplePlan(**{field: 1 << 27}), field) == 1 << 27
+        with pytest.raises(ValueError, match=r"must be in 1\.\.134217728"):
+            SamplePlan(**{field: (1 << 27) + 1})
 
 
 def test_scan_memory_bounded():
