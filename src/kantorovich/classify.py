@@ -33,8 +33,8 @@ import numpy as np
 
 from .forms import DeltaVector, delta_from_spd
 from .linalg import SpdMatrix
-from .sampling import (DEFAULT_PLAN, SamplePlan, SampleReport, scan_design,
-                       scan_h)
+from .sampling import (DEFAULT_PLAN, SamplePlan, SampleReport,
+                       probe_directions, scan_design, scan_h)
 
 __all__ = [
     "KAPPA_NECESSARY", "KAPPA_SUFFICIENT_ANY", "KAPPA_SUFFICIENT_3D",
@@ -124,10 +124,11 @@ def falsify(spd: SpdMatrix, plan: SamplePlan = DEFAULT_PLAN) -> Witness | None:
 
 
 def probe_witness(spd: SpdMatrix, delta: DeltaVector) -> Witness | None:
-    """The extreme-pair probe (e_i + e_j)/sqrt(2), scanned as one row."""
-    (i, j), _ = delta.max_pair()
-    y = np.zeros((1, spd.dim))
-    y[0, i] = y[0, j] = 1.0 / math.sqrt(2.0)
+    """The extreme-pair probe (e_i + e_j)/sqrt(2), scanned as one row: row
+    2k of :func:`sampling.probe_directions`, k the first argmax of delta
+    (the pair that :meth:`DeltaVector.max_pair` names)."""
+    k = int(np.argmax(delta.values))
+    y = probe_directions(spd.dim)[2 * k:2 * k + 1]
     res = scan_h(delta, y)
     if not res.violation:
         return None

@@ -23,9 +23,9 @@ from .classify import (KAPPA_NECESSARY, KAPPA_SUFFICIENT_3D,
 from .forms import DeltaVector, delta_from_spd, pair_indices
 from .function import f_hessian, fd_hessian, kantorovich_bound_check
 from .linalg import MAX_DIM, MatrixValidationError, validate_spd
-from .lmi import (_MAX_NODES, GridSpec, box_inequality_grid_check,
-                  detm_alpha_convexity_check, robust_psd_grids, verify_h_lmi)
-from .sampling import _MAX_SAMPLES, SamplePlan
+from .lmi import (MAX_NODES, GridSpec, box_inequality_grid_check,
+                  detm_alpha_convexity_check, robust_psd_grids)
+from .sampling import MAX_SAMPLES, SamplePlan, scan_design
 
 EXIT_CONVEX = 0
 EXIT_NOT_CONVEX = 1
@@ -173,8 +173,8 @@ def _plan_from_args(args) -> SamplePlan:
     for flag, n in (("--samples-2d", args.samples_2d),
                     ("--samples-3d", args.samples_3d),
                     ("--samples-nd", args.samples_nd)):
-        if n > _MAX_SAMPLES:
-            raise ValueError(f"{flag} allows at most {_MAX_SAMPLES} samples, "
+        if n > MAX_SAMPLES:
+            raise ValueError(f"{flag} allows at most {MAX_SAMPLES} samples, "
                              f"got {n}")
     return SamplePlan(seed=args.seed, angles_2d=args.samples_2d,
                       fibonacci_3d=args.samples_3d,
@@ -242,8 +242,8 @@ def cmd_lemmas(args) -> int:
     for flag, n in zip(flags, counts):
         if n < 2:
             raise ValueError(f"{flag} needs at least 2 nodes, got {n}")
-        if n > _MAX_NODES:
-            raise ValueError(f"{flag} allows at most {_MAX_NODES} nodes, "
+        if n > MAX_NODES:
+            raise ValueError(f"{flag} allows at most {MAX_NODES} nodes, "
                              f"got {n}")
     box_n, omega_n, ab_n, alpha_n = counts
     box = box_inequality_grid_check(GridSpec.cube(lo, hi, box_n, 3))
@@ -319,7 +319,7 @@ def cmd_lmi(args) -> int:
         raise ValueError("--delta entries must be >= 2")
     delta = DeltaVector(dim=args.dim, values=values)
     plan = _plan_from_args(args)
-    report = verify_h_lmi(delta, plan)
+    report = scan_design(delta, plan)
     if args.format == "json":
         _print_json({"dim": args.dim,
                      "delta": [float(v) for v in values],
@@ -347,15 +347,15 @@ def cmd_hessian_check(args) -> int:
         raise ValueError(f"--tol must be a number > 0, got {args.tol!r}")
     spd = validate_spd(read_matrix_file(args.matrix))
     rng = np.random.default_rng(args.seed)
-    devs = []
+    worst = -math.inf
     for _ in range(args.points):
         x = rng.standard_normal(spd.dim)
         analytic = f_hessian(spd, x)
         numeric = fd_hessian(spd, x, step=args.step)
         scale = max(1.0, float(np.abs(analytic).max()))
-        devs.append(float(np.abs(numeric - analytic).max()) / scale)
-    # np.max, unlike max(), keeps a NaN deviation, so it cannot pass.
-    worst = float(np.max(devs))
+        dev = float(np.abs(numeric - analytic).max()) / scale
+        # np.maximum, unlike max(), keeps a NaN deviation, so it cannot pass.
+        worst = float(np.maximum(worst, dev))
     ok = worst < args.tol
     print(f"dim: {spd.dim}")
     print(f"points: {args.points}")

@@ -11,13 +11,16 @@ and on the rotated point y = U x.  The conjugated form is
     h(delta, y)_ij = delta_ij y_i y_j                   (i != j)
 
 so convexity of K is exactly "h(delta, y) PSD for every y": a semi-infinite
-linear matrix inequality in delta.  The 3-dim analysis additionally normalizes
-h by the largest-magnitude coordinate, which yields the three parametric 3x3
-forms m/p/q below on the box omega in [2, 4]^3, alpha, beta in [-1, 1].
+linear matrix inequality in delta.  The pair-term identity for z'h z bounds
+lambda_min h per direction (:func:`row_bound`, shared by the direction scan
+and the lemma floors).  The 3-dim analysis additionally normalizes h by the
+largest-magnitude coordinate, which yields the three parametric 3x3 forms
+m/p/q below on the box omega in [2, 4]^3, alpha, beta in [-1, 1].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +30,7 @@ from .linalg import DimensionMismatchError, SpdMatrix
 __all__ = [
     "DeltaVector", "delta_from_spd", "pair_indices",
     "h_form", "h_form_batch",
+    "BOUND_DELTA_MAX", "least_coefs", "row_coefs", "row_bound",
     "m_entries", "det_m_alpha_coefs", "m_form", "p_form", "q_form",
     "det3_batch",
 ]
@@ -34,6 +38,9 @@ __all__ = [
 # Delta entries sit in [2, inf) mathematically; allow this much roundoff when
 # values arrive from floating-point eigenvalue ratios.
 _DELTA_SLACK = 1e-12
+# Above this delta_max the row bound is skipped; at or below it, with
+# |y|^2 <= 2, every quantity the bound forms, squares included, is finite.
+BOUND_DELTA_MAX = 1e150
 
 
 def pair_indices(dim: int) -> list[tuple[int, int]]:
@@ -115,6 +122,52 @@ def h_entries(dm: np.ndarray, y: np.ndarray) -> np.ndarray:
     diag *= 0.5
     diag += 3.0 * sq
     return h
+
+
+def least_coefs(values: np.ndarray):
+    """(a, c) = (3 delta_min/4 - 3/2, 3/2 - delta_max/4), delta_min and
+    delta_max over the last axis of ``values``: the least coefficients of
+    the rewritten pair terms (docs/formats.md).  A stack of delta vectors
+    gives one (a, c) per vector."""
+    return (0.75 * values.min(axis=-1) - 1.5,
+            1.5 - 0.25 * values.max(axis=-1))
+
+
+def row_coefs(a, c):
+    """(c + a, 2a, b), b = 3 + a - c: the coefficients :func:`row_bound`
+    reads, elementwise in (a, c)."""
+    return c + a, 2.0 * a, 3.0 + a - c
+
+
+def row_bound(coefs: tuple[float, float, float],
+              y: np.ndarray) -> np.ndarray:
+    """Closed-form lower bound L(y) on lambda_min h(delta, y) for each row
+    of ``y`` (m, dim); ``coefs`` from :func:`row_coefs`, or columns (k, 1)
+    of coefficients, which give one row of bounds (k, m) per set.
+
+    L = (c + a)|y|^2 - lambda_max(T), T the 2x2 matrix [[(2a - b) mu1,
+    -b sqrt(mu1 R)], [-b sqrt(mu1 R), 2a mu2 - b R]], with mu1 >= mu2 the two
+    largest y_i^2 and R the sum of the y_i^2 other than mu1 (proof in
+    docs/formats.md).  R is accumulated term by term, never as |y|^2 - mu1,
+    whose cancellation near e_k the square root would magnify.  A row with
+    |y|^2 > 2 or a NaN coordinate reads -inf, so it clears nothing.
+    """
+    ca, two_a, b = coefs
+    sq = np.square(y.T, order="C")
+    mu1 = sq[0].copy()
+    mu2 = np.zeros_like(mu1)
+    rest = np.zeros_like(mu1)
+    for v in sq[1:]:
+        low = np.minimum(mu1, v)
+        rest += low
+        np.maximum(mu2, low, out=mu2)
+        np.maximum(mu1, v, out=mu1)
+    s = mu1 + rest
+    p = (two_a - b) * mu1
+    r = two_a * mu2 - b * rest
+    half = 0.5 * (p - r)
+    lam = 0.5 * (p + r) + np.sqrt(half * half + (b * b) * (mu1 * rest))
+    return np.where(s <= 2.0, ca * s - lam, -math.inf)
 
 
 def h_form_batch(delta: DeltaVector, points: np.ndarray) -> np.ndarray:

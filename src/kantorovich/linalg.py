@@ -77,15 +77,21 @@ def symmetrize(raw) -> np.ndarray:
     """Return (M + M')/2 after checking M is square, finite and near-symmetric.
 
     Asymmetry above ``SYM_TOL * max|entry|`` is an error, not something to
-    silently average away.
+    silently average away; an asymmetry beyond the float range is one too.
     """
     m = _as_square(raw)
     scale = np.abs(m).max()
-    skew = np.abs(m - m.T).max()
+    with np.errstate(over="ignore"):
+        skew = np.abs(m - m.T).max()
+        out = 0.5 * (m + m.T)
     if skew > SYM_TOL * max(scale, 1e-300):
         raise NotSymmetricError(
             f"asymmetry {skew:.3e} exceeds {SYM_TOL:.1e} * {scale:.3e}")
-    out = 0.5 * (m + m.T)
+    big = np.isinf(out)
+    if big.any():
+        # Halved before the sum only where the sum overflows: halving
+        # first rounds subnormal entries.
+        out[big] = 0.5 * m[big] + 0.5 * m.T[big]
     out.setflags(write=False)
     return out
 
@@ -130,7 +136,7 @@ def eig_sym(m) -> SpectralData:
     A * 2^-e, e the binary exponent of max|A|, so the squared norms neither
     overflow nor underflow; scaling by a power of two is exact, so every
     rotation rounds as it would on A itself, and the eigenvalues are scaled
-    back by 2^e.
+    back by 2^e: one beyond the float range reads inf.
 
     The rotations run on rows of Python floats, not on numpy rows: at
     n <= 8 a numpy call costs more than the arithmetic it does.  Each entry
@@ -191,7 +197,8 @@ def eig_sym(m) -> SpectralData:
                 f"(off-norm {math.ldexp(offnorm(), e):.3e}, "
                 f"target {math.ldexp(JACOBI_TOL * norm, e):.3e})")
 
-    w = np.ldexp([work[k][k] for k in range(n)], e)
+    with np.errstate(over="ignore"):
+        w = np.ldexp([work[k][k] for k in range(n)], e)
     order = np.argsort(w, kind="stable")
     return SpectralData(w[order], np.array([vt[k] for k in order]))
 
@@ -232,13 +239,18 @@ def validate_spd(raw) -> SpdMatrix:
     """Validate raw input as SPD and bundle matrix, inverse and spectrum.
 
     ``raw`` is a square matrix, dim 1..8; asymmetry above ``SYM_TOL``
-    relative is rejected (:func:`symmetrize`), and so is
-    lambda_min <= ``PD_TOL`` * lambda_max, and a matrix whose inverse has
-    an entry that is not finite (lambda_min near the subnormal range).
+    relative is rejected (:func:`symmetrize`), and so is a lambda_max
+    beyond the float range, lambda_min <= ``PD_TOL`` * lambda_max, and a
+    matrix whose inverse has an entry that is not finite (lambda_min near
+    the subnormal range).
     """
     a = symmetrize(raw)
     spec = eig_sym(a)
     w = spec.eigenvalues
+    if w[-1] == math.inf:
+        raise MatrixValidationError(
+            f"lambda_max is beyond the float range (above "
+            f"{np.finfo(float).max:.6e})")
     if w[0] <= PD_TOL * w[-1]:
         raise NotPositiveDefiniteError(
             f"lambda_min {w[0]:.6e} <= {PD_TOL:.1e} * lambda_max {w[-1]:.6e}")

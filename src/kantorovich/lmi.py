@@ -1,9 +1,8 @@
 """Numerical verification of the certified inequalities and robust PSD claims.
 
-Three layers:
+Two layers (the sampled check of h(delta, y) PSD itself is
+:func:`sampling.scan_design`):
 
-* sampled verification of the semi-infinite constraint h(delta, y) PSD
-  (:func:`verify_h_lmi`, which is :func:`sampling.scan_design` itself);
 * exhaustive grid checks of the five scalar box inequalities on
   [2, 4]^3 that drive the 3-dim sufficiency proof
   (:func:`box_inequality_grid_check`);
@@ -40,14 +39,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forms import DeltaVector, det_m_alpha_coefs, m_entries
+from .forms import (BOUND_DELTA_MAX, det_m_alpha_coefs, least_coefs,
+                    m_entries, row_bound, row_coefs)
 from .linalg import PSD_EPS, FirstMin, screened_min_eig
-from .sampling import _BOUND_DELTA_MAX, _least_coefs, _row_bound, _row_coefs
-from .sampling import scan_design as verify_h_lmi
 
 __all__ = [
-    "GRID_TOL", "Axis", "GridSpec", "GridScanReport", "GridCheckSummary",
-    "verify_h_lmi", "box_inequalities", "BoxValues",
+    "GRID_TOL", "MAX_NODES", "Axis", "GridSpec", "GridScanReport",
+    "GridCheckSummary", "box_inequalities", "BoxValues",
     "box_inequality_grid_check", "robust_psd_grid", "robust_psd_grids",
     "detm_alpha_poly", "detm_alpha_convexity_check",
     "BOX_GRID_DEFAULT", "OMEGA_GRID_DEFAULT", "AB_GRID_DEFAULT",
@@ -66,11 +64,11 @@ GRID_TOL = 1e-9
 _BLOCK = 1 << 12
 # No axis has more nodes than one block holds cells.  A separate name,
 # so that tests may shrink _BLOCK without shrinking the axes.
-_MAX_NODES = _BLOCK
+MAX_NODES = _BLOCK
 # The detm floors' rounding margin is _ROUND times a bound on the sum of
 # the absolute values of their terms (16 unit roundoffs), plus _TINY for
 # underflow; both floors apply only where that sum, and the robust scan's
-# entry bound, is at most _BOUND_DELTA_MAX, so nothing they compare can
+# entry bound, is at most BOUND_DELTA_MAX, so nothing they compare can
 # overflow (docs/formats.md).
 _ROUND = 2.0 ** -49
 _TINY = 2.0 ** -1000
@@ -86,8 +84,8 @@ class Axis:
         if not math.isfinite(self.hi - self.lo):
             raise ValueError(
                 "axis bounds and their span hi - lo must be finite")
-        if not 1 <= self.count <= _MAX_NODES:
-            raise ValueError(f"axis count must be in 1..{_MAX_NODES}")
+        if not 1 <= self.count <= MAX_NODES:
+            raise ValueError(f"axis count must be in 1..{MAX_NODES}")
         if self.lo > self.hi:
             raise ValueError("axis range must be ordered lo <= hi")
         if self.count == 1 and self.lo != self.hi:
@@ -285,20 +283,20 @@ def _robust_floors(w: np.ndarray, plane: tuple[np.ndarray, np.ndarray],
 
     m(w, alpha, beta) is h(w, y) at y = (1, alpha, beta), so with s = |y|^2,
     lambda_min m = s lambda_min h(w, y / sqrt(s)) >= s L(y / sqrt(s)), L
-    the row bound (:func:`sampling._row_bound`) with (a, c) from min(w) and
+    the row bound (:func:`forms.row_bound`) with (a, c) from min(w) and
     max(w).  F is the least of s L over the (alpha, beta) nodes of
     ``plane``; it depends only on (a, c), so it is computed once per
     distinct pair, a block of nodes at a time.  The proof needs a > 0: the
     result is NaN where a <= ``margin``.
     """
-    a, c = _least_coefs(w)
+    a, c = least_coefs(w)
     # the distinct pairs, numbered in order of first appearance
     index: dict[tuple[float, float], int] = {}
     inv = np.array([index.setdefault(p, len(index))
                     for p in zip(a.tolist(), c.tolist())])
     pairs = np.array(list(index))
     ok = pairs[:, 0] > margin
-    coefs = _row_coefs(pairs[ok, :1], pairs[ok, 1:])
+    coefs = row_coefs(pairs[ok, :1], pairs[ok, 1:])
     f = np.full(coefs[0].shape[0], math.inf)
     for _, (al, be) in _blocks(plane, _BLOCK):
         y = np.stack(np.broadcast_arrays(1.0, al, be), axis=-1).reshape(-1, 3)
@@ -307,7 +305,7 @@ def _robust_floors(w: np.ndarray, plane: tuple[np.ndarray, np.ndarray],
         step = max(1, _BLOCK // len(y))
         for k in range(0, len(f), step):
             part = slice(k, k + step)
-            low = (s * _row_bound(tuple(x[part] for x in coefs), y)).min(axis=1)
+            low = (s * row_bound(tuple(x[part] for x in coefs), y)).min(axis=1)
             np.minimum(f[part], low, out=f[part])
     out = np.full(len(pairs), math.nan)
     out[ok] = f - margin
@@ -346,7 +344,7 @@ def robust_psd_grid(form: str, omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
     # Term by term, every |entry of m| <= (3 + W) s^2 with W = max|omega|
     # and s = max(1, |alpha|, |beta|) over the nodes.  An overflowing grid
     # makes the margin inf or NaN, and then the screen clears nothing.  The
-    # floors apply only where that bound is at most _BOUND_DELTA_MAX.
+    # floors apply only where that bound is at most BOUND_DELTA_MAX.
     big = np.max([np.abs(n).max() for n in omega])
     s = np.max([1.0] + [np.abs(n).max() for n in plane])
     bound = float((3.0 + big) * s * s)
@@ -361,7 +359,7 @@ def robust_psd_grid(form: str, omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
     for first, ws in _blocks(omega, _BLOCK):
         w = np.stack(np.broadcast_arrays(*ws), axis=-1).reshape(-1, 3)
         lo = (_robust_floors(w, plane, margin)
-              if bound <= _BOUND_DELTA_MAX else None)
+              if bound <= BOUND_DELTA_MAX else None)
         todo = np.arange(len(w))
         while todo.size:
             # screen what is left against the latest minimum
@@ -441,11 +439,11 @@ def _detm_floors(c2: np.ndarray, c4: np.ndarray, c6: np.ndarray
     each g less the margin ``_ROUND`` S + ``_TINY``, S = 2|c2| + 24|c4| +
     360|c6| (at least the sum of the absolute values of any row's terms).
     The margin, and so every floor, is NaN where S is not at most
-    ``_BOUND_DELTA_MAX`` (NaN, infinite or huge coefficients).
+    ``BOUND_DELTA_MAX`` (NaN, infinite or huge coefficients).
     """
     n4, n6 = np.minimum(c4, 0.0), np.minimum(c6, 0.0)
     big = 2.0 * np.abs(c2) + 24.0 * np.abs(c4) + 360.0 * np.abs(c6)
-    margin = np.where(big <= _BOUND_DELTA_MAX, _ROUND * big + _TINY,
+    margin = np.where(big <= BOUND_DELTA_MAX, _ROUND * big + _TINY,
                       math.nan)
     return (2.0 * c2 + 12.0 * n4 + 30.0 * n6 - margin,
             24.0 * c4 + 360.0 * n6 - margin,

@@ -7,9 +7,10 @@ Fibonacci spiral in dim 3, seeded random unit vectors above).  h is even and
 degree-2 homogeneous in y, so unit vectors lose nothing.
 
 :func:`scan_h` finds the first minimum over rows exactly, block by block,
-with a row bound and a Cholesky screen before the eigensolver.
-:func:`scan_design` never holds its design whole: per block it keeps a
-floor of the row bound, to skip it unread, and the state to make it again.
+with the row bound of :func:`forms.row_bound` and a Cholesky screen before
+the eigensolver.  No design is kept whole: per block, :func:`scan_design`
+keeps a floor of the row bound, to skip it unread, and the state to make
+it again.
 """
 
 from __future__ import annotations
@@ -20,22 +21,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forms import DeltaVector, as_points, h_entries, pair_indices
+from .forms import (BOUND_DELTA_MAX, DeltaVector, as_points, h_entries,
+                    least_coefs, pair_indices, row_bound, row_coefs)
 from .linalg import PSD_EPS, FirstMin, screened_min_eig
 
 __all__ = [
-    "SamplePlan", "SampleReport", "DEFAULT_PLAN",
+    "SamplePlan", "SampleReport", "DEFAULT_PLAN", "MAX_SAMPLES",
     "probe_directions", "all_samples", "sample_count",
     "h_scale_bound", "scan_h", "scan_design", "ScanResult",
 ]
 
 # Rows per block of the scan and of the designs after the probe block; a
-# sphere design has at most _MAX_SAMPLES rows, 2^15 blocks in its record.
+# sphere design has at most MAX_SAMPLES rows, 2^15 blocks in its record.
 _BLOCK = 1 << 12
-_MAX_SAMPLES = 1 << 27
-# Above this delta_max the row bound is skipped; at or below it, with
-# |y|^2 <= 2, every quantity the bound forms, squares included, is finite.
-_BOUND_DELTA_MAX = 1e150
+MAX_SAMPLES = 1 << 27
 # The design floors hold for a = 3 delta_min/4 - 3/2 in (0, _FLOOR_A]; in
 # the gap delta <= 6, so a <= 3 there.  _FLOOR_COEFS are the row bound's
 # (c + a, 2a, b) normalized to c + a = 1, 2a = 2, b = 1 + 2/_FLOOR_A.
@@ -55,8 +54,8 @@ class SamplePlan:
 
     def __post_init__(self):
         counts = (self.angles_2d, self.fibonacci_3d, self.random_nd)
-        if not 1 <= min(counts) <= max(counts) <= _MAX_SAMPLES:
-            raise ValueError(f"sample counts must be in 1..{_MAX_SAMPLES}")
+        if not 1 <= min(counts) <= max(counts) <= MAX_SAMPLES:
+            raise ValueError(f"sample counts must be in 1..{MAX_SAMPLES}")
         if self.refine_rounds < 0:
             raise ValueError("refine_rounds must be >= 0")
         if self.seed < 0:
@@ -142,14 +141,9 @@ def all_samples(dim: int, plan: SamplePlan) -> np.ndarray:
     ``angles_2d`` equispaced angles in dim 2, a ``fibonacci_3d`` spiral in
     dim 3, ``random_nd`` unit vectors drawn from ``seed`` above, and the
     single point (1,) in dim 1: the blocks that :func:`scan_design` reads.
-    Cached and read-only on what the design reads, (dim, its count, and
-    the seed at dim >= 4): plans that agree on those share one array.
+    A fresh read-only array on each call, never kept: no scan reads it.
     """
-    return _samples(*_design_key(dim, plan))
-
-
-@lru_cache(maxsize=16)
-def _samples(dim: int, count: int, seed: int) -> np.ndarray:
+    dim, count, seed = _design_key(dim, plan)
     out = np.empty((dim * (dim - 1) + count, dim))
     for lo, hi, rows, _ in _pass(dim, count, seed, _BLOCK):
         out[lo:hi] = rows
@@ -196,63 +190,17 @@ def _blocks(total: int, head: int, block: int):
         lo = hi
 
 
-def _least_coefs(values: np.ndarray):
-    """(a, c) = (3 delta_min/4 - 3/2, 3/2 - delta_max/4), delta_min and
-    delta_max over the last axis of ``values``: the least coefficients of
-    the rewritten pair terms (docs/formats.md).  A stack of delta vectors
-    gives one (a, c) per vector."""
-    return (0.75 * values.min(axis=-1) - 1.5,
-            1.5 - 0.25 * values.max(axis=-1))
-
-
-def _row_coefs(a, c):
-    """(c + a, 2a, b), b = 3 + a - c: the coefficients :func:`_row_bound`
-    reads, elementwise in (a, c)."""
-    return c + a, 2.0 * a, 3.0 + a - c
-
-
 def _bound_coefs(delta: DeltaVector,
                  margin: float) -> tuple[float, float, float] | None:
-    """(c + a, 2a, b) for :func:`_row_bound`, with (a, c) from
-    :func:`_least_coefs` and b = 3 + a - c; None where the bound is
-    skipped: delta_max > ``_BOUND_DELTA_MAX``, or a <= ``margin``, where it
+    """(c + a, 2a, b) for :func:`forms.row_bound`, with (a, c) from
+    :func:`forms.least_coefs` and b = 3 + a - c; None where the bound is
+    skipped: delta_max > ``BOUND_DELTA_MAX``, or a <= ``margin``, where it
     cannot clear a unit row (L <= c + a there, and a scan's running minimum
     is at least c up to rounding).  A repeated eigenvalue makes a = 0."""
-    if delta.dim < 2 or delta.values.max() > _BOUND_DELTA_MAX:
+    if delta.dim < 2 or delta.values.max() > BOUND_DELTA_MAX:
         return None
-    a, c = _least_coefs(delta.values)
-    return _row_coefs(a, c) if a > margin else None
-
-
-def _row_bound(coefs: tuple[float, float, float],
-               y: np.ndarray) -> np.ndarray:
-    """Closed-form lower bound L(y) on lambda_min h(delta, y) for each row
-    of ``y`` (m, dim); ``coefs`` from :func:`_bound_coefs`, or columns
-    (k, 1) of coefficients, which give one row of bounds (k, m) per set.
-
-    L = (c + a)|y|^2 - lambda_max(T), T the 2x2 matrix [[(2a - b) mu1,
-    -b sqrt(mu1 R)], [-b sqrt(mu1 R), 2a mu2 - b R]], with mu1 >= mu2 the two
-    largest y_i^2 and R the sum of the y_i^2 other than mu1 (proof in
-    docs/formats.md).  R is accumulated term by term, never as |y|^2 - mu1,
-    whose cancellation near e_k the square root would magnify.  A row with
-    |y|^2 > 2 or a NaN coordinate reads -inf, so it clears nothing.
-    """
-    ca, two_a, b = coefs
-    sq = np.square(y.T, order="C")
-    mu1 = sq[0].copy()
-    mu2 = np.zeros_like(mu1)
-    rest = np.zeros_like(mu1)
-    for v in sq[1:]:
-        low = np.minimum(mu1, v)
-        rest += low
-        np.maximum(mu2, low, out=mu2)
-        np.maximum(mu1, v, out=mu1)
-    s = mu1 + rest
-    p = (two_a - b) * mu1
-    r = two_a * mu2 - b * rest
-    half = 0.5 * (p - r)
-    lam = 0.5 * (p + r) + np.sqrt(half * half + (b * b) * (mu1 * rest))
-    return np.where(s <= 2.0, ca * s - lam, -math.inf)
+    a, c = least_coefs(delta.values)
+    return row_coefs(a, c) if a > margin else None
 
 
 @lru_cache(maxsize=16)
@@ -263,7 +211,7 @@ def _record(dim: int, count: int, seed: int,
     floors, states = [], []
     for _, _, rows, state in _pass(dim, count, seed, block):
         s = np.square(rows).sum(axis=1)
-        floors.append((_row_bound(_FLOOR_COEFS, rows).min(), s.min(),
+        floors.append((row_bound(_FLOOR_COEFS, rows).min(), s.min(),
                        s.max()))
         states.append(state)
     floors = np.array(floors)
@@ -284,7 +232,7 @@ def _scan(delta: DeltaVector, total: int, read,
     # floor[k] <= L(y) on block k, up to rounding (docs/formats.md)
     floor = None
     if coefs is not None and floors is not None:
-        a, c = _least_coefs(delta.values)
+        a, c = least_coefs(delta.values)
         if a <= _FLOOR_A:
             phi, s_lo, s_hi = floors.T
             floor = np.minimum(c * s_lo, c * s_hi) + a * phi
@@ -296,7 +244,7 @@ def _scan(delta: DeltaVector, total: int, read,
         block = rows = read(k, lo, hi)
         keep = slice(None)
         if coefs is not None and lo:
-            keep = ~(_row_bound(coefs, rows) > worst.value + 0.5 * tol)
+            keep = ~(row_bound(coefs, rows) > worst.value + 0.5 * tol)
             rows = rows[keep]
         lam = np.full(hi - lo, math.inf)
         if rows.shape[0]:
@@ -318,7 +266,7 @@ def scan_h(delta: DeltaVector, points: np.ndarray) -> ScanResult:
     h_scale_bound)``) are those of evaluating every point; the first NaN
     is the worst (:class:`linalg.FirstMin`).  The first block is the
     ``dim*(dim-1)`` probe rows.  In each later one, the row bound
-    (:func:`_row_bound`, where it applies) clears every row whose bound
+    (:func:`forms.row_bound`, where it applies) clears every row whose bound
     exceeds the running minimum by half the tolerance, h is built for the
     rest (:func:`forms.h_entries`), a Cholesky screen clears more
     (:func:`linalg.screened_min_eig`), and the rest are eigensolved.
@@ -334,7 +282,7 @@ def scan_design(delta: DeltaVector,
     as a report with a copy of the first worst row and ``plan.seed``.
 
     The first scan of a design makes its :func:`_record`: per block, phi_k,
-    the least ``_row_bound(_FLOOR_COEFS, y)``, and s_lo and s_hi, the least
+    the least ``row_bound(_FLOOR_COEFS, y)``, and s_lo and s_hi, the least
     and largest |y|^2.  Where the row bound applies and a = 3 delta_min/4 -
     3/2 <= 3 (in the gap, unless two eigenvalues nearly tie), every row of
     block k has bound >= min(c s_lo, c s_hi) + a phi_k (docs/formats.md):

@@ -282,15 +282,22 @@ def test_sweep_csv_roundtrip_floats():
     assert float(parts[3]) == rows[0].estimate.kappa_hi
 
 
-def test_sweep_builds_no_design():
+def test_sweep_builds_no_design(monkeypatch):
     # The samples column is counted from the plan: no step and no row
     # builds the design it labels.
     plan = SamplePlan(seed=2325, angles_2d=777, fibonacci_3d=778,
                       random_nd=779)
     families = [EigenFamily(kind, dim) for kind in FAMILY_KINDS
                 for dim in (2, 3, 4, 8)]
-    misses = sampling._samples.cache_info().misses
+    passes = []
+    pass_of = sampling._pass
+
+    def counting_pass(*args):
+        passes.append(args)
+        return pass_of(*args)
+
+    monkeypatch.setattr(sampling, "_pass", counting_pass)
     rows = sweep(families, tol=1e-2, plan=plan)
-    assert sampling._samples.cache_info().misses == misses
+    assert passes == []
     assert [row.estimate.samples for row in rows] == [
         all_samples(fam.dim, plan).shape[0] for fam in families]

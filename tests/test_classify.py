@@ -12,7 +12,6 @@ from kantorovich.classify import (BOUNDARY_REL_TOL, KAPPA_NECESSARY,
 from kantorovich.forms import DeltaVector, delta_from_spd
 from kantorovich.function import f_hessian
 from kantorovich.linalg import min_eigenvalue, validate_spd
-from kantorovich.lmi import verify_h_lmi
 from kantorovich.sampling import SamplePlan, all_samples, scan_design, scan_h
 from conftest import random_rotation, spd_with_kappa
 
@@ -153,7 +152,7 @@ def test_classify_gap_scans_once(monkeypatch, eigs):
     v = classify(spd, FAST)
     assert len(calls) == 1
     assert v.certificate == Certificate.SAMPLING_EXHAUSTED
-    want = verify_h_lmi(delta_from_spd(spd), FAST)
+    want = scan_design(delta_from_spd(spd), FAST)
     got = v.report
     assert ((got.worst_value, got.samples, got.seed, got.tolerance,
              got.passed) == (want.worst_value, want.samples, want.seed,
@@ -288,8 +287,9 @@ SCALE_PLAN = SamplePlan(angles_2d=256, fibonacci_3d=2000, random_nd=2000,
                         refine_rounds=5)
 
 
-@pytest.mark.parametrize("c", [2.0 ** 700, 2.0 ** -700, 1e200, 1e-200],
-                         ids=["2^700", "2^-700", "1e200", "1e-200"])
+@pytest.mark.parametrize("c", [2.0 ** 700, 2.0 ** -700, 1e200, 1e-200,
+                               2.0 ** 1020],
+                         ids=["2^700", "2^-700", "1e200", "1e-200", "2^1020"])
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_scale_invariance_extreme(rng, dim, c):
     # Jacobi runs on A scaled by a power of two, so no norm overflows or

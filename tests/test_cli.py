@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -706,6 +707,19 @@ def test_hessian_check_near_the_subnormal_range(tmp_path):
     assert res.stdout.splitlines()[-1] == "ok: true"
 
 
+def test_hessian_check_memory_does_not_grow_with_points(diag16, capsys):
+    # Only the running worst deviation is kept, not one per point.
+    assert cli.run(["hessian-check", diag16, "--points", "2"]) == 0
+    tracemalloc.start()
+    try:
+        assert cli.run(["hessian-check", diag16, "--points", "3000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "points: 3000" in capsys.readouterr().out
+    assert peak < 64 * 1024, peak
+
+
 def test_kantorovich_bound_extremal(diag16):
     res = run_cli("kantorovich-bound", diag16, "--point", "1,1")
     assert res.returncode == 0
@@ -761,7 +775,7 @@ def test_json_output_is_rfc8259(diag16, argv):
     json.loads(res.stdout, parse_constant=_reject_constant)
 
 
-@pytest.mark.parametrize("scale", ["1e160", "1e-200"])
+@pytest.mark.parametrize("scale", ["1e160", "1e-200", "9e307"])
 def test_analyze_extreme_scale(tmp_path, scale):
     # kappa of [[1, .9], [.9, 1]] is 19; the Frobenius norm of the scaled
     # matrix overflows or underflows unless Jacobi rescales it.
@@ -772,6 +786,15 @@ def test_analyze_extreme_scale(tmp_path, scale):
     assert "status: NotConvex" in res.stdout
     kappa = float(re.search(r"kappa: (\S+)", res.stdout).group(1))
     assert kappa == pytest.approx(19.0, rel=1e-12)
+
+
+def test_analyze_lambda_max_beyond_float_range_exits_64(tmp_path):
+    p = str(tmp_path / "huge.txt")
+    write_matrix(p, np.array([[1e308, 9e307], [9e307, 1e308]]))
+    res = run_cli("analyze", p)
+    assert res.returncode == 64 and res.stdout == ""
+    assert res.stderr.startswith("error: lambda_max")
+    assert len(res.stderr.splitlines()) == 1
 
 
 def test_kantorovich_bound_zero_point_exits_64(diag16):

@@ -53,6 +53,18 @@ def test_validate_keeps_a_finite_subnormal_scale_inverse():
     assert spd.kappa == pytest.approx(6.0)
 
 
+def test_validate_near_the_top_of_the_float_range():
+    # M + M' overflows where (M + M')/2 does not: accepted, with no
+    # RuntimeWarning.  A lambda_max beyond the float range is rejected by
+    # name, and an asymmetry that overflows is still an asymmetry.
+    spd = validate_spd(np.diag([1.7e308, 1e308]))
+    assert spd.eigenvalues.tolist() == [1e308, 1.7e308]
+    with pytest.raises(MatrixValidationError, match="lambda_max"):
+        validate_spd([[1e308, 9e307], [9e307, 1e308]])
+    with pytest.raises(NotSymmetricError):
+        symmetrize([[1e308, -1e308], [1e308, 1e308]])
+
+
 def test_symmetrize_rejects_bad_shapes():
     with pytest.raises(NotSquareError):
         symmetrize(np.ones((2, 3)))

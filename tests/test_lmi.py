@@ -13,8 +13,8 @@ from kantorovich.lmi import (AB_GRID_DEFAULT, Axis, BOX_GRID_DEFAULT,
                              OMEGA_GRID_DEFAULT, GridSpec, box_inequalities,
                              box_inequality_grid_check,
                              detm_alpha_convexity_check, detm_alpha_poly,
-                             robust_psd_grid, robust_psd_grids, verify_h_lmi)
-from kantorovich.sampling import SamplePlan
+                             robust_psd_grid, robust_psd_grids)
+from kantorovich.sampling import SamplePlan, scan_design
 
 PLAN = SamplePlan(angles_2d=2048, fibonacci_3d=20_000, random_nd=40_000)
 
@@ -58,11 +58,10 @@ def test_gridspec_cube():
 # --- sampled LMI -------------------------------------------------------------
 
 def test_verify_h_lmi_is_scan_design_and_reports_a_row_copy():
-    # One check, one function: the report holds a read-only copy of the
-    # worst row, so no caller indexes (or keeps alive) the cached design.
-    assert verify_h_lmi is sampling.scan_design
+    # The report holds a read-only copy of the worst row, so no caller
+    # indexes (or keeps alive) a whole design.
     d = DeltaVector(dim=5, values=np.full(10, 2.0))  # worst row in the design
-    rep = verify_h_lmi(d, PLAN)
+    rep = scan_design(d, PLAN)
     assert isinstance(rep, sampling.SampleReport) and rep.passed
     pts = sampling.all_samples(5, PLAN)
     res = sampling.scan_h(d, pts)
@@ -75,14 +74,14 @@ def test_verify_h_lmi_is_scan_design_and_reports_a_row_copy():
 
 def test_lmi_identity_delta():
     d = DeltaVector(dim=3, values=np.full(3, 2.0))
-    rep = verify_h_lmi(d, PLAN)
+    rep = scan_design(d, PLAN)
     assert rep.passed
     assert rep.worst_value > 0.0
 
 
 def test_lmi_boundary_delta6():
     d = DeltaVector(dim=2, values=np.array([6.0]))
-    rep = verify_h_lmi(d, PLAN)
+    rep = scan_design(d, PLAN)
     assert rep.passed
     assert rep.worst_value == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(np.abs(rep.worst_point),
@@ -91,7 +90,7 @@ def test_lmi_boundary_delta6():
 
 def test_lmi_violated_delta62():
     d = DeltaVector(dim=2, values=np.array([6.2]))
-    rep = verify_h_lmi(d, PLAN)
+    rep = scan_design(d, PLAN)
     assert not rep.passed
     assert rep.worst_value < 0.0
     np.testing.assert_allclose(np.abs(rep.worst_point),
@@ -107,7 +106,7 @@ def test_lmi_worst_point_reevaluates(rng):
         for _ in range(4):
             d = DeltaVector(dim=n,
                             values=rng.uniform(2.0, 7.0, n * (n - 1) // 2))
-            rep = verify_h_lmi(d, PLAN)
+            rep = scan_design(d, PLAN)
             h = h_form(d, rep.worst_point)
             assert min_eig_batch(h) == rep.worst_value
             assert min_eigenvalue(h) == pytest.approx(rep.worst_value,
@@ -141,7 +140,7 @@ def test_constant_delta_membership():
     for n in (2, 3, 4):
         npairs = n * (n - 1) // 2
         for d in (small, big):
-            rep = verify_h_lmi(DeltaVector(dim=n, values=np.full(npairs, d)),
+            rep = scan_design(DeltaVector(dim=n, values=np.full(npairs, d)),
                                PLAN)
             assert rep.passed, f"n={n} d={d}"
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kantorovich import linalg, sampling
+from kantorovich import forms, linalg, sampling
 from kantorovich.classify import Certificate, classify
 from kantorovich.forms import (DeltaVector, delta_from_spd, h_entries,
                                h_form_batch)
@@ -73,16 +73,15 @@ def test_all_samples_probes_first():
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5])
 def test_all_samples_is_one_cached_read_only_design(dim):
+    # Each call builds the design afresh, read-only and bit for bit the same.
     plan = SamplePlan(angles_2d=64, fibonacci_3d=100, random_nd=128)
     pts = all_samples(dim, plan)
-    assert all_samples(dim, SamplePlan(angles_2d=64, fibonacci_3d=100,
-                                       random_nd=128)) is pts
-    assert not pts.flags.writeable
-    # a fresh, uncached build of the same design
+    again = all_samples(dim, SamplePlan(angles_2d=64, fibonacci_3d=100,
+                                        random_nd=128))
+    assert not pts.flags.writeable and not again.flags.writeable
+    assert pts.tobytes() == again.tobytes() and pts.shape == again.shape
     count = {1: 1, 2: 64, 3: 100}.get(dim, 128)
-    want = sampling._samples.__wrapped__(dim, count,
-                                         plan.seed if dim > 3 else 0)
-    assert pts.tobytes() == want.tobytes() and pts.shape == want.shape
+    assert pts.shape == (dim * (dim - 1) + count, dim)
 
 
 @pytest.mark.parametrize("dim", range(1, 9))
@@ -95,12 +94,15 @@ def test_sample_count_is_the_design_size(dim):
 def test_all_samples_cached_on_what_the_design_reads():
     # One design per (dim, count, seed): refine_rounds, the other dims'
     # counts and, below dim 4, the seed do not change it.
-    assert all_samples(8, SamplePlan()) is all_samples(
-        8, SamplePlan(refine_rounds=5, angles_2d=7, fibonacci_3d=9))
-    assert all_samples(3, SamplePlan(seed=1)) is all_samples(
-        3, SamplePlan(seed=2))
-    assert all_samples(5, SamplePlan(seed=1, random_nd=64)) is not \
-        all_samples(5, SamplePlan(seed=2, random_nd=64))
+    def same(p, q):
+        return p.tobytes() == q.tobytes() and p.shape == q.shape
+
+    assert same(all_samples(8, SamplePlan()), all_samples(
+        8, SamplePlan(refine_rounds=5, angles_2d=7, fibonacci_3d=9)))
+    assert same(all_samples(3, SamplePlan(seed=1)),
+                all_samples(3, SamplePlan(seed=2)))
+    assert not same(all_samples(5, SamplePlan(seed=1, random_nd=64)),
+                    all_samples(5, SamplePlan(seed=2, random_nd=64)))
 
 
 def test_plan_validation():
@@ -267,7 +269,7 @@ def _bound_rows(rng, n):
 
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_row_bound_is_below_lambda_min(rng, dim):
-    # sampling._row_bound never exceeds the computed lambda_min h(delta, y)
+    # forms.row_bound never exceeds the computed lambda_min h(delta, y)
     # by more than rounding, 1e-14 * max(3, delta_max/2): far inside the
     # tolerance/2 = 5e-10 * max(3, delta_max/2) margin the scan clears at.
     npairs = dim * (dim - 1) // 2
@@ -290,7 +292,7 @@ def test_row_bound_is_below_lambda_min(rng, dim):
         if coefs is None:
             continue
         rows = _bound_rows(rng, dim)
-        bound = sampling._row_bound(coefs, rows)
+        bound = forms.row_bound(coefs, rows)
         lam = min_eig_batch(h_form_batch(d, rows))
         slack = 1e-14 * max(3.0, 0.5 * float(vals.max()))
         assert (lam >= bound - slack).all(), float((bound - lam).max())
@@ -309,8 +311,8 @@ def test_row_bound_clears_nothing_it_cannot():
     margin = 0.5 * PSD_EPS * h_scale_bound(d)
     coefs = sampling._bound_coefs(d, margin)
     rows = np.array([[np.nan, 0.0, 0.0], [1.5, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    assert sampling._row_bound(coefs, rows)[:2].tolist() == [-np.inf] * 2
-    assert sampling._row_bound(coefs, rows)[2] > 0.0
+    assert forms.row_bound(coefs, rows)[:2].tolist() == [-np.inf] * 2
+    assert forms.row_bound(coefs, rows)[2] > 0.0
     for vals in ([2.0, 4.0, 4.0], [2.0 + 1e-12, 4.0, 4.0]):
         near = DeltaVector(dim=3, values=np.array(vals))
         assert sampling._bound_coefs(near, margin) is None
@@ -403,14 +405,14 @@ def test_design_floors_change_no_scan(monkeypatch, rng, dim):
     floors, _ = sampling._record(*sampling._design_key(dim, FLOOR_PLAN), 500)
     phi, s_lo, s_hi = floors.T
     blocks = list(sampling._blocks(pts.shape[0], dim * (dim - 1), 500))
-    row_bound = sampling._row_bound
+    row_bound = forms.row_bound
     calls = []
 
     def counting_row_bound(coefs, y):
         calls.append(y.shape[0])
         return row_bound(coefs, y)
 
-    monkeypatch.setattr(sampling, "_row_bound", counting_row_bound)
+    monkeypatch.setattr(sampling, "row_bound", counting_row_bound)
     skipped = 0
     for d in _floor_deltas(rng, dim):
         calls.clear()
@@ -420,7 +422,7 @@ def test_design_floors_change_no_scan(monkeypatch, rng, dim):
         lam = min_eig_batch(h_form_batch(d, pts))
         assert _key(got)[:2] == (float(lam.min()).hex(),
                                  pts[int(np.argmin(lam))].tobytes())
-        a, c = sampling._least_coefs(d.values)
+        a, c = forms.least_coefs(d.values)
         if sampling._bound_coefs(d, 0.5 * got.tolerance) is None:
             continue
         if a > sampling._FLOOR_A:  # no floor: every design block is bounded
@@ -441,21 +443,30 @@ def test_design_floors_change_no_scan(monkeypatch, rng, dim):
     assert skipped > 0
 
 
-def test_design_floors_built_once_and_not_by_all_samples():
+def test_design_floors_built_once_and_not_by_all_samples(monkeypatch):
     # The first scan of a design builds its block record, whatever a is
     # (a > 3 here, where the floors cannot serve); later scans reuse it.
-    # all_samples builds no record, and no scan builds the design.
+    # all_samples builds no record, and no scan builds the design: the
+    # record's pass is the only pass over the design that the scans make.
     plan = SamplePlan(seed=2324, random_nd=3000)
     info = sampling._record.cache_info
-    before, designs = info(), sampling._samples.cache_info()
+    passes = []
+    pass_of = sampling._pass
+
+    def counting_pass(*args):
+        passes.append(args)
+        return pass_of(*args)
+
+    monkeypatch.setattr(sampling, "_pass", counting_pass)
+    before = info()
     scan_design(DeltaVector(dim=6, values=np.full(15, 8.0)), plan)
     scan_design(DeltaVector(dim=6, values=np.full(15, 2.0)), plan)  # a = 0
     gap = delta_from_spd(spd_with_kappa(np.random.default_rng(6), 6, 5.0))
     reports = [scan_design(gap, plan) for _ in range(3)]
-    assert sampling._samples.cache_info() == designs
+    assert passes == [(6, 3000, 2324, sampling._BLOCK)]
     assert (info().misses - before.misses, info().hits - before.hits) == (1, 4)
     pts = all_samples(6, plan)
-    assert info().misses - before.misses == 1
+    assert info().misses - before.misses == 1 and len(passes) == 2
     assert all(_key(r) == _scan_key(scan_h(gap, pts), pts) for r in reports)
     assert reports[0].samples == pts.shape[0]
 
@@ -491,8 +502,7 @@ def test_design_blocks_are_the_one_shot_design(monkeypatch, dim, block):
     # Blocks of ``block`` rows, made in order or again from the record,
     # give the design one draw of it all gives; so does all_samples.
     want = _one_shot_design(dim, BLOCK_PLAN)
-    assert sampling._samples.__wrapped__(
-        *sampling._design_key(dim, BLOCK_PLAN)).tobytes() == want.tobytes()
+    assert all_samples(dim, BLOCK_PLAN).tobytes() == want.tobytes()
     monkeypatch.setattr(sampling, "_BLOCK", block)
     assert all_samples(dim, BLOCK_PLAN).tobytes() == want.tobytes()
     key = sampling._design_key(dim, BLOCK_PLAN)

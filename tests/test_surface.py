@@ -1,8 +1,10 @@
 """The public surface: every exported name resolves, and the package's
 ``__all__`` is exactly what it re-exports."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -35,3 +37,16 @@ def test_package_all_is_its_reexports():
     exported = {name for name, value in vars(kantorovich).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
     assert set(_all_of(kantorovich)) == exported | {"__version__"}
+
+
+@pytest.mark.parametrize("modname", SUBMODULES)
+def test_no_private_name_crosses_modules(modname):
+    # A private name stays in its module: no relative import of a sibling
+    # module names one.
+    source = pathlib.Path(kantorovich.__path__[0], f"{modname}.py")
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    crossed = [f"{node.module}.{alias.name}"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names if alias.name.startswith("_")]
+    assert crossed == []
