@@ -88,8 +88,9 @@ class DeltaVector:
 
 
 def delta_from_spd(spd: SpdMatrix) -> DeltaVector:
-    """Ratio sums l_j/l_i + l_i/l_j over the sorted spectrum of ``spd``."""
-    w = spd.eigenvalues
+    """Ratio sums l_j/l_i + l_i/l_j over the sorted spectrum of ``spd``, on
+    Python floats: one IEEE division and sum per term, as on numpy's."""
+    w = spd.eigenvalues.tolist()
     vals = [w[j] / w[i] + w[i] / w[j] for i, j in pair_indices(spd.dim)]
     return DeltaVector(dim=spd.dim, values=np.asarray(vals, dtype=float))
 

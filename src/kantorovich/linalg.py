@@ -309,9 +309,11 @@ def screened_min_eig(entries: np.ndarray, worst: float,
     array that reads +inf on each row that cannot beat ``worst``.
 
     The rows :func:`cholesky_clears` passes at ``worst + margin`` are
-    cleared; every row is when ``worst`` is NaN, and none is while
-    ``worst`` is infinite.  A kept row with a non-finite entry (such a row
-    never clears) reads NaN, since eigvalsh raises on it; any other kept
+    cleared; every row is when ``worst`` is NaN.  The test runs only when
+    ``worst + margin`` is finite: an infinite or NaN shift makes every pivot
+    +-inf or NaN, so it clears nothing (a scan's probe head, against +inf,
+    goes straight to eigvalsh).  A kept row with a non-finite entry (such a
+    row never clears) reads NaN, since eigvalsh raises on it; any other kept
     row reads its min_eig_batch value.
 
     Clearing is exact when ``margin`` is 1e-9 * S, S bounding every |entry|
@@ -326,13 +328,18 @@ def screened_min_eig(entries: np.ndarray, worst: float,
     lam = np.full(entries.shape[2], math.inf)
     if math.isnan(worst):  # no row beats a NaN minimum (see FirstMin)
         return lam
-    rows = np.flatnonzero(~cholesky_clears(entries, worst + margin))
-    kept = entries[:, :, rows]
+    rows, kept = np.arange(lam.size), entries
+    if math.isfinite(worst + margin):
+        clears = cholesky_clears(entries, worst + margin)
+        if clears.any():
+            rows = rows[~clears]
+            kept = entries[:, :, rows]
     finite = np.isfinite(kept).all(axis=(0, 1))
-    lam[rows] = np.nan
-    if finite.any():
-        lam[rows[finite]] = min_eig_batch(
-            np.moveaxis(kept[:, :, finite], -1, 0))
+    if not finite.all():
+        lam[rows[~finite]] = np.nan
+        rows, kept = rows[finite], kept[:, :, finite]
+    if rows.size:
+        lam[rows] = min_eig_batch(np.moveaxis(kept, -1, 0))
     return lam
 
 

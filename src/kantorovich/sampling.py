@@ -191,16 +191,16 @@ def _blocks(total: int, head: int, block: int):
 
 
 def _bound_coefs(delta: DeltaVector,
-                 margin: float) -> tuple[float, float, float] | None:
-    """(c + a, 2a, b) for :func:`forms.row_bound`, with (a, c) from
-    :func:`forms.least_coefs` and b = 3 + a - c; None where the bound is
+                 margin: float) -> tuple[float, float] | None:
+    """(a, c) from :func:`forms.least_coefs`, which :func:`forms.row_coefs`
+    turns into the row bound's coefficients; None where the bound is
     skipped: delta_max > ``BOUND_DELTA_MAX``, or a <= ``margin``, where it
     cannot clear a unit row (L <= c + a there, and a scan's running minimum
     is at least c up to rounding).  A repeated eigenvalue makes a = 0."""
     if delta.dim < 2 or delta.values.max() > BOUND_DELTA_MAX:
         return None
     a, c = least_coefs(delta.values)
-    return row_coefs(a, c) if a > margin else None
+    return (a, c) if a > margin else None
 
 
 @lru_cache(maxsize=16)
@@ -228,12 +228,15 @@ def _scan(delta: DeltaVector, total: int, read,
     # bounds every |entry| of h at a unit point (see screened_min_eig).
     tol = PSD_EPS * max(1.0, h_scale_bound(delta))
     dm = delta.as_matrix()
-    coefs = _bound_coefs(delta, 0.5 * tol)
-    # floor[k] <= L(y) on block k, up to rounding (docs/formats.md)
-    floor = None
-    if coefs is not None and floors is not None:
-        a, c = least_coefs(delta.values)
-        if a <= _FLOOR_A:
+    coefs = floor = None
+    # The bound and floors are made only for a scan with rows past the
+    # probe head, which they never screen (so not for a one-row probe).
+    least = _bound_coefs(delta, 0.5 * tol) if total > n * (n - 1) else None
+    if least is not None:
+        a, c = least
+        coefs = row_coefs(a, c)
+        # floor[k] <= L(y) on block k, up to rounding (docs/formats.md)
+        if floors is not None and a <= _FLOOR_A:
             phi, s_lo, s_hi = floors.T
             floor = np.minimum(c * s_lo, c * s_hi) + a * phi
     worst = FirstMin()

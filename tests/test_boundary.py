@@ -5,12 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kantorovich import boundary, sampling
+from kantorovich import boundary, linalg, sampling
 from kantorovich.boundary import (FAMILY_KINDS, SWEEP_CSV_HEADER,
                                   BadInitialBracketError, EigenFamily,
                                   probe_boundary, sweep, sweep_csv)
-from kantorovich.classify import falsify, probe_witness
-from kantorovich.linalg import MAX_DIM, PD_TOL, NotPositiveDefiniteError
+from kantorovich.classify import Certificate, classify, falsify, probe_witness
+from kantorovich.linalg import (MAX_DIM, PD_TOL, NotPositiveDefiniteError,
+                                validate_spd)
 from kantorovich.sampling import SamplePlan, all_samples, scan_h
 
 THRESHOLD_2D = 3.0 + 2.0 * math.sqrt(2.0)
@@ -205,6 +206,61 @@ def test_no_step_scans_the_design(monkeypatch):
             per_step.clear()
             est = probe_boundary(EigenFamily(kind, dim), tol=1e-3, plan=FAST)
             assert per_step == [[1]] * len(est.steps), (kind, dim)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_no_step_runs_a_screen(monkeypatch):
+    # Each step's scan is the one probe row against a running minimum of
+    # +inf: no Cholesky test can clear it, and no row past the probe head
+    # needs the row bound.
+    cholesky = _count_calls(monkeypatch, linalg, "cholesky_clears")
+    bound = _count_calls(monkeypatch, sampling, "_bound_coefs")
+    for dim in (2, 3, 4):
+        for kind in FAMILY_KINDS:
+            est = probe_boundary(EigenFamily(kind, dim), tol=1e-4, plan=FAST)
+            assert est.steps
+    assert (len(cholesky), len(bound)) == (0, 0)
+
+
+def _ci_gap8(tie=0.0):
+    # the gap8 and tie8 matrices of the CI console-script step
+    q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((8, 8)))
+    w = np.geomspace(1.0, 5.5, 8)
+    if tie:
+        w[4] = w[3] * (1 + tie)
+    a = (q * w) @ q.T
+    return validate_spd(0.5 * (a + a.T))
+
+
+def test_classify_screens_only_design_blocks(monkeypatch):
+    # The necessary rung's probe row and the gap8 scan's probe head run no
+    # Cholesky test (the gap8 floors skip every design block); tie8's
+    # design blocks are still screened.
+    cholesky = _count_calls(monkeypatch, linalg, "cholesky_clears")
+    for dim in range(2, MAX_DIM + 1):
+        w = np.linspace(1.0, 9.0, dim)
+        verdict = classify(validate_spd(np.diag(w)))
+        assert verdict.certificate is Certificate.NECESSARY_VIOLATED
+        assert verdict.witness is not None
+    gap8 = classify(_ci_gap8())
+    assert gap8.certificate is Certificate.SAMPLING_EXHAUSTED
+    assert gap8.report.passed
+    assert cholesky == []
+    tie8 = classify(_ci_gap8(tie=1e-9))
+    assert tie8.certificate is Certificate.SAMPLING_EXHAUSTED
+    assert tie8.report.passed
+    assert len(cholesky) >= 1
 
 
 @pytest.mark.parametrize("tol", [1e-4, 1e-9])

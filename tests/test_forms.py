@@ -13,7 +13,7 @@ from kantorovich.forms import (DeltaVector, delta_from_spd, det3_batch,
                                q_form)
 from kantorovich.function import f_hessian
 from kantorovich.linalg import DimensionMismatchError, validate_spd
-from conftest import random_spd, spd_with_kappa
+from conftest import random_rotation, random_spd, spd_with_kappa
 
 
 def two_term_h(lams, y):
@@ -81,6 +81,34 @@ def test_delta_scale_invariance(rng):
     scaled = validate_spd(7.3 * spd.matrix)
     np.testing.assert_allclose(delta_from_spd(spd).values,
                                delta_from_spd(scaled).values, rtol=1e-12)
+
+
+def _numpy_scalar_deltas(spd):
+    # the ratio sums on numpy float64 scalars
+    w = spd.eigenvalues
+    vals = [w[j] / w[i] + w[i] / w[j] for i, j in pair_indices(spd.dim)]
+    return np.asarray(vals, dtype=float)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_delta_from_spd_is_the_numpy_scalar_formula(rng, n):
+    # Bit for bit, on random, tied and nearly tied spectra at scales
+    # 1e-30..1e30, diagonal (ties kept exact) and rotated.
+    base = np.sort(rng.uniform(1.0, 5.0, n))
+    spectra = [base]
+    if n > 1:
+        tied, near, next_up = base.copy(), base.copy(), base.copy()
+        tied[n // 2] = tied[n // 2 - 1]
+        near[n // 2] = near[n // 2 - 1] * (1.0 + 1e-9)
+        next_up[n // 2] = np.nextafter(next_up[n // 2 - 1], np.inf)
+        spectra += [tied, near, next_up, np.full(n, 2.0)]
+    u = random_rotation(rng, n)
+    for w in spectra:
+        for scale in 10.0 ** np.arange(-30, 31, 10):
+            for a in (np.diag(w * scale), (u * (w * scale)) @ u.T):
+                spd = validate_spd(0.5 * (a + a.T))
+                got = delta_from_spd(spd).values
+                assert got.tobytes() == _numpy_scalar_deltas(spd).tobytes()
 
 
 def test_max_pair_tie_break():

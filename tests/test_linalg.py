@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kantorovich import linalg
 from kantorovich.linalg import (JacobiConvergenceError, MatrixValidationError,
                                 NotPositiveDefiniteError, NotSquareError,
                                 NotSymmetricError, NonFiniteError,
@@ -296,6 +297,51 @@ def test_screened_min_eig_keeps_every_row_that_can_win(rng, n):
         if worst == np.inf:
             assert kept.all()
     assert (screened_min_eig(entries, np.nan, 1e-9) == np.inf).all()
+
+
+def _count_cholesky(monkeypatch):
+    shifts = []
+
+    def counting(entries, shift):
+        shifts.append(shift)
+        return cholesky_clears(entries, shift)
+
+    monkeypatch.setattr(linalg, "cholesky_clears", counting)
+    return shifts
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_screened_min_eig_screens_only_against_a_finite_shift(monkeypatch,
+                                                              rng, n):
+    # worst = +inf, a finite worst with margin = inf, a NaN margin: every
+    # pivot would be +-inf or NaN, so no row can clear and no Cholesky test
+    # runs; the values are min_eig_batch's bitwise, NaN on a non-finite row.
+    a = rng.standard_normal((32, n, n))
+    a = a + np.swapaxes(a, -1, -2)
+    a[5, 0, 0] = np.inf
+    a[9, n - 1, 0] = a[9, 0, n - 1] = np.nan
+    entries = _stack(a)
+    want = _unscreened(entries)
+    finite = want[np.isfinite(want)]
+    mid = float(np.median(finite))
+    shifts = _count_cholesky(monkeypatch)
+    for worst, margin in ((np.inf, 1e-9), (mid, np.inf), (mid, np.nan),
+                          (-np.inf, 1e-9)):
+        lam = screened_min_eig(entries, worst, margin)
+        assert lam.tobytes() == want.tobytes()
+        assert np.isnan(lam[[5, 9]]).all()
+    assert shifts == []
+    # A finite shift still runs exactly one test.  Above every row nothing
+    # clears and the values are the unscreened ones; at the median the
+    # kept rows are.
+    assert screened_min_eig(entries, float(finite.max()) + 1.0,
+                            1e-9).tobytes() == want.tobytes()
+    assert len(shifts) == 1
+    lam = screened_min_eig(entries, mid, 1e-9)
+    assert len(shifts) == 2
+    kept = lam != np.inf
+    assert lam[kept].tobytes() == want[kept].tobytes()
+    assert not kept.all() and np.all(want[~kept] > mid)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -288,9 +288,10 @@ def test_row_bound_is_below_lambda_min(rng, dim):
     checked = 0
     for vals in deltas:
         d = DeltaVector(dim=dim, values=vals)
-        coefs = sampling._bound_coefs(d, 0.0)
-        if coefs is None:
+        least = sampling._bound_coefs(d, 0.0)
+        if least is None:
             continue
+        coefs = forms.row_coefs(*least)
         rows = _bound_rows(rng, dim)
         bound = forms.row_bound(coefs, rows)
         lam = min_eig_batch(h_form_batch(d, rows))
@@ -309,7 +310,7 @@ def test_row_bound_clears_nothing_it_cannot():
     # delta_max ~ 1e306.
     d = DeltaVector(dim=3, values=np.array([3.0, 4.0, 5.0]))
     margin = 0.5 * PSD_EPS * h_scale_bound(d)
-    coefs = sampling._bound_coefs(d, margin)
+    coefs = forms.row_coefs(*sampling._bound_coefs(d, margin))
     rows = np.array([[np.nan, 0.0, 0.0], [1.5, 0.0, 0.0], [1.0, 0.0, 0.0]])
     assert forms.row_bound(coefs, rows)[:2].tolist() == [-np.inf] * 2
     assert forms.row_bound(coefs, rows)[2] > 0.0
