@@ -11,17 +11,38 @@ Everything else lives in the submodules (``kantorovich.classify``,
 ``kantorovich.lmi``, ...).
 """
 
-from .boundary import EigenFamily, probe_boundary
+import importlib
+
+# ``classify`` stays eager: a lazy submodule of that name would shadow it.
 from .classify import (Certificate, Status, classify, falsify,
                        necessary_probe)
 from .forms import DeltaVector, delta_from_spd, h_form, m_form
-from .function import f_hessian, fd_hessian
 from .linalg import MatrixValidationError, min_eigenvalue, validate_spd
-from .lmi import (box_inequality_grid_check, detm_alpha_convexity_check,
-                  detm_alpha_poly, robust_psd_grid)
 from .sampling import DEFAULT_PLAN, SamplePlan
 
 __version__ = "0.1.0"
+
+# Imported on first access, so ``analyze`` never loads them: name -> module.
+_LAZY = {
+    "boundary": "boundary", "EigenFamily": "boundary",
+    "probe_boundary": "boundary",
+    "function": "function", "f_hessian": "function", "fd_hessian": "function",
+    "lmi": "lmi", "box_inequality_grid_check": "lmi",
+    "detm_alpha_convexity_check": "lmi", "detm_alpha_poly": "lmi",
+    "robust_psd_grid": "lmi",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "Certificate",

@@ -16,16 +16,12 @@ import sys
 
 import numpy as np
 
-from .boundary import (FAMILY_KINDS, BadInitialBracketError, EigenFamily,
-                       sweep, sweep_csv)
 from .classify import (KAPPA_NECESSARY, KAPPA_SUFFICIENT_3D,
                        KAPPA_SUFFICIENT_ANY, Status, classify)
 from .forms import DeltaVector, delta_from_spd, pair_indices
-from .function import f_hessian, fd_hessian, kantorovich_bound_check
 from .linalg import MAX_DIM, MatrixValidationError, validate_spd
-from .lmi import (MAX_NODES, GridSpec, box_inequality_grid_check,
-                  detm_alpha_convexity_check, robust_psd_grids)
 from .sampling import MAX_SAMPLES, SamplePlan, scan_design
+# boundary, function and lmi are imported by the commands that run them.
 
 EXIT_CONVEX = 0
 EXIT_NOT_CONVEX = 1
@@ -228,6 +224,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
+    from .lmi import (MAX_NODES, GridSpec, box_inequality_grid_check,
+                      detm_alpha_convexity_check, robust_psd_grids)
     lo, hi = args.omega_min, args.omega_max
     if not lo < hi:
         raise ValueError("--omega-min must be below --omega-max")
@@ -271,6 +269,7 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_boundary(args) -> int:
+    from .boundary import FAMILY_KINDS, EigenFamily, sweep, sweep_csv
     kinds = [k.strip() for k in args.families.split(",") if k.strip()]
     for k in kinds:
         if k not in FAMILY_KINDS:
@@ -336,6 +335,7 @@ def cmd_lmi(args) -> int:
 
 
 def cmd_hessian_check(args) -> int:
+    from .function import f_hessian, fd_hessian
     if args.points < 1:
         raise ValueError("--points must be >= 1")
     if args.seed < 0:
@@ -366,6 +366,7 @@ def cmd_hessian_check(args) -> int:
 
 
 def cmd_kantorovich_bound(args) -> int:
+    from .function import kantorovich_bound_check
     spd = validate_spd(read_matrix_file(args.matrix))
     x = _parse_floats(args.point, "--point")
     classical = kantorovich_bound_check(spd, x, "classical")
@@ -498,7 +499,7 @@ def run(argv=None) -> int:
     except (MatrixValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BadInitialBracketError, RuntimeError) as exc:
+    except RuntimeError as exc:  # BadInitialBracketError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

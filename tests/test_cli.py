@@ -300,7 +300,7 @@ def test_samples_above_the_ceiling_exit_64(monkeypatch, capsys, gap3, args):
     # rejected by its flag before any design is scanned; 2^27 is the most
     monkeypatch.setattr("kantorovich.cli.classify",
                         lambda *a: pytest.fail("scanned a design"))
-    monkeypatch.setattr("kantorovich.cli.sweep",
+    monkeypatch.setattr("kantorovich.boundary.sweep",
                         lambda *a, **k: pytest.fail("swept"))
     cmd, *flags = args
     code = run([cmd, gap3, *flags] if cmd == "analyze" else args)
@@ -314,7 +314,7 @@ def test_samples_above_the_ceiling_exit_64(monkeypatch, capsys, gap3, args):
                                    ("--alpha-grid", "4097")])
 def test_lemmas_grid_above_one_block_exits_64(monkeypatch, capsys, flags):
     # rejected by its flag before any node array is built
-    monkeypatch.setattr("kantorovich.cli.box_inequality_grid_check",
+    monkeypatch.setattr("kantorovich.lmi.box_inequality_grid_check",
                         lambda *a: pytest.fail("built a grid"))
     code = run(["lemmas", *flags])
     out, err = capsys.readouterr()
@@ -800,3 +800,85 @@ def test_analyze_lambda_max_beyond_float_range_exits_64(tmp_path):
 def test_kantorovich_bound_zero_point_exits_64(diag16):
     res = run_cli("kantorovich-bound", diag16, "--point", "0,0")
     assert res.returncode == 64
+
+
+# --- what each command loads -------------------------------------------------
+
+# The modules that an analyze start loads; every other command loads these
+# plus the one submodule it runs.
+ANALYZE_MODULES = {"kantorovich", "kantorovich.cli", "kantorovich.classify",
+                   "kantorovich.forms", "kantorovich.linalg",
+                   "kantorovich.sampling"}
+
+LOADED_SCRIPT = """
+import contextlib, io, json, sys
+from kantorovich import cli
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = cli.run(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.partition(".")[0] == "kantorovich")]))
+"""
+
+
+@pytest.mark.parametrize("argv, code, extra", [
+    (("analyze", "PLAIN"), 1, None),
+    (("analyze", "JSON", "--format", "json"), 1, None),
+    (("lmi", "--dim", "3", "--delta", "2.5,3.0,2.8"), 0, None),
+    (("--help",), 0, None),
+    (("lemmas", "--grid", "3"), 0, "lmi"),
+    (("boundary", "--dims", "2", "--families", "two_point", "--tol", "1e-2"),
+     0, "boundary"),
+    (("hessian-check", "PLAIN", "--points", "2"), 0, "function"),
+    (("kantorovich-bound", "PLAIN", "--point", "1,1"), 0, "function"),
+], ids=["analyze", "analyze-json", "lmi", "help", "lemmas", "boundary",
+        "hessian-check", "kantorovich-bound"])
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, code, extra):
+    plain, as_json = str(tmp_path / "m.txt"), str(tmp_path / "m.json")
+    write_matrix(plain, np.diag([1.0, 6.0]))
+    write_matrix(as_json, np.diag([1.0, 6.0]), fmt="json")
+    argv = [{"PLAIN": plain, "JSON": as_json}.get(a, a) for a in argv]
+    res = subprocess.run([sys.executable, "-c", LOADED_SCRIPT, *argv],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    got_code, loaded = json.loads(res.stdout)
+    assert got_code == code
+    assert set(loaded) == ANALYZE_MODULES | (
+        {f"kantorovich.{extra}"} if extra else set())
+
+
+# --- the same result in a fresh process and in-process -----------------------
+
+# One matrix file per analyze rung and per kind of rejected input, with a
+# line that its report must hold.
+ANALYZE_FILES = {
+    "exact-2d.txt": ("2\n1 0\n0 4\n", "certificate: exact-2d"),
+    "sufficient-3d.txt": ("3\n1 0 0\n0 2 0\n0 0 3.5\n",
+                          "certificate: sufficient-3d"),
+    "sufficient-any-dim.txt": ("4\n1 0 0 0\n0 2 0 0\n0 0 2.5 0\n0 0 0 3\n",
+                               "certificate: sufficient-any-dim"),
+    "necessary-violated.txt": ("3\n1 0 0\n0 2 0\n0 0 7\n", "witness: "),
+    "gap.txt": ("3\n1 0 0\n0 2 0\n0 0 4.5\n",
+                "certificate: sampling-exhausted"),
+    "asymmetric.txt": ("2\n1 2\n0 1\n", "error: asymmetry"),
+    "not-pd.txt": ("2\n1 0\n0 -1\n", "error: lambda_min"),
+    "malformed.json": ('{"n": 2, "entries": [1, 0', "error: Expecting"),
+}
+
+
+@pytest.mark.parametrize("name", ANALYZE_FILES)
+def test_analyze_subprocess_matches_in_process(tmp_path, capsys, name):
+    # A fresh `python -m kantorovich` loads only the analyze modules; this
+    # process has loaded every submodule.
+    import kantorovich.boundary, kantorovich.function, kantorovich.lmi  # noqa
+    text, line = ANALYZE_FILES[name]
+    path = tmp_path / name
+    path.write_text(text)
+    res = run_cli("analyze", str(path))
+    code = run(["analyze", str(path)])
+    out, err = capsys.readouterr()
+    assert (res.stdout, res.stderr, res.returncode) == (out, err, code)
+    assert line in out + err

@@ -6,6 +6,8 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -34,8 +36,8 @@ def test_submodule_all_resolves(modname):
 
 
 def test_package_all_is_its_reexports():
-    exported = {name for name, value in vars(kantorovich).items()
-                if not name.startswith("_") and not inspect.ismodule(value)}
+    exported = {name for name in dir(kantorovich) if not name.startswith("_")
+                and not inspect.ismodule(getattr(kantorovich, name))}
     assert set(_all_of(kantorovich)) == exported | {"__version__"}
 
 
@@ -50,3 +52,39 @@ def test_no_private_name_crosses_modules(modname):
                if isinstance(node, ast.ImportFrom) and node.level
                for alias in node.names if alias.name.startswith("_")]
     assert crossed == []
+
+
+def test_package_exports_are_their_submodules_objects():
+    for name in _all_of(kantorovich):
+        if name != "__version__":
+            value = getattr(kantorovich, name)
+            home = importlib.import_module(value.__module__)
+            assert getattr(home, name) is value, name
+
+
+def test_lazy_submodules_resolve_after_a_bare_import():
+    code = """
+import sys, types
+import kantorovich
+for name in ("lmi", "boundary", "function"):
+    assert f"kantorovich.{name}" not in sys.modules, name
+    module = getattr(kantorovich, name)
+    assert isinstance(module, types.ModuleType), name
+    assert module is sys.modules[f"kantorovich.{name}"], name
+"""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+
+
+def test_dir_and_star_import_cover_all():
+    assert set(_all_of(kantorovich)) <= set(dir(kantorovich))
+    namespace = {}
+    exec("from kantorovich import *", namespace)
+    for name in _all_of(kantorovich):
+        assert namespace[name] is getattr(kantorovich, name), name
+
+
+def test_unknown_attribute_is_named():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kantorovich.no_such_name  # noqa: B018
