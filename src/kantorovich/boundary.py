@@ -3,8 +3,8 @@
 For a family kappa -> spectrum(kappa) the prober bisects on kappa between a
 witness-free floor and a witness-bearing ceiling.  Each step is decided by
 the necessary rung's probe-row judge, :func:`classify.probe_witness`, alone:
-by the pair-term identity (docs/formats.md) no design direction finds a
-witness where the probe row finds none, so no step scans the design.
+no design direction finds a witness where the probe row finds none
+(docs/proofs.md#pair-term-identity), so no step scans the design.
 """
 
 from __future__ import annotations

@@ -9,9 +9,9 @@ Decision ladder, in order:
 4. any dim: kappa <= sqrt(5 + 2*sqrt(6)) is sufficient.
 5. otherwise kappa sits in the open gap: scan the sampled design once
    (:func:`sampling.scan_design`) and return Undetermined with its report.
-   The scan cannot fail there: by the pair-term identity for h (see
-   docs/formats.md), lambda_min h(delta, y) >= 3/2 - delta_max/4 >= -2e-12
-   at every unit y, far inside the scan tolerance.
+   The scan cannot fail there: lambda_min h(delta, y) >= 3/2 - delta_max/4
+   >= -2e-12 at every unit y, far inside the scan tolerance
+   (docs/proofs.md#pair-term-identity).
 
 Rung 2's witness (:func:`probe_witness`) is the probe row scanned alone
 (:func:`sampling.scan_h`); :func:`falsify` maps the first worst row y of

@@ -128,8 +128,8 @@ def h_entries(dm: np.ndarray, y: np.ndarray) -> np.ndarray:
 def least_coefs(values: np.ndarray):
     """(a, c) = (3 delta_min/4 - 3/2, 3/2 - delta_max/4), delta_min and
     delta_max over the last axis of ``values``: the least coefficients of
-    the rewritten pair terms (docs/formats.md).  A stack of delta vectors
-    gives one (a, c) per vector."""
+    the rewritten pair terms (docs/proofs.md#row-bound).  A stack of delta
+    vectors gives one (a, c) per vector."""
     return (0.75 * values.min(axis=-1) - 1.5,
             1.5 - 0.25 * values.max(axis=-1))
 
@@ -148,10 +148,11 @@ def row_bound(coefs: tuple[float, float, float],
 
     L = (c + a)|y|^2 - lambda_max(T), T the 2x2 matrix [[(2a - b) mu1,
     -b sqrt(mu1 R)], [-b sqrt(mu1 R), 2a mu2 - b R]], with mu1 >= mu2 the two
-    largest y_i^2 and R the sum of the y_i^2 other than mu1 (proof in
-    docs/formats.md).  R is accumulated term by term, never as |y|^2 - mu1,
-    whose cancellation near e_k the square root would magnify.  A row with
-    |y|^2 > 2 or a NaN coordinate reads -inf, so it clears nothing.
+    largest y_i^2 and R the sum of the y_i^2 other than mu1; it needs a > 0
+    (docs/proofs.md#row-bound).  R is accumulated term by term, never as
+    |y|^2 - mu1, whose cancellation near e_k the square root would magnify.
+    A row with |y|^2 > 2 or a NaN coordinate reads -inf, so it clears
+    nothing.
     """
     ca, two_a, b = coefs
     sq = np.square(y.T, order="C")

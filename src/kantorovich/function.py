@@ -37,7 +37,8 @@ def _balanced(spd: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
     f, its gradient and its Hessian are the same for A and cA, so they are
     computed on this pair, whose entries are at most about sqrt(kappa): on
     an A near the subnormal range x'A^-1x no longer overflows.  Scaling by
-    a power of two is exact, so any other A gives the same bits.
+    a power of two is exact, so any other A gives the same bits
+    (docs/proofs.md#power-of-two-scaling).
     """
     w = spd.eigenvalues
     e = math.frexp(math.sqrt(w[0]) * math.sqrt(w[-1]))[1]

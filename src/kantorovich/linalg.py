@@ -135,7 +135,8 @@ def eig_sym(m) -> SpectralData:
     Frobenius norm drops below ``JACOBI_TOL * ||A||_F``.  The sweeps run on
     A * 2^-e, e the binary exponent of max|A|, so the squared norms neither
     overflow nor underflow; scaling by a power of two is exact, so every
-    rotation rounds as it would on A itself, and the eigenvalues are scaled
+    rotation rounds as it would on A itself
+    (docs/proofs.md#power-of-two-scaling), and the eigenvalues are scaled
     back by 2^e: one beyond the float range reads inf.
 
     The rotations run on rows of Python floats, not on numpy rows: at
@@ -317,13 +318,9 @@ def screened_min_eig(entries: np.ndarray, worst: float,
     row reads its min_eig_batch value.
 
     Clearing is exact when ``margin`` is 1e-9 * S, S bounding every |entry|
-    (so |worst| <= n S).  If Cholesky of h - (worst + margin) I runs to
-    completion, L L' = h - (worst + margin) I + E with |E| <= gamma_{n+1}
-    |L| |L'| whatever the summation order (Higham, Accuracy and Stability
-    of Numerical Algorithms, Thm 10.3), so lambda_min(h) > worst + margin -
-    ||E||.  ||E|| and eigvalsh's own error are below n^3 * 1e-16 * S, under
-    1e-13 * S at n <= 8: a cleared row evaluates strictly above ``worst``,
-    so it cannot be a first strict minimum.
+    (so |worst| <= n S), at n <= 8: a cleared row evaluates strictly above
+    ``worst``, so it cannot be a first strict minimum
+    (docs/proofs.md#cholesky-screen).
     """
     lam = np.full(entries.shape[2], math.inf)
     if math.isnan(worst):  # no row beats a NaN minimum (see FirstMin)

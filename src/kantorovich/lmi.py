@@ -28,7 +28,8 @@ at or below every value of the cell as computed, reaches the running
 minimum (:func:`_unscreened`): an omega cell by the row bound of the
 direction scan (:func:`_robust_floors`), a row of an (omega, beta) cell by
 the signs of the det m coefficients (:func:`_detm_floors`).  Each report is
-still that of evaluating every cell (proofs in docs/formats.md).
+still that of evaluating every cell (docs/proofs.md#robust-floor,
+docs/proofs.md#detm-floors, docs/proofs.md#symmetries-of-m).
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ MAX_NODES = _BLOCK
 # the absolute values of their terms (16 unit roundoffs), plus _TINY for
 # underflow; both floors apply only where that sum, and the robust scan's
 # entry bound, is at most BOUND_DELTA_MAX, so nothing they compare can
-# overflow (docs/formats.md).
+# overflow (docs/proofs.md#detm-floors).
 _ROUND = 2.0 ** -49
 _TINY = 2.0 ** -1000
 
@@ -281,13 +282,12 @@ def _robust_floors(w: np.ndarray, plane: tuple[np.ndarray, np.ndarray],
                    margin: float) -> np.ndarray:
     """F - ``margin`` for each omega cell, a row of ``w`` (cells, 3).
 
-    m(w, alpha, beta) is h(w, y) at y = (1, alpha, beta), so with s = |y|^2,
-    lambda_min m = s lambda_min h(w, y / sqrt(s)) >= s L(y / sqrt(s)), L
-    the row bound (:func:`forms.row_bound`) with (a, c) from min(w) and
-    max(w).  F is the least of s L over the (alpha, beta) nodes of
-    ``plane``; it depends only on (a, c), so it is computed once per
-    distinct pair, a block of nodes at a time.  The proof needs a > 0: the
-    result is NaN where a <= ``margin``.
+    F is the least of s L(y / sqrt(s)) over the (alpha, beta) nodes of
+    ``plane``, y = (1, alpha, beta), s = |y|^2 and L the row bound
+    (:func:`forms.row_bound`) with (a, c) from min(w) and max(w)
+    (docs/proofs.md#robust-floor).  F depends only on (a, c), so it is
+    computed once per distinct pair, a block of nodes at a time.  The
+    proof needs a > 0: the result is NaN where a <= ``margin``.
     """
     a, c = least_coefs(w)
     # the distinct pairs, numbered in order of first appearance
@@ -431,14 +431,13 @@ _DETM_ROWS = {
 def _detm_floors(c2: np.ndarray, c4: np.ndarray, c6: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each (omega, beta) cell, one floor per ``_DETM_ROWS`` row, at or
-    below its value at every alpha node as computed (docs/formats.md).
+    below its value at every alpha node as computed
+    (docs/proofs.md#detm-floors).
 
-    With u = a^2 in [0, 1] the rows are at least g2 = 2 c2 + 12 min(c4, 0)
-    + 30 min(c6, 0), g4 = 24 c4 + 360 min(c6, 0) and min(0, g0), g0 = c2 +
-    min(c4, 0) + min(c6, 0).  The floors are g2 and g4, and min(0, g0),
-    each g less the margin ``_ROUND`` S + ``_TINY``, S = 2|c2| + 24|c4| +
-    360|c6| (at least the sum of the absolute values of any row's terms).
-    The margin, and so every floor, is NaN where S is not at most
+    The floors are g2 = 2 c2 + 12 min(c4, 0) + 30 min(c6, 0), g4 = 24 c4 +
+    360 min(c6, 0) and min(0, g0), g0 = c2 + min(c4, 0) + min(c6, 0), each
+    g less the margin ``_ROUND`` S + ``_TINY``, S = 2|c2| + 24|c4| +
+    360|c6|.  The margin, and so every floor, is NaN where S is not at most
     ``BOUND_DELTA_MAX`` (NaN, infinite or huge coefficients).
     """
     n4, n6 = np.minimum(c4, 0.0), np.minimum(c6, 0.0)

@@ -235,7 +235,8 @@ def _scan(delta: DeltaVector, total: int, read,
     if least is not None:
         a, c = least
         coefs = row_coefs(a, c)
-        # floor[k] <= L(y) on block k, up to rounding (docs/formats.md)
+        # floor[k] <= L(y) on block k, up to rounding
+        # (docs/proofs.md#design-block-floor)
         if floors is not None and a <= _FLOOR_A:
             phi, s_lo, s_hi = floors.T
             floor = np.minimum(c * s_lo, c * s_hi) + a * phi
@@ -288,10 +289,11 @@ def scan_design(delta: DeltaVector,
     the least ``row_bound(_FLOOR_COEFS, y)``, and s_lo and s_hi, the least
     and largest |y|^2.  Where the row bound applies and a = 3 delta_min/4 -
     3/2 <= 3 (in the gap, unless two eigenvalues nearly tie), every row of
-    block k has bound >= min(c s_lo, c s_hi) + a phi_k (docs/formats.md):
-    the block is skipped unread where that exceeds the running minimum by
-    half the tolerance.  Others are made again, from their indices (dims 2,
-    3) or recorded state, and screened as by :func:`scan_h`.
+    block k has bound >= min(c s_lo, c s_hi) + a phi_k
+    (docs/proofs.md#design-block-floor): the block is skipped unread where
+    that exceeds the running minimum by half the tolerance.  Others are
+    made again, from their indices (dims 2, 3) or recorded state, and
+    screened as by :func:`scan_h`.
     """
     dim, count, seed = key = _design_key(delta.dim, plan)
     floors, states = _record(*key, _BLOCK)

@@ -317,8 +317,8 @@ def test_h_row_bound_matrix_exact():
     # Every pair coefficient of the identity is at least a or at least c, so
     # h(delta, y) - M is the sum of nonnegative pair squares below, and
     # lambda_min h >= lambda_min M: step 1 of the scan's row bound
-    # (forms.row_bound, docs/formats.md).  Exact in Fraction arithmetic
-    # with delta_ij on both sides of 6; b shifted by 1/10 misses it.
+    # (docs/proofs.md#row-bound).  Exact in Fraction arithmetic with
+    # delta_ij on both sides of 6; b shifted by 1/10 misses it.
     # The normalized step of the design floors: for 0 < a <= A = 3,
     # a (2D - (1 + 2/A) vv') - (2a D - b vv') = (b - a (1 + 2/A)) vv' is
     # PSD.  Nearly equal delta_ij above 10 (so a > 6 > A) break it.
