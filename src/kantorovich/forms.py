@@ -12,8 +12,8 @@ and on the rotated point y = U x.  The conjugated form is
 
 so convexity of K is exactly "h(delta, y) PSD for every y": a semi-infinite
 linear matrix inequality in delta.  The pair-term identity for z'h z bounds
-lambda_min h per direction (:func:`row_bound`, shared by the direction scan
-and the lemma floors).  The 3-dim analysis additionally normalizes h by the
+lambda_min h per direction (:func:`row_bound`, used by the direction
+scan).  The 3-dim analysis additionally normalizes h by the
 largest-magnitude coordinate, which yields the three parametric 3x3 forms
 m/p/q below on the box omega in [2, 4]^3, alpha, beta in [-1, 1].
 """

@@ -23,12 +23,13 @@ one block iterator, :func:`_blocks`: a block is a C-order run of about
 one another, so no grid (of omega or of any other axis) is ever built cell
 by cell, and memory does not grow with the grid.
 
-The robust and detm scans skip the cells whose closed-form floor, a value
-at or below every value of the cell as computed, reaches the running
-minimum (:func:`_unscreened`): an omega cell by the row bound of the
-direction scan (:func:`_robust_floors`), a row of an (omega, beta) cell by
-the signs of the det m coefficients (:func:`_detm_floors`).  Each report is
-still that of evaluating every cell (docs/proofs.md#robust-floor,
+The robust and detm scans skip the cells whose floor, a value at or below
+every value of the cell as computed, reaches a value the grid attains
+(:func:`_unscreened`): an omega cell by the concavity of lambda_min m in
+omega, from its minima at the 8 corners of the omega box
+(:func:`_concave_floors`), a row of an (omega, beta) cell by the signs of
+the det m coefficients (:func:`_detm_floors`).  Each report is still that
+of evaluating every cell (docs/proofs.md#concavity-floor,
 docs/proofs.md#detm-floors, docs/proofs.md#symmetries-of-m).
 """
 
@@ -40,8 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forms import (BOUND_DELTA_MAX, det_m_alpha_coefs, least_coefs,
-                    m_entries, row_bound, row_coefs)
+from .forms import BOUND_DELTA_MAX, det_m_alpha_coefs, m_entries
 from .linalg import PSD_EPS, FirstMin, screened_min_eig
 
 __all__ = [
@@ -209,12 +209,11 @@ def _blocks(nodes: tuple[np.ndarray, ...], size: int):
 
 
 def _unscreened(lo: np.ndarray, worst: float) -> np.ndarray:
-    """Indices of the cells whose floor ``lo`` does not reach the running
-    minimum ``worst``: all but those with lo >= worst, so a NaN floor keeps
-    its cell.  A floor lies at or below every value of its cell as
-    computed, none of which is NaN, so a skipped cell has no value below
-    the running minimum, which an earlier cell attains: it cannot hold the
-    first strict minimum."""
+    """Indices of the cells whose floor ``lo`` does not reach ``worst``: all
+    but those with lo >= worst, so a NaN floor keeps its cell.  A floor lies
+    at or below every value of its cell as computed, none of which is NaN,
+    and ``worst`` is attained by an earlier cell or lies strictly above the
+    floor: a skipped cell cannot hold the first strict minimum."""
     return np.flatnonzero(~(lo >= worst))
 
 
@@ -278,38 +277,45 @@ def _folded(ax: Axis) -> np.ndarray:
     return nodes[:(ax.count + 1) // 2] if ax.lo == -ax.hi else nodes
 
 
-def _robust_floors(w: np.ndarray, plane: tuple[np.ndarray, np.ndarray],
-                   margin: float) -> np.ndarray:
-    """F - ``margin`` for each omega cell, a row of ``w`` (cells, 3).
+def _min_eigs(w: np.ndarray, al, be, buf: np.ndarray, worst: float,
+              margin: float) -> np.ndarray:
+    """lambda_min m, (cells, nodes), at the omega rows ``w`` (cells, 3) x the
+    (alpha, beta) nodes ``al`` x ``be``: packed into the reused stack ``buf``
+    and screened against ``worst`` (:func:`linalg.screened_min_eig`)."""
+    pshape = np.broadcast_shapes(np.shape(al), np.shape(be))
+    entries = m_entries(w.reshape(-1, *[1] * len(pshape), 3), al, be)
+    stack = buf[:, :, :len(w) * math.prod(pshape)]
+    packed = stack.reshape((3, 3, len(w)) + pshape)
+    for (i, j), e in zip(_M_INDEX, entries):
+        packed[i, j] = packed[j, i] = e
+    return screened_min_eig(stack, worst, margin).reshape(len(w), -1)
 
-    F is the least of s L(y / sqrt(s)) over the (alpha, beta) nodes of
-    ``plane``, y = (1, alpha, beta), s = |y|^2 and L the row bound
-    (:func:`forms.row_bound`) with (a, c) from min(w) and max(w)
-    (docs/proofs.md#robust-floor).  F depends only on (a, c), so it is
-    computed once per distinct pair, a block of nodes at a time.  The
-    proof needs a > 0: the result is NaN where a <= ``margin``.
-    """
-    a, c = least_coefs(w)
-    # the distinct pairs, numbered in order of first appearance
-    index: dict[tuple[float, float], int] = {}
-    inv = np.array([index.setdefault(p, len(index))
-                    for p in zip(a.tolist(), c.tolist())])
-    pairs = np.array(list(index))
-    ok = pairs[:, 0] > margin
-    coefs = row_coefs(pairs[ok, :1], pairs[ok, 1:])
-    f = np.full(coefs[0].shape[0], math.inf)
-    for _, (al, be) in _blocks(plane, _BLOCK):
-        y = np.stack(np.broadcast_arrays(1.0, al, be), axis=-1).reshape(-1, 3)
-        s = np.square(y).sum(axis=1)
-        y /= np.sqrt(s)[:, None]
-        step = max(1, _BLOCK // len(y))
-        for k in range(0, len(f), step):
-            part = slice(k, k + step)
-            low = (s * row_bound(tuple(x[part] for x in coefs), y)).min(axis=1)
-            np.minimum(f[part], low, out=f[part])
-    out = np.full(len(pairs), math.nan)
-    out[ok] = f - margin
-    return out[inv]
+
+def _corner_minima(omega: tuple[np.ndarray, ...], runs: list,
+                   buf: np.ndarray, per_run: int) -> np.ndarray:
+    """mu, (2, 2, 2): at each corner of the box of the omega nodes, the
+    least lambda_min m over the (alpha, beta) nodes of ``runs``, as the scan
+    computes it.  An axis whose ends coincide is evaluated once."""
+    ends = [n[:1] if n[0] == n[-1] else n[[0, -1]] for n in omega]
+    rows = np.stack(np.meshgrid(*ends, indexing="ij"), axis=-1).reshape(-1, 3)
+    mu = np.full(len(rows), math.inf)
+    for k in range(0, len(rows), per_run):
+        for _, (al, be) in runs:
+            lam = _min_eigs(rows[k:k + per_run], al, be, buf, math.inf, 0.0)
+            mu[k:k + per_run] = np.minimum(mu[k:k + per_run], lam.min(axis=1))
+    return np.broadcast_to(mu.reshape([len(e) for e in ends]), (2, 2, 2))
+
+
+def _concave_floors(w: np.ndarray, omega: tuple[np.ndarray, ...],
+                    mu: np.ndarray, margin: float) -> np.ndarray:
+    """G = sum_k t_k mu_k - ``margin`` for each omega cell, a row of ``w``
+    (cells, 3), t_k its trilinear weights in the box of the omega nodes and
+    mu from :func:`_corner_minima` (docs/proofs.md#concavity-floor)."""
+    lo, hi = (np.array([n[i] for n in omega]) for i in (0, -1))
+    # an axis with hi == lo has every node at lo: its t is 0
+    t = (w - lo) / np.where(hi > lo, hi - lo, 1.0)
+    t1, t2, t3 = np.stack([1.0 - t, t], axis=-1).transpose(1, 0, 2)
+    return np.einsum("ia,ib,ic,abc->i", t1, t2, t3, mu) - margin
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -318,14 +324,16 @@ def robust_psd_grid(form: str, omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
     """Minimum eigenvalue of one normalized form over the full grid; the
     row passes when it is >= -GRID_TOL.
 
-    Every form is scanned as m over its permuted omega axes.  The omega
-    cells are walked in blocks of ``_BLOCK``; an omega cell whose floor
-    (:func:`_robust_floors`) reaches the running minimum is skipped whole,
-    and the rest are packed in C order, with their (alpha, beta) nodes,
-    into runs of at most ``_BLOCK`` cells.  Each run's m goes into one
-    reused (3, 3, cells) stack for :func:`linalg.screened_min_eig`, so the
-    report is exactly that of eigensolving every cell (NaN where an entry
-    is not finite).  The worst cell is in the form's own coordinates.
+    Every form is scanned as m over its permuted omega axes.  The planes
+    of the omega box's corners are eigensolved first
+    (:func:`_corner_minima`).  Then the omega cells are walked in blocks of
+    ``_BLOCK``; an omega cell whose floor (:func:`_concave_floors`) reaches
+    the running minimum or the least corner minimum is skipped whole, and
+    the rest are packed in C order, with their (alpha, beta) nodes, into
+    runs of at most ``_BLOCK`` cells.  Each run's m goes into one reused
+    (3, 3, cells) stack for :func:`linalg.screened_min_eig`, so the report
+    is exactly that of eigensolving every cell (NaN where an entry is not
+    finite).  The worst cell is in the form's own coordinates.
 
     lambda_min of m is even in alpha and in beta (conjugation by
     diag(1, -1, 1) or diag(1, 1, -1) flips their signs), bit for bit in
@@ -340,11 +348,10 @@ def robust_psd_grid(form: str, omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
     _check_robust_grids(omega_grid, ab_grid)
     omega = tuple(omega_grid.axes[k].nodes() for k in _FORM_AXES[key])
     plane = tuple(_folded(ax) for ax in ab_grid.axes)
-    nodes = omega + plane
     # Term by term, every |entry of m| <= (3 + W) s^2 with W = max|omega|
     # and s = max(1, |alpha|, |beta|) over the nodes.  An overflowing grid
     # makes the margin inf or NaN, and then the screen clears nothing.  The
-    # floors apply only where that bound is at most BOUND_DELTA_MAX.
+    # floor applies only where that bound is at most BOUND_DELTA_MAX.
     big = np.max([np.abs(n).max() for n in omega])
     s = np.max([1.0] + [np.abs(n).max() for n in plane])
     bound = float((3.0 + big) * s * s)
@@ -355,35 +362,28 @@ def robust_psd_grid(form: str, omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
     runs = list(_blocks(plane, _BLOCK))
     worst = FirstMin()
     # one packing stack for every run, so no run maps fresh pages for its own
-    buf = np.empty((3, 3, min(_BLOCK, math.prod(map(len, nodes)))))
+    buf = np.empty((3, 3, min(_BLOCK, omega_grid.cells * per_plane)))
+    mu = (_corner_minima(omega, runs, buf, per_run)
+          if bound <= BOUND_DELTA_MAX else np.full((2, 2, 2), math.nan))
     for first, ws in _blocks(omega, _BLOCK):
         w = np.stack(np.broadcast_arrays(*ws), axis=-1).reshape(-1, 3)
-        lo = (_robust_floors(w, plane, margin)
-              if bound <= BOUND_DELTA_MAX else None)
+        lo = _concave_floors(w, omega, mu, margin)
         todo = np.arange(len(w))
         while todo.size:
-            # screen what is left against the latest minimum
-            if lo is not None:
-                todo = todo[_unscreened(lo[todo], worst.value)]
-                if not todo.size:
-                    break
+            # screen what is left against the latest minimum, or the least
+            # corner minimum (a value of the grid, or NaN)
+            todo = todo[_unscreened(lo[todo], min(worst.value, mu.min()))]
+            if not todo.size:
+                break
             batch, todo = todo[:per_run], todo[per_run:]
             for p_first, (al, be) in runs:
-                pshape = np.broadcast_shapes(np.shape(al), np.shape(be))
-                wb = w[batch].reshape(batch.shape + (1,) * len(pshape) + (3,))
-                entries = m_entries(wb, al, be)
-                shape = np.broadcast_shapes(*(e.shape for e in entries))
-                stack = buf[:, :, :math.prod(shape)]
-                packed = stack.reshape((3, 3) + shape)
-                for (i, j), e in zip(_M_INDEX, entries):
-                    packed[i, j] = packed[j, i] = e
-                lam = screened_min_eig(stack, worst.value, margin)
+                lam = _min_eigs(w[batch], al, be, buf, worst.value, margin)
                 # the run's first minimum, at its flat index in the grid
-                k, cols = int(np.argmin(lam)), math.prod(pshape)
+                k, cols = int(np.argmin(lam)), lam.shape[1]
                 worst.update((first + batch[k // cols]) * per_plane
-                             + p_first + k % cols, lam[k:k + 1])
+                             + p_first + k % cols, lam.reshape(-1)[k:k + 1])
     cells = omega_grid.cells * ab_grid.cells
-    return _relabel(_report("robust_M", worst, nodes, cells), key)
+    return _relabel(_report("robust_M", worst, omega + plane, cells), key)
 
 
 def robust_psd_grids(omega_grid: GridSpec = OMEGA_GRID_DEFAULT,

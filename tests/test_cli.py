@@ -331,7 +331,7 @@ def test_lemmas_csv_format_stdout():
 
 
 # The lemmas CSV contract, byte for byte: the worst cells and values that the
-# floored scans (docs/proofs.md#robust-floor) report on these grids.
+# floored scans (docs/proofs.md#concavity-floor) report on these grids.
 LEMMAS_GOLDEN = {
     (): (0, """\
 grid_id,coords,min_value,tolerance,passed

@@ -326,6 +326,9 @@ def _full_plane_scan(omega, ab):
 
 OMEGA_SMALL = GridSpec((Axis(2.0, 4.0, 3), Axis(2.0, 4.0, 2),
                         Axis(2.0, 5.0, 3)))
+# an omega grid whose first axis is a single node
+ONE_NODE_AXIS = GridSpec((Axis(3.0, 3.0, 1), Axis(2.0, 4.0, 5),
+                          Axis(2.0, 4.0, 5)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 9, 17, 33])
@@ -365,7 +368,8 @@ def _count_floor_skips(monkeypatch):
 @pytest.mark.parametrize("n", [2, 5, 6, 41])
 def test_folded_scan_visits_one_quadrant(monkeypatch, n):
     # Every folded cell is either visited by the Cholesky screen or skipped,
-    # with its whole omega cell, by the omega-cell floor: exactly once.
+    # with its whole omega cell, by the omega-cell floor: exactly once.  The
+    # corner pass visits the planes of the 8 corners of the omega box first.
     visited, solved = [], []
 
     def counting(entries, worst, margin):
@@ -382,25 +386,30 @@ def test_folded_scan_visits_one_quadrant(monkeypatch, n):
             counts.clear()
         rep = robust_psd_grid("M", omega, GridSpec.cube(-1.0, 1.0, n, 2))
         assert (sum(visited) + sum(skipped) * quadrant
-                == omega.cells * quadrant)
+                == (omega.cells + 8) * quadrant)
         assert 0 < sum(solved) <= sum(visited)
         assert rep.cells == omega.cells * n * n
     assert sum(skipped) > 0 or n < 41  # the 7^3 grid skips at 41 nodes
 
 
 def test_robust_scan_eigensolves_few_cells(monkeypatch):
-    # At the default grids the screen clears all but a sliver of the
-    # folded cells.
-    solved = []
+    # At the default grids the floor passes only the minimum's omega cell,
+    # (4, 4, 2), to the screen: with the 8 corner planes, 9 planes of
+    # 21 x 21 folded nodes of the 9,261 are built and eigensolved.
+    visited, solved = [], []
 
     def counting(mats):
         solved.append(mats.shape[0])
         return min_eig_batch(mats)
 
+    def screening(entries, worst, margin):
+        visited.append(entries.shape[2])
+        return linalg.screened_min_eig(entries, worst, margin)
+
     monkeypatch.setattr(linalg, "min_eig_batch", counting)
+    monkeypatch.setattr(lmi, "screened_min_eig", screening)
     assert robust_psd_grid("M").passed
-    visited = OMEGA_GRID_DEFAULT.cells * 21 * 21
-    assert 0 < sum(solved) < visited // 100
+    assert sum(solved) <= sum(visited) == 9 * 21 * 21
 
 
 def test_robust_scan_finds_minimum_just_below_running_worst(monkeypatch):
@@ -425,8 +434,9 @@ def test_robust_single_cell_repeated_eigenvalue():
 
 
 # (omega, ab) grids on which every screened or floored scan must equal the
-# scan without screens: the last three are where the floors apply, do not
-# apply (negative omega) or meet c = 0 (omega 6).
+# scan without screens: negative omega, omega up to 6 (where m is singular),
+# a first minimum on an edge of the omega box, not at a corner, at (3.7, 4.0,
+# 2.5), a margin of 1e-3 (omega up to 1e6) and a single-node omega axis.
 EDGE_GRIDS = [
     (GridSpec.cube(2.0, 4.0, 5, 3), GridSpec.cube(-1.0, 1.0, 9, 2)),
     (GridSpec.cube(2.0, 5.9, 4, 3), GridSpec.cube(-1.0, 1.0, 5, 2)),
@@ -438,6 +448,9 @@ EDGE_GRIDS = [
     (GridSpec.cube(2.5, 4.0, 4, 3), GridSpec.cube(-1.0, 1.0, 7, 2)),
     (GridSpec.cube(-3.0, 4.5, 7, 3), GridSpec.cube(-1.0, 1.0, 5, 2)),
     (GridSpec.cube(2.0, 6.0, 5, 3), GridSpec.cube(-1.0, 1.0, 9, 2)),
+    (GridSpec.cube(2.5, 4.0, 6, 3), GridSpec.cube(-1.0, 1.0, 9, 2)),
+    (GridSpec.cube(2.0, 1e6, 9, 3), GridSpec.cube(-1.0, 1.0, 5, 2)),
+    (ONE_NODE_AXIS, GridSpec.cube(-1.0, 1.0, 9, 2)),
 ]
 
 
@@ -507,6 +520,17 @@ def test_floored_scans_are_the_unfloored_scans(monkeypatch, size, omega, ab):
         assert sum(skipped) > 0  # the floors did skip cells
 
 
+def test_floored_scan_finds_a_minimum_on_an_edge(monkeypatch):
+    # The first minimum of this grid sits on an edge of the omega box, not
+    # at a corner; the floored scan reports the unfloored scan's cell.
+    omega = GridSpec.cube(2.5, 4.0, 11, 3)
+    ab = GridSpec.cube(-1.0, 1.0, 21, 2)
+    got = robust_psd_grid("M", omega, ab)
+    assert got.worst_cell == (3.4, 4.0, 2.5, 0.0, -0.8)
+    monkeypatch.setattr(lmi, "_unscreened", _no_floors)
+    assert _key(robust_psd_grid("M", omega, ab)) == _key(got)
+
+
 def _scan_margin(omega, plane):
     """The robust scan's margin, 1e-9 (3 + W) s^2 (see robust_psd_grid)."""
     big = max(np.abs(n).max() for n in omega.node_arrays())
@@ -514,49 +538,49 @@ def _scan_margin(omega, plane):
     return lmi.PSD_EPS * (3.0 + big) * s * s
 
 
-@pytest.mark.parametrize("omega", FLOOR_OMEGAS)
+@pytest.mark.parametrize("omega", FLOOR_OMEGAS + [
+    ONE_NODE_AXIS, GridSpec.cube(2.0, 1e6, 9, 3),
+    GridSpec.cube(2.0, 1e155, 3, 3)])
 @pytest.mark.parametrize("plane", [
     (Axis(-1.0, 1.0, 9), Axis(-1.0, 1.0, 9)),
     (Axis(-1.0, -1.0, 1), Axis(0.0, 0.0, 1)),  # the probe (e1 - e2)/sqrt(2)
     (Axis(0.0, 0.0, 1), Axis(-1.0, -1.0, 1)),  # the probe (e1 - e3)/sqrt(2)
     (Axis(-0.5, 1.0, 6), Axis(-1.0, 0.25, 5)),
 ])
-def test_robust_floor_is_below_every_cell(omega, plane):
-    # F - margin <= lambda_min m at each (alpha, beta) node of its omega
-    # cell, up to eigvalsh's rounding; NaN exactly where a <= margin.  At
-    # an extreme-pair probe the row bound is tight, so there the margin
-    # is all that keeps the floor below the cell.
-    nodes = tuple(ax.nodes() for ax in plane)
+def test_robust_floor_is_below_every_cell(monkeypatch, omega, plane):
+    # The concavity floor G, as the scan computes it for each of its omega
+    # cells, is <= lambda_min m at each (alpha, beta) node the scan visits
+    # there, up to eigvalsh's rounding; it is exact, to within the margin,
+    # at the corners.  G is NaN exactly where the entry bound fails, and
+    # everywhere once a corner is NaN.
+    floors, seen = lmi._concave_floors, []
+
+    def recording(w, nodes, mu, margin):
+        seen.append((w.copy(), floors(w, nodes, mu, margin)))
+        mu_nan = np.array(mu)
+        mu_nan[1, 0, 1] = np.nan
+        assert np.isnan(floors(w, nodes, mu_nan, margin)).all()
+        return seen[-1][1]
+
+    monkeypatch.setattr(lmi, "_concave_floors", recording)
+    robust_psd_grid("M", omega, GridSpec(plane))
+    w, lo = (np.concatenate(x) for x in zip(*seen))
+    assert len(w) == omega.cells
+    nodes = tuple(lmi._folded(ax) for ax in plane)
     margin = _scan_margin(omega, nodes)
-    g = np.meshgrid(*omega.node_arrays(), indexing="ij")
-    w = np.stack(g, axis=-1).reshape(-1, 3)
-    lo = lmi._robust_floors(w, nodes, margin)
-    a = 0.75 * w.min(axis=1) - 1.5
-    np.testing.assert_array_equal(np.isnan(lo), ~(a > margin))
-    assert not np.isnan(lo).all()
+    s = max(1.0, *(np.abs(n).max() for n in nodes))
+    big = (3.0 + np.abs(w).max()) * s * s
+    np.testing.assert_array_equal(np.isnan(lo), not big <= 1e150)
+    if big > 1e150:
+        return
     al, be = np.meshgrid(*nodes, indexing="ij")
     lam = min_eig_batch(m_form(w[:, None, None, :], al, be))
     low = lam.reshape(len(w), -1).min(axis=1)
-    ok = ~np.isnan(lo)
-    assert np.all(lo[ok] <= low[ok] + 1e-13 * (3.0 + np.abs(w).max()))
-    if plane[0].count == 1:  # at a probe, F is tight to within the margin
-        assert np.any(lo[ok] >= low[ok] - 2 * margin)
-
-
-def test_robust_floors_follow_a_permutation_of_the_cells(rng):
-    # Each cell's floor comes from its own (a, c) pair, however the pairs
-    # are numbered: permuting one block's cells permutes its floors, bit
-    # for bit, NaN floors (a <= margin, here omega_min <= 2) included.
-    omega = GridSpec.cube(1.8, 4.0, 12, 3)
-    plane = tuple(lmi._folded(ax) for ax in AB_GRID_DEFAULT.axes)
-    margin = _scan_margin(omega, plane)
-    _, ws = next(lmi._blocks(omega.node_arrays(), lmi._BLOCK))
-    w = np.stack(np.broadcast_arrays(*ws), axis=-1).reshape(-1, 3)
-    lo = lmi._robust_floors(w, plane, margin)
-    assert np.isnan(lo).any() and not np.isnan(lo).all()
-    p = rng.permutation(len(w))
-    assert lmi._robust_floors(w[p], plane, margin).tobytes() == \
-        lo[p].tobytes()
+    assert np.all(lo <= low + 1e-13 * (3.0 + np.abs(w).max()))
+    ends = [(n[0], n[-1]) for n in omega.node_arrays()]
+    corner = np.all([np.isin(w[:, j], ends[j]) for j in range(3)], axis=0)
+    assert corner.sum() == np.prod([len(set(e)) for e in ends])
+    assert np.all(lo[corner] >= low[corner] - 2 * margin)
 
 
 @pytest.mark.parametrize("omega", FLOOR_OMEGAS + [
@@ -583,8 +607,8 @@ def test_detm_floors_are_below_every_alpha_node(omega, alpha_count):
 def test_floors_skip_at_the_default_grids(monkeypatch):
     skipped = _count_floor_skips(monkeypatch)
     assert robust_psd_grid("M").passed
-    omega_cells = sum(skipped)
-    assert 0 < omega_cells < OMEGA_GRID_DEFAULT.cells
+    # every omega cell but the minimum's
+    assert sum(skipped) == OMEGA_GRID_DEFAULT.cells - 1
     skipped.clear()
     assert detm_alpha_convexity_check().passed
     assert sum(skipped) > 0.9 * 3 * OMEGA_GRID_DEFAULT.cells * 41
@@ -680,6 +704,14 @@ def _peak_mb(fn):
 # A block of 4096 cells keeps every temporary at 32 KB: a scan's peak is
 # about a megabyte, whatever its grid.
 BLOCK_PEAK_MB = 2.0
+
+
+def test_corner_pass_memory_bounded():
+    # 66,049 folded nodes per corner plane, 4.7 MB if a plane were packed
+    # whole: the corner pass packs them a block at a time
+    omega = GridSpec.cube(2.0, 4.0, 2, 3)
+    assert _peak_mb(lambda: robust_psd_grid(
+        "M", omega, GridSpec.cube(-1.0, 1.0, 513, 2))) < BLOCK_PEAK_MB
 
 
 def test_robust_scan_memory_bounded():
