@@ -438,6 +438,67 @@ detm_d4,6.0;2.0;6.0;-1.0;0.0,-2160.0,1e-09,false
 detm_min_at_zero,6.0;2.0;6.0;-1.0;-1.0,-27.0,1e-09,false
 detm_alpha0,2.0;6.0;2.0;-1.0,0.0,1e-09,true
 """),
+    ("--omega-max", "4.5"): (1, """\
+grid_id,coords,min_value,tolerance,passed
+box_chi1,2.0;4.5;4.5,-9.5625,1e-09,false
+box_chi2,4.5;4.5;2.0,-9.5625,1e-09,false
+box_chi3,4.5;4.5;2.0,-9.5625,1e-09,false
+box_chi4,4.5;2.0;4.5,-9.5625,1e-09,false
+box_psi,2.0;2.0;4.5,1.75,1e-09,true
+robust_M,4.5;4.5;2.0;-0.29999999999999993;-0.8,0.6951153738461011,1e-09,true
+robust_P,4.5;2.0;4.5;-0.29999999999999993;-0.8,0.6951153738461011,1e-09,true
+robust_Q,2.0;4.5;4.5;-0.29999999999999993;-0.8,0.6951153738461011,1e-09,true
+detm_d2,4.5;4.5;2.0;0.0;0.0,-14.34375,1e-09,false
+detm_d4,4.5;2.0;4.5;-1.0;0.0,-344.25,1e-09,false
+detm_min_at_zero,4.5;4.5;2.0;0.0;-0.55,-1.15909161328125,1e-09,false
+detm_alpha0,2.0;2.0;2.0;0.0,3.0,1e-09,true
+"""),
+    ("--omega-max", "5"): (1, """\
+grid_id,coords,min_value,tolerance,passed
+box_chi1,2.0;5.0;5.0,-22.5,1e-09,false
+box_chi2,5.0;5.0;2.0,-22.5,1e-09,false
+box_chi3,5.0;5.0;2.0,-22.5,1e-09,false
+box_chi4,5.0;2.0;5.0,-22.5,1e-09,false
+box_psi,2.0;2.0;5.0,-1.0,1e-09,false
+robust_M,5.0;5.0;2.0;-0.09999999999999998;-0.9,0.47708381261313426,1e-09,true
+robust_P,5.0;2.0;5.0;-0.09999999999999998;-0.9,0.47708381261313426,1e-09,true
+robust_Q,2.0;5.0;5.0;-0.09999999999999998;-0.9,0.47708381261313426,1e-09,true
+detm_d2,5.0;5.0;2.0;0.0;0.0,-33.75,1e-09,false
+detm_d4,5.0;2.0;5.0;-1.0;0.0,-810.0,1e-09,false
+detm_min_at_zero,5.0;5.0;2.0;0.0;-0.75,-5.3096923828125,1e-09,false
+detm_alpha0,2.0;2.0;2.0;0.0,3.0,1e-09,true
+"""),
+    ("--omega-max", "5.9"): (1, """\
+grid_id,coords,min_value,tolerance,passed
+box_chi1,2.0;5.9;5.9,-55.48950000000001,1e-09,false
+box_chi2,5.9;5.9;2.0,-55.48950000000001,1e-09,false
+box_chi3,5.9;5.9;2.0,-55.48950000000001,1e-09,false
+box_chi4,5.9;2.0;5.9,-55.48950000000001,1e-09,false
+box_psi,2.0;2.0;5.9,-7.210000000000001,1e-09,false
+robust_M,5.9;5.9;2.0;-0.6499999999999999;-0.75,0.04979218181486145,1e-09,true
+robust_P,5.9;2.0;5.9;-0.6499999999999999;-0.75,0.04979218181486145,1e-09,true
+robust_Q,2.0;5.9;5.9;-0.6499999999999999;-0.75,0.04979218181486145,1e-09,true
+detm_d2,5.9;2.0;5.9;-1.0;-0.8,-246.43007999999998,1e-09,false
+detm_d4,5.9;2.0;5.9;-1.0;0.0,-1997.622,1e-09,false
+detm_min_at_zero,5.9;5.9;2.0;0.0;-1.0,-23.767125,1e-09,false
+detm_alpha0,2.0;5.9;2.0;-0.95,1.1773841226562454,1e-09,true
+"""),
+    ("--omega-min", "2.5", "--omega-max", "4", "--omega-grid", "41",
+     "--ab-grid", "81"): (0, """\
+grid_id,coords,min_value,tolerance,passed
+box_chi1,2.5;4.0;4.0,2.0,1e-09,true
+box_chi2,4.0;4.0;2.5,2.0,1e-09,true
+box_chi3,4.0;4.0;2.5,2.0,1e-09,true
+box_chi4,4.0;2.5;4.0,2.0,1e-09,true
+box_psi,2.5;2.5;4.0,8.5,1e-09,true
+robust_M,3.775;4.0;3.1;0.0;-0.8,0.8949414981938305,1e-09,true
+robust_P,3.775;3.1;4.0;0.0;-0.8,0.8949414981938305,1e-09,true
+robust_Q,3.1;3.775;4.0;0.0;-0.8,0.8949414981938305,1e-09,true
+detm_d2,4.0;4.0;2.5;0.0;0.0,3.0,1e-09,true
+detm_d4,4.0;2.5;4.0;0.0;0.0,36.0,1e-09,true
+detm_min_at_zero,2.5;2.5;2.5;-1.0;0.0,0.0,1e-09,true
+detm_alpha0,2.5;2.5;2.5;0.0,4.6875,1e-09,true
+"""),
 }
 
 
