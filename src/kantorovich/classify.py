@@ -13,11 +13,13 @@ Decision ladder, in order:
    >= -2e-12 at every unit y, far inside the scan tolerance
    (docs/proofs.md#pair-term-identity).
 
-Rung 2's witness (:func:`probe_witness`) is the probe row scanned alone
-(:func:`sampling.scan_h`); :func:`falsify` maps the first worst row y of
-one probe + design scan's report (:func:`sampling.scan_design`) back to
-x = U'y.  The identity's bound 3/2 - delta_max/4 holds for every delta and
-is attained at the probe, which every scan evaluates first.
+Rung 2's witness is the probe row scanned alone (:func:`sampling.scan_h`),
+attached wherever its value is negative; :func:`probe_witness`, the judge
+of ``boundary``, keeps it only where the scan reports a violation.
+:func:`falsify` maps the first worst row y of one probe + design scan's
+report (:func:`sampling.scan_design`) back to x = U'y.  The identity's
+bound 3/2 - delta_max/4 holds for every delta and is attained at the
+probe, which every scan evaluates first.
 
 Threshold comparisons are inclusive within relative 1e-12, so a matrix built
 to sit exactly on a boundary classifies with the boundary, not against it.
@@ -123,17 +125,23 @@ def falsify(spd: SpdMatrix, plan: SamplePlan = DEFAULT_PLAN) -> Witness | None:
                    lambda_min=rep.worst_value)
 
 
-def probe_witness(spd: SpdMatrix, delta: DeltaVector) -> Witness | None:
+def _probe(spd: SpdMatrix, delta: DeltaVector) -> tuple[Witness, bool]:
     """The extreme-pair probe (e_i + e_j)/sqrt(2), scanned as one row: row
     2k of :func:`sampling.probe_directions`, k the first argmax of delta
-    (the pair that :meth:`DeltaVector.max_pair` names)."""
+    (the pair that :meth:`DeltaVector.max_pair` names), as a witness with
+    the scan's violation flag (value below -tolerance)."""
     k = int(np.argmax(delta.values))
     y = probe_directions(spd.dim)[2 * k:2 * k + 1]
     res = scan_h(delta, y)
-    if not res.violation:
-        return None
-    return Witness(point=spd.spectral.rotation.T @ y[0],
-                   lambda_min=res.worst_value)
+    return (Witness(point=spd.spectral.rotation.T @ y[0],
+                    lambda_min=res.worst_value), res.violation)
+
+
+def probe_witness(spd: SpdMatrix, delta: DeltaVector) -> Witness | None:
+    """The probe row's witness where its scan reports a violation, else
+    None: the judge of each ``boundary`` step."""
+    witness, violation = _probe(spd, delta)
+    return witness if violation else None
 
 
 def classify(spd: SpdMatrix,
@@ -153,8 +161,12 @@ def classify(spd: SpdMatrix,
     delta = delta_from_spd(spd)
 
     if kappa > KAPPA_NECESSARY * inc:
+        # kappa decided the verdict: a negative probe value is a witness,
+        # even within the scan tolerance of 0
+        witness, violation = _probe(spd, delta)
+        keep = violation or witness.lambda_min < 0.0
         return verdict(Status.NOT_CONVEX, Certificate.NECESSARY_VIOLATED,
-                       witness=probe_witness(spd, delta))
+                       witness=witness if keep else None)
     if n == 2:
         return verdict(Status.CONVEX, Certificate.EXACT_2D)
     if n == 3 and kappa <= KAPPA_SUFFICIENT_3D * inc:

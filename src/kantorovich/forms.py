@@ -31,8 +31,8 @@ __all__ = [
     "DeltaVector", "delta_from_spd", "pair_indices",
     "h_form", "h_form_batch",
     "BOUND_DELTA_MAX", "least_coefs", "row_coefs", "row_bound",
-    "m_entries", "det_m_alpha_coefs", "m_form", "p_form", "q_form",
-    "det3_batch",
+    "m_entries", "det_m_t_polys", "det_m_alpha_coefs", "m_form", "p_form",
+    "q_form", "det3_batch",
 ]
 
 # Delta entries sit in [2, inf) mathematically; allow this much roundoff when
@@ -226,6 +226,28 @@ def m_entries(omega, alpha, beta) -> tuple[np.ndarray, ...]:
     )
 
 
+def det_m_t_polys(omega) -> tuple:
+    """The parts of :func:`det_m_alpha_coefs` that depend on omega alone,
+    (q, a, b, c, d, e, c6), as it computes them: with t = beta^2,
+
+    c0 = (3/2)(w1 + w3 t)((1/2) w2 + q t + (1/2) w2 t^2)
+    c2 = -(3/8)(a t^2 + 6 b t + c[0] + c[1] + c[2])
+    c4 = -(3/8)(d t + e[0] + e[1] + e[2])
+
+    and c6 itself.  c and e are the summands of the t-free parts, which
+    det_m_alpha_coefs adds one at a time, in this order.  Broadcasts like
+    m_entries.
+    """
+    w1, w2, w3 = _split_omega(omega)
+    return (3.0 - 0.25 * w2 ** 2,
+            w2 * w3 ** 2 - 2.0 * w1 * w3 - 12.0 * w2,
+            w1 ** 2 - w1 * w2 * w3 + w2 ** 2 + w3 ** 2 - 12.0,
+            (w1 ** 2 * w2, -(2.0 * w1 * w3), -(12.0 * w2)),
+            w1 * w3 ** 2 - 12.0 * w1 - 2.0 * w2 * w3,
+            (w1 ** 2 * w3, -(2.0 * w1 * w2), -(12.0 * w3)),
+            0.75 * w1 * w3)
+
+
 def det_m_alpha_coefs(omega, beta) -> tuple[np.ndarray, ...]:
     """Closed-form alpha-coefficients (c0, c2, c4, c6) of det m_form:
 
@@ -240,22 +262,17 @@ def det_m_alpha_coefs(omega, beta) -> tuple[np.ndarray, ...]:
     c4 = -(3/8) [t (w1 w3^2 - 12 w1 - 2 w2 w3) + w1^2 w3 - 2 w1 w2 - 12 w3]
     c6 = (3/4) w1 w3
 
-    Odd powers vanish: conjugation by diag(1, -1, 1) flips alpha.  c0's
-    first factor is positive; the second is a quadratic in t whose
-    nonnegativity on w2 in [2, 4] is one of the certified box facts.
-    Broadcasts like m_entries.
+    the omega parts coming from :func:`det_m_t_polys`.  Odd powers vanish:
+    conjugation by diag(1, -1, 1) flips alpha.  c0's first factor is
+    positive; the second is a quadratic in t whose nonnegativity on w2 in
+    [2, 4] is one of the certified box facts.  Broadcasts like m_entries.
     """
     w1, w2, w3 = _split_omega(omega)
+    q, a, b, c, d, e, c6 = det_m_t_polys(omega)
     t = np.asarray(beta, dtype=float) ** 2
-    c0 = 1.5 * (w1 + w3 * t) * (
-        0.5 * w2 + (3.0 - 0.25 * w2 ** 2) * t + 0.5 * w2 * t * t)
-    c2 = -0.375 * (
-        t * t * (w2 * w3 ** 2 - 2.0 * w1 * w3 - 12.0 * w2)
-        + 6.0 * t * (w1 ** 2 - w1 * w2 * w3 + w2 ** 2 + w3 ** 2 - 12.0)
-        + w1 ** 2 * w2 - 2.0 * w1 * w3 - 12.0 * w2)
-    c4 = -0.375 * (t * (w1 * w3 ** 2 - 12.0 * w1 - 2.0 * w2 * w3)
-                   + w1 ** 2 * w3 - 2.0 * w1 * w2 - 12.0 * w3)
-    return c0, c2, c4, 0.75 * w1 * w3
+    c0 = 1.5 * (w1 + w3 * t) * (0.5 * w2 + q * t + 0.5 * w2 * t * t)
+    return (c0, -0.375 * (t * t * a + 6.0 * t * b + c[0] + c[1] + c[2]),
+            -0.375 * (t * d + e[0] + e[1] + e[2]), c6)
 
 
 def m_form(omega, alpha, beta) -> np.ndarray:

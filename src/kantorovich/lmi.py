@@ -23,14 +23,16 @@ one block iterator, :func:`_blocks`: a block is a C-order run of about
 one another, so no grid (of omega or of any other axis) is ever built cell
 by cell, and memory does not grow with the grid.
 
-The robust and detm scans skip the cells whose floor, a value at or below
-every value of the cell as computed, reaches a value the grid attains
-(:func:`_unscreened`): an omega cell by the concavity of lambda_min m in
-omega, from its minima at the 8 corners of the omega box
-(:func:`_concave_floors`), a row of an (omega, beta) cell by the signs of
-the det m coefficients (:func:`_detm_floors`).  Each report is still that
-of evaluating every cell (docs/proofs.md#concavity-floor,
-docs/proofs.md#detm-floors, docs/proofs.md#symmetries-of-m).
+The robust and detm scans evaluate the 8 corners of the omega box first,
+then skip the cells whose floor, a value at or below every value of the
+cell as computed, reaches a value the grid attains (:func:`_unscreened`):
+an omega cell by the concavity of lambda_min m in omega, from its minima
+at the corners (:func:`_concave_floors`); for a detm row, an omega cell
+by the signs of the det m coefficients' terms over the beta axis, and an
+(omega, beta) cell by its own coefficients (:func:`_coef_floors`,
+:func:`_detm_floors`).  Each report is still that of evaluating every
+cell (docs/proofs.md#concavity-floor, docs/proofs.md#detm-floors,
+docs/proofs.md#symmetries-of-m).
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forms import BOUND_DELTA_MAX, det_m_alpha_coefs, m_entries
+from .forms import (BOUND_DELTA_MAX, det_m_alpha_coefs, det_m_t_polys,
+                    m_entries)
 from .linalg import PSD_EPS, FirstMin, screened_min_eig
 
 __all__ = [
@@ -60,18 +63,18 @@ GRID_TOL = 1e-9
 # whatever the grid size: a box temporary, one entry of m, a detm
 # coefficient or floor, or a chunk of detm row values (a cell counts once
 # per alpha node there) is at most 32 KB, and the robust scan's packed
-# (3, 3, cells) stack 288 KB.  The robust scan walks the omega cells, and
-# the detm scan the (omega, beta) cells, in blocks of this many.
+# (3, 3, cells) stack 288 KB.  The robust and detm scans walk the omega
+# cells in blocks of this many.
 _BLOCK = 1 << 12
 # No axis has more nodes than one block holds cells.  A separate name,
 # so that tests may shrink _BLOCK without shrinking the axes.
 MAX_NODES = _BLOCK
 # The detm floors' rounding margin is _ROUND times a bound on the sum of
-# the absolute values of their terms (16 unit roundoffs), plus _TINY for
+# the absolute values of their terms (32 unit roundoffs), plus _TINY for
 # underflow; both floors apply only where that sum, and the robust scan's
 # entry bound, is at most BOUND_DELTA_MAX, so nothing they compare can
 # overflow (docs/proofs.md#detm-floors).
-_ROUND = 2.0 ** -49
+_ROUND = 2.0 ** -48
 _TINY = 2.0 ** -1000
 
 
@@ -291,19 +294,26 @@ def _min_eigs(w: np.ndarray, al, be, buf: np.ndarray, worst: float,
     return screened_min_eig(stack, worst, margin).reshape(len(w), -1)
 
 
+def _corners(omega: tuple[np.ndarray, ...]) -> tuple[np.ndarray, list]:
+    """The corners of the box of the omega nodes, (k, 3), in C order, and
+    the shape of their grid: an axis whose ends coincide is taken once."""
+    ends = [n[:1] if n[0] == n[-1] else n[[0, -1]] for n in omega]
+    return (np.stack(np.meshgrid(*ends, indexing="ij"), axis=-1)
+            .reshape(-1, 3), [len(e) for e in ends])
+
+
 def _corner_minima(omega: tuple[np.ndarray, ...], runs: list,
                    buf: np.ndarray, per_run: int) -> np.ndarray:
     """mu, (2, 2, 2): at each corner of the box of the omega nodes, the
     least lambda_min m over the (alpha, beta) nodes of ``runs``, as the scan
-    computes it.  An axis whose ends coincide is evaluated once."""
-    ends = [n[:1] if n[0] == n[-1] else n[[0, -1]] for n in omega]
-    rows = np.stack(np.meshgrid(*ends, indexing="ij"), axis=-1).reshape(-1, 3)
+    computes it."""
+    rows, shape = _corners(omega)
     mu = np.full(len(rows), math.inf)
     for k in range(0, len(rows), per_run):
         for _, (al, be) in runs:
             lam = _min_eigs(rows[k:k + per_run], al, be, buf, math.inf, 0.0)
             mu[k:k + per_run] = np.minimum(mu[k:k + per_run], lam.min(axis=1))
-    return np.broadcast_to(mu.reshape([len(e) for e in ends]), (2, 2, 2))
+    return np.broadcast_to(mu.reshape(shape), (2, 2, 2))
 
 
 def _concave_floors(w: np.ndarray, omega: tuple[np.ndarray, ...],
@@ -417,36 +427,108 @@ def detm_alpha_poly(omega, beta: float) -> np.ndarray:
     return out
 
 
-# The alpha rows of det m at (omega, beta) cells, from coefficient columns
-# c2, c4, c6 (cells, 1) and the alpha nodes' a2 = a^2 and a4 = a2^2.
+# The detm rows at (omega, beta) cells, from coefficient columns c0, c2, c4,
+# c6 (cells, 1) and the alpha nodes' a2 = a^2 and a4 = a2^2; detm_alpha0
+# has no alpha axis.
 _DETM_ROWS = {
-    "detm_d2": lambda c2, c4, c6, a2, a4: (
+    "detm_d2": lambda c0, c2, c4, c6, a2, a4: (
         2.0 * c2 + 12.0 * c4 * a2 + 30.0 * c6 * a4),
-    "detm_d4": lambda c2, c4, c6, a2, a4: 24.0 * c4 + 360.0 * c6 * a2,
-    "detm_min_at_zero": lambda c2, c4, c6, a2, a4: (
+    "detm_d4": lambda c0, c2, c4, c6, a2, a4: 24.0 * c4 + 360.0 * c6 * a2,
+    "detm_min_at_zero": lambda c0, c2, c4, c6, a2, a4: (
         a2 * (c2 + c4 * a2 + c6 * a4)),
+    "detm_alpha0": lambda c0, c2, c4, c6, a2, a4: c0,
 }
 
 
-def _detm_floors(c2: np.ndarray, c4: np.ndarray, c6: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each (omega, beta) cell, one floor per ``_DETM_ROWS`` row, at or
-    below its value at every alpha node as computed
-    (docs/proofs.md#detm-floors).
+def _margin(size, tiny=_TINY):
+    """_ROUND size + tiny, or NaN where size exceeds BOUND_DELTA_MAX."""
+    return np.where(size <= BOUND_DELTA_MAX, _ROUND * size + tiny, math.nan)
 
-    The floors are g2 = 2 c2 + 12 min(c4, 0) + 30 min(c6, 0), g4 = 24 c4 +
-    360 min(c6, 0) and min(0, g0), g0 = c2 + min(c4, 0) + min(c6, 0), each
-    g less the margin ``_ROUND`` S + ``_TINY``, S = 2|c2| + 24|c4| +
-    360|c6|.  The margin, and so every floor, is NaN where S is not at most
-    ``BOUND_DELTA_MAX`` (NaN, infinite or huge coefficients).
-    """
+
+def _coef_floors(w: np.ndarray, t0, t1) -> tuple[np.ndarray, ...]:
+    """(c0, c2, c4, c6, big) per omega row of ``w`` (..., 3): floors of c0,
+    c2 and c4 as :func:`forms.det_m_alpha_coefs` computes them at every
+    beta node whose computed t = beta^2 lies in [t0, t1], 0 <= t0 <= t1
+    (broadcast against w[..., 0]), c6 itself, and ``big`` >= 2|c2| +
+    24|c4| + 360|c6| there.  A term k t^p is at least min(k t0^p, k t1^p);
+    c0 is the product of its factors' floors where both are >= 0, else
+    -inf.  A floor is NaN out of range (docs/proofs.md#detm-floors)."""
+    q, a, b, c, d, e, c6 = det_m_t_polys(w)
+    w1, w2, w3 = np.moveaxis(w, -1, 0)
+    tt0, tt1, s, h = t0 * t0, t1 * t1, np.maximum(1.0, t1), 0.5 * w2
+
+    def low(k, p0, p1):
+        return np.minimum(k * p0, k * p1)
+
+    s2 = 0.375 * (np.abs(a) * (s * s) + 6.0 * np.abs(b) * s
+                  + sum(map(np.abs, c)))
+    s4 = 0.375 * (np.abs(d) * s + sum(map(np.abs, e)))
+    c2 = (-0.375 * (c[0] + c[1] + c[2]) + low(-2.25 * b, t0, t1)
+          + low(-0.375 * a, tt0, tt1) - _margin(s2))
+    c4 = (-0.375 * (e[0] + e[1] + e[2]) + low(-0.375 * d, t0, t1)
+          - _margin(s4))
+    f1, f2 = w1 + low(w3, t0, t1), h + low(q, t0, t1) + low(h, tt0, tt1)
+    u1, u2 = np.abs(w1) + np.abs(w3) * s, (np.abs(h) * (1.0 + s * s)
+                                           + np.abs(q) * s)
+    c0 = (np.where((f1 >= 0.0) & (f2 >= 0.0), 1.5 * f1 * f2, -math.inf)
+          - _margin(1.5 * u1 * u2, _TINY * (1.0 + u1 + u2)))
+    return c0, c2, c4, c6, 2.0 * s2 + 24.0 * s4 + 360.0 * np.abs(c6)
+
+
+def _detm_floors(c0, c2, c4, c6, big) -> tuple[np.ndarray, ...]:
+    """One floor per ``_DETM_ROWS`` row, at or below its value at every
+    alpha node of the cells whose coefficients, as computed, are at least
+    c0, c2, c4 (c6 exact) with 2|c2| + 24|c4| + 360|c6| at most ``big``:
+    g2 = 2 c2 + 12 min(c4, 0) + 30 min(c6, 0), g4 = 24 c4 + 360 min(c6, 0),
+    min(0, g0), g0 = c2 + min(c4, 0) + min(c6, 0), each less the margin of
+    big, and c0 (docs/proofs.md#detm-floors)."""
     n4, n6 = np.minimum(c4, 0.0), np.minimum(c6, 0.0)
-    big = 2.0 * np.abs(c2) + 24.0 * np.abs(c4) + 360.0 * np.abs(c6)
-    margin = np.where(big <= BOUND_DELTA_MAX, _ROUND * big + _TINY,
-                      math.nan)
+    margin = _margin(big)
     return (2.0 * c2 + 12.0 * n4 + 30.0 * n6 - margin,
             24.0 * c4 + 360.0 * n6 - margin,
-            np.minimum(0.0, c2 + n4 + n6 - margin))
+            np.minimum(0.0, c2 + n4 + n6 - margin), c0)
+
+
+def _detm_cells(w: np.ndarray, first: int, span, above: dict, betas, a2, a4,
+                trackers: dict) -> None:
+    """Feed ``trackers`` the detm rows at the omega rows ``w`` (n, 3), of
+    flat omega indices ``first`` on, at every beta and alpha node.  A row
+    skips the cells whose floor reaches its gate, min(running minimum,
+    ``above[row]``): an omega cell by its floor over the t interval
+    ``span``, an (omega, beta) cell by the larger of that and its own.  The
+    kept omega cells go in C order, in batches of 1, 2, 4, ... cells, so
+    that a running minimum is set before most of them are screened."""
+    nb = len(betas)
+    lo = _detm_floors(*_coef_floors(w, *span))
+    per, size = max(1, _BLOCK // nb), 1
+    todo = np.arange(len(w))
+    while todo.size:
+        # min(): a NaN running minimum stays NaN, a NaN ``above`` is ignored
+        gate = [min(trackers[name].value, above[name]) for name in trackers]
+        keep = np.zeros(len(w), dtype=bool)
+        for rl, g in zip(lo, gate):
+            keep[todo[_unscreened(rl[todo], g)]] = True
+        todo = np.flatnonzero(keep)
+        batch, todo = todo[:size], todo[size:]
+        size = min(2 * size, per)
+        c = [x.reshape(-1) for x in np.broadcast_arrays(
+            *det_m_alpha_coefs(w[batch, None, :], betas))]
+        big = 2.0 * np.abs(c[1]) + 24.0 * np.abs(c[2]) + 360.0 * np.abs(c[3])
+        cells = ((first + batch[:, None]) * nb + np.arange(nb)).reshape(-1)
+        for (name, row), rl, cl in zip(_DETM_ROWS.items(), lo,
+                                       _detm_floors(*c, big)):
+            worst = trackers[name]
+            floor = np.fmax(np.repeat(rl[batch], nb), cl)
+            kept = _unscreened(floor, min(worst.value, above[name]))
+            cols = 1 if name == "detm_alpha0" else a2.size
+            chunk = max(1, _BLOCK // cols)
+            for k in range(0, kept.size, chunk):
+                idx = kept[k:k + chunk]
+                v = row(*(x[idx, None] for x in c), a2, a4)
+                # the chunk's first minimum, at its flat index in the grid
+                j = int(np.argmin(v))
+                worst.update(cells[idx[j // cols]] * cols + j % cols,
+                             v.reshape(-1)[j:j + 1])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -464,43 +546,37 @@ def detm_alpha_convexity_check(omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
     detm_min_at_zero = a^2 (c2 + c4 a^2 + c6 a^4)     (det m - det m at 0)
 
     and detm_alpha0 = c0 per (omega, beta) cell; each must be >= -GRID_TOL.
-    Worst cells are (w1, w2, w3, beta[, alpha]).  The (omega, beta) cells
-    are scanned in blocks of ``_BLOCK``.  A row's alpha nodes are evaluated
-    only at the cells whose floor (:func:`_detm_floors`) does not reach
-    its running minimum, a chunk of cells at a time, so no temporary
-    exceeds 32 KB whatever the grids; the report is that of evaluating
-    every cell.
+    Worst cells are (w1, w2, w3, beta[, alpha]).  The (beta, alpha) planes
+    of the omega box's corners are evaluated first, for each row's least
+    corner value mu.  Then the omega cells are walked in blocks of
+    ``_BLOCK`` (:func:`_detm_cells`): a row skips an omega cell whose floor
+    over the beta axis reaches its running minimum or lies strictly above
+    mu (a floor can equal a value), and the rest are screened per (omega,
+    beta) cell and evaluated in chunks, so no temporary exceeds 32 KB
+    whatever the grids.  The report is that of evaluating every cell.
     """
     if omega_grid.ndim != 3 or beta_grid.ndim != 1:
         raise ValueError("omega grid needs 3 axes and beta grid 1")
     alpha_nodes = Axis(-1.0, 1.0, alpha_count).nodes()
     a2 = alpha_nodes ** 2
     a4 = a2 * a2
-    nodes = omega_grid.node_arrays() + beta_grid.node_arrays()
-    with_alpha = nodes + (alpha_nodes,)
-    trackers = {name: FirstMin() for name in (*_DETM_ROWS, "detm_alpha0")}
-    chunk = max(1, _BLOCK // alpha_count)
-
-    for start, (*ws, betas) in _blocks(nodes, _BLOCK):
-        w = np.stack(np.broadcast_arrays(*ws), axis=-1)
-        c0, c2, c4, c6 = (c.reshape(-1) for c in np.broadcast_arrays(
-            *det_m_alpha_coefs(w, betas)))
-        trackers["detm_alpha0"].update(start, c0)
-        for (name, row), lo in zip(_DETM_ROWS.items(),
-                                   _detm_floors(c2, c4, c6)):
-            worst = trackers[name]
-            kept = _unscreened(lo, worst.value)
-            for k in range(0, kept.size, chunk):
-                idx = kept[k:k + chunk, None]
-                v = row(c2[idx], c4[idx], c6[idx], a2, a4)
-                # the chunk's first minimum, at its flat index in the grid
-                j = int(np.argmin(v))
-                worst.update((start + idx[j // alpha_count, 0]) * alpha_count
-                             + j % alpha_count, v.reshape(-1)[j:j + 1])
-
+    omega = omega_grid.node_arrays()
+    betas = beta_grid.axes[0].nodes()
+    span = tuple(np.sort(betas ** 2)[[0, -1]])
+    mins = {name: FirstMin() for name in _DETM_ROWS}
+    _detm_cells(_corners(omega)[0], 0, span, dict.fromkeys(mins, math.inf),
+                betas, a2, a4, mins)
+    # nextafter: a floor skips at >= the float above mu, that is, > mu
+    above = {name: float(np.nextafter(m.value, math.inf))
+             for name, m in mins.items()}
+    trackers = {name: FirstMin() for name in _DETM_ROWS}
+    for first, ws in _blocks(omega, _BLOCK):
+        w = np.stack(np.broadcast_arrays(*ws), axis=-1).reshape(-1, 3)
+        _detm_cells(w, first, span, above, betas, a2, a4, trackers)
+    nodes = omega + (betas,)
     cells = omega_grid.cells * beta_grid.cells
     reports = tuple(_report(name, w, nodes if name == "detm_alpha0"
-                            else with_alpha, cells)
+                            else nodes + (alpha_nodes,), cells)
                     for name, w in trackers.items())
     return GridCheckSummary(passed=all(r.passed for r in reports),
                             reports=reports)

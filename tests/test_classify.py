@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from kantorovich.classify import (BOUNDARY_REL_TOL, KAPPA_NECESSARY,
                                   KAPPA_SUFFICIENT_3D, KAPPA_SUFFICIENT_ANY,
                                   Certificate, Status, classify, falsify,
-                                  necessary_probe)
+                                  necessary_probe, probe_witness)
 from kantorovich.forms import DeltaVector, delta_from_spd
 from kantorovich.function import f_hessian
 from kantorovich.linalg import min_eigenvalue, validate_spd
@@ -276,20 +276,24 @@ def test_witness_revalidates(rng):
             assert lam == pytest.approx(v.witness.lambda_min, abs=1e-10)
 
 
-# Just above 3 + 2*sqrt(2) the necessary rung answers NotConvex, but the
-# probe row's value 3/2 - delta_max/4 lies within the scan tolerance of 0,
-# so no witness is attached (docs/formats.md, analyze JSON).  These cases
-# pass once the rung attaches every negative probe value (ROADMAP item 3a).
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3a: NotConvex without "
-                   "a witness just above 3+2*sqrt(2)")
+# Just above 3 + 2*sqrt(2) the probe row's value 3/2 - delta_max/4 lies
+# within the scan tolerance of 0.  kappa has decided the verdict, so the
+# necessary rung attaches it all the same; the float Hessian of f at the
+# witness, on the original rotated A, has a negative eigenvalue.
 @pytest.mark.parametrize("r", [2e-12, 1e-10, 1e-9])
 @pytest.mark.parametrize("dim", [2, 3, 5, 8])
 def test_not_convex_just_above_the_threshold_has_a_witness(dim, r):
     eigs = np.geomspace(1.0, KAPPA_NECESSARY * (1.0 + r), dim)
-    v = classify(validate_spd(np.diag(eigs)))
+    q = random_rotation(np.random.default_rng(dim), dim)
+    spd = validate_spd(q @ np.diag(eigs) @ q.T)
+    v = classify(spd)
     assert (v.status, v.certificate) == (Status.NOT_CONVEX,
                                          Certificate.NECESSARY_VIOLATED)
     assert v.witness is not None and v.witness.lambda_min < 0.0
+    hess = f_hessian(spd, v.witness.point)
+    assert min_eigenvalue(hess) < 0.0
+    # the probe row alone is still judged against the tolerance
+    assert probe_witness(spd, delta_from_spd(spd)) is None
 
 
 def test_scale_invariance(rng):

@@ -1,11 +1,12 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from kantorovich import linalg, lmi, sampling
+from kantorovich import forms, linalg, lmi, sampling
 from kantorovich.forms import (DeltaVector, det3_batch, det_m_alpha_coefs,
                                m_form, p_form, q_form)
 from kantorovich.linalg import min_eig_batch
@@ -583,25 +584,155 @@ def test_robust_floor_is_below_every_cell(monkeypatch, omega, plane):
     assert np.all(lo[corner] >= low[corner] - 2 * margin)
 
 
-@pytest.mark.parametrize("omega", FLOOR_OMEGAS + [
-    GridSpec.cube(0.0, 1e-100, 3, 3), GridSpec.cube(-1e100, 1e100, 3, 3)])
+FLOOR_TINY_HUGE = [GridSpec.cube(0.0, 1e-100, 3, 3),
+                   GridSpec.cube(-1e100, 1e100, 3, 3)]
+
+
+def _detm_values(w, betas, alpha_count):
+    """Each detm row at the omega rows w (n, 3) x betas x alpha nodes, as
+    the scan computes it: (n, betas * alpha nodes), (n, betas) for c0."""
+    c = [np.broadcast_to(x, (len(w), len(betas))).reshape(-1, 1)
+         for x in det_m_alpha_coefs(w[:, None, :], betas)]
+    a2 = Axis(-1.0, 1.0, alpha_count).nodes() ** 2
+    return {name: row(*c, a2, a2 * a2).reshape(len(w), -1)
+            for name, row in lmi._DETM_ROWS.items()}
+
+
+def _omega_rows(omega):
+    return np.stack(np.meshgrid(*omega.node_arrays(), indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("omega", FLOOR_OMEGAS + FLOOR_TINY_HUGE)
 @pytest.mark.parametrize("alpha_count", [2, 9, 41])
 def test_detm_floors_are_below_every_alpha_node(omega, alpha_count):
-    # each row's floor is at or below its value at every alpha node, as the
-    # scan computes it; NaN only where the coefficients are out of range
-    beta = Axis(-1.0, 1.0, 7).nodes()
-    g = np.meshgrid(*omega.node_arrays(), beta, indexing="ij")
-    c = [np.broadcast_to(x, g[0].shape).reshape(-1) for x in
-         det_m_alpha_coefs(np.stack(g[:3], axis=-1), g[3])[1:]]
-    a2 = Axis(-1.0, 1.0, alpha_count).nodes() ** 2
-    a4 = a2 * a2
-    floors = lmi._detm_floors(*c)
-    cols = [x[:, None] for x in c]
-    for (name, row), lo in zip(lmi._DETM_ROWS.items(), floors):
-        v = row(*cols, a2, a4).min(axis=1)
+    # each row's floor from an (omega, beta) cell's own coefficients is at
+    # or below its value at every alpha node, as the scan computes it; NaN
+    # only where the coefficients are out of range
+    betas = Axis(-1.0, 1.0, 7).nodes()
+    w = _omega_rows(omega)
+    c = [np.broadcast_to(x, (len(w), len(betas))).reshape(-1)
+         for x in det_m_alpha_coefs(w[:, None, :], betas)]
+    big = 2.0 * np.abs(c[1]) + 24.0 * np.abs(c[2]) + 360.0 * np.abs(c[3])
+    values = _detm_values(w, betas, alpha_count)
+    for (name, v), lo in zip(values.items(), lmi._detm_floors(*c, big)):
+        v = v.reshape(len(w) * len(betas), -1).min(axis=1)
         ok = ~np.isnan(lo)
         assert ok.any(), name
         assert np.all(lo[ok] <= v[ok]), name
+
+
+@pytest.mark.parametrize("omega", FLOOR_OMEGAS + FLOOR_TINY_HUGE)
+@pytest.mark.parametrize("beta", [Axis(-1.0, 1.0, 7), Axis(-0.5, 1.0, 6),
+                                  Axis(0.5, 0.5, 1)])
+def test_detm_omega_floors_are_below_every_node(omega, beta):
+    # each row's omega-cell floor over the axis's computed t = beta^2 is at
+    # or below its value at every (beta, alpha) node of the cell, as the
+    # scan computes it.  It is NaN exactly where the cell's coefficients
+    # are out of range: on these grids their terms are below 1e4 or above
+    # 1e190 at some node.
+    betas = beta.nodes()
+    t = betas ** 2
+    w = _omega_rows(omega)
+    with np.errstate(over="ignore", invalid="ignore"):
+        floors = lmi._detm_floors(*lmi._coef_floors(w, t.min(), t.max()))
+    values = _detm_values(w, betas, 9)
+    c0, c2, c4, c6 = (np.abs(np.broadcast_to(x, (len(w), len(betas))))
+                      for x in det_m_alpha_coefs(w[:, None, :], betas))
+    huge = {"detm_alpha0": c0.max(axis=1) > 1e150}
+    huge["detm_d2"] = huge["detm_d4"] = huge["detm_min_at_zero"] = (
+        (2.0 * c2 + 24.0 * c4 + 360.0 * c6).max(axis=1) > 1e150)
+    for (name, v), lo in zip(values.items(), floors):
+        np.testing.assert_array_equal(np.isnan(lo), huge[name], name)
+        ok = ~np.isnan(lo)
+        assert np.all(lo[ok] <= v[ok].min(axis=1)), name
+
+
+def _exact_coef_floor(k, t0, t1):
+    """sum_p min(k_p t0^p, k_p t1^p), exactly."""
+    return sum(min(kp * t0 ** p, kp * t1 ** p) for p, kp in enumerate(k))
+
+
+def test_detm_coef_floors_exact():
+    # In Fraction arithmetic, on omega and beta nodes with few bits (so that
+    # det_m_t_polys computes its parts exactly): the parts give det m at
+    # every alpha; each sign-split coefficient floor, the product floor of
+    # c0 and each row floor is at or below its value at every t in [t0, t1]
+    # and a2 in [0, 1]; and the computed floors lie below the exact ones,
+    # by at most twice their margins.
+    gen = np.random.default_rng(35)
+    F = Fraction
+    for _ in range(300):
+        w = gen.integers(-48, 49, 3) / 8.0
+        b0, b1 = sorted(gen.integers(0, 9, 2) / 8.0)
+        t0, t1 = F(b0) ** 2, F(b1) ** 2
+        q, a, b, c, d, e, c6 = (
+            tuple(F(float(y)) for y in x) if isinstance(x, tuple)
+            else F(float(x)) for x in forms.det_m_t_polys(w))
+        w1, w2, w3 = (F(float(x)) for x in w)
+        k2 = (-F(3, 8) * sum(c), -F(9, 4) * b, -F(3, 8) * a)
+        k4 = (-F(3, 8) * sum(e), -F(3, 8) * d)
+        f1, f2 = (w1, w3), (w2 / 2, q, w2 / 2)
+        lo = [_exact_coef_floor(k, t0, t1) for k in (k2, k4, f1, f2)]
+        got = lmi._coef_floors(w, float(t0), float(t1))
+        assert F(float(got[1])) <= lo[0] <= F(float(got[1])) + 2 * (
+            F(float(got[4])) / 2 ** 47)
+        assert F(float(got[2])) <= lo[1]
+        floor0 = (F(3, 2) * lo[2] * lo[3]
+                  if lo[2] >= 0 and lo[3] >= 0 else None)
+        assert (floor0 is None) == (float(got[0]) == -math.inf)
+        if floor0 is not None:
+            assert F(float(got[0])) <= floor0
+        g2 = 2 * lo[0] + 12 * min(lo[1], 0) + 30 * min(c6, 0)
+        g4 = 24 * lo[1] + 360 * min(c6, 0)
+        g0 = min(0, lo[0] + min(lo[1], 0) + min(c6, 0))
+        for y in (b0, b1, (b0 + b1) / 2):
+            t = F(y) ** 2
+            c2v, c4v = (sum(kp * t ** p for p, kp in enumerate(k))
+                        for k in (k2, k4))
+            c0v = F(3, 2) * (w1 + w3 * t) * (w2 / 2 + q * t + w2 / 2 * t * t)
+            assert lo[0] <= c2v and lo[1] <= c4v
+            assert floor0 is None or floor0 <= c0v
+            for al in (F(0), F(1, 3), F(-3, 4), F(1)):
+                a2 = al * al
+                m = [[3 + w1 * a2 / 2 + w2 * t / 2, w1 * al, w2 * F(y)],
+                     [w1 * al, w1 / 2 + 3 * a2 + w3 * t / 2, w3 * al * F(y)],
+                     [w2 * F(y), w3 * al * F(y), w2 / 2 + w3 * a2 / 2 + 3 * t]]
+                det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] ** 2)
+                       - m[0][1] * (m[0][1] * m[2][2] - m[1][2] * m[0][2])
+                       + m[0][2] * (m[0][1] * m[1][2] - m[1][1] * m[0][2]))
+                assert det == c0v + c2v * a2 + c4v * a2 ** 2 + c6 * a2 ** 3
+                assert g2 <= 2 * c2v + 12 * c4v * a2 + 30 * c6 * a2 ** 2
+                assert g4 <= 24 * c4v + 360 * c6 * a2
+                assert g0 <= a2 * (c2v + c4v * a2 + c6 * a2 ** 2)
+
+
+# Grids whose first minimum of a detm row lies off the corners of the omega
+# box: on an edge or inside it.
+OFF_CORNER_DETM = [
+    (GridSpec((Axis(2.0, 5.0, 5), Axis(-10.0, -7.0, 5), Axis(-6.0, -1.0, 3))),
+     "detm_d2"),
+    (GridSpec((Axis(-8.0, -2.0, 4), Axis(1.0, 8.0, 3), Axis(-5.0, -2.0, 5))),
+     "detm_d4"),
+    (GridSpec((Axis(-7.0, 0.0, 4), Axis(-10.0, -3.0, 5), Axis(0.0, 2.0, 5))),
+     "detm_min_at_zero"),
+    (GridSpec.cube(-3.0, 4.5, 7, 3), "detm_alpha0"),
+]
+
+
+@pytest.mark.parametrize("size", [7, 4096])
+@pytest.mark.parametrize("omega, name", OFF_CORNER_DETM)
+def test_detm_scan_finds_a_minimum_off_the_corners(monkeypatch, size, omega,
+                                                   name):
+    monkeypatch.setattr(lmi, "_BLOCK", size)
+    beta = GridSpec.cube(-1.0, 1.0, 7, 1)
+    got = detm_alpha_convexity_check(omega, beta, alpha_count=9)
+    row = next(r for r in got.reports if r.grid_id == name)
+    ends = [(ax.lo, ax.hi) for ax in omega.axes]
+    assert not all(x in e for x, e in zip(row.worst_cell, ends))
+    monkeypatch.setattr(lmi, "_unscreened", _no_floors)
+    want = detm_alpha_convexity_check(omega, beta, alpha_count=9)
+    assert [_key(r) for r in got.reports] == [_key(r) for r in want.reports]
 
 
 def test_floors_skip_at_the_default_grids(monkeypatch):
@@ -609,9 +740,17 @@ def test_floors_skip_at_the_default_grids(monkeypatch):
     assert robust_psd_grid("M").passed
     # every omega cell but the minimum's
     assert sum(skipped) == OMEGA_GRID_DEFAULT.cells - 1
-    skipped.clear()
+    # the detm scan computes coefficients at the 8 corners of the omega box
+    # and at the omega cells no floor clears: 43 of the 9,261
+    coefs, seen = lmi.det_m_alpha_coefs, []
+
+    def counting(omega, beta):
+        seen.append(np.shape(omega)[0])
+        return coefs(omega, beta)
+
+    monkeypatch.setattr(lmi, "det_m_alpha_coefs", counting)
     assert detm_alpha_convexity_check().passed
-    assert sum(skipped) > 0.9 * 3 * OMEGA_GRID_DEFAULT.cells * 41
+    assert 8 < sum(seen) <= 8 + 50
 
 
 # --- non-finite cells --------------------------------------------------------
