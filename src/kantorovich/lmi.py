@@ -496,12 +496,12 @@ def _detm_cells(w: np.ndarray, first: int, span, above: dict, betas, a2, a4,
     skips the cells whose floor reaches its gate, min(running minimum,
     ``above[row]``): an omega cell by its floor over the t interval
     ``span``, an (omega, beta) cell by the larger of that and its own.  The
-    kept omega cells go in C order, in batches of 1, 2, 4, ... cells, so
-    that a running minimum is set before most of them are screened."""
+    kept omega cells go in C order, in batches of ``_BLOCK`` (omega, beta)
+    cells after a first batch of one omega cell, which sets a running
+    minimum before the rest are screened."""
     nb = len(betas)
     lo = _detm_floors(*_coef_floors(w, *span))
-    per, size = max(1, _BLOCK // nb), 1
-    todo = np.arange(len(w))
+    todo, size = np.arange(len(w)), 1
     while todo.size:
         # min(): a NaN running minimum stays NaN, a NaN ``above`` is ignored
         gate = [min(trackers[name].value, above[name]) for name in trackers]
@@ -510,7 +510,7 @@ def _detm_cells(w: np.ndarray, first: int, span, above: dict, betas, a2, a4,
             keep[todo[_unscreened(rl[todo], g)]] = True
         todo = np.flatnonzero(keep)
         batch, todo = todo[:size], todo[size:]
-        size = min(2 * size, per)
+        size = max(1, _BLOCK // nb)
         c = [x.reshape(-1) for x in np.broadcast_arrays(
             *det_m_alpha_coefs(w[batch, None, :], betas))]
         big = 2.0 * np.abs(c[1]) + 24.0 * np.abs(c[2]) + 360.0 * np.abs(c[3])

@@ -741,7 +741,7 @@ def test_floors_skip_at_the_default_grids(monkeypatch):
     # every omega cell but the minimum's
     assert sum(skipped) == OMEGA_GRID_DEFAULT.cells - 1
     # the detm scan computes coefficients at the 8 corners of the omega box
-    # and at the omega cells no floor clears: 43 of the 9,261
+    # and at the omega cells no floor clears: 44 of the 9,261
     coefs, seen = lmi.det_m_alpha_coefs, []
 
     def counting(omega, beta):
