@@ -515,11 +515,11 @@ def _detm_cells(w: np.ndarray, first: int, span, above: dict, betas, a2, a4,
             *det_m_alpha_coefs(w[batch, None, :], betas))]
         big = 2.0 * np.abs(c[1]) + 24.0 * np.abs(c[2]) + 360.0 * np.abs(c[3])
         cells = ((first + batch[:, None]) * nb + np.arange(nb)).reshape(-1)
-        for (name, row), rl, cl in zip(_DETM_ROWS.items(), lo,
-                                       _detm_floors(*c, big)):
+        # a row's gate moves only while that row is evaluated
+        for (name, row), rl, cl, g in zip(_DETM_ROWS.items(), lo,
+                                          _detm_floors(*c, big), gate):
             worst = trackers[name]
-            floor = np.fmax(np.repeat(rl[batch], nb), cl)
-            kept = _unscreened(floor, min(worst.value, above[name]))
+            kept = _unscreened(np.fmax(np.repeat(rl[batch], nb), cl), g)
             cols = 1 if name == "detm_alpha0" else a2.size
             chunk = max(1, _BLOCK // cols)
             for k in range(0, kept.size, chunk):
