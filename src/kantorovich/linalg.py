@@ -150,7 +150,11 @@ def eig_sym(m) -> SpectralData:
     The off-diagonal norm, whose summation order decides only when the
     iteration stops, is computed in numpy once per sweep.
     """
-    a = symmetrize(m)
+    return _jacobi(symmetrize(m))
+
+
+def _jacobi(a: np.ndarray) -> SpectralData:
+    """:func:`eig_sym` of ``a``, the output of :func:`symmetrize`."""
     n = a.shape[0]
     e = math.frexp(float(np.abs(a).max()))[1]
     scaled = np.ldexp(a, -e)
@@ -246,7 +250,7 @@ def validate_spd(raw) -> SpdMatrix:
     the subnormal range).
     """
     a = symmetrize(raw)
-    spec = eig_sym(a)
+    spec = _jacobi(a)
     w = spec.eigenvalues
     if w[-1] == math.inf:
         raise MatrixValidationError(
@@ -304,30 +308,32 @@ def min_eig_batch(mats: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(np.asarray(mats, dtype=float))[..., 0]
 
 
-def screened_min_eig(entries: np.ndarray, worst: float,
+def screened_min_eig(entries: np.ndarray, worst,
                      margin: float) -> np.ndarray:
     """Smallest eigenvalues of the rows of an (n, n, m) stack, as one (m,)
-    array that reads +inf on each row that cannot beat ``worst``.
+    array that reads +inf on each row that cannot beat ``worst``, one value
+    or one per row.
 
     The rows :func:`cholesky_clears` passes at ``worst + margin`` are
-    cleared; every row is when ``worst`` is NaN.  The test runs only when
-    ``worst + margin`` is finite: an infinite or NaN shift makes every pivot
+    cleared; every row is when ``worst`` is one NaN.  The test runs only
+    when a shift is finite: an infinite or NaN shift makes every pivot
     +-inf or NaN, so it clears nothing (a scan's probe head, against +inf,
-    goes straight to eigvalsh).  A kept row with a non-finite entry (such a
-    row never clears) reads NaN, since eigvalsh raises on it; any other kept
-    row reads its min_eig_batch value.
+    goes straight to eigvalsh; a row against its own NaN is kept).  A kept
+    row with a non-finite entry (such a row never clears) reads NaN, since
+    eigvalsh raises on it; any other kept row reads its min_eig_batch value.
 
     Clearing is exact when ``margin`` is 1e-9 * S, S bounding every |entry|
     (so |worst| <= n S), at n <= 8: a cleared row evaluates strictly above
-    ``worst``, so it cannot be a first strict minimum
+    its ``worst``, so it cannot be a first strict minimum
     (docs/proofs.md#cholesky-screen).
     """
     lam = np.full(entries.shape[2], math.inf)
-    if math.isnan(worst):  # no row beats a NaN minimum (see FirstMin)
-        return lam
+    shift = worst + margin
+    if np.ndim(worst) == 0 and math.isnan(worst):
+        return lam  # no row beats a NaN minimum (see FirstMin)
     rows, kept = np.arange(lam.size), entries
-    if math.isfinite(worst + margin):
-        clears = cholesky_clears(entries, worst + margin)
+    if np.ndim(shift) or math.isfinite(shift):
+        clears = cholesky_clears(entries, shift)
         if clears.any():
             rows = rows[~clears]
             kept = entries[:, :, rows]

@@ -299,6 +299,43 @@ def test_screened_min_eig_keeps_every_row_that_can_win(rng, n):
     assert (screened_min_eig(entries, np.nan, 1e-9) == np.inf).all()
 
 
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_screened_min_eig_screens_each_row_against_its_own_worst(rng, n):
+    # One worst per row: each row reads what screening it alone against its
+    # own worst reads, bit for bit, but a NaN worst keeps its row (a single
+    # NaN worst clears every row); an infinite worst keeps its row.
+    a = rng.standard_normal((64, n, n))
+    a = a + np.swapaxes(a, -1, -2)
+    a[5, 0, 0] = np.inf
+    entries = _stack(a)
+    want = _unscreened(entries)
+    worst = want + rng.choice([-1e-3, 1e-3], 64) * np.abs(want)
+    worst[[5, 7, 8, 9]] = (0.0, np.nan, np.inf, want[9])
+    lam = screened_min_eig(entries, worst, 1e-9)
+    for i in range(64):
+        one = screened_min_eig(entries[:, :, i:i + 1], float(worst[i]), 1e-9)
+        assert lam[i].tobytes() == one[0].tobytes() or i == 7
+    assert lam[7] == want[7] and lam[8] == want[8] and lam[9] == want[9]
+    assert np.isnan(lam[5])
+    cleared = lam == np.inf
+    assert cleared.any() and np.all(want[cleared] > worst[cleared])
+
+
+def test_validate_spd_symmetrizes_once(monkeypatch):
+    calls = []
+    symmetrize_once = linalg.symmetrize
+
+    def counting(m):
+        calls.append(m)
+        return symmetrize_once(m)
+
+    monkeypatch.setattr(linalg, "symmetrize", counting)
+    spd = validate_spd([[2.0, 1.0], [1.0, 3.0]])
+    assert len(calls) == 1
+    spec = eig_sym(spd.matrix)
+    assert spd.eigenvalues.tobytes() == spec.eigenvalues.tobytes()
+
+
 def _count_cholesky(monkeypatch):
     shifts = []
 

@@ -327,6 +327,8 @@ def _full_plane_scan(omega, ab):
 
 OMEGA_SMALL = GridSpec((Axis(2.0, 4.0, 3), Axis(2.0, 4.0, 2),
                         Axis(2.0, 5.0, 3)))
+# an omega grid whose nodes overflow the scans' bounds
+HUGE_OMEGA = GridSpec.cube(2.0, 1e155, 3, 3)
 # an omega grid whose first axis is a single node
 ONE_NODE_AXIS = GridSpec((Axis(3.0, 3.0, 1), Axis(2.0, 4.0, 5),
                           Axis(2.0, 4.0, 5)))
@@ -370,7 +372,8 @@ def _count_floor_skips(monkeypatch):
 def test_folded_scan_visits_one_quadrant(monkeypatch, n):
     # Every folded cell is either visited by the Cholesky screen or skipped,
     # with its whole omega cell, by the omega-cell floor: exactly once.  The
-    # corner pass visits the planes of the 8 corners of the omega box first.
+    # corner pass visits the planes of the 8 corners of the omega box first,
+    # after their seeds: every 5th folded node of each axis.
     visited, solved = [], []
 
     def counting(entries, worst, margin):
@@ -382,21 +385,23 @@ def test_folded_scan_visits_one_quadrant(monkeypatch, n):
     monkeypatch.setattr(lmi, "screened_min_eig", counting)
     skipped = _count_floor_skips(monkeypatch)
     quadrant = ((n + 1) // 2) ** 2
+    seeds = len(range(0, (n + 1) // 2, 5)) ** 2
     for omega in (OMEGA_SMALL, GridSpec.cube(2.0, 4.0, 7, 3)):
         for counts in (visited, solved, skipped):
             counts.clear()
         rep = robust_psd_grid("M", omega, GridSpec.cube(-1.0, 1.0, n, 2))
         assert (sum(visited) + sum(skipped) * quadrant
-                == (omega.cells + 8) * quadrant)
+                == (omega.cells + 8) * quadrant + 8 * seeds)
         assert 0 < sum(solved) <= sum(visited)
         assert rep.cells == omega.cells * n * n
     assert sum(skipped) > 0 or n < 41  # the 7^3 grid skips at 41 nodes
 
 
 def test_robust_scan_eigensolves_few_cells(monkeypatch):
-    # At the default grids the floor passes only the minimum's omega cell,
-    # (4, 4, 2), to the screen: with the 8 corner planes, 9 planes of
-    # 21 x 21 folded nodes of the 9,261 are built and eigensolved.
+    # At the default grids the corner pass eigensolves 25 seed nodes per
+    # corner, then screens the 8 corner planes of 21 x 21 folded nodes
+    # against their seeds and eigensolves 22 of them; the floor passes only
+    # the minimum's omega cell, (4, 4, 2), whose screen keeps 4 nodes.
     visited, solved = [], []
 
     def counting(mats):
@@ -410,7 +415,8 @@ def test_robust_scan_eigensolves_few_cells(monkeypatch):
     monkeypatch.setattr(linalg, "min_eig_batch", counting)
     monkeypatch.setattr(lmi, "screened_min_eig", screening)
     assert robust_psd_grid("M").passed
-    assert sum(solved) <= sum(visited) == 9 * 21 * 21
+    assert visited == [8 * 5 * 5, 8 * 21 * 21, 21 * 21]
+    assert solved == [8 * 5 * 5, 22, 4]
 
 
 def test_robust_scan_finds_minimum_just_below_running_worst(monkeypatch):
@@ -502,7 +508,10 @@ FLOOR_OMEGAS = [
 @pytest.mark.parametrize("omega, ab", EDGE_GRIDS)
 def test_floored_scans_are_the_unfloored_scans(monkeypatch, size, omega, ab):
     # Bitwise the reports of the scans with every floor switched off, at
-    # any block size, overflowing and negative omega grids included.
+    # any block size, overflowing and negative omega grids included; the
+    # box check scans the omega grid.  Its vertex floor is NaN on the grids
+    # with a d < 0 (chi1, chi2), and on the first grid psi ties at 4 on
+    # three corners, of which the first in C order is reported.
     monkeypatch.setattr(lmi, "_BLOCK", size)
     beta = GridSpec((ab.axes[1],))
 
@@ -510,8 +519,10 @@ def test_floored_scans_are_the_unfloored_scans(monkeypatch, size, omega, ab):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             detm = detm_alpha_convexity_check(omega, beta, alpha_count=9)
+            box = box_inequality_grid_check(omega)
             return ([_key(r) for r in robust_psd_grids(omega, ab)]
-                    + [_key(r) for r in detm.reports])
+                    + [_key(r) for r in detm.reports]
+                    + [_key(r) for r in box.reports])
 
     skipped = _count_floor_skips(monkeypatch)
     got = scan_all()
@@ -519,6 +530,9 @@ def test_floored_scans_are_the_unfloored_scans(monkeypatch, size, omega, ab):
     assert got == scan_all()
     if size == 7 and omega.axes[0].hi < 1e9 and ab.axes[0].hi < 1e9:
         assert sum(skipped) > 0  # the floors did skip cells
+    if omega == EDGE_GRIDS[0][0]:
+        assert got[-1][3:] == (float(4.0).hex(), tuple(
+            float(x).hex() for x in (2.0, 2.0, 4.0)))
 
 
 def test_floored_scan_finds_a_minimum_on_an_edge(monkeypatch):
@@ -550,18 +564,20 @@ def _scan_margin(omega, plane):
 ])
 def test_robust_floor_is_below_every_cell(monkeypatch, omega, plane):
     # The concavity floor G, as the scan computes it for each of its omega
-    # cells, is <= lambda_min m at each (alpha, beta) node the scan visits
-    # there, up to eigvalsh's rounding; it is exact, to within the margin,
-    # at the corners.  G is NaN exactly where the entry bound fails, and
+    # cells (a block at a time, on the block's node arrays), is <=
+    # lambda_min m at each (alpha, beta) node the scan visits there, up to
+    # eigvalsh's rounding; it is exact, to within the margin, at the
+    # corners.  G is NaN exactly where the entry bound fails, and
     # everywhere once a corner is NaN.
     floors, seen = lmi._concave_floors, []
 
-    def recording(w, nodes, mu, margin):
-        seen.append((w.copy(), floors(w, nodes, mu, margin)))
+    def recording(coords, nodes, mu, margin):
+        lo = floors(coords, nodes, mu, margin)
+        seen.append((lmi._cells(coords).reshape(-1, 3), lo.reshape(-1)))
         mu_nan = np.array(mu)
         mu_nan[1, 0, 1] = np.nan
-        assert np.isnan(floors(w, nodes, mu_nan, margin)).all()
-        return seen[-1][1]
+        assert np.isnan(floors(coords, nodes, mu_nan, margin)).all()
+        return lo
 
     monkeypatch.setattr(lmi, "_concave_floors", recording)
     robust_psd_grid("M", omega, GridSpec(plane))
@@ -582,6 +598,69 @@ def test_robust_floor_is_below_every_cell(monkeypatch, omega, plane):
     corner = np.all([np.isin(w[:, j], ends[j]) for j in range(3)], axis=0)
     assert corner.sum() == np.prod([len(set(e)) for e in ends])
     assert np.all(lo[corner] >= low[corner] - 2 * margin)
+
+
+BOX_FLOOR_GRIDS = FLOOR_OMEGAS + [
+    ONE_NODE_AXIS, GridSpec.cube(2.0, 4.0, 41, 3),
+    GridSpec((Axis(-2.0, 3.0, 6), Axis(1.0, 4.0, 4), Axis(-1.0, 2.0, 5))),
+    GridSpec.cube(-1e6, 1e6, 5, 3), GridSpec.cube(0.0, 1e-100, 3, 3),
+    GridSpec.cube(2.0, 1e50, 3, 3), GridSpec.cube(2.0, 1e51, 3, 3)]
+
+
+@pytest.mark.parametrize("grid", BOX_FLOOR_GRIDS)
+def test_box_floor_is_below_every_cell(grid):
+    # Each box row's vertex floor at a d1 node lies strictly below every
+    # value of the row on that node's (d2, d3) plane, as the scan computes
+    # it, and within twice its margin of the least vertex value.  It is NaN
+    # exactly where the row need not be concave in d2 and in d3 (chi1 where
+    # a d3 node is < 0, chi2 where d1 < 0) or where the term bound S = 12 +
+    # 6 D + 3 D^2 + D^3, D = max(1, |d|), exceeds 1e150.
+    d1, d2, d3 = grid.node_arrays()
+    with np.errstate(over="ignore", invalid="ignore"):
+        floors = lmi._box_floors(d1, (d2, d3))
+        values = box_inequalities(d1[:, None, None], d2[:, None], d3)
+    plane = max(1.0, np.abs(d2).max(), np.abs(d3).max())
+    big = np.maximum(plane, np.abs(d1))
+    huge = 12.0 + 6.0 * big + 3.0 * big ** 2 + big ** 3 > 1e150
+    bent = {"chi1": np.full(d1.shape, d3.min() < 0.0), "chi2": d1 < 0.0}
+    for name, lo, v in zip(lmi.BoxValues._fields, floors, values):
+        np.testing.assert_array_equal(
+            np.isnan(lo), huge | bent.get(name, False), name)
+        ok = ~np.isnan(lo)
+        low = v.reshape(len(d1), -1).min(axis=1)
+        assert np.all(lo[ok] < low[ok]), name
+        ends = v[:, [0, -1]][:, :, [0, -1]].reshape(len(d1), -1).min(axis=1)
+        margin = 2.0 ** -48 * (12.0 + 6.0 * big + 3.0 * big ** 2 + big ** 3)
+        assert np.all(lo[ok] >= ends[ok] - 2.0 * margin[ok]), name
+
+
+@pytest.mark.parametrize("omega, ab, size", [
+    (OMEGA_GRID_DEFAULT, AB_GRID_DEFAULT, 4096),
+    (OMEGA_GRID_DEFAULT, AB_GRID_DEFAULT, 1),
+    (GridSpec.cube(2.5, 4.0, 41, 3), GridSpec.cube(-1.0, 1.0, 81, 2), 4096),
+    (HUGE_OMEGA, GridSpec.cube(-1.0, 1.0, 3, 2), 4096),
+    (ONE_NODE_AXIS, GridSpec.cube(-1.0, 1.0, 9, 2), 4096),
+    (ONE_NODE_AXIS, GridSpec.cube(-1.0, 1.0, 9, 2), 1),
+    (GridSpec.cube(-3.0, 4.5, 7, 3), GridSpec.cube(-1.0, 1.0, 5, 2), 7),
+])
+def test_screened_corner_pass_is_the_unscreened_pass(monkeypatch, omega, ab,
+                                                     size):
+    # The corner minima mu, bit for bit those of eigensolving every node of
+    # the corner planes (NaN where the entry bound fails, as on HUGE_OMEGA),
+    # while the corners' seeds screen the planes.
+    monkeypatch.setattr(lmi, "_BLOCK", size)
+    nodes = omega.node_arrays()
+    plane = tuple(lmi._folded(ax) for ax in ab.axes)
+    buf = np.empty((3, 3, size))
+    bound = _scan_margin(omega, plane) / lmi.PSD_EPS
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = lmi._corner_minima(nodes, plane, buf, bound)
+        monkeypatch.setattr(linalg, "cholesky_clears",
+                            lambda entries, shift: np.zeros(entries.shape[2],
+                                                            dtype=bool))
+        want = lmi._corner_minima(nodes, plane, buf, bound)
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(got).all() == (omega is HUGE_OMEGA)
 
 
 FLOOR_TINY_HUGE = [GridSpec.cube(0.0, 1e-100, 3, 3),
@@ -740,6 +819,18 @@ def test_floors_skip_at_the_default_grids(monkeypatch):
     assert robust_psd_grid("M").passed
     # every omega cell but the minimum's
     assert sum(skipped) == OMEGA_GRID_DEFAULT.cells - 1
+    # the box check evaluates its 8 corners, the 4 plane vertices of each of
+    # the 41 d1 nodes, and the 41 x 41 planes of d1 = 2 (chi1, psi) and
+    # d1 = 4 (chi2, chi3, chi4 and psi's third tie) alone
+    box, cells = lmi.box_inequalities, []
+
+    def evaluating(d1, d2, d3):
+        cells.append(np.broadcast(d1, d2, d3).size)
+        return box(d1, d2, d3)
+
+    monkeypatch.setattr(lmi, "box_inequalities", evaluating)
+    assert box_inequality_grid_check().passed
+    assert cells == [8, 4 * 41, 41 * 41, 41 * 41]
     # the detm scan computes coefficients at the 8 corners of the omega box
     # and at the omega cells no floor clears: 44 of the 9,261
     coefs, seen = lmi.det_m_alpha_coefs, []
@@ -754,8 +845,6 @@ def test_floors_skip_at_the_default_grids(monkeypatch):
 
 
 # --- non-finite cells --------------------------------------------------------
-
-HUGE_OMEGA = GridSpec.cube(2.0, 1e155, 3, 3)
 
 
 def test_worst_takes_the_first_nan_cell():
