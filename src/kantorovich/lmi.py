@@ -12,7 +12,7 @@ of node arrays (:func:`_blocks`), in memory that does not grow with the
 grid: a row skips an outer cell whose floor reaches its running minimum or
 lies above its least corner value, by the box rows' vertex minima
 (docs/proofs.md#box-floor), the concavity of lambda_min m in omega
-(docs/proofs.md#concavity-floor) or the det m coefficients' term signs
+(docs/proofs.md#concavity-floor) or the det m coefficients' terms in t
 (docs/proofs.md#detm-floors), with the report of evaluating every cell.
 """
 
@@ -213,10 +213,10 @@ def _floored_scan(outer: tuple[np.ndarray, ...], least, floors, evaluate,
     none).  ``floors(coords, w)``: per row, at a block's outer cells (their
     rows ``w``), a floor at or below each cell's values as computed.  A row
     skips a cell whose floor reaches min(running minimum, next float above
-    ``least``).  ``evaluate(cells, index, lo, gates)`` feeds the trackers
-    every value of the kept outer cells (n, len(outer)), of flat indices
-    ``index`` and floors ``lo``, in C order: one cell first, to set a
-    running minimum, then ``size`` at a time."""
+    ``least``), its gate.  ``evaluate(cells, index, gates)`` feeds the
+    trackers every value of the kept outer cells (n, len(outer)), of flat
+    indices ``index``, in C order: one cell first, to set a running
+    minimum, then ``size`` at a time."""
     # nextafter: a floor skips at >= the float above ``least``, that is, > it
     above = [float(np.nextafter(v, math.inf)) for v in least]
     for first, coords in _blocks(outer, _BLOCK):
@@ -232,8 +232,7 @@ def _floored_scan(outer: tuple[np.ndarray, ...], least, floors, evaluate,
             todo = np.flatnonzero(keep)
             batch, todo, n = todo[:n], todo[n:], size
             if batch.size:
-                evaluate(w[batch], first + batch, [rl[batch] for rl in lo],
-                         gates)
+                evaluate(w[batch], first + batch, gates)
 
 
 def _plane_scan(outer: tuple[np.ndarray, ...], plane: tuple[np.ndarray, ...],
@@ -244,7 +243,7 @@ def _plane_scan(outer: tuple[np.ndarray, ...], plane: tuple[np.ndarray, ...],
     per_plane = math.prod(map(len, plane))
     runs = list(_blocks(plane, _BLOCK))
 
-    def evaluate(cells, index, lo, gates):
+    def evaluate(cells, index, gates):
         for p_first, coords in runs:
             for worst, v in zip(trackers, rows(cells, coords, gates)):
                 _feed(worst, v, index * per_plane + p_first)
@@ -477,29 +476,31 @@ _DETM_ROWS = {
 def _coef_floors(w: np.ndarray, t0, t1) -> tuple[np.ndarray, ...]:
     """(c0, c2, c4, c6, big) per omega row of ``w`` (..., 3): floors of c0,
     c2, c4 as :func:`forms.det_m_alpha_coefs` computes them at every beta
-    node with t = beta^2 in [t0, t1], c6, and ``big`` >= 2|c2| + 24|c4| +
-    360|c6| there; a term k t^p >= min(k t0^p, k t1^p), c0 the product of
-    its factors' floors if both >= 0, else -inf; NaN out of range
-    (docs/proofs.md#detm-floors)."""
+    node with t = beta^2 in [t0, t1], each a polynomial in t whose terms k
+    t^p are floored at min(k t0^p, k t1^p), c6, and ``big`` >= 2|c2| +
+    24|c4| + 360|c6| there; NaN out of range (docs/proofs.md#detm-floors)."""
     q, a, b, c, d, e, c6 = det_m_t_polys(w)
     w1, w2, w3 = np.moveaxis(w, -1, 0)
-    tt0, tt1, s, h = t0 * t0, t1 * t1, np.maximum(1.0, t1), 0.5 * w2
+    s, h = np.maximum(1.0, t1), 0.5 * w2
+    tp = ((t0, t1), (t0 * t0, t1 * t1), (t0 * t0 * t0, t1 * t1 * t1))
 
-    def low(k, p0, p1):
-        return np.minimum(k * p0, k * p1)
+    def floor(k0, *k):  # k0 + sum_p min(k_p t0^p, k_p t1^p), left to right
+        return sum((np.minimum(kp * x, kp * y)
+                    for kp, (x, y) in zip(k, tp)), k0)
 
     s2 = 0.375 * (np.abs(a) * (s * s) + 6.0 * np.abs(b) * s
                   + sum(map(np.abs, c)))
     s4 = 0.375 * (np.abs(d) * s + sum(map(np.abs, e)))
-    c2 = (-0.375 * (c[0] + c[1] + c[2]) + low(-2.25 * b, t0, t1)
-          + low(-0.375 * a, tt0, tt1) - _margin(s2))
-    c4 = (-0.375 * (e[0] + e[1] + e[2]) + low(-0.375 * d, t0, t1)
-          - _margin(s4))
-    f1, f2 = w1 + low(w3, t0, t1), h + low(q, t0, t1) + low(h, tt0, tt1)
+    c2 = (floor(-0.375 * (c[0] + c[1] + c[2]), -2.25 * b, -0.375 * a)
+          - _margin(s2))
+    c4 = floor(-0.375 * (e[0] + e[1] + e[2]), -0.375 * d) - _margin(s4)
+    # c0 = 1.5 (w1 + w3 t)(h + q t + h t^2), expanded
     u1, u2 = np.abs(w1) + np.abs(w3) * s, (np.abs(h) * (1.0 + s * s)
                                            + np.abs(q) * s)
-    c0 = (np.where((f1 >= 0.0) & (f2 >= 0.0), 1.5 * f1 * f2, -math.inf)
-          - _margin(1.5 * u1 * u2, _TINY * (1.0 + u1 + u2)))
+    h1, h3 = w1 * h, w3 * h
+    tiny = _TINY * (1.0 + s * s * s) * (1.0 + u1 + u2)
+    c0 = (1.5 * floor(h1, w1 * q + h3, h1 + w3 * q, h3)
+          - _margin(1.5 * u1 * u2, tiny))
     return c0, c2, c4, c6, 2.0 * s2 + 24.0 * s4 + 360.0 * np.abs(c6)
 
 
@@ -513,34 +514,6 @@ def _detm_floors(c0, c2, c4, c6, big) -> tuple[np.ndarray, ...]:
     return (2.0 * c2 + 12.0 * n4 + 30.0 * n6 - margin,
             24.0 * c4 + 360.0 * n6 - margin,
             np.minimum(0.0, c2 + n4 + n6 - margin), c0)
-
-
-def _detm_scan(omega: tuple[np.ndarray, ...], least, span, betas, a2, a4,
-               trackers: list) -> None:
-    """:func:`_floored_scan` of the detm rows on ``omega`` x beta x alpha:
-    omega cells floored over the t interval ``span``, (omega, beta) cells
-    by the larger of that and their own, alpha nodes in _BLOCK chunks."""
-    nb = len(betas)
-
-    def evaluate(w, index, lo, gates):
-        c = [x.reshape(-1) for x in np.broadcast_arrays(
-            *det_m_alpha_coefs(w[:, None, :], betas))]
-        big = 2.0 * np.abs(c[1]) + 24.0 * np.abs(c[2]) + 360.0 * np.abs(c[3])
-        cells = (index[:, None] * nb + np.arange(nb)).reshape(-1)
-        # a row's gate moves only while that row is evaluated
-        for (name, row), worst, rl, cl, g in zip(
-                _DETM_ROWS.items(), trackers, lo, _detm_floors(*c, big),
-                gates):
-            kept = _unscreened(np.fmax(np.repeat(rl, nb), cl), g)
-            cols = 1 if name == "detm_alpha0" else a2.size
-            for k in range(0, kept.size, max(1, _BLOCK // cols)):
-                idx = kept[k:k + max(1, _BLOCK // cols)]
-                _feed(worst, row(*(x[idx, None] for x in c), a2, a4),
-                      cells[idx] * cols)
-
-    _floored_scan(omega, least,
-                  lambda c, w: _detm_floors(*_coef_floors(w, *span)),
-                  evaluate, trackers, max(1, _BLOCK // nb))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -558,23 +531,49 @@ def detm_alpha_convexity_check(omega_grid: GridSpec = OMEGA_GRID_DEFAULT,
     detm_min_at_zero = a^2 (c2 + c4 a^2 + c6 a^4)     (det m - det m at 0)
 
     and detm_alpha0 = c0 per (omega, beta) cell; each must be >= -GRID_TOL.
-    Worst cells are (w1, w2, w3, beta[, alpha]).  The omega corners are
-    scanned first (:func:`_detm_scan`), for each row's least corner value,
-    then the grid; the report is that of evaluating every cell.
+    Worst cells are (w1, w2, w3, beta[, alpha]).  The rows' least values
+    at the 8 omega corners come first; then a :func:`_floored_scan` floors
+    each omega cell over the beta axis's t range, and each kept (omega,
+    beta) cell by its own coefficients, with the report of evaluating all.
     """
     if omega_grid.ndim != 3 or beta_grid.ndim != 1:
         raise ValueError("omega grid needs 3 axes and beta grid 1")
     alpha_nodes = Axis(-1.0, 1.0, alpha_count).nodes()
     a2 = alpha_nodes ** 2
-    omega = omega_grid.node_arrays()
-    betas = beta_grid.axes[0].nodes()
-    scan = (tuple(np.sort(betas ** 2)[[0, -1]]), betas, a2, a2 * a2)
-    mins = [FirstMin() for _ in _DETM_ROWS]
-    _detm_scan(_ends(omega), [math.inf] * len(mins), *scan, mins)
+    omega, betas = omega_grid.node_arrays(), beta_grid.axes[0].nodes()
+    nb, a4, span = len(betas), a2 * a2, tuple(np.sort(betas ** 2)[[0, -1]])
+    # values per (omega, beta) cell, cells per run of at most _BLOCK values
+    cols = [1 if name == "detm_alpha0" else a2.size for name in _DETM_ROWS]
+    steps = [max(1, _BLOCK // n) for n in cols]
+
+    def coefs(w):  # c0, c2, c4, c6 at the omega rows w x betas, (cells, 1)
+        return [x.reshape(-1, 1) for x in np.broadcast_arrays(
+            *det_m_alpha_coefs(w[:, None, :], betas))]
+
+    c = coefs(_cells(np.ix_(*_ends(omega))).reshape(-1, 3))
+    least = [np.min([row(*(x[k:k + step] for x in c), a2, a4).min()
+                     for k in range(0, len(c[0]), step)])
+             for row, step in zip(_DETM_ROWS.values(), steps)]
     trackers = [FirstMin() for _ in _DETM_ROWS]
-    _detm_scan(omega, [m.value for m in mins], *scan, trackers)
+
+    def evaluate(w, index, gates):
+        c = coefs(w)
+        big = 2.0 * np.abs(c[1]) + 24.0 * np.abs(c[2]) + 360.0 * np.abs(c[3])
+        cells = (index[:, None] * nb + np.arange(nb)).reshape(-1)
+        # a row's gate moves only while that row is evaluated
+        for row, n, step, worst, lo, g in zip(
+                _DETM_ROWS.values(), cols, steps, trackers,
+                _detm_floors(*c, big), gates):
+            kept = _unscreened(lo, g)
+            for k in range(0, kept.size, step):
+                i = kept[k:k + step]
+                _feed(worst, row(*(x[i] for x in c), a2, a4), cells[i] * n)
+
+    _floored_scan(omega, least,
+                  lambda coords, w: _detm_floors(*_coef_floors(w, *span)),
+                  evaluate, trackers, max(1, _BLOCK // nb))
     nodes = omega + (betas,)
-    cells = omega_grid.cells * beta_grid.cells
     return _summary(_report(name, w, nodes if name == "detm_alpha0"
-                            else nodes + (alpha_nodes,), cells)
+                            else nodes + (alpha_nodes,),
+                            omega_grid.cells * beta_grid.cells)
                     for name, w in zip(_DETM_ROWS, trackers))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -725,6 +726,8 @@ def test_detm_omega_floors_are_below_every_node(omega, beta):
         np.testing.assert_array_equal(np.isnan(lo), huge[name], name)
         ok = ~np.isnan(lo)
         assert np.all(lo[ok] <= v[ok].min(axis=1)), name
+        # finite wherever in range: no factor's sign sends c0's floor to -inf
+        assert np.all(np.isfinite(lo[ok])), name
 
 
 def _exact_coef_floor(k, t0, t1):
@@ -735,10 +738,10 @@ def _exact_coef_floor(k, t0, t1):
 def test_detm_coef_floors_exact():
     # In Fraction arithmetic, on omega and beta nodes with few bits (so that
     # det_m_t_polys computes its parts exactly): the parts give det m at
-    # every alpha; each sign-split coefficient floor, the product floor of
-    # c0 and each row floor is at or below its value at every t in [t0, t1]
-    # and a2 in [0, 1]; and the computed floors lie below the exact ones,
-    # by at most twice their margins.
+    # every alpha; each termwise coefficient floor (c0 expanded into a cubic
+    # in t) and each row floor is at or below its value at every t in [t0,
+    # t1] and a2 in [0, 1]; and the computed floors lie below the exact
+    # ones, by at most twice their margins.
     gen = np.random.default_rng(35)
     F = Fraction
     for _ in range(300):
@@ -749,19 +752,20 @@ def test_detm_coef_floors_exact():
             tuple(F(float(y)) for y in x) if isinstance(x, tuple)
             else F(float(x)) for x in forms.det_m_t_polys(w))
         w1, w2, w3 = (F(float(x)) for x in w)
+        h, s = w2 / 2, max(F(1), t1)
         k2 = (-F(3, 8) * sum(c), -F(9, 4) * b, -F(3, 8) * a)
         k4 = (-F(3, 8) * sum(e), -F(3, 8) * d)
-        f1, f2 = (w1, w3), (w2 / 2, q, w2 / 2)
-        lo = [_exact_coef_floor(k, t0, t1) for k in (k2, k4, f1, f2)]
+        k0 = tuple(F(3, 2) * k for k in (w1 * h, w1 * q + w3 * h,
+                                         w1 * h + w3 * q, w3 * h))
+        lo = [_exact_coef_floor(k, t0, t1) for k in (k2, k4, k0)]
+        u1, u2 = abs(w1) + abs(w3) * s, abs(h) * (1 + s * s) + abs(q) * s
+        margin0 = (F(3, 2) * u1 * u2 / 2 ** 48
+                   + (1 + s ** 3) * (1 + u1 + u2) / F(2) ** 1000)
         got = lmi._coef_floors(w, float(t0), float(t1))
         assert F(float(got[1])) <= lo[0] <= F(float(got[1])) + 2 * (
             F(float(got[4])) / 2 ** 47)
         assert F(float(got[2])) <= lo[1]
-        floor0 = (F(3, 2) * lo[2] * lo[3]
-                  if lo[2] >= 0 and lo[3] >= 0 else None)
-        assert (floor0 is None) == (float(got[0]) == -math.inf)
-        if floor0 is not None:
-            assert F(float(got[0])) <= floor0
+        assert F(float(got[0])) <= lo[2] <= F(float(got[0])) + 2 * margin0
         g2 = 2 * lo[0] + 12 * min(lo[1], 0) + 30 * min(c6, 0)
         g4 = 24 * lo[1] + 360 * min(c6, 0)
         g0 = min(0, lo[0] + min(lo[1], 0) + min(c6, 0))
@@ -770,8 +774,7 @@ def test_detm_coef_floors_exact():
             c2v, c4v = (sum(kp * t ** p for p, kp in enumerate(k))
                         for k in (k2, k4))
             c0v = F(3, 2) * (w1 + w3 * t) * (w2 / 2 + q * t + w2 / 2 * t * t)
-            assert lo[0] <= c2v and lo[1] <= c4v
-            assert floor0 is None or floor0 <= c0v
+            assert lo[0] <= c2v and lo[1] <= c4v and lo[2] <= c0v
             for al in (F(0), F(1, 3), F(-3, 4), F(1)):
                 a2 = al * al
                 m = [[3 + w1 * a2 / 2 + w2 * t / 2, w1 * al, w2 * F(y)],
@@ -814,6 +817,46 @@ def test_detm_scan_finds_a_minimum_off_the_corners(monkeypatch, size, omega,
     assert [_key(r) for r in got.reports] == [_key(r) for r in want.reports]
 
 
+def _corner_least(omega, beta, alpha_count):
+    """Each detm row's least value over the 8 omega corners x beta x alpha
+    nodes, one corner and beta node at a time (NaN if any value is)."""
+    a2 = Axis(-1.0, 1.0, alpha_count).nodes() ** 2
+    a4 = a2 * a2
+    values = {name: [] for name in lmi._DETM_ROWS}
+    ends = (sorted({ax.lo, ax.hi}) for ax in omega.axes)
+    for corner, be in itertools.product(itertools.product(*ends),
+                                        beta.axes[0].nodes()):
+        with np.errstate(all="ignore"):
+            c0, c2, c4, c6 = det_m_alpha_coefs(np.array(corner), be)
+            values["detm_d2"].append(2.0 * c2 + 12.0 * c4 * a2
+                                     + 30.0 * c6 * a4)
+            values["detm_d4"].append(24.0 * c4 + 360.0 * c6 * a2)
+            values["detm_min_at_zero"].append(a2 * (c2 + c4 * a2 + c6 * a4))
+            values["detm_alpha0"].append(np.array([c0]))
+    return [float(np.min(np.concatenate(v))) for v in values.values()]
+
+
+@pytest.mark.parametrize("omega", [OMEGA_GRID_DEFAULT, HUGE_OMEGA,
+                                   ONE_NODE_AXIS]
+                         + [g for g, _ in OFF_CORNER_DETM])
+def test_detm_least_is_the_corner_minimum(monkeypatch, omega):
+    # the least corner value that gates the detm scan is, bit for bit, each
+    # row's minimum over the corners evaluated one by one: a value the grid
+    # attains, or NaN where a corner value is
+    beta = GridSpec.cube(-1.0, 1.0, 7, 1)
+    scan, seen = lmi._floored_scan, []
+
+    def recording(outer, least, *rest):
+        seen.append([float(v) for v in least])
+        return scan(outer, least, *rest)
+
+    monkeypatch.setattr(lmi, "_floored_scan", recording)
+    detm_alpha_convexity_check(omega, beta, alpha_count=9)
+    want = _corner_least(omega, beta, 9)
+    assert [[v.hex() for v in x] for x in seen] == [[v.hex() for v in want]]
+    assert all(map(math.isnan, want)) == (omega is HUGE_OMEGA)
+
+
 def test_floors_skip_at_the_default_grids(monkeypatch):
     skipped = _count_floor_skips(monkeypatch)
     assert robust_psd_grid("M").passed
@@ -832,16 +875,26 @@ def test_floors_skip_at_the_default_grids(monkeypatch):
     assert box_inequality_grid_check().passed
     assert cells == [8, 4 * 41, 41 * 41, 41 * 41]
     # the detm scan computes coefficients at the 8 corners of the omega box
-    # and at the omega cells no floor clears: 44 of the 9,261
+    # and at the omega cells no floor clears: 23 of the 9,261; it floors
+    # each block of omega cells once, and never the corners alone
     coefs, seen = lmi.det_m_alpha_coefs, []
+    coef_floors, floored = lmi._coef_floors, []
 
     def counting(omega, beta):
         seen.append(np.shape(omega)[0])
         return coefs(omega, beta)
 
+    def flooring(w, t0, t1):
+        floored.append(len(w))
+        return coef_floors(w, t0, t1)
+
     monkeypatch.setattr(lmi, "det_m_alpha_coefs", counting)
+    monkeypatch.setattr(lmi, "_coef_floors", flooring)
     assert detm_alpha_convexity_check().passed
-    assert 8 < sum(seen) <= 8 + 50
+    assert sum(seen) == 8 + 23
+    omega = OMEGA_GRID_DEFAULT.node_arrays()
+    assert floored == [lmi._cells(coords)[..., 0].size
+                       for _, coords in lmi._blocks(omega, lmi._BLOCK)]
 
 
 # --- non-finite cells --------------------------------------------------------
