@@ -858,6 +858,28 @@ def test_analyze_lambda_max_beyond_float_range_exits_64(tmp_path):
     assert len(res.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("text, code, err", [
+    ("2\n1e308 9e307\n9e307 1e308\n", 64,
+     "error: lambda_max is beyond the float range (above 1.797693e+308)\n"),
+    ("2\n9e307 8.1e307\n8.1e307 9e307\n", 1, ""),
+    ("1\n1e-308\n", 64,
+     "error: lambda_min 1.000000e-308 is too small: the inverse overflows\n"),
+    ("2\n1e-308 0\n0 6e-308\n", 64,
+     "error: lambda_min 1.000000e-308 is too small: the inverse overflows\n"),
+    ("1\n1.2e-308\n", 0, ""),
+    ("2\n2e-308 0\n0 1.2e-307\n", 1, ""),
+    ("0\n", 64, "error: expected a square matrix, got shape (0,)\n"),
+], ids=["beyond", "top", "inverse-overflows-1d", "inverse-overflows-2d",
+        "inverse-finite-1d", "inverse-finite-2d", "empty"])
+def test_analyze_at_the_edges_of_the_float_range(tmp_path, text, code, err):
+    # Each exit code with its one stderr line, in a fresh interpreter: no
+    # RuntimeWarning and no traceback.
+    p = tmp_path / "edge.txt"
+    p.write_text(text)
+    res = run_cli("analyze", str(p))
+    assert (res.returncode, res.stderr) == (code, err)
+
+
 def test_kantorovich_bound_zero_point_exits_64(diag16):
     res = run_cli("kantorovich-bound", diag16, "--point", "0,0")
     assert res.returncode == 64
