@@ -8,7 +8,9 @@ and in the gap between the thresholds scans that check and reports it.
 certify the supporting inequalities on their compact parameter boxes.
 
 Everything else lives in the submodules (``kantorovich.classify``,
-``kantorovich.lmi``, ...).
+``kantorovich.lmi``, ...).  ``import kantorovich`` loads ``classify``,
+``linalg`` and ``plan``, and no numpy; the other submodules, and numpy with
+them, load on first use.
 """
 
 import importlib
@@ -16,14 +18,16 @@ import importlib
 # ``classify`` stays eager: a lazy submodule of that name would shadow it.
 from .classify import (Certificate, Status, classify, falsify,
                        necessary_probe)
-from .forms import DeltaVector, delta_from_spd, h_form, m_form
 from .linalg import MatrixValidationError, min_eigenvalue, validate_spd
-from .sampling import DEFAULT_PLAN, SamplePlan
+from .plan import DEFAULT_PLAN, SamplePlan
 
 __version__ = "0.1.0"
 
-# Imported on first access, so ``analyze`` never loads them: name -> module.
+# Imported on first access, so an ``analyze`` that does not scan never
+# loads them: name -> module.
 _LAZY = {
+    "forms": "forms", "DeltaVector": "forms", "delta_from_spd": "forms",
+    "h_form": "forms", "m_form": "forms", "sampling": "sampling",
     "boundary": "boundary", "EigenFamily": "boundary",
     "probe_boundary": "boundary",
     "function": "function", "f_hessian": "function", "fd_hessian": "function",

@@ -13,6 +13,9 @@ Decision ladder, in order:
    >= -2e-12 at every unit y, far inside the scan tolerance
    (docs/proofs.md#pair-term-identity).
 
+Rungs 1, 3 and 4 read kappa alone and load no numpy; rungs 2 and 5 bind
+the scan's functions on first use (:func:`_bind_scan`), which loads numpy.
+
 Rung 2's witness is the probe row scanned alone (:func:`sampling.scan_h`),
 attached wherever its value is negative; :func:`probe_witness`, the judge
 of ``boundary``, keeps it only where the scan reports a violation.
@@ -27,16 +30,20 @@ to sit exactly on a boundary classifies with the boundary, not against it.
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .forms import DeltaVector, delta_from_spd
 from .linalg import SpdMatrix
-from .sampling import (DEFAULT_PLAN, SamplePlan, SampleReport,
-                       probe_directions, scan_design, scan_h)
+from .plan import DEFAULT_PLAN, SamplePlan
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .forms import DeltaVector
+    from .sampling import SampleReport
 
 __all__ = [
     "KAPPA_NECESSARY", "KAPPA_SUFFICIENT_ANY", "KAPPA_SUFFICIENT_3D",
@@ -53,6 +60,28 @@ KAPPA_SUFFICIENT_3D = 2.0 + math.sqrt(3.0)
 
 # kappa equal to a threshold within this relative slack counts as meeting it.
 BOUNDARY_REL_TOL = 1e-12
+
+# The scan's functions, by home module.  Importing them loads numpy, so they
+# are bound in this module's namespace by the first rung that scans, and are
+# looked up here at each call (where a test may replace them).
+_SCAN_NAMES = {"delta_from_spd": "forms", "probe_directions": "sampling",
+               "scan_design": "sampling", "scan_h": "sampling"}
+
+
+def _bind_scan() -> None:
+    """Bind each name of ``_SCAN_NAMES`` not bound yet."""
+    for name, module in _SCAN_NAMES.items():
+        if name not in globals():
+            home = importlib.import_module(f".{module}", __package__)
+            globals()[name] = getattr(home, name)
+
+
+def __getattr__(name):
+    # PEP 562: a scan name read from outside before any rung has scanned.
+    if name not in _SCAN_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_scan()
+    return globals()[name]
 
 
 class Status(str, Enum):
@@ -87,6 +116,7 @@ class Witness:
     lambda_min: float
 
     def __post_init__(self):
+        import numpy as np
         p = np.asarray(self.point, dtype=float)
         p.setflags(write=False)
         object.__setattr__(self, "point", p)
@@ -118,6 +148,7 @@ def falsify(spd: SpdMatrix, plan: SamplePlan = DEFAULT_PLAN) -> Witness | None:
     """One scan of the probe + design rows (:func:`sampling.scan_design`)
     for a direction where hess f is not PSD: the report's first worst row y
     as x = U' y, with its worst value; ``plan.refine_rounds`` unread."""
+    _bind_scan()
     rep = scan_design(delta_from_spd(spd), plan)
     if rep.passed:
         return None
@@ -129,8 +160,9 @@ def _probe(spd: SpdMatrix, delta: DeltaVector) -> tuple[Witness, bool]:
     """The extreme-pair probe (e_i + e_j)/sqrt(2), scanned as one row: row
     2k of :func:`sampling.probe_directions`, k the first argmax of delta
     (the pair that :meth:`DeltaVector.max_pair` names), as a witness with
-    the scan's violation flag (value below -tolerance)."""
-    k = int(np.argmax(delta.values))
+    the scan's violation flag (value below -tolerance).  Its callers bind
+    the scan's functions."""
+    k = int(delta.values.argmax())
     y = probe_directions(spd.dim)[2 * k:2 * k + 1]
     res = scan_h(delta, y)
     return (Witness(point=spd.spectral.rotation.T @ y[0],
@@ -140,6 +172,7 @@ def _probe(spd: SpdMatrix, delta: DeltaVector) -> tuple[Witness, bool]:
 def probe_witness(spd: SpdMatrix, delta: DeltaVector) -> Witness | None:
     """The probe row's witness where its scan reports a violation, else
     None: the judge of each ``boundary`` step."""
+    _bind_scan()
     witness, violation = _probe(spd, delta)
     return witness if violation else None
 
@@ -158,12 +191,11 @@ def classify(spd: SpdMatrix,
     if n == 1:
         return verdict(Status.CONVEX, Certificate.SUFFICIENT_ANY_DIM)
 
-    delta = delta_from_spd(spd)
-
     if kappa > KAPPA_NECESSARY * inc:
         # kappa decided the verdict: a negative probe value is a witness,
         # even within the scan tolerance of 0
-        witness, violation = _probe(spd, delta)
+        _bind_scan()
+        witness, violation = _probe(spd, delta_from_spd(spd))
         keep = violation or witness.lambda_min < 0.0
         return verdict(Status.NOT_CONVEX, Certificate.NECESSARY_VIOLATED,
                        witness=witness if keep else None)
@@ -174,5 +206,6 @@ def classify(spd: SpdMatrix,
     if kappa <= KAPPA_SUFFICIENT_ANY * inc:
         return verdict(Status.CONVEX, Certificate.SUFFICIENT_ANY_DIM)
 
+    _bind_scan()
     return verdict(Status.UNDETERMINED, Certificate.SAMPLING_EXHAUSTED,
-                   report=scan_design(delta, plan))
+                   report=scan_design(delta_from_spd(spd), plan))

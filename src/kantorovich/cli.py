@@ -14,14 +14,12 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .classify import (KAPPA_NECESSARY, KAPPA_SUFFICIENT_3D,
                        KAPPA_SUFFICIENT_ANY, Status, classify)
-from .forms import DeltaVector, delta_from_spd, pair_indices
-from .linalg import MAX_DIM, MatrixValidationError, validate_spd
-from .sampling import MAX_SAMPLES, SamplePlan, scan_design
-# boundary, function and lmi are imported by the commands that run them.
+from .linalg import MAX_DIM, MatrixValidationError, pair_indices, validate_spd
+from .plan import MAX_SAMPLES, SamplePlan
+# numpy, and the modules that import it, are imported by the commands and
+# rungs that run them: an analyze that kappa decides loads none of them.
 
 EXIT_CONVEX = 0
 EXIT_NOT_CONVEX = 1
@@ -40,7 +38,8 @@ _STATUS_EXIT = {
 # matrix files
 # ---------------------------------------------------------------------------
 
-def parse_matrix_text(text: str) -> np.ndarray:
+def parse_matrix_text(text: str) -> list[list[float]]:
+    """The rows of a plain-text matrix file, as Python floats."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix file")
@@ -62,10 +61,11 @@ def parse_matrix_text(text: str) -> np.ndarray:
         if len(row) != n:
             raise ValueError(f"row {ln!r} does not have {n} entries")
         rows.append(row)
-    return np.asarray(rows)
+    return rows
 
 
-def parse_matrix_json(text: str) -> np.ndarray:
+def parse_matrix_json(text: str) -> list[list[float]]:
+    """The rows of a JSON matrix file, as Python floats."""
     try:
         obj = json.loads(text)
     except RecursionError:  # arrays or objects nested too deep to decode
@@ -82,12 +82,13 @@ def parse_matrix_json(text: str) -> np.ndarray:
     if len(entries) != n * n:
         raise ValueError(f"entries must hold {n * n} numbers row-major")
     try:
-        return np.array(entries, dtype=float).reshape(n, n)
+        values = [float(v) for v in entries]
     except OverflowError:  # an integer literal beyond the float range
         raise ValueError("matrix has non-finite entries") from None
+    return [values[i:i + n] for i in range(0, n * n, n)]
 
 
-def read_matrix_file(path: str) -> np.ndarray:
+def read_matrix_file(path: str) -> list[list[float]]:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if path.endswith(".json") or text.lstrip().startswith("{"):
@@ -95,7 +96,8 @@ def read_matrix_file(path: str) -> np.ndarray:
     return parse_matrix_text(text)
 
 
-def _parse_floats(text: str, what: str) -> np.ndarray:
+def _parse_floats(text: str, what: str):
+    import numpy as np
     try:
         return np.asarray([float(tok) for tok in text.split(",")])
     except ValueError:
@@ -106,11 +108,9 @@ def _parse_floats(text: str, what: str) -> np.ndarray:
 # report rendering
 # ---------------------------------------------------------------------------
 
-def _delta_lines(delta: DeltaVector) -> list[str]:
-    return [
-        f"  ({i + 1},{j + 1}) = {float(v)!r}"
-        for (i, j), v in zip(pair_indices(delta.dim), delta.values)
-    ]
+def _delta_lines(delta) -> list[str]:
+    """``delta``: ((i, j), delta_ij) in pair order."""
+    return [f"  ({i + 1},{j + 1}) = {v!r}" for (i, j), v in delta]
 
 
 def _threshold_lines() -> list[str]:
@@ -182,15 +182,14 @@ def cmd_analyze(args) -> int:
     spd = validate_spd(read_matrix_file(args.matrix))
     plan = _plan_from_args(args)
     verdict = classify(spd, plan)
-    delta = delta_from_spd(spd)
+    # the Python floats that forms.delta_from_spd wraps
+    delta = list(zip(pair_indices(spd.dim), spd.ratio_sums()))
     if args.format == "json":
         out = {
             "dim": spd.dim,
-            "kappa": float(spd.kappa),
-            "delta": [
-                {"i": i + 1, "j": j + 1, "value": float(v)}
-                for (i, j), v in zip(pair_indices(delta.dim), delta.values)
-            ],
+            "kappa": spd.kappa,
+            "delta": [{"i": i + 1, "j": j + 1, "value": v}
+                      for (i, j), v in delta],
             "thresholds": {"necessary": KAPPA_NECESSARY,
                            "sufficient_any": KAPPA_SUFFICIENT_ANY,
                            "sufficient_3d": KAPPA_SUFFICIENT_3D},
@@ -306,6 +305,8 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_lmi(args) -> int:
+    from .forms import DeltaVector
+    from .sampling import scan_design
     if not 2 <= args.dim <= MAX_DIM:
         raise ValueError(f"--dim must be between 2 and {MAX_DIM}")
     values = _parse_floats(args.delta, "--delta")
@@ -335,6 +336,8 @@ def cmd_lmi(args) -> int:
 
 
 def cmd_hessian_check(args) -> int:
+    import numpy as np
+
     from .function import f_hessian, fd_hessian
     if args.points < 1:
         raise ValueError("--points must be >= 1")

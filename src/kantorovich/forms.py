@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, SpdMatrix
+from .linalg import DimensionMismatchError, SpdMatrix, pair_indices
 
 __all__ = [
     "DeltaVector", "delta_from_spd", "pair_indices",
@@ -41,11 +41,6 @@ _DELTA_SLACK = 1e-12
 # Above this delta_max the row bound is skipped; at or below it, with
 # |y|^2 <= 2, every quantity the bound forms, squares included, is finite.
 BOUND_DELTA_MAX = 1e150
-
-
-def pair_indices(dim: int) -> list[tuple[int, int]]:
-    """Canonical (i, j), i < j pair order used to flatten delta vectors."""
-    return [(i, j) for i in range(dim - 1) for j in range(i + 1, dim)]
 
 
 @dataclass(frozen=True)
@@ -88,11 +83,10 @@ class DeltaVector:
 
 
 def delta_from_spd(spd: SpdMatrix) -> DeltaVector:
-    """Ratio sums l_j/l_i + l_i/l_j over the sorted spectrum of ``spd``, on
-    Python floats: one IEEE division and sum per term, as on numpy's."""
-    w = spd.eigenvalues.tolist()
-    vals = [w[j] / w[i] + w[i] / w[j] for i, j in pair_indices(spd.dim)]
-    return DeltaVector(dim=spd.dim, values=np.asarray(vals, dtype=float))
+    """The ratio sums l_j/l_i + l_i/l_j of ``spd``
+    (:meth:`linalg.SpdMatrix.ratio_sums`) as a DeltaVector."""
+    return DeltaVector(dim=spd.dim,
+                       values=np.asarray(spd.ratio_sums(), dtype=float))
 
 
 def as_points(delta: DeltaVector, points) -> np.ndarray:

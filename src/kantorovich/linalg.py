@@ -1,20 +1,26 @@
 """Small dense symmetric linear algebra: validation, eigenvalues, determinants.
 
-Everything here targets tiny matrices (dim <= 8).  The eigensolver is a cyclic
+Everything here targets tiny matrices (dim <= 8).  Validation and the
+eigensolver run on Python floats, so that importing this module and
+validating a matrix load no numpy; the arrays of :class:`SpectralData` and
+:class:`SpdMatrix` are built on first access.  The eigensolver is a cyclic
 Jacobi iteration, which at these sizes is simple, accurate and has no moving
-parts; its rotations run on rows of Python floats, bit for bit as on numpy
-rows, and only its once-per-sweep off-diagonal norm uses numpy (see
-:func:`eig_sym`).  The scans take LAPACK's batched smallest eigenvalues
+parts; it computes bit for bit what the same iteration on numpy arrays does
+(see :func:`eig_sym`).  The scans take LAPACK's batched smallest eigenvalues
 instead, behind one exact Cholesky screen (:func:`screened_min_eig`), and
-keep their first strict minimum with one tracker (:class:`FirstMin`).
+keep their first strict minimum with one tracker (:class:`FirstMin`); these
+import numpy when called.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Relative symmetry slack accepted by symmetrize()/validate_spd().
 SYM_TOL = 1e-12
@@ -27,6 +33,8 @@ JACOBI_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 64
 
 MAX_DIM = 8
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class MatrixValidationError(ValueError):
@@ -61,16 +69,58 @@ class JacobiConvergenceError(RuntimeError):
     """Jacobi sweeps exhausted before the off-diagonal norm converged."""
 
 
-def _as_square(raw) -> np.ndarray:
-    m = np.asarray(raw, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 1 or m.shape[0] > MAX_DIM:
+def _frozen(values) -> np.ndarray:
+    """``values``, floats or rows of them, as a new read-only ndarray."""
+    import numpy as np
+    out = np.array(values, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+def _shape(x) -> tuple[int, ...]:
+    """The shape numpy gives nested lists or tuples ``x``."""
+    if not isinstance(x, (list, tuple)):
+        return ()
+    inner = {_shape(v) for v in x}
+    if len(inner) > 1:
+        raise NotSquareError("expected a square matrix, got ragged rows")
+    return (len(x), *(inner.pop() if inner else ()))
+
+
+def _as_square(raw) -> list[list[float]]:
+    """``raw``, an array or nested sequences of shape (n, n), 1 <= n <=
+    ``MAX_DIM``, as n rows of n finite Python floats."""
+    shape = tuple(raw.shape) if hasattr(raw, "shape") else _shape(raw)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise NotSquareError(f"expected a square matrix, got shape {shape}")
+    if shape[0] < 1 or shape[0] > MAX_DIM:
         raise MatrixValidationError(
-            f"dim {m.shape[0]} outside supported range 1..{MAX_DIM}")
-    if not np.isfinite(m).all():
+            f"dim {shape[0]} outside supported range 1..{MAX_DIM}")
+    rows = raw.tolist() if hasattr(raw, "tolist") else raw
+    m = [[float(v) for v in row] for row in rows]
+    if not all(math.isfinite(v) for row in m for v in row):
         raise NonFiniteError("matrix has non-finite entries")
     return m
+
+
+def _symmetric(raw) -> list[list[float]]:
+    """(M + M')/2 as rows of Python floats: :func:`symmetrize`'s work."""
+    m = _as_square(raw)
+    pairs = [list(zip(row, col)) for row, col in zip(m, zip(*m))]
+    scale = max(abs(v) for row in m for v in row)
+    # The difference of two finite floats can overflow to inf, never NaN.
+    skew = max(abs(x - y) for row in pairs for x, y in row)
+    if skew > SYM_TOL * max(scale, 1e-300):
+        raise NotSymmetricError(
+            f"asymmetry {skew:.3e} exceeds {SYM_TOL:.1e} * {scale:.3e}")
+
+    def half_sum(x, y):
+        # Halved before the sum only where the sum overflows: halving first
+        # rounds subnormal entries.
+        s = 0.5 * (x + y)
+        return 0.5 * x + 0.5 * y if math.isinf(s) else s
+
+    return [[half_sum(x, y) for x, y in row] for row in pairs]
 
 
 def symmetrize(raw) -> np.ndarray:
@@ -78,54 +128,74 @@ def symmetrize(raw) -> np.ndarray:
 
     Asymmetry above ``SYM_TOL * max|entry|`` is an error, not something to
     silently average away; an asymmetry beyond the float range is one too.
+    The result is a read-only ndarray.
     """
-    m = _as_square(raw)
-    scale = np.abs(m).max()
-    with np.errstate(over="ignore"):
-        skew = np.abs(m - m.T).max()
-        out = 0.5 * (m + m.T)
-    if skew > SYM_TOL * max(scale, 1e-300):
-        raise NotSymmetricError(
-            f"asymmetry {skew:.3e} exceeds {SYM_TOL:.1e} * {scale:.3e}")
-    big = np.isinf(out)
-    if big.any():
-        # Halved before the sum only where the sum overflows: halving
-        # first rounds subnormal entries.
-        out[big] = 0.5 * m[big] + 0.5 * m.T[big]
-    out.setflags(write=False)
-    return out
+    return _frozen(_symmetric(raw))
 
 
-@dataclass(frozen=True)
+def _ldexp(x: float, e: int) -> float:
+    """x * 2^e, +-inf where that overflows (math.ldexp raises there)."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _sum_squares(xs: list[float]) -> float:
+    """The sum of x * x over ``xs`` in the order numpy's pairwise sum takes
+    for a contiguous array of at most 128 entries, so bit for bit
+    ``float((x * x).sum())``: in order below 8 terms; else 8 lanes, term i
+    into lane i mod 8 over the whole blocks of 8, the lanes combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remaining
+    terms in order."""
+    sq = [x * x for x in xs]
+    whole = len(sq) - len(sq) % 8 if len(sq) >= 8 else 0
+    total = 0.0
+    if whole:
+        r = sq[:8]
+        for i in range(8, whole, 8):
+            for k in range(8):
+                r[k] += sq[i + k]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5])
+                                                   + (r[6] + r[7]))
+    for v in sq[whole:]:
+        total += v
+    return total
+
+
 class SpectralData:
     """Eigendecomposition A = U' diag(eigenvalues) U with U row-orthonormal.
 
     ``eigenvalues`` are ascending; ``rotation`` is U, so ``y = U @ x`` maps a
-    point into eigencoordinates.
+    point into eigencoordinates.  Both are read-only ndarrays, built on
+    first access from the floats given.
     """
 
-    eigenvalues: np.ndarray
-    rotation: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.eigenvalues, dtype=float)
-        u = np.asarray(self.rotation, dtype=float)
-        n = w.shape[0]
-        if u.shape != (n, n):
+    def __init__(self, eigenvalues, rotation):
+        w = [float(v) for v in eigenvalues]
+        u = [[float(v) for v in row] for row in rotation]
+        n = len(w)
+        if _shape(u) != (n, n):
             raise DimensionMismatchError(
-                f"rotation shape {u.shape} does not match {n} eigenvalues")
-        if np.any(np.diff(w) < 0):
+                f"rotation shape {_shape(u)} does not match {n} eigenvalues")
+        if any(b < a for a, b in zip(w, w[1:])):
             raise MatrixValidationError("eigenvalues must be ascending")
-        if np.abs(u @ u.T - np.eye(n)).max() > 1e-10:
+        if any(abs(sum(x * y for x, y in zip(u[i], u[j])) - (i == j)) > 1e-10
+               for i in range(n) for j in range(i, n)):
             raise MatrixValidationError("rotation is not orthonormal")
-        w.setflags(write=False)
-        u.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "rotation", u)
+        self._w, self._u = w, u
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return _frozen(self._w)
+
+    @cached_property
+    def rotation(self) -> np.ndarray:
+        return _frozen(self._u)
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return len(self._w)
 
 
 def eig_sym(m) -> SpectralData:
@@ -139,7 +209,7 @@ def eig_sym(m) -> SpectralData:
     (docs/proofs.md#power-of-two-scaling), and the eigenvalues are scaled
     back by 2^e: one beyond the float range reads inf.
 
-    The rotations run on rows of Python floats, not on numpy rows: at
+    The iteration runs on rows of Python floats, not on numpy rows: at
     n <= 8 a numpy call costs more than the arithmetic it does.  Each entry
     is still one ``c*x - s*y`` or ``s*x + c*y`` in IEEE double, two rounded
     products and a rounded sum with no fused multiply-add, as numpy computes
@@ -147,28 +217,28 @@ def eig_sym(m) -> SpectralData:
     iteration on numpy rows, bit for bit.  The matrix stays exactly
     symmetric (a rotated row and the rotated column are the same
     expressions), so each new entry is computed once and stored in both.
-    The off-diagonal norm, whose summation order decides only when the
-    iteration stops, is computed in numpy once per sweep.
+    The norms, whose summation order decides when the iteration stops, are
+    summed in numpy's pairwise order (:func:`_sum_squares`), and the
+    eigenvalues are sorted stably, as numpy's stable argsort does.
     """
-    return _jacobi(symmetrize(m))
+    return _jacobi(_symmetric(m))
 
 
-def _jacobi(a: np.ndarray) -> SpectralData:
-    """:func:`eig_sym` of ``a``, the output of :func:`symmetrize`."""
-    n = a.shape[0]
-    e = math.frexp(float(np.abs(a).max()))[1]
-    scaled = np.ldexp(a, -e)
-    norm = float(np.sqrt((scaled * scaled).sum()))
-    if norm == 0.0:
-        return SpectralData(np.zeros(n), np.eye(n))
-    work = scaled.tolist()
+def _jacobi(a: list[list[float]]) -> SpectralData:
+    """:func:`eig_sym` of ``a``, the rows :func:`_symmetric` returns."""
+    n = len(a)
+    e = math.frexp(max(abs(v) for row in a for v in row))[1]
+    work = [[math.ldexp(v, -e) for v in row] for row in a]
+    norm = math.sqrt(_sum_squares([v for row in work for v in row]))
     # vt[k] is column k of V, the product of the rotations
-    vt = np.eye(n).tolist()
+    vt = [[float(i == j) for j in range(n)] for i in range(n)]
+    if norm == 0.0:
+        return SpectralData([0.0] * n, vt)
 
     def offnorm():
-        w = np.array(work)
-        off = w - np.diag(np.diag(w))
-        return float(np.sqrt((off * off).sum()))
+        return math.sqrt(_sum_squares([0.0 if i == j else v
+                                       for i, row in enumerate(work)
+                                       for j, v in enumerate(row)]))
 
     for _ in range(JACOBI_MAX_SWEEPS):
         if offnorm() <= JACOBI_TOL * norm:
@@ -199,13 +269,12 @@ def _jacobi(a: np.ndarray) -> SpectralData:
         if offnorm() > JACOBI_TOL * norm:
             raise JacobiConvergenceError(
                 f"no convergence after {JACOBI_MAX_SWEEPS} sweeps "
-                f"(off-norm {math.ldexp(offnorm(), e):.3e}, "
-                f"target {math.ldexp(JACOBI_TOL * norm, e):.3e})")
+                f"(off-norm {_ldexp(offnorm(), e):.3e}, "
+                f"target {_ldexp(JACOBI_TOL * norm, e):.3e})")
 
-    with np.errstate(over="ignore"):
-        w = np.ldexp([work[k][k] for k in range(n)], e)
-    order = np.argsort(w, kind="stable")
-    return SpectralData(w[order], np.array([vt[k] for k in order]))
+    w = [_ldexp(work[k][k], e) for k in range(n)]
+    order = sorted(range(n), key=w.__getitem__)
+    return SpectralData([w[k] for k in order], [vt[k] for k in order])
 
 
 def min_eigenvalue(m) -> float:
@@ -215,21 +284,27 @@ def min_eigenvalue(m) -> float:
 
 def det(m) -> float:
     """Determinant of a validated square matrix (LAPACK LU)."""
-    return float(np.linalg.det(_as_square(m)))
+    import numpy as np
+    return float(np.linalg.det(np.array(_as_square(m))))
 
 
-@dataclass(frozen=True)
+def pair_indices(dim: int) -> list[tuple[int, int]]:
+    """Canonical (i, j), i < j pair order used to flatten delta vectors."""
+    return [(i, j) for i in range(dim - 1) for j in range(i + 1, dim)]
+
+
 class SpdMatrix:
     """A validated symmetric positive definite matrix with its decomposition.
 
     ``inverse`` is assembled spectrally (U' diag(1/w) U), never by a linear
-    solve, so matrix and inverse share one eigenbasis exactly.
+    solve, so matrix and inverse share one eigenbasis exactly.  ``matrix``
+    and ``inverse`` are read-only ndarrays, built on first access.
     """
 
-    matrix: np.ndarray
-    inverse: np.ndarray
-    spectral: SpectralData
-    kappa: float
+    def __init__(self, rows: list[list[float]], spectral: SpectralData):
+        self._rows = rows
+        self.spectral = spectral
+        self.kappa = spectral._w[-1] / spectral._w[0]
 
     @property
     def dim(self) -> int:
@@ -239,6 +314,29 @@ class SpdMatrix:
     def eigenvalues(self) -> np.ndarray:
         return self.spectral.eigenvalues
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _frozen(self._rows)
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        import numpy as np
+        u, w = self.spectral.rotation, self.spectral.eigenvalues
+        # Near the subnormal range an entry overflows: validate_spd rejects
+        # that matrix, with no warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            inv = u.T @ ((1.0 / w)[:, None] * u)
+            inv = 0.5 * (inv + inv.T)
+        inv.setflags(write=False)
+        return inv
+
+    def ratio_sums(self) -> list[float]:
+        """l_j/l_i + l_i/l_j over the ascending spectrum, in
+        :func:`pair_indices` order, as Python floats: one IEEE division and
+        sum per term, as numpy computes them."""
+        w = self.spectral._w
+        return [w[j] / w[i] + w[i] / w[j] for i, j in pair_indices(self.dim)]
+
 
 def validate_spd(raw) -> SpdMatrix:
     """Validate raw input as SPD and bundle matrix, inverse and spectrum.
@@ -246,34 +344,33 @@ def validate_spd(raw) -> SpdMatrix:
     ``raw`` is a square matrix, dim 1..8; asymmetry above ``SYM_TOL``
     relative is rejected (:func:`symmetrize`), and so is a lambda_max
     beyond the float range, lambda_min <= ``PD_TOL`` * lambda_max, and a
-    matrix whose inverse has an entry that is not finite (lambda_min near
-    the subnormal range).
+    lambda_min so near the subnormal range that the inverse overflows: an
+    entry of U' diag(1/w) U or of its symmetrization that is not finite, so
+    any entry above about float_max / 2.  The inverse is built here only
+    where sum 1/w_k exceeds float_max / 4 (docs/proofs.md#inverse-overflow).
     """
-    a = symmetrize(raw)
+    a = _symmetric(raw)
     spec = _jacobi(a)
-    w = spec.eigenvalues
+    w = spec._w
     if w[-1] == math.inf:
         raise MatrixValidationError(
-            f"lambda_max is beyond the float range (above "
-            f"{np.finfo(float).max:.6e})")
+            f"lambda_max is beyond the float range (above {_FLOAT_MAX:.6e})")
     if w[0] <= PD_TOL * w[-1]:
         raise NotPositiveDefiniteError(
             f"lambda_min {w[0]:.6e} <= {PD_TOL:.1e} * lambda_max {w[-1]:.6e}")
-    # Near the subnormal range the inverse overflows; rejected, not warned.
-    with np.errstate(over="ignore", invalid="ignore"):
-        inv = spec.rotation.T @ ((1.0 / w)[:, None] * spec.rotation)
-        inv = 0.5 * (inv + inv.T)
-    if not np.isfinite(inv).all():
+    spd = SpdMatrix(a, spec)
+    # At or below the bound no entry of the inverse can overflow.
+    if (sum(1.0 / v for v in w) > _FLOAT_MAX / 4
+            and not all(map(math.isfinite, spd.inverse.flat))):
         raise MatrixValidationError(
             f"lambda_min {w[0]:.6e} is too small: the inverse overflows")
-    inv.setflags(write=False)
-    return SpdMatrix(matrix=a, inverse=inv, spectral=spec,
-                     kappa=float(w[-1] / w[0]))
+    return spd
 
 
 # ---------------------------------------------------------------------------
 # Batched minimum eigenvalues for the scans, all from LAPACK's eigvalsh;
 # min_eigenvalue() above is the Jacobi reference they are tested against.
+# Each imports numpy: only a scan calls them.
 # ---------------------------------------------------------------------------
 
 def cholesky_clears(entries: np.ndarray, shift: float) -> np.ndarray:
@@ -286,6 +383,7 @@ def cholesky_clears(entries: np.ndarray, shift: float) -> np.ndarray:
     so it never clears its matrix.  ``entries`` is not modified: the
     factorization runs in a fresh copy.
     """
+    import numpy as np
     a = np.array(entries, dtype=float)
     n = a.shape[0]
     ok = np.ones(a.shape[2:], dtype=bool)
@@ -305,6 +403,7 @@ def cholesky_clears(entries: np.ndarray, shift: float) -> np.ndarray:
 
 def min_eig_batch(mats: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each symmetric matrix in a (..., n, n) stack."""
+    import numpy as np
     return np.linalg.eigvalsh(np.asarray(mats, dtype=float))[..., 0]
 
 
@@ -327,6 +426,7 @@ def screened_min_eig(entries: np.ndarray, worst,
     its ``worst``, so it cannot be a first strict minimum
     (docs/proofs.md#cholesky-screen).
     """
+    import numpy as np
     lam = np.full(entries.shape[2], math.inf)
     shift = worst + margin
     if np.ndim(worst) == 0 and math.isnan(worst):
@@ -362,7 +462,7 @@ class FirstMin:
         if math.isnan(self.value):
             return
         flat = values.reshape(-1)
-        k = int(np.argmin(flat))
+        k = int(flat.argmin())
         # not >=: a NaN is taken
         if self.index < 0 or not float(flat[k]) >= self.value:
             self.value = float(flat[k])

@@ -1,0 +1,38 @@
+"""The falsification budget of a scan: how many sphere directions it tests.
+
+Kept apart from :mod:`kantorovich.sampling`, which runs the scans and
+imports numpy, so that a command can build and check a plan, as every
+``analyze`` does, without loading numpy.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+__all__ = ["SamplePlan", "DEFAULT_PLAN", "MAX_SAMPLES"]
+
+# Most rows of one sphere design.
+MAX_SAMPLES = 1 << 27
+
+
+@dataclass(frozen=True)
+class SamplePlan:
+    """Falsification budget: how many directions to test per dimension."""
+
+    seed: int = 42
+    angles_2d: int = 4096
+    fibonacci_3d: int = 100_000
+    random_nd: int = 200_000
+    refine_rounds: int = 50  # validated, read by nothing: no descent runs
+
+    def __post_init__(self):
+        counts = (self.angles_2d, self.fibonacci_3d, self.random_nd)
+        if not 1 <= min(counts) <= max(counts) <= MAX_SAMPLES:
+            raise ValueError(f"sample counts must be in 1..{MAX_SAMPLES}")
+        if self.refine_rounds < 0:
+            raise ValueError("refine_rounds must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
+
+DEFAULT_PLAN = SamplePlan()

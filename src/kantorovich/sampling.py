@@ -24,6 +24,8 @@ import numpy as np
 from .forms import (BOUND_DELTA_MAX, DeltaVector, as_points, h_entries,
                     least_coefs, pair_indices, row_bound, row_coefs)
 from .linalg import PSD_EPS, FirstMin, screened_min_eig
+# The plan lives apart, without numpy; these names stay importable here.
+from .plan import DEFAULT_PLAN, MAX_SAMPLES, SamplePlan  # noqa: F401
 
 __all__ = [
     "SamplePlan", "SampleReport", "DEFAULT_PLAN", "MAX_SAMPLES",
@@ -34,35 +36,11 @@ __all__ = [
 # Rows per block of the scan and of the designs after the probe block; a
 # sphere design has at most MAX_SAMPLES rows, 2^15 blocks in its record.
 _BLOCK = 1 << 12
-MAX_SAMPLES = 1 << 27
 # The design floors hold for a = 3 delta_min/4 - 3/2 in (0, _FLOOR_A]; in
 # the gap delta <= 6, so a <= 3 there.  _FLOOR_COEFS are the row bound's
 # (c + a, 2a, b) normalized to c + a = 1, 2a = 2, b = 1 + 2/_FLOOR_A.
 _FLOOR_A = 3.0
 _FLOOR_COEFS = (1.0, 2.0, 1.0 + 2.0 / _FLOOR_A)
-
-
-@dataclass(frozen=True)
-class SamplePlan:
-    """Falsification budget: how many directions to test per dimension."""
-
-    seed: int = 42
-    angles_2d: int = 4096
-    fibonacci_3d: int = 100_000
-    random_nd: int = 200_000
-    refine_rounds: int = 50  # validated, read by nothing: no descent runs
-
-    def __post_init__(self):
-        counts = (self.angles_2d, self.fibonacci_3d, self.random_nd)
-        if not 1 <= min(counts) <= max(counts) <= MAX_SAMPLES:
-            raise ValueError(f"sample counts must be in 1..{MAX_SAMPLES}")
-        if self.refine_rounds < 0:
-            raise ValueError("refine_rounds must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-
-
-DEFAULT_PLAN = SamplePlan()
 
 
 @dataclass(frozen=True)

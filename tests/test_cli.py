@@ -887,11 +887,36 @@ def test_kantorovich_bound_zero_point_exits_64(diag16):
 
 # --- what each command loads -------------------------------------------------
 
-# The modules that an analyze start loads; every other command loads these
-# plus the one submodule it runs.
-ANALYZE_MODULES = {"kantorovich", "kantorovich.cli", "kantorovich.classify",
-                   "kantorovich.forms", "kantorovich.linalg",
-                   "kantorovich.sampling"}
+# One matrix file per analyze rung and per kind of rejected input, with a
+# line that its report must hold and its exit code.
+DIAG8 = "8\n" + "".join(
+    " ".join(str(1.0 + k / 4) if j == k else "0" for j in range(8)) + "\n"
+    for k in range(8))
+ANALYZE_FILES = {
+    "exact-2d.txt": ("2\n1 0\n0 4\n", "certificate: exact-2d", 0),
+    "sufficient-3d.txt": ("3\n1 0 0\n0 2 0\n0 0 3.5\n",
+                          "certificate: sufficient-3d", 0),
+    "sufficient-any-dim.txt": ("4\n1 0 0 0\n0 2 0 0\n0 0 2.5 0\n0 0 0 3\n",
+                               "certificate: sufficient-any-dim", 0),
+    "sufficient-dim1.txt": ("1\n5\n", "certificate: sufficient-any-dim", 0),
+    "sufficient-dim8.txt": (DIAG8, "certificate: sufficient-any-dim", 0),
+    "necessary-violated.txt": ("3\n1 0 0\n0 2 0\n0 0 7\n", "witness: ", 1),
+    "gap.txt": ("3\n1 0 0\n0 2 0\n0 0 4.5\n",
+                "certificate: sampling-exhausted", 2),
+    "asymmetric.txt": ("2\n1 2\n0 1\n", "error: asymmetry", 64),
+    "not-pd.txt": ("2\n1 0\n0 -1\n", "error: lambda_min", 64),
+    "malformed.txt": ("2\n1 x\n0 1\n", "error: bad matrix row", 64),
+    "malformed.json": ('{"n": 2, "entries": [1, 0', "error: Expecting", 64),
+}
+# The analyze inputs whose rung scans (the probe row or the gap design).
+SCANNED = ("necessary-violated.txt", "gap.txt")
+
+# The modules that every start loads.  A command loads the submodule it
+# runs besides, and a command or analyze rung that scans loads numpy with
+# the scan's modules; no other start loads numpy.
+BASE_MODULES = {"kantorovich", "kantorovich.cli", "kantorovich.classify",
+                "kantorovich.linalg", "kantorovich.plan"}
+SCAN_MODULES = {"kantorovich.forms", "kantorovich.sampling", "numpy"}
 
 LOADED_SCRIPT = """
 import contextlib, io, json, sys
@@ -902,62 +927,56 @@ with contextlib.redirect_stdout(io.StringIO()), \\
         code = cli.run(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.partition(".")[0] == "kantorovich")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m == "numpy"
+                               or m.partition(".")[0] == "kantorovich")]))
 """
 
 
 @pytest.mark.parametrize("argv, code, extra", [
-    (("analyze", "PLAIN"), 1, None),
-    (("analyze", "JSON", "--format", "json"), 1, None),
-    (("lmi", "--dim", "3", "--delta", "2.5,3.0,2.8"), 0, None),
-    (("--help",), 0, None),
-    (("lemmas", "--grid", "3"), 0, "lmi"),
+    (("analyze", "PLAIN"), 1, SCAN_MODULES),
+    (("analyze", "JSON", "--format", "json"), 1, SCAN_MODULES),
+    (("lmi", "--dim", "3", "--delta", "2.5,3.0,2.8"), 0, SCAN_MODULES),
+    (("--help",), 0, set()),
+    (("lemmas", "--grid", "3"), 0,
+     {"kantorovich.lmi", "kantorovich.forms", "numpy"}),
     (("boundary", "--dims", "2", "--families", "two_point", "--tol", "1e-2"),
-     0, "boundary"),
-    (("hessian-check", "PLAIN", "--points", "2"), 0, "function"),
-    (("kantorovich-bound", "PLAIN", "--point", "1,1"), 0, "function"),
+     0, SCAN_MODULES | {"kantorovich.boundary"}),
+    (("hessian-check", "PLAIN", "--points", "2"), 0,
+     {"kantorovich.function", "numpy"}),
+    (("kantorovich-bound", "PLAIN", "--point", "1,1"), 0,
+     {"kantorovich.function", "numpy"}),
+    *[(("analyze", name, *fmt), ANALYZE_FILES[name][2],
+       SCAN_MODULES if name in SCANNED else set())
+      for name in ANALYZE_FILES for fmt in ((), ("--format", "json"))],
 ], ids=["analyze", "analyze-json", "lmi", "help", "lemmas", "boundary",
-        "hessian-check", "kantorovich-bound"])
+        "hessian-check", "kantorovich-bound",
+        *[f"analyze-{name}{fmt}" for name in ANALYZE_FILES
+          for fmt in ("", "-json")]])
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, code, extra):
     plain, as_json = str(tmp_path / "m.txt"), str(tmp_path / "m.json")
     write_matrix(plain, np.diag([1.0, 6.0]))
     write_matrix(as_json, np.diag([1.0, 6.0]), fmt="json")
-    argv = [{"PLAIN": plain, "JSON": as_json}.get(a, a) for a in argv]
+    paths = {"PLAIN": plain, "JSON": as_json}
+    for name in set(argv) & set(ANALYZE_FILES):
+        paths[name] = str(tmp_path / name)
+        Path(paths[name]).write_text(ANALYZE_FILES[name][0])
+    argv = [paths.get(a, a) for a in argv]
     res = subprocess.run([sys.executable, "-c", LOADED_SCRIPT, *argv],
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     got_code, loaded = json.loads(res.stdout)
     assert got_code == code
-    assert set(loaded) == ANALYZE_MODULES | (
-        {f"kantorovich.{extra}"} if extra else set())
+    assert set(loaded) == BASE_MODULES | extra
 
 
 # --- the same result in a fresh process and in-process -----------------------
-
-# One matrix file per analyze rung and per kind of rejected input, with a
-# line that its report must hold.
-ANALYZE_FILES = {
-    "exact-2d.txt": ("2\n1 0\n0 4\n", "certificate: exact-2d"),
-    "sufficient-3d.txt": ("3\n1 0 0\n0 2 0\n0 0 3.5\n",
-                          "certificate: sufficient-3d"),
-    "sufficient-any-dim.txt": ("4\n1 0 0 0\n0 2 0 0\n0 0 2.5 0\n0 0 0 3\n",
-                               "certificate: sufficient-any-dim"),
-    "necessary-violated.txt": ("3\n1 0 0\n0 2 0\n0 0 7\n", "witness: "),
-    "gap.txt": ("3\n1 0 0\n0 2 0\n0 0 4.5\n",
-                "certificate: sampling-exhausted"),
-    "asymmetric.txt": ("2\n1 2\n0 1\n", "error: asymmetry"),
-    "not-pd.txt": ("2\n1 0\n0 -1\n", "error: lambda_min"),
-    "malformed.json": ('{"n": 2, "entries": [1, 0', "error: Expecting"),
-}
-
 
 @pytest.mark.parametrize("name", ANALYZE_FILES)
 def test_analyze_subprocess_matches_in_process(tmp_path, capsys, name):
     # A fresh `python -m kantorovich` loads only the analyze modules; this
     # process has loaded every submodule.
     import kantorovich.boundary, kantorovich.function, kantorovich.lmi  # noqa
-    text, line = ANALYZE_FILES[name]
+    text, line, _ = ANALYZE_FILES[name]
     path = tmp_path / name
     path.write_text(text)
     res = run_cli("analyze", str(path))

@@ -47,6 +47,55 @@ def test_validate_rejects_an_inverse_that_overflows(scale):
         validate_spd(np.diag([scale, 6.0 * scale]))
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_validate_rejects_exactly_where_the_inverse_overflows(rng, n):
+    # validate_spd builds the inverse only where sum 1/w_k exceeds
+    # float_max/4 (docs/proofs.md#inverse-overflow).  Across the edge of
+    # the subnormal range, an accepted matrix has a finite inverse and a
+    # rejected one has an entry that overflows when built.
+    seen = set()
+    for k in range(120):
+        w = np.ldexp(rng.uniform(1.0, 4.0, n), -1030 + k // 4)
+        u = random_rotation(rng, n)
+        with np.errstate(under="ignore"):
+            a = (u * w) @ u.T
+        a = 0.5 * (a + a.T)
+        try:
+            spd = validate_spd(a)
+        except NotPositiveDefiniteError:
+            continue
+        except MatrixValidationError as exc:
+            assert "the inverse overflows" in str(exc)
+            spec = eig_sym(a)
+            r = spec.rotation
+            with np.errstate(over="ignore", invalid="ignore"):
+                inv = r.T @ ((1.0 / spec.eigenvalues)[:, None] * r)
+                inv = 0.5 * (inv + inv.T)
+            assert not np.isfinite(inv).all()
+            seen.add("rejected")
+        else:
+            assert np.isfinite(spd.inverse).all()
+            r = [1.0 / v for v in spd.eigenvalues.tolist()]
+            bound = sum(r) <= np.finfo(float).max / 4
+            seen.add("accepted" if bound else "accepted-built")
+    assert seen >= {"rejected", "accepted", "accepted-built"}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sum_squares_is_numpys_pairwise_sum(rng, n):
+    # _jacobi's stop test reads this sum: a sum in another order could stop
+    # the sweeps one sweep earlier or later.  Bit for bit numpy's, on whole
+    # matrices and on their off-diagonal parts, near 2^-500 and 2^500 too.
+    for scale in (2.0 ** -500, 1.0, 2.0 ** 500):
+        for _ in range(200):
+            a = rng.standard_normal((n, n)) * np.exp2(
+                rng.integers(-12, 1, (n, n)))
+            a = (a + a.T) * scale
+            for m in (a, a - np.diag(np.diag(a))):
+                assert (linalg._sum_squares(m.ravel().tolist())
+                        == float((m * m).sum()))
+
+
 def test_validate_keeps_a_finite_subnormal_scale_inverse():
     spd = validate_spd(np.diag([2e-308, 1.2e-307]))
     assert np.isfinite(spd.inverse).all()
@@ -322,14 +371,16 @@ def test_screened_min_eig_screens_each_row_against_its_own_worst(rng, n):
 
 
 def test_validate_spd_symmetrizes_once(monkeypatch):
+    # _symmetric is symmetrize's work on Python floats, which
+    # validate_spd calls without building symmetrize's ndarray.
     calls = []
-    symmetrize_once = linalg.symmetrize
+    symmetrize_once = linalg._symmetric
 
     def counting(m):
         calls.append(m)
         return symmetrize_once(m)
 
-    monkeypatch.setattr(linalg, "symmetrize", counting)
+    monkeypatch.setattr(linalg, "_symmetric", counting)
     spd = validate_spd([[2.0, 1.0], [1.0, 3.0]])
     assert len(calls) == 1
     spec = eig_sym(spd.matrix)
