@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import cached_property
+from operator import mul
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -81,7 +82,7 @@ def _shape(x) -> tuple[int, ...]:
     """The shape numpy gives nested lists or tuples ``x``."""
     if not isinstance(x, (list, tuple)):
         return ()
-    inner = {_shape(v) for v in x}
+    inner = set(map(_shape, x))
     if len(inner) > 1:
         raise NotSquareError("expected a square matrix, got ragged rows")
     return (len(x), *(inner.pop() if inner else ()))
@@ -97,8 +98,8 @@ def _as_square(raw) -> list[list[float]]:
         raise MatrixValidationError(
             f"dim {shape[0]} outside supported range 1..{MAX_DIM}")
     rows = raw.tolist() if hasattr(raw, "tolist") else raw
-    m = [[float(v) for v in row] for row in rows]
-    if not all(math.isfinite(v) for row in m for v in row):
+    m = [list(map(float, row)) for row in rows]
+    if not all(all(map(math.isfinite, row)) for row in m):
         raise NonFiniteError("matrix has non-finite entries")
     return m
 
@@ -172,15 +173,15 @@ class SpectralData:
     """
 
     def __init__(self, eigenvalues, rotation):
-        w = [float(v) for v in eigenvalues]
-        u = [[float(v) for v in row] for row in rotation]
+        w = list(map(float, eigenvalues))
+        u = [list(map(float, row)) for row in rotation]
         n = len(w)
-        if _shape(u) != (n, n):
+        if len(u) != n or any(len(row) != n for row in u):
             raise DimensionMismatchError(
                 f"rotation shape {_shape(u)} does not match {n} eigenvalues")
         if any(b < a for a, b in zip(w, w[1:])):
             raise MatrixValidationError("eigenvalues must be ascending")
-        if any(abs(sum(x * y for x, y in zip(u[i], u[j])) - (i == j)) > 1e-10
+        if any(abs(sum(map(mul, u[i], u[j])) - (i == j)) > 1e-10
                for i in range(n) for j in range(i, n)):
             raise MatrixValidationError("rotation is not orthonormal")
         self._w, self._u = w, u
