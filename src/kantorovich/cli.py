@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .classify import (KAPPA_NECESSARY, KAPPA_SUFFICIENT_3D,
                        KAPPA_SUFFICIENT_ANY, Status, classify)
@@ -138,17 +139,47 @@ def _report_dict(r):
             "tolerance": float(r.tolerance), "passed": bool(r.passed)}
 
 
+def _json(o, indent: str = "") -> str:
+    """``o`` as the text ``json.dumps(o, indent=2)`` writes, except that a
+    non-finite float is the string "inf", "-inf" or "nan", as in human
+    output, so the text is RFC 8259 JSON; ``indent`` is the indent of the
+    line ``o`` starts on.  Keys must be strings; like ``json``, any type
+    other than str, None, bool, int, float, list, tuple and dict raises
+    TypeError."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return text if math.isfinite(o) else f'"{text}"'
+    inner = indent + "  "
+    if isinstance(o, (list, tuple)):
+        items = [_json(v, inner) for v in o]
+        brackets = "[]"
+    elif isinstance(o, dict):
+        # encode_basestring_ascii raises TypeError on a key that is no str
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                 for k, v in o.items()]
+        brackets = "{}"
+    else:
+        raise TypeError(
+            f"Object of type {type(o).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    sep = ",\n" + inner
+    return f"{brackets[0]}\n{inner}{sep.join(items)}\n{indent}{brackets[1]}"
+
+
 def _print_json(obj) -> None:
-    """Print ``obj`` as RFC 8259 JSON, indented by 2.  A non-finite float
-    is written as the string "inf", "-inf" or "nan", as in human output."""
-    def strict(o):
-        if isinstance(o, dict):
-            return {k: strict(v) for k, v in o.items()}
-        if isinstance(o, list):
-            return [strict(v) for v in o]
-        finite = not isinstance(o, float) or math.isfinite(o)
-        return o if finite else repr(float(o))
-    print(json.dumps(strict(obj), indent=2, allow_nan=False))
+    """Print ``obj`` as RFC 8259 JSON, indented by 2 (:func:`_json`)."""
+    print(_json(obj))
 
 
 def grid_reports_csv(reports) -> str:

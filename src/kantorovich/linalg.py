@@ -6,7 +6,10 @@ validating a matrix load no numpy; the arrays of :class:`SpectralData` and
 :class:`SpdMatrix` are built on first access.  The eigensolver is a cyclic
 Jacobi iteration, which at these sizes is simple, accurate and has no moving
 parts; it computes bit for bit what the same iteration on numpy arrays does
-(see :func:`eig_sym`).  The scans take LAPACK's batched smallest eigenvalues
+(see :func:`eig_sym`).  It rotates only the working matrix and logs each
+rotation; the eigenvectors are replayed from that log, and checked
+orthonormal, on the first read of ``SpectralData.rotation``, which only a
+witness needs.  The scans take LAPACK's batched smallest eigenvalues
 instead, behind one exact Cholesky screen (:func:`screened_min_eig`), and
 keep their first strict minimum with one tracker (:class:`FirstMin`); these
 import numpy when called.
@@ -164,12 +167,23 @@ def _sum_squares(xs: list[float]) -> float:
     return total
 
 
+def _check_orthonormal(u: list[list[float]]) -> None:
+    """Reject rows ``u`` whose Gram matrix is off the identity by > 1e-10."""
+    n = len(u)
+    if any(abs(sum(map(mul, u[i], u[j])) - (i == j)) > 1e-10
+           for i in range(n) for j in range(i, n)):
+        raise MatrixValidationError("rotation is not orthonormal")
+
+
 class SpectralData:
     """Eigendecomposition A = U' diag(eigenvalues) U with U row-orthonormal.
 
     ``eigenvalues`` are ascending; ``rotation`` is U, so ``y = U @ x`` maps a
     point into eigencoordinates.  Both are read-only ndarrays, built on
-    first access from the floats given.
+    first access from the floats given.  The constructor checks its
+    arguments at once; the instances :func:`eig_sym` returns hold the
+    logged Jacobi rotations instead of U, and replay them, then check U
+    orthonormal, on the first read of ``rotation`` (:attr:`_u`).
     """
 
     def __init__(self, eigenvalues, rotation):
@@ -181,10 +195,31 @@ class SpectralData:
                 f"rotation shape {_shape(u)} does not match {n} eigenvalues")
         if any(b < a for a, b in zip(w, w[1:])):
             raise MatrixValidationError("eigenvalues must be ascending")
-        if any(abs(sum(map(mul, u[i], u[j])) - (i == j)) > 1e-10
-               for i in range(n) for j in range(i, n)):
-            raise MatrixValidationError("rotation is not orthonormal")
+        _check_orthonormal(u)
         self._w, self._u = w, u
+
+    @classmethod
+    def _logged(cls, w: list[float], rotations: list[tuple],
+                order: list[int]) -> SpectralData:
+        """The decomposition with ascending eigenvalues ``w`` whose U is
+        row ``order[k]`` of V' at row k, V the product of the Jacobi
+        rotations ``rotations``, (p, q, c, s) each, applied in order."""
+        self = cls.__new__(cls)
+        self._w, self._rotations, self._order = w, rotations, order
+        return self
+
+    @cached_property
+    def _u(self) -> list[list[float]]:
+        # vt[k] is column k of V, the product of the rotations
+        n = len(self._w)
+        vt = [[float(i == j) for j in range(n)] for i in range(n)]
+        for p, q, c, s in self._rotations:
+            vp, vq = vt[p], vt[q]
+            vt[p] = [c * x - s * y for x, y in zip(vp, vq)]
+            vt[q] = [s * x + c * y for x, y in zip(vp, vq)]
+        u = [vt[k] for k in self._order]
+        _check_orthonormal(u)
+        return u
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -221,6 +256,14 @@ def eig_sym(m) -> SpectralData:
     The norms, whose summation order decides when the iteration stops, are
     summed in numpy's pairwise order (:func:`_sum_squares`), and the
     eigenvalues are sorted stably, as numpy's stable argsort does.
+
+    The sweeps update only the working matrix and log each rotation
+    (p, q, c, s) in order.  The rotation U is built on its first read: the
+    logged rotations are replayed onto the identity with the same
+    ``c*x - s*y`` and ``s*x + c*y``, in the same order, the rows are
+    permuted into ascending eigenvalue order, and U is checked orthonormal
+    there (a failure raises :class:`MatrixValidationError` at that read),
+    so U has the bits that rotating it alongside the matrix gives.
     """
     return _jacobi(_symmetric(m))
 
@@ -231,10 +274,9 @@ def _jacobi(a: list[list[float]]) -> SpectralData:
     e = math.frexp(max(abs(v) for row in a for v in row))[1]
     work = [[math.ldexp(v, -e) for v in row] for row in a]
     norm = math.sqrt(_sum_squares([v for row in work for v in row]))
-    # vt[k] is column k of V, the product of the rotations
-    vt = [[float(i == j) for j in range(n)] for i in range(n)]
+    rotations = []
     if norm == 0.0:
-        return SpectralData([0.0] * n, vt)
+        return SpectralData._logged([0.0] * n, rotations, list(range(n)))
 
     def offnorm():
         return math.sqrt(_sum_squares([0.0 if i == j else v
@@ -263,9 +305,7 @@ def _jacobi(a: list[list[float]]) -> SpectralData:
                 row_p[p] -= t * apq
                 row_q[q] += t * apq
                 row_p[q] = row_q[p] = 0.0
-                vp, vq = vt[p], vt[q]
-                vt[p] = [c * x - s * y for x, y in zip(vp, vq)]
-                vt[q] = [s * x + c * y for x, y in zip(vp, vq)]
+                rotations.append((p, q, c, s))
     else:
         if offnorm() > JACOBI_TOL * norm:
             raise JacobiConvergenceError(
@@ -275,7 +315,7 @@ def _jacobi(a: list[list[float]]) -> SpectralData:
 
     w = [_ldexp(work[k][k], e) for k in range(n)]
     order = sorted(range(n), key=w.__getitem__)
-    return SpectralData([w[k] for k in order], [vt[k] for k in order])
+    return SpectralData._logged([w[k] for k in order], rotations, order)
 
 
 def min_eigenvalue(m) -> float:

@@ -224,6 +224,28 @@ def test_classify_invariant_under_inverse_and_rotation(dim, seed, kappa):
                                                  want.certificate)
 
 
+@pytest.mark.parametrize("dim, kappa, certificate", [
+    (2, 5.0, Certificate.EXACT_2D),
+    (3, 3.5, Certificate.SUFFICIENT_3D),
+    (6, 3.0, Certificate.SUFFICIENT_ANY_DIM),
+    (3, 4.5, Certificate.SAMPLING_EXHAUSTED),
+    (8, 4.5, Certificate.SAMPLING_EXHAUSTED),
+    (2, 7.0, Certificate.NECESSARY_VIOLATED),
+    (8, 7.0, Certificate.NECESSARY_VIOLATED),
+])
+def test_classify_builds_the_rotation_only_for_a_witness(rng, dim, kappa,
+                                                         certificate):
+    # kappa decides every rung; only the necessary-violated probe witness,
+    # x = U'y, reads the rotation, so only there is it replayed
+    spd = spd_with_kappa(rng, dim, kappa)
+    assert spd.spectral._rotations
+    v = classify(spd, FAST)
+    assert v.certificate == certificate
+    witness = certificate == Certificate.NECESSARY_VIOLATED
+    assert ("_u" in spd.spectral.__dict__) == witness
+    assert (v.witness is not None) == witness
+
+
 def test_classify_dim1():
     v = classify(validate_spd(np.array([[2.5]])), FAST)
     assert v.status == Status.CONVEX

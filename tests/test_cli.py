@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import write_matrix
-from kantorovich import cli
+from kantorovich import cli, linalg
 from kantorovich.cli import (build_parser, parse_matrix_json,
                              parse_matrix_text, read_matrix_file, run)
 
@@ -145,6 +146,74 @@ def test_analyze_json_format(diag16):
     assert out["kappa"] == 6.0
     assert out["witness"] is not None
     assert out["thresholds"]["necessary"] == pytest.approx(5.82842712474619)
+
+
+def _strict_dumps(o):
+    """The JSON text of ``o`` as ``json.dumps(..., indent=2)`` writes it
+    after mapping each non-finite float to its repr."""
+    def strict(o):
+        if isinstance(o, dict):
+            return {k: strict(v) for k, v in o.items()}
+        if isinstance(o, list):
+            return [strict(v) for v in o]
+        finite = not isinstance(o, float) or math.isfinite(o)
+        return o if finite else repr(float(o))
+    return json.dumps(strict(o), indent=2, allow_nan=False)
+
+
+JSON_CORPUS = [
+    {}, [], "", None, True, False, 0, -7, 10 ** 40, -(10 ** 40),
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+    1.7976931348623157e308, 0.1, 1e16, 1.5e-7,
+    math.inf, -math.inf, math.nan, np.float64(-0.0), np.float64(math.inf),
+    "caf\u00e9 \u2603 \U0001f600 \"q\" \\ \n\t\x00\x7f",
+    [[], {}, [[]], [{}], {"a": []}, {"b": {}}],
+    {"status": "Convex", "witness": None, "flags": [True, False],
+     "nested": {"deep": [1, [2.5, [-math.inf, {"x": math.nan}]]]},
+     "\u00fcber": [10 ** 25, -0.0, 5e-324]},
+]
+
+
+@pytest.mark.parametrize("obj", JSON_CORPUS, ids=repr)
+def test_json_renderer_writes_json_dumps_bytes(obj, capsys):
+    assert cli._json(obj) == _strict_dumps(obj)
+    cli._print_json(obj)
+    assert capsys.readouterr().out == _strict_dumps(obj) + "\n"
+
+
+@pytest.mark.parametrize("obj", [np.int64(3), [1.0, np.int64(3)],
+                                 {"n": np.int64(3)}, object(),
+                                 {"s": {1, 2}}])
+def test_json_renderer_rejects_what_json_rejects(obj):
+    with pytest.raises(TypeError):
+        _strict_dumps(obj)
+    with pytest.raises(TypeError):
+        cli._json(obj)
+
+
+def test_json_renderer_takes_only_string_keys():
+    # every report is keyed by strings; json would write str(1) here
+    with pytest.raises(TypeError):
+        cli._json({1: 2})
+
+
+def test_analyze_reads_the_rotation_only_for_a_witness(monkeypatch, capsys,
+                                                       diag16, gap3):
+    # U is replayed and checked orthonormal on its first read: a failed
+    # check there is a usage error, and a rung that reads no U never sees it
+    jacobi = linalg._jacobi
+
+    def scrambled(a):
+        spec = jacobi(a)
+        spec._order = [spec._order[0]] * len(spec._order)
+        return spec
+
+    monkeypatch.setattr(linalg, "_jacobi", scrambled)
+    assert run(["analyze", diag16, "--format", "json"]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: rotation is not orthonormal\n"
+    assert run(["analyze", gap3, "--samples-3d", "2000"]) == 2
+    assert capsys.readouterr().err == ""
 
 
 def test_readme_analyze_demo(tmp_path):

@@ -1,3 +1,6 @@
+import math
+import pickle
+
 import numpy as np
 import pytest
 
@@ -200,6 +203,87 @@ def test_jacobi_convergence_error(monkeypatch):
     monkeypatch.setattr("kantorovich.linalg.JACOBI_MAX_SWEEPS", 0)
     with pytest.raises(JacobiConvergenceError):
         eig_sym(np.diag([1.0, 2.0]) + np.ones((2, 2)))
+
+
+def _eager_jacobi(rows):
+    """The Jacobi iteration with V rotated alongside the matrix, rotation
+    by rotation: eigenvalues and U as Python floats."""
+    a = linalg._symmetric(rows)
+    n = len(a)
+    e = math.frexp(max(abs(v) for row in a for v in row))[1]
+    work = [[math.ldexp(v, -e) for v in row] for row in a]
+    norm = math.sqrt(linalg._sum_squares([v for row in work for v in row]))
+    vt = [[float(i == j) for j in range(n)] for i in range(n)]
+
+    def offnorm():
+        return math.sqrt(linalg._sum_squares(
+            [0.0 if i == j else v for i, row in enumerate(work)
+             for j, v in enumerate(row)]))
+
+    while norm and offnorm() > linalg.JACOBI_TOL * norm:
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = work[p][q]
+                if apq == 0.0:
+                    continue
+                tau = (work[q][q] - work[p][p]) / (2.0 * apq)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                for k in range(n):
+                    if k != p and k != q:
+                        x, y = work[p][k], work[q][k]
+                        work[p][k] = work[k][p] = c * x - s * y
+                        work[q][k] = work[k][q] = s * x + c * y
+                work[p][p] -= t * apq
+                work[q][q] += t * apq
+                work[p][q] = work[q][p] = 0.0
+                vp, vq = vt[p], vt[q]
+                vt[p] = [c * x - s * y for x, y in zip(vp, vq)]
+                vt[q] = [s * x + c * y for x, y in zip(vp, vq)]
+    w = [linalg._ldexp(work[k][k], e) for k in range(n)]
+    order = sorted(range(n), key=w.__getitem__)
+    return [w[k] for k in order], [vt[k] for k in order]
+
+
+@pytest.mark.parametrize("exponent", [-1000, 0, 1000])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_replayed_rotation_is_the_eager_rotation(n, exponent):
+    rng = np.random.default_rng(1000 * n + exponent)
+    for definite in (True, False):
+        for _ in range(4):
+            b = rng.standard_normal((n, n))
+            a = b @ b.T + n * np.eye(n) if definite else b + b.T
+            rows = [[math.ldexp(v, exponent) for v in row]
+                    for row in a.tolist()]
+            w, u = _eager_jacobi(rows)
+            spec = eig_sym(rows)
+            assert "_u" not in spec.__dict__
+            # the log is plain data: a pickled spectrum replays it too
+            copy = pickle.loads(pickle.dumps(spec))
+            for s in (spec, copy):
+                assert s.eigenvalues.tobytes() == np.array(w).tobytes()
+                assert s.rotation.tobytes() == np.array(u).tobytes()
+
+
+def test_rotation_check_runs_at_first_read(monkeypatch):
+    jacobi = linalg._jacobi
+
+    def scrambled(a):
+        # repeat row 0 of U: the replayed rows are not orthonormal
+        spec = jacobi(a)
+        spec._order = [spec._order[0]] * len(spec._order)
+        return spec
+
+    monkeypatch.setattr(linalg, "_jacobi", scrambled)
+    spd = validate_spd([[4.0, 1.0], [1.0, 3.0]])
+    assert spd.kappa > 1.0
+    for _ in range(2):
+        with pytest.raises(MatrixValidationError, match="not orthonormal"):
+            spd.spectral.rotation
+    assert "_u" not in spd.spectral.__dict__
+    with pytest.raises(MatrixValidationError, match="not orthonormal"):
+        linalg.SpectralData([1.0, 2.0], [[1.0, 0.0], [1.0, 0.0]])
 
 
 # --- min eigenvalue / psd --------------------------------------------------
