@@ -257,13 +257,12 @@ def eig_sym(m) -> SpectralData:
     summed in numpy's pairwise order (:func:`_sum_squares`), and the
     eigenvalues are sorted stably, as numpy's stable argsort does.
 
-    The sweeps update only the working matrix and log each rotation
-    (p, q, c, s) in order.  The rotation U is built on its first read: the
-    logged rotations are replayed onto the identity with the same
-    ``c*x - s*y`` and ``s*x + c*y``, in the same order, the rows are
-    permuted into ascending eigenvalue order, and U is checked orthonormal
-    there (a failure raises :class:`MatrixValidationError` at that read),
-    so U has the bits that rotating it alongside the matrix gives.
+    The sweeps rotate only the matrix and log each rotation (p, q, c, s).
+    U is built on its first read by replaying the log onto the identity
+    with the same expressions in the same order, then permuted into
+    ascending order and checked orthonormal (a failure raises
+    :class:`MatrixValidationError` at that read), so it has the bits of
+    rotating U alongside the matrix.
     """
     return _jacobi(_symmetric(m))
 
