@@ -129,6 +129,89 @@ def test_symmetrize_rejects_bad_shapes():
         symmetrize([[1.0, 2.0], [2.1, 1.0]])
 
 
+def _float_error(v):
+    """The (type name, message) ``float(v)`` raises on this Python."""
+    try:
+        float(v)
+    except (TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    raise AssertionError(f"float({v!r}) converts")
+
+
+def _shape_error(shape):
+    return "NotSquareError", f"expected a square matrix, got {shape}"
+
+
+RAGGED = _shape_error("ragged rows")
+
+# (input, what _as_square returns or raises): lists, tuples and ndarrays of
+# each malformed shape, and entries that float() rejects or that are
+# sequences themselves.  The shape is checked before any entry is converted.
+SQUARE_CORPUS = {
+    "float": (5.0, _shape_error("shape ()")),
+    "0-d-ndarray": (np.array(5.0), _shape_error("shape ()")),
+    "str": ("ab", _shape_error("shape ()")),
+    "numeric-str": ("12", _shape_error("shape ()")),
+    "1-d-list": ([1.0, 2.0], _shape_error("shape (2,)")),
+    "1-d-tuple": ((1.0, 2.0), _shape_error("shape (2,)")),
+    "1-d-ndarray": (np.ones(4), _shape_error("shape (4,)")),
+    "3-d-list": ([[[1.0]]], _shape_error("shape (1, 1, 1)")),
+    "3-d-tuple": ((((1.0, 2.0), (3.0, 4.0)), ((1.0, 2.0), (3.0, 4.0))),
+                  _shape_error("shape (2, 2, 2)")),
+    "3-d-ndarray": (np.ones((2, 2, 2)), _shape_error("shape (2, 2, 2)")),
+    "ragged-list": ([[1.0, 2.0], [3.0]], RAGGED),
+    "ragged-tuple": (((1.0,), (2.0, 3.0)), RAGGED),
+    "ragged-ndarray": (np.array([[1.0, 2.0], [3.0]], dtype=object),
+                       _shape_error("shape (2,)")),
+    "empty-list": ([], _shape_error("shape (0,)")),
+    "empty-tuple": ((), _shape_error("shape (0,)")),
+    "empty-row": ([[]], _shape_error("shape (1, 0)")),
+    "empty-rows": ([[], []], _shape_error("shape (2, 0)")),
+    "empty-ndarray": (np.zeros((0, 0)), (
+        "MatrixValidationError", "dim 0 outside supported range 1..8")),
+    "9x9-list": (np.eye(9).tolist(), (
+        "MatrixValidationError", "dim 9 outside supported range 1..8")),
+    "9x9-ndarray": (np.eye(9), (
+        "MatrixValidationError", "dim 9 outside supported range 1..8")),
+    "numeric-strings": ([["1", "2"], ["2", "1"]], [[1.0, 2.0], [2.0, 1.0]]),
+    "numeric-string-rows": (["12", "21"], _shape_error("shape (2,)")),
+    "strings": ([["a", "b"], ["c", "d"]], _float_error("a")),
+    "string-entry": ([[1.0, "ab"], ["ab", 1.0]], _float_error("ab")),
+    "none-entry": ([[1.0, None], [None, 1.0]], _float_error(None)),
+    "sequence-entry": ([[1.0, [2.0]], [3.0, 4.0]], RAGGED),
+    "tuple-entries": ([[(1.0,), (2.0,)], [(3.0,), (4.0,)]],
+                      _shape_error("shape (2, 2, 1)")),
+    "ndarray-rows": ([np.array([1.0, 0.0]), np.array([0.0, 1.0])],
+                     _shape_error("shape (2,)")),
+    "dict-rows": ([{"a": 1.0, "b": 2.0}, {"c": 3.0, "d": 4.0}],
+                  _shape_error("shape (2,)")),
+    "overflow-then-sequence": ([[10 ** 400, [1.0]], [1.0, 2.0]], RAGGED),
+    "overflow": ([[10 ** 400, 0], [0, 1]],
+                 ("OverflowError", "int too large to convert to float")),
+    "nan-list": ([[math.nan, 0.0], [0.0, 1.0]],
+                 ("NonFiniteError", "matrix has non-finite entries")),
+    "nan-ndarray": (np.array([[1.0, 0.0], [0.0, math.nan]]),
+                    ("NonFiniteError", "matrix has non-finite entries")),
+    "inf-tuple": (((1.0, 0.0), (0.0, -math.inf)),
+                  ("NonFiniteError", "matrix has non-finite entries")),
+    "mixed-rows": (([1, 0], (0, 2)), [[1.0, 0.0], [0.0, 2.0]]),
+    "dim-1": ([[3]], [[3.0]]),
+    "bools": ([[True, False], [False, True]], [[1.0, 0.0], [0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", SQUARE_CORPUS)
+def test_as_square_errors_are_pinned(name):
+    raw, want = SQUARE_CORPUS[name]
+    try:
+        got = linalg._as_square(raw)
+    except Exception as exc:
+        got = type(exc).__name__, str(exc)
+    assert got == want
+    if isinstance(got, list):
+        assert all(type(v) is float for row in got for v in row)
+
+
 def test_symmetrize_accepts_roundtrip_noise():
     a = np.array([[2.0, 1.0], [1.0 + 1e-16, 2.0]])
     out = symmetrize(a)
