@@ -13,8 +13,9 @@ Decision ladder, in order:
    >= -2e-12 at every unit y, far inside the scan tolerance
    (docs/proofs.md#pair-term-identity).
 
-Rungs 1, 3 and 4 read kappa alone and load no numpy; rungs 2 and 5 bind
-the scan's functions on first use (:func:`_bind_scan`), which loads numpy.
+Rungs 1, 3 and 4 read kappa alone and load no numpy; rungs 2 and 5 import
+the scan's functions from ``forms`` and ``sampling`` where they call them,
+which loads numpy.
 
 Rung 2's witness is the probe row scanned alone (:func:`sampling.scan_h`),
 attached wherever its value is negative; :func:`probe_witness`, the judge
@@ -30,7 +31,6 @@ to sit exactly on a boundary classifies with the boundary, not against it.
 
 from __future__ import annotations
 
-import importlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -60,29 +60,6 @@ KAPPA_SUFFICIENT_3D = 2.0 + math.sqrt(3.0)
 
 # kappa equal to a threshold within this relative slack counts as meeting it.
 BOUNDARY_REL_TOL = 1e-12
-
-# The scan's functions, by home module.  Importing them loads numpy, so they
-# are bound in this module's namespace by the first rung that scans, and are
-# looked up here at each call (where a test may replace them).
-_SCAN_NAMES = {"delta_from_spd": "forms", "probe_directions": "sampling",
-               "scan_design": "sampling", "scan_h": "sampling"}
-
-
-def _bind_scan() -> None:
-    """Bind each name of ``_SCAN_NAMES`` not bound yet."""
-    for name, module in _SCAN_NAMES.items():
-        if name not in globals():
-            home = importlib.import_module(f".{module}", __package__)
-            globals()[name] = getattr(home, name)
-
-
-def __getattr__(name):
-    # PEP 562: a scan name read from outside before any rung has scanned.
-    if name not in _SCAN_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_scan()
-    return globals()[name]
-
 
 class Status(str, Enum):
     CONVEX = "Convex"
@@ -148,7 +125,8 @@ def falsify(spd: SpdMatrix, plan: SamplePlan = DEFAULT_PLAN) -> Witness | None:
     """One scan of the probe + design rows (:func:`sampling.scan_design`)
     for a direction where hess f is not PSD: the report's first worst row y
     as x = U' y, with its worst value; ``plan.refine_rounds`` unread."""
-    _bind_scan()
+    from .forms import delta_from_spd
+    from .sampling import scan_design
     rep = scan_design(delta_from_spd(spd), plan)
     if rep.passed:
         return None
@@ -160,8 +138,8 @@ def _probe(spd: SpdMatrix, delta: DeltaVector) -> tuple[Witness, bool]:
     """The extreme-pair probe (e_i + e_j)/sqrt(2), scanned as one row: row
     2k of :func:`sampling.probe_directions`, k the first argmax of delta
     (the pair that :meth:`DeltaVector.max_pair` names), as a witness with
-    the scan's violation flag (value below -tolerance).  Its callers bind
-    the scan's functions."""
+    the scan's violation flag (value below -tolerance)."""
+    from .sampling import probe_directions, scan_h
     k = int(delta.values.argmax())
     y = probe_directions(spd.dim)[2 * k:2 * k + 1]
     res = scan_h(delta, y)
@@ -172,7 +150,6 @@ def _probe(spd: SpdMatrix, delta: DeltaVector) -> tuple[Witness, bool]:
 def probe_witness(spd: SpdMatrix, delta: DeltaVector) -> Witness | None:
     """The probe row's witness where its scan reports a violation, else
     None: the judge of each ``boundary`` step."""
-    _bind_scan()
     witness, violation = _probe(spd, delta)
     return witness if violation else None
 
@@ -194,7 +171,7 @@ def classify(spd: SpdMatrix,
     if kappa > KAPPA_NECESSARY * inc:
         # kappa decided the verdict: a negative probe value is a witness,
         # even within the scan tolerance of 0
-        _bind_scan()
+        from .forms import delta_from_spd
         witness, violation = _probe(spd, delta_from_spd(spd))
         keep = violation or witness.lambda_min < 0.0
         return verdict(Status.NOT_CONVEX, Certificate.NECESSARY_VIOLATED,
@@ -206,6 +183,7 @@ def classify(spd: SpdMatrix,
     if kappa <= KAPPA_SUFFICIENT_ANY * inc:
         return verdict(Status.CONVEX, Certificate.SUFFICIENT_ANY_DIM)
 
-    _bind_scan()
+    from .forms import delta_from_spd
+    from .sampling import scan_design
     return verdict(Status.UNDETERMINED, Certificate.SAMPLING_EXHAUSTED,
                    report=scan_design(delta_from_spd(spd), plan))

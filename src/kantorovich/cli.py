@@ -177,11 +177,6 @@ def _json(o, indent: str = "") -> str:
     return f"{brackets[0]}\n{inner}{sep.join(items)}\n{indent}{brackets[1]}"
 
 
-def _print_json(obj) -> None:
-    """Print ``obj`` as RFC 8259 JSON, indented by 2 (:func:`_json`)."""
-    print(_json(obj))
-
-
 def grid_reports_csv(reports) -> str:
     lines = ["grid_id,coords,min_value,tolerance,passed"]
     for r in reports:
@@ -230,7 +225,7 @@ def cmd_analyze(args) -> int:
             "report": _report_dict(verdict.report),
             "seed": plan.seed,
         }
-        _print_json(out)
+        print(_json(out))
     else:
         print(f"dim: {spd.dim}")
         print(f"kappa: {spd.kappa!r}")
@@ -352,9 +347,9 @@ def cmd_lmi(args) -> int:
     plan = _plan_from_args(args)
     report = scan_design(delta, plan)
     if args.format == "json":
-        _print_json({"dim": args.dim,
+        print(_json({"dim": args.dim,
                      "delta": [float(v) for v in values],
-                     "report": _report_dict(report)})
+                     "report": _report_dict(report)}))
     else:
         point = ",".join(repr(float(v)) for v in report.worst_point)
         print(f"dim: {args.dim}")
@@ -415,7 +410,7 @@ def cmd_kantorovich_bound(args) -> int:
             "as_printed": {"rhs": float(printed.rhs),
                            "holds": bool(printed.holds)},
         }
-        _print_json(out)
+        print(_json(out))
     else:
         print(f"K(x) = {classical.lhs!r}")
         print(f"classical bound (l1+ln)^2/(4 l1 ln) * |x|^4: rhs = "

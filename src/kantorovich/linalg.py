@@ -5,9 +5,8 @@ eigensolver run on Python floats, so that importing this module and
 validating a matrix load no numpy; the arrays of :class:`SpectralData` and
 :class:`SpdMatrix` are built on first access.  The eigensolver is a cyclic
 Jacobi iteration, which at these sizes is simple, accurate and has no moving
-parts; it computes bit for bit what the same iteration on numpy arrays does
-(see :func:`eig_sym`).  It rotates only the working matrix and logs each
-rotation; the eigenvectors are replayed from that log, and checked
+parts (see :func:`eig_sym`).  It rotates only the working matrix and logs
+each rotation; the eigenvectors are replayed from that log, and checked
 orthonormal, on the first read of ``SpectralData.rotation``, which only a
 witness needs.  The scans take LAPACK's batched smallest eigenvalues
 instead, behind one exact Cholesky screen (:func:`screened_min_eig`), and
@@ -93,15 +92,28 @@ def _shape(x) -> tuple[int, ...]:
 
 def _as_square(raw) -> list[list[float]]:
     """``raw``, an array or nested sequences of shape (n, n), 1 <= n <=
-    ``MAX_DIM``, as n rows of n finite Python floats."""
-    shape = tuple(raw.shape) if hasattr(raw, "shape") else _shape(raw)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise NotSquareError(f"expected a square matrix, got shape {shape}")
-    if shape[0] < 1 or shape[0] > MAX_DIM:
-        raise MatrixValidationError(
-            f"dim {shape[0]} outside supported range 1..{MAX_DIM}")
-    rows = raw.tolist() if hasattr(raw, "tolist") else raw
-    m = [list(map(float, row)) for row in rows]
+    ``MAX_DIM``, as n rows of n finite Python floats.  A list or tuple of n
+    lists or tuples of n entries is converted directly; any other input,
+    or one whose conversion fails, goes through the shape checks, which
+    raise the error that names what is wrong."""
+    m = None
+    if isinstance(raw, (list, tuple)) and 1 <= len(raw) <= MAX_DIM and all(
+            isinstance(row, (list, tuple)) and len(row) == len(raw)
+            for row in raw):
+        try:
+            m = [list(map(float, row)) for row in raw]
+        except (TypeError, ValueError, OverflowError):
+            pass  # an entry may be a sequence, which the shape check names
+    if m is None:
+        shape = tuple(raw.shape) if hasattr(raw, "shape") else _shape(raw)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise NotSquareError(
+                f"expected a square matrix, got shape {shape}")
+        if shape[0] < 1 or shape[0] > MAX_DIM:
+            raise MatrixValidationError(
+                f"dim {shape[0]} outside supported range 1..{MAX_DIM}")
+        rows = raw.tolist() if hasattr(raw, "tolist") else raw
+        m = [list(map(float, row)) for row in rows]
     if not all(all(map(math.isfinite, row)) for row in m):
         raise NonFiniteError("matrix has non-finite entries")
     return m
@@ -145,68 +157,20 @@ def _ldexp(x: float, e: int) -> float:
         return math.copysign(math.inf, x)
 
 
-def _sum_squares(xs: list[float]) -> float:
-    """The sum of x * x over ``xs`` in the order numpy's pairwise sum takes
-    for a contiguous array of at most 128 entries, so bit for bit
-    ``float((x * x).sum())``: in order below 8 terms; else 8 lanes, term i
-    into lane i mod 8 over the whole blocks of 8, the lanes combined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remaining
-    terms in order."""
-    sq = [x * x for x in xs]
-    whole = len(sq) - len(sq) % 8 if len(sq) >= 8 else 0
-    total = 0.0
-    if whole:
-        r = sq[:8]
-        for i in range(8, whole, 8):
-            for k in range(8):
-                r[k] += sq[i + k]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5])
-                                                   + (r[6] + r[7]))
-    for v in sq[whole:]:
-        total += v
-    return total
-
-
-def _check_orthonormal(u: list[list[float]]) -> None:
-    """Reject rows ``u`` whose Gram matrix is off the identity by > 1e-10."""
-    n = len(u)
-    if any(abs(sum(map(mul, u[i], u[j])) - (i == j)) > 1e-10
-           for i in range(n) for j in range(i, n)):
-        raise MatrixValidationError("rotation is not orthonormal")
-
-
 class SpectralData:
     """Eigendecomposition A = U' diag(eigenvalues) U with U row-orthonormal.
 
     ``eigenvalues`` are ascending; ``rotation`` is U, so ``y = U @ x`` maps a
     point into eigencoordinates.  Both are read-only ndarrays, built on
-    first access from the floats given.  The constructor checks its
-    arguments at once; the instances :func:`eig_sym` returns hold the
-    logged Jacobi rotations instead of U, and replay them, then check U
-    orthonormal, on the first read of ``rotation`` (:attr:`_u`).
+    first access.  U is row ``order[k]`` of V' at row k, V the product of
+    the Jacobi ``rotations``, (p, q, c, s) each, applied in order; it is
+    replayed from them, and checked orthonormal, on the first read of
+    ``rotation`` (:attr:`_u`).
     """
 
-    def __init__(self, eigenvalues, rotation):
-        w = list(map(float, eigenvalues))
-        u = [list(map(float, row)) for row in rotation]
-        n = len(w)
-        if len(u) != n or any(len(row) != n for row in u):
-            raise DimensionMismatchError(
-                f"rotation shape {_shape(u)} does not match {n} eigenvalues")
-        if any(b < a for a, b in zip(w, w[1:])):
-            raise MatrixValidationError("eigenvalues must be ascending")
-        _check_orthonormal(u)
-        self._w, self._u = w, u
-
-    @classmethod
-    def _logged(cls, w: list[float], rotations: list[tuple],
-                order: list[int]) -> SpectralData:
-        """The decomposition with ascending eigenvalues ``w`` whose U is
-        row ``order[k]`` of V' at row k, V the product of the Jacobi
-        rotations ``rotations``, (p, q, c, s) each, applied in order."""
-        self = cls.__new__(cls)
+    def __init__(self, w: list[float], rotations: list[tuple],
+                 order: list[int]):
         self._w, self._rotations, self._order = w, rotations, order
-        return self
 
     @cached_property
     def _u(self) -> list[list[float]]:
@@ -218,7 +182,9 @@ class SpectralData:
             vt[p] = [c * x - s * y for x, y in zip(vp, vq)]
             vt[q] = [s * x + c * y for x, y in zip(vp, vq)]
         u = [vt[k] for k in self._order]
-        _check_orthonormal(u)
+        if any(abs(sum(map(mul, u[i], u[j])) - (i == j)) > 1e-10
+               for i in range(n) for j in range(i, n)):
+            raise MatrixValidationError("rotation is not orthonormal")
         return u
 
     @cached_property
@@ -245,17 +211,14 @@ def eig_sym(m) -> SpectralData:
     (docs/proofs.md#power-of-two-scaling), and the eigenvalues are scaled
     back by 2^e: one beyond the float range reads inf.
 
-    The iteration runs on rows of Python floats, not on numpy rows: at
-    n <= 8 a numpy call costs more than the arithmetic it does.  Each entry
-    is still one ``c*x - s*y`` or ``s*x + c*y`` in IEEE double, two rounded
-    products and a rounded sum with no fused multiply-add, as numpy computes
-    it elementwise, so the eigenvalues and rotation are those of the same
-    iteration on numpy rows, bit for bit.  The matrix stays exactly
-    symmetric (a rotated row and the rotated column are the same
-    expressions), so each new entry is computed once and stored in both.
-    The norms, whose summation order decides when the iteration stops, are
-    summed in numpy's pairwise order (:func:`_sum_squares`), and the
-    eigenvalues are sorted stably, as numpy's stable argsort does.
+    The iteration runs on rows of Python floats: at n <= 8 a numpy call
+    costs more than the arithmetic it does.  Each entry is one
+    ``c*x - s*y`` or ``s*x + c*y`` in IEEE double, two rounded products and
+    a rounded sum.  The matrix stays exactly symmetric (a rotated row and
+    the rotated column are the same expressions), so each new entry is
+    computed once and stored in both.  The norms are exactly rounded sums
+    of the squares (``math.fsum``), so the stop test depends on no
+    summation order; the eigenvalues are sorted stably.
 
     The sweeps rotate only the matrix and log each rotation (p, q, c, s).
     U is built on its first read by replaying the log onto the identity
@@ -272,15 +235,14 @@ def _jacobi(a: list[list[float]]) -> SpectralData:
     n = len(a)
     e = math.frexp(max(abs(v) for row in a for v in row))[1]
     work = [[math.ldexp(v, -e) for v in row] for row in a]
-    norm = math.sqrt(_sum_squares([v for row in work for v in row]))
+    norm = math.sqrt(math.fsum([v * v for row in work for v in row]))
     rotations = []
     if norm == 0.0:
-        return SpectralData._logged([0.0] * n, rotations, list(range(n)))
+        return SpectralData([0.0] * n, rotations, list(range(n)))
 
     def offnorm():
-        return math.sqrt(_sum_squares([0.0 if i == j else v
-                                       for i, row in enumerate(work)
-                                       for j, v in enumerate(row)]))
+        return math.sqrt(math.fsum([v * v for i, row in enumerate(work)
+                                    for j, v in enumerate(row) if i != j]))
 
     for _ in range(JACOBI_MAX_SWEEPS):
         if offnorm() <= JACOBI_TOL * norm:
@@ -314,7 +276,7 @@ def _jacobi(a: list[list[float]]) -> SpectralData:
 
     w = [_ldexp(work[k][k], e) for k in range(n)]
     order = sorted(range(n), key=w.__getitem__)
-    return SpectralData._logged([w[k] for k in order], rotations, order)
+    return SpectralData([w[k] for k in order], rotations, order)
 
 
 def min_eigenvalue(m) -> float:

@@ -1,10 +1,10 @@
 import math
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from kantorovich import sampling
 from kantorovich.classify import (BOUNDARY_REL_TOL, KAPPA_NECESSARY,
                                   KAPPA_SUFFICIENT_3D, KAPPA_SUFFICIENT_ANY,
                                   Certificate, Status, classify, falsify,
@@ -145,9 +145,7 @@ def test_classify_gap_scans_once(monkeypatch, eigs):
         calls.append(1)
         return scan_design(*args, **kwargs)
 
-    # kantorovich.classify names the function; the module is looked up.
-    monkeypatch.setattr(sys.modules["kantorovich.classify"], "scan_design",
-                        counting_scan_design)
+    monkeypatch.setattr(sampling, "scan_design", counting_scan_design)
     spd = validate_spd(np.diag(eigs))
     v = classify(spd, FAST)
     assert len(calls) == 1
