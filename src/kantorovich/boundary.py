@@ -2,9 +2,9 @@
 
 For a family kappa -> spectrum(kappa) the prober bisects on kappa between a
 witness-free floor and a witness-bearing ceiling.  Each step is decided by
-the necessary rung's probe-row judge, :func:`classify.probe_witness`, alone:
-no design direction finds a witness where the probe row finds none
-(docs/proofs.md#pair-term-identity), so no step scans the design.
+the necessary rung's closed-form probe, :func:`classify.probe_witness`,
+alone: no direction finds a witness where the probe finds none
+(docs/proofs.md#pair-term-identity), so no step scans.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 # falsify stays importable here: bench/workloads.py re-checks kappa_hi with it.
 from .classify import falsify, probe_witness  # noqa: F401
-from .forms import delta_from_spd
 from .linalg import MAX_DIM, PD_TOL, SpdMatrix, validate_spd
 from .sampling import DEFAULT_PLAN, SamplePlan, sample_count
 
@@ -94,8 +93,7 @@ class BoundaryEstimate:
 
 
 def _witness_found(family: EigenFamily, kappa: float) -> bool:
-    spd = family.spd(kappa)
-    return probe_witness(spd, delta_from_spd(spd)) is not None
+    return probe_witness(family.spd(kappa)) is not None
 
 
 def probe_boundary(family: EigenFamily, tol: float = 1e-4,

@@ -4,7 +4,7 @@ Decision ladder, in order:
 
 1. dim 2: convex iff kappa <= 3 + 2*sqrt(2) (sharp both ways).
 2. any dim: kappa > 3 + 2*sqrt(2) rules convexity out; the (e_i + e_j)
-   coordinate probe on the extreme eigenvalue pair usually certifies it.
+   coordinate probe on the extreme eigenvalue pair is the witness.
 3. dim 3: kappa <= 2 + sqrt(3) is sufficient.
 4. any dim: kappa <= sqrt(5 + 2*sqrt(6)) is sufficient.
 5. otherwise kappa sits in the open gap: scan the sampled design once
@@ -13,17 +13,17 @@ Decision ladder, in order:
    >= -2e-12 at every unit y, far inside the scan tolerance
    (docs/proofs.md#pair-term-identity).
 
-Rungs 1, 3 and 4 read kappa alone and load no numpy; rungs 2 and 5 import
-the scan's functions from ``forms`` and ``sampling`` where they call them,
-which loads numpy.
+Rungs 1 to 4 read Python floats, and only rung 2's witness point loads
+numpy; rung 5 imports ``forms`` and ``sampling`` where it calls them.
 
-Rung 2's witness is the probe row scanned alone (:func:`sampling.scan_h`),
-attached wherever its value is negative; :func:`probe_witness`, the judge
-of ``boundary``, keeps it only where the scan reports a violation.
-:func:`falsify` maps the first worst row y of one probe + design scan's
-report (:func:`sampling.scan_design`) back to x = U'y.  The identity's
-bound 3/2 - delta_max/4 holds for every delta and is attained at the
-probe, which every scan evaluates first.
+The probe (:func:`_probe`) is in closed form: lambda_min h at y = (e_i +
+e_j)/sqrt(2) on the first largest ratio sum is 3/2 - delta_max/4
+(docs/proofs.md#pair-term-identity), :func:`forms.least_coefs`' c bit for
+bit; its point is x = U'y.  Rung 2 always attaches it (there delta_max > 6,
+so the value is negative); :func:`probe_witness`, the judge of
+``boundary``, keeps it only below the scans' tolerance.  :func:`falsify`
+maps the first worst row y of one probe + design scan's report
+(:func:`sampling.scan_design`) back to x = U'y.
 
 Threshold comparisons are inclusive within relative 1e-12, so a matrix built
 to sit exactly on a boundary classifies with the boundary, not against it.
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .linalg import SpdMatrix
+from .linalg import SpdMatrix, pair_indices, scan_tolerance
 from .plan import DEFAULT_PLAN, SamplePlan
 
 if TYPE_CHECKING:
@@ -108,17 +108,25 @@ class ConvexityVerdict:
     report: SampleReport | None = None
 
 
-def necessary_probe(delta: DeltaVector) -> ProbeResult:
-    """Evaluate the probe quadratic q(d) = 9 + 3 d - (3/4) d^2 at delta_max.
+def _pair_probe(values: list[float]) -> tuple[int, float, float, bool]:
+    """The extreme-pair probe on ratio sums ``values`` (pair order): the
+    index k of the first largest, delta_max, the probe value 3/2 -
+    delta_max/4 and its flag, value below -``scan_tolerance(delta_max)``."""
+    k = max(range(len(values)), key=values.__getitem__)
+    dmax = values[k]
+    lam = 1.5 - 0.25 * dmax
+    return k, dmax, lam, not lam >= -scan_tolerance(dmax)
 
-    q is, up to a positive factor, det h(delta, e_i + e_j) restricted to the
-    worst pair; its roots are -2 and 6, so q < 0 exactly when delta_max > 6,
-    i.e. kappa > 3 + 2*sqrt(2).
-    """
-    pair, dmax = delta.max_pair()
+
+def necessary_probe(delta: DeltaVector) -> ProbeResult:
+    """The probe on ``delta`` (:func:`_pair_probe`) with q(d) = 9 + 3 d -
+    (3/4) d^2 at delta_max: q = 3 (2 + d) (3/2 - d/4) has roots -2 and 6,
+    so q < 0 exactly when kappa > 3 + 2*sqrt(2).  ``violated`` is the
+    probe's flag, as :func:`probe_witness` judges it."""
+    k, dmax, _, violated = _pair_probe(delta.values.tolist())
     q = 9.0 + 3.0 * dmax - 0.75 * dmax * dmax
-    return ProbeResult(worst_pair=pair, delta_max=dmax, quad_value=q,
-                       violated=q < 0.0)
+    return ProbeResult(worst_pair=pair_indices(delta.dim)[k], delta_max=dmax,
+                       quad_value=q, violated=violated)
 
 
 def falsify(spd: SpdMatrix, plan: SamplePlan = DEFAULT_PLAN) -> Witness | None:
@@ -134,23 +142,21 @@ def falsify(spd: SpdMatrix, plan: SamplePlan = DEFAULT_PLAN) -> Witness | None:
                    lambda_min=rep.worst_value)
 
 
-def _probe(spd: SpdMatrix, delta: DeltaVector) -> tuple[Witness, bool]:
-    """The extreme-pair probe (e_i + e_j)/sqrt(2), scanned as one row: row
-    2k of :func:`sampling.probe_directions`, k the first argmax of delta
-    (the pair that :meth:`DeltaVector.max_pair` names), as a witness with
-    the scan's violation flag (value below -tolerance)."""
-    from .sampling import probe_directions, scan_h
-    k = int(delta.values.argmax())
-    y = probe_directions(spd.dim)[2 * k:2 * k + 1]
-    res = scan_h(delta, y)
-    return (Witness(point=spd.spectral.rotation.T @ y[0],
-                    lambda_min=res.worst_value), res.violation)
+def _probe(spd: SpdMatrix) -> tuple[Witness, bool]:
+    """The extreme-pair probe of ``spd`` (:func:`_pair_probe`) as a witness
+    with its flag: x_c = r U[i][c] + r U[j][c], r = 1/sqrt(2), for the
+    pair (i, j)."""
+    k, _, lam, violation = _pair_probe(spd.ratio_sums())
+    i, j = pair_indices(spd.dim)[k]
+    u, r = spd.spectral._u, 1.0 / math.sqrt(2.0)
+    return (Witness(point=[r * a + r * b for a, b in zip(u[i], u[j])],
+                    lambda_min=lam), violation)
 
 
-def probe_witness(spd: SpdMatrix, delta: DeltaVector) -> Witness | None:
-    """The probe row's witness where its scan reports a violation, else
-    None: the judge of each ``boundary`` step."""
-    witness, violation = _probe(spd, delta)
+def probe_witness(spd: SpdMatrix) -> Witness | None:
+    """The probe's witness where it is flagged, else None: the judge of
+    each ``boundary`` step."""
+    witness, violation = _probe(spd)
     return witness if violation else None
 
 
@@ -169,13 +175,10 @@ def classify(spd: SpdMatrix,
         return verdict(Status.CONVEX, Certificate.SUFFICIENT_ANY_DIM)
 
     if kappa > KAPPA_NECESSARY * inc:
-        # kappa decided the verdict: a negative probe value is a witness,
-        # even within the scan tolerance of 0
-        from .forms import delta_from_spd
-        witness, violation = _probe(spd, delta_from_spd(spd))
-        keep = violation or witness.lambda_min < 0.0
+        # delta_max >= 6 + 5.5e-12, so the probe value is negative: a
+        # witness, even within the scan tolerance of 0
         return verdict(Status.NOT_CONVEX, Certificate.NECESSARY_VIOLATED,
-                       witness=witness if keep else None)
+                       witness=_probe(spd)[0])
     if n == 2:
         return verdict(Status.CONVEX, Certificate.EXACT_2D)
     if n == 3 and kappa <= KAPPA_SUFFICIENT_3D * inc:

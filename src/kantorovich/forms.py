@@ -74,13 +74,6 @@ class DeltaVector:
             m[i, j] = m[j, i] = self.values[k]
         return m
 
-    def max_pair(self) -> tuple[tuple[int, int], float]:
-        """The pair with the largest ratio sum (ties: first in pair order)."""
-        if self.values.shape[0] == 0:
-            raise ValueError("no pairs in a 1-dimensional delta vector")
-        k = int(np.argmax(self.values))
-        return pair_indices(self.dim)[k], float(self.values[k])
-
 
 def delta_from_spd(spd: SpdMatrix) -> DeltaVector:
     """The ratio sums l_j/l_i + l_i/l_j of ``spd``

@@ -295,6 +295,12 @@ def pair_indices(dim: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(dim - 1) for j in range(i + 1, dim)]
 
 
+def scan_tolerance(delta_max: float) -> float:
+    """The absolute PSD slack of a scan or probe of h(delta, .): PSD_EPS
+    times the largest |entry| of h at a unit point (sampling.h_scale_bound)."""
+    return PSD_EPS * max(3.0, 0.5 * delta_max)
+
+
 class SpdMatrix:
     """A validated symmetric positive definite matrix with its decomposition.
 

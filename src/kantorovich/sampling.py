@@ -23,7 +23,7 @@ import numpy as np
 
 from .forms import (BOUND_DELTA_MAX, DeltaVector, as_points, h_entries,
                     least_coefs, pair_indices, row_bound, row_coefs)
-from .linalg import PSD_EPS, FirstMin, screened_min_eig
+from .linalg import FirstMin, scan_tolerance, screened_min_eig
 # The plan lives apart, without numpy; these names stay importable here.
 from .plan import DEFAULT_PLAN, MAX_SAMPLES, SamplePlan  # noqa: F401
 
@@ -202,13 +202,13 @@ def _scan(delta: DeltaVector, total: int, read,
     """:func:`scan_h` of ``total`` rows, block k being ``read(k, lo, hi)``,
     and a copy of the first worst row; ``floors`` clear blocks unread."""
     n = delta.dim
-    # The tolerance also sets the screens' margins: max(1, h_scale_bound)
-    # bounds every |entry| of h at a unit point (see screened_min_eig).
-    tol = PSD_EPS * max(1.0, h_scale_bound(delta))
+    # The tolerance also sets the screens' margins: h_scale_bound bounds
+    # every |entry| of h at a unit point (see screened_min_eig).
+    tol = scan_tolerance(float(delta.values.max(initial=0.0)))
     dm = delta.as_matrix()
     coefs = floor = None
     # The bound and floors are made only for a scan with rows past the
-    # probe head, which they never screen (so not for a one-row probe).
+    # probe head, which they never screen (so not for probe rows alone).
     least = _bound_coefs(delta, 0.5 * tol) if total > n * (n - 1) else None
     if least is not None:
         a, c = least
@@ -244,9 +244,9 @@ def scan_h(delta: DeltaVector, points: np.ndarray) -> ScanResult:
     """Minimum eigenvalue of h(delta, y) over a stack of unit points.
 
     The result is exact: the worst value, its first index and the violation
-    flag (not worst >= -tolerance, tolerance ``PSD_EPS * max(1,
-    h_scale_bound)``) are those of evaluating every point; the first NaN
-    is the worst (:class:`linalg.FirstMin`).  The first block is the
+    flag (not worst >= -tolerance, tolerance :func:`linalg.scan_tolerance`
+    of delta_max) are those of evaluating every point; the first NaN is
+    the worst (:class:`linalg.FirstMin`).  The first block is the
     ``dim*(dim-1)`` probe rows.  In each later one, the row bound
     (:func:`forms.row_bound`, where it applies) clears every row whose bound
     exceeds the running minimum by half the tolerance, h is built for the

@@ -11,7 +11,7 @@ from kantorovich.boundary import (FAMILY_KINDS, SWEEP_CSV_HEADER,
 from kantorovich.classify import Certificate, classify, falsify, probe_witness
 from kantorovich.linalg import (MAX_DIM, PD_TOL, NotPositiveDefiniteError,
                                 validate_spd)
-from kantorovich.sampling import SamplePlan, all_samples, scan_h
+from kantorovich.sampling import SamplePlan, all_samples
 
 THRESHOLD_2D = 3.0 + 2.0 * math.sqrt(2.0)
 FAST = SamplePlan(angles_2d=1024, fibonacci_3d=20_000, random_nd=40_000,
@@ -105,7 +105,7 @@ def test_probe_bracket_limit_is_the_spd_limit(monkeypatch):
     # a bad bracket, rejected before any search.
     searched = []
 
-    def no_witness(spd, delta):
+    def no_witness(spd):
         searched.append(spd.kappa)
         return None
 
@@ -132,9 +132,9 @@ def test_probe_bad_bracket_low_searches_once(monkeypatch):
     # A witness at kappa_lo fails the bracket without a search at kappa_hi.
     calls = []
 
-    def counting(spd, delta):
+    def counting(spd):
         calls.append(spd.kappa)
-        return probe_witness(spd, delta)
+        return probe_witness(spd)
 
     monkeypatch.setattr("kantorovich.boundary.probe_witness", counting)
     with pytest.raises(BadInitialBracketError,
@@ -178,31 +178,20 @@ def test_ladder_oracle_matches_falsify_oracle(monkeypatch, dim):
 
 
 def test_no_step_scans_the_design(monkeypatch):
-    # Every step, in or out of the gap, is one scan of the single
-    # extreme-pair probe row; no step runs scan_design over the design.
-    scans = []
-    per_step = []
-    real_step = boundary._witness_found
-
-    def counting_scan(delta, points):
-        scans.append(points.shape[0])
-        return scan_h(delta, points)
-
-    def counting_step(family, kappa):
-        before = len(scans)
-        found = real_step(family, kappa)
-        per_step.append(scans[before:])
-        return found
-
-    monkeypatch.setattr(sampling, "scan_h", counting_scan)
-    monkeypatch.setattr(sampling, "scan_design",
-                        lambda *a: pytest.fail("scanned the design"))
-    monkeypatch.setattr(boundary, "_witness_found", counting_step)
-    for dim in (2, 3, 4, MAX_DIM):
-        for kind in FAMILY_KINDS:
-            per_step.clear()
-            est = probe_boundary(EigenFamily(kind, dim), tol=1e-3, plan=FAST)
-            assert per_step == [[1]] * len(est.steps), (kind, dim)
+    # Every step, in or out of the gap, is the closed-form extreme-pair
+    # probe: no step scans a row, the probe row or the design, so none
+    # makes a row bound or runs a Cholesky test either.
+    for module, name in ((sampling, "scan_h"), (sampling, "scan_design"),
+                         (sampling, "_bound_coefs"),
+                         (linalg, "cholesky_clears")):
+        monkeypatch.setattr(module, name,
+                            lambda *a, name=name: pytest.fail(name))
+    for tol in (1e-3, 1e-4):
+        for dim in (2, 3, 4, MAX_DIM):
+            for kind in FAMILY_KINDS:
+                est = probe_boundary(EigenFamily(kind, dim), tol=tol,
+                                     plan=FAST)
+                assert len(est.steps) > 2
 
 
 def _count_calls(monkeypatch, module, name):
@@ -217,19 +206,6 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_no_step_runs_a_screen(monkeypatch):
-    # Each step's scan is the one probe row against a running minimum of
-    # +inf: no Cholesky test can clear it, and no row past the probe head
-    # needs the row bound.
-    cholesky = _count_calls(monkeypatch, linalg, "cholesky_clears")
-    bound = _count_calls(monkeypatch, sampling, "_bound_coefs")
-    for dim in (2, 3, 4):
-        for kind in FAMILY_KINDS:
-            est = probe_boundary(EigenFamily(kind, dim), tol=1e-4, plan=FAST)
-            assert est.steps
-    assert (len(cholesky), len(bound)) == (0, 0)
-
-
 def _ci_gap8(tie=0.0):
     # the gap8 and tie8 matrices of the CI console-script step
     q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((8, 8)))
@@ -241,8 +217,8 @@ def _ci_gap8(tie=0.0):
 
 
 def test_classify_screens_only_design_blocks(monkeypatch):
-    # The necessary rung's probe row and the gap8 scan's probe head run no
-    # Cholesky test (the gap8 floors skip every design block); tie8's
+    # The necessary rung scans nothing and the gap8 scan's probe head runs
+    # no Cholesky test (the gap8 floors skip every design block); tie8's
     # design blocks are still screened.
     cholesky = _count_calls(monkeypatch, linalg, "cholesky_clears")
     for dim in range(2, MAX_DIM + 1):
@@ -260,7 +236,7 @@ def test_classify_screens_only_design_blocks(monkeypatch):
     assert len(cholesky) >= 1
 
 
-@pytest.mark.parametrize("tol", [1e-4, 1e-9])
+@pytest.mark.parametrize("tol", [1e-4, 1e-9, 2e-15])
 def test_bracket_is_dimension_independent(tol):
     # Every family has delta_max = kappa + 1/kappa on its extreme pair, and
     # the probe row decides each step, so all 21 rows bisect alike.

@@ -9,7 +9,7 @@ from kantorovich.classify import (BOUNDARY_REL_TOL, KAPPA_NECESSARY,
                                   KAPPA_SUFFICIENT_3D, KAPPA_SUFFICIENT_ANY,
                                   Certificate, Status, classify, falsify,
                                   necessary_probe, probe_witness)
-from kantorovich.forms import DeltaVector, delta_from_spd
+from kantorovich.forms import DeltaVector, delta_from_spd, least_coefs
 from kantorovich.function import f_hessian
 from kantorovich.linalg import min_eigenvalue, validate_spd
 from kantorovich.sampling import SamplePlan, all_samples, scan_design, scan_h
@@ -54,6 +54,16 @@ def test_probe_diag16_value():
     assert res.quad_value == pytest.approx(-49.0 / 48.0, abs=1e-12)
     assert res.violated
     assert res.worst_pair == (0, 1)
+
+
+def test_probe_pair_tie_break():
+    # Ties go to the first pair in pair order, in the library probe and in
+    # the witness: diag(1, 1, 7) ties (0, 2) with (1, 2).
+    res = necessary_probe(DeltaVector(dim=3, values=np.array([5.0, 5, 2])))
+    assert (res.worst_pair, res.delta_max) == ((0, 1), 5.0)
+    witness = classify(validate_spd(np.diag([1.0, 1.0, 7.0]))).witness
+    r = 1.0 / math.sqrt(2.0)
+    assert witness.point.tolist() == [r, 0.0, r]
 
 
 # --- falsify ----------------------------------------------------------------
@@ -313,7 +323,35 @@ def test_not_convex_just_above_the_threshold_has_a_witness(dim, r):
     hess = f_hessian(spd, v.witness.point)
     assert min_eigenvalue(hess) < 0.0
     # the probe row alone is still judged against the tolerance
-    assert probe_witness(spd, delta_from_spd(spd)) is None
+    assert probe_witness(spd) is None
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_closed_form_probe_is_the_probe_row_scan(n):
+    # The probe's value 3/2 - delta_max/4 is least_coefs' c bit for bit and
+    # the LAPACK scan of the probe row up to rounding, with the same flag;
+    # its point r U[i] + r U[j] is rotation.T @ y up to an ulp.
+    rng = np.random.default_rng(4100 + n)
+    lo, hi = math.log10(2e-12), math.log10(39.0)
+    for r in (2e-12, 39.0, *10.0 ** rng.uniform(lo, hi, 10)):
+        kappa = KAPPA_NECESSARY * (1.0 + r)
+        w = np.concatenate(([1.0, kappa], rng.uniform(1.0, kappa, n - 2)))
+        for scale in (2.0 ** 700, 2.0 ** -700):
+            q = random_rotation(rng, n)
+            a = (q * (np.sort(w) * scale)) @ q.T
+            spd = validate_spd(0.5 * (a + a.T))
+            delta = delta_from_spd(spd)
+            witness = classify(spd).witness
+            lam = witness.lambda_min
+            assert lam == least_coefs(delta.values)[1]
+            k = int(delta.values.argmax())
+            y = sampling.probe_directions(n)[2 * k]
+            res = scan_h(delta, y[None, :])
+            assert abs(lam - res.worst_value) <= 1e-14 * max(1.0, abs(lam))
+            assert (probe_witness(spd) is not None) == res.violation
+            want = spd.spectral.rotation.T @ y
+            assert np.abs(witness.point - want).max() <= 2.0 ** -52
+            assert min_eigenvalue(f_hessian(spd, witness.point)) < 0.0
 
 
 def test_scale_invariance(rng):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -8,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import write_matrix
 from kantorovich import cli, linalg
+from kantorovich.classify import KAPPA_NECESSARY
 from kantorovich.cli import (build_parser, parse_matrix_json,
                              parse_matrix_text, read_matrix_file, run)
 
@@ -695,6 +699,72 @@ def test_boundary_bad_bracket_exits_70():
     assert res.returncode == 70
 
 
+# The boundary flags: per flag, values that pass every check and edge
+# values that pass argparse (for the bracket, ordered pairs of values
+# around 1, 3 + 2*sqrt(2) and 1e12).  Each example takes one flag, or
+# none, from its edges.
+_K = KAPPA_NECESSARY
+_TOP = 1e12
+while linalg.PD_TOL * _TOP >= 1.0:
+    _TOP = math.nextafter(_TOP, 0.0)
+_EDGES = [1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 8.0, _K,
+          math.nextafter(_K, 0.0), math.nextafter(_K, 9.0), _K * (1 + 1e-8),
+          _TOP, math.nextafter(_TOP, math.inf), 1e12, -1.0, math.nan,
+          math.inf]
+_FLAG_POOLS = {
+    "tol": (["inf", "ulp", "1e-3"],
+            ["0", "0.0", "-0.0", "nan", "5e-324", "-1e-3"]),
+    "bracket": ([(1.0, 8.0)],
+                [(lo, hi) for lo in _EDGES for hi in _EDGES if not lo > hi]),
+    "dims": (["2", " 4 ,", "8"],
+             ["", ",", "1", "9", "x", "2.5", "99999999999999999999",
+              "2,3,4,5,6,7,8,2,3"]),
+    "families": (["two_point", "pinned_pair,,geometric"],
+                 ["", ",", "bogus", "two_point,bogus",
+                  ",".join(["two_point", "geometric", "pinned_pair"] * 3)]),
+    "seed": ([0, 2 ** 63 - 1, 2 ** 64], [-1]),
+    "samples": ([1, 1 << 27], [0, (1 << 27) + 1]),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_boundary_flags_exit_cleanly(data):
+    # Whatever passes argparse exits 0, 64 or 70 without a traceback: 64
+    # with one error line and no output, 0 and 70 with the header and one
+    # CSV row per family and dim, 70 where a row has no bracket.
+    edge = data.draw(st.sampled_from([None, *_FLAG_POOLS]))
+    flag = {name: data.draw(st.sampled_from(
+                valid + edges if name == edge else valid))
+            for name, (valid, edges) in _FLAG_POOLS.items()}
+    lo, hi = flag.pop("bracket")
+    if flag["tol"] == "ulp":
+        flag["tol"] = repr(math.ulp(hi))
+    samples = flag.pop("samples")
+    argv = ["boundary", "--format", "csv", f"--bracket-lo={lo!r}",
+            f"--bracket-hi={hi!r}",
+            *[f"--{name}={value}" for name, value in flag.items()],
+            *[f"--samples-{d}={samples}" for d in ("2d", "3d", "nd")]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 64, 70), (argv, err)
+    assert "Traceback" not in err
+    if code == 64:
+        assert out == "" and err.count("error:") == 1, (argv, err)
+        return
+    lines = out.splitlines()
+    rows = [len([t for t in flag[name].split(",") if t.strip()])
+            for name in ("dims", "families")]
+    assert lines[0] == "family,dim,kappa_lo,kappa_hi,tol,samples,seed,wall_ms"
+    assert len(lines) == 1 + rows[0] * rows[1], argv
+    assert (code == 70) == any(",nan,nan," in x for x in lines[1:]), argv
+
+
 # --- lmi ---------------------------------------------------------------------
 
 def test_lmi_pass_boundary():
@@ -975,12 +1045,15 @@ ANALYZE_FILES = {
     "malformed.txt": ("2\n1 x\n0 1\n", "error: bad matrix row", 64),
     "malformed.json": ('{"n": 2, "entries": [1, 0', "error: Expecting", 64),
 }
-# The analyze inputs whose rung scans (the probe row or the gap design).
-SCANNED = ("necessary-violated.txt", "gap.txt")
+# The analyze input whose rung scans (the gap design), and the one whose
+# rung builds a witness point, an ndarray, without a scan.
+SCANNED = ("gap.txt",)
+WITNESSED = ("necessary-violated.txt",)
 
 # The modules that every start loads.  A command loads the submodule it
 # runs besides, and a command or analyze rung that scans loads numpy with
-# the scan's modules; no other start loads numpy.
+# the scan's modules; no other start loads those, and only a witness point
+# loads numpy alone.
 BASE_MODULES = {"kantorovich", "kantorovich.cli", "kantorovich.classify",
                 "kantorovich.linalg", "kantorovich.plan"}
 SCAN_MODULES = {"kantorovich.forms", "kantorovich.sampling", "numpy"}
@@ -1000,8 +1073,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m == "numpy"
 
 
 @pytest.mark.parametrize("argv, code, extra", [
-    (("analyze", "PLAIN"), 1, SCAN_MODULES),
-    (("analyze", "JSON", "--format", "json"), 1, SCAN_MODULES),
+    (("analyze", "PLAIN"), 1, {"numpy"}),
+    (("analyze", "JSON", "--format", "json"), 1, {"numpy"}),
     (("lmi", "--dim", "3", "--delta", "2.5,3.0,2.8"), 0, SCAN_MODULES),
     (("--help",), 0, set()),
     (("lemmas", "--grid", "3"), 0,
@@ -1013,7 +1086,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m == "numpy"
     (("kantorovich-bound", "PLAIN", "--point", "1,1"), 0,
      {"kantorovich.function", "numpy"}),
     *[(("analyze", name, *fmt), ANALYZE_FILES[name][2],
-       SCAN_MODULES if name in SCANNED else set())
+       SCAN_MODULES if name in SCANNED
+       else {"numpy"} if name in WITNESSED else set())
       for name in ANALYZE_FILES for fmt in ((), ("--format", "json"))],
 ], ids=["analyze", "analyze-json", "lmi", "help", "lemmas", "boundary",
         "hessian-check", "kantorovich-bound",

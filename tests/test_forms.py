@@ -111,13 +111,6 @@ def test_delta_from_spd_is_the_numpy_scalar_formula(rng, n):
                 assert got.tobytes() == _numpy_scalar_deltas(spd).tobytes()
 
 
-def test_max_pair_tie_break():
-    d = DeltaVector(dim=3, values=np.array([5.0, 5.0, 2.0]))
-    pair, val = d.max_pair()
-    assert pair == (0, 1)
-    assert val == 5.0
-
-
 # --- h form ----------------------------------------------------------------
 
 def test_h_zero_point():
