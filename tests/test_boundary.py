@@ -206,6 +206,18 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def test_no_step_runs_a_screen(monkeypatch):
+    # The closed-form probe judges each step without a scan, so no step
+    # runs a Cholesky test or makes a row bound.
+    cholesky = _count_calls(monkeypatch, linalg, "cholesky_clears")
+    bound = _count_calls(monkeypatch, sampling, "_bound_coefs")
+    for dim in (2, 3, 4):
+        for kind in FAMILY_KINDS:
+            est = probe_boundary(EigenFamily(kind, dim), tol=1e-4, plan=FAST)
+            assert est.steps
+    assert (len(cholesky), len(bound)) == (0, 0)
+
+
 def _ci_gap8(tie=0.0):
     # the gap8 and tie8 matrices of the CI console-script step
     q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((8, 8)))
