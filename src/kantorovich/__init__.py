@@ -10,7 +10,8 @@ certify the supporting inequalities on their compact parameter boxes.
 Everything else lives in the submodules (``kantorovich.classify``,
 ``kantorovich.lmi``, ...).  ``import kantorovich`` loads ``classify``,
 ``linalg`` and ``plan``, and no numpy; the other submodules, and numpy with
-them, load on first use.
+them, load on first use.  Every point the library reports is a tuple of
+Python floats, so a verdict that does not scan never loads numpy.
 """
 
 import importlib

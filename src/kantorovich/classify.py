@@ -13,8 +13,9 @@ Decision ladder, in order:
    >= -2e-12 at every unit y, far inside the scan tolerance
    (docs/proofs.md#pair-term-identity).
 
-Rungs 1 to 4 read Python floats, and only rung 2's witness point loads
-numpy; rung 5 imports ``forms`` and ``sampling`` where it calls them.
+Rungs 1 to 4 read Python floats and load no numpy, and a witness point
+is a tuple of floats; rung 5 imports ``forms`` and ``sampling`` where it
+calls them.
 
 The probe (:func:`_probe`) is in closed form: lambda_min h at y = (e_i +
 e_j)/sqrt(2) on the first largest ratio sum is 3/2 - delta_max/4
@@ -40,8 +41,6 @@ from .linalg import SpdMatrix, pair_indices, scan_tolerance
 from .plan import DEFAULT_PLAN, SamplePlan
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .forms import DeltaVector
     from .sampling import SampleReport
 
@@ -89,14 +88,8 @@ class ProbeResult:
 class Witness:
     """A direction x with hess f(x) not PSD; lambda_min certifies by how much."""
 
-    point: np.ndarray
+    point: tuple[float, ...]
     lambda_min: float
-
-    def __post_init__(self):
-        import numpy as np
-        p = np.asarray(self.point, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "point", p)
 
 
 @dataclass(frozen=True)
@@ -138,8 +131,8 @@ def falsify(spd: SpdMatrix, plan: SamplePlan = DEFAULT_PLAN) -> Witness | None:
     rep = scan_design(delta_from_spd(spd), plan)
     if rep.passed:
         return None
-    return Witness(point=spd.spectral.rotation.T @ rep.worst_point,
-                   lambda_min=rep.worst_value)
+    x = spd.spectral.rotation.T @ rep.worst_point
+    return Witness(point=tuple(x.tolist()), lambda_min=rep.worst_value)
 
 
 def _probe(spd: SpdMatrix) -> tuple[Witness, bool]:
@@ -149,7 +142,7 @@ def _probe(spd: SpdMatrix) -> tuple[Witness, bool]:
     k, _, lam, violation = _pair_probe(spd.ratio_sums())
     i, j = pair_indices(spd.dim)[k]
     u, r = spd.spectral._u, 1.0 / math.sqrt(2.0)
-    return (Witness(point=[r * a + r * b for a, b in zip(u[i], u[j])],
+    return (Witness(point=tuple(r * a + r * b for a, b in zip(u[i], u[j])),
                     lambda_min=lam), violation)
 
 

@@ -126,7 +126,7 @@ def _threshold_lines() -> list[str]:
 def _witness_dict(w):
     if w is None:
         return None
-    return {"point": [float(v) for v in w.point],
+    return {"point": list(w.point),
             "lambda_min": float(w.lambda_min)}
 
 
@@ -134,7 +134,7 @@ def _report_dict(r):
     if r is None:
         return None
     return {"worst_value": float(r.worst_value),
-            "worst_point": [float(v) for v in r.worst_point],
+            "worst_point": list(r.worst_point),
             "samples": int(r.samples), "seed": int(r.seed),
             "tolerance": float(r.tolerance), "passed": bool(r.passed)}
 
@@ -238,7 +238,7 @@ def cmd_analyze(args) -> int:
         print(f"status: {verdict.status.value}")
         print(f"certificate: {verdict.certificate.value}")
         if verdict.witness is not None:
-            point = ",".join(repr(float(v)) for v in verdict.witness.point)
+            point = ",".join(map(repr, verdict.witness.point))
             print(f"witness: {point}")
             print(f"witness lambda_min: {verdict.witness.lambda_min!r}")
         if verdict.report is not None:
@@ -351,7 +351,7 @@ def cmd_lmi(args) -> int:
                      "delta": [float(v) for v in values],
                      "report": _report_dict(report)}))
     else:
-        point = ",".join(repr(float(v)) for v in report.worst_point)
+        point = ",".join(map(repr, report.worst_point))
         print(f"dim: {args.dim}")
         print(f"samples: {report.samples}")
         print(f"worst value: {report.worst_value!r}")

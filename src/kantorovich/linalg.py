@@ -297,7 +297,8 @@ def pair_indices(dim: int) -> list[tuple[int, int]]:
 
 def scan_tolerance(delta_max: float) -> float:
     """The absolute PSD slack of a scan or probe of h(delta, .): PSD_EPS
-    times the largest |entry| of h at a unit point (sampling.h_scale_bound)."""
+    times max(3, delta_max/2), the largest |entry| of h at a unit point
+    (diagonal entries peak there, off-diagonal ones at delta_max/2)."""
     return PSD_EPS * max(3.0, 0.5 * delta_max)
 
 

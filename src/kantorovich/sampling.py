@@ -30,7 +30,7 @@ from .plan import DEFAULT_PLAN, MAX_SAMPLES, SamplePlan  # noqa: F401
 __all__ = [
     "SamplePlan", "SampleReport", "DEFAULT_PLAN", "MAX_SAMPLES",
     "probe_directions", "all_samples", "sample_count",
-    "h_scale_bound", "scan_h", "scan_design", "ScanResult",
+    "scan_h", "scan_design", "ScanResult",
 ]
 
 # Rows per block of the scan and of the designs after the probe block; a
@@ -48,16 +48,11 @@ class SampleReport:
     """Outcome of a sampled PSD scan over unit directions."""
 
     worst_value: float
-    worst_point: np.ndarray
+    worst_point: tuple[float, ...]
     samples: int
     seed: int
     tolerance: float
     passed: bool
-
-    def __post_init__(self):
-        p = np.asarray(self.worst_point, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "worst_point", p)
 
 
 @lru_cache(maxsize=16)
@@ -139,17 +134,6 @@ def _pass(dim: int, count: int, seed: int, block: int):
         yield lo, hi, _rows(dim, count, lo, hi, rng, buf), state
 
 
-def h_scale_bound(delta: DeltaVector) -> float:
-    """sup over unit y of the largest |entry| of h(delta, y).
-
-    Diagonal entries peak at max(3, delta_max/2); off-diagonal at
-    delta_max/2.  Used to turn the relative PSD slack into one deterministic
-    absolute tolerance for a whole scan.
-    """
-    dmax = float(delta.values.max()) if delta.values.size else 0.0
-    return max(3.0, 0.5 * dmax)
-
-
 @dataclass(frozen=True)
 class ScanResult:
     worst_value: float
@@ -200,10 +184,11 @@ def _record(dim: int, count: int, seed: int,
 def _scan(delta: DeltaVector, total: int, read,
           floors: np.ndarray | None = None):
     """:func:`scan_h` of ``total`` rows, block k being ``read(k, lo, hi)``,
-    and a copy of the first worst row; ``floors`` clear blocks unread."""
+    and the first worst row as a tuple of floats; ``floors`` clear blocks
+    unread."""
     n = delta.dim
-    # The tolerance also sets the screens' margins: h_scale_bound bounds
-    # every |entry| of h at a unit point (see screened_min_eig).
+    # The tolerance also sets the screens' margins: its scale bounds every
+    # |entry| of h at a unit point (see screened_min_eig).
     tol = scan_tolerance(float(delta.values.max(initial=0.0)))
     dm = delta.as_matrix()
     coefs = floor = None
@@ -234,7 +219,7 @@ def _scan(delta: DeltaVector, total: int, read,
                                          tol)
         worst.update(lo, lam)
         if worst.index >= lo:
-            point = np.array(block[worst.index - lo])
+            point = tuple(block[worst.index - lo].tolist())
     return ScanResult(worst_value=worst.value, worst_index=worst.index,
                       tolerance=tol, samples=total,
                       violation=not worst.value >= -tol), point
@@ -261,7 +246,7 @@ def scan_design(delta: DeltaVector,
                 plan: SamplePlan = DEFAULT_PLAN) -> SampleReport:
     """Sampled check that h(delta, y) is PSD over unit directions: the
     :func:`scan_h` result on ``all_samples(delta.dim, plan)``, bit for bit,
-    as a report with a copy of the first worst row and ``plan.seed``.
+    as a report with the first worst row, a tuple, and ``plan.seed``.
 
     The first scan of a design makes its :func:`_record`: per block, phi_k,
     the least ``row_bound(_FLOOR_COEFS, y)``, and s_lo and s_hi, the least

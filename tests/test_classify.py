@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,7 +68,43 @@ def test_probe_pair_tie_break():
     assert (res.worst_pair, res.delta_max) == ((0, 1), 5.0)
     witness = classify(validate_spd(np.diag([1.0, 1.0, 7.0]))).witness
     r = 1.0 / math.sqrt(2.0)
-    assert witness.point.tolist() == [r, 0.0, r]
+    assert list(witness.point) == [r, 0.0, r]
+
+
+POINTS_SCRIPT = """
+import json, sys
+from kantorovich.classify import classify, probe_witness
+from kantorovich.linalg import validate_spd
+spd, gap = (validate_spd(json.loads(a)) for a in sys.argv[1:])
+v, again = classify(spd), classify(spd)
+points = (v.witness.point, probe_witness(spd).point)
+out = {"numpy": "numpy" in sys.modules, "lengths": [len(p) for p in points],
+       "types": sorted({type(c).__name__ for p in points for c in p})}
+g, g_again = classify(gap), classify(gap)
+out["equal"] = [(a == b, hash(a) == hash(b)) for a, b in ((v, again),
+                                                          (g, g_again))]
+out["verdicts"] = [v.certificate.value, g.certificate.value]
+print(json.dumps(out))
+"""
+
+
+def test_necessary_violated_points_are_python_floats(rng):
+    # In a fresh interpreter, a necessary-violated verdict and the probe
+    # witness build their points without numpy, as tuples of floats, and
+    # verdicts compare and hash by value, with a witness or a gap report.
+    spd = spd_with_kappa(rng, 8, 9.0)
+    gap = spd_with_kappa(rng, 3, 4.5)
+    src = str(Path(sampling.__file__).resolve().parents[1])
+    res = subprocess.run(
+        [sys.executable, "-c", POINTS_SCRIPT,
+         *(json.dumps(m.matrix.tolist()) for m in (spd, gap))],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == {
+        "numpy": False, "lengths": [8, 8], "types": ["float"],
+        "equal": [[True, True], [True, True]],
+        "verdicts": ["necessary-violated", "sampling-exhausted"]}
 
 
 # --- falsify ----------------------------------------------------------------
@@ -111,7 +152,7 @@ def test_falsify_witness_is_scan_worst(rng, n):
         res = scan_h(delta, pts)
         w = falsify(spd, FAST)
         want = spd.spectral.rotation.T @ pts[res.worst_index]
-        assert w.point.tobytes() == want.tobytes()
+        assert np.array(w.point).tobytes() == want.tobytes()
         assert w.lambda_min == res.worst_value
         c = 1.5 - float(delta.values.max()) / 4.0
         assert abs(w.lambda_min - c) <= 1e-13 * max(1.0, abs(c))

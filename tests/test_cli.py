@@ -1045,15 +1045,13 @@ ANALYZE_FILES = {
     "malformed.txt": ("2\n1 x\n0 1\n", "error: bad matrix row", 64),
     "malformed.json": ('{"n": 2, "entries": [1, 0', "error: Expecting", 64),
 }
-# The analyze input whose rung scans (the gap design), and the one whose
-# rung builds a witness point, an ndarray, without a scan.
+# The analyze input whose rung scans (the gap design).
 SCANNED = ("gap.txt",)
-WITNESSED = ("necessary-violated.txt",)
 
 # The modules that every start loads.  A command loads the submodule it
 # runs besides, and a command or analyze rung that scans loads numpy with
-# the scan's modules; no other start loads those, and only a witness point
-# loads numpy alone.
+# the scan's modules; no other analyze start loads numpy, not even one
+# that reports a witness point (a tuple of floats).
 BASE_MODULES = {"kantorovich", "kantorovich.cli", "kantorovich.classify",
                 "kantorovich.linalg", "kantorovich.plan"}
 SCAN_MODULES = {"kantorovich.forms", "kantorovich.sampling", "numpy"}
@@ -1073,8 +1071,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m == "numpy"
 
 
 @pytest.mark.parametrize("argv, code, extra", [
-    (("analyze", "PLAIN"), 1, {"numpy"}),
-    (("analyze", "JSON", "--format", "json"), 1, {"numpy"}),
+    (("analyze", "PLAIN"), 1, set()),
+    (("analyze", "JSON", "--format", "json"), 1, set()),
     (("lmi", "--dim", "3", "--delta", "2.5,3.0,2.8"), 0, SCAN_MODULES),
     (("--help",), 0, set()),
     (("lemmas", "--grid", "3"), 0,
@@ -1086,8 +1084,7 @@ print(json.dumps([code, sorted(m for m in sys.modules if m == "numpy"
     (("kantorovich-bound", "PLAIN", "--point", "1,1"), 0,
      {"kantorovich.function", "numpy"}),
     *[(("analyze", name, *fmt), ANALYZE_FILES[name][2],
-       SCAN_MODULES if name in SCANNED
-       else {"numpy"} if name in WITNESSED else set())
+       SCAN_MODULES if name in SCANNED else set())
       for name in ANALYZE_FILES for fmt in ((), ("--format", "json"))],
 ], ids=["analyze", "analyze-json", "lmi", "help", "lemmas", "boundary",
         "hessian-check", "kantorovich-bound",
@@ -1125,3 +1122,75 @@ def test_analyze_subprocess_matches_in_process(tmp_path, capsys, name):
     out, err = capsys.readouterr()
     assert (res.stdout, res.stderr, res.returncode) == (out, err, code)
     assert line in out + err
+
+
+# --- analyze flags -----------------------------------------------------------
+
+# The analyze flags: per flag, values that pass every check and edge values
+# that pass argparse.  2^27, the sample ceiling, is a valid count only for
+# inputs whose rung does not scan: a gap scan of 2^27 rows is slow by
+# design, not a failure, so it is not drawn for SCANNED inputs.
+_SAMPLE_EDGES = [0, -1, (1 << 27) + 1, 10 ** 20]
+_ANALYZE_POOLS = {
+    "format": (["human", "json"], []),
+    "seed": ([0, 2 ** 63 - 1, 2 ** 64], [-1]),
+    **{f"samples-{d}": ([1, 64], _SAMPLE_EDGES) for d in ("2d", "3d", "nd")},
+    "refine-rounds": ([0, 50], [-1]),
+}
+_STATUS_OF_EXIT = {0: "Convex", 1: "NotConvex", 2: "Undetermined"}
+
+
+@pytest.fixture(scope="module")
+def analyze_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("analyze")
+    for name, (text, _, _) in ANALYZE_FILES.items():
+        (root / name).write_text(text)
+    return {name: str(root / name) for name in ANALYZE_FILES}
+
+
+def _no_constant(name):
+    raise ValueError(f"not RFC 8259 JSON: {name}")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_analyze_flags_exit_cleanly(analyze_paths, data):
+    # Whatever passes argparse exits 0, 1, 2 or 64 without a traceback: 64
+    # with one error line and no output, else the input's exit code with
+    # the status it stands for, in RFC 8259 JSON where asked, and a
+    # witness of dim coordinates where one is reported.
+    name = data.draw(st.sampled_from(sorted(ANALYZE_FILES)))
+    edge = data.draw(st.sampled_from([None, *_ANALYZE_POOLS]))
+    flag = {}
+    for key, (valid, edges) in _ANALYZE_POOLS.items():
+        if key.startswith("samples-") and name not in SCANNED:
+            valid = [*valid, 1 << 27]
+        flag[key] = data.draw(st.sampled_from(
+            valid + edges if key == edge else valid))
+    argv = ["analyze", analyze_paths[name],
+            *[f"--{key}={value}" for key, value in flag.items()]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 64), (argv, err)
+    assert "Traceback" not in err
+    if code == 64:
+        assert out == "" and err.count("error:") == 1, (argv, err)
+        return
+    assert code == ANALYZE_FILES[name][2], argv
+    if flag["format"] == "json":
+        obj = json.loads(out, parse_constant=_no_constant)
+        status, dim = obj["status"], obj["dim"]
+        witness = obj["witness"] and obj["witness"]["point"]
+    else:
+        fields = dict(line.split(": ", 1) for line in out.splitlines()
+                      if ": " in line and not line.startswith(" "))
+        status, dim = fields["status"], int(fields["dim"])
+        witness = fields.get("witness") and fields["witness"].split(",")
+    assert status == _STATUS_OF_EXIT[code], argv
+    assert witness is None or len(witness) == dim, argv
+    assert (witness is not None) == (name == "necessary-violated.txt")

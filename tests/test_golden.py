@@ -335,7 +335,8 @@ def falsify_fingerprint(a, plan) -> str:
     w = falsify(validate_spd(np.array(a, dtype=float)), FALSIFY_PLANS[plan])
     if w is None:
         return _sha(b"none")
-    return _sha(w.point.tobytes(), np.float64(w.lambda_min).tobytes())
+    return _sha(np.array(w.point).tobytes(),
+                np.float64(w.lambda_min).tobytes())
 
 
 def lmi_fingerprint(argv) -> str:

@@ -60,17 +60,18 @@ def test_gridspec_cube():
 # --- sampled LMI -------------------------------------------------------------
 
 def test_verify_h_lmi_is_scan_design_and_reports_a_row_copy():
-    # The report holds a read-only copy of the worst row, so no caller
-    # indexes (or keeps alive) a whole design.
+    # The report holds a copy of the worst row, a tuple of Python floats,
+    # so no caller indexes (or keeps alive) a whole design.
     d = DeltaVector(dim=5, values=np.full(10, 2.0))  # worst row in the design
     rep = scan_design(d, PLAN)
     assert isinstance(rep, sampling.SampleReport) and rep.passed
     pts = sampling.all_samples(5, PLAN)
     res = sampling.scan_h(d, pts)
     assert res.worst_index >= 5 * 4
-    assert rep.worst_point.tobytes() == pts[res.worst_index].tobytes()
-    assert not np.shares_memory(rep.worst_point, pts)
-    assert not rep.worst_point.flags.writeable
+    assert (np.array(rep.worst_point).tobytes()
+            == pts[res.worst_index].tobytes())
+    assert type(rep.worst_point) is tuple
+    assert all(type(c) is float for c in rep.worst_point)
     assert (rep.samples, rep.seed) == (pts.shape[0], PLAN.seed)
 
 

@@ -11,10 +11,11 @@ from kantorovich import forms, linalg, sampling
 from kantorovich.classify import Certificate, classify
 from kantorovich.forms import (DeltaVector, delta_from_spd, h_entries,
                                h_form_batch)
-from kantorovich.linalg import PSD_EPS, min_eig_batch, validate_spd
+from kantorovich.linalg import (PSD_EPS, min_eig_batch, scan_tolerance,
+                                validate_spd)
 from kantorovich.sampling import (DEFAULT_PLAN, SamplePlan, all_samples,
-                                  h_scale_bound, probe_directions,
-                                  sample_count, scan_design, scan_h)
+                                  probe_directions, sample_count, scan_design,
+                                  scan_h)
 from conftest import spd_with_kappa
 
 
@@ -114,11 +115,10 @@ def test_plan_validation():
         SamplePlan(seed=-1)
 
 
-def test_h_scale_bound():
-    d = DeltaVector(dim=2, values=np.array([2.0]))
-    assert h_scale_bound(d) == 3.0  # diagonal term dominates for small delta
-    d = DeltaVector(dim=2, values=np.array([8.0]))
-    assert h_scale_bound(d) == 4.0
+def test_scan_tolerance():
+    # PSD_EPS times the largest |entry| of h at a unit point
+    assert scan_tolerance(2.0) == PSD_EPS * 3.0  # the diagonal dominates
+    assert scan_tolerance(8.0) == PSD_EPS * 4.0
 
 
 def test_scan_clean_case():
@@ -185,7 +185,7 @@ def test_scan_matches_reference(monkeypatch, dim, case, block):
     pts = all_samples(dim, SMALL_PLAN)
     lam = min_eig_batch(h_form_batch(d, pts))
     k = int(np.argmin(lam))
-    tol = PSD_EPS * max(1.0, h_scale_bound(d))
+    tol = PSD_EPS * max(1.0, 3.0, 0.5 * float(d.values.max()))
     res = scan_h(d, pts)
     assert ((res.worst_value, res.worst_index, res.violation, res.samples,
              res.tolerance) == (float(lam[k]), k, bool(lam[k] < -tol),
@@ -309,7 +309,7 @@ def test_row_bound_clears_nothing_it_cannot():
     # for a tie (a = 0), a near-tie whose a is within the margin, and
     # delta_max ~ 1e306.
     d = DeltaVector(dim=3, values=np.array([3.0, 4.0, 5.0]))
-    margin = 0.5 * PSD_EPS * h_scale_bound(d)
+    margin = 0.5 * scan_tolerance(float(d.values.max()))
     coefs = forms.row_coefs(*sampling._bound_coefs(d, margin))
     rows = np.array([[np.nan, 0.0, 0.0], [1.5, 0.0, 0.0], [1.0, 0.0, 0.0]])
     assert forms.row_bound(coefs, rows)[:2].tolist() == [-np.inf] * 2
@@ -382,7 +382,7 @@ def _floor_deltas(rng, dim):
 
 
 def _key(rep):
-    return (rep.worst_value.hex(), rep.worst_point.tobytes(),
+    return (rep.worst_value.hex(), np.array(rep.worst_point).tobytes(),
             rep.tolerance.hex(), rep.samples, rep.passed)
 
 
@@ -580,7 +580,7 @@ before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 keys = []
 for _ in range(2):
     r = scan_design(d, SamplePlan(random_nd=2_000_000))
-    keys.append((r.worst_value.hex(), r.worst_point.tobytes().hex(),
+    keys.append((r.worst_value.hex(), np.array(r.worst_point).tobytes().hex(),
                  r.samples, r.passed))
 grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
 print(grown / 1024, keys[0] == keys[1], keys[0][2], keys[0][3])
