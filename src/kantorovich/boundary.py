@@ -2,23 +2,24 @@
 
 For a family kappa -> spectrum(kappa) the prober bisects on kappa between a
 witness-free floor and a witness-bearing ceiling.  Each step is decided by
-the necessary rung's closed-form probe, :func:`classify.probe_witness`,
-alone: no direction finds a witness where the probe finds none
-(docs/proofs.md#pair-term-identity), so no step scans.
+the closed-form probe's flag on the family's ratio sums alone, with no
+matrix (docs/proofs.md#diagonal-spectrum): no direction finds a witness
+where the probe finds none (docs/proofs.md#pair-term-identity).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 # falsify stays importable here: bench/workloads.py re-checks kappa_hi with it.
-from .classify import falsify, probe_witness  # noqa: F401
-from .linalg import MAX_DIM, PD_TOL, SpdMatrix, validate_spd
-from .sampling import DEFAULT_PLAN, SamplePlan, sample_count
+from .classify import falsify  # noqa: F401
+from .linalg import MAX_DIM, PD_TOL, SpdMatrix, ratio_sums, validate_spd
+from .plan import DEFAULT_PLAN, SamplePlan, sample_count
 
 __all__ = [
     "FAMILY_KINDS", "EigenFamily", "BoundaryStep", "BoundaryEstimate",
@@ -93,7 +94,9 @@ class BoundaryEstimate:
 
 
 def _witness_found(family: EigenFamily, kappa: float) -> bool:
-    return probe_witness(family.spd(kappa)) is not None
+    # classify's module (the package's ``classify`` is the function)
+    probe = sys.modules["kantorovich.classify"]._pair_probe
+    return probe(ratio_sums(sorted(family.eigenvalues(kappa).tolist())))[3]
 
 
 def probe_boundary(family: EigenFamily, tol: float = 1e-4,
@@ -101,8 +104,8 @@ def probe_boundary(family: EigenFamily, tol: float = 1e-4,
                    bracket: tuple[float, float] = (1.0, 8.0)) -> BoundaryEstimate:
     """Bisect kappa down to ``tol`` between no-witness and witness regimes.
 
-    Each step asks :func:`classify.probe_witness` for a witness (``plan``
-    only labels the result); it requires none at ``bracket[0]`` and one at
+    Each step asks the probe for a witness (``plan`` only labels the
+    result); it requires none at ``bracket[0]`` and one at
     ``bracket[1]``, else raises :class:`BadInitialBracketError` after the
     first endpoint that fails.  The bracket must satisfy 1 <= lo < hi and
     PD_TOL * hi < 1, the kappa :func:`linalg.validate_spd` accepts (every

@@ -21,8 +21,8 @@ The probe (:func:`_probe`) is in closed form: lambda_min h at y = (e_i +
 e_j)/sqrt(2) on the first largest ratio sum is 3/2 - delta_max/4
 (docs/proofs.md#pair-term-identity), :func:`forms.least_coefs`' c bit for
 bit; its point is x = U'y.  Rung 2 always attaches it (there delta_max > 6,
-so the value is negative); :func:`probe_witness`, the judge of
-``boundary``, keeps it only below the scans' tolerance.  :func:`falsify`
+so the value is negative); a ``boundary`` step reads only the flag of
+:func:`_pair_probe`, a value below the scans' tolerance.  :func:`falsify`
 maps the first worst row y of one probe + design scan's report
 (:func:`sampling.scan_design`) back to x = U'y.
 
@@ -47,7 +47,7 @@ if TYPE_CHECKING:
 __all__ = [
     "KAPPA_NECESSARY", "KAPPA_SUFFICIENT_ANY", "KAPPA_SUFFICIENT_3D",
     "Status", "Certificate", "ProbeResult", "Witness", "classify",
-    "ConvexityVerdict", "necessary_probe", "falsify", "probe_witness",
+    "ConvexityVerdict", "necessary_probe", "falsify",
 ]
 
 # Convex in dim 2 iff kappa below this; necessary bound in every dim.
@@ -115,7 +115,7 @@ def necessary_probe(delta: DeltaVector) -> ProbeResult:
     """The probe on ``delta`` (:func:`_pair_probe`) with q(d) = 9 + 3 d -
     (3/4) d^2 at delta_max: q = 3 (2 + d) (3/2 - d/4) has roots -2 and 6,
     so q < 0 exactly when kappa > 3 + 2*sqrt(2).  ``violated`` is the
-    probe's flag, as :func:`probe_witness` judges it."""
+    probe's flag, as each ``boundary`` step judges it."""
     k, dmax, _, violated = _pair_probe(delta.values.tolist())
     q = 9.0 + 3.0 * dmax - 0.75 * dmax * dmax
     return ProbeResult(worst_pair=pair_indices(delta.dim)[k], delta_max=dmax,
@@ -144,13 +144,6 @@ def _probe(spd: SpdMatrix) -> tuple[Witness, bool]:
     u, r = spd.spectral._u, 1.0 / math.sqrt(2.0)
     return (Witness(point=tuple(r * a + r * b for a, b in zip(u[i], u[j])),
                     lambda_min=lam), violation)
-
-
-def probe_witness(spd: SpdMatrix) -> Witness | None:
-    """The probe's witness where it is flagged, else None: the judge of
-    each ``boundary`` step."""
-    witness, violation = _probe(spd)
-    return witness if violation else None
 
 
 def classify(spd: SpdMatrix,

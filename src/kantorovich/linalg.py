@@ -295,6 +295,12 @@ def pair_indices(dim: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(dim - 1) for j in range(i + 1, dim)]
 
 
+def ratio_sums(w: list[float]) -> list[float]:
+    """l_j/l_i + l_i/l_j over the floats ``w`` in :func:`pair_indices`
+    order: one IEEE division and sum per term, as numpy computes them."""
+    return [w[j] / w[i] + w[i] / w[j] for i, j in pair_indices(len(w))]
+
+
 def scan_tolerance(delta_max: float) -> float:
     """The absolute PSD slack of a scan or probe of h(delta, .): PSD_EPS
     times max(3, delta_max/2), the largest |entry| of h at a unit point
@@ -340,11 +346,8 @@ class SpdMatrix:
         return inv
 
     def ratio_sums(self) -> list[float]:
-        """l_j/l_i + l_i/l_j over the ascending spectrum, in
-        :func:`pair_indices` order, as Python floats: one IEEE division and
-        sum per term, as numpy computes them."""
-        w = self.spectral._w
-        return [w[j] / w[i] + w[i] / w[j] for i, j in pair_indices(self.dim)]
+        """:func:`ratio_sums` of the ascending spectrum."""
+        return ratio_sums(self.spectral._w)
 
 
 def validate_spd(raw) -> SpdMatrix:

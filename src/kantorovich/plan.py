@@ -1,15 +1,15 @@
 """The falsification budget of a scan: how many sphere directions it tests.
 
 Kept apart from :mod:`kantorovich.sampling`, which runs the scans and
-imports numpy, so that a command can build and check a plan, as every
-``analyze`` does, without loading numpy.
+imports numpy, so that a command can build, check and count a plan, as
+``analyze`` and ``boundary`` do, without loading numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["SamplePlan", "DEFAULT_PLAN", "MAX_SAMPLES"]
+__all__ = ["SamplePlan", "DEFAULT_PLAN", "MAX_SAMPLES", "sample_count"]
 
 # Most rows of one sphere design.
 MAX_SAMPLES = 1 << 27
@@ -36,3 +36,9 @@ class SamplePlan:
 
 
 DEFAULT_PLAN = SamplePlan()
+
+
+def sample_count(dim: int, plan: SamplePlan) -> int:
+    """The rows of ``sampling.all_samples(dim, plan)``, counted, not built."""
+    count = {2: plan.angles_2d, 3: plan.fibonacci_3d}.get(dim, plan.random_nd)
+    return dim * (dim - 1) + (count if dim > 1 else 1)

@@ -25,7 +25,7 @@ from .forms import (BOUND_DELTA_MAX, DeltaVector, as_points, h_entries,
                     least_coefs, pair_indices, row_bound, row_coefs)
 from .linalg import FirstMin, scan_tolerance, screened_min_eig
 # The plan lives apart, without numpy; these names stay importable here.
-from .plan import DEFAULT_PLAN, MAX_SAMPLES, SamplePlan  # noqa: F401
+from .plan import DEFAULT_PLAN, MAX_SAMPLES, SamplePlan, sample_count
 
 __all__ = [
     "SamplePlan", "SampleReport", "DEFAULT_PLAN", "MAX_SAMPLES",
@@ -98,15 +98,10 @@ def _rows(dim: int, count: int, lo: int, hi: int, rng,
 
 
 def _design_key(dim: int, plan: SamplePlan) -> tuple[int, int, int]:
-    """What the design of ``dim`` reads from ``plan``: (dim, its count, and
-    the seed at dim >= 4, else 0); the count is 1 at dim 1."""
-    count = {2: plan.angles_2d, 3: plan.fibonacci_3d}.get(dim, plan.random_nd)
-    return dim, count if dim > 1 else 1, plan.seed if dim > 3 else 0
-
-
-def sample_count(dim: int, plan: SamplePlan) -> int:
-    """The row count of ``all_samples(dim, plan)``, without building it."""
-    return dim * (dim - 1) + _design_key(dim, plan)[1]
+    """What the design of ``dim`` reads from ``plan``: (dim, its rows past
+    the probes (:func:`sample_count`), the seed at dim >= 4, else 0)."""
+    count = sample_count(dim, plan) - dim * (dim - 1)
+    return dim, count, plan.seed if dim > 3 else 0
 
 
 def all_samples(dim: int, plan: SamplePlan) -> np.ndarray:

@@ -3,12 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kantorovich import boundary, linalg, sampling
 from kantorovich.boundary import (FAMILY_KINDS, SWEEP_CSV_HEADER,
                                   BadInitialBracketError, EigenFamily,
                                   probe_boundary, sweep, sweep_csv)
-from kantorovich.classify import Certificate, classify, falsify, probe_witness
+from kantorovich.classify import Certificate, _probe, classify, falsify
 from kantorovich.linalg import (MAX_DIM, PD_TOL, NotPositiveDefiniteError,
                                 validate_spd)
 from kantorovich.sampling import SamplePlan, all_samples
@@ -105,11 +106,11 @@ def test_probe_bracket_limit_is_the_spd_limit(monkeypatch):
     # a bad bracket, rejected before any search.
     searched = []
 
-    def no_witness(spd):
-        searched.append(spd.kappa)
-        return None
+    def no_witness(family, kappa):
+        searched.append(kappa)
+        return False
 
-    monkeypatch.setattr("kantorovich.boundary.probe_witness", no_witness)
+    monkeypatch.setattr("kantorovich.boundary._witness_found", no_witness)
     top = 1e12
     while PD_TOL * top >= 1.0:
         top = math.nextafter(top, 0.0)
@@ -131,12 +132,13 @@ def test_probe_bracket_limit_is_the_spd_limit(monkeypatch):
 def test_probe_bad_bracket_low_searches_once(monkeypatch):
     # A witness at kappa_lo fails the bracket without a search at kappa_hi.
     calls = []
+    witness_found = boundary._witness_found
 
-    def counting(spd):
-        calls.append(spd.kappa)
-        return probe_witness(spd)
+    def counting(family, kappa):
+        calls.append(kappa)
+        return witness_found(family, kappa)
 
-    monkeypatch.setattr("kantorovich.boundary.probe_witness", counting)
+    monkeypatch.setattr("kantorovich.boundary._witness_found", counting)
     with pytest.raises(BadInitialBracketError,
                        match="witness already found at kappa_lo = 7.0"):
         probe_boundary(EigenFamily("two_point", 2), tol=1e-2, plan=FAST,
@@ -147,7 +149,7 @@ def test_probe_bad_bracket_low_searches_once(monkeypatch):
 def test_probe_tol_below_float_spacing(monkeypatch):
     # Below ulp(kappa_hi) bisection stalls on adjacent floats, so such a tol
     # is rejected before any witness search runs.
-    monkeypatch.setattr("kantorovich.boundary.probe_witness",
+    monkeypatch.setattr("kantorovich.boundary._witness_found",
                         lambda *a: pytest.fail("searched for a witness"))
     fam = EigenFamily("two_point", 2)
     for bracket in ((1.0, 8.0), (1.0, 1e6)):
@@ -216,6 +218,45 @@ def test_no_step_runs_a_screen(monkeypatch):
             est = probe_boundary(EigenFamily(kind, dim), tol=1e-4, plan=FAST)
             assert est.steps
     assert (len(cholesky), len(bound)) == (0, 0)
+
+
+def _ulps(x, k):
+    """The float k steps of math.nextafter from x (toward -inf if k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def _crossing():
+    """The kappa where 3/2 - delta/4 meets -scan_tolerance(delta), delta =
+    kappa + 1/kappa: delta = 6 + 4 * 3e-9 there."""
+    d = 6.0 + 12.0 * linalg.PSD_EPS
+    return 0.5 * (d + math.sqrt(d * d - 4.0))
+
+
+_STEP_KAPPAS = st.one_of(
+    st.floats(1.0, 8.0),
+    st.builds(_ulps, st.sampled_from([
+        THRESHOLD_2D * (1.0 - 1e-12), THRESHOLD_2D * (1.0 + 1e-12)]),
+        st.integers(-64, 64)),
+    st.builds(lambda r: _crossing() * (1.0 + r), st.floats(-1e-9, 1e-9)),
+    st.builds(_ulps, st.just(_crossing()), st.integers(-64, 64)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(FAMILY_KINDS), dim=st.integers(2, MAX_DIM),
+       kappa=_STEP_KAPPAS)
+def test_step_flag_is_the_probe_flag_of_the_matrix(kind, dim, kappa):
+    # A step reads the ratio sums of the sorted spectrum, with no matrix:
+    # validate_spd(diag(w)) returns w ascending bit for bit, so the sums and
+    # the flag are those of the validated matrix
+    # (docs/proofs.md#diagonal-spectrum).
+    fam = EigenFamily(kind, dim)
+    spd = fam.spd(kappa)
+    w = sorted(fam.eigenvalues(kappa).tolist())
+    assert spd.spectral._w == w
+    assert linalg.ratio_sums(w) == spd.ratio_sums()
+    assert boundary._witness_found(fam, kappa) == _probe(spd)[1]
 
 
 def _ci_gap8(tie=0.0):

@@ -12,8 +12,8 @@ from hypothesis import assume, given, settings, strategies as st
 from kantorovich import sampling
 from kantorovich.classify import (BOUNDARY_REL_TOL, KAPPA_NECESSARY,
                                   KAPPA_SUFFICIENT_3D, KAPPA_SUFFICIENT_ANY,
-                                  Certificate, Status, classify, falsify,
-                                  necessary_probe, probe_witness)
+                                  Certificate, Status, _probe, classify,
+                                  falsify, necessary_probe)
 from kantorovich.forms import DeltaVector, delta_from_spd, least_coefs
 from kantorovich.function import f_hessian
 from kantorovich.linalg import min_eigenvalue, validate_spd
@@ -73,11 +73,11 @@ def test_probe_pair_tie_break():
 
 POINTS_SCRIPT = """
 import json, sys
-from kantorovich.classify import classify, probe_witness
+from kantorovich.classify import _probe, classify
 from kantorovich.linalg import validate_spd
 spd, gap = (validate_spd(json.loads(a)) for a in sys.argv[1:])
 v, again = classify(spd), classify(spd)
-points = (v.witness.point, probe_witness(spd).point)
+points = (v.witness.point, _probe(spd)[0].point)
 out = {"numpy": "numpy" in sys.modules, "lengths": [len(p) for p in points],
        "types": sorted({type(c).__name__ for p in points for c in p})}
 g, g_again = classify(gap), classify(gap)
@@ -364,7 +364,7 @@ def test_not_convex_just_above_the_threshold_has_a_witness(dim, r):
     hess = f_hessian(spd, v.witness.point)
     assert min_eigenvalue(hess) < 0.0
     # the probe row alone is still judged against the tolerance
-    assert probe_witness(spd) is None
+    assert not _probe(spd)[1]
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -389,7 +389,7 @@ def test_closed_form_probe_is_the_probe_row_scan(n):
             y = sampling.probe_directions(n)[2 * k]
             res = scan_h(delta, y[None, :])
             assert abs(lam - res.worst_value) <= 1e-14 * max(1.0, abs(lam))
-            assert (probe_witness(spd) is not None) == res.violation
+            assert _probe(spd)[1] == res.violation
             want = spd.spectral.rotation.T @ y
             assert np.abs(witness.point - want).max() <= 2.0 ** -52
             assert min_eigenvalue(f_hessian(spd, witness.point)) < 0.0

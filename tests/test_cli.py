@@ -681,7 +681,7 @@ def test_boundary_unsupported_dim_exits_64_before_any_search(monkeypatch,
                                                               capsys):
     # dim 9 is rejected while the families are built, so the dim-4 rows
     # before it are never searched.
-    monkeypatch.setattr("kantorovich.boundary.probe_witness",
+    monkeypatch.setattr("kantorovich.boundary._witness_found",
                         lambda *a: pytest.fail("searched for a witness"))
     code = run(["boundary", "--dims", "4,9",
                 "--families", "two_point,geometric,pinned_pair"])
@@ -1051,7 +1051,8 @@ SCANNED = ("gap.txt",)
 # The modules that every start loads.  A command loads the submodule it
 # runs besides, and a command or analyze rung that scans loads numpy with
 # the scan's modules; no other analyze start loads numpy, not even one
-# that reports a witness point (a tuple of floats).
+# that reports a witness point (a tuple of floats).  `boundary` scans
+# nothing; it loads numpy for its family spectra.
 BASE_MODULES = {"kantorovich", "kantorovich.cli", "kantorovich.classify",
                 "kantorovich.linalg", "kantorovich.plan"}
 SCAN_MODULES = {"kantorovich.forms", "kantorovich.sampling", "numpy"}
@@ -1078,7 +1079,7 @@ print(json.dumps([code, sorted(m for m in sys.modules if m == "numpy"
     (("lemmas", "--grid", "3"), 0,
      {"kantorovich.lmi", "kantorovich.forms", "numpy"}),
     (("boundary", "--dims", "2", "--families", "two_point", "--tol", "1e-2"),
-     0, SCAN_MODULES | {"kantorovich.boundary"}),
+     0, {"kantorovich.boundary", "numpy"}),
     (("hessian-check", "PLAIN", "--points", "2"), 0,
      {"kantorovich.function", "numpy"}),
     (("kantorovich-bound", "PLAIN", "--point", "1,1"), 0,
@@ -1194,3 +1195,143 @@ def test_analyze_flags_exit_cleanly(analyze_paths, data):
     assert status == _STATUS_OF_EXIT[code], argv
     assert witness is None or len(witness) == dim, argv
     assert (witness is not None) == (name == "necessary-violated.txt")
+
+
+# --- lmi and kantorovich-bound flags -----------------------------------------
+
+def _run_in_process(argv):
+    """(exit code, stdout, stderr) of ``run(argv)``, argparse exits too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _draw_flags(data, pools):
+    """A valid value per flag, but at most one edge value, drawn from all
+    the flags' edges at once."""
+    edge = data.draw(st.sampled_from(
+        [None, *[(key, v) for key, (_, edges) in pools.items()
+                 for v in edges]]))
+    flag = {key: data.draw(st.sampled_from(valid))
+            for key, (valid, _) in pools.items()}
+    if edge is not None:
+        flag[edge[0]] = edge[1]
+    return flag
+
+
+def _draw_vector(data, valid, edge, size):
+    """``size`` comma-separated entries of ``valid``; ``edge`` (if any)
+    replaces one of them, or adds one where it is "count", or zeroes all
+    where it is "zero"."""
+    entries = data.draw(st.lists(st.sampled_from(valid), min_size=size,
+                                 max_size=size))
+    if edge == "count":
+        entries.append(valid[0])
+    elif edge == "zero":
+        entries = ["0"] * size
+    elif edge is not None:
+        entries[data.draw(st.integers(0, size - 1))] = edge
+    return ",".join(entries)
+
+
+_VECTOR_EDGES = ["nan", "inf", "-inf", "-0.0", "5e-324", "1e308", "x", "",
+                 "count"]
+# lmi always scans, so no sample count is drawn at the 2^27 ceiling: a
+# scan of 2^27 rows is slow by design, not a failure.
+_LMI_POOLS = {
+    "format": (["human", "json"], []),
+    "seed": ([0, 2 ** 63 - 1, 2 ** 64], [-1]),
+    **{f"samples-{d}": ([1, 64], _SAMPLE_EDGES) for d in ("2d", "3d", "nd")},
+    "refine-rounds": ([0, 50], [-1]),
+    "dim": ([2, 3, 8], [0, 1, 9, -1]),
+    "delta": ([None], ["1.5", *_VECTOR_EDGES]),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_lmi_flags_exit_cleanly(data):
+    # Whatever passes argparse exits 0, 1 or 64 without a traceback and
+    # with nothing else on stderr: 64 with one error line and no output,
+    # else 0 exactly where the scan passed, in RFC 8259 JSON where asked,
+    # with a worst point of dim coordinates.
+    flag = _draw_flags(data, _LMI_POOLS)
+    dim = flag["dim"]
+    size = dim * (dim - 1) // 2 if 2 <= dim <= linalg.MAX_DIM else 1
+    flag["delta"] = _draw_vector(data, ["2", "2.5", "6", "6.2", "1e308"],
+                                 flag["delta"], size)
+    argv = ["lmi", *[f"--{key}={value}" for key, value in flag.items()]]
+    code, out, err = _run_in_process(argv)
+    assert code in (0, 1, 64), (argv, err)
+    if code == 64:
+        assert out == "" and err.count("error:") == 1, (argv, err)
+        assert "Traceback" not in err
+        return
+    assert err == "", (argv, err)
+    if flag["format"] == "json":
+        report = json.loads(out, parse_constant=_no_constant)["report"]
+        passed, point = report["passed"], report["worst_point"]
+    else:
+        fields = dict(line.split(": ", 1) for line in out.splitlines())
+        passed = {"true": True, "false": False}[fields["passed"]]
+        point = fields["worst point"].split(",")
+    assert passed == (code == 0), argv
+    assert len(point) == dim, argv
+
+
+# The kantorovich-bound inputs: the analyze files, and matrices at the
+# edges of the float range (the CI console-script inputs).
+_BOUND_FILES = {
+    **{name: text for name, (text, _, _) in ANALYZE_FILES.items()},
+    "scaled.txt": "2\n1e160 9e159\n9e159 1e160\n",
+    "top.txt": "2\n9e+307 8.1e+307\n8.1e+307 9e+307\n",
+    "beyond.txt": "2\n1e308 9e307\n9e307 1e308\n",
+    "subnormal.txt": "2\n1e-308 0\n0 6e-308\n",
+    "tiny.txt": "2\n2e-308 0\n0 1.2e-307\n",
+}
+_BOUND_POOLS = {
+    "format": (["human", "json"], []),
+    "point": ([None], ["zero", *_VECTOR_EDGES]),
+}
+
+
+@pytest.fixture(scope="module")
+def bound_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bound")
+    for name, text in _BOUND_FILES.items():
+        (root / name).write_text(text)
+    return {name: str(root / name) for name in _BOUND_FILES}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_kantorovich_bound_flags_exit_cleanly(bound_paths, data):
+    # Whatever passes argparse exits 0, 1 or 64 without a traceback and
+    # with nothing else on stderr: 64 with one error line and no output,
+    # else 0 exactly where the classical bound holds, in RFC 8259 JSON
+    # where asked.
+    name = data.draw(st.sampled_from(sorted(_BOUND_FILES)))
+    flag = _draw_flags(data, _BOUND_POOLS)
+    dim = int(re.search(r"\d+", _BOUND_FILES[name]).group())
+    flag["point"] = _draw_vector(data, ["1", "-2.5", "3", "1e200", "1e-200"],
+                                 flag["point"], dim)
+    argv = ["kantorovich-bound", bound_paths[name],
+            *[f"--{key}={value}" for key, value in flag.items()]]
+    code, out, err = _run_in_process(argv)
+    assert code in (0, 1, 64), (argv, err)
+    if code == 64:
+        assert out == "" and err.count("error:") == 1, (argv, err)
+        assert "Traceback" not in err
+        return
+    assert err == "", (argv, err)
+    if flag["format"] == "json":
+        obj = json.loads(out, parse_constant=_no_constant)
+        holds, point = obj["classical"]["holds"], obj["point"]
+        assert len(point) == dim, argv
+    else:
+        holds = "holds = true" in out.splitlines()[1]
+    assert holds == (code == 0), argv
