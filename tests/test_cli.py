@@ -727,16 +727,32 @@ _FLAG_POOLS = {
 }
 
 
+def _run_in_process(argv):
+    """(exit code, stdout, stderr) of ``run(argv)``, argparse exits too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _draw_flags(data, pools):
+    """A valid value per flag; one flag, or none, draws from its edges."""
+    edge = data.draw(st.sampled_from([None, *pools]))
+    return {key: data.draw(st.sampled_from(
+                valid + edges if key == edge else valid))
+            for key, (valid, edges) in pools.items()}
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_boundary_flags_exit_cleanly(data):
     # Whatever passes argparse exits 0, 64 or 70 without a traceback: 64
     # with one error line and no output, 0 and 70 with the header and one
     # CSV row per family and dim, 70 where a row has no bracket.
-    edge = data.draw(st.sampled_from([None, *_FLAG_POOLS]))
-    flag = {name: data.draw(st.sampled_from(
-                valid + edges if name == edge else valid))
-            for name, (valid, edges) in _FLAG_POOLS.items()}
+    flag = _draw_flags(data, _FLAG_POOLS)
     lo, hi = flag.pop("bracket")
     if flag["tol"] == "ulp":
         flag["tol"] = repr(math.ulp(hi))
@@ -745,13 +761,7 @@ def test_boundary_flags_exit_cleanly(data):
             f"--bracket-hi={hi!r}",
             *[f"--{name}={value}" for name, value in flag.items()],
             *[f"--samples-{d}={samples}" for d in ("2d", "3d", "nd")]]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = run(argv)
-        except SystemExit as exc:
-            code = exc.code
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = _run_in_process(argv)
     assert code in (0, 64, 70), (argv, err)
     assert "Traceback" not in err
     if code == 64:
@@ -1170,13 +1180,7 @@ def test_analyze_flags_exit_cleanly(analyze_paths, data):
             valid + edges if key == edge else valid))
     argv = ["analyze", analyze_paths[name],
             *[f"--{key}={value}" for key, value in flag.items()]]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = run(argv)
-        except SystemExit as exc:
-            code = exc.code
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = _run_in_process(argv)
     assert code in (0, 1, 2, 64), (argv, err)
     assert "Traceback" not in err
     if code == 64:
@@ -1198,30 +1202,6 @@ def test_analyze_flags_exit_cleanly(analyze_paths, data):
 
 
 # --- lmi and kantorovich-bound flags -----------------------------------------
-
-def _run_in_process(argv):
-    """(exit code, stdout, stderr) of ``run(argv)``, argparse exits too."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = run(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
-def _draw_flags(data, pools):
-    """A valid value per flag, but at most one edge value, drawn from all
-    the flags' edges at once."""
-    edge = data.draw(st.sampled_from(
-        [None, *[(key, v) for key, (_, edges) in pools.items()
-                 for v in edges]]))
-    flag = {key: data.draw(st.sampled_from(valid))
-            for key, (valid, _) in pools.items()}
-    if edge is not None:
-        flag[edge[0]] = edge[1]
-    return flag
-
 
 def _draw_vector(data, valid, edge, size):
     """``size`` comma-separated entries of ``valid``; ``edge`` (if any)
