@@ -1,9 +1,9 @@
 """Convexity-threshold probing over parametric eigenvalue families.
 
 For a family kappa -> spectrum(kappa) the prober bisects on kappa between a
-witness-free floor and a witness-bearing ceiling.  Each step is decided by
-the closed-form probe's flag on the family's ratio sums alone, with no
-matrix (docs/proofs.md#diagonal-spectrum): no direction finds a witness
+witness-free floor and a witness-bearing ceiling.  Each step is the probe's
+flag on the extreme pair (1, kappa) alone, with no spectrum
+(docs/proofs.md#extreme-pair-of-a-family); no direction finds a witness
 where the probe finds none (docs/proofs.md#pair-term-identity).
 """
 
@@ -13,13 +13,15 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 # falsify stays importable here: bench/workloads.py re-checks kappa_hi with it.
 from .classify import falsify  # noqa: F401
 from .linalg import MAX_DIM, PD_TOL, SpdMatrix, ratio_sums, validate_spd
 from .plan import DEFAULT_PLAN, SamplePlan, sample_count
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FAMILY_KINDS", "EigenFamily", "BoundaryStep", "BoundaryEstimate",
@@ -54,20 +56,18 @@ class EigenFamily:
             raise ValueError(f"family dim {self.dim} not in 2..{MAX_DIM}")
 
     def eigenvalues(self, kappa: float) -> np.ndarray:
-        if kappa < 1.0:
+        import numpy as np
+        if not kappa >= 1.0:
             raise ValueError("kappa must be >= 1")
         n = self.dim
-        if self.kind == "two_point":
-            lam = np.ones(n)
-            lam[-1] = kappa
-        elif self.kind == "pinned_pair":
-            lam = np.full(n, kappa)
-            lam[0] = 1.0
-        else:
-            lam = kappa ** (np.arange(n) / (n - 1))
+        if self.kind == "geometric":
+            return kappa ** (np.arange(n) / (n - 1))
+        lam = np.full(n, kappa if self.kind == "pinned_pair" else 1.0)
+        lam[0], lam[-1] = 1.0, kappa
         return lam
 
     def spd(self, kappa: float) -> SpdMatrix:
+        import numpy as np
         return validate_spd(np.diag(self.eigenvalues(kappa)))
 
 
@@ -96,7 +96,7 @@ class BoundaryEstimate:
 def _witness_found(family: EigenFamily, kappa: float) -> bool:
     # classify's module (the package's ``classify`` is the function)
     probe = sys.modules["kantorovich.classify"]._pair_probe
-    return probe(ratio_sums(sorted(family.eigenvalues(kappa).tolist())))[3]
+    return probe(ratio_sums([1.0, kappa]))[3]
 
 
 def probe_boundary(family: EigenFamily, tol: float = 1e-4,
@@ -104,13 +104,14 @@ def probe_boundary(family: EigenFamily, tol: float = 1e-4,
                    bracket: tuple[float, float] = (1.0, 8.0)) -> BoundaryEstimate:
     """Bisect kappa down to ``tol`` between no-witness and witness regimes.
 
-    Each step asks the probe for a witness (``plan`` only labels the
-    result); it requires none at ``bracket[0]`` and one at
-    ``bracket[1]``, else raises :class:`BadInitialBracketError` after the
-    first endpoint that fails.  The bracket must satisfy 1 <= lo < hi and
-    PD_TOL * hi < 1, the kappa :func:`linalg.validate_spd` accepts (every
-    family has lambda_min = 1).  A ``tol`` below the float spacing at
-    ``bracket[1]`` is rejected: bisection would stall on adjacent floats.
+    Each step asks the extreme-pair probe for a witness
+    (docs/proofs.md#extreme-pair-of-a-family; ``plan`` only labels the
+    result): none at ``bracket[0]`` and one at ``bracket[1]``, else
+    :class:`BadInitialBracketError` after the first endpoint that fails.
+    The bracket must satisfy 1 <= lo < hi and PD_TOL * hi < 1, the kappa
+    :func:`linalg.validate_spd` accepts (every family has lambda_min = 1).
+    A ``tol`` below the float spacing at ``bracket[1]`` is rejected:
+    bisection would stall on adjacent floats.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -170,8 +171,7 @@ def sweep_csv(rows) -> str:
     for row in rows:
         fam = row.family
         if row.estimate is None:
-            lines.append(
-                f"{fam.kind},{fam.dim},nan,nan,nan,0,0,0")
+            lines.append(f"{fam.kind},{fam.dim},nan,nan,nan,0,0,0")
         else:
             e = row.estimate
             lines.append(

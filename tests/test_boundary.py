@@ -9,7 +9,8 @@ from kantorovich import boundary, linalg, sampling
 from kantorovich.boundary import (FAMILY_KINDS, SWEEP_CSV_HEADER,
                                   BadInitialBracketError, EigenFamily,
                                   probe_boundary, sweep, sweep_csv)
-from kantorovich.classify import Certificate, _probe, classify, falsify
+from kantorovich.classify import (Certificate, _pair_probe, _probe, classify,
+                                  falsify)
 from kantorovich.linalg import (MAX_DIM, PD_TOL, NotPositiveDefiniteError,
                                 validate_spd)
 from kantorovich.sampling import SamplePlan, all_samples
@@ -54,6 +55,8 @@ def test_family_validation():
         EigenFamily("two_point", MAX_DIM + 1)
     with pytest.raises(ValueError):
         EigenFamily("two_point", 2).eigenvalues(0.5)
+    with pytest.raises(ValueError, match="kappa must be >= 1"):
+        EigenFamily("two_point", 2).eigenvalues(math.nan)
 
 
 # --- bisection ---------------------------------------------------------------
@@ -257,6 +260,34 @@ def test_step_flag_is_the_probe_flag_of_the_matrix(kind, dim, kappa):
     assert spd.spectral._w == w
     assert linalg.ratio_sums(w) == spd.ratio_sums()
     assert boundary._witness_found(fam, kappa) == _probe(spd)[1]
+
+
+def _around(x, k=64):
+    """The 2k + 1 floats from k steps below x to k steps above it."""
+    out = [_ulps(x, -k)]
+    while len(out) < 2 * k + 1:
+        out.append(math.nextafter(out[-1], math.inf))
+    return out
+
+
+def test_step_reads_the_extreme_pair():
+    # Every family's spectrum runs from 1.0 to kappa exactly, and the flag
+    # of its extreme pair (1, kappa) is the flag of its largest ratio sum,
+    # the full-spectrum flag a step read before
+    # (docs/proofs.md#extreme-pair-of-a-family).
+    kappas = [1.0, math.nextafter(1.0, 2.0), 8.0, 1e11,
+              *_around(THRESHOLD_2D * (1.0 - 1e-12)),
+              *_around(THRESHOLD_2D * (1.0 + 1e-12)), *_around(_crossing()),
+              *np.random.default_rng(7).uniform(1.0, 8.0, 64).tolist()]
+    for kind in FAMILY_KINDS:
+        for dim in range(2, MAX_DIM + 1):
+            fam = EigenFamily(kind, dim)
+            for kappa in kappas:
+                lam = fam.eigenvalues(kappa)
+                assert (min(lam), max(lam)) == (1.0, kappa), (kind, dim)
+                full = _pair_probe(linalg.ratio_sums(sorted(lam.tolist())))
+                assert boundary._witness_found(fam, kappa) == full[3], (
+                    kind, dim, kappa)
 
 
 def _ci_gap8(tie=0.0):
