@@ -53,10 +53,9 @@ def test_family_validation():
     EigenFamily("two_point", MAX_DIM)
     with pytest.raises(ValueError, match="dim 9 not in 2..8"):
         EigenFamily("two_point", MAX_DIM + 1)
-    with pytest.raises(ValueError):
-        EigenFamily("two_point", 2).eigenvalues(0.5)
-    with pytest.raises(ValueError, match="kappa must be >= 1"):
-        EigenFamily("two_point", 2).eigenvalues(math.nan)
+    for kappa in (0.5, math.nan):
+        with pytest.raises(ValueError, match="kappa must be >= 1"):
+            EigenFamily("two_point", 2).eigenvalues(kappa)
 
 
 # --- bisection ---------------------------------------------------------------
@@ -262,22 +261,15 @@ def test_step_flag_is_the_probe_flag_of_the_matrix(kind, dim, kappa):
     assert boundary._witness_found(fam, kappa) == _probe(spd)[1]
 
 
-def _around(x, k=64):
-    """The 2k + 1 floats from k steps below x to k steps above it."""
-    out = [_ulps(x, -k)]
-    while len(out) < 2 * k + 1:
-        out.append(math.nextafter(out[-1], math.inf))
-    return out
-
-
 def test_step_reads_the_extreme_pair():
     # Every family's spectrum runs from 1.0 to kappa exactly, and the flag
     # of its extreme pair (1, kappa) is the flag of its largest ratio sum,
     # the full-spectrum flag a step read before
     # (docs/proofs.md#extreme-pair-of-a-family).
+    centers = (THRESHOLD_2D * (1.0 - 1e-12), THRESHOLD_2D * (1.0 + 1e-12),
+               _crossing())
     kappas = [1.0, math.nextafter(1.0, 2.0), 8.0, 1e11,
-              *_around(THRESHOLD_2D * (1.0 - 1e-12)),
-              *_around(THRESHOLD_2D * (1.0 + 1e-12)), *_around(_crossing()),
+              *[_ulps(c, k) for c in centers for k in range(-64, 65)],
               *np.random.default_rng(7).uniform(1.0, 8.0, 64).tolist()]
     for kind in FAMILY_KINDS:
         for dim in range(2, MAX_DIM + 1):
