@@ -91,7 +91,7 @@ def parse_matrix_json(text: str) -> list[list[float]]:
 
 def read_matrix_file(path: str) -> list[list[float]]:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        text = fh.read().removeprefix("\ufeff")  # one byte-order mark
     if path.endswith(".json") or text.lstrip().startswith("{"):
         return parse_matrix_json(text)
     return parse_matrix_text(text)

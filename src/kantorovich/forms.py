@@ -31,8 +31,8 @@ __all__ = [
     "DeltaVector", "delta_from_spd", "pair_indices",
     "h_form", "h_form_batch",
     "BOUND_DELTA_MAX", "least_coefs", "row_coefs", "row_bound",
-    "m_entries", "det_m_t_polys", "det_m_alpha_coefs", "m_form", "p_form",
-    "q_form", "det3_batch",
+    "square_bound", "m_entries", "det_m_t_polys", "det_m_alpha_coefs",
+    "m_form", "p_form", "q_form", "det3_batch",
 ]
 
 # Delta entries sit in [2, inf) mathematically; allow this much roundoff when
@@ -141,8 +141,13 @@ def row_bound(coefs: tuple[float, float, float],
     A row with |y|^2 > 2 or a NaN coordinate reads -inf, so it clears
     nothing.
     """
+    return square_bound(coefs, np.square(y.T, order="C"))[0]
+
+
+def square_bound(coefs, sq: np.ndarray):
+    """(:func:`row_bound`, |y|^2) per row, read from the squares ``sq``
+    (dim, m) of the rows, C layout; |y|^2 is summed as the bound sums it."""
     ca, two_a, b = coefs
-    sq = np.square(y.T, order="C")
     mu1 = sq[0].copy()
     mu2 = np.zeros_like(mu1)
     rest = np.zeros_like(mu1)
@@ -156,7 +161,7 @@ def row_bound(coefs: tuple[float, float, float],
     r = two_a * mu2 - b * rest
     half = 0.5 * (p - r)
     lam = 0.5 * (p + r) + np.sqrt(half * half + (b * b) * (mu1 * rest))
-    return np.where(s <= 2.0, ca * s - lam, -math.inf)
+    return np.where(s <= 2.0, ca * s - lam, -math.inf), s
 
 
 def h_form_batch(delta: DeltaVector, points: np.ndarray) -> np.ndarray:

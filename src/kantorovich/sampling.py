@@ -22,7 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .forms import (BOUND_DELTA_MAX, DeltaVector, as_points, h_entries,
-                    least_coefs, pair_indices, row_bound, row_coefs)
+                    least_coefs, pair_indices, row_bound, row_coefs,
+                    square_bound)
 from .linalg import FirstMin, scan_tolerance, screened_min_eig
 # The plan lives apart, without numpy; these names stay importable here.
 from .plan import DEFAULT_PLAN, MAX_SAMPLES, SamplePlan, sample_count
@@ -69,19 +70,21 @@ def probe_directions(dim: int) -> np.ndarray:
     return out
 
 
-def _rows(dim: int, count: int, lo: int, hi: int, rng,
-          buf: np.ndarray) -> np.ndarray:
+def _rows(dim: int, count: int, lo: int, hi: int, rng, buf: np.ndarray,
+          unit: bool = True) -> np.ndarray:
     """Rows lo:hi (a block of :func:`_blocks`) of the design of ``count``
     sphere rows in ``dim``: the probes, or sphere rows written to ``buf``,
     from the row indices in dims 2 and 3, else the next draws of ``rng``,
-    each normalized alone, so blocks in order give one draw of them all."""
+    each normalized alone (left raw where not ``unit``), so blocks in
+    order give one draw of them all."""
     head = dim * (dim - 1)
     if lo < head:
         return probe_directions(dim)
     out = buf[:hi - lo]
     if dim > 3:
         rng.standard_normal(out=out)
-        out /= np.linalg.norm(out, axis=1, keepdims=True)
+        if unit:
+            out /= np.linalg.norm(out, axis=1, keepdims=True)
         return out
     i = np.arange(lo - head, hi - head)
     if dim == 2:
@@ -113,20 +116,21 @@ def all_samples(dim: int, plan: SamplePlan) -> np.ndarray:
     """
     dim, count, seed = _design_key(dim, plan)
     out = np.empty((dim * (dim - 1) + count, dim))
-    for lo, hi, rows, _ in _pass(dim, count, seed, _BLOCK):
+    for lo, hi, rows, _ in _pass(dim, count, seed, _BLOCK, True):
         out[lo:hi] = rows
     out.setflags(write=False)
     return out
 
 
-def _pass(dim: int, count: int, seed: int, block: int):
+def _pass(dim: int, count: int, seed: int, block: int, unit: bool = False):
     """(lo, hi, rows, state) per block of the design (dim, count, seed) in
-    order: rows in one reused buffer, state the generator's PCG64 state."""
+    order: :func:`_rows` (raw draws where not ``unit``) in one reused
+    buffer, state the generator's PCG64 state at the block's start."""
     rng = np.random.default_rng(seed)
     buf = np.empty((min(block, count), dim))
     for lo, hi in _blocks(dim * (dim - 1) + count, dim * (dim - 1), block):
         state = rng.bit_generator.state["state"]["state"]
-        yield lo, hi, _rows(dim, count, lo, hi, rng, buf), state
+        yield lo, hi, _rows(dim, count, lo, hi, rng, buf, unit), state
 
 
 @dataclass(frozen=True)
@@ -163,13 +167,17 @@ def _bound_coefs(delta: DeltaVector,
 @lru_cache(maxsize=16)
 def _record(dim: int, count: int, seed: int,
             block: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Per block of the design (dim, count, seed), from one pass: its floor
-    (phi, s_lo, s_hi; see scan_design) and the generator state at its start."""
+    """Per block of the design (dim, count, seed), from one pass over its
+    raw draws x: its floor (phi, s_lo, s_hi; see scan_design), read from
+    x_i^2/|x|^2 (each square taken once), and the generator state at its
+    start."""
     floors, states = [], []
+    buf = np.empty(dim * max(dim * (dim - 1), min(block, count)))
     for _, _, rows, state in _pass(dim, count, seed, block):
-        s = np.square(rows).sum(axis=1)
-        floors.append((row_bound(_FLOOR_COEFS, rows).min(), s.min(),
-                       s.max()))
+        sq = np.square(rows.T, out=buf[:rows.size].reshape(dim, -1))
+        sq /= sq.sum(axis=0)
+        bound, s = square_bound(_FLOOR_COEFS, sq)
+        floors.append((bound.min(), s.min(), s.max()))
         states.append(state)
     floors = np.array(floors)
     floors.setflags(write=False)
@@ -245,7 +253,8 @@ def scan_design(delta: DeltaVector,
 
     The first scan of a design makes its :func:`_record`: per block, phi_k,
     the least ``row_bound(_FLOOR_COEFS, y)``, and s_lo and s_hi, the least
-    and largest |y|^2.  Where the row bound applies and a = 3 delta_min/4 -
+    and largest |y|^2, all read from the squares of the raw draws, a few
+    ulps from those of the rows y (within the margin below).  Where the row bound applies and a = 3 delta_min/4 -
     3/2 <= 3 (in the gap, unless two eigenvalues nearly tie), every row of
     block k has bound >= min(c s_lo, c s_hi) + a phi_k
     (docs/proofs.md#design-block-floor): the block is skipped unread where

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,26 @@ def test_malformed_json_matrix_is_usage_error(tmp_path, capsys, text):
     path = tmp_path / "m.json"
     path.write_text(text)
     assert run(["analyze", str(path)]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name, text", [
+    ("m.txt", "2\n1 0\n0 6\n"),
+    ("m.dat", '{"n": 2, "entries": [1, 0, 0, 6]}'),
+], ids=["plain", "json"])
+def test_leading_byte_order_mark_is_dropped(tmp_path, capsys, name, text):
+    # One leading U+FEFF is dropped before the format is chosen: the file
+    # reads as it does without the mark.  A second mark is an input error.
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    want = run(["analyze", str(tmp_path / name)]), capsys.readouterr()
+    (tmp_path / name).write_text("\ufeff" + text, encoding="utf-8")
+    assert (tmp_path / name).read_bytes().startswith(b"\xef\xbb\xbf")
+    got = run(["analyze", str(tmp_path / name)]), capsys.readouterr()
+    assert got == want
+    assert want[0] == 1 and want[1].out.startswith("dim: 2\n")
+    (tmp_path / name).write_text("\ufeff\ufeff" + text, encoding="utf-8")
+    assert run(["analyze", str(tmp_path / name)]) == 64
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
 
@@ -1373,3 +1394,45 @@ def test_lemmas_flags_exit_cleanly(lemmas_paths, data):
         text = flag["csv"].read_text(encoding="utf-8")
         assert len(text.splitlines()) == 13, argv
         assert flag["format"] != "csv" or text == out, argv
+
+
+# The hessian-check flags, over the kantorovich-bound inputs.  --points has
+# no ceiling: a valid count is drawn from {1, 2, 64}, since each point costs
+# two Hessians, and its edges are counts and text that fail validation.
+_HESSIAN_EDGES = ["nan", "inf", "-inf", "0.0", "-0.0", "5e-324", "1e308",
+                  "-1e308", "x"]
+_HESSIAN_POOLS = {
+    "points": ([1, 2, 64], [0, -1, "2.5", "x"]),
+    "seed": ([0, 2 ** 63 - 1, 2 ** 64], [-1, "x"]),
+    "step": (["1e-5", "1e-3"], ["1e300", *_HESSIAN_EDGES]),
+    "tol": (["1e-6", "inf"], ["-1e-6", *_HESSIAN_EDGES]),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_hessian_check_flags_exit_cleanly(bound_paths, data):
+    # Whatever passes argparse exits 0, 1 or 64 without a traceback and
+    # with nothing else on stderr, and no warning (overflow is reported as
+    # a NaN deviation): 64 with one error line and no output, else the five
+    # report lines, ok exactly where the exit code is 0.
+    name = data.draw(st.sampled_from(sorted(_BOUND_FILES)))
+    flag = _draw_flags(data, _HESSIAN_POOLS)
+    argv = ["hessian-check", bound_paths[name],
+            *[f"--{key}={value}" for key, value in flag.items()]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run_in_process(argv)
+    assert caught == [], (argv, [str(w.message) for w in caught])
+    assert code in (0, 1, 64), (argv, err)
+    if code == 64:
+        assert out == "" and err.count("error:") == 1, (argv, err)
+        assert "Traceback" not in err
+        return
+    assert err == "", (argv, err)
+    dim = int(re.search(r"\d+", _BOUND_FILES[name]).group())
+    fields = dict(line.split(": ", 1) for line in out.splitlines())
+    assert list(fields) == ["dim", "points", "max relative deviation",
+                            "tolerance", "ok"], argv
+    assert (fields["dim"], fields["points"]) == (str(dim), str(flag["points"]))
+    assert fields["ok"] == ("true" if code == 0 else "false"), argv

@@ -562,6 +562,43 @@ def test_design_scan_reads_the_design_blocks(monkeypatch, rng, dim):
         assert pts[lo:lo + len(data) // (8 * dim)].tobytes() == data
 
 
+RECORD_PLAN = SamplePlan(seed=2902, angles_2d=9001, fibonacci_3d=9001,
+                         random_nd=9001)
+
+
+@pytest.mark.parametrize("block", [500, 4096])
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_record_bounds_the_rows_the_scan_makes(monkeypatch, dim, block):
+    # The record's states are one generator's, taken before it draws each
+    # block of rows in turn, and a block made again from its state is the
+    # design's, bit for bit.  Its floors, read from the squares of the raw
+    # draws, bound the rows made, up to 1e-15: phi_k <= the least
+    # row_bound(_FLOOR_COEFS, y) and s_lo <= |y|^2 <= s_hi on block k.
+    monkeypatch.setattr(sampling, "_BLOCK", block)
+    pts = all_samples(dim, RECORD_PLAN)
+    key = sampling._design_key(dim, RECORD_PLAN)
+    floors, states = sampling._record(*key, block)
+    blocks = list(sampling._blocks(pts.shape[0], dim * (dim - 1), block))
+    assert len(states) == len(blocks) == len(floors)
+    rng = np.random.default_rng(key[2])
+    buf = np.empty((block, dim))
+    for k, (lo, hi) in enumerate(blocks):
+        assert states[k] == rng.bit_generator.state["state"]["state"]
+        if dim > 3 and lo:
+            rng.standard_normal((hi - lo, dim))
+        redraw = np.random.default_rng(key[2])
+        state = redraw.bit_generator.state
+        state["state"]["state"] = states[k]
+        redraw.bit_generator.state = state
+        rows = sampling._rows(*key[:2], lo, hi, redraw, buf)
+        assert rows.tobytes() == pts[lo:hi].tobytes()
+        phi, s_lo, s_hi = floors[k]
+        bound = forms.row_bound(sampling._FLOOR_COEFS, rows)
+        assert phi <= bound.min() + 1e-15
+        s = np.square(rows).sum(axis=1)
+        assert s_lo - 1e-15 <= s.min() and s.max() <= s_hi + 1e-15
+
+
 def test_design_scan_memory_is_bounded():
     # A dim-8 gap scan of a 2,000,000-row design, in a fresh process,
     # twice: the peak RSS grows by less than the design's 128 MB would
