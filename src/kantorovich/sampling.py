@@ -75,8 +75,7 @@ def _rows(dim: int, count: int, lo: int, hi: int, rng, buf: np.ndarray,
     """Rows lo:hi (a block of :func:`_blocks`) of the design of ``count``
     sphere rows in ``dim``: the probes, or sphere rows written to ``buf``,
     from the row indices in dims 2 and 3, else the next draws of ``rng``,
-    each normalized alone (left raw where not ``unit``), so blocks in
-    order give one draw of them all."""
+    each normalized if ``unit``; blocks in order give one draw of them all."""
     head = dim * (dim - 1)
     if lo < head:
         return probe_directions(dim)
@@ -168,9 +167,8 @@ def _bound_coefs(delta: DeltaVector,
 def _record(dim: int, count: int, seed: int,
             block: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Per block of the design (dim, count, seed), from one pass over its
-    raw draws x: its floor (phi, s_lo, s_hi; see scan_design), read from
-    x_i^2/|x|^2 (each square taken once), and the generator state at its
-    start."""
+    raw draws x: its floor (phi, s_lo, s_hi; see scan_design) read from
+    x_i^2/|x|^2, each square taken once, and the PCG64 state at its start."""
     floors, states = [], []
     buf = np.empty(dim * max(dim * (dim - 1), min(block, count)))
     for _, _, rows, state in _pass(dim, count, seed, block):
@@ -253,14 +251,14 @@ def scan_design(delta: DeltaVector,
 
     The first scan of a design makes its :func:`_record`: per block, phi_k,
     the least ``row_bound(_FLOOR_COEFS, y)``, and s_lo and s_hi, the least
-    and largest |y|^2, all read from the squares of the raw draws, a few
-    ulps from those of the rows y (within the margin below).  Where the row bound applies and a = 3 delta_min/4 -
-    3/2 <= 3 (in the gap, unless two eigenvalues nearly tie), every row of
-    block k has bound >= min(c s_lo, c s_hi) + a phi_k
-    (docs/proofs.md#design-block-floor): the block is skipped unread where
-    that exceeds the running minimum by half the tolerance.  Others are
-    made again, from their indices (dims 2, 3) or recorded state, and
-    screened as by :func:`scan_h`.
+    and largest |y|^2, read from the squares of the raw draws: a few ulps
+    from those of the rows y, inside the margin below.  Where the row
+    bound applies and a = 3 delta_min/4 - 3/2 <= 3 (in the gap, unless two
+    eigenvalues nearly tie), every row of block k has bound >= min(c s_lo,
+    c s_hi) + a phi_k (docs/proofs.md#design-block-floor): the block is
+    skipped unread where that exceeds the running minimum by half the
+    tolerance.  Others are made again, from their indices (dims 2, 3) or
+    recorded state, and screened as by :func:`scan_h`.
     """
     dim, count, seed = key = _design_key(delta.dim, plan)
     floors, states = _record(*key, _BLOCK)
