@@ -1,23 +1,24 @@
 """Convexity-threshold probing over parametric eigenvalue families.
 
 For a family kappa -> spectrum(kappa) the prober bisects on kappa between a
-witness-free floor and a witness-bearing ceiling.  Each step is the probe's
-flag on the extreme pair (1, kappa) alone, with no spectrum
-(docs/proofs.md#extreme-pair-of-a-family); no direction finds a witness
-where the probe finds none (docs/proofs.md#pair-term-identity).
+witness-free floor and a witness-bearing ceiling.  Each step is the
+necessary rung of :func:`classify.classify` on kappa alone
+(:func:`classify.beyond_necessary`), with no matrix and no spectrum: the
+family's matrix has that kappa bit for bit
+(docs/proofs.md#diagonal-spectrum), so ``analyze`` gives it NotConvex
+exactly where a step finds a witness.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 # falsify stays importable here: bench/workloads.py re-checks kappa_hi with it.
-from .classify import falsify  # noqa: F401
-from .linalg import MAX_DIM, PD_TOL, SpdMatrix, ratio_sums, validate_spd
+from .classify import beyond_necessary, falsify  # noqa: F401
+from .linalg import MAX_DIM, PD_TOL, SpdMatrix, validate_spd
 from .plan import DEFAULT_PLAN, SamplePlan, sample_count
 
 if TYPE_CHECKING:
@@ -94,9 +95,7 @@ class BoundaryEstimate:
 
 
 def _witness_found(family: EigenFamily, kappa: float) -> bool:
-    # classify's module (the package's ``classify`` is the function)
-    probe = sys.modules["kantorovich.classify"]._pair_probe
-    return probe(ratio_sums([1.0, kappa]))[3]
+    return beyond_necessary(kappa)
 
 
 def probe_boundary(family: EigenFamily, tol: float = 1e-4,
@@ -104,8 +103,8 @@ def probe_boundary(family: EigenFamily, tol: float = 1e-4,
                    bracket: tuple[float, float] = (1.0, 8.0)) -> BoundaryEstimate:
     """Bisect kappa down to ``tol`` between no-witness and witness regimes.
 
-    Each step asks the extreme-pair probe for a witness
-    (docs/proofs.md#extreme-pair-of-a-family; ``plan`` only labels the
+    Each step asks :func:`classify.beyond_necessary`, the rung that gives
+    the family's matrix NotConvex, for a witness (``plan`` only labels the
     result): none at ``bracket[0]`` and one at ``bracket[1]``, else
     :class:`BadInitialBracketError` after the first endpoint that fails.
     The bracket must satisfy 1 <= lo < hi and PD_TOL * hi < 1, the kappa

@@ -21,10 +21,9 @@ The probe (:func:`_probe`) is in closed form: lambda_min h at y = (e_i +
 e_j)/sqrt(2) on the first largest ratio sum is 3/2 - delta_max/4
 (docs/proofs.md#pair-term-identity), :func:`forms.least_coefs`' c bit for
 bit; its point is x = U'y.  Rung 2 always attaches it (there delta_max > 6,
-so the value is negative); a ``boundary`` step reads only the flag of
-:func:`_pair_probe`, a value below the scans' tolerance.  :func:`falsify`
-maps the first worst row y of one probe + design scan's report
-(:func:`sampling.scan_design`) back to x = U'y.
+so the value is negative).  :func:`falsify` maps the first worst row y of
+one probe + design scan's report (:func:`sampling.scan_design`) back to
+x = U'y.
 
 Threshold comparisons are inclusive within relative 1e-12, so a matrix built
 to sit exactly on a boundary classifies with the boundary, not against it.
@@ -47,7 +46,7 @@ if TYPE_CHECKING:
 __all__ = [
     "KAPPA_NECESSARY", "KAPPA_SUFFICIENT_ANY", "KAPPA_SUFFICIENT_3D",
     "Status", "Certificate", "ProbeResult", "Witness", "classify",
-    "ConvexityVerdict", "necessary_probe", "falsify",
+    "ConvexityVerdict", "beyond_necessary", "necessary_probe", "falsify",
 ]
 
 # Convex in dim 2 iff kappa below this; necessary bound in every dim.
@@ -101,25 +100,28 @@ class ConvexityVerdict:
     report: SampleReport | None = None
 
 
-def _pair_probe(values: list[float]) -> tuple[int, float, float, bool]:
-    """The extreme-pair probe on ratio sums ``values`` (pair order): the
-    index k of the first largest, delta_max, the probe value 3/2 -
-    delta_max/4 and its flag, value below -``scan_tolerance(delta_max)``."""
+def _pair_probe(values: list[float]) -> tuple[int, float, float]:
+    """The extreme-pair probe on ratio sums ``values`` (pair order): index
+    k of the first largest, delta_max and the value 3/2 - delta_max/4."""
     k = max(range(len(values)), key=values.__getitem__)
     dmax = values[k]
-    lam = 1.5 - 0.25 * dmax
-    return k, dmax, lam, not lam >= -scan_tolerance(dmax)
+    return k, dmax, 1.5 - 0.25 * dmax
+
+
+def beyond_necessary(kappa: float) -> bool:
+    """Rung 2's test, also each ``boundary`` step's: K is not convex."""
+    return kappa > KAPPA_NECESSARY * (1.0 + BOUNDARY_REL_TOL)
 
 
 def necessary_probe(delta: DeltaVector) -> ProbeResult:
     """The probe on ``delta`` (:func:`_pair_probe`) with q(d) = 9 + 3 d -
     (3/4) d^2 at delta_max: q = 3 (2 + d) (3/2 - d/4) has roots -2 and 6,
-    so q < 0 exactly when kappa > 3 + 2*sqrt(2).  ``violated`` is the
-    probe's flag, as each ``boundary`` step judges it."""
-    k, dmax, _, violated = _pair_probe(delta.values.tolist())
+    so q < 0 exactly when kappa > 3 + 2*sqrt(2).  ``violated``: the value
+    is below -``scan_tolerance(delta_max)``, the scans' witness test."""
+    k, dmax, lam = _pair_probe(delta.values.tolist())
     q = 9.0 + 3.0 * dmax - 0.75 * dmax * dmax
     return ProbeResult(worst_pair=pair_indices(delta.dim)[k], delta_max=dmax,
-                       quad_value=q, violated=violated)
+                       quad_value=q, violated=not lam >= -scan_tolerance(dmax))
 
 
 def falsify(spd: SpdMatrix, plan: SamplePlan = DEFAULT_PLAN) -> Witness | None:
@@ -135,15 +137,14 @@ def falsify(spd: SpdMatrix, plan: SamplePlan = DEFAULT_PLAN) -> Witness | None:
     return Witness(point=tuple(x.tolist()), lambda_min=rep.worst_value)
 
 
-def _probe(spd: SpdMatrix) -> tuple[Witness, bool]:
-    """The extreme-pair probe of ``spd`` (:func:`_pair_probe`) as a witness
-    with its flag: x_c = r U[i][c] + r U[j][c], r = 1/sqrt(2), for the
-    pair (i, j)."""
-    k, _, lam, violation = _pair_probe(spd.ratio_sums())
+def _probe(spd: SpdMatrix) -> Witness:
+    """The extreme-pair probe of ``spd`` (:func:`_pair_probe`) as a witness:
+    x_c = r U[i][c] + r U[j][c], r = 1/sqrt(2), for the pair (i, j)."""
+    k, _, lam = _pair_probe(spd.ratio_sums())
     i, j = pair_indices(spd.dim)[k]
     u, r = spd.spectral._u, 1.0 / math.sqrt(2.0)
-    return (Witness(point=tuple(r * a + r * b for a, b in zip(u[i], u[j])),
-                    lambda_min=lam), violation)
+    return Witness(point=tuple(r * a + r * b for a, b in zip(u[i], u[j])),
+                   lambda_min=lam)
 
 
 def classify(spd: SpdMatrix,
@@ -160,11 +161,11 @@ def classify(spd: SpdMatrix,
     if n == 1:
         return verdict(Status.CONVEX, Certificate.SUFFICIENT_ANY_DIM)
 
-    if kappa > KAPPA_NECESSARY * inc:
+    if beyond_necessary(kappa):
         # delta_max >= 6 + 5.5e-12, so the probe value is negative: a
         # witness, even within the scan tolerance of 0
         return verdict(Status.NOT_CONVEX, Certificate.NECESSARY_VIOLATED,
-                       witness=_probe(spd)[0])
+                       witness=_probe(spd))
     if n == 2:
         return verdict(Status.CONVEX, Certificate.EXACT_2D)
     if n == 3 and kappa <= KAPPA_SUFFICIENT_3D * inc:

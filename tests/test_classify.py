@@ -12,11 +12,11 @@ from hypothesis import assume, given, settings, strategies as st
 from kantorovich import sampling
 from kantorovich.classify import (BOUNDARY_REL_TOL, KAPPA_NECESSARY,
                                   KAPPA_SUFFICIENT_3D, KAPPA_SUFFICIENT_ANY,
-                                  Certificate, Status, _probe, classify,
-                                  falsify, necessary_probe)
+                                  Certificate, Status, classify, falsify,
+                                  necessary_probe)
 from kantorovich.forms import DeltaVector, delta_from_spd, least_coefs
 from kantorovich.function import f_hessian
-from kantorovich.linalg import min_eigenvalue, validate_spd
+from kantorovich.linalg import min_eigenvalue, scan_tolerance, validate_spd
 from kantorovich.sampling import SamplePlan, all_samples, scan_design, scan_h
 from conftest import random_rotation, spd_with_kappa
 
@@ -77,7 +77,7 @@ from kantorovich.classify import _probe, classify
 from kantorovich.linalg import validate_spd
 spd, gap = (validate_spd(json.loads(a)) for a in sys.argv[1:])
 v, again = classify(spd), classify(spd)
-points = (v.witness.point, _probe(spd)[0].point)
+points = (v.witness.point, _probe(spd).point)
 out = {"numpy": "numpy" in sys.modules, "lengths": [len(p) for p in points],
        "types": sorted({type(c).__name__ for p in points for c in p})}
 g, g_again = classify(gap), classify(gap)
@@ -364,7 +364,8 @@ def test_not_convex_just_above_the_threshold_has_a_witness(dim, r):
     hess = f_hessian(spd, v.witness.point)
     assert min_eigenvalue(hess) < 0.0
     # the probe row alone is still judged against the tolerance
-    assert not _probe(spd)[1]
+    delta_max = max(spd.ratio_sums())
+    assert v.witness.lambda_min >= -scan_tolerance(delta_max)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -389,7 +390,8 @@ def test_closed_form_probe_is_the_probe_row_scan(n):
             y = sampling.probe_directions(n)[2 * k]
             res = scan_h(delta, y[None, :])
             assert abs(lam - res.worst_value) <= 1e-14 * max(1.0, abs(lam))
-            assert _probe(spd)[1] == res.violation
+            tol = scan_tolerance(max(spd.ratio_sums()))
+            assert (lam < -tol) == res.violation
             want = spd.spectral.rotation.T @ y
             assert np.abs(witness.point - want).max() <= 2.0 ** -52
             assert min_eigenvalue(f_hessian(spd, witness.point)) < 0.0

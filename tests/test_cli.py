@@ -142,6 +142,32 @@ def test_leading_byte_order_mark_is_dropped(tmp_path, capsys, name, text):
     assert out == "" and err.startswith("error: ")
 
 
+SIX = [[1.0, 0.0], [0.0, 6.0]]
+
+
+@pytest.mark.parametrize("name, text, rows, code", [
+    ("m.txt", "2\n1_0 0\n0 6\n", [[10.0, 0.0], [0.0, 6.0]], 0),
+    ("m.txt", "2\n\u0661 0\n0 \u0666\n", SIX, 1),
+    ("m.txt", "\uff12\n1 0\n0 6\n", SIX, 1),
+    ("m.txt", "2\n1\u00a00\n0\u00a06\n", SIX, 1),
+    ("m.txt", "2\r1 0\r0 6\r", SIX, 1),
+    ("m.txt", "2\u20281 0\u20280 6\n", SIX, 1),
+    ("m.json", '{"n": 3, "entries": [1], "n": 2, "entries": [1, 0, 0, 6]}',
+     SIX, 1),
+], ids=["underscore", "arabic-indic-digits", "full-width-dimension", "nbsp",
+        "cr", "line-separator", "json-repeated-keys"])
+def test_matrix_file_grammar_as_documented(tmp_path, capsys, name, text,
+                                           rows, code):
+    # What the readers accept beyond the examples in docs/formats.md
+    # (Matrix files): int() and float() tokens, str.split() whitespace,
+    # str.splitlines() lines and the last of repeated JSON keys.
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    assert read_matrix_file(str(path)) == rows
+    assert run(["analyze", str(path)]) == code
+    assert capsys.readouterr().err == ""
+
+
 # --- analyze -----------------------------------------------------------------
 
 def test_analyze_not_convex(diag16):
