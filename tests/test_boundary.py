@@ -12,7 +12,8 @@ from kantorovich.boundary import (FAMILY_KINDS, SWEEP_CSV_HEADER,
                                   BadInitialBracketError, EigenFamily,
                                   probe_boundary, sweep, sweep_csv)
 from kantorovich.classify import (BOUNDARY_REL_TOL, Certificate, Status,
-                                  classify, falsify)
+                                  _pair_probe, beyond_necessary, classify,
+                                  falsify)
 from kantorovich.cli import run
 from kantorovich.linalg import (MAX_DIM, PD_TOL, NotPositiveDefiniteError,
                                 validate_spd)
@@ -242,18 +243,40 @@ _STEP_KAPPAS = st.one_of(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(FAMILY_KINDS), dim=st.integers(2, MAX_DIM),
        kappa=_STEP_KAPPAS)
-def test_step_is_the_verdict_of_the_matrix(kind, dim, kappa):
-    # Every family's spectrum runs from 1.0 to kappa exactly, so its
-    # validated matrix has that kappa bit for bit, and a step finds a
-    # witness exactly where classify gives the matrix NotConvex
-    # (docs/proofs.md#diagonal-spectrum).
+def test_step_flag_is_the_probe_flag_of_the_matrix(kind, dim, kappa):
+    # The validated matrix of a family has its kappa bit for bit, and a
+    # step finds a witness exactly where classify's necessary rung (the
+    # probe) gives that matrix NotConvex (docs/proofs.md#diagonal-spectrum).
     fam = EigenFamily(kind, dim)
-    lam = fam.eigenvalues(kappa)
-    assert (min(lam), max(lam)) == (1.0, kappa)
     spd = fam.spd(kappa)
     assert spd.kappa == kappa
+    verdict = classify(spd, FAST)
     assert boundary._witness_found(fam, kappa) == (
-        classify(spd, FAST).status is Status.NOT_CONVEX)
+        verdict.certificate is Certificate.NECESSARY_VIOLATED) == (
+        verdict.status is Status.NOT_CONVEX)
+
+
+def test_step_reads_the_extreme_pair():
+    # Every family's spectrum runs from 1.0 to kappa exactly, so the kappa a
+    # step reads is the ratio of the spectrum's extreme pair (1, kappa), and
+    # where a step finds a witness that pair's probe value is negative
+    # (docs/proofs.md#diagonal-spectrum).
+    centers = (THRESHOLD_2D * (1.0 - BOUNDARY_REL_TOL), THRESHOLD_2D,
+               THRESHOLD_2D * (1.0 + BOUNDARY_REL_TOL))
+    kappas = [1.0, math.nextafter(1.0, 2.0), 8.0, 1e11,
+              *[_ulps(c, k) for c in centers for k in range(-64, 65)],
+              *np.random.default_rng(7).uniform(1.0, 8.0, 64).tolist()]
+    for kind in FAMILY_KINDS:
+        for dim in range(2, MAX_DIM + 1):
+            fam = EigenFamily(kind, dim)
+            for kappa in kappas:
+                lam = fam.eigenvalues(kappa)
+                lo, hi = min(lam), max(lam)
+                assert (lo, hi) == (1.0, kappa), (kind, dim)
+                found = boundary._witness_found(fam, kappa)
+                assert found == beyond_necessary(hi / lo), (kind, dim, kappa)
+                value = _pair_probe(linalg.ratio_sums([lo, hi]))[2]
+                assert not found or value < 0.0, (kind, dim, kappa)
 
 
 def test_bracket_holds_the_necessary_threshold():
