@@ -8,10 +8,12 @@ and in the gap between the thresholds scans that check and reports it.
 certify the supporting inequalities on their compact parameter boxes.
 
 Everything else lives in the submodules (``kantorovich.classify``,
-``kantorovich.lmi``, ...).  ``import kantorovich`` loads ``classify``,
-``linalg`` and ``plan``, and no numpy; the other submodules, and numpy with
-them, load on first use.  Every point the library reports is a tuple of
-Python floats, so a verdict that does not scan never loads numpy.
+``kantorovich.lmi``, ...).  ``import kantorovich`` loads ``classify``
+and ``linalg``, and no numpy, ``dataclasses`` or ``json``.  The other
+submodules, and the names they define (``SamplePlan`` and ``DEFAULT_PLAN``
+of ``plan`` among them), load on first use, with numpy where they use it.
+Every point the library reports is a tuple of Python floats, so a verdict
+that does not scan never loads numpy.
 """
 
 import importlib
@@ -20,13 +22,13 @@ import importlib
 from .classify import (Certificate, Status, classify, falsify,
                        necessary_probe)
 from .linalg import MatrixValidationError, min_eigenvalue, validate_spd
-from .plan import DEFAULT_PLAN, SamplePlan
 
 __version__ = "0.1.0"
 
 # Imported on first access, so an ``analyze`` that does not scan never
 # loads them: name -> module.
 _LAZY = {
+    "SamplePlan": "plan", "DEFAULT_PLAN": "plan",
     "forms": "forms", "DeltaVector": "forms", "delta_from_spd": "forms",
     "h_form": "forms", "m_form": "forms", "sampling": "sampling",
     "boundary": "boundary", "EigenFamily": "boundary",

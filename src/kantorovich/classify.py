@@ -15,7 +15,8 @@ Decision ladder, in order:
 
 Rungs 1 to 4 read Python floats and load no numpy, and a witness point
 is a tuple of floats; rung 5 imports ``forms`` and ``sampling`` where it
-calls them.
+calls them, and ``plan`` where no plan is given.  The result types are
+named tuples, so that this module loads no ``dataclasses``.
 
 The probe (:func:`_probe`) is in closed form: lambda_min h at y = (e_i +
 e_j)/sqrt(2) on the first largest ratio sum is 3/2 - delta_max/4
@@ -32,15 +33,14 @@ to sit exactly on a boundary classifies with the boundary, not against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .linalg import SpdMatrix, pair_indices, scan_tolerance
-from .plan import DEFAULT_PLAN, SamplePlan
 
 if TYPE_CHECKING:
     from .forms import DeltaVector
+    from .plan import SamplePlan
     from .sampling import SampleReport
 
 __all__ = [
@@ -73,8 +73,7 @@ class Certificate(str, Enum):
     SAMPLING_EXHAUSTED = "sampling-exhausted"
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     """Outcome of the extreme-pair coordinate probe."""
 
     worst_pair: tuple[int, int]
@@ -83,16 +82,14 @@ class ProbeResult:
     violated: bool
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A direction x with hess f(x) not PSD; lambda_min certifies by how much."""
 
     point: tuple[float, ...]
     lambda_min: float
 
 
-@dataclass(frozen=True)
-class ConvexityVerdict:
+class ConvexityVerdict(NamedTuple):
     status: Status
     certificate: Certificate
     kappa: float
@@ -124,13 +121,22 @@ def necessary_probe(delta: DeltaVector) -> ProbeResult:
                        quad_value=q, violated=not lam >= -scan_tolerance(dmax))
 
 
-def falsify(spd: SpdMatrix, plan: SamplePlan = DEFAULT_PLAN) -> Witness | None:
+def _design_report(spd: SpdMatrix, plan: SamplePlan | None) -> SampleReport:
+    """The report of :func:`sampling.scan_design` on ``spd``'s ratio sums
+    under ``plan``, ``DEFAULT_PLAN`` where it is None."""
+    from .forms import delta_from_spd
+    from .plan import DEFAULT_PLAN
+    from .sampling import scan_design
+    return scan_design(delta_from_spd(spd),
+                       DEFAULT_PLAN if plan is None else plan)
+
+
+def falsify(spd: SpdMatrix, plan: SamplePlan | None = None) -> Witness | None:
     """One scan of the probe + design rows (:func:`sampling.scan_design`)
     for a direction where hess f is not PSD: the report's first worst row y
-    as x = U' y, with its worst value; ``plan.refine_rounds`` unread."""
-    from .forms import delta_from_spd
-    from .sampling import scan_design
-    rep = scan_design(delta_from_spd(spd), plan)
+    as x = U' y, with its worst value; ``plan`` None is ``DEFAULT_PLAN``,
+    and ``plan.refine_rounds`` is unread."""
+    rep = _design_report(spd, plan)
     if rep.passed:
         return None
     x = spd.spectral.rotation.T @ rep.worst_point
@@ -148,8 +154,9 @@ def _probe(spd: SpdMatrix) -> Witness:
 
 
 def classify(spd: SpdMatrix,
-             plan: SamplePlan = DEFAULT_PLAN) -> ConvexityVerdict:
-    """Decide convexity of K for ``spd`` (see module docstring for the ladder)."""
+             plan: SamplePlan | None = None) -> ConvexityVerdict:
+    """Decide convexity of K for ``spd`` (see module docstring for the
+    ladder); only the gap rung reads ``plan``, None meaning ``DEFAULT_PLAN``."""
     inc = 1.0 + BOUNDARY_REL_TOL
     kappa = spd.kappa
     n = spd.dim
@@ -173,7 +180,5 @@ def classify(spd: SpdMatrix,
     if kappa <= KAPPA_SUFFICIENT_ANY * inc:
         return verdict(Status.CONVEX, Certificate.SUFFICIENT_ANY_DIM)
 
-    from .forms import delta_from_spd
-    from .sampling import scan_design
     return verdict(Status.UNDETERMINED, Certificate.SAMPLING_EXHAUSTED,
-                   report=scan_design(delta_from_spd(spd), plan))
+                   report=_design_report(spd, plan))

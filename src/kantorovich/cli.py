@@ -10,17 +10,19 @@ seed (the sweep's wall_ms column excepted).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 from .classify import (KAPPA_NECESSARY, KAPPA_SUFFICIENT_3D,
                        KAPPA_SUFFICIENT_ANY, Status, classify)
 from .linalg import MAX_DIM, MatrixValidationError, pair_indices, validate_spd
-from .plan import MAX_SAMPLES, SamplePlan
-# numpy, and the modules that import it, are imported by the commands and
-# rungs that run them: an analyze that kappa decides loads none of them.
+
+if TYPE_CHECKING:
+    from .plan import SamplePlan
+# numpy, json, the plan and the modules that import numpy are imported by
+# the commands and rungs that use them: a human-format analyze that kappa
+# decides loads none of them.
 
 EXIT_CONVEX = 0
 EXIT_NOT_CONVEX = 1
@@ -67,6 +69,7 @@ def parse_matrix_text(text: str) -> list[list[float]]:
 
 def parse_matrix_json(text: str) -> list[list[float]]:
     """The rows of a JSON matrix file, as Python floats."""
+    import json
     try:
         obj = json.loads(text)
     except RecursionError:  # arrays or objects nested too deep to decode
@@ -139,42 +142,47 @@ def _report_dict(r):
             "tolerance": float(r.tolerance), "passed": bool(r.passed)}
 
 
-def _json(o, indent: str = "") -> str:
+def _json(o) -> str:
     """``o`` as the text ``json.dumps(o, indent=2)`` writes, except that a
     non-finite float is the string "inf", "-inf" or "nan", as in human
-    output, so the text is RFC 8259 JSON; ``indent`` is the indent of the
-    line ``o`` starts on.  Keys must be strings; like ``json``, any type
-    other than str, None, bool, int, float, list, tuple and dict raises
-    TypeError."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        text = float.__repr__(o)
-        return text if math.isfinite(o) else f'"{text}"'
-    inner = indent + "  "
-    if isinstance(o, (list, tuple)):
-        items = [_json(v, inner) for v in o]
-        brackets = "[]"
-    elif isinstance(o, dict):
-        # encode_basestring_ascii raises TypeError on a key that is no str
-        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
-                 for k, v in o.items()]
-        brackets = "{}"
-    else:
-        raise TypeError(
-            f"Object of type {type(o).__name__} is not JSON serializable")
-    if not items:
-        return brackets
-    sep = ",\n" + inner
-    return f"{brackets[0]}\n{inner}{sep.join(items)}\n{indent}{brackets[1]}"
+    output, so the text is RFC 8259 JSON.  Keys must be strings; like
+    ``json``, any type other than str, None, bool, int, float, list, tuple
+    and dict raises TypeError."""
+    from json.encoder import encode_basestring_ascii as quote
+
+    def text(o, indent: str) -> str:
+        # ``indent`` is the indent of the line ``o`` starts on
+        if isinstance(o, str):
+            return quote(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            r = float.__repr__(o)
+            return r if math.isfinite(o) else f'"{r}"'
+        inner = indent + "  "
+        if isinstance(o, (list, tuple)):
+            items = [text(v, inner) for v in o]
+            brackets = "[]"
+        elif isinstance(o, dict):
+            # quote raises TypeError on a key that is no str
+            items = [f"{quote(k)}: {text(v, inner)}" for k, v in o.items()]
+            brackets = "{}"
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} "
+                            "is not JSON serializable")
+        if not items:
+            return brackets
+        sep = ",\n" + inner
+        return (f"{brackets[0]}\n{inner}{sep.join(items)}"
+                f"\n{indent}{brackets[1]}")
+
+    return text(o, "")
 
 
 def grid_reports_csv(reports) -> str:
@@ -191,17 +199,35 @@ def grid_reports_csv(reports) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
-def _plan_from_args(args) -> SamplePlan:
+# The plan flags: argparse dest -> SamplePlan field.  Each defaults to
+# None, so that a command given none of them reads DEFAULT_PLAN and an
+# analyze that kappa decides never imports the plan.
+_PLAN_FIELDS = {"seed": "seed", "samples_2d": "angles_2d",
+                "samples_3d": "fibonacci_3d", "samples_nd": "random_nd",
+                "refine_rounds": "refine_rounds"}
+
+
+def _plan_from_args(args) -> SamplePlan | None:
+    """The plan of the plan flags given, the other fields at their
+    defaults; None, meaning ``DEFAULT_PLAN``, where none is given."""
+    given = {field: getattr(args, dest) for dest, field in _PLAN_FIELDS.items()
+             if getattr(args, dest) is not None}
+    if not given:
+        return None
+    from .plan import MAX_SAMPLES, SamplePlan
     for flag, n in (("--samples-2d", args.samples_2d),
                     ("--samples-3d", args.samples_3d),
                     ("--samples-nd", args.samples_nd)):
-        if n > MAX_SAMPLES:
+        if n is not None and n > MAX_SAMPLES:
             raise ValueError(f"{flag} allows at most {MAX_SAMPLES} samples, "
                              f"got {n}")
-    return SamplePlan(seed=args.seed, angles_2d=args.samples_2d,
-                      fibonacci_3d=args.samples_3d,
-                      random_nd=args.samples_nd,
-                      refine_rounds=args.refine_rounds)
+    return SamplePlan(**given)
+
+
+def _plan_or_default(plan: SamplePlan | None) -> SamplePlan:
+    """``plan``, or ``DEFAULT_PLAN`` where it is None."""
+    from .plan import DEFAULT_PLAN
+    return DEFAULT_PLAN if plan is None else plan
 
 
 def cmd_analyze(args) -> int:
@@ -223,7 +249,7 @@ def cmd_analyze(args) -> int:
             "certificate": verdict.certificate.value,
             "witness": _witness_dict(verdict.witness),
             "report": _report_dict(verdict.report),
-            "seed": plan.seed,
+            "seed": _plan_or_default(plan).seed,
         }
         print(_json(out))
     else:
@@ -306,7 +332,7 @@ def cmd_boundary(args) -> int:
             dims.append(int(tok))
     if not kinds or not dims:
         raise ValueError("need at least one family kind and one dim")
-    plan = _plan_from_args(args)
+    plan = _plan_or_default(_plan_from_args(args))
     families = [EigenFamily(kind=k, dim=d) for k in kinds for d in dims]
     rows = sweep(families, tol=args.tol, plan=plan,
                  bracket=(args.bracket_lo, args.bracket_hi))
@@ -344,8 +370,7 @@ def cmd_lmi(args) -> int:
     if values.size and values.min() < 2.0:
         raise ValueError("--delta entries must be >= 2")
     delta = DeltaVector(dim=args.dim, values=values)
-    plan = _plan_from_args(args)
-    report = scan_design(delta, plan)
+    report = scan_design(delta, _plan_or_default(_plan_from_args(args)))
     if args.format == "json":
         print(_json({"dim": args.dim,
                      "delta": [float(v) for v in values],
@@ -435,15 +460,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_plan_args(p: argparse.ArgumentParser) -> None:
-    d = SamplePlan()
-    p.add_argument("--seed", type=int, default=d.seed)
-    p.add_argument("--samples-2d", type=int, default=d.angles_2d,
+    # default None: SamplePlan holds the defaults (see _plan_from_args)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--samples-2d", type=int,
                    help="equispaced angles in dim 2")
-    p.add_argument("--samples-3d", type=int, default=d.fibonacci_3d,
+    p.add_argument("--samples-3d", type=int,
                    help="Fibonacci sphere points in dim 3")
-    p.add_argument("--samples-nd", type=int, default=d.random_nd,
+    p.add_argument("--samples-nd", type=int,
                    help="random unit vectors in dim >= 4")
-    p.add_argument("--refine-rounds", type=int, default=d.refine_rounds,
+    p.add_argument("--refine-rounds", type=int,
                    help="accepted and validated (>= 0); has no effect")
 
 

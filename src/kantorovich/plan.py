@@ -2,7 +2,11 @@
 
 Kept apart from :mod:`kantorovich.sampling`, which runs the scans and
 imports numpy, so that a command can build, check and count a plan, as
-``analyze`` and ``boundary`` do, without loading numpy.
+``boundary`` does, without loading numpy.  A plan is a dataclass, and
+``dataclasses`` imports ``inspect``; so ``classify`` and the CLI import
+this module only where a plan is read (a scan, a plan flag given, the
+JSON ``seed``): a human-format ``analyze`` that kappa decides loads
+neither.
 """
 
 from __future__ import annotations

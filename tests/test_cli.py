@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import unicodedata
 import warnings
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import write_matrix
-from kantorovich import cli, linalg
+from kantorovich import cli, linalg, validate_spd
 from kantorovich.classify import KAPPA_NECESSARY
 from kantorovich.cli import (build_parser, parse_matrix_json,
                              parse_matrix_text, read_matrix_file, run)
@@ -166,6 +167,242 @@ def test_matrix_file_grammar_as_documented(tmp_path, capsys, name, text,
     assert read_matrix_file(str(path)) == rows
     assert run(["analyze", str(path)]) == code
     assert capsys.readouterr().err == ""
+
+
+# --- the matrix-file grammar, by generation ----------------------------------
+
+# docs/formats.md#matrix-files written out, with none of the Python readers
+# it names: the line ends of str.splitlines() (universal newlines make CR LF
+# one), the whitespace of str.split(), and the int() and float() numerals,
+# whose digits are any Unicode decimal digits (regex \d), with single
+# underscores between digits.
+_LINE_ENDS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_BLANKS = (" \t\x1f\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006"
+           "\u2007\u2008\u2009\u200a\u202f\u205f\u3000")
+_SPACE = _LINE_ENDS + _BLANKS
+_DIGITS = r"\d(?:_?\d)*"
+_INT = re.compile(rf"[+-]?{_DIGITS}")
+_FLOAT = re.compile(rf"[+-]?(?:(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})"
+                    rf"(?:[eE][+-]?{_DIGITS})?"
+                    r"|[iI][nN][fF](?:[iI][nN][iI][tT][yY])?|[nN][aA][nN])")
+
+
+def _ascii(token):
+    """``token`` with its decimal digits in ASCII and no underscores."""
+    return "".join(str(unicodedata.decimal(c, c)) for c in token if c != "_")
+
+
+def _reference_text(text):
+    """The rows of a plain-text matrix file, or None where it is
+    malformed."""
+    lines = [ln for ln in re.split(f"\r\n|[{re.escape(_LINE_ENDS)}]", text)
+             if ln.strip(_SPACE)]
+    rows = [re.split(f"[{re.escape(_SPACE)}]+", ln.strip(_SPACE))
+            for ln in lines]
+    if not rows or len(rows[0]) != 1 or not _INT.fullmatch(rows[0][0]):
+        return None
+    n = int(_ascii(rows[0][0]))
+    if len(rows) - 1 != n or not all(
+            len(row) == n and all(_FLOAT.fullmatch(t) for t in row)
+            for row in rows[1:]):
+        return None
+    return [[float(_ascii(t)) for t in row] for row in rows[1:]]
+
+
+def _reference_json(text):
+    """The rows of a JSON matrix file, or None where it is malformed: an
+    RFC 8259 object (NaN and Infinity are no JSON numbers) whose last "n"
+    is an integer >= 1 and whose last "entries" holds n * n numbers."""
+    def no_constant(name):
+        raise ValueError(name)
+
+    try:
+        obj = json.loads(text, object_pairs_hook=dict,
+                         parse_constant=no_constant)
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
+        return None
+    n, entries = obj["n"], obj["entries"]
+    if (type(n) is not int or n < 1 or type(entries) is not list
+            or len(entries) != n * n
+            or not all(type(v) in (int, float) for v in entries)
+            or not all(abs(v) <= sys.float_info.max for v in entries)):
+        return None
+    values = [float(v) for v in entries]
+    return [values[i:i + n] for i in range(0, n * n, n)]
+
+
+def _reference_rows(name, data):
+    """What the documented grammar reads from file ``name`` holding the
+    bytes ``data``: its rows, or None where it rejects the file."""
+    try:
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError:
+        return None
+    if name.endswith(".json") or text.lstrip(_SPACE).startswith("{"):
+        return _reference_json(text)
+    return _reference_text(text)
+
+
+# Digit scripts: ASCII, Arabic-Indic, extended Arabic-Indic, Devanagari,
+# full-width and mathematical bold.
+_SCRIPTS = [0x30, 0x30, 0x30, 0x660, 0x6f0, 0x966, 0xff10, 0x1d7ce]
+
+
+@st.composite
+def _digit_run(draw, digits):
+    """ASCII ``digits`` in one script, some pairs joined by "_"."""
+    base = draw(st.sampled_from(_SCRIPTS))
+    joins = draw(st.integers(0, 2 ** len(digits))) if draw(
+        st.integers(0, 3)) == 0 else 0
+    return "".join(("_" if i and joins >> i & 1 else "") + chr(base + int(d))
+                   for i, d in enumerate(digits))
+
+
+@st.composite
+def _numeral(draw, value, integer=False):
+    """An int() (``integer``) or float() spelling of the integer
+    ``value`` >= 0 in the documented grammar."""
+    sign = draw(st.sampled_from(["", "", "+"] + ["-"] * (value == 0)))
+    if integer:
+        zeros = "0" * draw(st.integers(0, 1))
+        return sign + draw(_digit_run(zeros + str(value)))
+    shift = draw(st.integers(0, 3))
+    digits = "0" * draw(st.integers(0, 1)) + str(value * 10 ** shift)
+    point = draw(st.none() | st.integers(0, len(digits)))
+    power = (len(digits) - point if point is not None else 0) - shift
+    head, tail = digits[:point], digits[point:] if point is not None else ""
+    text = sign + (draw(_digit_run(head)) if head else "")
+    if point is not None:
+        text += "." + (draw(_digit_run(tail)) if tail else "")
+    if power or draw(st.integers(0, 3)) == 0:
+        text += draw(st.sampled_from("eE")) + (
+            "-" if power < 0 else draw(st.sampled_from(["", "+"]))) + draw(
+            _digit_run("0" * draw(st.integers(0, 1)) + str(abs(power))))
+    return text
+
+
+# Values whose matrices kappa decides: no subset of them has its kappa in
+# the gap of any dim, so no example scans.
+_DIAGONAL = [1, 2, 25, 50]
+
+
+@st.composite
+def _plain_matrix(draw):
+    n = draw(st.integers(1, 4))
+    diag = draw(st.lists(st.sampled_from(_DIAGONAL), min_size=n, max_size=n))
+    blanks = st.text(_BLANKS, max_size=2)
+    ends = st.sampled_from(["\n", "\n", "\r\n", *_LINE_ENDS])
+    lines = [draw(_numeral(n, integer=True))]
+    for i in range(n):
+        cells = [draw(_numeral(diag[i] if j == i else 0)) for j in range(n)]
+        lines.append("".join(cell + draw(st.text(_BLANKS, min_size=1,
+                                                  max_size=2))
+                             for cell in cells[:-1]) + cells[-1])
+    text = draw(st.sampled_from(["", "\ufeff"]))
+    for line in lines:
+        text += draw(st.sampled_from(["", "", draw(blanks) + draw(ends)]))
+        text += draw(blanks) + line + draw(blanks) + draw(ends)
+    return text if draw(st.booleans()) else text.rstrip(_LINE_ENDS)
+
+
+def _json_numerals(value):
+    """JSON spellings of the integer ``value`` >= 0."""
+    return [str(value), f"{value}.0", f"{value}e0", f"{value}E+00",
+            f"{value * 10}e-1", f"{value * 100}.00E-2",
+            f"0.{value:03d}e3", *(["-0", "-0.0e5"] if value == 0 else [])]
+
+
+@st.composite
+def _json_matrix(draw):
+    n = draw(st.integers(1, 4))
+    diag = draw(st.lists(st.sampled_from(_DIAGONAL), min_size=n, max_size=n))
+    ws = st.text(" \t\n\r", max_size=2)
+    cells = [draw(st.sampled_from(_json_numerals(diag[i // n]
+                                                 if i % (n + 1) == 0 else 0)))
+             for i in range(n * n)]
+    depth = draw(st.sampled_from([1] * 8 + [2, 100_000]))
+    members = [
+        ("n", draw(st.sampled_from([str(n)] * 24 + [
+            f"{n}.0", f"{n}e0", "true", f'"{n}"', f"[{n}]", "null", "1e400",
+            "-0", f"0{n}"]))),
+        ("entries", "[" * depth + ",".join(draw(ws) + c + draw(ws)
+                                           for c in cells) + "]" * depth)]
+    members += draw(st.lists(st.sampled_from([
+        ("n", str(n + 1)), ("entries", "[1]"), ("x", "null")]), max_size=1))
+    members = draw(st.permutations(members))
+    return draw(st.sampled_from(["", "\ufeff"])) + draw(ws) + "{" + ",".join(
+        f'{draw(ws)}"{key}"{draw(ws)}:{draw(ws)}{value}{draw(ws)}'
+        for key, value in members) + "}" + draw(ws)
+
+
+# Near misses: characters and tokens beside the grammar.
+_NEAR = ["\ufeff", "\u200b", "\u2212", "\xb2", "\u0131nf", "\x00", "_",
+         "__", ".", "e", "+", "-", "x", ",", "0x1", "1e999", "-1e999",
+         "1e-999", "nan", "-inf", "+Infinity", "NaN", "-Infinity", "1_",
+         "\u0661", "\uff12", "\u2028", "\xa0", "\x85", "\r", "\x1f", "\u3000",
+         "{", "}", "[", "]", '"', "true", "//", "'"]
+
+
+@st.composite
+def _matrix_file(draw):
+    """(file name, bytes): a matrix file in the documented grammar, or a
+    near miss of one."""
+    as_json = draw(st.booleans())
+    text = draw(_json_matrix() if as_json else _plain_matrix())
+    name = draw(st.sampled_from(["m.json", "m.json", "m.txt"] if as_json
+                                else ["m.txt", "m.txt", "m.dat", "m.json",
+                                      "m.JSON"]))
+    i = draw(st.integers(0, len(text)))
+    near = draw(st.sampled_from(_NEAR))
+    text = draw(st.sampled_from([text] * 4 + [
+        text[:i] + near + text[i:], text[:i] + near + text[i + 1:],
+        text[:i] + text[i + 1:], text[:i], text + near]))
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 15)) == 0:  # not UTF-8
+        data = data[:i] + draw(st.sampled_from([b"\xff", b"\xed\xa0\x80",
+                                                b"\xc3"])) + data[i:]
+    return name, data
+
+
+def _bits(rows):
+    return [[float.hex(v) if v == v else "nan" for v in row] for row in rows]
+
+
+@pytest.fixture(scope="module")
+def grammar_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("grammar")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(file=_matrix_file())
+def test_matrix_file_grammar_by_generation(grammar_dir, file):
+    # A file is read exactly when the documented grammar reads it, as the
+    # same rows bit for bit; analyze accepts it exactly when those rows are
+    # an SPD matrix, and else exits 64 with one error line.
+    name, data = file
+    path = grammar_dir / name
+    path.write_bytes(data)
+    try:
+        want = _reference_rows(name, data)
+        if want is None:
+            with pytest.raises(ValueError):
+                read_matrix_file(str(path))
+        else:
+            assert _bits(read_matrix_file(str(path))) == _bits(want), data
+        try:
+            spd = want is not None and bool(validate_spd(want))
+        except ValueError:
+            spd = False
+        code, out, err = _run_in_process(["analyze", str(path)])
+    finally:
+        path.unlink()
+    assert (code != 64) == spd, (data, code, err)
+    if code == 64:
+        assert out == "" and err.count("error:") == 1, (data, err)
+    else:
+        assert code in (0, 1) and err == "", (data, err)
 
 
 # --- analyze -----------------------------------------------------------------
@@ -1111,12 +1348,20 @@ SCANNED = ("gap.txt",)
 # the scan's modules; no other analyze start loads numpy, not even one
 # that reports a witness point (a tuple of floats).  `boundary` scans
 # nothing and loads no numpy: a step reads only the extreme pair (1, kappa).
+# The plan, a dataclass, loads only where a plan is read (the gap, JSON's
+# seed, `lmi` and `boundary`), and json only where JSON is read or written:
+# a human-format analyze that kappa decides loads neither, nor dataclasses
+# or inspect.
 BASE_MODULES = {"kantorovich", "kantorovich.cli", "kantorovich.classify",
-                "kantorovich.linalg", "kantorovich.plan"}
-SCAN_MODULES = {"kantorovich.forms", "kantorovich.sampling", "numpy"}
+                "kantorovich.linalg"}
+PLAN_MODULES = {"kantorovich.plan", "dataclasses", "inspect"}
+SCAN_MODULES = {"kantorovich.forms", "kantorovich.sampling", "numpy",
+                *PLAN_MODULES}
+RECORDED = ("numpy", "dataclasses", "inspect", "json")
 
+# The snapshot is taken before the script imports json itself.
 LOADED_SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from kantorovich import cli
 with contextlib.redirect_stdout(io.StringIO()), \\
         contextlib.redirect_stderr(io.StringIO()):
@@ -1124,26 +1369,38 @@ with contextlib.redirect_stdout(io.StringIO()), \\
         code = cli.run(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m == "numpy"
-                               or m.partition(".")[0] == "kantorovich")]))
-"""
+loaded = sorted(m for m in sys.modules if m in %r
+                or m.partition(".")[0] == "kantorovich")
+import json
+print(json.dumps([code, loaded]))
+""" % (RECORDED,)
+
+
+def _analyze_modules(name, fmt):
+    """What an analyze of ANALYZE_FILES[name] in ``fmt`` loads besides
+    BASE_MODULES."""
+    accepted = ANALYZE_FILES[name][2] != 64
+    return ({"json"} if name.endswith(".json") else set()) | (
+        SCAN_MODULES if name in SCANNED else set()) | (
+        {"json", *PLAN_MODULES} if fmt and accepted else set())
 
 
 @pytest.mark.parametrize("argv, code, extra", [
     (("analyze", "PLAIN"), 1, set()),
-    (("analyze", "JSON", "--format", "json"), 1, set()),
+    (("analyze", "JSON", "--format", "json"), 1, {"json", *PLAN_MODULES}),
     (("lmi", "--dim", "3", "--delta", "2.5,3.0,2.8"), 0, SCAN_MODULES),
     (("--help",), 0, set()),
     (("lemmas", "--grid", "3"), 0,
-     {"kantorovich.lmi", "kantorovich.forms", "numpy"}),
+     {"kantorovich.lmi", "kantorovich.forms", "numpy", "dataclasses",
+      "inspect"}),
     (("boundary", "--dims", "2", "--families", "two_point", "--tol", "1e-2"),
-     0, {"kantorovich.boundary"}),
+     0, {"kantorovich.boundary", *PLAN_MODULES}),
     (("hessian-check", "PLAIN", "--points", "2"), 0,
      {"kantorovich.function", "numpy"}),
     (("kantorovich-bound", "PLAIN", "--point", "1,1"), 0,
      {"kantorovich.function", "numpy"}),
     *[(("analyze", name, *fmt), ANALYZE_FILES[name][2],
-       SCAN_MODULES if name in SCANNED else set())
+       _analyze_modules(name, fmt))
       for name in ANALYZE_FILES for fmt in ((), ("--format", "json"))],
 ], ids=["analyze", "analyze-json", "lmi", "help", "lemmas", "boundary",
         "hessian-check", "kantorovich-bound",
@@ -1163,7 +1420,13 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, code, extra):
     assert res.returncode == 0, res.stderr
     got_code, loaded = json.loads(res.stdout)
     assert got_code == code
-    assert set(loaded) == BASE_MODULES | extra
+    loaded = set(loaded)
+    if "numpy" in loaded:
+        # numpy may import inspect itself (numpy 2 does, in
+        # numpy._core.overrides), so where it loads, inspect may too
+        loaded.discard("inspect")
+        extra = extra - {"inspect"}
+    assert loaded == BASE_MODULES | extra
 
 
 # --- the same result in a fresh process and in-process -----------------------
@@ -1185,16 +1448,18 @@ def test_analyze_subprocess_matches_in_process(tmp_path, capsys, name):
 
 # --- analyze flags -----------------------------------------------------------
 
-# The analyze flags: per flag, values that pass every check and edge values
-# that pass argparse.  2^27, the sample ceiling, is a valid count only for
-# inputs whose rung does not scan: a gap scan of 2^27 rows is slow by
-# design, not a failure, so it is not drawn for SCANNED inputs.
+# The analyze flags: per flag, values that pass every check (None: the flag
+# is not given) and edge values that pass argparse and fail a check.  2^27,
+# the sample ceiling, is a valid count only for inputs whose rung does not
+# scan: a gap scan of 2^27 rows is slow by design, not a failure, so it is
+# not drawn for SCANNED inputs.
 _SAMPLE_EDGES = [0, -1, (1 << 27) + 1, 10 ** 20]
 _ANALYZE_POOLS = {
-    "format": (["human", "json"], []),
-    "seed": ([0, 2 ** 63 - 1, 2 ** 64], [-1]),
-    **{f"samples-{d}": ([1, 64], _SAMPLE_EDGES) for d in ("2d", "3d", "nd")},
-    "refine-rounds": ([0, 50], [-1]),
+    "format": ([None, "human", "json"], []),
+    "seed": ([None, 0, 2 ** 63 - 1, 2 ** 64], [-1]),
+    **{f"samples-{d}": ([None, 1, 64], _SAMPLE_EDGES)
+       for d in ("2d", "3d", "nd")},
+    "refine-rounds": ([None, 0, 50], [-1]),
 }
 _STATUS_OF_EXIT = {0: "Convex", 1: "NotConvex", 2: "Undetermined"}
 
@@ -1214,10 +1479,12 @@ def _no_constant(name):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_analyze_flags_exit_cleanly(analyze_paths, data):
-    # Whatever passes argparse exits 0, 1, 2 or 64 without a traceback: 64
-    # with one error line and no output, else the input's exit code with
-    # the status it stands for, in RFC 8259 JSON where asked, and a
-    # witness of dim coordinates where one is reported.
+    # Whatever passes argparse exits 0, 1, 2 or 64 without a traceback: 64,
+    # exactly where the input or a flag is bad, with one error line and no
+    # output, whatever the rung (a plan flag is checked even where kappa
+    # decides); else the input's exit code with the status it stands for,
+    # in RFC 8259 JSON where asked, and a witness of dim coordinates where
+    # one is reported.
     name = data.draw(st.sampled_from(sorted(ANALYZE_FILES)))
     edge = data.draw(st.sampled_from([None, *_ANALYZE_POOLS]))
     flag = {}
@@ -1227,14 +1494,16 @@ def test_analyze_flags_exit_cleanly(analyze_paths, data):
         flag[key] = data.draw(st.sampled_from(
             valid + edges if key == edge else valid))
     argv = ["analyze", analyze_paths[name],
-            *[f"--{key}={value}" for key, value in flag.items()]]
+            *[f"--{key}={value}" for key, value in flag.items()
+              if value is not None]]
     code, out, err = _run_in_process(argv)
     assert code in (0, 1, 2, 64), (argv, err)
     assert "Traceback" not in err
+    bad_flag = edge is not None and flag[edge] in _ANALYZE_POOLS[edge][1]
+    assert (code == 64) == (bad_flag or ANALYZE_FILES[name][2] == 64), argv
     if code == 64:
         assert out == "" and err.count("error:") == 1, (argv, err)
         return
-    assert code == ANALYZE_FILES[name][2], argv
     if flag["format"] == "json":
         obj = json.loads(out, parse_constant=_no_constant)
         status, dim = obj["status"], obj["dim"]
@@ -1247,6 +1516,36 @@ def test_analyze_flags_exit_cleanly(analyze_paths, data):
     assert status == _STATUS_OF_EXIT[code], argv
     assert witness is None or len(witness) == dim, argv
     assert (witness is not None) == (name == "necessary-violated.txt")
+
+
+# The plan flags at DEFAULT_PLAN's values.
+DEFAULT_PLAN_FLAGS = ("--seed", "42", "--samples-2d", "4096",
+                      "--samples-3d", "100000", "--samples-nd", "200000",
+                      "--refine-rounds", "50")
+
+
+@pytest.mark.parametrize("argv", [
+    *[("analyze", name, *fmt)
+      for name in ANALYZE_FILES for fmt in ((), ("--format", "json"))],
+    ("lmi", "--dim", "3", "--delta", "2.5,3.0,2.8"),
+    ("lmi", "--dim", "3", "--delta", "2.5,3.0,2.8", "--format", "json"),
+    ("boundary", "--dims", "2,3", "--tol", "1e-2", "--format", "csv"),
+], ids=[*[f"analyze-{name}{fmt}" for name in ANALYZE_FILES
+          for fmt in ("", "-json")], "lmi", "lmi-json", "boundary"])
+def test_default_plan_flags_given_change_nothing(analyze_paths, argv):
+    # A command given no plan flag reads DEFAULT_PLAN: the same bytes and
+    # exit code as with every plan flag at its default, bar the sweep's
+    # wall_ms column (the last).
+    def bytes_of(result):
+        code, out, err = result
+        if argv[0] == "boundary":
+            out = re.sub(r",[^,\n]*$", "", out, flags=re.M)
+        return code, out, err
+
+    argv = [analyze_paths.get(a, a) for a in argv]
+    given = _run_in_process([*argv, *DEFAULT_PLAN_FLAGS])
+    assert bytes_of(given) == bytes_of(_run_in_process(argv))
+    assert given[0] in (0, 1, 2, 64) and "Traceback" not in given[2]
 
 
 # --- lmi and kantorovich-bound flags -----------------------------------------
