@@ -148,41 +148,43 @@ def _json(o) -> str:
     output, so the text is RFC 8259 JSON.  Keys must be strings; like
     ``json``, any type other than str, None, bool, int, float, list, tuple
     and dict raises TypeError."""
-    from json.encoder import encode_basestring_ascii as quote
+    from json.encoder import encode_basestring_ascii
+    return _json_text(o, "", encode_basestring_ascii)
 
-    def text(o, indent: str) -> str:
-        # ``indent`` is the indent of the line ``o`` starts on
-        if isinstance(o, str):
-            return quote(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
-            r = float.__repr__(o)
-            return r if math.isfinite(o) else f'"{r}"'
-        inner = indent + "  "
-        if isinstance(o, (list, tuple)):
-            items = [text(v, inner) for v in o]
-            brackets = "[]"
-        elif isinstance(o, dict):
-            # quote raises TypeError on a key that is no str
-            items = [f"{quote(k)}: {text(v, inner)}" for k, v in o.items()]
-            brackets = "{}"
-        else:
-            raise TypeError(f"Object of type {type(o).__name__} "
-                            "is not JSON serializable")
-        if not items:
-            return brackets
-        sep = ",\n" + inner
-        return (f"{brackets[0]}\n{inner}{sep.join(items)}"
-                f"\n{indent}{brackets[1]}")
 
-    return text(o, "")
+def _json_text(o, indent: str, quote) -> str:
+    """:func:`_json` of ``o`` starting on a line indented by ``indent``;
+    ``quote`` is json's string encoder, passed down so that json is
+    imported once per text."""
+    if isinstance(o, str):
+        return quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return text if math.isfinite(o) else f'"{text}"'
+    inner = indent + "  "
+    if isinstance(o, (list, tuple)):
+        items = [_json_text(v, inner, quote) for v in o]
+        brackets = "[]"
+    elif isinstance(o, dict):
+        # quote raises TypeError on a key that is no str
+        items = [f"{quote(k)}: {_json_text(v, inner, quote)}"
+                 for k, v in o.items()]
+        brackets = "{}"
+    else:
+        raise TypeError(
+            f"Object of type {type(o).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    sep = ",\n" + inner
+    return f"{brackets[0]}\n{inner}{sep.join(items)}\n{indent}{brackets[1]}"
 
 
 def grid_reports_csv(reports) -> str:
