@@ -156,7 +156,7 @@ def _probe(spd: SpdMatrix) -> Witness:
 def classify(spd: SpdMatrix,
              plan: SamplePlan | None = None) -> ConvexityVerdict:
     """Decide convexity of K for ``spd`` (see module docstring for the
-    ladder); only the gap rung reads ``plan``, None meaning ``DEFAULT_PLAN``."""
+    ladder); only the gap rung reads ``plan``, None being ``DEFAULT_PLAN``."""
     inc = 1.0 + BOUNDARY_REL_TOL
     kappa = spd.kappa
     n = spd.dim

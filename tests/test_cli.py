@@ -213,12 +213,9 @@ def _reference_json(text):
     """The rows of a JSON matrix file, or None where it is malformed: an
     RFC 8259 object (NaN and Infinity are no JSON numbers) whose last "n"
     is an integer >= 1 and whose last "entries" holds n * n numbers."""
-    def no_constant(name):
-        raise ValueError(name)
-
     try:
         obj = json.loads(text, object_pairs_hook=dict,
-                         parse_constant=no_constant)
+                         parse_constant=_no_constant)
     except (ValueError, RecursionError):
         return None
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
