@@ -15,7 +15,7 @@ Decision ladder, in order:
 
 Rungs 1 to 4 read Python floats and load no numpy, and a witness point
 is a tuple of floats; rung 5 imports ``forms`` and ``sampling`` where it
-calls them, and ``plan`` where no plan is given.  The result types are
+calls them (``sampling`` imports ``plan``).  The result types are
 named tuples, so that this module loads no ``dataclasses``.
 
 The probe (:func:`_probe`) is in closed form: lambda_min h at y = (e_i +
@@ -125,8 +125,7 @@ def _design_report(spd: SpdMatrix, plan: SamplePlan | None) -> SampleReport:
     """The report of :func:`sampling.scan_design` on ``spd``'s ratio sums
     under ``plan``, ``DEFAULT_PLAN`` where it is None."""
     from .forms import delta_from_spd
-    from .plan import DEFAULT_PLAN
-    from .sampling import scan_design
+    from .sampling import DEFAULT_PLAN, scan_design
     return scan_design(delta_from_spd(spd),
                        DEFAULT_PLAN if plan is None else plan)
 
