@@ -125,9 +125,8 @@ def _design_report(spd: SpdMatrix, plan: SamplePlan | None) -> SampleReport:
     """The report of :func:`sampling.scan_design` on ``spd``'s ratio sums
     under ``plan``, ``DEFAULT_PLAN`` where it is None."""
     from .forms import delta_from_spd
-    from .sampling import DEFAULT_PLAN, scan_design
-    return scan_design(delta_from_spd(spd),
-                       DEFAULT_PLAN if plan is None else plan)
+    from .sampling import or_default, scan_design
+    return scan_design(delta_from_spd(spd), or_default(plan))
 
 
 def falsify(spd: SpdMatrix, plan: SamplePlan | None = None) -> Witness | None:

@@ -226,12 +226,6 @@ def _plan_from_args(args) -> SamplePlan | None:
     return SamplePlan(**given)
 
 
-def _plan_or_default(plan: SamplePlan | None) -> SamplePlan:
-    """``plan``, or ``DEFAULT_PLAN`` where it is None."""
-    from .plan import DEFAULT_PLAN
-    return DEFAULT_PLAN if plan is None else plan
-
-
 def cmd_analyze(args) -> int:
     spd = validate_spd(read_matrix_file(args.matrix))
     plan = _plan_from_args(args)
@@ -239,6 +233,7 @@ def cmd_analyze(args) -> int:
     # the Python floats that forms.delta_from_spd wraps
     delta = list(zip(pair_indices(spd.dim), spd.ratio_sums()))
     if args.format == "json":
+        from .plan import or_default
         out = {
             "dim": spd.dim,
             "kappa": spd.kappa,
@@ -251,7 +246,7 @@ def cmd_analyze(args) -> int:
             "certificate": verdict.certificate.value,
             "witness": _witness_dict(verdict.witness),
             "report": _report_dict(verdict.report),
-            "seed": _plan_or_default(plan).seed,
+            "seed": or_default(plan).seed,
         }
         print(_json(out))
     else:
@@ -323,6 +318,7 @@ def cmd_lemmas(args) -> int:
 
 def cmd_boundary(args) -> int:
     from .boundary import FAMILY_KINDS, EigenFamily, sweep, sweep_csv
+    from .plan import or_default
     kinds = [k.strip() for k in args.families.split(",") if k.strip()]
     for k in kinds:
         if k not in FAMILY_KINDS:
@@ -334,7 +330,7 @@ def cmd_boundary(args) -> int:
             dims.append(int(tok))
     if not kinds or not dims:
         raise ValueError("need at least one family kind and one dim")
-    plan = _plan_or_default(_plan_from_args(args))
+    plan = or_default(_plan_from_args(args))
     families = [EigenFamily(kind=k, dim=d) for k in kinds for d in dims]
     rows = sweep(families, tol=args.tol, plan=plan,
                  bracket=(args.bracket_lo, args.bracket_hi))
@@ -360,7 +356,7 @@ def cmd_boundary(args) -> int:
 
 def cmd_lmi(args) -> int:
     from .forms import DeltaVector
-    from .sampling import scan_design
+    from .sampling import or_default, scan_design
     if not 2 <= args.dim <= MAX_DIM:
         raise ValueError(f"--dim must be between 2 and {MAX_DIM}")
     values = _parse_floats(args.delta, "--delta")
@@ -372,7 +368,7 @@ def cmd_lmi(args) -> int:
     if values.size and values.min() < 2.0:
         raise ValueError("--delta entries must be >= 2")
     delta = DeltaVector(dim=args.dim, values=values)
-    report = scan_design(delta, _plan_or_default(_plan_from_args(args)))
+    report = scan_design(delta, or_default(_plan_from_args(args)))
     if args.format == "json":
         print(_json({"dim": args.dim,
                      "delta": [float(v) for v in values],

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["SamplePlan", "DEFAULT_PLAN", "MAX_SAMPLES", "sample_count"]
+__all__ = ["SamplePlan", "DEFAULT_PLAN", "MAX_SAMPLES", "or_default",
+           "sample_count"]
 
 # Most rows of one sphere design.
 MAX_SAMPLES = 1 << 27
@@ -40,6 +41,11 @@ class SamplePlan:
 
 
 DEFAULT_PLAN = SamplePlan()
+
+
+def or_default(plan: SamplePlan | None) -> SamplePlan:
+    """``plan``, or ``DEFAULT_PLAN`` where it is None."""
+    return DEFAULT_PLAN if plan is None else plan
 
 
 def sample_count(dim: int, plan: SamplePlan) -> int:

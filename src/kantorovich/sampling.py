@@ -26,11 +26,12 @@ from .forms import (BOUND_DELTA_MAX, DeltaVector, as_points, h_entries,
                     square_bound)
 from .linalg import FirstMin, scan_tolerance, screened_min_eig
 # The plan lives apart, without numpy; these names stay importable here.
-from .plan import DEFAULT_PLAN, MAX_SAMPLES, SamplePlan, sample_count
+from .plan import (DEFAULT_PLAN, MAX_SAMPLES, SamplePlan, or_default,
+                   sample_count)
 
 __all__ = [
     "SamplePlan", "SampleReport", "DEFAULT_PLAN", "MAX_SAMPLES",
-    "probe_directions", "all_samples", "sample_count",
+    "or_default", "probe_directions", "all_samples", "sample_count",
     "scan_h", "scan_design", "ScanResult",
 ]
 
