@@ -211,11 +211,14 @@ def _reference_text(text):
 
 def _reference_json(text):
     """The rows of a JSON matrix file, or None where it is malformed: an
-    RFC 8259 object (NaN and Infinity are no JSON numbers) whose last "n"
-    is an integer >= 1 and whose last "entries" holds n * n numbers."""
+    object as ``json.loads`` reads it, whose last "n" is an integer >= 1
+    and whose last "entries" holds n * n numbers.  ``json.loads`` reads
+    NaN, Infinity and -Infinity, and a float literal beyond the float
+    range as inf; these rows are read, and only validate_spd rejects them.
+    An integer literal beyond the float range has no float, and is
+    rejected here."""
     try:
-        obj = json.loads(text, object_pairs_hook=dict,
-                         parse_constant=_no_constant)
+        obj = json.loads(text)
     except (ValueError, RecursionError):
         return None
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
@@ -223,10 +226,12 @@ def _reference_json(text):
     n, entries = obj["n"], obj["entries"]
     if (type(n) is not int or n < 1 or type(entries) is not list
             or len(entries) != n * n
-            or not all(type(v) in (int, float) for v in entries)
-            or not all(abs(v) <= sys.float_info.max for v in entries)):
+            or not all(type(v) in (int, float) for v in entries)):
         return None
-    values = [float(v) for v in entries]
+    try:
+        values = [float(v) for v in entries]
+    except OverflowError:
+        return None
     return [values[i:i + n] for i in range(0, n * n, n)]
 
 
@@ -311,13 +316,19 @@ def _json_numerals(value):
             f"0.{value:03d}e3", *(["-0", "-0.0e5"] if value == 0 else [])]
 
 
+# What json.loads reads as a non-finite float.
+_JSON_NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"]
+
+
 @st.composite
 def _json_matrix(draw):
     n = draw(st.integers(1, 4))
     diag = draw(st.lists(st.sampled_from(_DIAGONAL), min_size=n, max_size=n))
     ws = st.text(" \t\n\r", max_size=2)
     cells = [draw(st.sampled_from(_json_numerals(diag[i // n]
-                                                 if i % (n + 1) == 0 else 0)))
+                                                 if i % (n + 1) == 0 else 0)
+                                  if draw(st.integers(0, 63)) else
+                                  _JSON_NON_FINITE))
              for i in range(n * n)]
     depth = draw(st.sampled_from([1] * 8 + [2, 100_000]))
     members = [
@@ -372,13 +383,10 @@ def grammar_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("grammar")
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(file=_matrix_file())
-def test_matrix_file_grammar_by_generation(grammar_dir, file):
-    # A file is read exactly when the documented grammar reads it, as the
-    # same rows bit for bit; analyze accepts it exactly when those rows are
-    # an SPD matrix, and else exits 64 with one error line.
-    name, data = file
+def _check_grammar(grammar_dir, name, data):
+    """A file is read exactly when the documented grammar reads it, as the
+    same rows bit for bit; analyze accepts it exactly when those rows are
+    an SPD matrix, and else exits 64 with one error line."""
     path = grammar_dir / name
     path.write_bytes(data)
     try:
@@ -400,6 +408,30 @@ def test_matrix_file_grammar_by_generation(grammar_dir, file):
         assert out == "" and err.count("error:") == 1, (data, err)
     else:
         assert code in (0, 1) and err == "", (data, err)
+    return want
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(file=_matrix_file())
+def test_matrix_file_grammar_by_generation(grammar_dir, file):
+    _check_grammar(grammar_dir, *file)
+
+
+@pytest.mark.parametrize("entry, rows", [
+    ("1e999", [[math.inf]]), ("-1e999", [[-math.inf]]),
+    ("NaN", [[math.nan]]), ("Infinity", [[math.inf]]),
+    ("1" + "0" * 400, None),
+], ids=["1e999", "-1e999", "NaN", "Infinity", "int-1e400"])
+def test_matrix_file_grammar_non_finite_json(grammar_dir, entry, rows):
+    # json.loads reads NaN, Infinity and float overflow, so the file is
+    # read and analyze exits 64 on the non-finite entry; an integer beyond
+    # the float range is rejected while reading.
+    want = _check_grammar(grammar_dir, "m.json",
+                          f'{{"n": 1, "entries": [{entry}]}}'.encode())
+    if rows is None:
+        assert want is None
+    else:
+        assert _bits(want) == _bits(rows)
 
 
 # --- analyze -----------------------------------------------------------------
@@ -1501,6 +1533,7 @@ def test_analyze_flags_exit_cleanly(analyze_paths, data):
     if code == 64:
         assert out == "" and err.count("error:") == 1, (argv, err)
         return
+    assert code == ANALYZE_FILES[name][2], argv
     if flag["format"] == "json":
         obj = json.loads(out, parse_constant=_no_constant)
         status, dim = obj["status"], obj["dim"]
