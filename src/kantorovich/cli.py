@@ -126,65 +126,27 @@ def _threshold_lines() -> list[str]:
     ]
 
 
-def _witness_dict(w):
-    if w is None:
-        return None
-    return {"point": list(w.point),
-            "lambda_min": float(w.lambda_min)}
+def _finite(v):
+    """``v`` as a float for a JSON report: where it is not finite, the
+    string "inf", "-inf" or "nan" that human output prints, as JSON has no
+    token for those."""
+    v = float(v)
+    return v if math.isfinite(v) else repr(v)
 
 
 def _report_dict(r):
-    if r is None:
-        return None
-    return {"worst_value": float(r.worst_value),
-            "worst_point": list(r.worst_point),
-            "samples": int(r.samples), "seed": int(r.seed),
-            "tolerance": float(r.tolerance), "passed": bool(r.passed)}
+    """A ``SampleReport``'s fields in order, the worst value :func:`_finite`;
+    None for None."""
+    return r and dict(vars(r), worst_value=_finite(r.worst_value))
 
 
 def _json(o) -> str:
-    """``o`` as the text ``json.dumps(o, indent=2)`` writes, except that a
-    non-finite float is the string "inf", "-inf" or "nan", as in human
-    output, so the text is RFC 8259 JSON.  Keys must be strings; like
-    ``json``, any type other than str, None, bool, int, float, list, tuple
-    and dict raises TypeError."""
-    from json.encoder import encode_basestring_ascii
-    return _json_text(o, "", encode_basestring_ascii)
-
-
-def _json_text(o, indent: str, quote) -> str:
-    """:func:`_json` of ``o`` starting on a line indented by ``indent``;
-    ``quote`` is json's string encoder, passed down so that json is
-    imported once per text."""
-    if isinstance(o, str):
-        return quote(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        text = float.__repr__(o)
-        return text if math.isfinite(o) else f'"{text}"'
-    inner = indent + "  "
-    if isinstance(o, (list, tuple)):
-        items = [_json_text(v, inner, quote) for v in o]
-        brackets = "[]"
-    elif isinstance(o, dict):
-        # quote raises TypeError on a key that is no str
-        items = [f"{quote(k)}: {_json_text(v, inner, quote)}"
-                 for k, v in o.items()]
-        brackets = "{}"
-    else:
-        raise TypeError(
-            f"Object of type {type(o).__name__} is not JSON serializable")
-    if not items:
-        return brackets
-    sep = ",\n" + inner
-    return f"{brackets[0]}\n{inner}{sep.join(items)}\n{indent}{brackets[1]}"
+    """``json.dumps(o, indent=2)``.  A value that can be non-finite is
+    passed through :func:`_finite` where the report is built; any other
+    non-finite float raises ValueError rather than write a token that is
+    not RFC 8259 JSON."""
+    import json
+    return json.dumps(o, indent=2, allow_nan=False)
 
 
 def grid_reports_csv(reports) -> str:
@@ -244,7 +206,7 @@ def cmd_analyze(args) -> int:
                            "sufficient_3d": KAPPA_SUFFICIENT_3D},
             "status": verdict.status.value,
             "certificate": verdict.certificate.value,
-            "witness": _witness_dict(verdict.witness),
+            "witness": verdict.witness and verdict.witness._asdict(),
             "report": _report_dict(verdict.report),
             "seed": or_default(plan).seed,
         }
@@ -427,10 +389,10 @@ def cmd_kantorovich_bound(args) -> int:
         out = {
             "dim": spd.dim,
             "point": [float(v) for v in x],
-            "k_value": float(classical.lhs),
-            "classical": {"rhs": float(classical.rhs),
+            "k_value": _finite(classical.lhs),
+            "classical": {"rhs": _finite(classical.rhs),
                           "holds": bool(classical.holds)},
-            "as_printed": {"rhs": float(printed.rhs),
+            "as_printed": {"rhs": _finite(printed.rhs),
                            "holds": bool(printed.holds)},
         }
         print(_json(out))
