@@ -169,7 +169,16 @@ def _record(dim: int, count: int, seed: int,
             block: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Per block of the design (dim, count, seed), from one pass over its
     raw draws x: its floor (phi, s_lo, s_hi; see scan_design) read from
-    x_i^2/|x|^2, each square taken once, and the PCG64 state at its start."""
+    x_i^2/|x|^2, each square taken once, and the PCG64 state at its start.
+
+    The records of ``DEFAULT_PLAN`` at dims 2-8 ship in
+    :mod:`kantorovich._records`: for those the pass stops after the first
+    design block (the one after the probes) and returns the shipped
+    record, floors read-only, where that block's floor is the shipped one
+    exactly; else it goes on.
+    """
+    from ._records import RECORDS
+    shipped = RECORDS.get((dim, count, seed, block))
     floors, states = [], []
     buf = np.empty(dim * max(dim * (dim - 1), min(block, count)))
     for _, _, rows, state in _pass(dim, count, seed, block):
@@ -178,6 +187,9 @@ def _record(dim: int, count: int, seed: int,
         bound, s = square_bound(_FLOOR_COEFS, sq)
         floors.append((bound.min(), s.min(), s.max()))
         states.append(state)
+        if shipped and len(floors) == 2 and floors[1] == shipped[0][1]:
+            floors, states = shipped
+            break
     floors = np.array(floors)
     floors.setflags(write=False)
     return floors, tuple(states)
@@ -253,7 +265,9 @@ def scan_design(delta: DeltaVector,
     The first scan of a design makes its :func:`_record`: per block, phi_k,
     the least ``row_bound(_FLOOR_COEFS, y)``, and s_lo and s_hi, the least
     and largest |y|^2, read from the squares of the raw draws: a few ulps
-    from those of the rows y, inside the margin below.  Where the row
+    from those of the rows y, inside the margin below.  The records of
+    ``DEFAULT_PLAN``'s designs ship precomputed, and a first scan draws
+    only the first design block to check one against.  Where the row
     bound applies and a = 3 delta_min/4 - 3/2 <= 3 (in the gap, unless two
     eigenvalues nearly tie), every row of block k has bound >= min(c s_lo,
     c s_hi) + a phi_k (docs/proofs.md#design-block-floor): the block is

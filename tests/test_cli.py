@@ -1384,12 +1384,13 @@ SCANNED = ("gap.txt",)
 # The plan, a dataclass, loads only where a plan is read (the gap, JSON's
 # seed, `lmi` and `boundary`), and json only where JSON is read or written:
 # a human-format analyze that kappa decides loads neither, nor dataclasses
-# or inspect.
+# or inspect.  The shipped design records load with the first scan (the gap
+# and `lmi`), and so nowhere else.
 BASE_MODULES = {"kantorovich", "kantorovich.cli", "kantorovich.classify",
                 "kantorovich.linalg"}
 PLAN_MODULES = {"kantorovich.plan", "dataclasses", "inspect"}
-SCAN_MODULES = {"kantorovich.forms", "kantorovich.sampling", "numpy",
-                *PLAN_MODULES}
+SCAN_MODULES = {"kantorovich.forms", "kantorovich.sampling",
+                "kantorovich._records", "numpy", *PLAN_MODULES}
 RECORDED = ("numpy", "dataclasses", "inspect", "json")
 
 # The snapshot is taken before the script imports json itself.

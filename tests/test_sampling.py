@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kantorovich import forms, linalg, sampling
+from kantorovich import _records, cli, forms, linalg, sampling
 from kantorovich.classify import Certificate, classify
 from kantorovich.forms import (DeltaVector, delta_from_spd, h_entries,
                                h_form_batch)
@@ -566,17 +567,23 @@ RECORD_PLAN = SamplePlan(seed=2902, angles_2d=9001, fibonacci_3d=9001,
                          random_nd=9001)
 
 
-@pytest.mark.parametrize("block", [500, 4096])
+@pytest.mark.parametrize("plan, block", [
+    pytest.param(RECORD_PLAN, 500, id="500"),
+    pytest.param(RECORD_PLAN, 4096, id="4096"),
+    pytest.param(DEFAULT_PLAN, sampling._BLOCK, id="shipped"),
+])
 @pytest.mark.parametrize("dim", range(2, 9))
-def test_record_bounds_the_rows_the_scan_makes(monkeypatch, dim, block):
+def test_record_bounds_the_rows_the_scan_makes(monkeypatch, dim, plan,
+                                               block):
     # The record's states are one generator's, taken before it draws each
     # block of rows in turn, and a block made again from its state is the
     # design's, bit for bit.  Its floors, read from the squares of the raw
     # draws, bound the rows made, up to 1e-15: phi_k <= the least
     # row_bound(_FLOOR_COEFS, y) and s_lo <= |y|^2 <= s_hi on block k.
+    # DEFAULT_PLAN's records are the shipped ones (kantorovich._records).
     monkeypatch.setattr(sampling, "_BLOCK", block)
-    pts = all_samples(dim, RECORD_PLAN)
-    key = sampling._design_key(dim, RECORD_PLAN)
+    pts = all_samples(dim, plan)
+    key = sampling._design_key(dim, plan)
     floors, states = sampling._record(*key, block)
     blocks = list(sampling._blocks(pts.shape[0], dim * (dim - 1), block))
     assert len(states) == len(blocks) == len(floors)
@@ -597,6 +604,107 @@ def test_record_bounds_the_rows_the_scan_makes(monkeypatch, dim, block):
         assert phi <= bound.min() + 1e-15
         s = np.square(rows).sum(axis=1)
         assert s_lo - 1e-15 <= s.min() and s.max() <= s_hi + 1e-15
+
+
+STALE = ("kantorovich._records is not what sampling._record computes; "
+         "regenerate it: PYTHONPATH=src python tools/make_records.py")
+
+
+@pytest.fixture(scope="module")
+def computed_records():
+    """Each shipped record as :func:`sampling._record` computes it with the
+    table bypassed."""
+    keys = list(_records.RECORDS)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_records, "RECORDS", {})
+        return {key: sampling._record.__wrapped__(*key) for key in keys}
+
+
+def test_shipped_records_are_the_computed_ones(computed_records):
+    # The table holds DEFAULT_PLAN's records at dims 2-8 and _BLOCK, bit
+    # for bit those computed, and _record returns them.
+    assert sorted(_records.RECORDS) == [
+        sampling._design_key(d, DEFAULT_PLAN) + (sampling._BLOCK,)
+        for d in range(2, 9)], STALE
+    for key, (floors, states) in computed_records.items():
+        shipped = np.array(_records.RECORDS[key][0])
+        assert shipped.tobytes() == floors.tobytes(), STALE
+        assert _records.RECORDS[key][1] == states, STALE
+        got = sampling._record(*key)
+        assert got[0].tobytes() == floors.tobytes() and got[1] == states
+
+
+def test_record_ships_only_where_the_first_design_block_agrees(
+        monkeypatch, computed_records):
+    # One ulp off in the shipped floor of the first design block (the one
+    # after the probes), and _record computes the record; where that block
+    # agrees, the shipped record is returned, whatever its later blocks hold.
+    key = sampling._design_key(5, DEFAULT_PLAN) + (sampling._BLOCK,)
+    floors, states = _records.RECORDS[key]
+    computed = computed_records[key]
+    for k, i in [(1, 0), (1, 1), (1, 2), (2, 0)]:
+        floor = list(floors[k])
+        floor[i] = math.nextafter(floor[i], math.inf)
+        patched = (*floors[:k], tuple(floor), *floors[k + 1:])
+        monkeypatch.setitem(_records.RECORDS, key, (patched, states))
+        got, got_states = sampling._record.__wrapped__(*key)
+        want = computed[0] if k == 1 else np.array(patched)
+        assert got.tobytes() == want.tobytes() and got_states == states
+        assert not got.flags.writeable
+
+
+def _gap_deltas(seed):
+    """A gap delta per dim 3-8, kappa in (4.5, 5.8)."""
+    rng = np.random.default_rng(seed)
+    return [delta_from_spd(spd_with_kappa(rng, dim, rng.uniform(4.5, 5.8)))
+            for dim in range(3, 9)]
+
+
+def test_default_gap_scan_draws_one_design_block(monkeypatch):
+    # With the shipped table, the first default-plan scan of a design makes
+    # its record from one pass that stops after the first design block.
+    sampling._record.cache_clear()
+    pass_of = sampling._pass
+    drawn = []
+
+    def counting_pass(*args):
+        drawn.append(0)
+        for item in pass_of(*args):
+            drawn[-1] += 1
+            yield item
+
+    monkeypatch.setattr(sampling, "_pass", counting_pass)
+    for d in _gap_deltas(50):
+        drawn.clear()
+        scan_design(d, DEFAULT_PLAN)
+        assert drawn == [2], d.dim
+
+
+@pytest.mark.parametrize("seed", [51, 52, 53])
+def test_gap_reports_are_the_same_on_shipped_and_computed_records(
+        monkeypatch, capsys, tmp_path, computed_records, seed):
+    # Floors only decide which blocks are skipped, and the shipped states
+    # are the computed ones: every gap report, and analyze's and lmi's
+    # output, is the same bit for bit on either record.
+    deltas = _gap_deltas(seed)
+    argv = [["lmi", "--dim", "3", "--delta", "2.5,3.0,2.8"]]
+    for n in (4, 8):
+        path = tmp_path / f"gap{n}.txt"
+        a = spd_with_kappa(np.random.default_rng(seed), n, 5.5).matrix
+        path.write_text(f"{n}\n" + "\n".join(
+            " ".join(repr(float(v)) for v in row) for row in a) + "\n")
+        argv.append(["analyze", str(path), "--format", "json"])
+
+    def results():
+        return ([_key(scan_design(d)) for d in deltas],
+                [(cli.run(args), capsys.readouterr()) for args in argv])
+
+    sampling._record.cache_clear()
+    shipped = results()
+    monkeypatch.setattr(sampling, "_record",
+                        lambda *key: computed_records[key])
+    assert results() == shipped
+    assert [code for code, _ in shipped[1]] == [0, 2, 2]
 
 
 def test_design_scan_memory_is_bounded():
