@@ -427,7 +427,7 @@ def _add_plan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples-3d", type=int,
                    help="Fibonacci sphere points in dim 3")
     p.add_argument("--samples-nd", type=int,
-                   help="random unit vectors in dim >= 4")
+                   help="Kronecker-sequence unit vectors in dim >= 4")
     p.add_argument("--refine-rounds", type=int,
                    help="accepted and validated (>= 0); has no effect")
 

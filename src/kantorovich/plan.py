@@ -27,7 +27,7 @@ class SamplePlan:
     seed: int = 42
     angles_2d: int = 4096
     fibonacci_3d: int = 100_000
-    random_nd: int = 200_000
+    random_nd: int = 200_000  # Kronecker-sequence rows in dim >= 4
     refine_rounds: int = 50  # validated, read by nothing: no descent runs
 
     def __post_init__(self):

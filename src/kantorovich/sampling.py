@@ -2,15 +2,16 @@
 
 The semi-infinite constraint "h(delta, y) PSD for all y" is probed on finite
 designs: paired coordinate probes (e_i +- e_j)/sqrt(2) are always included,
-then a deterministic design per dimension (equispaced angles in dim 2, a
-Fibonacci spiral in dim 3, seeded random unit vectors above).  h is even and
-degree-2 homogeneous in y, so unit vectors lose nothing.
+then a design per dimension, each row a function of its index (equispaced
+angles in dim 2, a Fibonacci spiral in dim 3, a seeded Kronecker sequence
+above).  h is even and degree-2 homogeneous in y, so unit vectors lose
+nothing.
 
 :func:`scan_h` finds the first minimum over rows exactly, block by block,
 with the row bound of :func:`forms.row_bound` and a Cholesky screen before
 the eigensolver.  No design is kept whole: per block, :func:`scan_design`
-keeps a floor of the row bound, to skip it unread, and the state to make
-it again.
+keeps a floor of the row bound, to skip it unread, and makes the block
+again from its indices where it is read.
 """
 
 from __future__ import annotations
@@ -71,33 +72,59 @@ def probe_directions(dim: int) -> np.ndarray:
     return out
 
 
-def _rows(dim: int, count: int, lo: int, hi: int, rng, buf: np.ndarray,
-          unit: bool = True) -> np.ndarray:
+def _kronecker(dim: int, seed: int) -> tuple[list[float], list[float]]:
+    """(s, alpha) of the R_d sequence frac(s + k alpha) (Roberts 2018):
+    alpha_j = phi^-j, phi > 1 the root of x^(dim+1) = x + 1 by Newton's
+    method in products and quotients (the nearest float at dims 4-8), and
+    s_j = frac(1/2 + seed beta_j), beta_j = phi^-(dim+j) in odd steps of
+    2^-53: an offset per seed mod 2^53."""
+    phi = 1.0 + 1.0 / (dim + 1)  # above the root; 8 steps reach it
+    for _ in range(8):
+        p = 1.0
+        for _ in range(dim):
+            p *= phi
+        phi -= (p * phi - phi - 1.0) / ((dim + 1) * p - 1.0)
+    powers = [1.0]
+    for _ in range(2 * dim):
+        powers.append(powers[-1] / phi)
+    one = 1 << 53
+    return ([((one >> 1) + seed * (int(b * one) | 1)) % one / one
+             for b in powers[dim + 1:]], powers[1:dim + 1])
+
+
+def _rows(dim: int, count: int, seed: int, lo: int, hi: int,
+          buf: np.ndarray) -> np.ndarray:
     """Rows lo:hi (a block of :func:`_blocks`) of the design of ``count``
-    sphere rows in ``dim``: the probes, or sphere rows written to ``buf``,
-    from the row indices in dims 2 and 3, else the next draws of ``rng``,
-    each normalized if ``unit``; blocks in order give one draw of them all."""
+    sphere rows in ``dim``: the probes, or sphere rows made from their
+    indices k alone, written to ``buf`` (dim, block) and returned as its
+    transpose.  Above dim 3, row k is x/|x|, x = frac(s + (k+1) alpha) - 1/2
+    (:func:`_kronecker`), |x|^2 summed in coordinate order: only +, -, *,
+    /, sqrt and floor, so its bits depend on nothing but its index."""
     head = dim * (dim - 1)
     if lo < head:
         return probe_directions(dim)
-    out = buf[:hi - lo]
+    out = buf[:, :hi - lo]
+    i = np.arange(lo - head, hi - head, dtype=float)
     if dim > 3:
-        rng.standard_normal(out=out)
-        if unit:
-            out /= np.linalg.norm(out, axis=1, keepdims=True)
-        return out
-    i = np.arange(lo - head, hi - head)
-    if dim == 2:
+        s, alpha = (np.array(v)[:, None] for v in _kronecker(dim, seed))
+        np.multiply(alpha, i + 1.0, out=out)
+        out += s
+        out -= np.floor(out) + 0.5
+        norm = out[0] * out[0]
+        for x in out[1:]:
+            norm += x * x
+        out /= np.sqrt(norm)
+    elif dim == 2:
         theta = np.pi * i / count
-        out[:, 0], out[:, 1] = np.cos(theta), np.sin(theta)
+        out[0], out[1] = np.cos(theta), np.sin(theta)
     elif dim == 3:
         z = 1.0 - 2.0 * (i + 0.5) / count
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         phi = math.pi * (3.0 - math.sqrt(5.0)) * i
-        out[:, 0], out[:, 1], out[:, 2] = r * np.cos(phi), r * np.sin(phi), z
+        out[0], out[1], out[2] = r * np.cos(phi), r * np.sin(phi), z
     else:
         out.fill(1.0)
-    return out
+    return out.T
 
 
 def _design_key(dim: int, plan: SamplePlan) -> tuple[int, int, int]:
@@ -110,27 +137,24 @@ def _design_key(dim: int, plan: SamplePlan) -> tuple[int, int, int]:
 def all_samples(dim: int, plan: SamplePlan) -> np.ndarray:
     """Probes first (so ties resolve toward them), then the sphere design:
     ``angles_2d`` equispaced angles in dim 2, a ``fibonacci_3d`` spiral in
-    dim 3, ``random_nd`` unit vectors drawn from ``seed`` above, and the
+    dim 3, ``random_nd`` Kronecker rows offset by ``seed`` above, and the
     single point (1,) in dim 1: the blocks that :func:`scan_design` reads.
     A fresh read-only array on each call, never kept: no scan reads it.
     """
     dim, count, seed = _design_key(dim, plan)
     out = np.empty((dim * (dim - 1) + count, dim))
-    for lo, hi, rows, _ in _pass(dim, count, seed, _BLOCK, True):
+    for lo, hi, rows in _pass(dim, count, seed, _BLOCK):
         out[lo:hi] = rows
     out.setflags(write=False)
     return out
 
 
-def _pass(dim: int, count: int, seed: int, block: int, unit: bool = False):
-    """(lo, hi, rows, state) per block of the design (dim, count, seed) in
-    order: :func:`_rows` (raw draws where not ``unit``) in one reused
-    buffer, state the generator's PCG64 state at the block's start."""
-    rng = np.random.default_rng(seed)
-    buf = np.empty((min(block, count), dim))
+def _pass(dim: int, count: int, seed: int, block: int):
+    """(lo, hi, rows) per block of the design (dim, count, seed) in order,
+    :func:`_rows` in one reused buffer."""
+    buf = np.empty((dim, min(block, count)))
     for lo, hi in _blocks(dim * (dim - 1) + count, dim * (dim - 1), block):
-        state = rng.bit_generator.state["state"]["state"]
-        yield lo, hi, _rows(dim, count, lo, hi, rng, buf, unit), state
+        yield lo, hi, _rows(dim, count, seed, lo, hi, buf)
 
 
 @dataclass(frozen=True)
@@ -165,39 +189,29 @@ def _bound_coefs(delta: DeltaVector,
 
 
 @lru_cache(maxsize=16)
-def _record(dim: int, count: int, seed: int,
-            block: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Per block of the design (dim, count, seed), from one pass over its
-    raw draws x: its floor (phi, s_lo, s_hi; see scan_design) read from
-    x_i^2/|x|^2, each square taken once, and the PCG64 state at its start.
-
-    The records of ``DEFAULT_PLAN`` at dims 2-8 ship in
-    :mod:`kantorovich._records`: for those the pass stops after the first
-    design block (the one after the probes) and returns the shipped
-    record, floors read-only, where that block's floor is the shipped one
-    exactly; else it goes on.
-    """
+def _record(dim: int, count: int, seed: int, block: int) -> np.ndarray:
+    """Per block of the design (dim, count, seed), its floor (phi, s_lo,
+    s_hi; see scan_design), read-only, from the squares of its rows: phi is
+    the least ``row_bound(_FLOOR_COEFS, y)`` over the block, bit for bit.
+    ``DEFAULT_PLAN``'s records at dims 2-8 ship in :mod:`kantorovich._records`
+    and are returned as they are."""
     from ._records import RECORDS
-    shipped = RECORDS.get((dim, count, seed, block))
-    floors, states = [], []
-    buf = np.empty(dim * max(dim * (dim - 1), min(block, count)))
-    for _, _, rows, state in _pass(dim, count, seed, block):
-        sq = np.square(rows.T, out=buf[:rows.size].reshape(dim, -1))
-        sq /= sq.sum(axis=0)
-        bound, s = square_bound(_FLOOR_COEFS, sq)
-        floors.append((bound.min(), s.min(), s.max()))
-        states.append(state)
-        if shipped and len(floors) == 2 and floors[1] == shipped[0][1]:
-            floors, states = shipped
-            break
+    floors = RECORDS.get((dim, count, seed, block))
+    if floors is None:
+        floors = []
+        buf = np.empty(dim * max(dim * (dim - 1), min(block, count)))
+        for _, _, rows in _pass(dim, count, seed, block):
+            sq = np.square(rows.T, out=buf[:rows.size].reshape(dim, -1))
+            bound, s = square_bound(_FLOOR_COEFS, sq)
+            floors.append((bound.min(), s.min(), s.max()))
     floors = np.array(floors)
     floors.setflags(write=False)
-    return floors, tuple(states)
+    return floors
 
 
 def _scan(delta: DeltaVector, total: int, read,
           floors: np.ndarray | None = None):
-    """:func:`scan_h` of ``total`` rows, block k being ``read(k, lo, hi)``,
+    """:func:`scan_h` of ``total`` rows, rows lo:hi being ``read(lo, hi)``,
     and the first worst row as a tuple of floats; ``floors`` clear blocks
     unread."""
     n = delta.dim
@@ -222,7 +236,7 @@ def _scan(delta: DeltaVector, total: int, read,
     for k, (lo, hi) in enumerate(_blocks(total, n * (n - 1), _BLOCK)):
         if floor is not None and lo and floor[k] > worst.value + 0.5 * tol:
             continue
-        block = rows = read(k, lo, hi)
+        block = rows = read(lo, hi)
         keep = slice(None)
         if coefs is not None and lo:
             keep = ~(row_bound(coefs, rows) > worst.value + 0.5 * tol)
@@ -253,7 +267,7 @@ def scan_h(delta: DeltaVector, points: np.ndarray) -> ScanResult:
     (:func:`linalg.screened_min_eig`), and the rest are eigensolved.
     """
     pts = as_points(delta, points)
-    return _scan(delta, pts.shape[0], lambda k, lo, hi: pts[lo:hi])[0]
+    return _scan(delta, pts.shape[0], lambda lo, hi: pts[lo:hi])[0]
 
 
 def scan_design(delta: DeltaVector,
@@ -262,38 +276,22 @@ def scan_design(delta: DeltaVector,
     :func:`scan_h` result on ``all_samples(delta.dim, plan)``, bit for bit,
     as a report with the first worst row, a tuple, and ``plan.seed``.
 
-    The first scan of a design makes its :func:`_record`: per block, phi_k,
-    the least ``row_bound(_FLOOR_COEFS, y)``, and s_lo and s_hi, the least
-    and largest |y|^2, read from the squares of the raw draws: a few ulps
-    from those of the rows y, inside the margin below.  The records of
-    ``DEFAULT_PLAN``'s designs ship precomputed, and a first scan draws
-    only the first design block to check one against.  Where the row
-    bound applies and a = 3 delta_min/4 - 3/2 <= 3 (in the gap, unless two
-    eigenvalues nearly tie), every row of block k has bound >= min(c s_lo,
-    c s_hi) + a phi_k (docs/proofs.md#design-block-floor): the block is
-    skipped unread where that exceeds the running minimum by half the
-    tolerance.  Others are made again, from their indices (dims 2, 3) or
-    recorded state, and screened as by :func:`scan_h`.
+    The first scan of a design makes its :func:`_record`: per block,
+    phi_k, the least ``row_bound(_FLOOR_COEFS, y)``, and s_lo and s_hi,
+    the least and largest |y|^2.  The records of ``DEFAULT_PLAN``'s designs
+    ship precomputed, so its scans make none.  Where the row bound applies
+    and a = 3 delta_min/4 - 3/2 <= 3 (in the gap, unless two eigenvalues
+    nearly tie), every row of block k has bound >= min(c s_lo, c s_hi) +
+    a phi_k (docs/proofs.md#design-block-floor): the block is skipped
+    unread where that exceeds the running minimum by half the tolerance.
+    Others are made again from their indices and screened as by
+    :func:`scan_h`.
     """
-    dim, count, seed = key = _design_key(delta.dim, plan)
-    floors, states = _record(*key, _BLOCK)
-    buf = np.empty((min(_BLOCK, count), dim))
-    rng = at = None
-
-    def read(k, lo, hi):
-        # One generator per scan, seeded as the design's (so only its PCG64
-        # state can differ), set to a block's recorded state after a skip.
-        nonlocal rng, at
-        if dim > 3 and k and (rng is None or at != k):
-            if rng is None:
-                rng = np.random.default_rng(seed)
-            state = rng.bit_generator.state
-            state["state"]["state"] = states[k]
-            rng.bit_generator.state = state
-        at = k + 1
-        return _rows(dim, count, lo, hi, rng, buf)
-
-    res, point = _scan(delta, sample_count(dim, plan), read, floors)
+    key = _design_key(delta.dim, plan)
+    buf = np.empty((key[0], min(_BLOCK, key[1])))
+    res, point = _scan(delta, sample_count(delta.dim, plan),
+                       lambda lo, hi: _rows(*key, lo, hi, buf),
+                       _record(*key, _BLOCK))
     return SampleReport(worst_value=res.worst_value, worst_point=point,
                         samples=res.samples, seed=plan.seed,
                         tolerance=res.tolerance, passed=not res.violation)

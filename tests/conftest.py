@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from kantorovich import validate_spd
+from kantorovich.linalg import PD_TOL
 
 
 def random_rotation(rng, n):
@@ -33,6 +36,19 @@ def random_spd(rng, n, spread=4.0):
     u = random_rotation(rng, n)
     a = (u * lams) @ u.T
     return validate_spd(0.5 * (a + a.T))
+
+
+def largest_accepted_kappa():
+    """The largest float kappa with PD_TOL * kappa < 1: 1/PD_TOL, moved by
+    at most 8 ulps (one at PD_TOL = 1e-12)."""
+    top = 1.0 / PD_TOL
+    for _ in range(8):
+        if PD_TOL * top >= 1.0:
+            top = math.nextafter(top, 0.0)
+        elif PD_TOL * math.nextafter(top, math.inf) < 1.0:
+            top = math.nextafter(top, math.inf)
+    assert PD_TOL * top < 1.0 <= PD_TOL * math.nextafter(top, math.inf)
+    return top
 
 
 def write_matrix(path, a, fmt="plain"):

@@ -15,9 +15,9 @@ from kantorovich.classify import (BOUNDARY_REL_TOL, Certificate, Status,
                                   _pair_probe, beyond_necessary, classify,
                                   falsify)
 from kantorovich.cli import run
-from kantorovich.linalg import (MAX_DIM, PD_TOL, NotPositiveDefiniteError,
-                                validate_spd)
+from kantorovich.linalg import MAX_DIM, NotPositiveDefiniteError, validate_spd
 from kantorovich.sampling import SamplePlan, all_samples
+from conftest import largest_accepted_kappa
 
 THRESHOLD_2D = 3.0 + 2.0 * math.sqrt(2.0)
 FAST = SamplePlan(angles_2d=1024, fibonacci_3d=20_000, random_nd=40_000,
@@ -117,9 +117,7 @@ def test_probe_bracket_limit_is_the_spd_limit(monkeypatch):
         return False
 
     monkeypatch.setattr("kantorovich.boundary._witness_found", no_witness)
-    top = 1e12
-    while PD_TOL * top >= 1.0:
-        top = math.nextafter(top, 0.0)
+    top = largest_accepted_kappa()
     above = math.nextafter(top, math.inf)
     for kind in FAMILY_KINDS:
         fam = EigenFamily(kind, 3)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import write_matrix
+from conftest import largest_accepted_kappa, write_matrix
 from kantorovich import cli, linalg, validate_spd
 from kantorovich.classify import KAPPA_NECESSARY
 from kantorovich.cli import (build_parser, parse_matrix_json,
@@ -563,6 +563,24 @@ def test_analyze_asymmetric_matrix(tmp_path):
     assert res.returncode == 64
 
 
+@pytest.mark.parametrize("text, code, err", [
+    ("2\n1 0.500000000012\n0.5 6\n", 64, "error: asymmetry"),
+    ("2\n1 0.500000000003\n0.5 6\n", 1, ""),
+    ("2\n1 0\n0 1.001e12\n", 64, "error: lambda_min"),
+    ("2\n1 0\n0 0.999e12\n", 1, ""),
+], ids=["asymmetry-2e-12", "asymmetry-5e-13", "kappa-1.001e12",
+        "kappa-0.999e12"])
+def test_analyze_at_the_documented_input_bounds(tmp_path, text, code, err):
+    # docs/formats.md: an asymmetry max|a_ij - a_ji| above 1e-12 max|a_ij|
+    # is rejected (2e-12 relative here) and a smaller one averaged away
+    # (5e-13); lambda_min <= 1e-12 lambda_max is not positive definite.
+    p = tmp_path / "bound.txt"
+    p.write_text(text)
+    res = run_cli("analyze", str(p))
+    assert res.returncode == code
+    assert res.stderr.startswith(err) and bool(res.stderr) == bool(err)
+
+
 def test_unknown_command_exits_64():
     res = run_cli("frobnicate")
     assert res.returncode == 64
@@ -1015,9 +1033,7 @@ def test_boundary_bad_bracket_exits_70():
 # around 1, 3 + 2*sqrt(2) and 1e12).  Each example takes one flag, or
 # none, from its edges.
 _K = KAPPA_NECESSARY
-_TOP = 1e12
-while linalg.PD_TOL * _TOP >= 1.0:
-    _TOP = math.nextafter(_TOP, 0.0)
+_TOP = largest_accepted_kappa()
 _EDGES = [1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 8.0, _K,
           math.nextafter(_K, 0.0), math.nextafter(_K, 9.0), _K * (1 + 1e-8),
           _TOP, math.nextafter(_TOP, math.inf), 1e12, -1.0, math.nan,
@@ -1385,13 +1401,14 @@ SCANNED = ("gap.txt",)
 # seed, `lmi` and `boundary`), and json only where JSON is read or written:
 # a human-format analyze that kappa decides loads neither, nor dataclasses
 # or inspect.  The shipped design records load with the first scan (the gap
-# and `lmi`), and so nowhere else.
+# and `lmi`), and so nowhere else.  No command but hessian-check loads
+# numpy.random.
 BASE_MODULES = {"kantorovich", "kantorovich.cli", "kantorovich.classify",
                 "kantorovich.linalg"}
 PLAN_MODULES = {"kantorovich.plan", "dataclasses", "inspect"}
 SCAN_MODULES = {"kantorovich.forms", "kantorovich.sampling",
                 "kantorovich._records", "numpy", *PLAN_MODULES}
-RECORDED = ("numpy", "dataclasses", "inspect", "json")
+RECORDED = ("numpy", "numpy.random", "dataclasses", "inspect", "json")
 
 # The snapshot is taken before the script imports json itself.
 LOADED_SCRIPT = """
@@ -1430,7 +1447,7 @@ def _analyze_modules(name, fmt):
     (("boundary", "--dims", "2", "--families", "two_point", "--tol", "1e-2"),
      0, {"kantorovich.boundary", *PLAN_MODULES}),
     (("hessian-check", "PLAIN", "--points", "2"), 0,
-     {"kantorovich.function", "numpy"}),
+     {"kantorovich.function", "numpy", "numpy.random"}),
     (("kantorovich-bound", "PLAIN", "--point", "1,1"), 0,
      {"kantorovich.function", "numpy"}),
     *[(("analyze", name, *fmt), ANALYZE_FILES[name][2],
@@ -1461,6 +1478,9 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, code, extra):
         loaded.discard("inspect")
         extra = extra - {"inspect"}
     assert loaded == BASE_MODULES | extra
+    # Only hessian-check draws random points; every design is made from
+    # its row indices.
+    assert ("numpy.random" in loaded) == (argv[0] == "hessian-check")
 
 
 # --- the same result in a fresh process and in-process -----------------------

@@ -64,6 +64,15 @@ def test_delta_validation():
         DeltaVector(dim=2, values=np.array([np.inf]))
 
 
+def test_delta_slack_is_1e_12():
+    # A delta entry may sit below 2 by rounding, up to 1e-12: 2 - 1e-13 is
+    # accepted and kept as it is, 2 - 1e-11 is rejected.
+    d = DeltaVector(dim=3, values=np.array([2.5, 2.0 - 1e-13, 3.0]))
+    assert d.values[1] == 2.0 - 1e-13
+    with pytest.raises(ValueError, match="must be >= 2"):
+        DeltaVector(dim=3, values=np.array([2.5, 2.0 - 1e-11, 3.0]))
+
+
 def test_delta_envelope_and_kappa(rng):
     for _ in range(30):
         n = int(rng.integers(2, 7))

@@ -18,6 +18,7 @@ from kantorovich.sampling import (DEFAULT_PLAN, SamplePlan, all_samples,
                                   probe_directions, sample_count, scan_design,
                                   scan_h)
 from conftest import spd_with_kappa
+from hypothesis import given, settings, strategies as st
 
 
 def design(dim, plan):
@@ -49,12 +50,15 @@ def test_sphere_design_unit_norm():
 
 
 def test_design_determinism():
+    # The same seed gives the same rows; another seed, a design that shares
+    # no row with it (its offset is not a shift along the sequence).
     plan = SamplePlan(seed=7, random_nd=512)
     a = design(5, plan)
     b = design(5, SamplePlan(seed=7, random_nd=512))
     np.testing.assert_array_equal(a, b)
     c = design(5, SamplePlan(seed=8, random_nd=512))
     assert not np.array_equal(a, c)
+    assert not {r.tobytes() for r in a} & {r.tobytes() for r in c}
 
 
 def test_angles_cover_diagonal():
@@ -404,7 +408,7 @@ def test_design_floors_change_no_scan(monkeypatch, rng, dim):
     # block is above that minimum.
     monkeypatch.setattr(sampling, "_BLOCK", 500)
     pts = all_samples(dim, FLOOR_PLAN)
-    floors, _ = sampling._record(*sampling._design_key(dim, FLOOR_PLAN), 500)
+    floors = sampling._record(*sampling._design_key(dim, FLOOR_PLAN), 500)
     phi, s_lo, s_hi = floors.T
     blocks = list(sampling._blocks(pts.shape[0], dim * (dim - 1), 500))
     row_bound = forms.row_bound
@@ -474,7 +478,7 @@ def test_design_floors_built_once_and_not_by_all_samples(monkeypatch):
 
 
 def _one_shot_design(dim, plan):
-    """The probes and the sphere design built whole, as one draw: the
+    """The probes and the sphere design built whole, in one step: the
     reference the block-made designs must equal bit for bit."""
     count = sampling._design_key(dim, plan)[1]
     if dim == 1:
@@ -489,8 +493,13 @@ def _one_shot_design(dim, plan):
         phi = np.pi * (3.0 - np.sqrt(5.0)) * i
         rows = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
     else:
-        rows = np.random.default_rng(plan.seed).standard_normal((count, dim))
-        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        s, alpha = (np.array(v) for v in sampling._kronecker(dim, plan.seed))
+        k = np.arange(1, count + 1, dtype=float)[:, None]
+        rows = (alpha * k + s) % 1.0 - 0.5
+        norm2 = rows[:, 0] * rows[:, 0]
+        for j in range(1, dim):
+            norm2 = norm2 + rows[:, j] * rows[:, j]
+        rows = rows / np.sqrt(norm2)[:, None]
     return np.concatenate([probe_directions(dim), rows])
 
 
@@ -501,25 +510,73 @@ BLOCK_PLAN = SamplePlan(seed=2901, angles_2d=1703, fibonacci_3d=2311,
 @pytest.mark.parametrize("block", [1, 500])
 @pytest.mark.parametrize("dim", range(1, 9))
 def test_design_blocks_are_the_one_shot_design(monkeypatch, dim, block):
-    # Blocks of ``block`` rows, made in order or again from the record,
-    # give the design one draw of it all gives; so does all_samples.
+    # Blocks of ``block`` rows, made in order or each alone and out of
+    # order, give the design made whole in one step; so does all_samples.
     want = _one_shot_design(dim, BLOCK_PLAN)
     assert all_samples(dim, BLOCK_PLAN).tobytes() == want.tobytes()
     monkeypatch.setattr(sampling, "_BLOCK", block)
     assert all_samples(dim, BLOCK_PLAN).tobytes() == want.tobytes()
     key = sampling._design_key(dim, BLOCK_PLAN)
-    _, states = sampling._record(*key, block)
     blocks = list(sampling._blocks(want.shape[0], dim * (dim - 1), block))
-    assert len(states) == len(blocks)
-    buf = np.empty((block, dim))
+    buf = np.empty((dim, block))
     got = []
     for k in range(len(blocks) - 1, -1, -1):  # out of order, each alone
-        rng = np.random.default_rng(key[2])
-        state = rng.bit_generator.state
-        state["state"]["state"] = states[k]
-        rng.bit_generator.state = state
-        got.insert(0, sampling._rows(*key[:2], *blocks[k], rng, buf).copy())
+        got.insert(0, sampling._rows(*key, *blocks[k], buf).copy())
     assert np.concatenate(got).tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dim=st.integers(4, 8), count=st.integers(1, 9000),
+       seed=st.integers(0, 1 << 64))
+def test_design_rows_do_not_depend_on_the_block_size(dim, count, seed):
+    # Each row is a function of its index: the design made in blocks of 500
+    # rows is the one made in blocks of 4096, bit for bit.
+    plan = SamplePlan(seed=seed, random_nd=count)
+    designs = []
+    for block in (500, 4096):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "_BLOCK", block)
+            designs.append(all_samples(dim, plan).tobytes())
+    assert designs[0] == designs[1]
+
+
+@pytest.mark.parametrize("dim", range(4, 9))
+def test_default_designs_are_finite_unit_rows(dim):
+    # At seeds 0-20, every row of the default design is finite and unit up
+    # to rounding, and no raw vector x = frac(s + k alpha) - 1/2 is zero.
+    count = DEFAULT_PLAN.random_nd
+    k = np.arange(1, count + 1, dtype=float)
+    for seed in range(21):
+        y = design(dim, SamplePlan(seed=seed))
+        assert y.shape == (count, dim) and np.isfinite(y).all()
+        assert np.abs(np.square(y).sum(axis=1) - 1.0).max() <= 1e-15
+        s, alpha = (np.array(v)[:, None]
+                    for v in sampling._kronecker(dim, seed))
+        x = (alpha * k + s) % 1.0 - 0.5
+        assert np.abs(x).max(axis=0).min() > 0.0
+
+
+@pytest.mark.parametrize("dim", range(4, 9))
+def test_kronecker_generator_and_offsets(dim):
+    # alpha_j = phi^-j, phi the float nearest the root of x^(d+1) = x + 1
+    # (its 17 digits from a 60-digit Newton iteration); the offsets
+    # are in [0, 1), 1/2 at seed 0, and distinct across seeds distinct mod
+    # 2^53, the seed's only bits that the offset reads.
+    s, alpha = sampling._kronecker(dim, 0)
+    phi = {4: 1.1673039782614187, 5: 1.1347241384015194,
+           6: 1.1127756842787055, 7: 1.0969815577985598,
+           8: 1.085070245491451}[dim]
+    assert alpha[0] == 1.0 / phi
+    np.testing.assert_allclose(alpha, phi ** -np.arange(1.0, dim + 1),
+                               rtol=1e-14)
+    assert s == [0.5] * dim
+    offsets = {tuple(sampling._kronecker(dim, seed)[0])
+               for seed in [*range(50), 2 ** 52 + 7, 2 ** 53 - 1]}
+    assert len(offsets) == 52
+    assert (sampling._kronecker(dim, 2 ** 64 + 3)[0]
+            == sampling._kronecker(dim, 3)[0])
+    for seed in (1, 2 ** 64):
+        assert all(0.0 <= v < 1.0 for v in sampling._kronecker(dim, seed)[0])
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
@@ -529,13 +586,13 @@ def test_design_scan_reads_the_design_blocks(monkeypatch, rng, dim):
     monkeypatch.setattr(sampling, "_BLOCK", 500)
     pts = all_samples(dim, BLOCK_PLAN)
     key = sampling._design_key(dim, BLOCK_PLAN)
-    _, states = sampling._record(*key, 500)  # made before the patch
+    floors = sampling._record(*key, 500)  # made before the patch
     rows_of = sampling._rows
     reads = []
 
-    def recording_rows(*args):  # (dim, count, lo, hi, rng, buf)
+    def recording_rows(*args):  # (dim, count, seed, lo, hi, buf)
         rows = rows_of(*args)
-        reads.append((args[2], rows.tobytes()))
+        reads.append((args[3], rows.tobytes()))
         return rows
 
     monkeypatch.setattr(sampling, "_rows", recording_rows)
@@ -550,9 +607,8 @@ def test_design_scan_reads_the_design_blocks(monkeypatch, rng, dim):
             assert pts[lo:hi].tobytes() == data
     # Floors that skip every third block (phi = inf) and read the rest
     # (phi = -inf): each block read after a skip is still the design's.
-    phi = np.where(np.arange(len(states)) % 3 == 2, np.inf, -np.inf)
-    fake = (np.column_stack([phi, np.ones_like(phi), np.ones_like(phi)]),
-            states)
+    phi = np.where(np.arange(len(floors)) % 3 == 2, np.inf, -np.inf)
+    fake = np.column_stack([phi, np.ones_like(phi), np.ones_like(phi)])
     monkeypatch.setattr(sampling, "_record", lambda *a: fake)
     reads.clear()
     scan_design(_delta_case(dim, "rotated"), BLOCK_PLAN)
@@ -575,33 +631,24 @@ RECORD_PLAN = SamplePlan(seed=2902, angles_2d=9001, fibonacci_3d=9001,
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_record_bounds_the_rows_the_scan_makes(monkeypatch, dim, plan,
                                                block):
-    # The record's states are one generator's, taken before it draws each
-    # block of rows in turn, and a block made again from its state is the
-    # design's, bit for bit.  Its floors, read from the squares of the raw
-    # draws, bound the rows made, up to 1e-15: phi_k <= the least
-    # row_bound(_FLOOR_COEFS, y) and s_lo <= |y|^2 <= s_hi on block k.
-    # DEFAULT_PLAN's records are the shipped ones (kantorovich._records).
+    # A block made again from its indices is the design's, bit for bit.
+    # The record has a floor per block, read from the squares of its rows:
+    # phi_k is the least row_bound(_FLOOR_COEFS, y) on block k exactly, and
+    # s_lo <= |y|^2 <= s_hi up to 1e-15.  DEFAULT_PLAN's records are the
+    # shipped ones (kantorovich._records).
     monkeypatch.setattr(sampling, "_BLOCK", block)
     pts = all_samples(dim, plan)
     key = sampling._design_key(dim, plan)
-    floors, states = sampling._record(*key, block)
+    floors = sampling._record(*key, block)
     blocks = list(sampling._blocks(pts.shape[0], dim * (dim - 1), block))
-    assert len(states) == len(blocks) == len(floors)
-    rng = np.random.default_rng(key[2])
-    buf = np.empty((block, dim))
+    assert len(blocks) == len(floors)
+    buf = np.empty((dim, block))
     for k, (lo, hi) in enumerate(blocks):
-        assert states[k] == rng.bit_generator.state["state"]["state"]
-        if dim > 3 and lo:
-            rng.standard_normal((hi - lo, dim))
-        redraw = np.random.default_rng(key[2])
-        state = redraw.bit_generator.state
-        state["state"]["state"] = states[k]
-        redraw.bit_generator.state = state
-        rows = sampling._rows(*key[:2], lo, hi, redraw, buf)
+        rows = sampling._rows(*key, lo, hi, buf)
         assert rows.tobytes() == pts[lo:hi].tobytes()
         phi, s_lo, s_hi = floors[k]
         bound = forms.row_bound(sampling._FLOOR_COEFS, rows)
-        assert phi <= bound.min() + 1e-15
+        assert phi == bound.min()
         s = np.square(rows).sum(axis=1)
         assert s_lo - 1e-15 <= s.min() and s.max() <= s_hi + 1e-15
 
@@ -620,37 +667,26 @@ def computed_records():
         return {key: sampling._record.__wrapped__(*key) for key in keys}
 
 
-def test_shipped_records_are_the_computed_ones(computed_records):
-    # The table holds DEFAULT_PLAN's records at dims 2-8 and _BLOCK, bit
-    # for bit those computed, and _record returns them.
+def test_shipped_records_are_the_computed_ones(monkeypatch,
+                                              computed_records):
+    # The table holds DEFAULT_PLAN's floors at dims 2-8 and _BLOCK, bit for
+    # bit those computed, and _record returns a shipped record as it is,
+    # read-only, without making a row.
     assert sorted(_records.RECORDS) == [
         sampling._design_key(d, DEFAULT_PLAN) + (sampling._BLOCK,)
         for d in range(2, 9)], STALE
-    for key, (floors, states) in computed_records.items():
-        shipped = np.array(_records.RECORDS[key][0])
+    for key, floors in computed_records.items():
+        shipped = np.array(_records.RECORDS[key])
         assert shipped.tobytes() == floors.tobytes(), STALE
-        assert _records.RECORDS[key][1] == states, STALE
-        got = sampling._record(*key)
-        assert got[0].tobytes() == floors.tobytes() and got[1] == states
-
-
-def test_record_ships_only_where_the_first_design_block_agrees(
-        monkeypatch, computed_records):
-    # One ulp off in the shipped floor of the first design block (the one
-    # after the probes), and _record computes the record; where that block
-    # agrees, the shipped record is returned, whatever its later blocks hold.
+        assert sampling._record(*key).tobytes() == floors.tobytes()
     key = sampling._design_key(5, DEFAULT_PLAN) + (sampling._BLOCK,)
-    floors, states = _records.RECORDS[key]
-    computed = computed_records[key]
-    for k, i in [(1, 0), (1, 1), (1, 2), (2, 0)]:
-        floor = list(floors[k])
-        floor[i] = math.nextafter(floor[i], math.inf)
-        patched = (*floors[:k], tuple(floor), *floors[k + 1:])
-        monkeypatch.setitem(_records.RECORDS, key, (patched, states))
-        got, got_states = sampling._record.__wrapped__(*key)
-        want = computed[0] if k == 1 else np.array(patched)
-        assert got.tobytes() == want.tobytes() and got_states == states
-        assert not got.flags.writeable
+    patched = [list(f) for f in _records.RECORDS[key]]
+    patched[1][0] = math.nextafter(patched[1][0], math.inf)
+    monkeypatch.setitem(_records.RECORDS, key, patched)
+    monkeypatch.setattr(sampling, "_rows", None)  # no row may be made
+    got = sampling._record.__wrapped__(*key)
+    assert got.tobytes() == np.array(patched).tobytes()
+    assert not got.flags.writeable
 
 
 def _gap_deltas(seed):
@@ -660,31 +696,35 @@ def _gap_deltas(seed):
             for dim in range(3, 9)]
 
 
-def test_default_gap_scan_draws_one_design_block(monkeypatch):
+def test_default_gap_scan_draws_no_design_block(monkeypatch):
     # With the shipped table, the first default-plan scan of a design makes
-    # its record from one pass that stops after the first design block.
+    # no pass over it for its record, and reads only the probe block.
     sampling._record.cache_clear()
     pass_of = sampling._pass
-    drawn = []
+    rows_of = sampling._rows
+    passes, reads = [], []
 
     def counting_pass(*args):
-        drawn.append(0)
-        for item in pass_of(*args):
-            drawn[-1] += 1
-            yield item
+        passes.append(args)
+        return pass_of(*args)
+
+    def recording_rows(*args):  # (dim, count, seed, lo, hi, buf)
+        reads.append(args[3])
+        return rows_of(*args)
 
     monkeypatch.setattr(sampling, "_pass", counting_pass)
+    monkeypatch.setattr(sampling, "_rows", recording_rows)
     for d in _gap_deltas(50):
-        drawn.clear()
+        reads.clear()
         scan_design(d, DEFAULT_PLAN)
-        assert drawn == [2], d.dim
+        assert reads == [0], d.dim
+    assert passes == []
 
 
 @pytest.mark.parametrize("seed", [51, 52, 53])
 def test_gap_reports_are_the_same_on_shipped_and_computed_records(
         monkeypatch, capsys, tmp_path, computed_records, seed):
-    # Floors only decide which blocks are skipped, and the shipped states
-    # are the computed ones: every gap report, and analyze's and lmi's
+    # Floors only decide which blocks are skipped: every gap report, and analyze's and lmi's
     # output, is the same bit for bit on either record.
     deltas = _gap_deltas(seed)
     argv = [["lmi", "--dim", "3", "--delta", "2.5,3.0,2.8"]]

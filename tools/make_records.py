@@ -1,6 +1,6 @@
 """Write ``src/kantorovich/_records.py``: the block records
-(``sampling._record``) of the ``DEFAULT_PLAN`` designs at dims 2-8, each
-computed in full, whatever table the package ships.
+(``sampling._record``) of the ``DEFAULT_PLAN`` designs at dims 2-8, the
+floors only, each computed in full, whatever table the package ships.
 
     PYTHONPATH=src python tools/make_records.py
 
@@ -29,9 +29,8 @@ Generated by ``tools/make_records.py``; do not edit.  Regenerate with
 
 ``RECORDS`` maps ``(dim, count, seed, block)`` to what
 ``sampling._record`` computes for that design: per block, its floor
-``(phi, s_lo, s_hi)``, one block per line, then per block the PCG64 state
-at its start.  ``_record`` returns a record only where the live first
-design block reproduces its floor (docs/proofs.md#design-block-floor).
+``(phi, s_lo, s_hi)``, one block per line
+(docs/proofs.md#design-block-floor).
 """
 
 RECORDS = {
@@ -42,12 +41,9 @@ def main() -> None:
     out = [HEADER]
     for dim in range(2, 9):
         key = _design_key(dim, DEFAULT_PLAN) + (_BLOCK,)
-        floors, states = _record(*key)
-        out.append(f"    {key!r}: ((\n")
-        out += [f"        {tuple(map(float, f))!r},\n" for f in floors]
-        out.append("    ), (\n")
-        out += [f"        {s},\n" for s in states]
-        out.append("    )),\n")
+        out.append(f"    {key!r}: (\n")
+        out += [f"        {tuple(map(float, f))!r},\n" for f in _record(*key)]
+        out.append("    ),\n")
     out.append("}\n")
     root = Path(__file__).resolve().parents[1]
     (root / "src/kantorovich/_records.py").write_text("".join(out),
