@@ -9,9 +9,9 @@ Decision ladder, in order:
 4. any dim: kappa <= sqrt(5 + 2*sqrt(6)) is sufficient.
 5. otherwise kappa sits in the open gap: scan the sampled design once
    (:func:`sampling.scan_design`) and return Undetermined with its report.
-   The scan cannot fail there: lambda_min h(delta, y) >= 3/2 - delta_max/4
-   >= -2e-12 at every unit y, far inside the scan tolerance
-   (docs/proofs.md#pair-term-identity).
+   The scan fails only where delta_max > ``DELTA_NECESSARY``, rung 2 in
+   delta form, which in the gap can hold at kappa = kappa* alone
+   (docs/proofs.md#necessary-rule-in-delta-form).
 
 Rungs 1 to 4 read Python floats and load no numpy, and a witness point
 is a tuple of floats; rung 5 imports ``forms`` and ``sampling`` where it
@@ -36,7 +36,8 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
-from .linalg import SpdMatrix, pair_indices, scan_tolerance
+from .linalg import (BOUNDARY_REL_TOL, DELTA_NECESSARY, KAPPA_NECESSARY,
+                     SpdMatrix, pair_indices)
 
 if TYPE_CHECKING:
     from .forms import DeltaVector
@@ -49,15 +50,10 @@ __all__ = [
     "ConvexityVerdict", "beyond_necessary", "necessary_probe", "falsify",
 ]
 
-# Convex in dim 2 iff kappa below this; necessary bound in every dim.
-KAPPA_NECESSARY = 3.0 + 2.0 * math.sqrt(2.0)
 # Sufficient in every dim.
 KAPPA_SUFFICIENT_ANY = math.sqrt(5.0 + 2.0 * math.sqrt(6.0))
 # Sufficient in dim 3.
 KAPPA_SUFFICIENT_3D = 2.0 + math.sqrt(3.0)
-
-# kappa equal to a threshold within this relative slack counts as meeting it.
-BOUNDARY_REL_TOL = 1e-12
 
 class Status(str, Enum):
     CONVEX = "Convex"
@@ -113,12 +109,12 @@ def beyond_necessary(kappa: float) -> bool:
 def necessary_probe(delta: DeltaVector) -> ProbeResult:
     """The probe on ``delta`` (:func:`_pair_probe`) with q(d) = 9 + 3 d -
     (3/4) d^2 at delta_max: q = 3 (2 + d) (3/2 - d/4) has roots -2 and 6,
-    so q < 0 exactly when kappa > 3 + 2*sqrt(2).  ``violated``: the value
-    is below -``scan_tolerance(delta_max)``, the scans' witness test."""
-    k, dmax, lam = _pair_probe(delta.values.tolist())
+    so q < 0 exactly when kappa > 3 + 2*sqrt(2).  ``violated``: delta_max
+    > ``DELTA_NECESSARY``, rung 2 in delta form, as a scan's pass flag."""
+    k, dmax, _ = _pair_probe(delta.values.tolist())
     q = 9.0 + 3.0 * dmax - 0.75 * dmax * dmax
     return ProbeResult(worst_pair=pair_indices(delta.dim)[k], delta_max=dmax,
-                       quad_value=q, violated=not lam >= -scan_tolerance(dmax))
+                       quad_value=q, violated=dmax > DELTA_NECESSARY)
 
 
 def _design_report(spd: SpdMatrix, plan: SamplePlan | None) -> SampleReport:
@@ -131,9 +127,10 @@ def _design_report(spd: SpdMatrix, plan: SamplePlan | None) -> SampleReport:
 
 def falsify(spd: SpdMatrix, plan: SamplePlan | None = None) -> Witness | None:
     """One scan of the probe + design rows (:func:`sampling.scan_design`)
-    for a direction where hess f is not PSD: the report's first worst row y
-    as x = U' y, with its worst value; ``plan`` None is ``DEFAULT_PLAN``,
-    and ``plan.refine_rounds`` is unread."""
+    for a direction where hess f is not PSD: where the report fails
+    (delta_max > ``DELTA_NECESSARY``), its first worst row y as x = U' y,
+    with its worst value; ``plan`` None is ``DEFAULT_PLAN``, and
+    ``plan.refine_rounds`` is unread."""
     rep = _design_report(spd, plan)
     if rep.passed:
         return None

@@ -37,6 +37,11 @@ JACOBI_MAX_SWEEPS = 64
 
 MAX_DIM = 8
 
+# K is convex in dim 2 iff kappa <= this, and in no dim above it.
+KAPPA_NECESSARY = 3.0 + 2.0 * math.sqrt(2.0)
+# kappa equal to a threshold within this relative slack counts as meeting it.
+BOUNDARY_REL_TOL = 1e-12
+
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -301,10 +306,17 @@ def ratio_sums(w: list[float]) -> list[float]:
     return [w[j] / w[i] + w[i] / w[j] for i, j in pair_indices(len(w))]
 
 
+# Rung 2 in delta form, ratio_sums' bits for the pair (1, kappa*): a scan or
+# probe fails where delta_max exceeds it
+# (docs/proofs.md#necessary-rule-in-delta-form).
+DELTA_NECESSARY = ratio_sums(
+    [1.0, KAPPA_NECESSARY * (1.0 + BOUNDARY_REL_TOL)])[0]
+
+
 def scan_tolerance(delta_max: float) -> float:
-    """The absolute PSD slack of a scan or probe of h(delta, .): PSD_EPS
-    times max(3, delta_max/2), the largest |entry| of h at a unit point
-    (diagonal entries peak there, off-diagonal ones at delta_max/2)."""
+    """The slack that sizes a scan's screens, reported and deciding nothing:
+    PSD_EPS times max(3, delta_max/2), the largest |entry| of h at a unit
+    point (diagonal entries peak there, off-diagonal ones at delta_max/2)."""
     return PSD_EPS * max(3.0, 0.5 * delta_max)
 
 

@@ -25,7 +25,8 @@ import numpy as np
 from .forms import (BOUND_DELTA_MAX, DeltaVector, as_points, h_entries,
                     least_coefs, pair_indices, row_bound, row_coefs,
                     square_bound)
-from .linalg import FirstMin, scan_tolerance, screened_min_eig
+from .linalg import (DELTA_NECESSARY, FirstMin, scan_tolerance,
+                     screened_min_eig)
 # The plan lives apart, without numpy; these names stay importable here.
 from .plan import (DEFAULT_PLAN, MAX_SAMPLES, SamplePlan, or_default,
                    sample_count)
@@ -275,6 +276,8 @@ def scan_design(delta: DeltaVector,
     """Sampled check that h(delta, y) is PSD over unit directions: the
     :func:`scan_h` result on ``all_samples(delta.dim, plan)``, bit for bit,
     as a report with the first worst row, a tuple, and ``plan.seed``.
+    ``passed`` is not delta_max > ``DELTA_NECESSARY``, rung 2 in delta form
+    (docs/proofs.md#necessary-rule-in-delta-form), whatever the tolerance.
 
     The first scan of a design makes its :func:`_record`: per block,
     phi_k, the least ``row_bound(_FLOOR_COEFS, y)``, and s_lo and s_hi,
@@ -292,6 +295,8 @@ def scan_design(delta: DeltaVector,
     res, point = _scan(delta, sample_count(delta.dim, plan),
                        lambda lo, hi: _rows(*key, lo, hi, buf),
                        _record(*key, _BLOCK))
+    dmax = float(delta.values.max(initial=0.0))
     return SampleReport(worst_value=res.worst_value, worst_point=point,
                         samples=res.samples, seed=plan.seed,
-                        tolerance=res.tolerance, passed=not res.violation)
+                        tolerance=res.tolerance,
+                        passed=not dmax > DELTA_NECESSARY)

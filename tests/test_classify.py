@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,14 +11,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from kantorovich import sampling
+from kantorovich import cli, sampling
+from kantorovich.boundary import FAMILY_KINDS, EigenFamily
 from kantorovich.classify import (BOUNDARY_REL_TOL, KAPPA_NECESSARY,
                                   KAPPA_SUFFICIENT_3D, KAPPA_SUFFICIENT_ANY,
                                   Certificate, Status, classify, falsify,
                                   necessary_probe)
 from kantorovich.forms import DeltaVector, delta_from_spd, least_coefs
 from kantorovich.function import f_hessian
-from kantorovich.linalg import min_eigenvalue, scan_tolerance, validate_spd
+from kantorovich.linalg import (DELTA_NECESSARY, min_eigenvalue,
+                                scan_tolerance, validate_spd)
 from kantorovich.sampling import SamplePlan, all_samples, scan_design, scan_h
 from conftest import random_rotation, spd_with_kappa
 
@@ -451,3 +455,97 @@ def test_verdict_certificate_consistency(rng):
         else:
             assert v.certificate == Certificate.SAMPLING_EXHAUSTED
             assert n >= 3
+
+
+# --- one necessary rule -----------------------------------------------------
+
+KAPPA_STAR = KAPPA_NECESSARY * (1.0 + BOUNDARY_REL_TOL)
+# The one float where rung 2's kappa form and its delta form part: it is
+# above KAPPA_STAR, and fl(kappa + 1/kappa) is DELTA_NECESSARY itself
+# (docs/proofs.md#necessary-rule-in-delta-form).
+KAPPA_FORMS_PART = 5.82842712475202
+TINY = ["--samples-2d", "64", "--samples-3d", "64", "--samples-nd", "64"]
+TINY_PLAN = SamplePlan(angles_2d=64, fibonacci_3d=64, random_nd=64)
+
+
+def _ulps_from(x, k):
+    """The float ``k`` ulps above ``x`` (below for k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def _lmi_passed(delta):
+    """``passed`` of ``kantorovich lmi --format json`` on ``delta``, which
+    the exit code follows."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(["lmi", "--dim", str(delta.dim), "--delta",
+                        ",".join(map(repr, delta.values.tolist())), *TINY,
+                        "--format", "json"])
+    passed = json.loads(out.getvalue())["report"]["passed"]
+    assert code == (0 if passed else 1)
+    return passed
+
+
+def test_one_necessary_rule_decides_every_entry_point():
+    # lmi, the probe, classify and falsify answer alike at every dim, on
+    # +-64 ulps of KAPPA_STAR and on 210 random kappa (10 per family and
+    # dim), but at KAPPA_FORMS_PART.
+    near = [_ulps_from(KAPPA_STAR, k) for k in range(-64, 65)]
+    rng = np.random.default_rng(5200)
+    sums = [k / 1.0 + 1.0 / k for k in near]
+    assert sums == sorted(sums)  # fl(kappa + 1/kappa) is nondecreasing
+    parted = set()
+    for kind in FAMILY_KINDS:
+        for dim in range(2, 9):
+            for kappa in near + rng.uniform(1.0, 8.0, 10).tolist():
+                spd = EigenFamily(kind, dim).spd(kappa)
+                delta = delta_from_spd(spd)
+                got = (not _lmi_passed(delta),
+                       necessary_probe(delta).violated,
+                       classify(spd, TINY_PLAN).status == Status.NOT_CONVEX,
+                       falsify(spd, TINY_PLAN) is not None)
+                if len(set(got)) > 1:
+                    assert got == (False, False, True, False), (kind, dim,
+                                                                kappa)
+                    parted.add(kappa)
+    assert parted == {KAPPA_FORMS_PART}
+
+
+def test_delta_max_is_the_kappa_form_within_an_ulp(rng):
+    # delta_max of any spectrum near the threshold is within one ulp (2^-50)
+    # of fl(kappa + 1/kappa), so the forms part only for kappa in
+    # [KAPPA_STAR, KAPPA_STAR + 2 ulps].
+    window = {_ulps_from(KAPPA_STAR, k) for k in range(3)}
+    for _ in range(3000):
+        n = int(rng.integers(2, 9))
+        kappa = _ulps_from(KAPPA_STAR, int(rng.integers(-6, 7)))
+        w = np.concatenate(([1.0, kappa], rng.uniform(1.0, kappa, n - 2)))
+        a = np.diag(w * float(rng.uniform(0.5, 3.0)))
+        if rng.integers(2):
+            q = random_rotation(rng, n)
+            a = q @ a @ q.T
+        spd = validate_spd(0.5 * (a + a.T))
+        k, delta_max = spd.kappa, max(spd.ratio_sums())
+        assert abs(delta_max - (k / 1.0 + 1.0 / k)) <= 2.0 ** -50
+        if (k > KAPPA_STAR) != (delta_max > DELTA_NECESSARY):
+            assert k in window, k
+
+
+@pytest.mark.parametrize("kappa", [
+    _ulps_from(KAPPA_STAR, 2), KAPPA_NECESSARY * (1.0 + 1e-11),
+    KAPPA_NECESSARY + 1e-9, KAPPA_NECESSARY + 1e-8, KAPPA_NECESSARY + 1.2e-8])
+def test_witnesses_on_the_sliver_recheck(kappa):
+    # Just past the threshold, where the probe value is within the scan
+    # tolerance of 0, falsify finds a witness wherever classify says
+    # NotConvex, and the Hessian of f on the matrix has a negative
+    # eigenvalue there.
+    for kind in FAMILY_KINDS:
+        for dim in range(2, 9):
+            spd = EigenFamily(kind, dim).spd(kappa)
+            assert classify(spd).status == Status.NOT_CONVEX
+            witness = falsify(spd)
+            assert witness is not None, (kind, dim)
+            hess = f_hessian(spd, witness.point)
+            assert np.linalg.eigvalsh(hess)[0] < 0.0, (kind, dim)

@@ -391,11 +391,16 @@ def _key(rep):
             rep.tolerance.hex(), rep.samples, rep.passed)
 
 
-def _scan_key(res, pts):
+def _scan_key(res, pts, delta):
     """:func:`_key` of the report that ``scan_h`` result ``res`` on ``pts``
-    gives."""
+    gives for ``delta``: ``passed`` is rung 2 in delta form, which the
+    scanned value agrees with (negative where it fails, at least 3/2 -
+    DELTA_NECESSARY/4 up to rounding where it passes)."""
+    passed = not float(delta.values.max()) > linalg.DELTA_NECESSARY
+    floor = 1.5 - 0.25 * linalg.DELTA_NECESSARY
+    assert res.worst_value >= floor - 1e-14 if passed else res.worst_value < 0
     return (res.worst_value.hex(), pts[res.worst_index].tobytes(),
-            res.tolerance.hex(), res.samples, not res.violation)
+            res.tolerance.hex(), res.samples, passed)
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
@@ -424,7 +429,7 @@ def test_design_floors_change_no_scan(monkeypatch, rng, dim):
         calls.clear()
         got = scan_design(d, FLOOR_PLAN)
         bounded = len(calls)
-        assert _key(got) == _scan_key(scan_h(d, pts), pts)
+        assert _key(got) == _scan_key(scan_h(d, pts), pts, d)
         lam = min_eig_batch(h_form_batch(d, pts))
         assert _key(got)[:2] == (float(lam.min()).hex(),
                                  pts[int(np.argmin(lam))].tobytes())
@@ -473,7 +478,8 @@ def test_design_floors_built_once_and_not_by_all_samples(monkeypatch):
     assert (info().misses - before.misses, info().hits - before.hits) == (1, 4)
     pts = all_samples(6, plan)
     assert info().misses - before.misses == 1 and len(passes) == 2
-    assert all(_key(r) == _scan_key(scan_h(gap, pts), pts) for r in reports)
+    assert all(_key(r) == _scan_key(scan_h(gap, pts), pts, gap)
+               for r in reports)
     assert reports[0].samples == pts.shape[0]
 
 
@@ -599,7 +605,7 @@ def test_design_scan_reads_the_design_blocks(monkeypatch, rng, dim):
     for d in _floor_deltas(rng, dim):
         reads.clear()
         got = scan_design(d, BLOCK_PLAN)
-        assert _key(got) == _scan_key(scan_h(d, pts), pts)
+        assert _key(got) == _scan_key(scan_h(d, pts), pts, d)
         los = [lo for lo, _ in reads]
         assert los == sorted(set(los)) and los[0] == 0
         for lo, data in reads:
