@@ -2,11 +2,11 @@
 
 For a family kappa -> spectrum(kappa) the prober bisects on kappa between a
 witness-free floor and a witness-bearing ceiling.  Each step is the
-necessary rung of :func:`classify.classify` on kappa alone
-(:func:`classify.beyond_necessary`), with no matrix and no spectrum: the
-family's matrix has that kappa bit for bit
-(docs/proofs.md#diagonal-spectrum), so ``analyze`` gives it NotConvex
-exactly where a step finds a witness.
+necessary rung of :func:`classify.classify`, delta_max >
+``DELTA_NECESSARY``, on the pair (1, kappa) alone, with no matrix and no
+spectrum: every family's matrix has that extreme pair bit for bit, and no
+other pair decides the rung (docs/proofs.md#diagonal-spectrum), so
+``analyze`` gives it NotConvex exactly where a step finds a witness.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 # falsify stays importable here: bench/workloads.py re-checks kappa_hi with it.
-from .classify import beyond_necessary, falsify  # noqa: F401
-from .linalg import MAX_DIM, PD_TOL, SpdMatrix, validate_spd
+from .classify import falsify  # noqa: F401
+from .linalg import DELTA_NECESSARY, MAX_DIM, PD_TOL, SpdMatrix, validate_spd
 from .plan import DEFAULT_PLAN, SamplePlan, sample_count
 
 if TYPE_CHECKING:
@@ -95,7 +95,8 @@ class BoundaryEstimate:
 
 
 def _witness_found(family: EigenFamily, kappa: float) -> bool:
-    return beyond_necessary(kappa)
+    # linalg.ratio_sums([1.0, kappa])[0] bit for bit, with no list
+    return kappa + 1.0 / kappa > DELTA_NECESSARY
 
 
 def probe_boundary(family: EigenFamily, tol: float = 1e-4,
@@ -103,14 +104,14 @@ def probe_boundary(family: EigenFamily, tol: float = 1e-4,
                    bracket: tuple[float, float] = (1.0, 8.0)) -> BoundaryEstimate:
     """Bisect kappa down to ``tol`` between no-witness and witness regimes.
 
-    Each step asks :func:`classify.beyond_necessary`, the rung that gives
-    the family's matrix NotConvex, for a witness (``plan`` only labels the
-    result): none at ``bracket[0]`` and one at ``bracket[1]``, else
-    :class:`BadInitialBracketError` after the first endpoint that fails.
-    The bracket must satisfy 1 <= lo < hi and PD_TOL * hi < 1, the kappa
-    :func:`linalg.validate_spd` accepts (every family has lambda_min = 1).
-    A ``tol`` below the float spacing at ``bracket[1]`` is rejected:
-    bisection would stall on adjacent floats.
+    Each step asks rung 2 of :func:`classify.classify` on the pair (1,
+    kappa), the rung that gives the family's matrix NotConvex, for a
+    witness (``plan`` only labels the result): none at ``bracket[0]`` and
+    one at ``bracket[1]``, else :class:`BadInitialBracketError` after the
+    first endpoint that fails.  The bracket must satisfy 1 <= lo < hi and
+    PD_TOL * hi < 1, the kappa :func:`linalg.validate_spd` accepts (every
+    family has lambda_min = 1).  A ``tol`` below the float spacing at
+    ``bracket[1]`` is rejected: bisection would stall on adjacent floats.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")

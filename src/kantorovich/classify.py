@@ -2,32 +2,33 @@
 
 Decision ladder, in order:
 
-1. dim 2: convex iff kappa <= 3 + 2*sqrt(2) (sharp both ways).
-2. any dim: kappa > 3 + 2*sqrt(2) rules convexity out; the (e_i + e_j)
-   coordinate probe on the extreme eigenvalue pair is the witness.
+1. dim 2: convex iff rung 2 does not fire (sharp both ways).
+2. any dim: delta_max > ``DELTA_NECESSARY``, kappa > 3 + 2*sqrt(2) in
+   delta form, rules convexity out; the (e_i + e_j) coordinate probe on
+   the first largest ratio sum is the witness.  This rule, and no kappa
+   form of it, also decides each ``boundary`` step, :func:`necessary_probe`
+   and a scan's pass flag (docs/proofs.md#necessary-rule-in-delta-form).
 3. dim 3: kappa <= 2 + sqrt(3) is sufficient.
 4. any dim: kappa <= sqrt(5 + 2*sqrt(6)) is sufficient.
 5. otherwise kappa sits in the open gap: scan the sampled design once
-   (:func:`sampling.scan_design`) and return Undetermined with its report.
-   The scan fails only where delta_max > ``DELTA_NECESSARY``, rung 2 in
-   delta form, which in the gap can hold at kappa = kappa* alone
-   (docs/proofs.md#necessary-rule-in-delta-form).
+   (:func:`sampling.scan_design`) and return Undetermined with its report,
+   which passes, as rung 2 did not fire.
 
 Rungs 1 to 4 read Python floats and load no numpy, and a witness point
 is a tuple of floats; rung 5 imports ``forms`` and ``sampling`` where it
 calls them (``sampling`` imports ``plan``).  The result types are
 named tuples, so that this module loads no ``dataclasses``.
 
-The probe (:func:`_probe`) is in closed form: lambda_min h at y = (e_i +
-e_j)/sqrt(2) on the first largest ratio sum is 3/2 - delta_max/4
+The probe (:func:`_pair_probe`) is in closed form: lambda_min h at y =
+(e_i + e_j)/sqrt(2) on the first largest ratio sum is 3/2 - delta_max/4
 (docs/proofs.md#pair-term-identity), :func:`forms.least_coefs`' c bit for
-bit; its point is x = U'y.  Rung 2 always attaches it (there delta_max > 6,
-so the value is negative).  :func:`falsify` maps the first worst row y of
-one probe + design scan's report (:func:`sampling.scan_design`) back to
-x = U'y.
+bit; rung 2 puts it at x = U'y, negative there.  :func:`falsify` maps the
+first worst row y of one probe + design scan's report
+(:func:`sampling.scan_design`) back to x = U'y.
 
-Threshold comparisons are inclusive within relative 1e-12, so a matrix built
-to sit exactly on a boundary classifies with the boundary, not against it.
+The kappa thresholds of rungs 3 and 4 are inclusive within relative 1e-12,
+so a matrix built to sit exactly on a boundary classifies with the
+boundary, not against it.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ if TYPE_CHECKING:
 __all__ = [
     "KAPPA_NECESSARY", "KAPPA_SUFFICIENT_ANY", "KAPPA_SUFFICIENT_3D",
     "Status", "Certificate", "ProbeResult", "Witness", "classify",
-    "ConvexityVerdict", "beyond_necessary", "necessary_probe", "falsify",
+    "ConvexityVerdict", "necessary_probe", "falsify",
 ]
 
 # Sufficient in every dim.
@@ -101,11 +102,6 @@ def _pair_probe(values: list[float]) -> tuple[int, float, float]:
     return k, dmax, 1.5 - 0.25 * dmax
 
 
-def beyond_necessary(kappa: float) -> bool:
-    """Rung 2's test, also each ``boundary`` step's: K is not convex."""
-    return kappa > KAPPA_NECESSARY * (1.0 + BOUNDARY_REL_TOL)
-
-
 def necessary_probe(delta: DeltaVector) -> ProbeResult:
     """The probe on ``delta`` (:func:`_pair_probe`) with q(d) = 9 + 3 d -
     (3/4) d^2 at delta_max: q = 3 (2 + d) (3/2 - d/4) has roots -2 and 6,
@@ -138,16 +134,6 @@ def falsify(spd: SpdMatrix, plan: SamplePlan | None = None) -> Witness | None:
     return Witness(point=tuple(x.tolist()), lambda_min=rep.worst_value)
 
 
-def _probe(spd: SpdMatrix) -> Witness:
-    """The extreme-pair probe of ``spd`` (:func:`_pair_probe`) as a witness:
-    x_c = r U[i][c] + r U[j][c], r = 1/sqrt(2), for the pair (i, j)."""
-    k, _, lam = _pair_probe(spd.ratio_sums())
-    i, j = pair_indices(spd.dim)[k]
-    u, r = spd.spectral._u, 1.0 / math.sqrt(2.0)
-    return Witness(point=tuple(r * a + r * b for a, b in zip(u[i], u[j])),
-                   lambda_min=lam)
-
-
 def classify(spd: SpdMatrix,
              plan: SamplePlan | None = None) -> ConvexityVerdict:
     """Decide convexity of K for ``spd`` (see module docstring for the
@@ -163,11 +149,15 @@ def classify(spd: SpdMatrix,
     if n == 1:
         return verdict(Status.CONVEX, Certificate.SUFFICIENT_ANY_DIM)
 
-    if beyond_necessary(kappa):
-        # delta_max >= 6 + 5.5e-12, so the probe value is negative: a
-        # witness, even within the scan tolerance of 0
+    k, dmax, lam = _pair_probe(spd.ratio_sums())
+    if dmax > DELTA_NECESSARY:
+        # the probe value is negative, even within the scan tolerance of 0:
+        # x_c = r U[i][c] + r U[j][c], r = 1/sqrt(2), for the pair (i, j)
+        i, j = pair_indices(n)[k]
+        u, r = spd.spectral._u, 1.0 / math.sqrt(2.0)
+        point = tuple(r * a + r * b for a, b in zip(u[i], u[j]))
         return verdict(Status.NOT_CONVEX, Certificate.NECESSARY_VIOLATED,
-                       witness=_probe(spd))
+                       witness=Witness(point=point, lambda_min=lam))
     if n == 2:
         return verdict(Status.CONVEX, Certificate.EXACT_2D)
     if n == 3 and kappa <= KAPPA_SUFFICIENT_3D * inc:

@@ -38,6 +38,13 @@ def random_spd(rng, n, spread=4.0):
     return validate_spd(0.5 * (a + a.T))
 
 
+def ulps_from(x, k):
+    """The float ``k`` ulps above ``x`` (below for k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
 def largest_accepted_kappa():
     """The largest float kappa with PD_TOL * kappa < 1: 1/PD_TOL, moved by
     at most 8 ulps (one at PD_TOL = 1e-12)."""

@@ -12,12 +12,11 @@ from kantorovich.boundary import (FAMILY_KINDS, SWEEP_CSV_HEADER,
                                   BadInitialBracketError, EigenFamily,
                                   probe_boundary, sweep, sweep_csv)
 from kantorovich.classify import (BOUNDARY_REL_TOL, Certificate, Status,
-                                  _pair_probe, beyond_necessary, classify,
-                                  falsify)
+                                  _pair_probe, classify, falsify)
 from kantorovich.cli import run
 from kantorovich.linalg import MAX_DIM, NotPositiveDefiniteError, validate_spd
 from kantorovich.sampling import SamplePlan, all_samples
-from conftest import largest_accepted_kappa
+from conftest import largest_accepted_kappa, ulps_from
 
 THRESHOLD_2D = 3.0 + 2.0 * math.sqrt(2.0)
 FAST = SamplePlan(angles_2d=1024, fibonacci_3d=20_000, random_nd=40_000,
@@ -225,16 +224,9 @@ def test_no_step_runs_a_screen(monkeypatch):
     assert (len(cholesky), len(bound)) == (0, 0)
 
 
-def _ulps(x, k):
-    """The float k steps of math.nextafter from x (toward -inf if k < 0)."""
-    for _ in range(abs(k)):
-        x = math.nextafter(x, math.copysign(math.inf, k))
-    return x
-
-
 _STEP_KAPPAS = st.one_of(
     st.floats(1.0, 8.0),
-    st.builds(_ulps, st.just(THRESHOLD_2D * (1.0 + BOUNDARY_REL_TOL)),
+    st.builds(ulps_from, st.just(THRESHOLD_2D * (1.0 + BOUNDARY_REL_TOL)),
               st.integers(-64, 64)))
 
 
@@ -255,14 +247,15 @@ def test_step_flag_is_the_probe_flag_of_the_matrix(kind, dim, kappa):
 
 
 def test_step_reads_the_extreme_pair():
-    # Every family's spectrum runs from 1.0 to kappa exactly, so the kappa a
-    # step reads is the ratio of the spectrum's extreme pair (1, kappa), and
-    # where a step finds a witness that pair's probe value is negative
+    # Every family's spectrum runs from 1.0 to kappa exactly, so the pair a
+    # step reads is the spectrum's extreme pair (1, kappa): a step finds a
+    # witness exactly where that pair's ratio sum exceeds DELTA_NECESSARY,
+    # and there its probe value is negative
     # (docs/proofs.md#diagonal-spectrum).
     centers = (THRESHOLD_2D * (1.0 - BOUNDARY_REL_TOL), THRESHOLD_2D,
                THRESHOLD_2D * (1.0 + BOUNDARY_REL_TOL))
     kappas = [1.0, math.nextafter(1.0, 2.0), 8.0, 1e11,
-              *[_ulps(c, k) for c in centers for k in range(-64, 65)],
+              *[ulps_from(c, k) for c in centers for k in range(-64, 65)],
               *np.random.default_rng(7).uniform(1.0, 8.0, 64).tolist()]
     for kind in FAMILY_KINDS:
         for dim in range(2, MAX_DIM + 1):
@@ -272,8 +265,10 @@ def test_step_reads_the_extreme_pair():
                 lo, hi = min(lam), max(lam)
                 assert (lo, hi) == (1.0, kappa), (kind, dim)
                 found = boundary._witness_found(fam, kappa)
-                assert found == beyond_necessary(hi / lo), (kind, dim, kappa)
-                value = _pair_probe(linalg.ratio_sums([lo, hi]))[2]
+                sums = linalg.ratio_sums([lo, hi])
+                assert found == (sums[0] > linalg.DELTA_NECESSARY), (
+                    kind, dim, kappa)
+                value = _pair_probe(sums)[2]
                 assert not found or value < 0.0, (kind, dim, kappa)
 
 
@@ -331,9 +326,11 @@ def test_bracket_is_dimension_independent(tol):
                   for dim in range(2, MAX_DIM + 1)], tol=tol, plan=FAST)
     assert len(rows) == 21
     assert {(r.estimate.kappa_lo, r.estimate.kappa_hi) for r in rows} == {want}
-    # No witness up to 3 + 2*sqrt(2) within the relative slack, one above.
+    # No witness up to 3 + 2*sqrt(2); the bracket straddles rung 2's rule
+    # on the pair (1, kappa).
     assert THRESHOLD_2D <= want[1]
-    assert want[0] <= THRESHOLD_2D * (1.0 + BOUNDARY_REL_TOL) < want[1]
+    lo_sum, hi_sum = (linalg.ratio_sums([1.0, k])[0] for k in want)
+    assert lo_sum <= linalg.DELTA_NECESSARY < hi_sum
     if tol == 1e-4:
         assert want == (5.8284149169921875, 5.828468322753906)
 

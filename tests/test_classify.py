@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from kantorovich import cli, sampling
+from kantorovich import boundary, cli, sampling
 from kantorovich.boundary import FAMILY_KINDS, EigenFamily
 from kantorovich.classify import (BOUNDARY_REL_TOL, KAPPA_NECESSARY,
                                   KAPPA_SUFFICIENT_3D, KAPPA_SUFFICIENT_ANY,
@@ -22,7 +22,7 @@ from kantorovich.function import f_hessian
 from kantorovich.linalg import (DELTA_NECESSARY, min_eigenvalue,
                                 scan_tolerance, validate_spd)
 from kantorovich.sampling import SamplePlan, all_samples, scan_design, scan_h
-from conftest import random_rotation, spd_with_kappa
+from conftest import random_rotation, spd_with_kappa, ulps_from
 
 # Small budgets keep the suite quick; the acceptance tests use the defaults.
 FAST = SamplePlan(angles_2d=1024, fibonacci_3d=20_000, random_nd=40_000,
@@ -77,11 +77,11 @@ def test_probe_pair_tie_break():
 
 POINTS_SCRIPT = """
 import json, sys
-from kantorovich.classify import _probe, classify
+from kantorovich.classify import classify
 from kantorovich.linalg import validate_spd
 spd, gap = (validate_spd(json.loads(a)) for a in sys.argv[1:])
 v, again = classify(spd), classify(spd)
-points = (v.witness.point, _probe(spd).point)
+points = (v.witness.point, again.witness.point)
 out = {"numpy": "numpy" in sys.modules, "lengths": [len(p) for p in points],
        "types": sorted({type(c).__name__ for p in points for c in p})}
 g, g_again = classify(gap), classify(gap)
@@ -288,7 +288,7 @@ def test_classify_invariant_under_inverse_and_rotation(dim, seed, kappa):
 ])
 def test_classify_builds_the_rotation_only_for_a_witness(rng, dim, kappa,
                                                          certificate):
-    # kappa decides every rung; only the necessary-violated probe witness,
+    # the spectrum decides every rung; only the necessary-violated witness,
     # x = U'y, reads the rotation, so only there is it replayed
     spd = spd_with_kappa(rng, dim, kappa)
     assert spd.spectral._rotations
@@ -460,19 +460,8 @@ def test_verdict_certificate_consistency(rng):
 # --- one necessary rule -----------------------------------------------------
 
 KAPPA_STAR = KAPPA_NECESSARY * (1.0 + BOUNDARY_REL_TOL)
-# The one float where rung 2's kappa form and its delta form part: it is
-# above KAPPA_STAR, and fl(kappa + 1/kappa) is DELTA_NECESSARY itself
-# (docs/proofs.md#necessary-rule-in-delta-form).
-KAPPA_FORMS_PART = 5.82842712475202
 TINY = ["--samples-2d", "64", "--samples-3d", "64", "--samples-nd", "64"]
 TINY_PLAN = SamplePlan(angles_2d=64, fibonacci_3d=64, random_nd=64)
-
-
-def _ulps_from(x, k):
-    """The float ``k`` ulps above ``x`` (below for k < 0)."""
-    for _ in range(abs(k)):
-        x = math.nextafter(x, math.copysign(math.inf, k))
-    return x
 
 
 def _lmi_passed(delta):
@@ -488,39 +477,80 @@ def _lmi_passed(delta):
     return passed
 
 
+def _near_threshold_spectra(rng):
+    """Rotated and scaled spectra at dims 2 to 8 within 6 ulps of
+    KAPPA_STAR, where delta_max may part from fl(kappa + 1/kappa) in the
+    last bit, and the analyze golden whose delta_max is DELTA_NECESSARY
+    at kappa = KAPPA_STAR + 1 ulp."""
+    from test_golden import ANALYZE
+    rows = ANALYZE["d7-nec+1e-12-rot-s1e+10"].splitlines()[1:]
+    spds = [validate_spd([[float(v) for v in row.split()] for row in rows])]
+    for n in range(2, 9):
+        for k in range(-6, 7):
+            kappa = ulps_from(KAPPA_STAR, k)
+            for scale in (2.0 ** -700, 0.37, 1e10):
+                w = np.concatenate(([1.0, kappa],
+                                    rng.uniform(1.0, kappa, n - 2)))
+                q = random_rotation(rng, n)
+                a = (q * (w * scale)) @ q.T
+                spds.append(validate_spd(0.5 * (a + a.T)))
+    return spds
+
+
 def test_one_necessary_rule_decides_every_entry_point():
-    # lmi, the probe, classify and falsify answer alike at every dim, on
-    # +-64 ulps of KAPPA_STAR and on 210 random kappa (10 per family and
-    # dim), but at KAPPA_FORMS_PART.
-    near = [_ulps_from(KAPPA_STAR, k) for k in range(-64, 65)]
+    # lmi, the probe, classify and falsify answer alike, and every
+    # Undetermined report passes, at every dim: on the families at +-64
+    # ulps of KAPPA_STAR and at 210 random kappa (10 per family and dim),
+    # and on rotated, scaled spectra near KAPPA_STAR
+    # (docs/proofs.md#necessary-rule-in-delta-form).
+    near = [ulps_from(KAPPA_STAR, k) for k in range(-64, 65)]
     rng = np.random.default_rng(5200)
     sums = [k / 1.0 + 1.0 / k for k in near]
     assert sums == sorted(sums)  # fl(kappa + 1/kappa) is nondecreasing
-    parted = set()
+    spds = [EigenFamily(kind, dim).spd(kappa)
+            for kind in FAMILY_KINDS for dim in range(2, 9)
+            for kappa in near + rng.uniform(1.0, 8.0, 10).tolist()]
+    rotated = _near_threshold_spectra(np.random.default_rng(5300))
+    # where kappa > KAPPA_STAR would part from the rule
+    assert sum((s.kappa > KAPPA_STAR)
+               != (max(s.ratio_sums()) > DELTA_NECESSARY)
+               for s in rotated) >= 10
+    for spd in spds + rotated:
+        delta = delta_from_spd(spd)
+        verdict = classify(spd, TINY_PLAN)
+        got = (not _lmi_passed(delta), necessary_probe(delta).violated,
+               verdict.status == Status.NOT_CONVEX,
+               falsify(spd, TINY_PLAN) is not None)
+        assert len(set(got)) == 1, (spd.kappa, spd.dim, got)
+        assert verdict.status != Status.UNDETERMINED or verdict.report.passed
+
+
+def test_family_verdict_turns_two_ulps_above_kappa_star():
+    # On the family spectra the verdict is NotConvex from KAPPA_STAR + 2
+    # ulps on and not at KAPPA_STAR + 1 ulp, where fl(kappa + 1/kappa) is
+    # DELTA_NECESSARY itself, in classify and in a boundary step
+    # (docs/proofs.md#necessary-rule-in-delta-form, item 2).
+    edges = ((ulps_from(KAPPA_STAR, 1), False),
+             (ulps_from(KAPPA_STAR, 2), True))
     for kind in FAMILY_KINDS:
         for dim in range(2, 9):
-            for kappa in near + rng.uniform(1.0, 8.0, 10).tolist():
-                spd = EigenFamily(kind, dim).spd(kappa)
-                delta = delta_from_spd(spd)
-                got = (not _lmi_passed(delta),
-                       necessary_probe(delta).violated,
-                       classify(spd, TINY_PLAN).status == Status.NOT_CONVEX,
-                       falsify(spd, TINY_PLAN) is not None)
-                if len(set(got)) > 1:
-                    assert got == (False, False, True, False), (kind, dim,
-                                                                kappa)
-                    parted.add(kappa)
-    assert parted == {KAPPA_FORMS_PART}
+            fam = EigenFamily(kind, dim)
+            for kappa, want in edges:
+                verdict = classify(fam.spd(kappa), TINY_PLAN)
+                assert (verdict.status == Status.NOT_CONVEX) == want, (
+                    kind, dim, kappa)
+                assert boundary._witness_found(fam, kappa) == want
 
 
 def test_delta_max_is_the_kappa_form_within_an_ulp(rng):
     # delta_max of any spectrum near the threshold is within one ulp (2^-50)
-    # of fl(kappa + 1/kappa), so the forms part only for kappa in
-    # [KAPPA_STAR, KAPPA_STAR + 2 ulps].
-    window = {_ulps_from(KAPPA_STAR, k) for k in range(3)}
+    # of fl(kappa + 1/kappa), so rung 2 answers as kappa > KAPPA_STAR would
+    # but for kappa in [KAPPA_STAR, KAPPA_STAR + 2 ulps], where the verdict
+    # follows the last bit of delta_max.
+    window = {ulps_from(KAPPA_STAR, k) for k in range(3)}
     for _ in range(3000):
         n = int(rng.integers(2, 9))
-        kappa = _ulps_from(KAPPA_STAR, int(rng.integers(-6, 7)))
+        kappa = ulps_from(KAPPA_STAR, int(rng.integers(-6, 7)))
         w = np.concatenate(([1.0, kappa], rng.uniform(1.0, kappa, n - 2)))
         a = np.diag(w * float(rng.uniform(0.5, 3.0)))
         if rng.integers(2):
@@ -534,7 +564,7 @@ def test_delta_max_is_the_kappa_form_within_an_ulp(rng):
 
 
 @pytest.mark.parametrize("kappa", [
-    _ulps_from(KAPPA_STAR, 2), KAPPA_NECESSARY * (1.0 + 1e-11),
+    ulps_from(KAPPA_STAR, 2), KAPPA_NECESSARY * (1.0 + 1e-11),
     KAPPA_NECESSARY + 1e-9, KAPPA_NECESSARY + 1e-8, KAPPA_NECESSARY + 1.2e-8])
 def test_witnesses_on_the_sliver_recheck(kappa):
     # Just past the threshold, where the probe value is within the scan
