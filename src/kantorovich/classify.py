@@ -22,9 +22,9 @@ named tuples, so that this module loads no ``dataclasses``.
 The probe (:func:`_pair_probe`) is in closed form: lambda_min h at y =
 (e_i + e_j)/sqrt(2) on the first largest ratio sum is 3/2 - delta_max/4
 (docs/proofs.md#pair-term-identity), :func:`forms.least_coefs`' c bit for
-bit; rung 2 puts it at x = U'y, negative there.  :func:`falsify` maps the
-first worst row y of one probe + design scan's report
-(:func:`sampling.scan_design`) back to x = U'y.
+bit, and no unit y goes lower.  Rung 2's witness puts it at x = U'y,
+negative there (:func:`_necessary_witness`); :func:`falsify` returns that
+same witness, bit for bit, and scans nothing.
 
 The kappa thresholds of rungs 3 and 4 are inclusive within relative 1e-12,
 so a matrix built to sit exactly on a boundary classifies with the
@@ -113,25 +113,29 @@ def necessary_probe(delta: DeltaVector) -> ProbeResult:
                        quad_value=q, violated=dmax > DELTA_NECESSARY)
 
 
-def _design_report(spd: SpdMatrix, plan: SamplePlan | None) -> SampleReport:
-    """The report of :func:`sampling.scan_design` on ``spd``'s ratio sums
-    under ``plan``, ``DEFAULT_PLAN`` where it is None."""
-    from .forms import delta_from_spd
-    from .sampling import or_default, scan_design
-    return scan_design(delta_from_spd(spd), or_default(plan))
+def _necessary_witness(spd: SpdMatrix) -> Witness | None:
+    """Rung 2: where delta_max > ``DELTA_NECESSARY``, the probe y = (e_i +
+    e_j)/sqrt(2) on the first largest ratio sum (:func:`_pair_probe`) at x
+    = U'y, x_c = r U[i][c] + r U[j][c] with r = 1/sqrt(2), and lambda_min
+    3/2 - delta_max/4, negative there; None otherwise and in dim 1."""
+    if spd.dim < 2:
+        return None
+    k, dmax, lam = _pair_probe(spd.ratio_sums())
+    if not dmax > DELTA_NECESSARY:
+        return None
+    i, j = pair_indices(spd.dim)[k]
+    u, r = spd.spectral._u, 1.0 / math.sqrt(2.0)
+    return Witness(point=tuple(r * a + r * b for a, b in zip(u[i], u[j])),
+                   lambda_min=lam)
 
 
 def falsify(spd: SpdMatrix, plan: SamplePlan | None = None) -> Witness | None:
-    """One scan of the probe + design rows (:func:`sampling.scan_design`)
-    for a direction where hess f is not PSD: where the report fails
-    (delta_max > ``DELTA_NECESSARY``), its first worst row y as x = U' y,
-    with its worst value; ``plan`` None is ``DEFAULT_PLAN``, and
-    ``plan.refine_rounds`` is unread."""
-    rep = _design_report(spd, plan)
-    if rep.passed:
-        return None
-    x = spd.spectral.rotation.T @ rep.worst_point
-    return Witness(point=tuple(x.tolist()), lambda_min=rep.worst_value)
+    """A direction x where hess f is not PSD: rung 2's witness
+    (:func:`_necessary_witness`), where h takes its least value over unit
+    directions (docs/proofs.md#pair-term-identity), or None where delta_max
+    <= ``DELTA_NECESSARY``.  No scan runs and no numpy loads; ``plan`` is
+    accepted, as callers pass one, and not read."""
+    return _necessary_witness(spd)
 
 
 def classify(spd: SpdMatrix,
@@ -146,18 +150,10 @@ def classify(spd: SpdMatrix,
         return ConvexityVerdict(status=status, certificate=certificate,
                                 kappa=kappa, witness=witness, report=report)
 
-    if n == 1:
-        return verdict(Status.CONVEX, Certificate.SUFFICIENT_ANY_DIM)
-
-    k, dmax, lam = _pair_probe(spd.ratio_sums())
-    if dmax > DELTA_NECESSARY:
-        # the probe value is negative, even within the scan tolerance of 0:
-        # x_c = r U[i][c] + r U[j][c], r = 1/sqrt(2), for the pair (i, j)
-        i, j = pair_indices(n)[k]
-        u, r = spd.spectral._u, 1.0 / math.sqrt(2.0)
-        point = tuple(r * a + r * b for a, b in zip(u[i], u[j]))
+    witness = _necessary_witness(spd)
+    if witness is not None:
         return verdict(Status.NOT_CONVEX, Certificate.NECESSARY_VIOLATED,
-                       witness=Witness(point=point, lambda_min=lam))
+                       witness=witness)
     if n == 2:
         return verdict(Status.CONVEX, Certificate.EXACT_2D)
     if n == 3 and kappa <= KAPPA_SUFFICIENT_3D * inc:
@@ -165,5 +161,7 @@ def classify(spd: SpdMatrix,
     if kappa <= KAPPA_SUFFICIENT_ANY * inc:
         return verdict(Status.CONVEX, Certificate.SUFFICIENT_ANY_DIM)
 
+    from .forms import delta_from_spd
+    from .sampling import or_default, scan_design
     return verdict(Status.UNDETERMINED, Certificate.SAMPLING_EXHAUSTED,
-                   report=_design_report(spd, plan))
+                   report=scan_design(delta_from_spd(spd), or_default(plan)))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,13 +159,11 @@ def _pass(dim: int, count: int, seed: int, block: int):
         yield lo, hi, _rows(dim, count, seed, lo, hi, buf)
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     worst_value: float
     worst_index: int
     tolerance: float
     samples: int
-    violation: bool
 
 
 def _blocks(total: int, head: int, block: int):
@@ -250,22 +249,21 @@ def _scan(delta: DeltaVector, total: int, read,
         if worst.index >= lo:
             point = tuple(block[worst.index - lo].tolist())
     return ScanResult(worst_value=worst.value, worst_index=worst.index,
-                      tolerance=tol, samples=total,
-                      violation=not worst.value >= -tol), point
+                      tolerance=tol, samples=total), point
 
 
 def scan_h(delta: DeltaVector, points: np.ndarray) -> ScanResult:
     """Minimum eigenvalue of h(delta, y) over a stack of unit points.
 
-    The result is exact: the worst value, its first index and the violation
-    flag (not worst >= -tolerance, tolerance :func:`linalg.scan_tolerance`
-    of delta_max) are those of evaluating every point; the first NaN is
-    the worst (:class:`linalg.FirstMin`).  The first block is the
-    ``dim*(dim-1)`` probe rows.  In each later one, the row bound
-    (:func:`forms.row_bound`, where it applies) clears every row whose bound
-    exceeds the running minimum by half the tolerance, h is built for the
-    rest (:func:`forms.h_entries`), a Cholesky screen clears more
-    (:func:`linalg.screened_min_eig`), and the rest are eigensolved.
+    The result is exact: the worst value and its first index are those of
+    evaluating every point; the first NaN is the worst
+    (:class:`linalg.FirstMin`).  ``tolerance``, reported and deciding
+    nothing, is :func:`linalg.scan_tolerance` of delta_max.  The first
+    block is the ``dim*(dim-1)`` probe rows.  In each later one, the row
+    bound (:func:`forms.row_bound`, where it applies) clears every row
+    whose bound exceeds the running minimum by half the tolerance, h is
+    built for the rest (:func:`forms.h_entries`), a Cholesky screen clears
+    more (:func:`linalg.screened_min_eig`), and the rest are eigensolved.
     """
     pts = as_points(delta, points)
     return _scan(delta, pts.shape[0], lambda lo, hi: pts[lo:hi])[0]

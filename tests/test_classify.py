@@ -77,13 +77,15 @@ def test_probe_pair_tie_break():
 
 POINTS_SCRIPT = """
 import json, sys
-from kantorovich.classify import classify
+from kantorovich.classify import classify, falsify
 from kantorovich.linalg import validate_spd
 spd, gap = (validate_spd(json.loads(a)) for a in sys.argv[1:])
 v, again = classify(spd), classify(spd)
+found = [falsify(spd) == v.witness, falsify(gap) is None]
 points = (v.witness.point, again.witness.point)
 out = {"numpy": "numpy" in sys.modules, "lengths": [len(p) for p in points],
-       "types": sorted({type(c).__name__ for p in points for c in p})}
+       "types": sorted({type(c).__name__ for p in points for c in p}),
+       "falsify": found}
 g, g_again = classify(gap), classify(gap)
 out["equal"] = [(a == b, hash(a) == hash(b)) for a, b in ((v, again),
                                                           (g, g_again))]
@@ -94,7 +96,8 @@ print(json.dumps(out))
 
 def test_necessary_violated_points_are_python_floats(rng):
     # In a fresh interpreter, a necessary-violated verdict and the probe
-    # witness build their points without numpy, as tuples of floats, and
+    # witness build their points without numpy, as tuples of floats,
+    # falsify returns that witness or None without numpy too, and
     # verdicts compare and hash by value, with a witness or a gap report.
     spd = spd_with_kappa(rng, 8, 9.0)
     gap = spd_with_kappa(rng, 3, 4.5)
@@ -107,7 +110,7 @@ def test_necessary_violated_points_are_python_floats(rng):
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout) == {
         "numpy": False, "lengths": [8, 8], "types": ["float"],
-        "equal": [[True, True], [True, True]],
+        "falsify": [True, True], "equal": [[True, True], [True, True]],
         "verdicts": ["necessary-violated", "sampling-exhausted"]}
 
 
@@ -144,22 +147,25 @@ def test_falsify_witness_revalidates(rng, n):
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_falsify_witness_is_scan_worst(rng, n):
-    # No descent: the witness is the design scan's first worst row, mapped
-    # back to x = U'y, and its value is the identity's bound 3/2 - delta_max/4
-    # (attained at the extreme-pair probe), so no direction goes lower.
+def test_falsify_witness_is_the_classify_witness(rng, n):
+    # One witness: falsify returns rung 2's probe bit for bit, and its
+    # value 3/2 - delta_max/4 is the identity's bound, attained at the
+    # extreme-pair probe (docs/proofs.md#pair-term-identity), so no
+    # direction of the design goes lower.
     pts = all_samples(n, FAST)
     for kappa in (6.0, 9.0, 40.0):
         spd = spd_with_kappa(rng, n, kappa)
-        assert classify(spd, FAST).status == Status.NOT_CONVEX
-        delta = delta_from_spd(spd)
-        res = scan_h(delta, pts)
+        verdict = classify(spd, FAST)
+        assert verdict.status == Status.NOT_CONVEX
         w = falsify(spd, FAST)
-        want = spd.spectral.rotation.T @ pts[res.worst_index]
-        assert np.array(w.point).tobytes() == want.tobytes()
-        assert w.lambda_min == res.worst_value
+        assert w == verdict.witness
+        assert (np.array(w.point).tobytes()
+                == np.array(verdict.witness.point).tobytes())
+        delta = delta_from_spd(spd)
         c = 1.5 - float(delta.values.max()) / 4.0
-        assert abs(w.lambda_min - c) <= 1e-13 * max(1.0, abs(c))
+        assert w.lambda_min == c
+        res = scan_h(delta, pts)
+        assert res.worst_value >= w.lambda_min - 1e-13 * max(1.0, abs(c))
         assert np.linalg.eigvalsh(f_hessian(spd, w.point))[0] < 0.0
 
 
@@ -251,8 +257,9 @@ def test_classify_gap_report_is_the_probe_rows(dim):
         spd = spd_with_kappa(rng, dim, float(kappa))
         got = classify(spd).report
         res = scan_h(delta_from_spd(spd), pts)
-        assert (got.worst_value, got.tolerance, got.passed) == (
-            res.worst_value, res.tolerance, not res.violation)
+        assert (got.worst_value, got.tolerance) == (res.worst_value,
+                                                    res.tolerance)
+        assert got.passed and res.worst_value >= -res.tolerance
         np.testing.assert_array_equal(got.worst_point, pts[res.worst_index])
 
 
@@ -395,7 +402,8 @@ def test_closed_form_probe_is_the_probe_row_scan(n):
             res = scan_h(delta, y[None, :])
             assert abs(lam - res.worst_value) <= 1e-14 * max(1.0, abs(lam))
             tol = scan_tolerance(max(spd.ratio_sums()))
-            assert (lam < -tol) == res.violation
+            assert res.tolerance == tol
+            assert (lam < -tol) == (res.worst_value < -tol)
             want = spd.spectral.rotation.T @ y
             assert np.abs(witness.point - want).max() <= 2.0 ** -52
             assert min_eigenvalue(f_hessian(spd, witness.point)) < 0.0

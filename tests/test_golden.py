@@ -13,10 +13,10 @@ Six seeded corpora, each case hashed on its own:
 - ``samples``: the raw bytes of the sphere designs ``all_samples(dim,
   plan)``, which in the gap never reach stdout (the worst direction there
   is a probe row);
-- ``falsify``: the raw bytes of the ``classify.falsify`` witness (its point
-  and ``lambda_min``, or none) at dims 2-8, with kappa on both sides of
-  3 + 2 sqrt(2) and within 1e-12..1e-6 relative of it, and with tied
-  eigenvalues;
+- ``falsify``: the raw bytes of the ``classify.falsify`` witness, the
+  closed-form extreme-pair probe (its point and ``lambda_min``, or none),
+  at dims 2-8, with kappa on both sides of 3 + 2 sqrt(2) and within
+  1e-12..1e-6 relative of it, and with tied eigenvalues;
 - ``lmi``: stdout and exit code of ``kantorovich lmi --format json`` on
   passing, violating, tied and overflowing delta vectors.
 
